@@ -342,8 +342,9 @@ func BenchmarkKernelEvents(b *testing.B) {
 	k.Run()
 }
 
-// BenchmarkProcessSwitch measures the coroutine handshake: one process
-// sleeping repeatedly.
+// BenchmarkProcessSwitch measures the park/resume cycle of one process
+// sleeping repeatedly. The process pops its own wake-ups, so this is the
+// self-resume cost (no goroutine switch), not a hand-off.
 func BenchmarkProcessSwitch(b *testing.B) {
 	k := sim.NewKernel()
 	k.Spawn("bench", func(p *sim.Proc) {

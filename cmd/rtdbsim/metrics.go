@@ -82,10 +82,24 @@ func runMetrics(args []string) error {
 	fmt.Println(res.Summary)
 	prof := metrics.FromJournal(res.Journal, *topk)
 	fmt.Print(prof.String())
+	fmt.Println(processSwitches(res.Metrics))
 	if *runs > 1 {
 		fmt.Printf("metrics: %d runs byte-identical — deterministic\n", *runs)
 	}
 	return nil
+}
+
+// processSwitches is the host-time line of the report: how control
+// reached the simulated processes, which is where a run's wall-clock
+// time goes once the simulation logic is cheap. A self-resume costs no
+// goroutine switch, a hand-off one channel send; an adopted start runs
+// on the goroutine of the worker that popped it.
+func processSwitches(m *metrics.Registry) string {
+	via := func(how string) int64 {
+		return m.Counter("sim_resumes_total", "", metrics.L("via", how)).Value()
+	}
+	return fmt.Sprintf("process switches: resumes self=%d handoff=%d, starts adopt=%d start=%d",
+		via("self"), via("handoff"), via("adopt"), via("start"))
 }
 
 // metricsRunner builds the run closure from the selection. The -spec

@@ -5,7 +5,7 @@
 // shutdown bugs it caught were found only because a shuffled interleaving
 // happened to trigger them. The whole bug class — unordered map ranges,
 // wall-clock reads, unseeded global randomness, goroutines spawned outside
-// the kernel handshake, racy selects, order-dependent float accumulation —
+// the kernel baton protocol, racy selects, order-dependent float accumulation —
 // is statically detectable, and this package detects it at compile time so
 // every performance PR is gated on determinism before a single test runs.
 //
@@ -97,7 +97,7 @@ func (d Diagnostic) String() string {
 type Config struct {
 	// GoSpawnAllowlist lists file path suffixes (slash-separated) in
 	// which `go` statements are legal. The defaults are the kernel's
-	// process-spawn handshake and the parallel experiment runner.
+	// worker start site and the parallel experiment runner.
 	GoSpawnAllowlist []string
 	// IncludeTests also analyzes _test.go files of the package itself
 	// (external _test packages are never analyzed).
@@ -119,7 +119,7 @@ type Config struct {
 
 // DefaultGoSpawnAllowlist names the only files where a raw `go`
 // statement is part of the deterministic machinery: the kernel's
-// spawn/park handshake, the run-indexed parallel sweep runner, and the
+// baton-passing worker start, the run-indexed parallel sweep runner, and the
 // schedule explorer's index-slotted batch pool.
 var DefaultGoSpawnAllowlist = []string{
 	"internal/sim/proc.go",

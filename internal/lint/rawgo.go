@@ -7,16 +7,17 @@ import (
 )
 
 // RawGo forbids `go` statements in simulation packages outside the
-// kernel's process-spawn handshake. The kernel guarantees at most one
-// runnable goroutine at a time by pairing every spawn with the
-// resume/yield channel protocol in internal/sim/proc.go; a goroutine
-// created anywhere else runs unsynchronized with virtual time and races
-// the journal. The parallel experiment runner is the one other
+// kernel's baton protocol. The kernel guarantees that at most one
+// goroutine touches simulation state at a time: its worker goroutines,
+// started at one site in internal/sim/proc.go, run only while they hold
+// the baton and pass it with a channel send; a goroutine created
+// anywhere else runs unsynchronized with virtual time and races the
+// journal. The parallel experiment runner is the one other
 // allow-listed site: it fans out whole independent kernels and joins
 // them by run index, never sharing simulation state.
 var RawGo = &Analyzer{
 	Name: "rawgo",
-	Doc:  "forbids go statements outside the kernel spawn handshake and the allow-listed parallel sweep runner",
+	Doc:  "forbids go statements outside the kernel baton protocol and the allow-listed parallel sweep runner",
 	Run:  runRawGo,
 }
 
@@ -36,7 +37,7 @@ func runRawGo(pass *Pass) error {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				pass.Reportf(g.Go, "go statement outside the kernel spawn handshake; use Kernel.Spawn so the scheduler keeps one runnable process")
+				pass.Reportf(g.Go, "go statement outside the kernel baton protocol; use Kernel.Spawn so only the baton holder runs simulation code")
 			}
 			return true
 		})

@@ -7,7 +7,7 @@ import (
 // SelectOrder flags multi-case select statements in simulation
 // packages. When more than one case is ready the runtime picks
 // uniformly at random, so the chosen branch — and everything downstream
-// of it — differs between runs. The kernel's single-runner handshake
+// of it — differs between runs. The kernel's baton passing
 // needs only single-case sends and receives; anything that looks like
 // it needs a racing select should be restructured as kernel events.
 var SelectOrder = &Analyzer{

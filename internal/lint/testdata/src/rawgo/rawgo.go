@@ -1,16 +1,16 @@
 // Package rawgo is a golden fixture for the raw-goroutine analyzer.
 package rawgo
 
-// Flagged: a goroutine outside the kernel handshake.
+// Flagged: a goroutine outside the kernel baton protocol.
 func fanOut(work []func()) {
 	for _, w := range work {
-		go w() // want "outside the kernel spawn handshake"
+		go w() // want "outside the kernel baton protocol"
 	}
 }
 
 // Flagged: anonymous goroutines too.
 func fire(done chan<- struct{}) {
-	go func() { // want "outside the kernel spawn handshake"
+	go func() { // want "outside the kernel baton protocol"
 		done <- struct{}{}
 	}()
 }

@@ -2,9 +2,9 @@ package rawgo
 
 // This file is on the test's spawn allowlist, mirroring
 // internal/sim/proc.go: its go statement must not be flagged.
-func handshake(resume chan struct{}, body func()) {
+func startWorker(baton chan struct{}, body func()) {
 	go func() {
-		<-resume
 		body()
+		<-baton
 	}()
 }

@@ -17,6 +17,12 @@ package sim
 // completions — storing a pointer in an interface value does not
 // allocate, while a capturing closure does).
 //
+// An event with proc set has no handler: it moves control into that
+// process — its start if the body has not run yet, otherwise its
+// resumption from Park. The dispatch loop handles these itself (see
+// Kernel.run), because the goroutine that pops one may be the very
+// process it names.
+//
 //rtlint:pooled
 type Event struct {
 	at   Time
@@ -25,6 +31,7 @@ type Event struct {
 	fn   func()
 	call func(any)
 	arg  any
+	proc *Proc
 	idx  int
 	// canceled marks the event dead in place; the heap discards it
 	// lazily on pop, which is cheaper than eager removal.

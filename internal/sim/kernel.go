@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"rtlock/internal/journal"
@@ -20,6 +21,15 @@ var (
 // the event heap, and it hands control to at most one simulated process
 // at a time, so all simulation code runs single-threaded and every run
 // with the same inputs produces the same interleaving.
+//
+// There is no kernel goroutine. The dispatch loop is run by whichever
+// goroutine holds the baton: the caller of Run/RunUntil/Steps (the
+// driver) to begin with, then whichever process parks or finishes its
+// body. That goroutine pops and dispatches events itself until one names
+// a process other than itself or the driver's bound is reached; only
+// then does control move, with one channel send. Kernel state is touched
+// by the baton holder alone, and every transfer is a channel operation,
+// so the state needs no lock.
 //
 // A Kernel is not safe for concurrent use from multiple OS threads; all
 // interaction happens either before Run or from inside event handlers
@@ -39,11 +49,22 @@ type Kernel struct {
 	freeTokens []*Token
 	batch      []*Event
 
-	// yielded is signaled by the running process when it parks,
-	// terminates, or otherwise returns control to the kernel.
-	yielded chan struct{}
+	// driver is where the goroutine inside Run/RunUntil/Steps waits
+	// while a process goroutine holds the baton; horizon and budget are
+	// the bound that call set, and whoever reaches it hands back. hooked
+	// says the loop has more to do per event than pop it: a bound, a
+	// chooser or metric sampling (see popHooked); drive works it out on
+	// entry, which is why both must be attached before the run starts. idle holds
+	// the channels of workers (see work) whose body returned and that
+	// passed the baton on; a process start draws from it.
+	driver  chan *Proc
+	horizon Time
+	budget  int
+	hooked  bool
+	idle    []chan *Proc
+
 	current *Proc
-	parked  map[*Proc]struct{}
+	parked  *Proc // head of the intrusive list of parked processes
 	nextPID int64
 	live    int
 
@@ -62,10 +83,19 @@ type Kernel struct {
 	nextSample  Time
 	flushedAt   Time
 
-	// Kernel-owned probe handles (no-ops without a registry).
-	mEvents Counter
-	mProcs  Gauge
-	mSpawns Counter
+	// Kernel-owned probe handles (no-ops without a registry). The four
+	// resume counters split process resumptions by how control arrived:
+	// the parked process popped its own resume event (no goroutine
+	// switch), another goroutine popped it (one channel send), a worker
+	// whose body had returned ran the start on its own goroutine, or the
+	// start was handed to an idle worker or a new goroutine.
+	mEvents  Counter
+	mProcs   Gauge
+	mSpawns  Counter
+	mSelf    Counter
+	mHandoff Counter
+	mAdopt   Counter
+	mStart   Counter
 
 	// chooser, when set, overrides scheduling decision points (see
 	// choice.go); nil means canonical order.
@@ -97,6 +127,11 @@ func (k *Kernel) SetMetrics(m *metrics.Registry, every Duration) {
 	k.mEvents = m.Counter("sim_events_total", "Kernel events dispatched.")
 	k.mProcs = m.Gauge("sim_procs_live", "Simulated processes currently alive.")
 	k.mSpawns = m.Counter("sim_procs_spawned_total", "Simulated processes spawned.")
+	const resumes, help = "sim_resumes_total", "Process starts and resumptions by how control reached the process goroutine."
+	k.mSelf = m.Counter(resumes, help, metrics.L("via", "self"))
+	k.mHandoff = m.Counter(resumes, help, metrics.L("via", "handoff"))
+	k.mAdopt = m.Counter(resumes, help, metrics.L("via", "adopt"))
+	k.mStart = m.Counter(resumes, help, metrics.L("via", "start"))
 	if m == nil {
 		k.sampleEvery = 0
 		return
@@ -161,10 +196,9 @@ func (k *Kernel) Emit(kind journal.Kind, tx int64, obj int32, a, b int64, note s
 
 // NewKernel returns a kernel with the clock at zero and no pending events.
 func NewKernel() *Kernel {
-	return &Kernel{
-		yielded: make(chan struct{}),
-		parked:  make(map[*Proc]struct{}),
-	}
+	// One slot: only the baton holder sends, and the receiver takes the
+	// baton before anyone can send again, so a sender never blocks.
+	return &Kernel{driver: make(chan *Proc, 1)}
 }
 
 // Now returns the current virtual time.
@@ -225,27 +259,10 @@ func (k *Kernel) recycle(e *Event) {
 	e.fn = nil
 	e.call = nil
 	e.arg = nil
+	e.proc = nil
 	e.canceled = false
 	e.idx = -1
 	k.freeEvents = append(k.freeEvents, e)
-}
-
-// popEvent removes and returns the earliest pending event, recycling
-// canceled ones as it goes; nil when the heap is exhausted.
-//
-//rtlint:allocfree
-func (k *Kernel) popEvent() *Event {
-	for {
-		e := k.events.popMin()
-		if e == nil {
-			return nil
-		}
-		if e.canceled {
-			k.recycle(e)
-			continue
-		}
-		return e
-	}
 }
 
 // peekEvent returns the earliest pending event without removing it,
@@ -266,73 +283,148 @@ func (k *Kernel) peekEvent() *Event {
 	}
 }
 
-// dispatch runs the event's handler and recycles the struct. The handler
-// runs to completion (nested process switches included) before the
-// recycle, so e's fields are stable for its whole execution.
+// scheduleProc schedules control to move into p at the current time: its
+// start if it has not run yet, otherwise its resumption from Park.
 //
 //rtlint:allocfree
-func (k *Kernel) dispatch(e *Event) {
-	if e.call != nil {
-		e.call(e.arg)
-	} else {
-		e.fn()
+func (k *Kernel) scheduleProc(p *Proc) {
+	k.schedule(k.now, nil, nil, nil).e.proc = p
+}
+
+// run is the dispatch loop. The calling goroutine holds the baton and
+// dispatches events until control has to go to a process: it returns
+// that process with k.current already set (the caller decides whether
+// that means returning into its own Park, running the body itself, or a
+// channel send), or nil when the driver's bound is reached or no events
+// are left.
+//
+// A handler event is recycled after its handler returns, so its fields
+// are stable while it runs. A process event is recycled before control
+// moves: once the baton is passed, kernel state belongs to the next
+// goroutine.
+//
+// The pop is written out here rather than in a function of its own: the
+// extra call costs a plain event a tenth of its 15 ns.
+//
+//rtlint:allocfree
+func (k *Kernel) run() *Proc {
+	for {
+		e := k.events.min()
+		if e != nil && e.canceled {
+			e = k.peekEvent()
+		}
+		if e == nil {
+			if k.sampleEvery > 0 {
+				k.flushSample()
+			}
+			return nil
+		}
+		if k.hooked {
+			if e = k.popHooked(e); e == nil {
+				return nil
+			}
+		} else {
+			k.events.popMin()
+			k.now = e.at
+		}
+		p := e.proc
+		if p == nil {
+			if e.call != nil {
+				e.call(e.arg)
+			} else {
+				e.fn()
+			}
+		}
+		k.recycle(e)
+		if p != nil && !p.dead {
+			k.current = p
+			return p
+		}
 	}
-	k.recycle(e)
+}
+
+// popHooked is the loop's uncommon pop, taken when the run is bounded
+// (RunUntil, Steps), has a chooser or samples metrics, so that these
+// apply whichever goroutine is driving. It checks the bound before
+// popping the head event e (nil when reached), lets the chooser swap e
+// for a simultaneous event, takes the samples due before its time and
+// advances the clock to it.
+//
+//rtlint:allocfree
+func (k *Kernel) popHooked(e *Event) *Event {
+	if e.at > k.horizon || k.budget == 0 {
+		return nil
+	}
+	k.events.popMin()
+	k.budget--
+	if k.chooser != nil {
+		e = k.chooseNext(e)
+	}
+	if k.sampleEvery > 0 {
+		k.sampleTo(e.at)
+		k.mEvents.Inc()
+	}
+	k.now = e.at
+	return e
+}
+
+// passTo moves the baton to the goroutine that must run next: p's own
+// if it is parked, an idle worker or a new one if p has not started, or
+// the driver when p is nil. The caller must not touch kernel state
+// afterwards until it is handed the baton back on its own channel.
+//
+//rtlint:allocfree
+func (k *Kernel) passTo(p *Proc) {
+	switch {
+	case p == nil:
+		k.driver <- nil
+	case p.ch != nil:
+		k.mHandoff.Inc()
+		p.ch <- p
+	default:
+		k.mStart.Inc()
+		if n := len(k.idle); n > 0 {
+			ch := k.idle[n-1]
+			k.idle[n-1] = nil
+			k.idle = k.idle[:n-1]
+			ch <- p
+		} else {
+			k.startWorker(p)
+		}
+	}
+}
+
+// With no horizon and no budget a run stops only when the heap drains.
+const (
+	noHorizon Time = math.MaxInt64
+	noBudget       = math.MaxInt
+)
+
+// drive runs the loop on the driver goroutine up to the given bound,
+// waiting out the stretches where a process goroutine holds the baton.
+// Before returning it makes every idle worker exit, so a kernel that is
+// dropped after Run leaves no goroutine behind.
+func (k *Kernel) drive(horizon Time, budget int) {
+	k.horizon, k.budget = horizon, budget
+	k.hooked = k.chooser != nil || k.sampleEvery > 0 || horizon != noHorizon || budget != noBudget
+	if p := k.run(); p != nil {
+		k.passTo(p)
+		<-k.driver
+	}
+	k.releaseIdle()
 }
 
 // Run dispatches events until none remain. It returns the final virtual
 // time.
-//
-// Canonical runs — no chooser, no metrics sampling — take a fast path
-// with nothing in the loop but pop/advance/dispatch; the choice-point
-// and sampling hooks are compiled out entirely rather than branch-tested
-// per event.
-//
-//rtlint:allocfree
 func (k *Kernel) Run() Time {
-	if k.chooser == nil && (k.met == nil || k.sampleEvery <= 0) {
-		for {
-			e := k.popEvent()
-			if e == nil {
-				return k.now
-			}
-			k.now = e.at
-			k.dispatch(e)
-		}
-	}
-	sampling := k.met != nil && k.sampleEvery > 0
-	for {
-		e := k.popEvent()
-		if e == nil {
-			if sampling {
-				k.flushSample()
-			}
-			return k.now
-		}
-		if k.chooser != nil {
-			e = k.chooseNext(e)
-		}
-		if sampling {
-			k.sampleTo(e.at)
-			k.mEvents.Inc()
-		}
-		k.now = e.at
-		k.dispatch(e)
-	}
+	k.drive(noHorizon, noBudget)
+	return k.now
 }
 
 // RunUntil dispatches events with timestamps <= t, then advances the
 // clock to t. Events scheduled beyond t remain pending.
 func (k *Kernel) RunUntil(t Time) {
-	for {
-		e := k.peekEvent()
-		if e == nil || e.at > t {
-			break
-		}
-		k.events.popMin()
-		k.now = e.at
-		k.dispatch(e)
-	}
+	k.drive(t, noBudget)
 	if k.now < t {
 		k.now = t
 	}
@@ -341,17 +433,9 @@ func (k *Kernel) RunUntil(t Time) {
 // Steps dispatches up to n events and reports how many actually ran.
 // It exists for tests that want fine-grained control.
 func (k *Kernel) Steps(n int) int {
-	ran := 0
-	for ran < n {
-		e := k.popEvent()
-		if e == nil {
-			break
-		}
-		k.now = e.at
-		k.dispatch(e)
-		ran++
-	}
-	return ran
+	n = max(n, 0)
+	k.drive(noHorizon, n)
+	return n - k.budget
 }
 
 // Shutdown interrupts every parked process with ErrShutdown and runs the
@@ -360,15 +444,17 @@ func (k *Kernel) Steps(n int) int {
 // a simulation early use it to avoid leaking goroutines.
 func (k *Kernel) Shutdown() error {
 	const maxRounds = 100000
+	var procs []*Proc
 	for round := 0; round < maxRounds; round++ {
 		if k.live == 0 {
 			return nil
 		}
-		// Interrupt in process-id order: map iteration order would
-		// otherwise leak into the wake ordering (and the journal's
-		// procend sequence) of processes dying at the same instant.
-		procs := make([]*Proc, 0, len(k.parked))
-		for p := range k.parked {
+		// Interrupt in process-id order: the list is in park order,
+		// which would otherwise leak into the wake ordering (and the
+		// journal's procend sequence) of processes dying at the same
+		// instant.
+		procs = procs[:0]
+		for p := k.parked; p != nil; p = p.parkNext {
 			procs = append(procs, p)
 		}
 		sort.Slice(procs, func(i, j int) bool { return procs[i].id < procs[j].id })
@@ -379,7 +465,7 @@ func (k *Kernel) Shutdown() error {
 			// Live processes but nothing runnable: every live
 			// process must be parked; the next round interrupts
 			// them. If none are parked either, we are stuck.
-			if len(k.parked) == 0 {
+			if k.parked == nil {
 				return fmt.Errorf("sim: shutdown stuck with %d live processes", k.live)
 			}
 		}
@@ -395,18 +481,6 @@ func (k *Kernel) Live() int { return k.live }
 // canceled events not yet discarded).
 func (k *Kernel) Pending() int { return k.events.len() }
 
-// switchTo transfers control to p and blocks the kernel until p yields
-// back (by parking or terminating).
-func (k *Kernel) switchTo(p *Proc) {
-	if p.dead {
-		return
-	}
-	k.current = p
-	p.resume <- struct{}{}
-	<-k.yielded
-	k.current = nil
-}
-
-// Current returns the process currently holding the kernel, or nil when
-// the kernel itself is running (e.g. inside a timer event).
+// Current returns the running process, or nil while an event handler
+// runs (a timer, say), whichever goroutine is dispatching it.
 func (k *Kernel) Current() *Proc { return k.current }

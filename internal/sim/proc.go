@@ -6,20 +6,29 @@ import (
 	"rtlock/internal/journal"
 )
 
-// Proc is a simulated process: a goroutine that runs only when the kernel
-// hands it control, mirroring the paper's "separate process for each
-// transaction". A process advances virtual time by parking (Sleep, Park)
-// and is resumed by kernel events.
+// Proc is a simulated process: a body that runs on a goroutine only while
+// it holds the kernel's baton, mirroring the paper's "separate process
+// for each transaction". A process advances virtual time by parking
+// (Sleep, Park) and is resumed by kernel events.
 type Proc struct {
-	k      *Kernel
-	id     int64
-	name   string
-	resume chan struct{}
-	dead   bool
+	k    *Kernel
+	id   int64
+	name string
+	dead bool
+
+	// body is held from Spawn until the start event is popped. ch is the
+	// channel of the worker goroutine running the body (nil until then);
+	// a send on it hands the parked process the baton.
+	body func(*Proc)
+	ch   chan *Proc
 
 	// waiting is the token the process is currently parked on, nil
 	// while the process is running. Interrupt cancels it.
 	waiting *Token
+
+	// parkPrev/parkNext link the kernel's list of parked processes,
+	// which Shutdown walks.
+	parkPrev, parkNext *Proc
 }
 
 // Token is a one-shot wake-up slot a process parks on. Whoever completes
@@ -95,29 +104,61 @@ func (k *Kernel) putToken(t *Token) {
 // terminates.
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 	k.nextPID++
-	p := &Proc{
-		k:      k,
-		id:     k.nextPID,
-		name:   name,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{k: k, id: k.nextPID, name: name, body: body}
 	k.live++
 	k.mSpawns.Inc()
 	k.mProcs.Add(1)
 	k.Emit(journal.KSpawn, p.id, 0, 0, 0, name)
-	k.After(0, func() {
-		go func() {
-			<-p.resume
-			body(p)
-			p.dead = true
-			k.live--
-			k.mProcs.Add(-1)
-			k.Emit(journal.KProcEnd, p.id, 0, 0, 0, "")
-			k.yielded <- struct{}{}
-		}()
-		k.switchTo(p)
-	})
+	k.scheduleProc(p)
 	return p
+}
+
+// work is the body of a worker goroutine, which outlives the processes
+// it runs. It runs p's body; when that returns it keeps the baton and
+// drives the loop itself. If the next process event it pops is a start,
+// it adopts that process on this goroutine; otherwise it passes the
+// baton on and idles on the kernel's free list until a later start or
+// the driver's release (nil) arrives on ch.
+func (k *Kernel) work(ch chan *Proc, p *Proc) {
+	for p != nil {
+		p.ch = ch
+		body := p.body
+		p.body = nil
+		body(p)
+		p.dead = true
+		k.live--
+		k.mProcs.Add(-1)
+		k.Emit(journal.KProcEnd, p.id, 0, 0, 0, "")
+		k.current = nil
+		if p = k.run(); p != nil && p.ch == nil {
+			k.mAdopt.Inc()
+			continue
+		}
+		k.idle = append(k.idle, ch)
+		k.passTo(p)
+		p = <-ch
+	}
+	k.driver <- nil
+}
+
+// startWorker runs p's body on a new worker goroutine. The channel has
+// one slot for the same reason the driver's has.
+func (k *Kernel) startWorker(p *Proc) {
+	go k.work(make(chan *Proc, 1), p)
+}
+
+// releaseIdle makes every idle worker exit and waits for each one's
+// acknowledgement. Waiting matters: a worker still on its way out when
+// the next kernel starts spawning keeps its goroutine descriptor off
+// the runtime's free list, and the runtime never frees the descriptors
+// it allocates instead.
+func (k *Kernel) releaseIdle() {
+	for i, ch := range k.idle {
+		k.idle[i] = nil
+		ch <- nil
+		<-k.driver
+	}
+	k.idle = k.idle[:0]
 }
 
 // ID returns the process id (unique per kernel).
@@ -136,12 +177,6 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
-
-// yield returns control to the kernel and blocks until resumed.
-func (p *Proc) yield() {
-	p.k.yielded <- struct{}{}
-	<-p.resume
-}
 
 // panicTokenReuse and panicParkNotRunning keep the panic-path string
 // formatting (which heap-allocates its fmt arguments) out of Park's
@@ -179,10 +214,46 @@ func (p *Proc) Park(tok *Token) error {
 		return tok.err
 	}
 	p.waiting = tok
-	p.k.parked[p] = struct{}{}
-	p.yield()
+	k := p.k
+	k.parkPush(p)
+	k.current = nil
+	// Drive the loop from here. Popping our own resume event returns
+	// straight away; anything else that moves control is one send, and
+	// the baton comes back on p.ch once someone pops our resume event.
+	if q := k.run(); q == p {
+		k.mSelf.Inc()
+	} else {
+		k.passTo(q)
+		<-p.ch
+	}
 	p.waiting = nil
 	return tok.err
+}
+
+// parkPush links p at the head of the kernel's parked list.
+//
+//rtlint:allocfree
+func (k *Kernel) parkPush(p *Proc) {
+	p.parkNext = k.parked
+	if k.parked != nil {
+		k.parked.parkPrev = p
+	}
+	k.parked = p
+}
+
+// parkRemove unlinks p from the kernel's parked list.
+//
+//rtlint:allocfree
+func (k *Kernel) parkRemove(p *Proc) {
+	if p.parkPrev != nil {
+		p.parkPrev.parkNext = p.parkNext
+	} else {
+		k.parked = p.parkNext
+	}
+	if p.parkNext != nil {
+		p.parkNext.parkPrev = p.parkPrev
+	}
+	p.parkPrev, p.parkNext = nil, nil
 }
 
 // Wake delivers err (nil for success) to the parked process. It reports
@@ -190,7 +261,7 @@ func (p *Proc) Park(tok *Token) error {
 // calls on a fired token are no-ops returning false.
 //
 // Wake never transfers control immediately: it schedules the resumption
-// as an event at the current time, preserving the single-runner
+// as a process event at the current time, preserving the single-runner
 // discipline even when one process wakes another.
 //
 //rtlint:allocfree
@@ -204,17 +275,9 @@ func (t *Token) Wake(err error) bool {
 		// Not yet parked; Park will consume the result inline.
 		return true
 	}
-	k := t.k
-	proc := t.p
-	delete(k.parked, proc)
-	k.AtCall(k.now, switchToProc, proc)
+	t.k.parkRemove(t.p)
+	t.k.scheduleProc(t.p)
 	return true
-}
-
-// switchToProc is the static wake handler: resume the parked process.
-func switchToProc(a any) {
-	p := a.(*Proc)
-	p.k.switchTo(p)
 }
 
 // Cancel detaches the waiter from its resource (revoking its timer and

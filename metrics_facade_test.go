@@ -124,7 +124,7 @@ func TestMetricsRegistrySamplesAndProbes(t *testing.T) {
 	}
 	prom := string(res.Metrics.Prometheus())
 	for _, fam := range []string{
-		"sim_events_total", "cpu_dispatches_total", "lock_requests_total",
+		"sim_events_total", "sim_resumes_total", "cpu_dispatches_total", "lock_requests_total",
 		"lock_wait_ticks", "txn_commits_total", "txn_inflight",
 	} {
 		if !containsMetric(prom, fam) {
