@@ -142,6 +142,88 @@ func TestDistributedSiteFailure(t *testing.T) {
 	}
 }
 
+// TestLostRegistrationRelease replays the one-cut plan that used to
+// panic the global path: the cut eats the transaction's registration at
+// the remote manager (10ms), its hop times out (50ms), and its release
+// lands after the heal (60ms) on a manager that never learned of it.
+// Every managed mode must skip that release: no panic, a clean faulted
+// audit, and no KUnregister for a registration that was never journaled.
+func TestLostRegistrationRelease(t *testing.T) {
+	plan, err := ParseFaultPlan([]byte(`{"chosen":{"cuts":[{"site":2,"at":5000,"heal_at":55000}]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  DistributedConfig
+		obj  ObjectID // primary away from the manager the cut hides
+	}{
+		{"global", DistributedConfig{Global: true}, 8},
+		{"shard", DistributedConfig{Placement: "shard"}, 0},
+		{"quorum", DistributedConfig{Placement: "quorum"}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Sites, cfg.DBSize = 3, 9
+			cfg.CommDelay, cfg.CPUPerObj = 10*Millisecond, 2*Millisecond
+			cfg.Audit, cfg.Faults = true, plan
+			cfg.Workload = WorkloadConfig{Transactions: []*Txn{{ID: 1, Kind: Update, Home: 2,
+				Arrival: 0, Deadline: Time(1 * Second), Ops: []Op{{Obj: tc.obj, Mode: Write}}}}}
+			res, err := RunDistributed(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Summary.Processed != 1 || res.Summary.Committed != 0 {
+				t.Fatalf("want the one transaction processed and aborted, got %v", res.Summary)
+			}
+			for _, v := range res.Violations {
+				t.Errorf("violation: %s", v)
+			}
+			type reg struct {
+				site int32
+				tx   int64
+			}
+			registered := make(map[reg]bool)
+			for _, r := range res.Journal.Records() {
+				switch r.Kind.String() {
+				case "register":
+					registered[reg{r.Site, r.Tx}] = true
+				case "unregister":
+					if !registered[reg{r.Site, r.Tx}] {
+						t.Errorf("orphan KUnregister at site %d for tx %d (seq %d)", r.Site, r.Tx, r.Seq)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestGlobalPlacementConflict checks that every entry point — the
+// facade, the spec path, and fault exploration — rejects Global combined
+// with a placement, all with the one message from dist.ModeFor.
+func TestGlobalPlacementConflict(t *testing.T) {
+	const want = "dist: placement shard selects its own execution model; Global must be false"
+	spec, err := ParseSpec([]byte(`{"mode":"distributed","global":true,"placement":"shard"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func() error{
+		"facade": func() error {
+			_, err := RunDistributed(DistributedConfig{Global: true, Placement: "shard"})
+			return err
+		},
+		"spec": func() error { _, err := spec.Run(); return err },
+		"explore -faults": func() error {
+			_, err := Explore(ExploreConfig{Faults: true, Global: true, Placement: "shard"})
+			return err
+		},
+	} {
+		if err := run(); err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", name, err, want)
+		}
+	}
+}
+
 func TestWALThroughFacade(t *testing.T) {
 	res, err := RunSingleSite(SingleSiteConfig{
 		WAL:             true,

@@ -91,122 +91,75 @@ func ForManager(name string) []Auditor {
 	return auds
 }
 
-// ForApproach returns the auditors applicable to a distributed run
-// ("global" or "local"). Both approaches synchronize through priority
-// ceiling managers, so deadlock freedom applies; the global approach
-// additionally runs two-phase commit; the local approach's histories
-// are judged per site (each replica set is its own serializable
-// database). Blocked-at-most-once is omitted: registration messages
-// travel with communication delay, so the ceiling a blocking decision
-// used may lag the true system state.
-func ForApproach(approach string) []Auditor {
-	auds := []Auditor{
-		NewSerializable(approach == "local"),
-		NewStrictTwoPhase(),
-		NewLockSafety(),
-		NewDeadlockFree(),
-	}
-	if approach == "global" {
-		auds = append(auds, NewTwoPCConsistent())
-	}
-	return auds
-}
-
-// ForPlacement returns the auditors applicable to a placement-aware
-// distributed run, selected by the canonical policy name (place.Policy
-// String values). Full replication is the local approach's layout and
-// inherits its auditors. The sharded and quorum modes run strict 2PL
-// against independent per-shard ceiling managers: one committed global
-// history, lock safety, strict two-phase locking, and 2PC agreement all
-// apply, but deadlock freedom does not — the ceiling protocol prevents
-// cycles within one manager only, and cross-shard waits can cycle (the
+// ForPlacement returns the auditors applicable to a fault-free
+// distributed run, keyed by the execution mode's name (dist.Mode's
+// String values). The paper's two architectures synchronize through
+// priority ceiling managers, so deadlock freedom applies to both:
+// "global" additionally runs two-phase commit; "local" histories are
+// judged per site (each replica set is its own serializable database).
+// Blocked-at-most-once is omitted: registration messages travel with
+// communication delay, so the ceiling a blocking decision used may lag
+// the true system state. "shard" and "quorum" run strict 2PL against
+// independent per-shard ceiling managers: one committed global history,
+// lock safety, strict two-phase locking, and 2PC agreement all apply,
+// but deadlock freedom does not — the ceiling protocol prevents cycles
+// within one manager only, and cross-shard waits can cycle (the
 // deadline timeout resolves them, as with plain 2PL single-site
 // schemes). Quorum runs additionally get the quorum-intersection
-// invariant. The primary-only baseline holds no locks and promises no
+// invariant. The "primary" baseline holds no locks and promises no
 // serializability (its journal says so in the KPlacement banner), so no
 // auditor applies — the absence is the point of the baseline.
-func ForPlacement(policy string) []Auditor {
-	switch policy {
-	case "full":
-		return ForApproach("local")
+func ForPlacement(mode string) []Auditor {
+	switch mode {
+	case "local":
+		return []Auditor{NewSerializable(true), NewStrictTwoPhase(), NewLockSafety(), NewDeadlockFree()}
+	case "global":
+		return []Auditor{NewSerializable(false), NewStrictTwoPhase(), NewLockSafety(), NewDeadlockFree(),
+			NewTwoPCConsistent()}
 	case "shard":
-		return []Auditor{
-			NewSerializable(false),
-			NewStrictTwoPhase(),
-			NewLockSafety(),
-			NewTwoPCConsistent(),
-		}
+		return []Auditor{NewSerializable(false), NewStrictTwoPhase(), NewLockSafety(), NewTwoPCConsistent()}
 	case "quorum":
-		return []Auditor{
-			NewSerializable(false),
-			NewStrictTwoPhase(),
-			NewLockSafety(),
-			NewTwoPCConsistent(),
-			NewQuorumIntersection(),
-		}
-	default: // "primary"
-		return nil
-	}
-}
-
-// ForPlacementFaults returns the auditors for a placement-aware run
-// with a fault plan attached. Serializability is dropped for the shard
-// and quorum modes: a crash wipes a shard manager's lock table while a
-// remote survivor may still think it holds locks there, so committed
-// histories across the crash carry no cross-shard ordering guarantee —
-// the same reasoning that drops global serializability in ForFaults.
-// Lock safety, strict 2PL, 2PC agreement, the recovery-correctness
-// family, and (quorum) the intersection invariant must hold across any
-// plan; the intersection survives crashes because primary stores are
-// durable and write rounds only report after W installs.
-func ForPlacementFaults(policy string) []Auditor {
-	switch policy {
-	case "full":
-		return ForFaults("local")
-	case "shard", "quorum":
-		auds := []Auditor{
-			NewStrictTwoPhase(),
-			NewLockSafety(),
-			NewTwoPCConsistent(),
-			NewRecoveryDurable(),
-			NewRecoveryReentry(),
-			NewRecoveryLiveness(),
-		}
-		if policy == "quorum" {
-			auds = append(auds, NewQuorumIntersection())
-		}
-		return auds
+		return []Auditor{NewSerializable(false), NewStrictTwoPhase(), NewLockSafety(), NewTwoPCConsistent(),
+			NewQuorumIntersection()}
 	default: // "primary"
 		return nil
 	}
 }
 
 // ForFaults returns the auditors applicable to a distributed run with a
-// fault plan attached. Crash, loss, and partition events do not weaken
-// lock safety, strict two-phase locking, deadlock freedom, or two-phase
-// commit agreement — those must hold across any plan. Global
-// serializability is the exception: while the global ceiling manager's
-// site is down, transactions degrade to their home sites' failover
-// managers, and histories synchronized by different managers carry no
-// cross-manager ordering guarantee (see DESIGN.md, "Fault model"). The
-// local approach keeps its per-site serializability: each judged
-// history is guarded by a single site's manager throughout. Fault runs
-// additionally get the recovery-correctness family: durability and
-// re-entry safety of WAL redo, and bounded-retry liveness for in-doubt
-// participants.
-func ForFaults(approach string) []Auditor {
-	if approach != "global" {
-		return ForApproach(approach)
+// fault plan attached, keyed like ForPlacement. Crash, loss, and
+// partition events do not weaken lock safety, strict two-phase locking,
+// deadlock freedom (where it held), or two-phase commit agreement —
+// those must hold across any plan. Global serializability is the
+// exception. In "global" mode, while the global ceiling manager's site
+// is down, transactions degrade to their home sites' failover managers,
+// and histories synchronized by different managers carry no
+// cross-manager ordering guarantee (see DESIGN.md, "Fault model"). In
+// "shard" and "quorum" mode a crash wipes a shard manager's lock table
+// while a remote survivor may still think it holds locks there, so
+// committed histories across the crash carry no cross-shard ordering
+// guarantee either. "local" keeps its per-site serializability: each
+// judged history is guarded by a single site's manager throughout. The
+// 2PC modes additionally get the recovery-correctness family:
+// durability and re-entry safety of WAL redo, and bounded-retry
+// liveness for in-doubt participants. The quorum intersection survives
+// crashes because primary stores are durable and write rounds only
+// report after W installs.
+func ForFaults(mode string) []Auditor {
+	var auds []Auditor
+	switch mode {
+	case "global":
+		auds = []Auditor{NewStrictTwoPhase(), NewLockSafety(), NewDeadlockFree(), NewTwoPCConsistent()}
+	case "shard", "quorum":
+		auds = []Auditor{NewStrictTwoPhase(), NewLockSafety(), NewTwoPCConsistent()}
+	default: // "local" has no 2PC to recover; "primary" nothing to audit
+		return ForPlacement(mode)
 	}
-	return []Auditor{
-		NewStrictTwoPhase(),
-		NewLockSafety(),
-		NewDeadlockFree(),
-		NewTwoPCConsistent(),
-		NewRecoveryDurable(),
-		NewRecoveryReentry(),
-		NewRecoveryLiveness(),
+	auds = append(auds, NewRecoveryDurable(), NewRecoveryReentry(), NewRecoveryLiveness())
+	if mode == "quorum" {
+		auds = append(auds, NewQuorumIntersection())
 	}
+	return auds
 }
 
 // grouper detects the record-group convention the emitters use: a

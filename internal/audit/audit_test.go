@@ -326,7 +326,7 @@ func TestForManagerSelection(t *testing.T) {
 	if plain["deadlock-free"] {
 		t.Fatal("plain 2PL can deadlock by design; the auditor must not apply")
 	}
-	global := names(ForApproach("global"))
+	global := names(ForPlacement("global"))
 	if !global["twopc-consistent"] || global["pcp-blocked-at-most-once"] {
 		t.Fatalf("global auditors = %v", global)
 	}

@@ -1,24 +1,15 @@
-// Package dist implements the paper's two distributed real-time locking
-// architectures (§4):
-//
-//   - GlobalCeiling: a global ceiling manager at one site makes every
-//     ceiling-blocking decision; lock requests travel to it, locks are
-//     held across the network, data objects live at their primary sites,
-//     and updates commit with two-phase commit when they touch remote
-//     sites.
-//
-//   - LocalCeiling: every data object is fully replicated; update
-//     transactions are homed at the site holding their write set's
-//     primary copies (restriction 2); transactions synchronize only with
-//     their site's local ceiling manager; commits are local and remote
-//     secondary copies are updated asynchronously after commit
-//     (restriction 3), trading temporal consistency for responsiveness.
+// Package dist runs real-time transactions over a cluster of sites. It
+// implements the paper's two distributed ceiling architectures (§4) —
+// the global ceiling manager and local ceilings over full replication —
+// and the placement spectrum beyond them (primary-copy sharding, quorum
+// replication, and an uncoordinated primary-only baseline) as five
+// modes of one transaction pipeline: see Mode and the mode table in
+// mode.go, and exec in exec.go.
 package dist
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 
 	"rtlock/internal/check"
@@ -41,52 +32,21 @@ import (
 // there are killed (and recorded as missed).
 var ErrSiteCrashed = errors.New("dist: home site crashed")
 
-// Approach selects the distributed locking architecture.
-type Approach int
-
-// The two architectures of §4.
-const (
-	GlobalCeiling Approach = iota + 1
-	LocalCeiling
-)
-
-// String names the approach in reports.
-func (a Approach) String() string {
-	switch a {
-	case GlobalCeiling:
-		return "global"
-	case LocalCeiling:
-		return "local"
-	default:
-		return fmt.Sprintf("Approach(%d)", int(a))
-	}
-}
-
 // Config parameterizes a distributed run.
 type Config struct {
-	// Approach selects global or local ceiling management. It applies
-	// to the legacy layouts (Placement zero or place.Full); the
-	// sharded, quorum, and primary-only placements select their own
-	// execution model and require Approach to stay unset.
-	Approach Approach
-	// Placement selects the data placement and replication policy.
-	// Zero keeps the historical behavior: full replication for the
-	// local approach, primary-copy data under the global ceiling.
-	// place.Sharded, place.Quorum, and place.PrimaryOnly switch to the
-	// placement-aware execution paths (see internal/place).
-	Placement place.Policy
+	// Mode selects the execution model (required).
+	Mode Mode
 	// HashShards scatters primaries with a multiplicative hash instead
-	// of contiguous ranges (sharded, quorum, and primary-only
-	// placements).
+	// of contiguous ranges (shard, quorum, and primary modes).
 	HashShards bool
-	// Replicas is the number of copies per object K (quorum placement
-	// only; zero means min(3, Sites)).
+	// Replicas is the number of copies per object K (quorum mode only;
+	// zero means min(3, Sites)).
 	Replicas int
 	// ReadQuorum is the number of replicas a read must reach, R
-	// (quorum placement only; zero means a majority of Replicas).
+	// (quorum mode only; zero means a majority of Replicas).
 	ReadQuorum int
 	// WriteQuorum is the number of replicas a write must reach, W
-	// (quorum placement only; zero means the smallest W with R+W > K).
+	// (quorum mode only; zero means the smallest W with R+W > K).
 	WriteQuorum int
 	// Sites is the number of fully interconnected sites.
 	Sites int
@@ -107,14 +67,14 @@ type Config struct {
 	// runs at speed 1; otherwise one entry per site, each positive.
 	SiteSpeed []float64
 	// ApplyPerObj is the CPU demand to install one replicated update
-	// at a secondary site (LocalCeiling only).
+	// at a secondary site (local mode only).
 	ApplyPerObj sim.Duration
-	// GCMSite hosts the global ceiling manager (GlobalCeiling only).
+	// GCMSite hosts the global ceiling manager (global mode only).
 	GCMSite db.SiteID
-	// Multiversion makes read-only transactions in the local approach
-	// read a temporally consistent snapshot — for every object, the
-	// newest version written at or before (arrival − SnapshotLag) —
-	// instead of each replica's latest copy. This is the multi-version
+	// Multiversion makes read-only transactions in local mode read a
+	// temporally consistent snapshot — for every object, the newest
+	// version written at or before (arrival − SnapshotLag) — instead of
+	// each replica's latest copy. This is the multi-version
 	// scheme the paper's §4 closes with: controlling the time lags of
 	// distributed versions so decisions rest on temporally consistent
 	// data.
@@ -183,31 +143,16 @@ type Config struct {
 // applies the defaults after validation and only derives values Validate
 // would accept.
 func (c *Config) Validate() error {
-	switch c.Placement {
-	case 0, place.Full, place.Sharded, place.Quorum, place.PrimaryOnly:
-	default:
-		return fmt.Errorf("dist: unknown placement policy %d", int(c.Placement))
+	if !c.Mode.valid() {
+		return fmt.Errorf("dist: unknown mode %d", int(c.Mode))
 	}
-	if c.execPolicy() != 0 {
-		if c.Approach != 0 {
-			return fmt.Errorf("dist: placement %s selects its own execution model; approach must be unset, got %s", c.Placement, c.Approach)
-		}
-	} else {
-		if c.Placement == place.Full && c.Approach == GlobalCeiling {
-			return fmt.Errorf("dist: placement full is the local approach's layout; approach must be local or unset")
-		}
-		if c.Approach != GlobalCeiling && c.Approach != LocalCeiling &&
-			!(c.Placement == place.Full && c.Approach == 0) {
-			return fmt.Errorf("dist: unknown approach %d", c.Approach)
-		}
-	}
-	if c.HashShards && c.execPolicy() == 0 {
+	if c.HashShards && c.Mode.LocalWriteSets() {
 		return fmt.Errorf("dist: hash sharding requires a sharded, quorum, or primary-only placement")
 	}
-	if c.Placement != place.Quorum && (c.Replicas != 0 || c.ReadQuorum != 0 || c.WriteQuorum != 0) {
+	if c.Mode != Quorum && (c.Replicas != 0 || c.ReadQuorum != 0 || c.WriteQuorum != 0) {
 		return fmt.Errorf("dist: replica and quorum parameters require placement quorum")
 	}
-	if c.Placement == place.Quorum && c.Sites >= 1 {
+	if c.Mode == Quorum && c.Sites >= 1 {
 		k := c.Replicas
 		if k == 0 {
 			k = defaultReplicas(c.Sites)
@@ -264,39 +209,14 @@ func defaultReplicas(sites int) int {
 	return 3
 }
 
-// execPolicy returns the placement policy that switches execution onto
-// the placement-aware paths. Zero covers the legacy layouts: Placement
-// unset (Approach decides) and place.Full, which is the local approach's
-// historical layout, not a separate execution model.
-func (c *Config) execPolicy() place.Policy {
-	switch c.Placement {
-	case place.Sharded, place.Quorum, place.PrimaryOnly:
-		return c.Placement
-	}
-	return 0
-}
-
-// usesTwoPC reports whether the mode commits multi-site writers with
-// two-phase commit (and therefore needs the 2PC handler/WAL machinery).
-func (c *Config) usesTwoPC() bool {
-	return c.Approach == GlobalCeiling || c.Placement == place.Sharded || c.Placement == place.Quorum
-}
-
-// perSiteManagers reports whether every site runs its own ceiling
-// manager (as opposed to the single global manager, or none at all for
-// the primary-only baseline).
-func (c *Config) perSiteManagers() bool {
-	return c.Approach == LocalCeiling || c.Placement == place.Sharded || c.Placement == place.Quorum
-}
-
-// buildPlacement constructs the place.Map the validated configuration
-// describes (defaults already filled in).
+// buildPlacement constructs the mode's layout over the validated
+// configuration (defaults already filled in).
 func (c *Config) buildPlacement() (place.Map, error) {
 	part := place.RangePartition
 	if c.HashShards {
 		part = place.HashPartition
 	}
-	switch c.Placement {
+	switch modes[c.Mode].layout {
 	case place.Sharded:
 		return place.NewSharded(c.Sites, c.Objects, part)
 	case place.Quorum:
@@ -312,10 +232,7 @@ func (c *Config) fill() error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	if c.Placement == place.Full && c.Approach == 0 {
-		c.Approach = LocalCeiling
-	}
-	if c.Placement == place.Quorum {
+	if c.Mode == Quorum {
 		if c.Replicas == 0 {
 			c.Replicas = defaultReplicas(c.Sites)
 		}
@@ -358,8 +275,9 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// site is one node: processor, store, and (local approach) its own
-// ceiling manager and versioned store.
+// site is one node: its processor and store, the versioned store of
+// local mode's replicas, and the ceiling manager answering lock requests
+// here (nil where the mode keeps none: see the setup functions).
 type site struct {
 	id    db.SiteID
 	cpu   *sim.CPU
@@ -378,7 +296,8 @@ func (s *site) use(p *sim.Proc, prio sim.Priority, d sim.Duration) error {
 	return s.cpu.Use(p, prio, d)
 }
 
-// ReplicationStats aggregates the local approach's replica behavior.
+// ReplicationStats aggregates the replica behavior of local mode, the
+// only mode that reads possibly stale copies.
 type ReplicationStats struct {
 	// ReadSamples counts read operations that checked staleness.
 	ReadSamples int
@@ -416,8 +335,10 @@ type Cluster struct {
 	Monitor *stats.Monitor
 	History *check.History
 
-	cfg        Config
-	sites      []*site
+	cfg   Config
+	mode  *modeRow
+	sites []*site
+	// gcm is global mode's manager (also sites[GCMSite].mgr), else nil.
 	gcm        *core.Ceiling
 	repl       ReplicationStats
 	installSeq int64
@@ -429,18 +350,17 @@ type Cluster struct {
 	// gates every behavioral addition so a cluster without a plan is
 	// byte-identical to earlier revisions.
 	faultsOn   bool
-	injector   *faults.Injector
 	spaceInj   *faults.SpaceInjector
 	crashed    []bool
 	crashAt    []sim.Time
-	failover   []*core.Ceiling
 	gcmDown    bool
 	wals       []*wal.Log
 	prepared   []map[int64]*preparedTx
 	resolveTok map[resolveKey]*sim.Token
 	liveTx     []map[int64]*sim.Proc
-	gcmReg     map[int64]*gcmEntry
-	shardReg   []map[int64]*gcmEntry
+	// reg tracks, per manager site, the registrations a crash elsewhere
+	// must be able to evict (see enroll).
+	reg []map[int64]regEntry
 
 	// Probe handles, cached at construction (no-ops without a
 	// registry).
@@ -450,7 +370,7 @@ type Cluster struct {
 	mMissCrash sim.Counter
 	mGCMDown   sim.Gauge
 	mFailovers sim.Counter
-	// Per-placement probes, initialized only in the matching mode.
+	// Per-mode probes, initialized only in the matching mode.
 	mShardLocal   sim.Counter
 	mShardCross   sim.Counter
 	mQuorumReads  sim.Counter
@@ -473,14 +393,6 @@ type preparedTx struct {
 type resolveKey struct {
 	site db.SiteID
 	tx   int64
-}
-
-// gcmEntry tracks a registration at the global ceiling manager so a
-// crash can evict orphaned state.
-type gcmEntry struct {
-	st   *core.TxState
-	home db.SiteID
-	p    *sim.Proc
 }
 
 // NewCluster assembles a cluster.
@@ -511,6 +423,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		Catalog: cat,
 		Monitor: stats.NewMonitor(),
 		cfg:     cfg,
+		mode:    &modes[cfg.Mode],
 	}
 	if cfg.RecordHistory {
 		c.History = check.NewHistory()
@@ -534,52 +447,21 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			speed: speed,
 			store: db.NewStore(db.SiteID(i)),
 		}
-		if cfg.perSiteManagers() {
-			s.mgr = core.NewCeiling(k)
-			s.mgr.SetJournalSite(int32(i))
-		}
-		if cfg.Approach == LocalCeiling {
-			s.mv = db.NewMVStore(db.SiteID(i), cfg.VersionsKept)
-		}
 		c.sites = append(c.sites, s)
 	}
-	if cfg.Approach == GlobalCeiling {
-		c.gcm = core.NewCeiling(k)
-		c.gcm.SetJournalSite(int32(cfg.GCMSite))
-	}
-	if cfg.usesTwoPC() {
-		c.twopc = make(map[int64]*voteCollector)
-		c.registerTwoPCHandlers()
-	}
-	if cfg.Approach == LocalCeiling {
-		c.registerInstallHandlers()
-	}
-	switch cfg.execPolicy() {
-	case place.Sharded:
-		c.mShardLocal = m.Counter("dist_shard_commits_total", "Committed update transactions by shard span.", metrics.L("kind", "local"))
-		c.mShardCross = m.Counter("dist_shard_commits_total", "Committed update transactions by shard span.", metrics.L("kind", "cross"))
-	case place.Quorum:
-		c.qrounds = make(map[quorumKey]*quorumRound)
-		c.registerQuorumHandlers()
-		c.mQuorumReads = m.Counter("dist_quorum_rounds_total", "Completed quorum replication rounds by kind.", metrics.L("kind", "read"))
-		c.mQuorumWrites = m.Counter("dist_quorum_rounds_total", "Completed quorum replication rounds by kind.", metrics.L("kind", "write"))
-	}
-	if pol := cfg.execPolicy(); pol != 0 {
-		// One placement banner per run so replays and auditors know the
-		// consistency contract in force. The primary-only baseline
-		// journals its waived serializability explicitly.
-		note := pm.String()
-		if pol == place.PrimaryOnly {
-			note += "; serializability waived"
-		}
-		c.emit(0, journal.KPlacement, 0, 0, int64(pol),
-			int64(pm.ReadQuorum())|int64(pm.WriteQuorum())<<32, note)
-	}
+	c.mode.setup(c)
 	return c, nil
 }
 
+// newManager builds a ceiling manager journaling as site.
+func (c *Cluster) newManager(site db.SiteID) *core.Ceiling {
+	m := core.NewCeiling(c.K)
+	m.SetJournalSite(int32(site))
+	return m
+}
+
 // TwoPCDecisions reports how many two-phase-commit decisions reached
-// participants (global approach).
+// participants (global, shard and quorum modes).
 func (c *Cluster) TwoPCDecisions() int { return c.decisions }
 
 // FailSite schedules a site to become non-operational at the given
@@ -600,21 +482,16 @@ func (c *Cluster) FailSite(site db.SiteID, at, recoverAt sim.Time) {
 // crash/partition windows are scheduled as kernel events, and the
 // crash-aware protocol paths switch on — participant votes are WAL-
 // forced and redone on recovery, the coordinator retries prepares with
-// bounded backoff and presumes abort, and (global approach) lock
-// traffic fails over to per-site local ceiling managers while the GCM
-// site is down. Attaching an empty plan enables the same machinery but
-// injects nothing; the run's journal stays byte-identical to one
-// without the plan.
+// bounded backoff and presumes abort, and (global mode) lock traffic
+// fails over to per-site ceiling managers while the GCM site is down.
+// Attaching an empty plan enables the same machinery but injects
+// nothing; the run's journal stays byte-identical to one without the
+// plan.
 func (c *Cluster) AttachFaults(plan *faults.Plan, seed int64) error {
 	if err := plan.Validate(c.cfg.Sites); err != nil {
 		return err
 	}
-	c.enableFaultMachinery()
-	c.injector = faults.New(plan, seed)
-	c.injector.Install(c.K, c.Net, c.cfg.Sites, faults.Hooks{
-		OnCrash:   c.onCrash,
-		OnRecover: c.onRecover,
-	})
+	faults.New(plan, seed).Install(c.K, c.Net, c.cfg.Sites, c.enableFaultMachinery())
 	return nil
 }
 
@@ -625,12 +502,8 @@ func (c *Cluster) AttachFaults(plan *faults.Plan, seed int64) error {
 // ChosenFaultPlan exposes the exact failure schedule afterwards. The
 // injector is caller-owned so explorations can recycle it across runs.
 func (c *Cluster) AttachFaultSpace(si *faults.SpaceInjector) {
-	c.enableFaultMachinery()
 	c.spaceInj = si
-	si.Install(c.K, c.Net, c.cfg.Sites, faults.Hooks{
-		OnCrash:   c.onCrash,
-		OnRecover: c.onRecover,
-	})
+	si.Install(c.K, c.Net, c.cfg.Sites, c.enableFaultMachinery())
 }
 
 // ChosenFaultPlan returns the exact fault plan a fault-space run
@@ -648,10 +521,11 @@ func (c *Cluster) ChosenFaultPlan() *faults.Plan {
 // enableFaultMachinery switches on the crash-aware protocol paths once:
 // WAL-forced votes, presumed-abort retries, failover managers. Gated by
 // faultsOn so a cluster without faults stays byte-identical to earlier
-// revisions.
-func (c *Cluster) enableFaultMachinery() {
+// revisions. It returns the hooks an injector drives the cluster with.
+func (c *Cluster) enableFaultMachinery() faults.Hooks {
+	hooks := faults.Hooks{OnCrash: c.onCrash, OnRecover: c.onRecover}
 	if c.faultsOn {
-		return
+		return hooks
 	}
 	c.faultsOn = true
 	c.crashed = make([]bool, c.cfg.Sites)
@@ -665,19 +539,15 @@ func (c *Cluster) enableFaultMachinery() {
 		c.wals[i] = wal.NewLog()
 		c.prepared[i] = make(map[int64]*preparedTx)
 	}
-	if c.cfg.Approach == GlobalCeiling {
-		c.gcmReg = make(map[int64]*gcmEntry)
-		c.failover = make([]*core.Ceiling, c.cfg.Sites)
-		for i := range c.failover {
-			c.failover[i] = c.newFailoverMgr(i)
+	c.reg = make([]map[int64]regEntry, c.cfg.Sites)
+	if c.gcm != nil {
+		for _, s := range c.sites {
+			if s.mgr == nil {
+				s.mgr = c.newManager(s.id) // failover manager
+			}
 		}
 	}
-	if pol := c.cfg.execPolicy(); pol == place.Sharded || pol == place.Quorum {
-		c.shardReg = make([]map[int64]*gcmEntry, c.cfg.Sites)
-		for i := range c.shardReg {
-			c.shardReg[i] = make(map[int64]*gcmEntry)
-		}
-	}
+	return hooks
 }
 
 // WAL returns a site's write-ahead log (nil before AttachFaults), for
@@ -689,103 +559,50 @@ func (c *Cluster) WAL(site db.SiteID) *wal.Log {
 	return c.wals[site]
 }
 
-func (c *Cluster) newFailoverMgr(site int) *core.Ceiling {
-	m := core.NewCeiling(c.K)
-	m.SetJournalSite(int32(site))
-	return m
-}
-
 // onCrash loses a site's volatile state: resident transactions and
 // installers die, un-decided 2PC bookkeeping vanishes (the WAL
-// survives), and — global approach — the GCM evicts the site's
-// registrations, or is itself marked down when the crashed site hosts
-// it. Network unreachability is flipped by the injector before this
-// hook runs.
+// survives), the site's ceiling manager restarts empty — or, if it is
+// the global manager, is marked down — and every surviving manager
+// evicts the crashed site's registrations. Network unreachability is
+// flipped by the injector before this hook runs.
 func (c *Cluster) onCrash(siteID db.SiteID) {
 	c.crashed[siteID] = true
 	c.crashAt[siteID] = c.K.Now()
 
-	// Kill resident transactions, in id order for determinism.
-	ids := make([]int64, 0, len(c.liveTx[siteID]))
-	for id := range c.liveTx[siteID] {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	// Kill resident transactions.
+	for _, id := range sortedIDs(c.liveTx[siteID]) {
 		c.liveTx[siteID][id].Interrupt(ErrSiteCrashed)
 	}
 
 	// Wipe volatile 2PC participant state; pending decision timers die
 	// with it. The WAL keeps the forced votes for recovery.
-	ptIDs := make([]int64, 0, len(c.prepared[siteID]))
-	for id := range c.prepared[siteID] {
-		ptIDs = append(ptIDs, id)
-	}
-	sort.Slice(ptIDs, func(i, j int) bool { return ptIDs[i] < ptIDs[j] })
-	for _, id := range ptIDs {
+	for _, id := range sortedIDs(c.prepared[siteID]) {
 		c.prepared[siteID][id].timeout.Cancel()
 	}
 	c.prepared[siteID] = make(map[int64]*preparedTx)
 
-	if c.cfg.Approach == GlobalCeiling {
-		if siteID == c.cfg.GCMSite {
-			c.gcmDown = true
-			c.mGCMDown.Set(1)
-		} else {
-			// The GCM detects the crash and releases the site's
-			// orphaned registrations (the killed transactions skip
-			// their own release).
-			evictIDs := make([]int64, 0)
-			for id, e := range c.gcmReg {
-				if e.home == siteID {
-					evictIDs = append(evictIDs, id)
-				}
-			}
-			sort.Slice(evictIDs, func(i, j int) bool { return evictIDs[i] < evictIDs[j] })
-			for _, id := range evictIDs {
-				e := c.gcmReg[id]
-				c.gcm.ReleaseAll(e.st)
-				c.gcm.Unregister(e.st)
-				delete(c.gcmReg, id)
-			}
-			c.emit(c.cfg.GCMSite, journal.KResync, 0, 0, int64(len(evictIDs)), int64(siteID), "evict")
+	if s := c.sites[siteID]; s.mgr != nil && s.mgr == c.gcm {
+		// The global manager's table outlives the crash; onRecover
+		// resynchronizes it.
+		c.gcmDown = true
+		c.mGCMDown.Set(1)
+	} else if s.mgr != nil {
+		// A site's own lock table is volatile: recovery restarts it empty,
+		// and the registrations tracked there died with it.
+		s.mgr = c.newManager(siteID)
+		c.reg[siteID] = nil
+	}
+	// Every surviving manager detects the crash and releases the crashed
+	// site's registrations (the killed transactions skip their release).
+	// The global manager journals every crash it detects; the others,
+	// only an eviction.
+	for _, s := range c.sites {
+		if s.id == siteID {
+			continue
 		}
-		// The crashed site's failover manager state is volatile too.
-		c.failover[siteID] = c.newFailoverMgr(int(siteID))
-	}
-	if c.cfg.perSiteManagers() {
-		// The site's ceiling manager lock table is volatile: recovery
-		// restarts it empty (killed residents skip their releases).
-		s := c.sites[siteID]
-		s.mgr = core.NewCeiling(c.K)
-		s.mgr.SetJournalSite(int32(siteID))
-	}
-	if c.shardReg != nil {
-		// Registrations at the crashed site's manager died with its lock
-		// table; every surviving shard manager evicts the crashed site's
-		// transactions (their processes were just killed and will skip
-		// their own releases).
-		c.shardReg[siteID] = make(map[int64]*gcmEntry)
-		for sid := 0; sid < c.cfg.Sites; sid++ {
-			if db.SiteID(sid) == siteID {
-				continue
-			}
-			evictIDs := make([]int64, 0)
-			for id, e := range c.shardReg[sid] {
-				if e.home == siteID {
-					evictIDs = append(evictIDs, id)
-				}
-			}
-			sort.Slice(evictIDs, func(i, j int) bool { return evictIDs[i] < evictIDs[j] })
-			for _, id := range evictIDs {
-				e := c.shardReg[sid][id]
-				c.sites[sid].mgr.ReleaseAll(e.st)
-				c.sites[sid].mgr.Unregister(e.st)
-				delete(c.shardReg[sid], id)
-			}
-			if len(evictIDs) > 0 {
-				c.emit(db.SiteID(sid), journal.KResync, 0, 0, int64(len(evictIDs)), int64(siteID), "evict")
-			}
+		n := c.evict(s.id, func(e regEntry) bool { return e.home == siteID })
+		if n > 0 || (s.mgr != nil && s.mgr == c.gcm) {
+			c.emit(s.id, journal.KResync, 0, 0, int64(n), int64(siteID), "evict")
 		}
 	}
 }
@@ -800,8 +617,8 @@ func (c *Cluster) onRecover(siteID db.SiteID) {
 		c.K.Metrics().Histogram("recovery_duration_ticks",
 			"Crash-to-recovery (resync complete) windows per site, in ticks.", nil).Observe(int64(d))
 	}
-	if !c.cfg.usesTwoPC() {
-		return
+	if c.twopc == nil {
+		return // no 2PC in this mode: nothing was in doubt
 	}
 	pending := c.wals[siteID].PendingVotes()
 	c.emit(siteID, journal.KWALRedo, 0, 0, int64(len(pending)), 0, "")
@@ -814,28 +631,21 @@ func (c *Cluster) onRecover(siteID db.SiteID) {
 	if siteID == c.cfg.GCMSite {
 		c.gcmDown = false
 		c.mGCMDown.Set(0)
-		purgeIDs := make([]int64, 0)
-		for id, e := range c.gcmReg {
-			if e.p.Dead() {
-				purgeIDs = append(purgeIDs, id)
-			}
+		// The record is journaled in every 2PC mode (the faulted goldens
+		// pin it); only the global manager has a surviving table to purge.
+		n := 0
+		if c.gcm != nil {
+			n = c.evict(siteID, func(e regEntry) bool { return e.st.Proc.Dead() })
 		}
-		sort.Slice(purgeIDs, func(i, j int) bool { return purgeIDs[i] < purgeIDs[j] })
-		for _, id := range purgeIDs {
-			e := c.gcmReg[id]
-			c.gcm.ReleaseAll(e.st)
-			c.gcm.Unregister(e.st)
-			delete(c.gcmReg, id)
-		}
-		c.emit(siteID, journal.KResync, 0, 0, int64(len(purgeIDs)), int64(siteID), "resync")
+		c.emit(siteID, journal.KResync, 0, 0, int64(n), int64(siteID), "resync")
 	}
 }
 
 // Config returns the effective configuration (defaults filled in).
 func (c *Cluster) Config() Config { return c.cfg }
 
-// Replication returns the replica statistics (meaningful for the local
-// approach).
+// Replication returns the replica statistics (meaningful in local
+// mode).
 func (c *Cluster) Replication() ReplicationStats { return c.repl }
 
 // NetReport aggregates the run's message-layer counters: the network's
@@ -857,7 +667,7 @@ func (c *Cluster) NetReport() stats.NetReport {
 	return r
 }
 
-// Site returns site i's store, for inspection in tests and examples.
+// Store returns site i's store, for inspection in tests and examples.
 func (c *Cluster) Store(i db.SiteID) *db.Store { return c.sites[i].store }
 
 // Load schedules the transactions' arrivals. An arrival at a crashed
@@ -869,16 +679,7 @@ func (c *Cluster) Load(txs []*workload.Txn) {
 		c.K.At(t.Arrival, func() {
 			if c.faultsOn && c.crashed[t.Home] {
 				c.emit(t.Home, journal.KArrive, t.ID, 0, int64(t.Deadline), 0, "")
-				c.emit(t.Home, journal.KDeadlineMiss, t.ID, 0, 0, 0, "crashed")
-				c.mMissCrash.Inc()
-				c.Monitor.Add(stats.TxRecord{
-					ID: t.ID, Site: t.Home, Size: t.Size(),
-					ReadOnly: t.Kind == workload.ReadOnly,
-					Arrival:  t.Arrival, Start: t.Arrival,
-					Deadline: t.Deadline, Finish: c.K.Now(),
-					Outcome: stats.DeadlineMissed,
-				})
-				c.cfg.Timeline.Tx(c.K.Now(), false, 0, 0)
+				c.record(&txRun{t: t}, ErrSiteCrashed)
 				return
 			}
 			c.K.Spawn("tx"+strconv.FormatInt(t.ID, 10), func(p *sim.Proc) {
@@ -888,20 +689,7 @@ func (c *Cluster) Load(txs []*workload.Txn) {
 					c.liveTx[t.Home][t.ID] = p
 					defer delete(c.liveTx[t.Home], t.ID)
 				}
-				switch c.cfg.execPolicy() {
-				case place.Sharded:
-					c.execShard(p, t)
-				case place.Quorum:
-					c.execQuorum(p, t)
-				case place.PrimaryOnly:
-					c.execPrimary(p, t)
-				default:
-					if c.cfg.Approach == GlobalCeiling {
-						c.execGlobal(p, t)
-					} else {
-						c.execLocal(p, t)
-					}
-				}
+				c.exec(p, t)
 			})
 		})
 	}
@@ -930,21 +718,6 @@ func (c *Cluster) Run() stats.Summary {
 	return sum
 }
 
-// newTxState builds the protocol state for a transaction, wiring priority
-// inheritance to every site's processor (the process may be queued at any
-// of them while executing remotely).
-func (c *Cluster) newTxState(p *sim.Proc, t *workload.Txn) *core.TxState {
-	st := core.NewTxState(t.ID, t.Priority(), p)
-	st.ReadSet = t.ReadSet()
-	st.WriteSet = t.WriteSet()
-	st.OnPrioChange = func(pr sim.Priority) {
-		for _, s := range c.sites {
-			s.cpu.Reprioritize(p, pr)
-		}
-	}
-	return st
-}
-
 // emit appends a site-tagged record to the cluster's journal (a no-op
 // without one). Dist-layer events carry the transaction's home site or
 // the site where the event physically happens, unlike the kernel's own
@@ -961,22 +734,25 @@ func b2i(b bool) int64 {
 }
 
 // record finalizes the monitor record for a processed transaction.
-func (c *Cluster) record(p *sim.Proc, t *workload.Txn, st *core.TxState, err error, msgs int) {
+func (c *Cluster) record(x *txRun, err error) {
 	if errors.Is(err, sim.ErrShutdown) {
 		return
 	}
+	t := x.t
 	rec := stats.TxRecord{
-		ID:           t.ID,
-		Site:         t.Home,
-		Size:         t.Size(),
-		ReadOnly:     t.Kind == workload.ReadOnly,
-		Arrival:      t.Arrival,
-		Start:        t.Arrival,
-		Deadline:     t.Deadline,
-		Finish:       p.Now(),
-		Blocked:      st.BlockedTime,
-		BlockedCount: st.BlockedCount,
-		Messages:     msgs,
+		ID:       t.ID,
+		Site:     t.Home,
+		Size:     t.Size(),
+		ReadOnly: t.Kind == workload.ReadOnly,
+		Arrival:  t.Arrival,
+		Start:    t.Arrival,
+		Deadline: t.Deadline,
+		Finish:   c.K.Now(),
+		Messages: x.msgs,
+	}
+	for i := range x.pins {
+		rec.Blocked += x.pins[i].st.BlockedTime
+		rec.BlockedCount += x.pins[i].st.BlockedCount
 	}
 	if err == nil {
 		rec.Outcome = stats.Committed

@@ -20,7 +20,7 @@ import (
 )
 
 func TestAttachFaultsValidates(t *testing.T) {
-	c, err := NewCluster(cfg(LocalCeiling, sim.Millisecond))
+	c, err := NewCluster(cfg(Local, sim.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func faultTestLoad() []*workload.Txn {
 }
 
 func TestAttachEmptyPlanJournalIdentical(t *testing.T) {
-	for _, a := range []Approach{GlobalCeiling, LocalCeiling} {
+	for _, a := range []Mode{Global, Local} {
 		run := func(attach bool) *journal.Journal {
 			conf := cfg(a, 5*sim.Millisecond)
 			conf.Journal = journal.New(1, "fault-free-eq")
@@ -69,7 +69,7 @@ func TestAttachEmptyPlanJournalIdentical(t *testing.T) {
 }
 
 func TestCrashKillsResidentAndArrivalsMiss(t *testing.T) {
-	conf := cfg(LocalCeiling, 5*sim.Millisecond)
+	conf := cfg(Local, 5*sim.Millisecond)
 	conf.Journal = journal.New(1, "crash-kill")
 	c, err := NewCluster(conf)
 	if err != nil {
@@ -112,7 +112,7 @@ func TestCrashKillsResidentAndArrivalsMiss(t *testing.T) {
 }
 
 func TestGCMFailoverDuringCrash(t *testing.T) {
-	conf := cfg(GlobalCeiling, 5*sim.Millisecond)
+	conf := cfg(Global, 5*sim.Millisecond)
 	conf.GCMSite = 0
 	conf.Journal = journal.New(1, "gcm-failover")
 	c, err := NewCluster(conf)
@@ -168,7 +168,7 @@ func TestGCMFailoverDuringCrash(t *testing.T) {
 // (locking is free there), and the single write on object 20 makes
 // site 2 the lone 2PC participant.
 func twopcConf() Config {
-	conf := cfg(GlobalCeiling, 5*sim.Millisecond)
+	conf := cfg(Global, 5*sim.Millisecond)
 	conf.GCMSite = 1
 	return conf
 }

@@ -29,8 +29,12 @@ func findPlacementBanner(j *journal.Journal) *journal.Record {
 }
 
 func pcfg(pol place.Policy, delay sim.Duration) Config {
+	m, err := ModeFor(false, pol)
+	if err != nil {
+		panic(err)
+	}
 	return Config{
-		Placement: pol,
+		Mode:      m,
 		Sites:     3,
 		Objects:   30, // 10 per site under range partitioning
 		CommDelay: delay,
@@ -54,29 +58,25 @@ func TestPlacementValidation(t *testing.T) {
 		c    Config
 		want string
 	}{
-		{"unknown policy", Config{Placement: place.Policy(9)},
-			"dist: unknown placement policy 9"},
-		{"approach with shard", Config{Placement: place.Sharded, Approach: LocalCeiling},
-			"dist: placement shard selects its own execution model; approach must be unset, got local"},
-		{"approach with quorum", Config{Placement: place.Quorum, Approach: GlobalCeiling},
-			"dist: placement quorum selects its own execution model; approach must be unset, got global"},
-		{"full with global", Config{Placement: place.Full, Approach: GlobalCeiling},
-			"dist: placement full is the local approach's layout; approach must be local or unset"},
-		{"hash without placement", Config{Approach: LocalCeiling, HashShards: true},
+		{"unknown mode", Config{Mode: Mode(9)},
+			"dist: unknown mode 9"},
+		{"unset mode", Config{},
+			"dist: unknown mode 0"},
+		{"hash without placement", Config{Mode: Local, HashShards: true},
 			"dist: hash sharding requires a sharded, quorum, or primary-only placement"},
-		{"replicas without quorum", Config{Placement: place.Sharded, Replicas: 2},
+		{"replicas without quorum", Config{Mode: Shard, Replicas: 2},
 			"dist: replica and quorum parameters require placement quorum"},
-		{"read quorum without quorum", Config{Approach: GlobalCeiling, ReadQuorum: 2},
+		{"read quorum without quorum", Config{Mode: Global, ReadQuorum: 2},
 			"dist: replica and quorum parameters require placement quorum"},
-		{"replicas exceed sites", Config{Placement: place.Quorum, Sites: 3, Replicas: 5},
+		{"replicas exceed sites", Config{Mode: Quorum, Sites: 3, Replicas: 5},
 			"dist: replica count 5 out of range [1,3]"},
-		{"negative replicas", Config{Placement: place.Quorum, Replicas: -1},
+		{"negative replicas", Config{Mode: Quorum, Replicas: -1},
 			"dist: replica count -1 out of range [1,4]"},
-		{"read quorum exceeds default k", Config{Placement: place.Quorum, ReadQuorum: 9},
+		{"read quorum exceeds default k", Config{Mode: Quorum, ReadQuorum: 9},
 			"dist: read quorum 9 out of range [1,3]"},
-		{"write quorum exceeds k", Config{Placement: place.Quorum, Replicas: 4, WriteQuorum: 5},
+		{"write quorum exceeds k", Config{Mode: Quorum, Replicas: 4, WriteQuorum: 5},
 			"dist: write quorum 5 out of range [1,4]"},
-		{"non-intersecting quorums", Config{Placement: place.Quorum, Replicas: 4, ReadQuorum: 2, WriteQuorum: 2},
+		{"non-intersecting quorums", Config{Mode: Quorum, Replicas: 4, ReadQuorum: 2, WriteQuorum: 2},
 			"dist: quorums R=2 W=2 do not intersect over K=4 replicas (need R+W > K)"},
 	}
 	for _, tc := range cases {
@@ -91,7 +91,7 @@ func TestPlacementValidation(t *testing.T) {
 	}
 	// A defaulted partner that cannot intersect an explicit quorum is
 	// caught when the defaults are filled in.
-	c := base(Config{Placement: place.Quorum, Sites: 6, Replicas: 5, WriteQuorum: 2})
+	c := base(Config{Mode: Quorum, Sites: 6, Replicas: 5, WriteQuorum: 2})
 	if _, err := NewCluster(c); err == nil ||
 		err.Error() != "dist: quorums R=3 W=2 do not intersect over K=5 replicas (need R+W > K)" {
 		t.Errorf("defaulted non-intersecting quorum: %v", err)
@@ -136,9 +136,6 @@ func TestShardExecution(t *testing.T) {
 	recs := c.Monitor.Records()
 	if recs[0].Finish != ms(10) {
 		t.Fatalf("local shard write finish = %v, want 10ms", recs[0].Finish)
-	}
-	if recs[0].Messages != 0 {
-		t.Fatalf("local shard write messages = %d, want 0", recs[0].Messages)
 	}
 	if recs[1].Finish != ms(140) {
 		t.Fatalf("cross-shard write finish = %v, want 140ms (arrival 100 + 10 + 20 + 2PC 10)", recs[1].Finish)
@@ -244,9 +241,6 @@ func TestPrimaryOnlyBaseline(t *testing.T) {
 	if rec.Finish != ms(20) {
 		t.Fatalf("finish = %v, want 20ms", rec.Finish)
 	}
-	if rec.Messages != 2 {
-		t.Fatalf("messages = %d, want 2 (data hop only)", rec.Messages)
-	}
 	if v := c.Store(2).Read(21); v.Seq != 1 {
 		t.Fatalf("store(2) obj 21 = %+v", v)
 	}
@@ -315,7 +309,8 @@ func TestPlacementDeterminismAndAudits(t *testing.T) {
 			if a.Hash() != b.Hash() || a.Hash() != d.Hash() {
 				t.Fatalf("%s: journals differ across identical runs:\n%s", pol, journal.Diff(a, b))
 			}
-			if vs := audit.Run(a, audit.ForPlacement(pol.String())...); len(vs) > 0 {
+			mode := pcfg(pol, 0).Mode.String()
+			if vs := audit.Run(a, audit.ForPlacement(mode)...); len(vs) > 0 {
 				t.Fatalf("%s: auditors: %v", pol, vs)
 			}
 		})
@@ -356,7 +351,7 @@ func TestPlacementFaults(t *testing.T) {
 			if a.Hash() != b.Hash() {
 				t.Fatalf("%s: fault runs differ:\n%s", pol, journal.Diff(a, b))
 			}
-			if vs := audit.Run(a, audit.ForPlacementFaults(pol.String())...); len(vs) > 0 {
+			if vs := audit.Run(a, audit.ForFaults(pol.String())...); len(vs) > 0 {
 				t.Fatalf("%s: auditors: %v", pol, vs)
 			}
 		})

@@ -9,7 +9,6 @@ import (
 	"rtlock/internal/journal"
 	"rtlock/internal/netsim"
 	"rtlock/internal/sim"
-	"rtlock/internal/txn"
 	"rtlock/internal/workload"
 )
 
@@ -29,73 +28,6 @@ type installMsg struct {
 	versions map[core.ObjectID]db.Version
 }
 
-// execLocal runs one transaction under the local ceiling approach: every
-// object is replicated at every site, so all reads and writes are local;
-// the site's own ceiling manager synchronizes them; the transaction
-// commits locally; and the written versions are then shipped to the
-// other sites' message servers for asynchronous installation
-// (restriction 3). Reads sample replica staleness — the temporal
-// inconsistency the approach trades for responsiveness.
-func (c *Cluster) execLocal(p *sim.Proc, t *workload.Txn) {
-	home := c.sites[t.Home]
-	// Pin the manager instance for the whole attempt: a crash replaces
-	// the site's (volatile) manager, and registration/release must pair
-	// up against the same one.
-	mgr := home.mgr
-	st := core.NewTxState(t.ID, t.Priority(), p)
-	st.ReadSet = t.ReadSet()
-	st.WriteSet = t.WriteSet()
-	st.OnPrioChange = func(pr sim.Priority) { home.cpu.Reprioritize(p, pr) }
-
-	c.emit(home.id, journal.KArrive, t.ID, 0, int64(t.Deadline), 0, "")
-	c.emit(home.id, journal.KRegister, t.ID, 0, 0, 0, "")
-	mgr.Register(st)
-	deadlineEv := c.K.At(t.Deadline, func() { p.Interrupt(txn.ErrDeadlineMissed) })
-	var reads []readSample
-	err := c.localBody(p, st, t, home, mgr, &reads)
-	deadlineEv.Cancel()
-	if c.faultsOn && errors.Is(err, ErrSiteCrashed) {
-		// The home site crashed: its manager (with this registration)
-		// was already discarded wholesale.
-		c.record(p, t, st, err, 0)
-		return
-	}
-
-	var versions map[core.ObjectID]db.Version
-	if err == nil && len(st.WriteSet) > 0 {
-		// Commit locally: install the new versions on the primary
-		// copies (which live here by restriction 2).
-		versions = make(map[core.ObjectID]db.Version, len(st.WriteSet))
-		for _, obj := range st.WriteSet {
-			v := home.store.Write(obj, t.ID, p.Now())
-			home.mv.Write(obj, t.ID, p.Now())
-			versions[obj] = v
-		}
-	}
-	if err == nil && t.Kind == workload.ReadOnly && len(reads) >= 2 {
-		c.classifyView(reads)
-	}
-	mgr.ReleaseAll(st)
-	mgr.Unregister(st)
-	c.emit(home.id, journal.KUnregister, t.ID, 0, 0, 0, "")
-
-	msgs := 0
-	if versions != nil {
-		// Propagate to every other site after commit; the transaction
-		// does not wait (restriction 3 decouples primaries from
-		// secondaries).
-		msg := installMsg{origin: t.ID, deadline: t.Deadline, objs: st.WriteSet, versions: versions}
-		for _, other := range c.sites {
-			if other.id == home.id {
-				continue
-			}
-			msgs++
-			c.Net.Send(home.id, other.id, installPort, msg)
-		}
-	}
-	c.record(p, t, st, err, msgs)
-}
-
 // readSample records which version a read observed, for the temporal
 // consistency classification.
 type readSample struct {
@@ -103,40 +35,14 @@ type readSample struct {
 	seq int64
 }
 
-func (c *Cluster) localBody(p *sim.Proc, st *core.TxState, t *workload.Txn, home *site, mgr *core.Ceiling, reads *[]readSample) error {
-	// Snapshot reads pin the view to a single instant old enough for
-	// propagation to have completed everywhere.
-	snapshotAt := t.Arrival.Add(-c.cfg.SnapshotLag)
-	for _, op := range t.Ops {
-		if c.faultsOn && c.crashed[home.id] {
-			// A wake was already in flight when the site crashed; the
-			// process must not keep executing there.
-			return ErrSiteCrashed
-		}
-		if err := mgr.Acquire(p, st, op.Obj, op.Mode); err != nil {
-			return err
-		}
-		if op.Mode == core.Read {
-			c.sampleStaleness(home, op.Obj, p.Now())
-			*reads = append(*reads, c.readVersion(home, op.Obj, t, snapshotAt))
-		}
-		if err := home.use(p, st.Eff(), c.cfg.CPUPerObj); err != nil {
-			return err
-		}
-		c.emit(home.id, journal.KOp, t.ID, int32(op.Obj), int64(op.Mode), 0, "")
-		if c.History != nil {
-			c.History.Record(t.ID, op.Obj, op.Mode, p.Now())
-		}
-	}
-	return nil
-}
-
 // readVersion resolves which version a read observes: the snapshot
 // version under the multiversion scheme (falling back to the latest on
-// a history miss), otherwise the replica's latest copy.
-func (c *Cluster) readVersion(s *site, obj core.ObjectID, t *workload.Txn, snapshotAt sim.Time) readSample {
+// a history miss), otherwise the replica's latest copy. Snapshot reads
+// pin the view to a single instant old enough for propagation to have
+// completed everywhere.
+func (c *Cluster) readVersion(s *site, obj core.ObjectID, t *workload.Txn) readSample {
 	if c.cfg.Multiversion && t.Kind == workload.ReadOnly {
-		if v, ok := s.mv.AsOf(obj, snapshotAt); ok {
+		if v, ok := s.mv.AsOf(obj, t.Arrival.Add(-c.cfg.SnapshotLag)); ok {
 			return readSample{obj: obj, seq: v.Seq}
 		}
 		// The snapshot predates every retained version. If version 1

@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"rtlock/internal/core"
 	"rtlock/internal/db"
@@ -338,12 +339,25 @@ type errDecisionAbort struct{}
 
 func (errDecisionAbort) Error() string { return "dist: participant voted abort" }
 
-// runTwoPC coordinates commit across the participants. It returns nil
-// when every vote arrived, or the error that aborted the coordinator
-// mid-protocol (deadline, crash, exhausted retries); the decision is
-// shipped to every participant unless the coordinator's own site
-// crashed — then the decision is left to presumed-abort resolution.
-func (c *Cluster) runTwoPC(p *sim.Proc, home db.SiteID, txID int64, participants []db.SiteID, objsBySite map[db.SiteID][]core.ObjectID, msgs *int) error {
+// runTwoPC coordinates commit across the participants — the remote
+// primaries the transaction wrote, ascending; a transaction that wrote
+// only at home commits message-free. Prepares go out in parallel (each
+// carrying its participant's share of the write set when shares is
+// set), the coordinator parks for the votes, and decisions ship without
+// waiting. It returns nil when every vote arrived, or the error that
+// aborted the coordinator mid-protocol (deadline, crash, exhausted
+// retries); the decision is shipped to every participant unless the
+// coordinator's own site crashed — then it is left to presumed-abort
+// resolution.
+func (c *Cluster) runTwoPC(x *txRun, shares bool) error {
+	p, home, txID, msgs := x.p, x.t.Home, x.t.ID, &x.msgs
+	participants := make([]db.SiteID, 0, 4)
+	for _, obj := range x.writes {
+		owner := c.Catalog.PrimarySite(obj)
+		if i, found := slices.BinarySearch(participants, owner); owner != home && !found {
+			participants = slices.Insert(participants, i, owner)
+		}
+	}
 	if len(participants) == 0 {
 		return nil
 	}
@@ -387,7 +401,11 @@ func (c *Cluster) runTwoPC(p *sim.Proc, home db.SiteID, txID int64, participants
 			}
 			*msgs += 2 // prepare out, vote back
 			c.emit(home, journal.KTwoPCPrepare, txID, 0, int64(s), int64(attempt), "")
-			c.Net.Send(home, s, preparePort, prepareMsg{txID: txID, coord: home, objs: objsBySite[s]})
+			var objs []core.ObjectID
+			if shares {
+				objs = c.ownedBy(x.writes, s)
+			}
+			c.Net.Send(home, s, preparePort, prepareMsg{txID: txID, coord: home, objs: objs})
 		}
 		tok := &sim.Token{}
 		tok.OnCancel = func() { delete(c.twopc, txID) }

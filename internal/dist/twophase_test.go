@@ -43,7 +43,7 @@ func twopcVotes(j *journal.Journal, tx int64) (commitVotes, abortVotes, decision
 }
 
 func TestTwoPCParticipantAbortVote(t *testing.T) {
-	conf := cfg(GlobalCeiling, 5*sim.Millisecond)
+	conf := cfg(Global, 5*sim.Millisecond)
 	conf.Journal = journal.New(1, "twophase-test")
 	conf.VoteFault = func(site db.SiteID, txID int64) bool { return site == 2 && txID == 1 }
 	c, err := NewCluster(conf)
@@ -74,7 +74,7 @@ func TestTwoPCParticipantAbortVote(t *testing.T) {
 }
 
 func TestTwoPCMixedVotes(t *testing.T) {
-	conf := cfg(GlobalCeiling, 5*sim.Millisecond)
+	conf := cfg(Global, 5*sim.Millisecond)
 	conf.GCMSite = 1 // keep locking free for the home site
 	conf.Journal = journal.New(1, "twophase-test")
 	conf.VoteFault = func(site db.SiteID, txID int64) bool { return site == 0 }
@@ -112,7 +112,7 @@ func TestTwoPCMixedVotes(t *testing.T) {
 }
 
 func TestTwoPCParticipantDownTimesOut(t *testing.T) {
-	conf := cfg(GlobalCeiling, 5*sim.Millisecond)
+	conf := cfg(Global, 5*sim.Millisecond)
 	conf.GCMSite = 1
 	conf.Journal = journal.New(1, "twophase-test")
 	c, err := NewCluster(conf)
@@ -145,7 +145,7 @@ func TestTwoPCParticipantDownTimesOut(t *testing.T) {
 }
 
 func TestTwoPCLateVoteIgnored(t *testing.T) {
-	conf := cfg(GlobalCeiling, 5*sim.Millisecond)
+	conf := cfg(Global, 5*sim.Millisecond)
 	conf.GCMSite = 1
 	conf.Journal = journal.New(1, "twophase-test")
 	c, err := NewCluster(conf)

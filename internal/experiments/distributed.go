@@ -81,13 +81,13 @@ type cell struct {
 }
 
 // runDist executes one distributed run.
-func runDist(p DistParams, approach dist.Approach, mix, delayUnits float64, seed int64) (stats.Summary, error) {
+func runDist(p DistParams, mode dist.Mode, mix, delayUnits float64, seed int64) (stats.Summary, error) {
 	var jrn *journal.Journal
 	if p.Audit {
-		jrn = journal.New(seed, fmt.Sprintf("dist/%s/mix=%g/delay=%g", approach, mix, delayUnits))
+		jrn = journal.New(seed, fmt.Sprintf("dist/%s/mix=%g/delay=%g", mode, mix, delayUnits))
 	}
 	c, err := dist.NewCluster(dist.Config{
-		Approach:  approach,
+		Mode:      mode,
 		Sites:     p.Sites,
 		Objects:   p.DBSize,
 		CommDelay: sim.Duration(delayUnits * float64(p.CPUPerObj)),
@@ -107,7 +107,7 @@ func runDist(p DistParams, approach dist.Approach, mix, delayUnits float64, seed
 		PerObjCost:       p.CPUPerObj,
 		SlackMin:         p.SlackMin,
 		SlackMax:         p.SlackMax,
-		LocalWriteSets:   true,
+		LocalWriteSets:   mode.LocalWriteSets(),
 	})
 	if err != nil {
 		return stats.Summary{}, err
@@ -115,18 +115,18 @@ func runDist(p DistParams, approach dist.Approach, mix, delayUnits float64, seed
 	c.Load(load)
 	sum := c.Run()
 	if jrn != nil {
-		if vs := audit.Run(jrn, audit.ForApproach(approach.String())...); len(vs) > 0 {
+		if vs := audit.Run(jrn, audit.ForPlacement(mode.String())...); len(vs) > 0 {
 			return sum, fmt.Errorf("experiments: %s mix=%g delay=%g seed=%d: %d invariant violations, first: %s",
-				approach, mix, delayUnits, seed, len(vs), vs[0])
+				mode, mix, delayUnits, seed, len(vs), vs[0])
 		}
 	}
 	return sum, nil
 }
 
 // runGrid evaluates one grid cell averaged over runs.
-func runGrid(p DistParams, approach dist.Approach, mix, delayUnits float64) (cell, error) {
+func runGrid(p DistParams, mode dist.Mode, mix, delayUnits float64) (cell, error) {
 	sums, err := collectRuns(p.Runs, func(r int) (stats.Summary, error) {
-		return runDist(p, approach, mix, delayUnits, p.BaseSeed+int64(r)*7919)
+		return runDist(p, mode, mix, delayUnits, p.BaseSeed+int64(r)*7919)
 	})
 	if err != nil {
 		return cell{}, err
@@ -147,9 +147,9 @@ func runGrid(p DistParams, approach dist.Approach, mix, delayUnits float64) (cel
 //   - Figure 6: %missed vs mix for two specific delays, both approaches.
 func DistributedSweep(p DistParams) (fig4, fig5, fig6 Figure, err error) {
 	type key struct {
-		approach dist.Approach
-		mix      float64
-		delay    float64
+		mode  dist.Mode
+		mix   float64
+		delay float64
 	}
 	grid := make(map[key]cell)
 
@@ -158,7 +158,7 @@ func DistributedSweep(p DistParams) (fig4, fig5, fig6 Figure, err error) {
 	// Figure 6 needs its two delays across all mixes.
 	fig4Delays := pickFig4Delays(p.DelayUnits)
 	need := make(map[key]struct{})
-	for _, a := range []dist.Approach{dist.GlobalCeiling, dist.LocalCeiling} {
+	for _, a := range []dist.Mode{dist.Global, dist.Local} {
 		for _, d := range fig4Delays {
 			for _, mx := range p.Mixes {
 				need[key{a, mx, d}] = struct{}{}
@@ -182,8 +182,8 @@ func DistributedSweep(p DistParams) (fig4, fig5, fig6 Figure, err error) {
 	}
 	sort.Slice(cells, func(i, j int) bool {
 		a, b := cells[i], cells[j]
-		if a.approach != b.approach {
-			return a.approach < b.approach
+		if a.mode != b.mode {
+			return a.mode < b.mode
 		}
 		if a.mix != b.mix {
 			return a.mix < b.mix
@@ -191,7 +191,7 @@ func DistributedSweep(p DistParams) (fig4, fig5, fig6 Figure, err error) {
 		return a.delay < b.delay
 	})
 	for _, k := range cells {
-		c, err2 := runGrid(p, k.approach, k.mix, k.delay)
+		c, err2 := runGrid(p, k.mode, k.mix, k.delay)
 		if err2 != nil {
 			return fig4, fig5, fig6, err2
 		}
@@ -207,8 +207,8 @@ func DistributedSweep(p DistParams) (fig4, fig5, fig6 Figure, err error) {
 	for _, d := range fig4Delays {
 		s := Series{Label: fmt.Sprintf("delay=%g", d)}
 		for _, mx := range p.Mixes {
-			g := grid[key{dist.GlobalCeiling, mx, d}]
-			l := grid[key{dist.LocalCeiling, mx, d}]
+			g := grid[key{dist.Global, mx, d}]
+			l := grid[key{dist.Local, mx, d}]
 			s.Points = append(s.Points, Point{X: 100 * mx, Y: ratio(l.thpt, g.thpt), Runs: p.Runs})
 		}
 		fig4.Series = append(fig4.Series, s)
@@ -222,8 +222,8 @@ func DistributedSweep(p DistParams) (fig4, fig5, fig6 Figure, err error) {
 	}
 	s5 := Series{Label: "global/local"}
 	for _, d := range p.DelayUnits {
-		g := grid[key{dist.GlobalCeiling, 0.5, d}]
-		l := grid[key{dist.LocalCeiling, 0.5, d}]
+		g := grid[key{dist.Global, 0.5, d}]
+		l := grid[key{dist.Local, 0.5, d}]
 		s5.Points = append(s5.Points, Point{X: d, Y: missRatio(g.missed, l.missed, p), Runs: p.Runs})
 	}
 	fig5.Series = []Series{s5}
@@ -235,7 +235,7 @@ func DistributedSweep(p DistParams) (fig4, fig5, fig6 Figure, err error) {
 		YLabel: "% missed",
 	}
 	for _, d := range p.Fig6Delays {
-		for _, a := range []dist.Approach{dist.GlobalCeiling, dist.LocalCeiling} {
+		for _, a := range []dist.Mode{dist.Global, dist.Local} {
 			s := Series{Label: fmt.Sprintf("%s,delay=%g", a, d)}
 			for _, mx := range p.Mixes {
 				c := grid[key{a, mx, d}]
@@ -288,7 +288,7 @@ func ConsistencyAblation(p DistParams) (Figure, error) {
 			d := d
 			sums, err := collectRuns(p.Runs, func(r int) (stats.Summary, error) {
 				c, err := dist.NewCluster(dist.Config{
-					Approach:     dist.LocalCeiling,
+					Mode:         dist.Local,
 					Sites:        p.Sites,
 					Objects:      p.DBSize,
 					CommDelay:    sim.Duration(d * float64(p.CPUPerObj)),
@@ -362,7 +362,7 @@ func PlacementAblation(p DistParams) (Figure, error) {
 					return stats.Summary{}, err
 				}
 				c, err := dist.NewCluster(dist.Config{
-					Approach:  dist.GlobalCeiling,
+					Mode:      dist.Global,
 					Sites:     p.Sites,
 					Objects:   p.DBSize,
 					Topology:  topo,

@@ -76,7 +76,7 @@ func (p FaultParams) horizon() int64 {
 
 // runFault executes one faulted distributed run and returns its summary
 // and message-layer report.
-func runFault(p FaultParams, approach dist.Approach, severity float64, seed int64) (stats.Summary, stats.NetReport, error) {
+func runFault(p FaultParams, mode dist.Mode, severity float64, seed int64) (stats.Summary, stats.NetReport, error) {
 	plan, err := faults.Generate(seed, faults.GenParams{
 		Sites:    p.Sites,
 		Horizon:  p.horizon(),
@@ -87,10 +87,10 @@ func runFault(p FaultParams, approach dist.Approach, severity float64, seed int6
 	}
 	var jrn *journal.Journal
 	if p.Audit {
-		jrn = journal.New(seed, fmt.Sprintf("faultsweep/%s/sev=%g/%s", approach, severity, plan))
+		jrn = journal.New(seed, fmt.Sprintf("faultsweep/%s/sev=%g/%s", mode, severity, plan))
 	}
 	c, err := dist.NewCluster(dist.Config{
-		Approach:  approach,
+		Mode:      mode,
 		Sites:     p.Sites,
 		Objects:   p.DBSize,
 		CommDelay: 2 * p.CPUPerObj,
@@ -113,7 +113,7 @@ func runFault(p FaultParams, approach dist.Approach, severity float64, seed int6
 		PerObjCost:       p.CPUPerObj,
 		SlackMin:         p.SlackMin,
 		SlackMax:         p.SlackMax,
-		LocalWriteSets:   true,
+		LocalWriteSets:   mode.LocalWriteSets(),
 	})
 	if err != nil {
 		return stats.Summary{}, stats.NetReport{}, err
@@ -121,13 +121,13 @@ func runFault(p FaultParams, approach dist.Approach, severity float64, seed int6
 	c.Load(load)
 	sum := c.Run()
 	if jrn != nil {
-		auds := audit.ForApproach(approach.String())
+		auds := audit.ForPlacement(mode.String())
 		if !plan.Empty() {
-			auds = audit.ForFaults(approach.String())
+			auds = audit.ForFaults(mode.String())
 		}
 		if vs := audit.Run(jrn, auds...); len(vs) > 0 {
 			return sum, stats.NetReport{}, fmt.Errorf("experiments: %s sev=%g seed=%d: %d invariant violations, first: %s",
-				approach, severity, seed, len(vs), vs[0])
+				mode, severity, seed, len(vs), vs[0])
 		}
 	}
 	return sum, c.NetReport(), nil
@@ -166,14 +166,14 @@ func FaultSweep(p FaultParams) (Figure, error) {
 		XLabel: "severity",
 		YLabel: "% missed",
 	}
-	for _, approach := range []dist.Approach{dist.GlobalCeiling, dist.LocalCeiling} {
-		s := Series{Label: approach.String()}
-		loss := Series{Label: approach.String() + ",%msgs lost"}
+	for _, mode := range []dist.Mode{dist.Global, dist.Local} {
+		s := Series{Label: mode.String()}
+		loss := Series{Label: mode.String() + ",%msgs lost"}
 		for _, sev := range severities {
 			sev := sev
 			nets := make([]stats.NetReport, p.Runs)
 			sums, err := collectRuns(p.Runs, func(r int) (stats.Summary, error) {
-				sum, net, err := runFault(p, approach, sev, p.BaseSeed+int64(r)*7919)
+				sum, net, err := runFault(p, mode, sev, p.BaseSeed+int64(r)*7919)
 				nets[r] = net
 				return sum, err
 			})

@@ -96,8 +96,12 @@ func runSiteCell(p SiteSweepParams, pol place.Policy, sites int, seed int64) (st
 		jrn = journal.New(seed, fmt.Sprintf("sitesweep/%s/sites=%d/loc=%g/mix=%g",
 			pol, sites, p.LocalityProb, p.ReadOnlyFrac))
 	}
+	mode, err := dist.ModeFor(false, pol)
+	if err != nil {
+		return stats.Summary{}, err
+	}
 	c, err := dist.NewCluster(dist.Config{
-		Placement:   pol,
+		Mode:        mode,
 		Replicas:    p.Replicas,
 		ReadQuorum:  p.ReadQuorum,
 		WriteQuorum: p.WriteQuorum,
@@ -121,7 +125,7 @@ func runSiteCell(p SiteSweepParams, pol place.Policy, sites int, seed int64) (st
 		SlackMin:         p.SlackMin,
 		SlackMax:         p.SlackMax,
 	}
-	if pol == place.Full {
+	if mode.LocalWriteSets() {
 		wp.LocalWriteSets = true
 	} else {
 		wp.LocalityProb = p.LocalityProb
@@ -133,7 +137,7 @@ func runSiteCell(p SiteSweepParams, pol place.Policy, sites int, seed int64) (st
 	c.Load(load)
 	sum := c.Run()
 	if jrn != nil {
-		if vs := audit.Run(jrn, audit.ForPlacement(pol.String())...); len(vs) > 0 {
+		if vs := audit.Run(jrn, audit.ForPlacement(mode.String())...); len(vs) > 0 {
 			return sum, fmt.Errorf("experiments: sitesweep %s sites=%d seed=%d: %d invariant violations, first: %s",
 				pol, sites, seed, len(vs), vs[0])
 		}

@@ -69,18 +69,9 @@ type FaultOpts struct {
 // schedule the run committed to, and RunPlan replays such a plan —
 // byte-identically for fault-only schedules — without a chooser.
 func FaultTarget(o FaultOpts) (Target, error) {
-	approach := dist.LocalCeiling
-	if o.Global {
-		approach = dist.GlobalCeiling
-	}
-	placed := o.Placement != 0 && o.Placement != place.Full
-	if placed && o.Global {
-		return Target{}, fmt.Errorf("explore: placement %s selects its own execution model; Global must be false", o.Placement)
-	}
-	arch := approach.String()
-	if placed {
-		approach = 0
-		arch = o.Placement.String()
+	mode, err := dist.ModeFor(o.Global, o.Placement)
+	if err != nil {
+		return Target{}, err
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -117,8 +108,7 @@ func FaultTarget(o FaultOpts) (Target, error) {
 		o.Space.CutFor = int64(60 * sim.Millisecond)
 	}
 	cfg := dist.Config{
-		Approach:      approach,
-		Placement:     o.Placement,
+		Mode:          mode,
 		Sites:         o.Sites,
 		Objects:       o.DBSize,
 		CommDelay:     o.CommDelay,
@@ -141,14 +131,14 @@ func FaultTarget(o FaultOpts) (Target, error) {
 			PerObjCost:       o.CPUPerObj,
 			SlackMin:         4,
 			SlackMax:         8,
-			LocalWriteSets:   !placed,
+			LocalWriteSets:   mode.LocalWriteSets(),
 		})
 		if err != nil {
 			return Target{}, err
 		}
 	}
 	key := fmt.Sprintf("explore/fault/%s/sites=%d/db=%d/count=%d/size=%d/ro=%g",
-		arch, o.Sites, o.DBSize, len(load), o.MeanSize, o.ReadOnlyFrac)
+		mode, o.Sites, o.DBSize, len(load), o.MeanSize, o.ReadOnlyFrac)
 	// run executes one schedule: under the chooser-driven fault space
 	// (plan == nil) or under a fixed replayed plan (ch == nil). Both
 	// paths share the journal key and seed, which is what makes a
@@ -175,13 +165,9 @@ func FaultTarget(o FaultOpts) (Target, error) {
 		}
 		cluster.Load(load)
 		cluster.Run()
-		auds := audit.ForFaults(approach.String())
-		if placed {
-			auds = audit.ForPlacementFaults(o.Placement.String())
-		}
 		out := &Outcome{
 			JournalHash: jrn.HashString(),
-			Violations:  audit.Run(jrn, auds...),
+			Violations:  audit.Run(jrn, audit.ForFaults(mode.String())...),
 			FaultPlan:   plan,
 		}
 		if plan == nil {
@@ -190,7 +176,7 @@ func FaultTarget(o FaultOpts) (Target, error) {
 		return out, nil
 	}
 	return Target{
-		Name:    "fault/" + arch,
+		Name:    "fault/" + mode.String(),
 		Run:     func(ch sim.Chooser) (*Outcome, error) { return run(ch, nil) },
 		RunPlan: func(plan *faults.Plan) (*Outcome, error) { return run(nil, plan) },
 	}, nil

@@ -182,9 +182,9 @@ type DistributedOpts struct {
 // architecture. The distributed decision points (message delivery
 // order, 2PC prepare rotation) only exist here.
 func DistributedTarget(o DistributedOpts) (Target, error) {
-	approach := dist.LocalCeiling
-	if o.Global {
-		approach = dist.GlobalCeiling
+	mode, err := dist.ModeFor(o.Global, 0)
+	if err != nil {
+		return Target{}, err
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -208,12 +208,12 @@ func DistributedTarget(o DistributedOpts) (Target, error) {
 		o.CPUPerObj = defaultCPUPerObj
 	}
 	key := fmt.Sprintf("explore/dist/%s/sites=%d/db=%d/count=%d/size=%d/ro=%g",
-		approach, o.Sites, o.DBSize, o.Count, o.MeanSize, o.ReadOnlyFrac)
+		mode, o.Sites, o.DBSize, o.Count, o.MeanSize, o.ReadOnlyFrac)
 	// The workload depends only on the catalog layout, which is a pure
 	// function of (Sites, DBSize); generate it once against a throwaway
 	// cluster's catalog and share it read-only across schedules.
 	layout, err := dist.NewCluster(dist.Config{
-		Approach:  approach,
+		Mode:      mode,
 		Sites:     o.Sites,
 		Objects:   o.DBSize,
 		CommDelay: o.CommDelay,
@@ -232,18 +232,18 @@ func DistributedTarget(o DistributedOpts) (Target, error) {
 		PerObjCost:       o.CPUPerObj,
 		SlackMin:         4,
 		SlackMax:         8,
-		LocalWriteSets:   true,
+		LocalWriteSets:   mode.LocalWriteSets(),
 	})
 	if err != nil {
 		return Target{}, err
 	}
 	return Target{
-		Name: "dist/" + approach.String(),
+		Name: "dist/" + mode.String(),
 		Run: func(ch sim.Chooser) (*Outcome, error) {
 			jrn := getJournal(o.Seed, key)
 			defer putJournal(jrn)
 			cluster, err := dist.NewCluster(dist.Config{
-				Approach:  approach,
+				Mode:      mode,
 				Sites:     o.Sites,
 				Objects:   o.DBSize,
 				CommDelay: o.CommDelay,
@@ -258,7 +258,7 @@ func DistributedTarget(o DistributedOpts) (Target, error) {
 			cluster.Run()
 			return &Outcome{
 				JournalHash: jrn.HashString(),
-				Violations:  audit.Run(jrn, audit.ForApproach(approach.String())...),
+				Violations:  audit.Run(jrn, audit.ForPlacement(mode.String())...),
 			}, nil
 		},
 	}, nil

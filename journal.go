@@ -85,7 +85,7 @@ func AuditorsForProtocol(p Protocol) ([]Auditor, error) {
 // distributed run under the global or local ceiling architecture.
 func AuditorsForDistributed(global bool) []Auditor {
 	if global {
-		return audit.ForApproach("global")
+		return audit.ForPlacement("global")
 	}
-	return audit.ForApproach("local")
+	return audit.ForPlacement("local")
 }

@@ -655,13 +655,6 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 	}
 	cfg.Workload.fill(false)
 
-	approach := dist.LocalCeiling
-	if cfg.Global {
-		approach = dist.GlobalCeiling
-	}
-	// Resolve the placement policy. "" and "full" keep the legacy
-	// approach selection; the other policies select their own execution
-	// model and leave the approach unset.
 	var pol place.Policy
 	if cfg.Placement != "" {
 		var err error
@@ -669,36 +662,29 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 			return nil, err
 		}
 	}
-	placed := pol != 0 && pol != place.Full
-	if placed {
-		if cfg.Global {
-			return nil, fmt.Errorf("rtlock: placement %s selects its own execution model; Global must be false", cfg.Placement)
-		}
-		approach = 0
+	mode, err := dist.ModeFor(cfg.Global, pol)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Workload.LocalityProb > 0 && !placed {
+	if cfg.Workload.LocalityProb > 0 && mode.LocalWriteSets() {
 		return nil, fmt.Errorf("rtlock: LocalityProb requires a sharded, quorum, or primary-only placement")
 	}
 	var jrn *journal.Journal
 	if cfg.Journal || cfg.Audit || cfg.Metrics {
-		arch := approach.String()
-		if placed {
-			arch = pol.String()
-		}
 		key := fmt.Sprintf(
 			"dist/%s/sites=%d/db=%d/delay=%d/count=%d/size=%d/ro=%g/mv=%t",
-			arch, cfg.Sites, cfg.DBSize, int64(cfg.CommDelay),
+			mode, cfg.Sites, cfg.DBSize, int64(cfg.CommDelay),
 			cfg.Workload.Count, cfg.Workload.MeanSize, cfg.Workload.ReadOnlyFrac,
 			cfg.Multiversion)
-		if placed {
+		if !mode.LocalWriteSets() {
 			// The placement parameters are part of the run identity; the
-			// legacy and full layouts keep the historical key so existing
+			// paper's two architectures keep the historical key so their
 			// golden journals stay byte-identical.
-			key += fmt.Sprintf("/place=%s", pol)
+			key += fmt.Sprintf("/place=%s", mode)
 			if cfg.HashShards {
 				key += "/hash"
 			}
-			if pol == place.Quorum {
+			if mode == dist.Quorum {
 				key += fmt.Sprintf("/k=%d/r=%d/w=%d", cfg.Replicas, cfg.ReadQuorum, cfg.WriteQuorum)
 			}
 			if cfg.Workload.LocalityProb > 0 {
@@ -714,8 +700,7 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 	}
 	reg, tl := buildTelemetry(cfg.Metrics, cfg.TimelineWindow, cfg.TimelineMaxWindows)
 	cluster, err := dist.NewCluster(dist.Config{
-		Approach:        approach,
-		Placement:       pol,
+		Mode:            mode,
 		HashShards:      cfg.HashShards,
 		Replicas:        cfg.Replicas,
 		ReadQuorum:      cfg.ReadQuorum,
@@ -752,7 +737,7 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 			PerObjCost:        cfg.CPUPerObj,
 			SlackMin:          cfg.Workload.SlackMin,
 			SlackMax:          cfg.Workload.SlackMax,
-			LocalWriteSets:    !placed,
+			LocalWriteSets:    mode.LocalWriteSets(),
 			LocalityProb:      cfg.Workload.LocalityProb,
 			PeriodicFrac:      cfg.Workload.PeriodicFrac,
 			Period:            cfg.Workload.Period,
@@ -795,24 +780,16 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 		res.TimelineDropped = tl.Dropped()
 	}
 	if cfg.Audit {
-		var auds []audit.Auditor
-		if placed {
-			auds = audit.ForPlacement(pol.String())
-			if cfg.Faults != nil && !cfg.Faults.Empty() {
-				auds = audit.ForPlacementFaults(pol.String())
-			}
-		} else {
-			auds = audit.ForApproach(approach.String())
-			if cfg.Faults != nil && !cfg.Faults.Empty() {
-				auds = audit.ForFaults(approach.String())
-			}
+		auds := audit.ForPlacement(mode.String())
+		if !cfg.Faults.Empty() {
+			auds = audit.ForFaults(mode.String())
 		}
 		res.Violations = audit.Run(jrn, auds...)
 		if res.Violations == nil {
 			res.Violations = []Violation{}
 		}
 	}
-	if approach == dist.LocalCeiling {
+	if mode == dist.Local {
 		repl := cluster.Replication()
 		res.Replication = &repl
 	}
