@@ -282,10 +282,11 @@ func TestGoldenJournals(t *testing.T) {
 		t.Parallel()
 		checkGolden(t, "dist_global", goldenDist(t, true))
 	})
-	for name, run := range map[string]func(testing.TB) *journal.Journal{
-		"global": goldenDistFaults, "shard": goldenShardFaults, "quorum": goldenQuorumFaults,
-	} {
-		name, run := name, run
+	for _, f := range []struct {
+		name string
+		run  func(testing.TB) *journal.Journal
+	}{{"global", goldenDistFaults}, {"shard", goldenShardFaults}, {"quorum", goldenQuorumFaults}} {
+		name, run := f.name, f.run
 		t.Run("dist/"+name+"-faults", func(t *testing.T) {
 			t.Parallel()
 			checkGolden(t, "dist_"+name+"_faults", run(t))

@@ -350,7 +350,7 @@ func (errDecisionAbort) Error() string { return "dist: participant voted abort" 
 // coordinator's own site crashed — then it is left to presumed-abort
 // resolution.
 func (c *Cluster) runTwoPC(x *txRun, shares bool) error {
-	p, home, txID, msgs := x.p, x.t.Home, x.t.ID, &x.msgs
+	p, home, txID := x.p, x.t.Home, x.t.ID
 	participants := make([]db.SiteID, 0, 4)
 	for _, obj := range x.writes {
 		owner := c.Catalog.PrimarySite(obj)
@@ -399,7 +399,7 @@ func (c *Cluster) runTwoPC(x *txRun, shares bool) error {
 			if col.voted[s] {
 				continue // already has this participant's yes-vote
 			}
-			*msgs += 2 // prepare out, vote back
+			x.msgs += 2 // prepare out, vote back
 			c.emit(home, journal.KTwoPCPrepare, txID, 0, int64(s), int64(attempt), "")
 			var objs []core.ObjectID
 			if shares {
@@ -460,7 +460,7 @@ func (c *Cluster) runTwoPC(x *txRun, shares bool) error {
 		metrics.L("role", "coord")).Inc()
 	c.emit(home, journal.KTwoPCDecision, txID, 0, b2i(commit), 0, "coord")
 	for _, s := range participants {
-		*msgs++
+		x.msgs++
 		c.Net.Send(home, s, decisionPort, decisionMsg{txID: txID, commit: commit})
 	}
 	return err

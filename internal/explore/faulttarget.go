@@ -28,8 +28,8 @@ type FaultOpts struct {
 	// selects local ceilings over full replication.
 	Global bool
 	// Placement, when set to a non-full policy, explores that
-	// placement-aware execution model (sharded, quorum, or primary-only)
-	// instead of the legacy approaches; Global must be false. Quorum
+	// placed mode (sharded, quorum, or primary-only) instead of the
+	// paper's two architectures; Global must be false. Quorum
 	// parameters take the cluster defaults.
 	Placement place.Policy
 	// Seed drives the workload stream (default 1).

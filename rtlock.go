@@ -1036,8 +1036,8 @@ type ExploreConfig struct {
 	// recovery-correctness family. Counterexamples carry the exact
 	// failure schedule as an exportable, replayable fault plan.
 	Faults bool
-	// Placement explores a placement-aware execution model ("shard",
-	// "quorum", or "primary") instead of the legacy approaches;
+	// Placement explores a placed mode ("shard", "quorum", or
+	// "primary") instead of the paper's two architectures;
 	// requires Faults and Global=false. Empty keeps the approach
 	// selected by Global.
 	Placement string
