@@ -13,36 +13,39 @@ import (
 	"rtlock/internal/sim"
 )
 
-func benchSingleParams() SingleSiteParams {
-	p := DefaultSingleSiteParams()
-	p.Count = 150
-	p.Runs = 2
-	p.Sizes = []int{4, 12, 20}
+// benchParams is the reduced scale every figure benchmark runs at.
+func benchParams() experiments.Params {
+	p := experiments.DefaultParams()
+	p.Single.Count = 150
+	p.Single.Runs = 2
+	p.Single.Sizes = []int{4, 12, 20}
+	p.Dist.Count = 100
+	p.Dist.Runs = 2
+	p.Dist.Mixes = []float64{0, 0.5, 1}
+	p.Dist.DelayUnits = []float64{0, 2, 8}
+	p.Dist.Fig6Delays = []float64{2, 8}
 	return p
 }
 
-func benchDistParams() DistParams {
-	p := DefaultDistParams()
-	p.Count = 100
-	p.Runs = 2
-	p.Mixes = []float64{0, 0.5, 1}
-	p.DelayUnits = []float64{0, 2, 8}
-	p.Fig6Delays = []float64{2, 8}
-	return p
+// benchFigure regenerates the named row of the experiment table b.N
+// times and returns the last figure for metric reporting.
+func benchFigure(b *testing.B, name string) Figure {
+	b.Helper()
+	p := benchParams()
+	var f Figure
+	var err error
+	for i := 0; i < b.N; i++ {
+		if f, err = experiments.Run(name, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return f
 }
 
 // BenchmarkFig2 regenerates the single-site throughput figure; the
 // reported metrics are the size-20 normalized throughputs.
 func BenchmarkFig2(b *testing.B) {
-	p := benchSingleParams()
-	var f Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		f, err = experiments.Fig2(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	f := benchFigure(b, "fig2")
 	reportLast(b, f, "C", "thptC_objps")
 	reportLast(b, f, "L", "thptL_objps")
 }
@@ -50,15 +53,7 @@ func BenchmarkFig2(b *testing.B) {
 // BenchmarkFig3 regenerates the single-site deadline-miss figure; the
 // reported metrics are the size-20 miss percentages.
 func BenchmarkFig3(b *testing.B) {
-	p := benchSingleParams()
-	var f Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		f, err = experiments.Fig3(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	f := benchFigure(b, "fig3")
 	reportLast(b, f, "C", "missC_pct")
 	reportLast(b, f, "L", "missL_pct")
 }
@@ -67,15 +62,7 @@ func BenchmarkFig3(b *testing.B) {
 // reported metric is the ratio at the update-only mix and largest
 // plotted delay.
 func BenchmarkFig4(b *testing.B) {
-	p := benchDistParams()
-	var f Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		f, err = experiments.Fig4(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	f := benchFigure(b, "fig4")
 	lastSeries := f.Series[len(f.Series)-1]
 	b.ReportMetric(lastSeries.Points[0].Y, "ratio_localOverGlobal")
 }
@@ -83,16 +70,7 @@ func BenchmarkFig4(b *testing.B) {
 // BenchmarkFig5 regenerates the deadline-missing-ratio figure; the
 // reported metrics are the ratios at zero and maximum delay.
 func BenchmarkFig5(b *testing.B) {
-	p := benchDistParams()
-	var f Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		f, err = experiments.Fig5(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	s := f.Series[0]
+	s := benchFigure(b, "fig5").Series[0]
 	b.ReportMetric(s.Points[0].Y, "ratio_delay0")
 	b.ReportMetric(s.Points[len(s.Points)-1].Y, "ratio_delayMax")
 }
@@ -101,15 +79,7 @@ func BenchmarkFig5(b *testing.B) {
 // reported metrics compare the approaches at the 50/50 mix and larger
 // delay.
 func BenchmarkFig6(b *testing.B) {
-	p := benchDistParams()
-	var f Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		f, err = experiments.Fig6(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	f := benchFigure(b, "fig6")
 	if g, ok := f.SeriesByLabel("global,delay=8"); ok {
 		b.ReportMetric(mid(g).Y, "missGlobal_pct")
 	}
@@ -120,45 +90,20 @@ func BenchmarkFig6(b *testing.B) {
 
 // BenchmarkDBSizeAblation regenerates the omitted database-size sweep.
 func BenchmarkDBSizeAblation(b *testing.B) {
-	p := benchSingleParams()
-	var f Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		f, err = experiments.DBSizeAblation(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportLast(b, f, "L", "missL_largestDB_pct")
+	reportLast(b, benchFigure(b, "dbsize"), "L", "missL_largestDB_pct")
 }
 
 // BenchmarkSemanticsAblation regenerates the §5 read-vs-exclusive
 // semantics comparison.
 func BenchmarkSemanticsAblation(b *testing.B) {
-	p := benchSingleParams()
-	var f Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		f, err = experiments.SemanticsAblation(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	f := benchFigure(b, "semantics")
 	reportLast(b, f, "C", "missC_pct")
 	reportLast(b, f, "CX", "missCX_pct")
 }
 
 // BenchmarkInheritAblation regenerates the §3.1 inheritance comparison.
 func BenchmarkInheritAblation(b *testing.B) {
-	p := benchSingleParams()
-	var f Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		f, err = experiments.InheritAblation(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	f := benchFigure(b, "inherit")
 	reportLast(b, f, "C", "missC_pct")
 	reportLast(b, f, "PI", "missPI_pct")
 }
@@ -166,15 +111,7 @@ func BenchmarkInheritAblation(b *testing.B) {
 // BenchmarkRestartAblation regenerates the §5 blocking-vs-abort
 // comparison.
 func BenchmarkRestartAblation(b *testing.B) {
-	p := benchSingleParams()
-	var f Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		f, err = experiments.RestartAblation(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	f := benchFigure(b, "restart")
 	reportLast(b, f, "C", "missC_pct")
 	reportLast(b, f, "HP", "missHP_pct")
 	reportLast(b, f, "TO", "missTO_pct")
@@ -183,44 +120,19 @@ func BenchmarkRestartAblation(b *testing.B) {
 // BenchmarkPriorityPolicyAblation regenerates the priority-assignment
 // comparison.
 func BenchmarkPriorityPolicyAblation(b *testing.B) {
-	p := benchSingleParams()
-	var f Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		f, err = experiments.PriorityPolicyAblation(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	f := benchFigure(b, "priority")
 	reportLast(b, f, "EDF", "missEDF_pct")
 	reportLast(b, f, "RANDOM", "missRandom_pct")
 }
 
 // BenchmarkBufferAblation regenerates the page-buffer sweep.
 func BenchmarkBufferAblation(b *testing.B) {
-	p := benchSingleParams()
-	var f Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		f, err = experiments.BufferAblation(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportLast(b, f, "C", "missC_largestBuf_pct")
+	reportLast(b, benchFigure(b, "buffer"), "C", "missC_largestBuf_pct")
 }
 
 // BenchmarkHotspotAblation regenerates the skewed-access sweep.
 func BenchmarkHotspotAblation(b *testing.B) {
-	p := benchSingleParams()
-	var f Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		f, err = experiments.HotspotAblation(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	f := benchFigure(b, "hotspot")
 	reportLast(b, f, "C", "missC_maxSkew_pct")
 	reportLast(b, f, "P", "missP_maxSkew_pct")
 }
@@ -228,90 +140,40 @@ func BenchmarkHotspotAblation(b *testing.B) {
 // BenchmarkPredictabilityAblation regenerates the response-tail
 // comparison.
 func BenchmarkPredictabilityAblation(b *testing.B) {
-	p := benchSingleParams()
-	var f Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		f, err = experiments.PredictabilityAblation(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	f := benchFigure(b, "predictability")
 	reportLast(b, f, "C", "tailC_p99p50")
 	reportLast(b, f, "P", "tailP_p99p50")
 }
 
 // BenchmarkPeriodicAblation regenerates the periodic-mix sweep.
 func BenchmarkPeriodicAblation(b *testing.B) {
-	p := benchSingleParams()
-	var f Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		f, err = experiments.PeriodicAblation(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	f := benchFigure(b, "periodic")
 	reportLast(b, f, "C", "missC_allPeriodic_pct")
 	reportLast(b, f, "L", "missL_allPeriodic_pct")
 }
 
 // BenchmarkOverheadAblation regenerates the lock-overhead sweep.
 func BenchmarkOverheadAblation(b *testing.B) {
-	p := benchSingleParams()
-	var f Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		f, err = experiments.OverheadAblation(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportLast(b, f, "C", "missC_maxOverhead_pct")
+	reportLast(b, benchFigure(b, "overhead"), "C", "missC_maxOverhead_pct")
 }
 
 // BenchmarkRecoveryAblation regenerates the checkpoint-interval
 // trade-off.
 func BenchmarkRecoveryAblation(b *testing.B) {
-	p := benchSingleParams()
-	var f Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		f, err = experiments.RecoveryAblation(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportLast(b, f, "recovery_ms", "restartNoCkpt_ms")
+	reportLast(b, benchFigure(b, "recovery"), "recovery_ms", "restartNoCkpt_ms")
 }
 
 // BenchmarkConsistencyAblation regenerates the temporal-consistency
 // comparison.
 func BenchmarkConsistencyAblation(b *testing.B) {
-	p := benchDistParams()
-	var f Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		f, err = experiments.ConsistencyAblation(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	f := benchFigure(b, "consistency")
 	reportLast(b, f, "latest", "inconsistentLatest_pct")
 	reportLast(b, f, "snapshot", "inconsistentSnapshot_pct")
 }
 
 // BenchmarkPlacementAblation regenerates the GCM-placement comparison.
 func BenchmarkPlacementAblation(b *testing.B) {
-	p := benchDistParams()
-	var f Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		f, err = experiments.PlacementAblation(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	f := benchFigure(b, "placement")
 	reportLast(b, f, "hub", "missHub_pct")
 	reportLast(b, f, "leaf", "missLeaf_pct")
 }

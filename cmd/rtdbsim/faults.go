@@ -94,7 +94,7 @@ func runFaults(args []string) error {
 			p.Severities = append(p.Severities, v)
 		}
 	}
-	fig, err := experiments.FaultSweep(p)
+	fig, err := experiments.Run("faultsweep", experiments.Params{Faults: p})
 	if err != nil {
 		return err
 	}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	rtdbsim -experiment fig2            # any of fig2..fig6, dbsize, semantics, inherit, all
+//	rtdbsim -experiment fig2            # any figure name -h lists, or all
 //	rtdbsim -experiment fig3 -runs 3 -count 200 -csv
 //	rtdbsim -experiment custom -protocol C -size 12 -runs 5
 //
@@ -61,6 +61,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"rtlock"
@@ -147,7 +148,7 @@ func run(args []string) error {
 	}
 	fs := flag.NewFlagSet("rtdbsim", flag.ContinueOnError)
 	var (
-		experiment = fs.String("experiment", "all", "which experiment: fig2..fig6, dbsize, semantics, inherit, restart, priority, buffer, hotspot, predictability, consistency, placement, faultsweep, longrun, custom, all")
+		experiment = fs.String("experiment", "all", "which experiment: "+strings.Join(experimentNames(), ", "))
 		runs       = fs.Int("runs", 0, "override runs per point (0 keeps the default)")
 		count      = fs.Int("count", 0, "override transactions per run (0 keeps the default)")
 		seed       = fs.Int64("seed", 1, "base random seed")
@@ -229,168 +230,39 @@ func run(args []string) error {
 		return nil
 	}
 
-	single := experiments.DefaultSingleSite()
-	dp := experiments.DefaultDistributed()
-	single.BaseSeed = *seed
-	dp.BaseSeed = *seed
-	if *runs > 0 {
-		single.Runs = *runs
-		dp.Runs = *runs
-	}
-	if *count > 0 {
-		single.Count = *count
-		dp.Count = *count
-	}
-	single.Audit = *auditRuns
-	dp.Audit = *auditRuns
-
-	var emitErr error
-	emit := func(figs ...experiments.Figure) {
-		for _, f := range figs {
-			fmt.Println(f.String())
-			if *plot {
-				fmt.Println(f.Plot())
-			}
-			if *csv {
-				fmt.Println(f.CSV())
-			}
-			if *outDir != "" && emitErr == nil {
-				emitErr = writeFigure(*outDir, f)
-			}
-		}
-	}
-
 	want := strings.ToLower(*experiment)
-	switch want {
-	case "fig2", "fig3":
-		f2, f3, err := experiments.SingleSiteSweep(single)
-		if err != nil {
-			return err
-		}
-		if want == "fig2" {
-			emit(f2)
-		} else {
-			emit(f3)
-		}
-	case "fig4", "fig5", "fig6":
-		f4, f5, f6, err := experiments.DistributedSweep(dp)
-		if err != nil {
-			return err
-		}
-		switch want {
-		case "fig4":
-			emit(f4)
-		case "fig5":
-			emit(f5)
-		case "fig6":
-			emit(f6)
-		}
-	case "dbsize":
-		f, err := experiments.DBSizeAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(f)
-	case "semantics":
-		f, err := experiments.SemanticsAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(f)
-	case "inherit":
-		f, err := experiments.InheritAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(f)
-	case "restart":
-		f, err := experiments.RestartAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(f)
-	case "priority":
-		f, err := experiments.PriorityPolicyAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(f)
-	case "buffer":
-		f, err := experiments.BufferAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(f)
-	case "placement":
-		f, err := experiments.PlacementAblation(dp)
-		if err != nil {
-			return err
-		}
-		emit(f)
-	case "consistency":
-		f, err := experiments.ConsistencyAblation(dp)
-		if err != nil {
-			return err
-		}
-		emit(f)
-	case "faultsweep":
-		fp := experiments.DefaultFaults()
-		fp.BaseSeed = *seed
-		fp.Audit = *auditRuns
+	if !slices.Contains(experimentNames(), want) {
+		return usagef("unknown experiment %q (want one of %s)", *experiment, strings.Join(experimentNames(), ", "))
+	}
+	p := experiments.DefaultParams()
+	override := func(baseSeed *int64, nRuns, nCount *int, audit *bool) {
+		*baseSeed, *audit = *seed, *auditRuns
 		if *runs > 0 {
-			fp.Runs = *runs
+			*nRuns = *runs
 		}
 		if *count > 0 {
-			fp.Count = *count
+			*nCount = *count
 		}
-		f, err := experiments.FaultSweep(fp)
-		if err != nil {
-			return err
-		}
-		emit(f)
-	case "hotspot":
-		f, err := experiments.HotspotAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(f)
-	case "predictability":
-		f, err := experiments.PredictabilityAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(f)
-	case "periodic":
-		f, err := experiments.PeriodicAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(f)
-	case "overhead":
-		f, err := experiments.OverheadAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(f)
-	case "recovery":
-		f, err := experiments.RecoveryAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(f)
+	}
+	override(&p.Single.BaseSeed, &p.Single.Runs, &p.Single.Count, &p.Single.Audit)
+	override(&p.Dist.BaseSeed, &p.Dist.Runs, &p.Dist.Count, &p.Dist.Audit)
+	override(&p.SiteSweep.BaseSeed, &p.SiteSweep.Runs, &p.SiteSweep.Count, &p.SiteSweep.Audit)
+	override(&p.Faults.BaseSeed, &p.Faults.Runs, &p.Faults.Count, &p.Faults.Audit)
+	names := []string{want}
+	switch want {
 	case "custom":
-		sum, err := experiments.RunCustom(single, experiments.Protocol(*protocol), *size)
+		sum, err := experiments.RunCustom(p.Single, experiments.Protocol(*protocol), *size)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("protocol=%s size=%d %s\n", *protocol, *size, sum)
+		return nil
 	case "longrun":
-		lp := experiments.LongRunParams{
+		res, err := experiments.LongRun(experiments.LongRunParams{
 			Protocol: experiments.Protocol(*protocol),
 			Seed:     *seed,
 			Count:    *count,
-		}
-		res, err := experiments.LongRun(lp)
+		})
 		if err != nil {
 			return err
 		}
@@ -400,86 +272,38 @@ func run(args []string) error {
 		if *csv {
 			fmt.Print(string(rtlock.TimelineCSV(res.Timeline)))
 		}
+		return nil
 	case "all":
-		f2, f3, err := experiments.SingleSiteSweep(single)
-		if err != nil {
-			return err
-		}
-		emit(f2, f3)
-		f4, f5, f6, err := experiments.DistributedSweep(dp)
-		if err != nil {
-			return err
-		}
-		emit(f4, f5, f6)
-		fa, err := experiments.DBSizeAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(fa)
-		fb, err := experiments.SemanticsAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(fb)
-		fc, err := experiments.InheritAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(fc)
-		fd, err := experiments.RestartAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(fd)
-		fe, err := experiments.PriorityPolicyAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(fe)
-		ff, err := experiments.HotspotAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(ff)
-		fg, err := experiments.PredictabilityAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(fg)
-		fh, err := experiments.BufferAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(fh)
-		fi, err := experiments.ConsistencyAblation(dp)
-		if err != nil {
-			return err
-		}
-		emit(fi)
-		fj, err := experiments.PlacementAblation(dp)
-		if err != nil {
-			return err
-		}
-		emit(fj)
-		fk, err := experiments.PeriodicAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(fk)
-		fl, err := experiments.OverheadAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(fl)
-		fm, err := experiments.RecoveryAblation(single)
-		if err != nil {
-			return err
-		}
-		emit(fm)
-	default:
-		return usagef("unknown experiment %q", *experiment)
+		names = experiments.Names(experiments.InAll)
 	}
-	return emitErr
+	// One sweep for the whole request: figures that plot the same cells
+	// (fig2/fig3, fig4/5/6) run them once.
+	sw := experiments.NewSweep(p)
+	for _, name := range names {
+		f, err := sw.Figure(name)
+		if err != nil {
+			return err
+		}
+		fmt.Println(f.String())
+		if *plot {
+			fmt.Println(f.Plot())
+		}
+		if *csv {
+			fmt.Println(f.CSV())
+		}
+		if *outDir != "" {
+			if err := writeFigure(*outDir, f); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// experimentNames is every value -experiment accepts: the figure table's
+// rows, the two modes that print no figure, and "all".
+func experimentNames() []string {
+	return append(experiments.Names(experiments.ByName), "longrun", "custom", "all")
 }
 
 // writeFigure persists one figure as <dir>/<name>.txt and .csv.

@@ -1,14 +1,86 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-experiment", "nope"}); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+}
+
+// TestExperimentNamesFromTable pins the CLI to the figure table: -h lists
+// every row (periodic, overhead and recovery were once missing from a
+// hand-written list), and an unknown name is a usage error naming the
+// choices.
+func TestExperimentNamesFromTable(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	helpErr := run([]string{"-h"})
+	os.Stderr = stderr
+	w.Close()
+	help, _ := io.ReadAll(r)
+	if exitCode(helpErr) != 0 {
+		t.Fatalf("-h: %v", helpErr)
+	}
+	if names := experimentNames(); !slices.Contains(names, "periodic") || !slices.Contains(names, "recovery") {
+		t.Fatalf("experiment names %v miss table rows", names)
+	}
+	unknown := run([]string{"-experiment", "nope"})
+	if exitCode(unknown) != 2 {
+		t.Fatalf("unknown experiment: exit %d (%v), want 2", exitCode(unknown), unknown)
+	}
+	for _, name := range experimentNames() {
+		if !strings.Contains(string(help), name) {
+			t.Errorf("-h does not list %q", name)
+		}
+		if !strings.Contains(unknown.Error(), name) {
+			t.Errorf("unknown-experiment error does not name %q: %v", name, unknown)
+		}
+	}
+}
+
+// TestResultsFiguresCurrent regenerates `-experiment all` at the defaults
+// and compares results/figures byte for byte, so the committed figures
+// cannot drift from the code (CI runs the same comparison with git diff).
+func TestResultsFiguresCurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size reproduction: skipped in -short")
+	}
+	dir := t.TempDir()
+	if err := run([]string{"-experiment", "all", "-out", dir}); err != nil {
+		t.Fatal(err)
+	}
+	committed := filepath.Join("..", "..", "results", "figures")
+	entries, err := os.ReadDir(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh, _ := os.ReadDir(dir); len(fresh) != len(entries) {
+		t.Errorf("regenerated %d files, results/figures holds %d", len(fresh), len(entries))
+	}
+	for _, e := range entries {
+		want, err := os.ReadFile(filepath.Join(committed, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("results/figures/%s is stale: regenerate with rtdbsim -experiment all -out results/figures", e.Name())
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 
+	"rtlock/internal/experiments"
 	"rtlock/internal/place"
 )
 
@@ -121,7 +122,7 @@ func ParseSpec(data []byte) (*Spec, error) {
 		return nil, fmt.Errorf("rtlock: spec mode %q (want \"single\" or \"distributed\")", s.Mode)
 	}
 	if s.Mode == "single" && s.Protocol != "" {
-		if _, _, err := experimentsManagerFor(Protocol(s.Protocol)); err != nil {
+		if _, _, err := experiments.ManagerFor(Protocol(s.Protocol)); err != nil {
 			return nil, err
 		}
 	}

@@ -1,6 +1,9 @@
 package rtlock
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunDistributedMultiversion(t *testing.T) {
 	wl := WorkloadConfig{Count: 120, MeanSize: 5, ReadOnlyFrac: 0.6}
@@ -265,5 +268,37 @@ func TestSummaryPercentilesPopulated(t *testing.T) {
 	}
 	if res.Summary.CPUUtil <= 0 || res.Summary.CPUUtil > 1.01 {
 		t.Fatalf("cpu util %v", res.Summary.CPUUtil)
+	}
+}
+
+// TestWorkloadKnobsReachBothEntryPoints is the regression for the
+// hand-copied WorkloadConfig mappings: RunDistributed used to drop the
+// burst settings (a bursty run journaled exactly like a plain one, and an
+// invalid factor passed unvalidated), and RunSingleSite silently ignored
+// LocalityProb.
+func TestWorkloadKnobsReachBothEntryPoints(t *testing.T) {
+	wl := WorkloadConfig{Count: 80, MeanSize: 4}
+	plain, err := RunDistributed(DistributedConfig{Journal: true, Workload: wl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl.BurstFactor, wl.BurstOn, wl.BurstOff = 4, 200*Millisecond, 300*Millisecond
+	bursty, err := RunDistributed(DistributedConfig{Journal: true, Workload: wl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Journal.Hash() == bursty.Journal.Hash() {
+		t.Fatal("bursty distributed run journaled identically to the plain one")
+	}
+	for name, run := range map[string]func(WorkloadConfig) error{
+		"distributed": func(w WorkloadConfig) error { _, err := RunDistributed(DistributedConfig{Workload: w}); return err },
+		"single":      func(w WorkloadConfig) error { _, err := RunSingleSite(SingleSiteConfig{Workload: w}); return err },
+	} {
+		if err := run(WorkloadConfig{Count: 20, BurstFactor: 0.5}); err == nil || !strings.Contains(err.Error(), "burst factor") {
+			t.Errorf("%s: BurstFactor 0.5 gave %v, want the workload's burst-factor error", name, err)
+		}
+	}
+	if _, err := RunSingleSite(SingleSiteConfig{Workload: WorkloadConfig{Count: 20, LocalityProb: 0.7}}); err == nil {
+		t.Error("single-site run accepted LocalityProb, which only placed distributed runs honor")
 	}
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"rtlock/internal/dist"
 )
 
 // The Audit flag turns every experiment cell into a correctness check:
@@ -12,23 +14,22 @@ import (
 // these check the plumbing at the experiments layer.
 
 func TestAuditFlagSingleSite(t *testing.T) {
-	p := DefaultSingleSite().Scale(0.25, 2)
+	p := DefaultSingleSite().Scale(0.25, 1)
 	p.Audit = true
 	for _, proto := range []Protocol{ProtoCeiling, ProtoTwoPLHP, ProtoTwoPLDD} {
-		if _, err := runSingle(p, proto, 12, 1); err != nil {
+		if _, err := NewSweep(Params{Single: p}).runs(p.cell(proto, 12)); err != nil {
 			t.Errorf("%s: %v", proto, err)
 		}
 	}
 }
 
 func TestAuditFlagDistributed(t *testing.T) {
-	p := DefaultDistributed().Scale(0.25, 2)
+	p := DefaultDistributed().Scale(0.25, 1)
 	p.Audit = true
-	if _, err := runDist(p, 1, 0.5, 2, 1); err != nil {
-		t.Errorf("global: %v", err)
-	}
-	if _, err := runDist(p, 2, 0.5, 2, 1); err != nil {
-		t.Errorf("local: %v", err)
+	for _, mode := range []dist.Mode{dist.Global, dist.Local} {
+		if _, err := NewSweep(Params{Dist: p}).runs(p.cell(mode, 0.5, 2)); err != nil {
+			t.Errorf("%s: %v", mode, err)
+		}
 	}
 }
 
@@ -37,7 +38,7 @@ func TestAuditFlagDistributed(t *testing.T) {
 func TestAuditFlagUnknownProtocol(t *testing.T) {
 	p := DefaultSingleSite().Scale(0.25, 1)
 	p.Audit = true
-	if _, err := runSingle(p, Protocol("nope"), 12, 1); err == nil ||
+	if _, err := NewSweep(Params{Single: p}).runs(p.cell("nope", 12)); err == nil ||
 		!strings.Contains(err.Error(), "unknown protocol") {
 		t.Errorf("want unknown-protocol error, got %v", err)
 	}

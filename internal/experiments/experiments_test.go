@@ -28,14 +28,31 @@ func scaledDist() DistParams {
 	return p
 }
 
+// figures evaluates table rows by name in one sweep, failing the test on
+// error.
+func figures(t *testing.T, p Params, names ...string) []Figure {
+	t.Helper()
+	sw := NewSweep(p)
+	figs := make([]Figure, len(names))
+	for i, name := range names {
+		var err error
+		if figs[i], err = sw.Figure(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return figs
+}
+
+func figure(t *testing.T, name string, p Params) Figure {
+	t.Helper()
+	return figures(t, p, name)[0]
+}
+
 func last(s Series) Point  { return s.Points[len(s.Points)-1] }
 func first(s Series) Point { return s.Points[0] }
 
 func TestFig2Shapes(t *testing.T) {
-	f2, _, err := SingleSiteSweep(scaledSingle())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f2 := figure(t, "fig2", Params{Single: scaledSingle()})
 	c, okC := f2.SeriesByLabel("C")
 	p, okP := f2.SeriesByLabel("P")
 	l, okL := f2.SeriesByLabel("L")
@@ -60,10 +77,7 @@ func TestFig2Shapes(t *testing.T) {
 }
 
 func TestFig3Shapes(t *testing.T) {
-	_, f3, err := SingleSiteSweep(scaledSingle())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f3 := figure(t, "fig3", Params{Single: scaledSingle()})
 	c, _ := f3.SeriesByLabel("C")
 	p, _ := f3.SeriesByLabel("P")
 	l, _ := f3.SeriesByLabel("L")
@@ -87,10 +101,8 @@ func TestFig3Shapes(t *testing.T) {
 }
 
 func TestDistributedShapes(t *testing.T) {
-	f4, f5, f6, err := DistributedSweep(scaledDist())
-	if err != nil {
-		t.Fatal(err)
-	}
+	figs := figures(t, Params{Dist: scaledDist()}, "fig4", "fig5", "fig6")
+	f4, f5, f6 := figs[0], figs[1], figs[2]
 
 	// Figure 4: at the update-heavy mix the local approach wins at
 	// every delay, and the advantage grows with delay.
@@ -136,10 +148,7 @@ func TestDistributedShapes(t *testing.T) {
 
 func TestDBSizeAblationShape(t *testing.T) {
 	p := scaledSingle()
-	f, err := DBSizeAblation(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, "dbsize", Params{Single: p})
 	// Bigger databases mean fewer conflicts: the 2PL curves fall from
 	// the smallest database to the largest.
 	for _, label := range []string{"P", "L"} {
@@ -155,10 +164,7 @@ func TestDBSizeAblationShape(t *testing.T) {
 
 func TestSemanticsAblationRuns(t *testing.T) {
 	p := scaledSingle()
-	f, err := SemanticsAblation(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, "semantics", Params{Single: p})
 	c, okC := f.SeriesByLabel("C")
 	cx, okCX := f.SeriesByLabel("CX")
 	if !okC || !okCX {
@@ -175,10 +181,7 @@ func TestSemanticsAblationRuns(t *testing.T) {
 
 func TestInheritAblationShape(t *testing.T) {
 	p := scaledSingle()
-	f, err := InheritAblation(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, "inherit", Params{Single: p})
 	c, _ := f.SeriesByLabel("C")
 	pi, _ := f.SeriesByLabel("PI")
 	// Basic inheritance still deadlocks and chains; at the largest size
@@ -190,10 +193,7 @@ func TestInheritAblationShape(t *testing.T) {
 
 func TestRestartAblationShape(t *testing.T) {
 	p := scaledSingle()
-	f, err := RestartAblation(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, "restart", Params{Single: p})
 	hp, okHP := f.SeriesByLabel("HP")
 	pp, okP := f.SeriesByLabel("P")
 	if !okHP || !okP {
@@ -209,10 +209,7 @@ func TestRestartAblationShape(t *testing.T) {
 func TestPriorityPolicyAblationShape(t *testing.T) {
 	p := scaledSingle()
 	p.Sizes = []int{4, 12} // below saturation, where EDF dominates
-	f, err := PriorityPolicyAblation(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, "priority", Params{Single: p})
 	edf, okE := f.SeriesByLabel("EDF")
 	rnd, okR := f.SeriesByLabel("RANDOM")
 	if !okE || !okR {
@@ -225,10 +222,7 @@ func TestPriorityPolicyAblationShape(t *testing.T) {
 
 func TestBufferAblationShape(t *testing.T) {
 	p := scaledSingle()
-	f, err := BufferAblation(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, "buffer", Params{Single: p})
 	c, ok := f.SeriesByLabel("C")
 	if !ok {
 		t.Fatal("missing series C")
@@ -243,10 +237,7 @@ func TestBufferAblationShape(t *testing.T) {
 
 func TestHotspotAblationShape(t *testing.T) {
 	p := scaledSingle()
-	f, err := HotspotAblation(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, "hotspot", Params{Single: p})
 	c, _ := f.SeriesByLabel("C")
 	pp, _ := f.SeriesByLabel("P")
 	// Skew devastates direct-blocking 2PL but not the ceiling protocol.
@@ -260,10 +251,7 @@ func TestHotspotAblationShape(t *testing.T) {
 
 func TestPredictabilityAblationShape(t *testing.T) {
 	p := scaledSingle()
-	f, err := PredictabilityAblation(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, "predictability", Params{Single: p})
 	c, okC := f.SeriesByLabel("C")
 	pp, okP := f.SeriesByLabel("P")
 	if !okC || !okP {
@@ -285,10 +273,7 @@ func TestPredictabilityAblationShape(t *testing.T) {
 
 func TestConsistencyAblationShape(t *testing.T) {
 	p := scaledDist()
-	f, err := ConsistencyAblation(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, "consistency", Params{Dist: p})
 	latest, okL := f.SeriesByLabel("latest")
 	snap, okS := f.SeriesByLabel("snapshot")
 	if !okL || !okS {
@@ -306,10 +291,7 @@ func TestConsistencyAblationShape(t *testing.T) {
 
 func TestPlacementAblationShape(t *testing.T) {
 	p := scaledDist()
-	f, err := PlacementAblation(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, "placement", Params{Dist: p})
 	if len(f.Series) != 2 {
 		t.Fatalf("series = %d", len(f.Series))
 	}
@@ -324,10 +306,7 @@ func TestPlacementAblationShape(t *testing.T) {
 
 func TestPeriodicAblationShape(t *testing.T) {
 	p := scaledSingle()
-	f, err := PeriodicAblation(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, "periodic", Params{Single: p})
 	c, _ := f.SeriesByLabel("C")
 	l, _ := f.SeriesByLabel("L")
 	// Recurring access sets are the ceiling protocol's native model:
@@ -339,10 +318,7 @@ func TestPeriodicAblationShape(t *testing.T) {
 
 func TestOverheadAblationShape(t *testing.T) {
 	p := scaledSingle()
-	f, err := OverheadAblation(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, "overhead", Params{Single: p})
 	for _, s := range f.Series {
 		for _, pt := range s.Points {
 			if pt.Y < 0 || pt.Y > 100 {
@@ -359,10 +335,7 @@ func TestOverheadAblationShape(t *testing.T) {
 
 func TestRecoveryAblationShape(t *testing.T) {
 	p := scaledSingle()
-	f, err := RecoveryAblation(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, "recovery", Params{Single: p})
 	rec, ok := f.SeriesByLabel("recovery_ms")
 	if !ok {
 		t.Fatal("missing recovery series")
@@ -423,56 +396,38 @@ func TestFigureFormatting(t *testing.T) {
 func TestSweepsDeterministicUnderParallelRuns(t *testing.T) {
 	// Runs execute concurrently but aggregate by index; two identical
 	// sweeps must render byte-identical CSV.
-	p := scaledSingle()
-	p.Runs = 4
-	a2, a3, err := SingleSiteSweep(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, b3, err := SingleSiteSweep(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a2.CSV() != b2.CSV() || a3.CSV() != b3.CSV() {
-		t.Fatal("identical sweeps produced different figures")
-	}
-
-	d := scaledDist()
-	d.Runs = 4
-	c4, c5, c6, err := DistributedSweep(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e4, e5, e6, err := DistributedSweep(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c4.CSV() != e4.CSV() || c5.CSV() != e5.CSV() || c6.CSV() != e6.CSV() {
-		t.Fatal("identical distributed sweeps diverged")
+	p := Params{Single: scaledSingle(), Dist: scaledDist()}
+	p.Single.Runs, p.Dist.Runs = 4, 4
+	names := []string{"fig2", "fig3", "fig4", "fig5", "fig6"}
+	a, b := figures(t, p, names...), figures(t, p, names...)
+	for i, name := range names {
+		if a[i].CSV() != b[i].CSV() {
+			t.Fatalf("identical %s sweeps produced different figures", name)
+		}
 	}
 }
 
 func TestCollectRunsOrderAndErrors(t *testing.T) {
-	sums, err := collectRuns(8, func(r int) (stats.Summary, error) {
-		return stats.Summary{Processed: r}, nil
+	outs, err := collectRuns(8, func(r int) (outcome, error) {
+		return outcome{sum: stats.Summary{Processed: r}}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range sums {
-		if s.Processed != i {
-			t.Fatalf("results out of order: %v", sums)
+	for i, o := range outs {
+		if o.sum.Processed != i {
+			t.Fatalf("results out of order: %v", outs)
 		}
 	}
-	if _, err := collectRuns(4, func(r int) (stats.Summary, error) {
+	if _, err := collectRuns(4, func(r int) (outcome, error) {
 		if r == 2 {
-			return stats.Summary{}, errBoom
+			return outcome{}, errBoom
 		}
-		return stats.Summary{}, nil
+		return outcome{}, nil
 	}); err != errBoom {
 		t.Fatalf("error not surfaced: %v", err)
 	}
-	if sums, err := collectRuns(0, nil); err != nil || sums != nil {
+	if outs, err := collectRuns(0, nil); err != nil || outs != nil {
 		t.Fatal("zero runs must be a no-op")
 	}
 }

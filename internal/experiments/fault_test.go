@@ -6,7 +6,7 @@ import (
 )
 
 // TestFaultSoak is the CI soak: a short randomized-plan severity sweep
-// with auditing on. FaultSweep fails on the first invariant violation,
+// with auditing on. The sweep fails on the first invariant violation,
 // so a green run certifies that every generated plan — crashes,
 // partitions, loss — left the protocol auditors satisfied for both
 // architectures.
@@ -16,7 +16,7 @@ func TestFaultSoak(t *testing.T) {
 	p.Severities = []float64{0, 0.5, 1}
 	for _, seed := range []int64{1, 99} {
 		p.BaseSeed = seed
-		fig, err := FaultSweep(p)
+		fig, err := Run("faultsweep", Params{Faults: p})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -26,22 +26,22 @@ func TestFaultSoak(t *testing.T) {
 	}
 }
 
-// TestFaultSweepSeverityOrder pins the row-order contract: FaultSweep
+// TestFaultSweepSeverityOrder pins the row-order contract: the row
 // canonicalizes Severities (sorted ascending, duplicates collapsed), so
 // an unsorted, repetitive severity slice yields exactly the figure its
 // sorted set would — point for point, including replicated-run stddevs.
 func TestFaultSweepSeverityOrder(t *testing.T) {
 	p := DefaultFaults().Scale(0.1, 2)
 	p.Severities = []float64{1, 0.5, 0, 0.5, 1, 1}
-	messy, err := FaultSweep(p)
+	messy, err := Run("faultsweep", Params{Faults: p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []float64{1, 0.5, 0, 0.5, 1, 1}; !reflect.DeepEqual(p.Severities, want) {
-		t.Fatalf("FaultSweep mutated the caller's Severities: %v", p.Severities)
+		t.Fatalf("the sweep mutated the caller's Severities: %v", p.Severities)
 	}
 	p.Severities = []float64{0, 0.5, 1}
-	clean, err := FaultSweep(p)
+	clean, err := Run("faultsweep", Params{Faults: p})
 	if err != nil {
 		t.Fatal(err)
 	}

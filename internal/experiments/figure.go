@@ -6,6 +6,7 @@
 // communication delays), plus the ablations the paper mentions but omits
 // (database-size sweep) or raises as open questions (read/write versus
 // exclusive lock semantics, basic inheritance versus ceiling).
+// Each is a row of the table in table.go, evaluated by a Sweep.
 package experiments
 
 import (

@@ -4,25 +4,20 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-
-	"rtlock/internal/stats"
 )
 
 // collectRuns executes fn for every run index concurrently (each run
 // builds its own kernel, so runs are independent) and returns the
-// summaries in run order, preserving determinism of every aggregate.
+// outcomes in run order, preserving determinism of every aggregate.
 // The first error (by run index) wins. A panicking run is surfaced as
 // an error carrying its run index instead of crashing the sweep.
-func collectRuns(runs int, fn func(r int) (stats.Summary, error)) ([]stats.Summary, error) {
+func collectRuns(runs int, fn func(r int) (outcome, error)) ([]outcome, error) {
 	if runs <= 0 {
 		return nil, nil
 	}
-	out := make([]stats.Summary, runs)
+	out := make([]outcome, runs)
 	errs := make([]error, runs)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > runs {
-		workers = runs
-	}
+	workers := min(runtime.GOMAXPROCS(0), runs)
 	var wg sync.WaitGroup
 	// Buffered to capacity: the feeder below can never block, so a
 	// worker dying early cannot strand it (with an unbuffered channel a
@@ -52,29 +47,11 @@ func collectRuns(runs int, fn func(r int) (stats.Summary, error)) ([]stats.Summa
 
 // runOne executes a single run, converting a panic into an error that
 // names the run index.
-func runOne(r int, fn func(r int) (stats.Summary, error), out []stats.Summary, errs []error) {
+func runOne(r int, fn func(r int) (outcome, error), out []outcome, errs []error) {
 	defer func() {
 		if p := recover(); p != nil {
 			errs[r] = fmt.Errorf("experiments: run %d panicked: %v", r, p)
 		}
 	}()
 	out[r], errs[r] = fn(r)
-}
-
-// missedOf projects the miss percentages from summaries.
-func missedOf(sums []stats.Summary) []float64 {
-	out := make([]float64, len(sums))
-	for i, s := range sums {
-		out[i] = s.MissedPct
-	}
-	return out
-}
-
-// throughputOf projects the throughputs from summaries.
-func throughputOf(sums []stats.Summary) []float64 {
-	out := make([]float64, len(sums))
-	for i, s := range sums {
-		out[i] = s.Throughput
-	}
-	return out
 }

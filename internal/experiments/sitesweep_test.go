@@ -11,10 +11,8 @@ func TestSiteSweepSmall(t *testing.T) {
 	p := DefaultSiteSweep().Scale(0.15, 2)
 	p.Sites = []int{1, 2, 4}
 	p.Audit = true
-	thpt, missed, tax, err := SiteSweep(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	figs := figures(t, Params{SiteSweep: p}, "sites-throughput", "sites-missed", "consistency-tax")
+	thpt, missed, tax := figs[0], figs[1], figs[2]
 	if len(thpt.Series) != 4 || len(missed.Series) != 4 {
 		t.Fatalf("series: thpt=%d missed=%d, want 4 policies each", len(thpt.Series), len(missed.Series))
 	}
@@ -47,10 +45,7 @@ func TestSiteSweepSmall(t *testing.T) {
 func TestSiteSweepBaselineCheaper(t *testing.T) {
 	p := DefaultSiteSweep().Scale(0.15, 2)
 	p.Sites = []int{4}
-	_, _, tax, err := SiteSweep(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tax := figure(t, "consistency-tax", Params{SiteSweep: p})
 	for _, label := range []string{"shard/latency", "quorum/latency"} {
 		s, ok := tax.SeriesByLabel(label)
 		if !ok {

@@ -1,0 +1,171 @@
+package experiments
+
+import (
+	"fmt"
+	"strings"
+
+	"rtlock/internal/audit"
+	"rtlock/internal/journal"
+	"rtlock/internal/stats"
+)
+
+// Sweep evaluates rows of the figure table over one parameter set. It
+// owns what the rows share: the seed schedule, the parallel runs, the
+// audit check and the mean/std projection. Cells are memoized, so figures
+// plotting the same configurations (fig2/fig3, fig4/5/6, the site-sweep
+// three) run them once, and a figure requested alone runs only its own.
+type Sweep struct {
+	p    Params
+	memo map[cell][]outcome
+}
+
+// NewSweep binds a parameter set.
+func NewSweep(p Params) *Sweep {
+	return &Sweep{p: p, memo: make(map[cell][]outcome)}
+}
+
+// Run evaluates one named figure on its own.
+func Run(name string, p Params) (Figure, error) {
+	return NewSweep(p).Figure(name)
+}
+
+// Figure evaluates the named row of the table.
+func (sw *Sweep) Figure(name string) (Figure, error) {
+	r, err := lookup(name)
+	if err != nil {
+		return Figure{}, err
+	}
+	fig := r.Figure
+	xs := r.xs(&sw.p)
+	for _, s := range r.series(&sw.p) {
+		out := Series{Label: s.label}
+		for _, x := range xs {
+			pt, err := sw.point(s, x)
+			if err != nil {
+				return Figure{}, fmt.Errorf("%s: %w", name, err)
+			}
+			if r.pct {
+				pt.X = 100 * x
+			}
+			out.Points = append(out.Points, pt)
+		}
+		fig.Series = append(fig.Series, out)
+	}
+	return fig, nil
+}
+
+// point projects one series at one x: the mean and standard deviation of
+// the metric over the cell's runs, or for a derived series the ratio of
+// that mean to the reference cell's.
+func (sw *Sweep) point(s series, x float64) (Point, error) {
+	vals, err := sw.values(s.cell(x), s.y)
+	if err != nil {
+		return Point{}, err
+	}
+	mean, std := stats.MeanStd(vals)
+	pt := Point{X: x, Y: mean, Std: std, Runs: len(vals)}
+	if s.over != nil {
+		ref, err := sw.values(s.over(x), s.y)
+		if err != nil {
+			return Point{}, err
+		}
+		refMean, _ := stats.MeanStd(ref)
+		pt.Y, pt.Std = s.ratio(mean, refMean), 0
+	}
+	return pt, nil
+}
+
+// values projects a cell's runs through a metric, dropping the runs that
+// have no sample for it.
+func (sw *Sweep) values(c cell, y metric) ([]float64, error) {
+	outs, err := sw.runs(c)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]float64, 0, len(outs))
+	for _, o := range outs {
+		if v, ok := y(o); ok {
+			vals = append(vals, v)
+		}
+	}
+	return vals, nil
+}
+
+// runs returns the cell's outcomes in run order, executing it on first
+// use: run r is seeded BaseSeed + r·7919, and under Audit every run
+// records a journal and replays it through its auditors, any violation
+// failing the sweep.
+func (sw *Sweep) runs(c cell) ([]outcome, error) {
+	if outs, ok := sw.memo[c]; ok {
+		return outs, nil
+	}
+	runs, baseSeed, audited := c.schedule()
+	outs, err := collectRuns(runs, func(r int) (outcome, error) {
+		seed := baseSeed + int64(r)*7919
+		var jrn *journal.Journal
+		if audited {
+			jrn = journal.New(seed, fmt.Sprintf("%T%+v", c, c))
+		}
+		o, err := c.run(seed, jrn)
+		if err != nil || jrn == nil {
+			return o, err
+		}
+		if vs := audit.Run(jrn, o.auditors...); len(vs) > 0 {
+			return o, fmt.Errorf("experiments: %+v seed=%d: %d invariant violations, first: %s",
+				c, seed, len(vs), vs[0])
+		}
+		return o, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	sw.memo[c] = outs
+	return outs, nil
+}
+
+// RunCustom executes one configuration for the CLI's -experiment custom
+// mode; several runs average the headline metrics and total the counts.
+func RunCustom(p SingleSiteParams, proto Protocol, size int) (stats.Summary, error) {
+	outs, err := NewSweep(Params{Single: p}).runs(p.cell(proto, size))
+	if err != nil {
+		return stats.Summary{}, err
+	}
+	if len(outs) == 1 {
+		return outs[0].sum, nil
+	}
+	var out stats.Summary
+	var thpts, misses []float64
+	for _, o := range outs {
+		out.Processed += o.sum.Processed
+		out.Committed += o.sum.Committed
+		out.Missed += o.sum.Missed
+		thpts = append(thpts, o.sum.Throughput)
+		misses = append(misses, o.sum.MissedPct)
+	}
+	out.Throughput, _ = stats.MeanStd(thpts)
+	out.MissedPct, _ = stats.MeanStd(misses)
+	return out, nil
+}
+
+// Names lists the table's figures in table order: the paper set with
+// InPaper, what `all` reproduces with InAll, every name with ByName.
+func Names(s Set) []string {
+	var out []string
+	for _, r := range table {
+		if r.set >= s {
+			out = append(out, r.Name)
+		}
+	}
+	return out
+}
+
+// lookup resolves a figure name; the error lists the valid ones.
+func lookup(name string) (*row, error) {
+	for i := range table {
+		if table[i].Name == name {
+			return &table[i], nil
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown figure %q (want one of %s)",
+		name, strings.Join(Names(ByName), ", "))
+}

@@ -25,8 +25,9 @@
 //	fmt.Println(res.Summary)
 //
 // The experiment harness in ReproduceAll (or per-figure functions)
-// regenerates every table and figure of the paper's evaluation; the
-// rtdbsim command wraps them on the command line.
+// regenerates the tables and figures of the paper's evaluation; the
+// rtdbsim command wraps them, and the further ablations, on the command
+// line.
 package rtlock
 
 import (
@@ -551,6 +552,9 @@ func RunSingleSite(cfg SingleSiteConfig) (*Result, error) {
 		cfg.IOPerObj = 0
 	}
 	cfg.Workload.fill(true)
+	if cfg.Workload.LocalityProb > 0 {
+		return nil, fmt.Errorf("rtlock: LocalityProb requires a distributed sharded, quorum, or primary-only placement")
+	}
 
 	newMgr, disc, err := experiments.ManagerFor(cfg.Protocol)
 	if err != nil {
@@ -562,10 +566,11 @@ func RunSingleSite(cfg SingleSiteConfig) (*Result, error) {
 	// are unaffected.
 	var stream *workload.Stream
 	if cfg.Workload.Transactions == nil {
-		p, err := buildParams(cfg.Workload, 1, cfg.DBSize, cfg.CPUPerObj+cfg.IOPerObj, false)
+		cat, err := db.NewCatalog(1, cfg.DBSize)
 		if err != nil {
 			return nil, err
 		}
+		p := generatorParams(cfg.Workload, cat, cfg.CPUPerObj+cfg.IOPerObj, false)
 		if stream, err = workload.NewStream(p); err != nil {
 			return nil, err
 		}
@@ -727,22 +732,7 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 	}
 	load := cfg.Workload.Transactions
 	if load == nil {
-		load, err = workload.Generate(workload.Params{
-			Seed:              cfg.Workload.Seed,
-			Catalog:           cluster.Catalog,
-			Count:             cfg.Workload.Count,
-			MeanInterarrival:  cfg.Workload.MeanInterarrival,
-			MeanSize:          cfg.Workload.MeanSize,
-			ReadOnlyFrac:      cfg.Workload.ReadOnlyFrac,
-			PerObjCost:        cfg.CPUPerObj,
-			SlackMin:          cfg.Workload.SlackMin,
-			SlackMax:          cfg.Workload.SlackMax,
-			LocalWriteSets:    mode.LocalWriteSets(),
-			LocalityProb:      cfg.Workload.LocalityProb,
-			PeriodicFrac:      cfg.Workload.PeriodicFrac,
-			Period:            cfg.Workload.Period,
-			ImplicitDeadlines: cfg.Workload.ImplicitDeadlines,
-		})
+		load, err = workload.Generate(generatorParams(cfg.Workload, cluster.Catalog, cfg.CPUPerObj, mode.LocalWriteSets()))
 		if err != nil {
 			return nil, err
 		}
@@ -824,30 +814,10 @@ func buildTelemetry(metricsOn bool, window Duration, maxWindows int) (*metrics.R
 	return reg, timeline.New(timeline.Config{Window: window, MaxWindows: maxWindows}, reg)
 }
 
-// experimentsManagerFor lets spec validation reuse the protocol
-// registry.
-func experimentsManagerFor(p Protocol) (func(*sim.Kernel) core.Manager, sim.Discipline, error) {
-	return experiments.ManagerFor(p)
-}
-
-// buildLoad generates (or passes through) the transaction load.
-func buildLoad(w WorkloadConfig, sites, dbSize int, perObjCost Duration, localWriteSets bool) ([]*Txn, error) {
-	if w.Transactions != nil {
-		return w.Transactions, nil
-	}
-	p, err := buildParams(w, sites, dbSize, perObjCost, localWriteSets)
-	if err != nil {
-		return nil, err
-	}
-	return workload.Generate(p)
-}
-
-// buildParams maps the facade workload config onto generator parameters.
-func buildParams(w WorkloadConfig, sites, dbSize int, perObjCost Duration, localWriteSets bool) (workload.Params, error) {
-	cat, err := db.NewCatalog(sites, dbSize)
-	if err != nil {
-		return workload.Params{}, err
-	}
+// generatorParams maps the facade workload config onto generator
+// parameters: the one mapping both entry points use, so a knob cannot
+// reach one of them and silently miss the other.
+func generatorParams(w WorkloadConfig, cat *db.Catalog, perObjCost Duration, localWriteSets bool) workload.Params {
 	return workload.Params{
 		Seed:              w.Seed,
 		Catalog:           cat,
@@ -859,13 +829,14 @@ func buildParams(w WorkloadConfig, sites, dbSize int, perObjCost Duration, local
 		SlackMin:          w.SlackMin,
 		SlackMax:          w.SlackMax,
 		LocalWriteSets:    localWriteSets,
+		LocalityProb:      w.LocalityProb,
 		PeriodicFrac:      w.PeriodicFrac,
 		Period:            w.Period,
 		ImplicitDeadlines: w.ImplicitDeadlines,
 		BurstFactor:       w.BurstFactor,
 		BurstOn:           w.BurstOn,
 		BurstOff:          w.BurstOff,
-	}, nil
+	}
 }
 
 // NewFullMesh builds a fully connected topology with a uniform delay.
@@ -941,52 +912,63 @@ func DefaultSiteSweepParams() SiteSweepParams { return experiments.DefaultSiteSw
 // coordinated policy's consistency tax (latency and throughput ratios)
 // against the primary-only baseline.
 func RunSiteSweep(p SiteSweepParams) (thpt, missed, tax Figure, err error) {
-	return experiments.SiteSweep(p)
+	figs, err := reproduce(experiments.Params{SiteSweep: p}, "sites-throughput", "sites-missed", "consistency-tax")
+	if err != nil {
+		return Figure{}, Figure{}, Figure{}, err
+	}
+	return figs[0], figs[1], figs[2], nil
+}
+
+// reproduce evaluates the named rows of the experiment table in one
+// sweep, so figures that plot the same cells share their runs.
+func reproduce(p experiments.Params, names ...string) ([]Figure, error) {
+	sw := experiments.NewSweep(p)
+	figs := make([]Figure, len(names))
+	for i, name := range names {
+		var err error
+		if figs[i], err = sw.Figure(name); err != nil {
+			return nil, err
+		}
+	}
+	return figs, nil
 }
 
 // ReproduceFig2 regenerates the paper's Figure 2 (single-site normalized
 // throughput vs transaction size).
-func ReproduceFig2(p SingleSiteParams) (Figure, error) { return experiments.Fig2(p) }
+func ReproduceFig2(p SingleSiteParams) (Figure, error) {
+	return experiments.Run("fig2", experiments.Params{Single: p})
+}
 
 // ReproduceFig3 regenerates Figure 3 (single-site % deadline-missing vs
 // transaction size).
-func ReproduceFig3(p SingleSiteParams) (Figure, error) { return experiments.Fig3(p) }
+func ReproduceFig3(p SingleSiteParams) (Figure, error) {
+	return experiments.Run("fig3", experiments.Params{Single: p})
+}
 
 // ReproduceFig4 regenerates Figure 4 (local/global throughput ratio vs
 // transaction mix).
-func ReproduceFig4(p DistParams) (Figure, error) { return experiments.Fig4(p) }
+func ReproduceFig4(p DistParams) (Figure, error) {
+	return experiments.Run("fig4", experiments.Params{Dist: p})
+}
 
 // ReproduceFig5 regenerates Figure 5 (global/local deadline-missing
 // ratio vs communication delay).
-func ReproduceFig5(p DistParams) (Figure, error) { return experiments.Fig5(p) }
+func ReproduceFig5(p DistParams) (Figure, error) {
+	return experiments.Run("fig5", experiments.Params{Dist: p})
+}
 
 // ReproduceFig6 regenerates Figure 6 (distributed % deadline-missing vs
 // transaction mix at two delays).
-func ReproduceFig6(p DistParams) (Figure, error) { return experiments.Fig6(p) }
+func ReproduceFig6(p DistParams) (Figure, error) {
+	return experiments.Run("fig6", experiments.Params{Dist: p})
+}
 
-// ReproduceAll regenerates every figure and ablation.
+// ReproduceAll regenerates the paper set of the experiment table:
+// Figures 2–6 and the three experiments the paper describes without
+// plotting (database size, lock semantics, basic inheritance). The
+// rtdbsim command's `-experiment all` covers the further ablations.
 func ReproduceAll(sp SingleSiteParams, dp DistParams) ([]Figure, error) {
-	f2, f3, err := experiments.SingleSiteSweep(sp)
-	if err != nil {
-		return nil, fmt.Errorf("single-site sweep: %w", err)
-	}
-	f4, f5, f6, err := experiments.DistributedSweep(dp)
-	if err != nil {
-		return nil, fmt.Errorf("distributed sweep: %w", err)
-	}
-	fa, err := experiments.DBSizeAblation(sp)
-	if err != nil {
-		return nil, fmt.Errorf("dbsize ablation: %w", err)
-	}
-	fb, err := experiments.SemanticsAblation(sp)
-	if err != nil {
-		return nil, fmt.Errorf("semantics ablation: %w", err)
-	}
-	fc, err := experiments.InheritAblation(sp)
-	if err != nil {
-		return nil, fmt.Errorf("inherit ablation: %w", err)
-	}
-	return []Figure{f2, f3, f4, f5, f6, fa, fb, fc}, nil
+	return reproduce(experiments.Params{Single: sp, Dist: dp}, experiments.Names(experiments.InPaper)...)
 }
 
 // Schedule-space exploration re-exports: the systematic concurrency
@@ -1073,7 +1055,7 @@ func Explore(cfg ExploreConfig) (*ExploreReport, error) {
 		}
 		var mk func(*sim.Kernel) core.Manager
 		var disc sim.Discipline
-		mk, disc, err = experimentsManagerFor(cfg.Protocol)
+		mk, disc, err = experiments.ManagerFor(cfg.Protocol)
 		if err != nil {
 			return nil, err
 		}
