@@ -16,7 +16,7 @@ import (
 // run to perform: a JSON spec file, or a quick inline configuration.
 type specSelection struct {
 	spec        string
-	protocol    string
+	protocol    *protocolFlag
 	size        int
 	count       int
 	seed        int64
@@ -26,7 +26,7 @@ type specSelection struct {
 
 func (sel *specSelection) register(fs *flag.FlagSet) {
 	fs.StringVar(&sel.spec, "spec", "", "JSON specification file (overrides the quick-config flags)")
-	fs.StringVar(&sel.protocol, "protocol", "C", "quick config: protocol C|P|L|PI|CX|HP|CR|DD|TO")
+	sel.protocol = registerProtocol(fs, "quick config:")
 	fs.IntVar(&sel.size, "size", 0, "quick config: mean transaction size (0 keeps the default)")
 	fs.IntVar(&sel.count, "count", 0, "quick config: transactions per run (0 keeps the default)")
 	fs.Int64Var(&sel.seed, "seed", 1, "quick config: random seed")
@@ -38,7 +38,12 @@ func (sel *specSelection) load() (*rtlock.Spec, error) {
 	if sel.spec != "" {
 		return rtlock.LoadSpec(sel.spec)
 	}
-	s := &rtlock.Spec{Mode: "single", Protocol: sel.protocol}
+	return sel.inline(), nil
+}
+
+// inline is the quick configuration the flags describe.
+func (sel *specSelection) inline() *rtlock.Spec {
+	s := &rtlock.Spec{Mode: "single", Protocol: sel.protocol.String()}
 	if sel.distributed || sel.global {
 		s.Mode = "distributed"
 		s.Global = sel.global
@@ -47,7 +52,7 @@ func (sel *specSelection) load() (*rtlock.Spec, error) {
 	s.Workload.Seed = sel.seed
 	s.Workload.Count = sel.count
 	s.Workload.MeanSize = sel.size
-	return s, nil
+	return s
 }
 
 // writeJournal exports a journal with the given encoder, creating path.
@@ -102,17 +107,9 @@ func runAudit(args []string) error {
 		return err
 	}
 	s.Audit = true
-	if *metricsDir != "" {
-		s.Metrics = true
-	}
-	res, err := s.Run()
+	res, err := runWithMetrics(s, *metricsDir, "audit")
 	if err != nil {
 		return err
-	}
-	if *metricsDir != "" {
-		if err := writeMetricsBundle(*metricsDir, "audit", res); err != nil {
-			return err
-		}
 	}
 	j := res.Journal
 	fmt.Printf("journal: %d records  seed=%d  config=%q\n", j.Len(), j.Seed(), j.Config())
@@ -121,18 +118,7 @@ func runAudit(args []string) error {
 	if err := exportJournal(j, *jsonl, *chrome); err != nil {
 		return err
 	}
-	if len(res.Violations) == 0 {
-		fmt.Println("audit: all invariants hold")
-		return nil
-	}
-	for i, v := range res.Violations {
-		if i >= *maxPrint {
-			fmt.Printf("... and %d more\n", len(res.Violations)-i)
-			break
-		}
-		fmt.Println(v)
-	}
-	return fmt.Errorf("audit: %d invariant violations", len(res.Violations))
+	return reportViolations(res.Violations, *maxPrint)
 }
 
 // runReplay proves determinism: it executes the same configuration
@@ -157,17 +143,9 @@ func runReplay(args []string) error {
 		return err
 	}
 	s.Journal = true
-	if *metricsDir != "" {
-		s.Metrics = true
-	}
-	res, err := s.Run()
+	res, err := runWithMetrics(s, *metricsDir, "replay")
 	if err != nil {
 		return err
-	}
-	if *metricsDir != "" {
-		if err := writeMetricsBundle(*metricsDir, "replay", res); err != nil {
-			return err
-		}
 	}
 	first := res.Journal
 	fmt.Printf("journal: %d records  seed=%d  config=%q\n", first.Len(), first.Seed(), first.Config())

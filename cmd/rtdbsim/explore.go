@@ -29,7 +29,7 @@ func runExplore(args []string) error {
 		workers     = fs.Int("workers", 1, "parallel schedule runners (never affects the explored set)")
 		seed        = fs.Int64("seed", 1, "exploration seed (random strategy) and workload seed")
 		minimize    = fs.Bool("minimize", true, "shrink counterexamples to locally minimal schedules")
-		protocol    = fs.String("protocol", "C", "single-site protocol C|P|L|PI|CX|HP|CR|DD|TO")
+		protocol    = registerProtocol(fs, "single-site")
 		distributed = fs.Bool("distributed", false, "explore a distributed cluster instead of a single site")
 		global      = fs.Bool("global", false, "with -distributed or -faults: global-ceiling architecture (default local)")
 		faultsMode  = fs.Bool("faults", false, "fault-space exploration: search over failure schedules (crashes, message fates, partition cuts) of a distributed cluster")
@@ -58,7 +58,7 @@ func runExplore(args []string) error {
 	var cfgs []rtlock.ExploreConfig
 	if *all {
 		for _, p := range experiments.AllProtocols() {
-			cfgs = append(cfgs, rtlock.ExploreConfig{Protocol: rtlock.Protocol(p), Seed: *seed, Options: opts})
+			cfgs = append(cfgs, rtlock.ExploreConfig{Protocol: p, Seed: *seed, Options: opts})
 		}
 		for _, g := range []bool{false, true} {
 			cfgs = append(cfgs, rtlock.ExploreConfig{Distributed: true, Global: g, Seed: *seed, Options: opts})

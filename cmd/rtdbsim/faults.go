@@ -42,15 +42,11 @@ func runFaults(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", *plan, err)
 		}
-		cfg := rtlock.DistributedConfig{
-			Global: *approach == "global",
-			Sites:  *sites,
-			Faults: fp,
-			Audit:  *auditRuns,
+		global, err := globalApproach(*approach)
+		if err != nil {
+			return err
 		}
-		if *approach != "global" && *approach != "local" {
-			return fmt.Errorf("unknown approach %q", *approach)
-		}
+		cfg := rtlock.DistributedConfig{Global: global, Sites: *sites, Faults: fp, Audit: *auditRuns}
 		cfg.Workload.Seed = *seed
 		cfg.Workload.Count = *count
 		res, err := rtlock.RunDistributed(cfg)
@@ -62,16 +58,7 @@ func runFaults(args []string) error {
 		if res.Net != nil {
 			fmt.Printf("net: %s\n", res.Net)
 		}
-		if res.Violations != nil {
-			for _, v := range res.Violations {
-				fmt.Println(v)
-			}
-			if n := len(res.Violations); n > 0 {
-				return fmt.Errorf("audit: %d invariant violations", n)
-			}
-			fmt.Println("audit: all invariants hold")
-		}
-		return nil
+		return reportViolations(res.Violations, len(res.Violations))
 	}
 
 	p := experiments.DefaultFaults()

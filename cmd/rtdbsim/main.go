@@ -65,6 +65,7 @@ import (
 	"strings"
 
 	"rtlock"
+	"rtlock/internal/core"
 	"rtlock/internal/experiments"
 )
 
@@ -88,6 +89,64 @@ func (e *usageError) Unwrap() error { return e.err }
 
 func usagef(format string, a ...any) error {
 	return &usageError{fmt.Errorf(format, a...)}
+}
+
+// protocolFlag is a -protocol value: a letter of the protocol table.
+// Checking in Set makes an unknown letter a usage error that lists the
+// table's, like any other bad flag value.
+type protocolFlag string
+
+func (f *protocolFlag) String() string { return string(*f) }
+
+func (f *protocolFlag) Set(s string) error {
+	*f = protocolFlag(s)
+	_, err := core.Lookup(core.Protocol(s))
+	return err
+}
+
+// registerProtocol adds -protocol (default C) to fs; the help text is
+// rendered from the table.
+func registerProtocol(fs *flag.FlagSet, what string) *protocolFlag {
+	f := protocolFlag(rtlock.Ceiling)
+	fs.Var(&f, "protocol", what+" protocol "+core.LetterList())
+	return &f
+}
+
+// reportViolations is the tail of every run: if it was audited (the
+// facade then leaves Violations non-nil), list the violations (at most
+// maxPrint of them) and fail if there are any.
+func reportViolations(vs []rtlock.Violation, maxPrint int) error {
+	if vs == nil {
+		return nil
+	}
+	for i, v := range vs {
+		if i >= maxPrint {
+			fmt.Printf("... and %d more\n", len(vs)-i)
+			break
+		}
+		fmt.Println(v)
+	}
+	if len(vs) > 0 {
+		return fmt.Errorf("audit: %d invariant violations", len(vs))
+	}
+	fmt.Println("audit: all invariants hold")
+	return nil
+}
+
+// globalApproach maps an -approach value onto DistributedConfig.Global.
+func globalApproach(approach string) (bool, error) {
+	if approach != "global" && approach != "local" {
+		return false, fmt.Errorf("unknown approach %q", approach)
+	}
+	return approach == "global", nil
+}
+
+// specTitle labels an export of an inline-configured run.
+func specTitle(s *rtlock.Spec) string {
+	if s.Protocol != "" {
+		return s.Mode + "/" + s.Protocol
+	}
+	return s.Mode
 }
 
 // exitCode maps a run error to the process exit code.
@@ -155,7 +214,7 @@ func run(args []string) error {
 		csv        = fs.Bool("csv", false, "also print CSV after each table")
 		plot       = fs.Bool("plot", false, "also print an ASCII plot of each figure")
 		outDir     = fs.String("out", "", "also write <name>.txt and <name>.csv per figure into this directory")
-		protocol   = fs.String("protocol", "C", "custom: protocol C|P|L|PI|CX|HP|CR|DD|TO")
+		protocol   = registerProtocol(fs, "custom, longrun:")
 		size       = fs.Int("size", 10, "custom: mean transaction size")
 		spec       = fs.String("spec", "", "run a JSON specification file instead of a named experiment")
 		placeFlag  = fs.String("placement", "", "with -spec (distributed): override the data placement policy full|shard|quorum|primary")
@@ -185,23 +244,19 @@ func run(args []string) error {
 		if *auditRuns {
 			s.Audit = true
 		}
-		if *metricsDir != "" {
-			s.Metrics = true
-		}
 		if *tlDir != "" && s.TimelineWindowMs <= 0 {
 			s.TimelineWindowMs = 1000
 		}
-		res, err := s.Run()
+		res, err := runWithMetrics(s, *metricsDir, filepath.Base(*spec))
 		if err != nil {
 			return err
 		}
-		if *metricsDir != "" {
-			if err := writeMetricsBundle(*metricsDir, filepath.Base(*spec), res); err != nil {
+		if *tlDir != "" {
+			b, err := timelineBundle(res, filepath.Base(*spec))
+			if err != nil {
 				return err
 			}
-		}
-		if *tlDir != "" {
-			if err := writeTimelineBundle(*tlDir, filepath.Base(*spec), res); err != nil {
+			if err := b.write(*tlDir); err != nil {
 				return err
 			}
 		}
@@ -209,14 +264,8 @@ func run(args []string) error {
 		if res.Serializable != nil {
 			fmt.Printf("serializable=%t\n", *res.Serializable)
 		}
-		if res.Violations != nil {
-			for _, v := range res.Violations {
-				fmt.Println(v)
-			}
-			if n := len(res.Violations); n > 0 {
-				return fmt.Errorf("audit: %d invariant violations", n)
-			}
-			fmt.Println("audit: all invariants hold")
+		if err := reportViolations(res.Violations, len(res.Violations)); err != nil {
+			return err
 		}
 		if res.Net != nil {
 			fmt.Printf("net: %s\n", res.Net)

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"rtlock/internal/experiments"
 )
 
 func TestRunUnknownExperiment(t *testing.T) {
@@ -20,19 +22,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 // hand-written list), and an unknown name is a usage error naming the
 // choices.
 func TestExperimentNamesFromTable(t *testing.T) {
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stderr := os.Stderr
-	os.Stderr = w
-	helpErr := run([]string{"-h"})
-	os.Stderr = stderr
-	w.Close()
-	help, _ := io.ReadAll(r)
-	if exitCode(helpErr) != 0 {
-		t.Fatalf("-h: %v", helpErr)
-	}
+	help := helpText(t)
 	if names := experimentNames(); !slices.Contains(names, "periodic") || !slices.Contains(names, "recovery") {
 		t.Fatalf("experiment names %v miss table rows", names)
 	}
@@ -41,11 +31,81 @@ func TestExperimentNamesFromTable(t *testing.T) {
 		t.Fatalf("unknown experiment: exit %d (%v), want 2", exitCode(unknown), unknown)
 	}
 	for _, name := range experimentNames() {
-		if !strings.Contains(string(help), name) {
+		if !strings.Contains(help, name) {
 			t.Errorf("-h does not list %q", name)
 		}
 		if !strings.Contains(unknown.Error(), name) {
 			t.Errorf("unknown-experiment error does not name %q: %v", name, unknown)
+		}
+	}
+}
+
+// helpText returns what `rtdbsim <args> -h` prints (to stderr; small
+// enough for the pipe's buffer).
+func helpText(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	helpErr := run(slices.Concat(args, []string{"-h"}))
+	os.Stderr = stderr
+	w.Close()
+	help, _ := io.ReadAll(r)
+	if exitCode(helpErr) != 0 {
+		t.Fatalf("%v -h: %v", args, helpErr)
+	}
+	return string(help)
+}
+
+// TestProtocolLettersFromTable pins every -protocol flag to the protocol
+// table: its help line lists every row's letter (the hand-typed lists
+// once had to be edited per protocol), and an unknown letter is a usage
+// error naming the choices.
+func TestProtocolLettersFromTable(t *testing.T) {
+	for _, sub := range [][]string{nil, {"audit"}, {"replay"}, {"metrics"}, {"timeline"}, {"explore"}} {
+		// The flag package prints "  -protocol value" and the usage
+		// text on the line after it.
+		_, usage, ok := strings.Cut(helpText(t, sub...), "  -protocol ")
+		if !ok {
+			t.Fatalf("rtdbsim %v -h has no -protocol flag", sub)
+		}
+		usage = strings.SplitN(usage, "\n", 3)[1]
+		unknown := run(slices.Concat(sub, []string{"-protocol", "ZZ"}))
+		if exitCode(unknown) != 2 {
+			t.Fatalf("rtdbsim %v -protocol ZZ: exit %d (%v), want 2", sub, exitCode(unknown), unknown)
+		}
+		for _, letter := range experiments.AllProtocols() {
+			if !slices.Contains(strings.FieldsFunc(usage, func(r rune) bool { return r == '|' || r == ' ' }), string(letter)) {
+				t.Errorf("rtdbsim %v -h: -protocol help %q does not list %s", sub, usage, letter)
+			}
+			if !strings.Contains(unknown.Error(), string(letter)) {
+				t.Errorf("rtdbsim %v: unknown-protocol error does not name %s: %v", sub, letter, unknown)
+			}
+		}
+	}
+}
+
+// TestMetricsSpecReportsItsOwnError: `metrics -spec` takes a run spec or
+// a fault plan, and a broken file is reported by the parser of the kind
+// it is — a run spec's unknown protocol used to surface as the fault-plan
+// parser's complaint about the "mode" field.
+func TestMetricsSpecReportsItsOwnError(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ name, body, want string }{
+		{"spec.json", `{"mode":"single","protocol":"ZZ","workload":{"count":20}}`, `unknown protocol "ZZ"`},
+		{"plan.json", `{"crashes":[{"site":1,"bogus":true}]}`, "parse plan"},
+		{"torn.json", `{"mode":`, "unexpected end of JSON"},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run([]string{"metrics", "-spec", path, "-out", filepath.Join(dir, "out")})
+		if exitCode(err) != 1 || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("metrics -spec %s: %v, want a runtime error naming the file and %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -162,8 +222,8 @@ func TestExitCodes(t *testing.T) {
 		{"faults unknown flag", []string{"faults", "-bogus"}, 2},
 		{"metrics stray positional", []string{"metrics", "stray"}, 2},
 		{"replay unknown flag", []string{"replay", "-bogus"}, 2},
-		{"runtime bad protocol", []string{"-experiment", "custom", "-protocol", "ZZ", "-runs", "1", "-count", "20"}, 1},
-		{"explore runtime bad protocol", []string{"explore", "-protocol", "ZZ"}, 1},
+		{"custom unknown protocol", []string{"-experiment", "custom", "-protocol", "ZZ", "-runs", "1", "-count", "20"}, 2},
+		{"explore unknown protocol", []string{"explore", "-protocol", "ZZ"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

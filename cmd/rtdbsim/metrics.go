@@ -8,7 +8,7 @@
 package main
 
 import (
-	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -17,14 +17,6 @@ import (
 	"rtlock"
 	"rtlock/internal/metrics"
 )
-
-// metricsExport is one run's rendered observability bundle.
-type metricsExport struct {
-	prom   []byte
-	csv    []byte
-	folded []byte
-	html   []byte
-}
 
 // runMetrics implements "rtdbsim metrics".
 func runMetrics(args []string) error {
@@ -42,39 +34,16 @@ func runMetrics(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	if *runs < 1 {
-		*runs = 1
-	}
-
 	run, title, err := metricsRunner(&sel, *interval, *approach, *sites)
 	if err != nil {
 		return err
 	}
-
-	first, res, err := exportOnce(run, title, *topk)
+	first, res, err := identicalRuns("metrics", *runs, run, func(res *rtlock.Result) (bundle, error) {
+		return metricsBundle(res, title, *topk)
+	})
 	if err != nil {
 		return err
 	}
-	for r := 2; r <= *runs; r++ {
-		again, _, err := exportOnce(run, title, *topk)
-		if err != nil {
-			return err
-		}
-		for _, cmp := range []struct {
-			name string
-			a, b []byte
-		}{
-			{"metrics.prom", first.prom, again.prom},
-			{"metrics.csv", first.csv, again.csv},
-			{"profile.folded", first.folded, again.folded},
-			{"report.html", first.html, again.html},
-		} {
-			if !bytes.Equal(cmp.a, cmp.b) {
-				return fmt.Errorf("metrics: %s diverged on run %d — nondeterminism", cmp.name, r)
-			}
-		}
-	}
-
 	if err := first.write(*out); err != nil {
 		return err
 	}
@@ -103,109 +72,85 @@ func processSwitches(m *metrics.Registry) string {
 }
 
 // metricsRunner builds the run closure from the selection. The -spec
-// file may be either a JSON run specification or a JSON fault plan
-// (sniffed in that order), so the observability bundle composes with the
-// fault-injection subcommand's plan files.
+// file may be either a JSON run specification or a JSON fault plan, so
+// the observability bundle composes with the fault-injection
+// subcommand's plan files; only a run spec has a "mode", and the file is
+// parsed, and its errors reported, as the kind its content says it is.
 func metricsRunner(sel *specSelection, intervalMs float64, approach string, sites int) (func() (*rtlock.Result, error), string, error) {
-	if sel.spec != "" {
-		if s, err := rtlock.LoadSpec(sel.spec); err == nil {
-			s.Metrics = true
-			s.MetricsIntervalMs = intervalMs
-			return s.Run, filepath.Base(sel.spec), nil
-		}
+	s, title := sel.inline(), filepath.Base(sel.spec)
+	if sel.spec == "" {
+		title = specTitle(s)
+	} else {
 		data, err := os.ReadFile(sel.spec)
 		if err != nil {
 			return nil, "", err
 		}
-		fp, err := rtlock.ParseFaultPlan(data)
-		if err != nil {
-			return nil, "", fmt.Errorf("%s: neither run spec nor fault plan: %w", sel.spec, err)
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(data, &keys); err != nil {
+			return nil, "", fmt.Errorf("%s: %w", sel.spec, err)
 		}
-		if approach != "global" && approach != "local" {
-			return nil, "", fmt.Errorf("unknown approach %q", approach)
+		if _, isRunSpec := keys["mode"]; !isRunSpec {
+			return faultPlanRunner(sel, data, intervalMs, approach, sites)
 		}
-		cfg := rtlock.DistributedConfig{
-			Global:          approach == "global",
-			Sites:           sites,
-			Faults:          fp,
-			Metrics:         true,
-			MetricsInterval: rtlock.Duration(intervalMs * float64(rtlock.Millisecond)),
+		if s, err = rtlock.ParseSpec(data); err != nil {
+			return nil, "", fmt.Errorf("%s: %w", sel.spec, err)
 		}
-		cfg.Workload.Seed = sel.seed
-		cfg.Workload.Count = sel.count
-		cfg.Workload.MeanSize = sel.size
-		return func() (*rtlock.Result, error) { return rtlock.RunDistributed(cfg) }, filepath.Base(sel.spec), nil
-	}
-	s, err := sel.load()
-	if err != nil {
-		return nil, "", err
 	}
 	s.Metrics = true
 	s.MetricsIntervalMs = intervalMs
-	title := s.Mode
-	if s.Protocol != "" {
-		title += "/" + s.Protocol
-	}
 	return s.Run, title, nil
 }
 
-// exportOnce executes the run and renders all four export formats.
-func exportOnce(run func() (*rtlock.Result, error), title string, topk int) (*metricsExport, *rtlock.Result, error) {
-	res, err := run()
+// faultPlanRunner is metricsRunner for a fault-plan file: a distributed
+// run of the quick-config load under the plan.
+func faultPlanRunner(sel *specSelection, plan []byte, intervalMs float64, approach string, sites int) (func() (*rtlock.Result, error), string, error) {
+	fp, err := rtlock.ParseFaultPlan(plan)
 	if err != nil {
-		return nil, nil, err
+		return nil, "", fmt.Errorf("%s: %w", sel.spec, err)
 	}
-	exp, err := exportFrom(res, title, topk)
+	global, err := globalApproach(approach)
 	if err != nil {
-		return nil, nil, err
+		return nil, "", err
 	}
-	return exp, res, nil
+	cfg := rtlock.DistributedConfig{
+		Global:          global,
+		Sites:           sites,
+		Faults:          fp,
+		Metrics:         true,
+		MetricsInterval: rtlock.Duration(intervalMs * float64(rtlock.Millisecond)),
+	}
+	cfg.Workload.Seed = sel.seed
+	cfg.Workload.Count = sel.count
+	cfg.Workload.MeanSize = sel.size
+	return func() (*rtlock.Result, error) { return rtlock.RunDistributed(cfg) }, filepath.Base(sel.spec), nil
 }
 
-// exportFrom renders the four export formats from a completed run.
-func exportFrom(res *rtlock.Result, title string, topk int) (*metricsExport, error) {
+// metricsBundle renders the four export formats from a completed run.
+func metricsBundle(res *rtlock.Result, title string, topk int) (bundle, error) {
 	if res.Metrics == nil {
 		return nil, fmt.Errorf("metrics: run produced no registry")
 	}
 	prof := metrics.FromJournal(res.Journal, topk)
-	html := metrics.HTML("rtlock metrics — "+title, res.Metrics, prof)
-	return &metricsExport{
-		prom:   res.Metrics.Prometheus(),
-		csv:    res.Metrics.CSV(),
-		folded: prof.Folded(),
-		html:   html,
+	return bundle{
+		{"metrics.prom", res.Metrics.Prometheus()},
+		{"metrics.csv", res.Metrics.CSV()},
+		{"profile.folded", prof.Folded()},
+		{"report.html", metrics.HTML("rtlock metrics — "+title, res.Metrics, prof)},
 	}, nil
 }
 
-// write persists the bundle into dir, creating it as needed.
-func (e *metricsExport) write(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("create output dir: %w", err)
+// runWithMetrics is the -metrics flag of the main -spec path, audit and
+// replay: run s and, when a directory is given, export the run's
+// observability bundle into it.
+func runWithMetrics(s *rtlock.Spec, dir, title string) (*rtlock.Result, error) {
+	s.Metrics = s.Metrics || dir != ""
+	res, err := s.Run()
+	if err != nil || dir == "" {
+		return res, err
 	}
-	for _, f := range []struct {
-		name string
-		data []byte
-	}{
-		{"metrics.prom", e.prom},
-		{"metrics.csv", e.csv},
-		{"profile.folded", e.folded},
-		{"report.html", e.html},
-	} {
-		path := filepath.Join(dir, f.name)
-		if err := os.WriteFile(path, f.data, 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", path, err)
-		}
-		fmt.Printf("wrote %s (%d bytes)\n", path, len(f.data))
-	}
-	return nil
-}
-
-// writeMetricsBundle is the -metrics flag shared by the other
-// subcommands: export the bundle of a completed metrics-enabled run.
-func writeMetricsBundle(dir, title string, res *rtlock.Result) error {
-	exp, err := exportFrom(res, title, 10)
+	b, err := metricsBundle(res, title, 10)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return exp.write(dir)
+	return res, b.write(dir)
 }

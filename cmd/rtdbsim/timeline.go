@@ -8,21 +8,11 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"rtlock"
 )
-
-// timelineExport is one run's rendered timeline bundle.
-type timelineExport struct {
-	jsonl []byte
-	csv   []byte
-	html  []byte
-}
 
 // runTimeline implements "rtdbsim timeline".
 func runTimeline(args []string) error {
@@ -42,10 +32,6 @@ func runTimeline(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	if *runs < 1 {
-		*runs = 1
-	}
-
 	s, err := sel.load()
 	if err != nil {
 		return err
@@ -67,34 +53,13 @@ func runTimeline(args []string) error {
 		s.Workload.BurstOnMs = *burstOn
 		s.Workload.BurstOffMs = *burstOff
 	}
-	title := s.Mode
-	if s.Protocol != "" {
-		title += "/" + s.Protocol
-	}
-
-	first, res, err := timelineOnce(s, title)
+	title := specTitle(s)
+	first, res, err := identicalRuns("timeline", *runs, s.Run, func(res *rtlock.Result) (bundle, error) {
+		return timelineBundle(res, title)
+	})
 	if err != nil {
 		return err
 	}
-	for r := 2; r <= *runs; r++ {
-		again, _, err := timelineOnce(s, title)
-		if err != nil {
-			return err
-		}
-		for _, cmp := range []struct {
-			name string
-			a, b []byte
-		}{
-			{"timeline.jsonl", first.jsonl, again.jsonl},
-			{"timeline.csv", first.csv, again.csv},
-			{"report.html", first.html, again.html},
-		} {
-			if !bytes.Equal(cmp.a, cmp.b) {
-				return fmt.Errorf("timeline: %s diverged on run %d — nondeterminism", cmp.name, r)
-			}
-		}
-	}
-
 	if err := first.write(*out); err != nil {
 		return err
 	}
@@ -107,59 +72,14 @@ func runTimeline(args []string) error {
 	return nil
 }
 
-// timelineOnce executes the spec and renders the timeline bundle.
-func timelineOnce(s *rtlock.Spec, title string) (*timelineExport, *rtlock.Result, error) {
-	res, err := s.Run()
-	if err != nil {
-		return nil, nil, err
-	}
-	exp, err := timelineFrom(res, title)
-	if err != nil {
-		return nil, nil, err
-	}
-	return exp, res, nil
-}
-
-// timelineFrom renders the three export formats from a completed run.
-func timelineFrom(res *rtlock.Result, title string) (*timelineExport, error) {
+// timelineBundle renders the three export formats from a completed run.
+func timelineBundle(res *rtlock.Result, title string) (bundle, error) {
 	if res.Timeline == nil {
 		return nil, fmt.Errorf("timeline: run produced no timeline (window not set?)")
 	}
-	return &timelineExport{
-		jsonl: rtlock.TimelineJSONL(res.Timeline),
-		csv:   rtlock.TimelineCSV(res.Timeline),
-		html:  rtlock.HTMLTimelineReport("rtlock timeline — "+title, res.Metrics, nil, res.Timeline),
+	return bundle{
+		{"timeline.jsonl", rtlock.TimelineJSONL(res.Timeline)},
+		{"timeline.csv", rtlock.TimelineCSV(res.Timeline)},
+		{"report.html", rtlock.HTMLTimelineReport("rtlock timeline — "+title, res.Metrics, nil, res.Timeline)},
 	}, nil
-}
-
-// write persists the bundle into dir, creating it as needed.
-func (e *timelineExport) write(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("create output dir: %w", err)
-	}
-	for _, f := range []struct {
-		name string
-		data []byte
-	}{
-		{"timeline.jsonl", e.jsonl},
-		{"timeline.csv", e.csv},
-		{"report.html", e.html},
-	} {
-		path := filepath.Join(dir, f.name)
-		if err := os.WriteFile(path, f.data, 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", path, err)
-		}
-		fmt.Printf("wrote %s (%d bytes)\n", path, len(f.data))
-	}
-	return nil
-}
-
-// writeTimelineBundle is the -timeline flag on the main -spec path:
-// export the timeline of a completed run.
-func writeTimelineBundle(dir, title string, res *rtlock.Result) error {
-	exp, err := timelineFrom(res, title)
-	if err != nil {
-		return err
-	}
-	return exp.write(dir)
 }

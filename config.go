@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"os"
 
-	"rtlock/internal/experiments"
+	"rtlock/internal/core"
 	"rtlock/internal/place"
 )
 
@@ -22,9 +22,9 @@ type Spec struct {
 	// Mode selects "single" (one site, Figures 2–3 setting) or
 	// "distributed" (Figures 4–6 setting).
 	Mode string `json:"mode"`
-	// Protocol applies to single-site runs (C, P, L, PI, CX, HP, DD,
-	// TO). Distributed runs always use the ceiling protocol, per the
-	// paper.
+	// Protocol applies to single-site runs: a letter of the protocol
+	// table (empty means C). Distributed runs always use the ceiling
+	// protocol, per the paper.
 	Protocol string `json:"protocol,omitempty"`
 	// Global selects the global-ceiling-manager architecture for
 	// distributed runs.
@@ -122,8 +122,8 @@ func ParseSpec(data []byte) (*Spec, error) {
 		return nil, fmt.Errorf("rtlock: spec mode %q (want \"single\" or \"distributed\")", s.Mode)
 	}
 	if s.Mode == "single" && s.Protocol != "" {
-		if _, _, err := experiments.ManagerFor(Protocol(s.Protocol)); err != nil {
-			return nil, err
+		if _, err := core.Lookup(Protocol(s.Protocol)); err != nil {
+			return nil, fmt.Errorf("rtlock: spec: %w", err)
 		}
 	}
 	if s.Workload.ReadOnlyFrac < 0 || s.Workload.ReadOnlyFrac > 1 {

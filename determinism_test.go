@@ -13,19 +13,10 @@ import (
 	"testing"
 
 	"rtlock"
+	"rtlock/internal/core"
 )
 
-var allProtocols = []rtlock.Protocol{
-	rtlock.Ceiling,
-	rtlock.CeilingExclusive,
-	rtlock.TwoPLPriority,
-	rtlock.TwoPL,
-	rtlock.TwoPLInherit,
-	rtlock.TwoPLHighPriority,
-	rtlock.TwoPLDetect,
-	rtlock.TimestampOrdering,
-	rtlock.TwoPLConditional,
-}
+var allProtocols = core.Letters()
 
 // singleJournal runs one audited single-site simulation and returns its
 // journal, failing the test on invariant violations.

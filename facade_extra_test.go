@@ -3,6 +3,8 @@ package rtlock
 import (
 	"strings"
 	"testing"
+
+	"rtlock/internal/core"
 )
 
 func TestRunDistributedMultiversion(t *testing.T) {
@@ -102,10 +104,7 @@ func TestConditionalRestartProtocolRuns(t *testing.T) {
 
 func TestAllProtocolsProcessEverything(t *testing.T) {
 	wl := WorkloadConfig{Count: 100, MeanSize: 10, Seed: 3}
-	for _, proto := range []Protocol{
-		Ceiling, CeilingExclusive, TwoPLPriority, TwoPL, TwoPLInherit,
-		TwoPLHighPriority, TwoPLConditional, TwoPLDetect, TimestampOrdering,
-	} {
+	for _, proto := range core.Letters() {
 		res, err := RunSingleSite(SingleSiteConfig{Protocol: proto, Workload: wl})
 		if err != nil {
 			t.Fatalf("%s: %v", proto, err)

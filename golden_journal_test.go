@@ -18,14 +18,12 @@ import (
 	"path/filepath"
 	"testing"
 
+	"rtlock/internal/core"
 	"rtlock/internal/journal"
 )
 
-// goldenProtocols lists all nine single-site protocols.
-var goldenProtocols = []Protocol{
-	Ceiling, CeilingExclusive, TwoPLPriority, TwoPL, TwoPLInherit,
-	TwoPLHighPriority, TwoPLDetect, TimestampOrdering, TwoPLConditional,
-}
+// goldenProtocols is every single-site protocol: the table's rows.
+var goldenProtocols = core.Letters()
 
 // goldenSingle runs the fixture-sized single-site workload for one
 // protocol. Small enough to keep fixtures compact, large enough that

@@ -70,23 +70,27 @@ func Run(j *journal.Journal, auds ...Auditor) []Violation {
 }
 
 // ForManager returns the auditors applicable to a single-site protocol,
-// selected by its Manager.Name(). Timestamp ordering holds no locks, so
-// only serializability applies; plain 2PL and its priority variants can
-// deadlock by design (the deadline timeout resolves them), so deadlock
-// freedom is asserted only where the protocol guarantees it (PCP and
-// wound-based 2PL-HP); blocked-at-most-once is the priority ceiling
+// selected by its Manager.Name(): serializability of committed work
+// always, then one check per promise of the protocol's table row
+// (core.Protocols). Timestamp ordering holds no locks; plain 2PL and its
+// priority variants can deadlock by design (the deadline timeout
+// resolves them), so deadlock freedom is asserted only where the
+// protocol guarantees it; blocked-at-most-once is the priority ceiling
 // protocol's own bound.
 func ForManager(name string) []Auditor {
-	auds := []Auditor{NewSerializable(false)}
-	if name == "TO" {
-		return auds
+	row := core.RowNamed(name)
+	if row == nil {
+		panic(fmt.Sprintf("audit: manager %q has no row in core.Protocols", name))
 	}
-	auds = append(auds, NewStrictTwoPhase(), NewLockSafety())
-	switch name {
-	case "PCP", "PCP-X":
-		auds = append(auds, NewDeadlockFree(), NewBlockedAtMostOnce())
-	case "2PL-HP":
+	auds := []Auditor{NewSerializable(false)}
+	if row.HoldsLocks {
+		auds = append(auds, NewStrictTwoPhase(), NewLockSafety())
+	}
+	if row.DeadlockFree {
 		auds = append(auds, NewDeadlockFree())
+	}
+	if row.BlockedOnce {
+		auds = append(auds, NewBlockedAtMostOnce())
 	}
 	return auds
 }

@@ -161,22 +161,20 @@ func pcpCancel(arg any) {
 	w.m.dropWaiter(w)
 }
 
-// NewCeiling returns the priority ceiling protocol with read/write lock
-// semantics.
-func NewCeiling(k *sim.Kernel) *Ceiling { return newCeiling(k, false, "PCP") }
+// NewCeiling returns protocol C: the priority ceiling protocol with
+// read/write lock semantics.
+func NewCeiling(k *sim.Kernel) *Ceiling { return newCeiling(k, row(ProtoCeiling)) }
 
-// NewCeilingExclusive returns the exclusive-semantics variant: every lock
-// behaves as a write lock. The paper's conclusion raises the question of
-// whether read semantics help or hurt schedulability; this variant lets
-// the experiments answer it.
-func NewCeilingExclusive(k *sim.Kernel) *Ceiling { return newCeiling(k, true, "PCP-X") }
+// NewCeilingExclusive returns protocol CX: every lock behaves as a write
+// lock.
+func NewCeilingExclusive(k *sim.Kernel) *Ceiling { return newCeiling(k, row(ProtoCeilingX)) }
 
-func newCeiling(k *sim.Kernel, exclusive bool, name string) *Ceiling {
+func newCeiling(k *sim.Kernel, row *ProtocolRow) *Ceiling {
 	return &Ceiling{
 		k:          k,
 		pr:         newLockProbes(k),
-		exclusive:  exclusive,
-		name:       name,
+		exclusive:  row.exclusive,
+		name:       row.Name,
 		graph:      newInheritGraph(),
 		registered: make(map[*TxState]struct{}),
 	}

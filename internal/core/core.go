@@ -51,8 +51,8 @@ func compatible(held, req Mode) bool { return held == Read && req == Read }
 // Manager is a single-site concurrency-control protocol. The distributed
 // managers in internal/dist wrap Managers per site or globally.
 type Manager interface {
-	// Name identifies the protocol in reports ("2PL", "2PL-P",
-	// "2PL-PI", "PCP", "PCP-X").
+	// Name identifies the protocol in reports: the Name of its row in
+	// Protocols.
 	Name() string
 	// Register declares a transaction and its read/write sets to the
 	// protocol; the ceiling protocol derives object ceilings from

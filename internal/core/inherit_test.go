@@ -138,19 +138,10 @@ func TestOnPrioChangeFires(t *testing.T) {
 
 func TestManagerNames(t *testing.T) {
 	k := sim.NewKernel()
-	cases := map[string]Manager{
-		"2PL":    NewTwoPL(k),
-		"2PL-P":  NewTwoPLPriority(k),
-		"2PL-PI": NewTwoPLInherit(k),
-		"2PL-DD": NewTwoPLDetect(k),
-		"2PL-HP": NewTwoPLHP(k),
-		"PCP":    NewCeiling(k),
-		"PCP-X":  NewCeilingExclusive(k),
-		"TO":     NewTimestamp(k),
-	}
-	for want, m := range cases {
-		if m.Name() != want {
-			t.Fatalf("Name() = %q, want %q", m.Name(), want)
+	for i := range Protocols {
+		r := &Protocols[i]
+		if got := r.New(k).Name(); got != r.Name {
+			t.Errorf("row %s builds a manager named %q, want %q", r.Letter, got, r.Name)
 		}
 	}
 }
@@ -179,62 +170,6 @@ func TestRegisterUnregisterNoOps(t *testing.T) {
 	for _, m := range []Manager{NewTwoPL(k), NewTwoPLHP(k), NewTwoPLCond(k)} {
 		m.Register(st)
 		m.Unregister(st)
-	}
-}
-
-func TestCondCancelWaiterUnblocksQueue(t *testing.T) {
-	k := sim.NewKernel()
-	m := NewTwoPLCond(k)
-	ms := sim.Millisecond
-	// High-priority holder; two lower-priority waiters with generous
-	// slack (spared); the first waiter is canceled mid-wait and the
-	// second must still be granted.
-	holder := &scriptTx{id: 1, deadline: int64(sim.Time(100 * ms)), steps: []step{{obj: 1, mode: Write, work: 20 * ms}}}
-	victim := &scriptTx{id: 2, deadline: int64(sim.Time(900 * ms)), start: 1 * ms, steps: []step{{obj: 1, mode: Write, work: 5 * ms}}}
-	after := &scriptTx{id: 3, deadline: int64(sim.Time(950 * ms)), start: 2 * ms, steps: []step{{obj: 1, mode: Write, work: 5 * ms}}}
-	k.At(sim.Time(5*ms), func() {
-		victim.st.Proc.Interrupt(ErrRestart)
-	})
-	for _, tx := range []*scriptTx{holder, victim, after} {
-		tx := tx
-		k.Spawn("tx", func(p *sim.Proc) {
-			if err := p.Sleep(tx.start); err != nil {
-				return
-			}
-			st := NewTxState(tx.id, sim.Priority{Deadline: tx.deadline, TxID: tx.id}, p)
-			st.Estimate = 20 * ms
-			tx.st = st
-			m.Register(st)
-			defer m.Unregister(st)
-			defer m.ReleaseAll(st)
-			for _, s := range tx.steps {
-				if err := m.Acquire(p, st, s.obj, s.mode); err != nil {
-					tx.err = err
-					return
-				}
-				if err := p.Sleep(s.work); err != nil {
-					tx.err = err
-					return
-				}
-			}
-			tx.done = true
-		})
-	}
-	k.Run()
-	if err := k.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if victim.err == nil {
-		t.Fatal("victim was not canceled")
-	}
-	if !after.done {
-		t.Fatal("waiter behind canceled victim never granted")
-	}
-	if m.Waiting() != 0 {
-		t.Fatalf("leaked waiters: %d", m.Waiting())
-	}
-	if m.Name() != "2PL-CR" {
-		t.Fatalf("Name = %q", m.Name())
 	}
 }
 

@@ -27,6 +27,9 @@ type scriptTx struct {
 	start    sim.Duration
 	pause    sim.Duration
 	steps    []step
+	// estimate is the execution-time estimate the conditional-restart
+	// rule weighs against a requester's slack.
+	estimate sim.Duration
 
 	st     *TxState
 	err    error
@@ -66,6 +69,7 @@ func runScript(t *testing.T, k *sim.Kernel, mgr Manager, txs []*scriptTx) {
 			}
 			st := NewTxState(tx.id, sim.Priority{Deadline: tx.deadline, TxID: tx.id}, p)
 			st.ReadSet, st.WriteSet = tx.readWriteSets()
+			st.Estimate = tx.estimate
 			tx.st = st
 			mgr.Register(st)
 			defer mgr.Unregister(st)

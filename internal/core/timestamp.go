@@ -21,6 +21,7 @@ import (
 type Timestamp struct {
 	k    *sim.Kernel
 	pr   lockProbes
+	name string
 	next int64
 	ts   map[*TxState]int64
 	rts  map[ObjectID]int64
@@ -32,19 +33,22 @@ type Timestamp struct {
 
 var _ Manager = (*Timestamp)(nil)
 
-// NewTimestamp returns the timestamp-ordering protocol.
-func NewTimestamp(k *sim.Kernel) *Timestamp {
+// NewTimestamp returns protocol TO.
+func NewTimestamp(k *sim.Kernel) *Timestamp { return newTimestamp(k, row(ProtoTimestamp)) }
+
+func newTimestamp(k *sim.Kernel, row *ProtocolRow) *Timestamp {
 	return &Timestamp{
-		k:   k,
-		pr:  newLockProbes(k),
-		ts:  make(map[*TxState]int64),
-		rts: make(map[ObjectID]int64),
-		wts: make(map[ObjectID]int64),
+		k:    k,
+		pr:   newLockProbes(k),
+		name: row.Name,
+		ts:   make(map[*TxState]int64),
+		rts:  make(map[ObjectID]int64),
+		wts:  make(map[ObjectID]int64),
 	}
 }
 
 // Name implements Manager.
-func (m *Timestamp) Name() string { return "TO" }
+func (m *Timestamp) Name() string { return m.name }
 
 // Register implements Manager: the attempt receives its timestamp.
 // Restarted attempts re-register and therefore move forward in the

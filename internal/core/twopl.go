@@ -4,41 +4,62 @@ import (
 	"rtlock/internal/sim"
 )
 
-// QueuePolicy orders a lock's wait queue.
-type QueuePolicy int
+// woundRule says what a blocked requester may do to the conflicting
+// holders of strictly lower priority ([Abb88] in the paper). Wounding
+// makes every wait point toward higher priority, so distinct priorities
+// cannot deadlock, at the price of wasted and redone work — the
+// trade-off the paper's §5 raises for real-time transactions.
+type woundRule int
 
-// Queue policies for the two-phase locking family.
 const (
-	// QueueFIFO serves lock waiters in arrival order and never lets a
-	// new request jump a non-empty queue (protocol L).
-	QueueFIFO QueuePolicy = iota + 1
-	// QueuePriority serves waiters in effective-priority order and
-	// lets a new request be granted ahead of lower-priority waiters
-	// (protocol P, and the base of the priority-inheritance variant).
-	QueuePriority
+	// woundNever: the requester waits (protocols L, P, PI, DD).
+	woundNever woundRule = iota
+	// woundLower aborts and restarts every such holder rather than wait
+	// behind it (High-Priority, HP); higher- or equal-priority holders
+	// still block the requester.
+	woundLower
+	// woundNoSlack aborts such a holder only when the requester's slack
+	// (time to its deadline) cannot absorb the holder's execution-time
+	// estimate, and otherwise waits, sparing work the requester did not
+	// need undone (conditional restart, CR).
+	woundNoSlack
 )
 
-// TwoPL is the two-phase locking family: protocol L (FIFO, no priority),
-// protocol P (priority-ordered queues), and the basic priority
-// inheritance protocol of §3.1 (priority queues plus inheritance by
-// conflicting lock holders). Two-phase locking can deadlock; in the
-// paper's experiments deadlocked transactions simply miss their hard
-// deadlines and are aborted, which breaks the cycle. FindDeadlock exposes
-// waits-for cycle detection for tests and for optional detection.
-type TwoPL struct {
-	k       *sim.Kernel
-	pr      lockProbes
-	policy  QueuePolicy
+// lockRule is the row data that tells the lock-table protocols apart.
+type lockRule struct {
+	// fifo serves lock waiters in arrival order and never lets a new
+	// request jump a non-empty queue (protocol L). Otherwise waiters are
+	// served in effective-priority order and a new request may be
+	// granted ahead of lower-priority waiters.
+	fifo bool
+	// inherit has conflicting holders inherit a waiter's priority.
 	inherit bool
-	detect  bool
-	graph   *inheritGraph
-	table   lockTable
-	seq     uint64
-	name    string
+	// detect breaks waits-for cycles as they close.
+	detect bool
+	wound  woundRule
+}
+
+// TwoPL is the lock-table family, one manager for the six protocols of
+// the table that differ only in their lockRule: L, P, PI (§3.1), DD, HP
+// and CR. Two-phase locking can deadlock; in the paper's experiments
+// deadlocked transactions simply miss their hard deadlines and are
+// aborted, which breaks the cycle. FindDeadlock exposes waits-for cycle
+// detection for tests and for the detection row.
+type TwoPL struct {
+	k    *sim.Kernel
+	pr   lockProbes
+	name string
+	lockRule
+	graph *inheritGraph
+	table lockTable
+	seq   uint64
 
 	// DeadlocksResolved counts waits-for cycles broken by the
-	// detection variant.
+	// detection row.
 	DeadlocksResolved int
+	// Wounds counts holder aborts issued by the wounding rows; Spared
+	// counts conflicts where woundNoSlack chose to wait instead.
+	Wounds, Spared int
 }
 
 var _ Manager = (*TwoPL)(nil)
@@ -97,7 +118,7 @@ type lockTable struct {
 }
 
 // getWaiter hands out a reset waiter from the pool. The caller must
-// set w.owner before arming the cancel hook.
+// set w.m before arming the cancel hook.
 //
 //rtlint:allocfree
 func (t *lockTable) getWaiter() *lockWaiter {
@@ -161,84 +182,61 @@ func (t *lockTable) drop(e *lockEntry) {
 	t.free = append(t.free, e)
 }
 
-// waiterOwner routes the static cancel hook back to the manager that
-// parked a lockWaiter. It is an interface rather than a stored method
-// value because binding m.dropWaiter as a func value allocates its
-// bound-method closure on every fresh waiter, while storing the
-// manager pointer in an interface word does not.
-type waiterOwner interface {
-	dropWaiter(e *lockEntry, w *lockWaiter)
-}
-
 // lockWaiter is one parked waiter of the two-phase locking family.
 // Waiters are pooled on the lockTable: by the time Acquire's Park
 // returns, the grant and cancel paths have both detached the waiter
-// from its queue, so recycling cannot alias a live wait. The owner
-// (set per manager) lets the static cancel function route back to the
-// owning manager's dropWaiter without a per-block closure; the entry
-// pointer stays valid for the waiter's whole life because entries are
-// only recycled once their queue is empty.
+// from its queue, so recycling cannot alias a live wait. The manager
+// pointer lets the static cancel function route back to dropWaiter
+// without a per-block closure; the entry pointer stays valid for the
+// waiter's whole life because entries are only recycled once their
+// queue is empty.
 //
 //rtlint:pooled
 type lockWaiter struct {
-	tx    *TxState
-	obj   ObjectID
-	mode  Mode
-	tok   sim.Token
-	seq   uint64
-	e     *lockEntry
-	owner waiterOwner
+	tx   *TxState
+	obj  ObjectID
+	mode Mode
+	tok  sim.Token
+	seq  uint64
+	e    *lockEntry
+	m    *TwoPL
 }
 
-// lockWaiterCancel is the shared static cancel hook.
+// lockWaiterCancel is the static cancel hook.
 func lockWaiterCancel(arg any) {
 	w := arg.(*lockWaiter)
-	w.owner.dropWaiter(w.e, w)
+	w.m.dropWaiter(w.e, w)
 }
 
-// NewTwoPL returns protocol L: plain two-phase locking with FIFO queues
-// and no priority support.
-func NewTwoPL(k *sim.Kernel) *TwoPL {
-	return &TwoPL{k: k, pr: newLockProbes(k), policy: QueueFIFO, name: "2PL"}
-}
-
-// NewTwoPLPriority returns protocol P: two-phase locking with
-// priority-ordered wait queues.
-func NewTwoPLPriority(k *sim.Kernel) *TwoPL {
-	return &TwoPL{k: k, pr: newLockProbes(k), policy: QueuePriority, name: "2PL-P"}
-}
-
-// NewTwoPLInherit returns two-phase locking with basic priority
-// inheritance (§3.1): a holder that blocks higher-priority transactions
-// executes at the highest priority of the transactions it blocks.
-// Blocking chains are still possible; the ceiling protocol exists to
-// bound them.
-func NewTwoPLInherit(k *sim.Kernel) *TwoPL {
-	return &TwoPL{
-		k:       k,
-		pr:      newLockProbes(k),
-		policy:  QueuePriority,
-		inherit: true,
-		graph:   newInheritGraph(),
-		name:    "2PL-PI",
+// newTwoPL builds the lock-table manager a row of the protocol table
+// describes. The typed constructors below are for callers that read the
+// manager's counters or FindDeadlock; what each protocol is stands in
+// the table (protocols.go).
+func newTwoPL(k *sim.Kernel, row *ProtocolRow) *TwoPL {
+	m := &TwoPL{k: k, pr: newLockProbes(k), name: row.Name, lockRule: row.lock}
+	if m.inherit {
+		m.graph = newInheritGraph()
 	}
+	return m
 }
 
-// NewTwoPLDetect returns two-phase locking with priority queues and
-// waits-for deadlock detection: whenever a new wait closes a cycle, the
-// lowest-priority transaction on the cycle is aborted (to restart) — the
-// conventional database resolution the paper's model omits in favor of
-// letting deadline expiry break cycles. It exists as an ablation of that
-// choice.
-func NewTwoPLDetect(k *sim.Kernel) *TwoPL {
-	return &TwoPL{
-		k:      k,
-		pr:     newLockProbes(k),
-		policy: QueuePriority,
-		detect: true,
-		name:   "2PL-DD",
-	}
-}
+// NewTwoPL returns protocol L.
+func NewTwoPL(k *sim.Kernel) *TwoPL { return newTwoPL(k, row(ProtoTwoPL)) }
+
+// NewTwoPLPriority returns protocol P.
+func NewTwoPLPriority(k *sim.Kernel) *TwoPL { return newTwoPL(k, row(ProtoTwoPLPrio)) }
+
+// NewTwoPLInherit returns protocol PI.
+func NewTwoPLInherit(k *sim.Kernel) *TwoPL { return newTwoPL(k, row(ProtoInherit)) }
+
+// NewTwoPLDetect returns protocol DD.
+func NewTwoPLDetect(k *sim.Kernel) *TwoPL { return newTwoPL(k, row(ProtoTwoPLDD)) }
+
+// NewTwoPLHP returns protocol HP.
+func NewTwoPLHP(k *sim.Kernel) *TwoPL { return newTwoPL(k, row(ProtoTwoPLHP)) }
+
+// NewTwoPLCond returns protocol CR.
+func NewTwoPLCond(k *sim.Kernel) *TwoPL { return newTwoPL(k, row(ProtoTwoPLCR)) }
 
 // Name implements Manager.
 func (m *TwoPL) Name() string { return m.name }
@@ -266,10 +264,13 @@ func (m *TwoPL) Acquire(p *sim.Proc, tx *TxState, obj ObjectID, mode Mode) error
 	}
 	m.seq++
 	w := m.table.getWaiter() //rtlint:allow allocfree inlined pool-miss &lockWaiter literal from getWaiter's growth path
-	w.owner = m
+	w.m = m
 	w.tx, w.obj, w.mode, w.seq, w.e = tx, obj, mode, m.seq, e
-	e.queue = append(e.queue, w)
+	// Blame is fixed before any wound unwinds: a wounded holder's own
+	// canceled wait can hand obj to queued readers on the spot.
 	blamed := m.blameFor(e, w)
+	m.applyWound(tx, blamed)
+	e.queue = append(e.queue, w)
 	m.pr.emitBlock(m.k, 0, tx, obj, blamed, false)
 	tx.noteBlocked(m.k.Now(), blamed) //rtlint:allow allocfree inlined lazy BlockedBy map, allocated once per TxState on its first block
 	if m.inherit {
@@ -306,6 +307,28 @@ func lowestPriority(cycle []*TxState) *TxState {
 		}
 	}
 	return victim
+}
+
+// applyWound applies the row's wound rule to the conflicting holders
+// blocking tx. If all of them are wounded the lock arrives as soon as
+// they unwind; otherwise tx waits behind the survivors.
+func (m *TwoPL) applyWound(tx *TxState, conflicts []*TxState) {
+	if m.wound == woundNever {
+		return
+	}
+	slack := sim.Duration(tx.Base.Deadline - int64(m.k.Now()))
+	for _, h := range conflicts {
+		if !h.Eff().Lower(tx.Eff()) {
+			continue
+		}
+		if m.wound == woundNoSlack && slack > h.Estimate {
+			m.Spared++
+			continue
+		}
+		m.Wounds++
+		m.pr.emitWound(m.k, 0, h, tx)
+		h.RequestWound(ErrRestart)
+	}
 }
 
 // ReleaseAll implements Manager.
@@ -436,27 +459,20 @@ func holdersConflict(e *lockEntry, tx *TxState, mode Mode) bool {
 }
 
 // admissible reports whether a brand-new request may be granted
-// immediately, respecting the queue policy's fairness rule.
+// immediately, respecting the queue order's fairness rule.
 func (m *TwoPL) admissible(e *lockEntry, tx *TxState, mode Mode) bool {
 	if holdersConflict(e, tx, mode) {
 		return false
 	}
-	switch m.policy {
-	case QueueFIFO:
-		// Never jump a non-empty queue.
+	if m.fifo {
 		return len(e.queue) == 0
-	case QueuePriority:
-		// May be granted ahead of strictly lower-priority waiters
-		// only.
-		for _, w := range e.queue {
-			if w.tx.Eff().Higher(tx.Eff()) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
 	}
+	for _, w := range e.queue {
+		if w.tx.Eff().Higher(tx.Eff()) {
+			return false
+		}
+	}
+	return true
 }
 
 func (m *TwoPL) grant(e *lockEntry, tx *TxState, obj ObjectID, mode Mode) {
@@ -465,14 +481,20 @@ func (m *TwoPL) grant(e *lockEntry, tx *TxState, obj ObjectID, mode Mode) {
 	m.pr.emitGrant(m.k, 0, tx, obj, mode)
 }
 
-// processQueue grants the maximal policy-ordered prefix of obj's queue
+// processQueue grants the maximal queue-ordered prefix of obj's queue
 // and, under inheritance, re-blames the waiters that remain blocked.
 func (m *TwoPL) processQueue(obj ObjectID) {
 	e := m.table.at(obj)
 	if e == nil {
 		return
 	}
-	m.orderQueue(e)
+	// Effective priorities can change while queued (inheritance), so
+	// ordering happens at grant time rather than insert time.
+	if m.fifo {
+		sortWaitersBySeq(e.queue)
+	} else {
+		sortWaitersByPrio(e.queue)
+	}
 	granted := 0
 	for _, w := range e.queue {
 		if holdersConflict(e, w.tx, w.mode) {
@@ -498,22 +520,10 @@ func (m *TwoPL) processQueue(obj ObjectID) {
 	}
 }
 
-// orderQueue sorts the wait queue per policy: FIFO by arrival sequence,
-// priority by effective priority (ties by sequence). Effective priorities
-// can change while queued (inheritance), so ordering happens at grant
-// time rather than insert time.
-func (m *TwoPL) orderQueue(e *lockEntry) {
-	switch m.policy {
-	case QueueFIFO:
-		sortWaitersBySeq(e.queue)
-	case QueuePriority:
-		sortWaitersByPrio(e.queue)
-	}
-}
-
-// blameFor computes the transactions responsible for w's wait: the
-// conflicting holders, or, when the wait is purely queue-order induced,
-// the conflicting waiters ahead of w.
+// blameFor computes the transactions responsible for w's wait, in id
+// order: the conflicting holders, or, when the wait is purely
+// queue-order induced, the conflicting waiters ahead of w. The wounding
+// rows blame holders only.
 func (m *TwoPL) blameFor(e *lockEntry, w *lockWaiter) []*TxState {
 	var blamed []*TxState
 	for i := range e.holders {
@@ -522,7 +532,7 @@ func (m *TwoPL) blameFor(e *lockEntry, w *lockWaiter) []*TxState {
 			blamed = append(blamed, h.tx)
 		}
 	}
-	if len(blamed) > 0 {
+	if len(blamed) > 0 || m.wound != woundNever {
 		sortTxByID(blamed)
 		return blamed
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"rtlock/internal/core"
 	"rtlock/internal/dist"
 )
 
@@ -16,7 +17,7 @@ import (
 func TestAuditFlagSingleSite(t *testing.T) {
 	p := DefaultSingleSite().Scale(0.25, 1)
 	p.Audit = true
-	for _, proto := range []Protocol{ProtoCeiling, ProtoTwoPLHP, ProtoTwoPLDD} {
+	for _, proto := range []Protocol{core.ProtoCeiling, core.ProtoTwoPLHP, core.ProtoTwoPLDD} {
 		if _, err := NewSweep(Params{Single: p}).runs(p.cell(proto, 12)); err != nil {
 			t.Errorf("%s: %v", proto, err)
 		}

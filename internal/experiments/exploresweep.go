@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"rtlock/internal/core"
 	"rtlock/internal/explore"
 )
 
@@ -44,26 +45,24 @@ func DefaultExplore() ExploreParams {
 }
 
 // AllProtocols returns every protocol of the study, in the order the
-// figures list them.
-func AllProtocols() []Protocol {
-	return []Protocol{ProtoCeiling, ProtoTwoPLPrio, ProtoTwoPL, ProtoInherit,
-		ProtoCeilingX, ProtoTwoPLHP, ProtoTwoPLDD, ProtoTimestamp, ProtoTwoPLCR}
+// figures list them: the protocol table's.
+func AllProtocols() []Protocol { return core.Letters() }
+
+// ExploreTarget builds the single-site exploration target of one row of
+// the protocol table.
+func ExploreTarget(p Protocol, seed int64) (explore.Target, error) {
+	mk, disc, err := ManagerFor(p)
+	if err != nil {
+		return explore.Target{}, err
+	}
+	return explore.SingleSiteTarget(explore.SingleSiteOpts{Proto: string(p), NewManager: mk, Discipline: disc, Seed: seed})
 }
 
 // exploreTargets builds the sweep's target list from the configuration.
 func exploreTargets(p ExploreParams) ([]explore.Target, error) {
 	var targets []explore.Target
 	for _, proto := range p.Protocols {
-		mk, disc, err := ManagerFor(proto)
-		if err != nil {
-			return nil, err
-		}
-		tgt, err := explore.SingleSiteTarget(explore.SingleSiteOpts{
-			Proto:      string(proto),
-			NewManager: mk,
-			Discipline: disc,
-			Seed:       p.Seed,
-		})
+		tgt, err := ExploreTarget(proto, p.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -2,13 +2,15 @@ package experiments
 
 import (
 	"testing"
+
+	"rtlock/internal/core"
 )
 
 // TestExploreSweepSmall runs the sweep at a tiny budget over two
 // protocols and checks the figure's shape.
 func TestExploreSweepSmall(t *testing.T) {
 	p := ExploreParams{
-		Protocols: []Protocol{ProtoCeiling, ProtoTwoPLPrio},
+		Protocols: []Protocol{core.ProtoCeiling, core.ProtoTwoPLPrio},
 		Budgets:   []int{4, 8},
 		MaxDepth:  12,
 		Branch:    2,

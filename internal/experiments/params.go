@@ -9,66 +9,22 @@ import (
 	"rtlock/internal/workload"
 )
 
-// Protocol names a concurrency-control protocol under test, using the
-// paper's letters.
-type Protocol string
+// Protocol names a concurrency-control protocol under test by the
+// paper's letter; the protocols are the rows of core.Protocols.
+type Protocol = core.Protocol
 
-// The protocols of the study.
-const (
-	// ProtoCeiling is the priority ceiling protocol (C).
-	ProtoCeiling Protocol = "C"
-	// ProtoTwoPLPrio is two-phase locking with priority mode (P).
-	ProtoTwoPLPrio Protocol = "P"
-	// ProtoTwoPL is two-phase locking without priority mode (L).
-	ProtoTwoPL Protocol = "L"
-	// ProtoInherit is two-phase locking with basic priority
-	// inheritance (§3.1), used by the inheritance ablation.
-	ProtoInherit Protocol = "PI"
-	// ProtoCeilingX is the ceiling protocol with exclusive-only lock
-	// semantics, used by the §5 semantics ablation.
-	ProtoCeilingX Protocol = "CX"
-	// ProtoTwoPLHP is two-phase locking with High-Priority wounding
-	// ([Abb88]): conflicting lower-priority holders are aborted and
-	// restarted.
-	ProtoTwoPLHP Protocol = "HP"
-	// ProtoTwoPLDD is two-phase locking with waits-for deadlock
-	// detection; victims restart.
-	ProtoTwoPLDD Protocol = "DD"
-	// ProtoTimestamp is basic timestamp ordering, the environment's
-	// non-locking concurrency control.
-	ProtoTimestamp Protocol = "TO"
-	// ProtoTwoPLCR is two-phase locking with conditional restart
-	// ([Abb88]): wound a lower-priority holder only when the
-	// requester's slack cannot absorb the wait.
-	ProtoTwoPLCR Protocol = "CR"
-)
+// ProtoCeiling is the paper's protocol C, the default of every harness
+// entry point.
+const ProtoCeiling = core.ProtoCeiling
 
-// ManagerFor builds the protocol's lock manager constructor and the CPU
-// discipline the protocol runs under (L runs FIFO; the rest preemptive
-// priority).
+// ManagerFor looks the protocol up in the table and returns its lock
+// manager constructor and the CPU discipline it runs under.
 func ManagerFor(p Protocol) (func(*sim.Kernel) core.Manager, sim.Discipline, error) {
-	switch p {
-	case ProtoCeiling:
-		return func(k *sim.Kernel) core.Manager { return core.NewCeiling(k) }, sim.PreemptivePriority, nil
-	case ProtoCeilingX:
-		return func(k *sim.Kernel) core.Manager { return core.NewCeilingExclusive(k) }, sim.PreemptivePriority, nil
-	case ProtoTwoPLPrio:
-		return func(k *sim.Kernel) core.Manager { return core.NewTwoPLPriority(k) }, sim.PreemptivePriority, nil
-	case ProtoTwoPL:
-		return func(k *sim.Kernel) core.Manager { return core.NewTwoPL(k) }, sim.FIFO, nil
-	case ProtoInherit:
-		return func(k *sim.Kernel) core.Manager { return core.NewTwoPLInherit(k) }, sim.PreemptivePriority, nil
-	case ProtoTwoPLHP:
-		return func(k *sim.Kernel) core.Manager { return core.NewTwoPLHP(k) }, sim.PreemptivePriority, nil
-	case ProtoTwoPLDD:
-		return func(k *sim.Kernel) core.Manager { return core.NewTwoPLDetect(k) }, sim.PreemptivePriority, nil
-	case ProtoTimestamp:
-		return func(k *sim.Kernel) core.Manager { return core.NewTimestamp(k) }, sim.PreemptivePriority, nil
-	case ProtoTwoPLCR:
-		return func(k *sim.Kernel) core.Manager { return core.NewTwoPLCond(k) }, sim.PreemptivePriority, nil
-	default:
-		return nil, 0, fmt.Errorf("experiments: unknown protocol %q", p)
+	row, err := core.Lookup(p)
+	if err != nil {
+		return nil, 0, fmt.Errorf("experiments: %w", err)
 	}
+	return row.New, row.Discipline, nil
 }
 
 // SingleSiteParams configures the single-site experiments (Figures 2–3).
@@ -112,7 +68,7 @@ func DefaultSingleSite() SingleSiteParams {
 		Count:            400,
 		Runs:             10,
 		Sizes:            []int{2, 4, 6, 8, 10, 12, 14, 16, 18, 20},
-		Protocols:        []Protocol{ProtoCeiling, ProtoTwoPLPrio, ProtoTwoPL},
+		Protocols:        []Protocol{core.ProtoCeiling, core.ProtoTwoPLPrio, core.ProtoTwoPL},
 		BaseSeed:         1,
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"rtlock/internal/core"
 	"rtlock/internal/dist"
 	"rtlock/internal/place"
 	"rtlock/internal/sim"
@@ -284,7 +285,7 @@ var table = []row{
 		Figure: Figure{Name: "semantics", Title: "Read/write vs exclusive lock semantics in the ceiling protocol",
 			XLabel: "%read-only", YLabel: "% missed"},
 		set: InPaper, pct: true, xs: fixed(0, 0.25, 0.5, 0.75, 0.9),
-		series: perProto(missed, func(c *singleCell, x float64) { c.size, c.mix = 10, x }, ProtoCeiling, ProtoCeilingX),
+		series: perProto(missed, func(c *singleCell, x float64) { c.size, c.mix = 10, x }, core.ProtoCeiling, core.ProtoCeilingX),
 	},
 	{
 		// Basic priority inheritance (§3.1) against the ceiling protocol
@@ -293,7 +294,7 @@ var table = []row{
 		// should land between P and C.
 		Figure: Figure{Name: "inherit", Title: "Basic priority inheritance vs priority ceiling: %missed",
 			XLabel: "size", YLabel: "% missed"},
-		set: InPaper, xs: sizes, series: perProto(missed, size, ProtoCeiling, ProtoInherit, ProtoTwoPLPrio),
+		set: InPaper, xs: sizes, series: perProto(missed, size, core.ProtoCeiling, core.ProtoInherit, core.ProtoTwoPLPrio),
 	},
 	{
 		// The paper's §5 question about preemption in real-time
@@ -306,7 +307,7 @@ var table = []row{
 		Figure: Figure{Name: "restart", Title: "Blocking vs abort-based protocols: %missed",
 			XLabel: "size", YLabel: "% missed"},
 		set: InAll, xs: sizes,
-		series: perProto(missed, size, ProtoCeiling, ProtoTwoPLPrio, ProtoTwoPLHP, ProtoTwoPLCR, ProtoTwoPLDD, ProtoTimestamp),
+		series: perProto(missed, size, core.ProtoCeiling, core.ProtoTwoPLPrio, core.ProtoTwoPLHP, core.ProtoTwoPLCR, core.ProtoTwoPLDD, core.ProtoTimestamp),
 	},
 	{
 		// The priority-assignment policy under the ceiling protocol:
@@ -351,7 +352,7 @@ var table = []row{
 		Figure: Figure{Name: "predictability", Title: "Response-time tail ratio (p99/p50) of committed transactions",
 			XLabel: "size", YLabel: "p99/p50 response"},
 		set: InAll, xs: sizes,
-		series: perProto(tailRatio, size, ProtoCeiling, ProtoTwoPLPrio, ProtoTwoPLHP, ProtoTimestamp),
+		series: perProto(tailRatio, size, core.ProtoCeiling, core.ProtoTwoPLPrio, core.ProtoTwoPLHP, core.ProtoTimestamp),
 	},
 	{
 		// A larger page buffer converts I/O delays into hits, shortening

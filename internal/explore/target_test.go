@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"rtlock/internal/core"
-	"rtlock/internal/sim"
 )
 
 // realTargets returns exploration targets over generated workloads for
@@ -15,15 +14,12 @@ import (
 func realSingleTargets(t *testing.T) []Target {
 	t.Helper()
 	var ts []Target
-	for _, pc := range []struct {
-		proto string
-		mk    func(*sim.Kernel) core.Manager
-	}{
-		{"C", func(k *sim.Kernel) core.Manager { return core.NewCeiling(k) }},
-		{"P", func(k *sim.Kernel) core.Manager { return core.NewTwoPLPriority(k) }},
-		{"HP", func(k *sim.Kernel) core.Manager { return core.NewTwoPLHP(k) }},
-	} {
-		tgt, err := SingleSiteTarget(SingleSiteOpts{Proto: pc.proto, NewManager: pc.mk})
+	for _, letter := range []core.Protocol{core.ProtoCeiling, core.ProtoTwoPLPrio, core.ProtoTwoPLHP} {
+		row, err := core.Lookup(letter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tgt, err := SingleSiteTarget(SingleSiteOpts{Proto: string(letter), NewManager: row.New})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,19 +10,14 @@ import (
 	"rtlock/internal/workload"
 )
 
-// protocolsUnderTest builds every single-site protocol.
+// protocolsUnderTest builds every single-site protocol: the table's
+// rows, keyed by manager name.
 func protocolsUnderTest() map[string]func(*sim.Kernel) core.Manager {
-	return map[string]func(*sim.Kernel) core.Manager{
-		"PCP":    func(k *sim.Kernel) core.Manager { return core.NewCeiling(k) },
-		"PCP-X":  func(k *sim.Kernel) core.Manager { return core.NewCeilingExclusive(k) },
-		"2PL":    func(k *sim.Kernel) core.Manager { return core.NewTwoPL(k) },
-		"2PL-P":  func(k *sim.Kernel) core.Manager { return core.NewTwoPLPriority(k) },
-		"2PL-PI": func(k *sim.Kernel) core.Manager { return core.NewTwoPLInherit(k) },
-		"2PL-HP": func(k *sim.Kernel) core.Manager { return core.NewTwoPLHP(k) },
-		"2PL-CR": func(k *sim.Kernel) core.Manager { return core.NewTwoPLCond(k) },
-		"2PL-DD": func(k *sim.Kernel) core.Manager { return core.NewTwoPLDetect(k) },
-		"TO":     func(k *sim.Kernel) core.Manager { return core.NewTimestamp(k) },
+	mks := map[string]func(*sim.Kernel) core.Manager{}
+	for i := range core.Protocols {
+		mks[core.Protocols[i].Name] = core.Protocols[i].New
 	}
+	return mks
 }
 
 // soakLoad generates a heavy mixed workload.

@@ -14,6 +14,7 @@ import (
 	"io"
 
 	"rtlock/internal/audit"
+	"rtlock/internal/core"
 	"rtlock/internal/journal"
 )
 
@@ -53,32 +54,18 @@ func CompareCommitSets(a, b *Journal) (onlyA, onlyB []int64) {
 	return audit.CompareCommitSets(a, b)
 }
 
-// managerNames maps protocol letters to lock-manager names, which key
-// the invariant selection in the audit package.
-var managerNames = map[Protocol]string{
-	Ceiling:           "PCP",
-	CeilingExclusive:  "PCP-X",
-	TwoPLPriority:     "2PL-P",
-	TwoPL:             "2PL",
-	TwoPLInherit:      "2PL-PI",
-	TwoPLHighPriority: "2PL-HP",
-	TwoPLDetect:       "2PL-DD",
-	TimestampOrdering: "TO",
-	TwoPLConditional:  "2PL-CR",
-}
-
 // AuditorsForProtocol returns the invariant auditors applicable to a
 // single-site run of the protocol (empty Protocol means Ceiling, as in
-// RunSingleSite).
+// RunSingleSite): the ones that check what its table row promises.
 func AuditorsForProtocol(p Protocol) ([]Auditor, error) {
 	if p == "" {
 		p = Ceiling
 	}
-	name, ok := managerNames[p]
-	if !ok {
-		return nil, fmt.Errorf("rtlock: unknown protocol %q", p)
+	row, err := core.Lookup(p)
+	if err != nil {
+		return nil, fmt.Errorf("rtlock: %w", err)
 	}
-	return audit.ForManager(name), nil
+	return audit.ForManager(row.Name), nil
 }
 
 // AuditorsForDistributed returns the invariant auditors applicable to a

@@ -53,36 +53,37 @@ import (
 
 // Protocol selects a concurrency-control protocol, using the paper's
 // letters.
-type Protocol = experiments.Protocol
+type Protocol = core.Protocol
 
-// The protocols of the study.
+// The protocols of the study: public names for the rows of the protocol
+// table (internal/core/protocols.go), which says what each one is.
 const (
 	// Ceiling is the priority ceiling protocol (C in the paper).
-	Ceiling = experiments.ProtoCeiling
+	Ceiling = core.ProtoCeiling
 	// CeilingExclusive is the ceiling protocol with exclusive-only
 	// lock semantics (the §5 ablation).
-	CeilingExclusive = experiments.ProtoCeilingX
+	CeilingExclusive = core.ProtoCeilingX
 	// TwoPLPriority is two-phase locking with priority mode (P).
-	TwoPLPriority = experiments.ProtoTwoPLPrio
+	TwoPLPriority = core.ProtoTwoPLPrio
 	// TwoPL is two-phase locking without priority mode (L).
-	TwoPL = experiments.ProtoTwoPL
+	TwoPL = core.ProtoTwoPL
 	// TwoPLInherit is two-phase locking with basic priority
 	// inheritance (§3.1).
-	TwoPLInherit = experiments.ProtoInherit
+	TwoPLInherit = core.ProtoInherit
 	// TwoPLHighPriority is two-phase locking with High-Priority
 	// wounding: conflicting lower-priority holders are aborted and
 	// restarted.
-	TwoPLHighPriority = experiments.ProtoTwoPLHP
+	TwoPLHighPriority = core.ProtoTwoPLHP
 	// TwoPLDetect is two-phase locking with waits-for deadlock
 	// detection; victims restart.
-	TwoPLDetect = experiments.ProtoTwoPLDD
+	TwoPLDetect = core.ProtoTwoPLDD
 	// TimestampOrdering is basic timestamp ordering — non-blocking,
 	// abort-based.
-	TimestampOrdering = experiments.ProtoTimestamp
+	TimestampOrdering = core.ProtoTimestamp
 	// TwoPLConditional is two-phase locking with conditional restart:
 	// wound a lower-priority holder only when the requester's slack
 	// cannot absorb the wait.
-	TwoPLConditional = experiments.ProtoTwoPLCR
+	TwoPLConditional = core.ProtoTwoPLCR
 )
 
 // Re-exported workload types, so callers can hand-craft transactions.
@@ -1053,18 +1054,7 @@ func Explore(cfg ExploreConfig) (*ExploreReport, error) {
 		if cfg.Protocol == "" {
 			cfg.Protocol = Ceiling
 		}
-		var mk func(*sim.Kernel) core.Manager
-		var disc sim.Discipline
-		mk, disc, err = experiments.ManagerFor(cfg.Protocol)
-		if err != nil {
-			return nil, err
-		}
-		tgt, err = explore.SingleSiteTarget(explore.SingleSiteOpts{
-			Proto:      string(cfg.Protocol),
-			NewManager: mk,
-			Discipline: disc,
-			Seed:       cfg.Seed,
-		})
+		tgt, err = experiments.ExploreTarget(cfg.Protocol, cfg.Seed)
 	}
 	if err != nil {
 		return nil, err

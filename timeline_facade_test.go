@@ -3,6 +3,8 @@ package rtlock
 import (
 	"runtime"
 	"testing"
+
+	"rtlock/internal/core"
 )
 
 // timelineTestConfig is a small contended run with windowed telemetry.
@@ -121,10 +123,8 @@ func TestTimelineOnlyRunHasNoMetricsOrJournal(t *testing.T) {
 // values. The cap cannot change the simulation, so any difference is
 // pure sketch error.
 func TestSketchParityAcrossProtocols(t *testing.T) {
-	protocols := []Protocol{Ceiling, CeilingExclusive, TwoPLPriority, TwoPL,
-		TwoPLInherit, TwoPLHighPriority, TwoPLDetect, TimestampOrdering, TwoPLConditional}
 	const bucket = Millisecond // stats.DefaultSketchWidth
-	for _, proto := range protocols {
+	for _, proto := range core.Letters() {
 		cfg := SingleSiteConfig{Protocol: proto, DBSize: 40}
 		cfg.Workload.Seed = 11
 		cfg.Workload.Count = 150
