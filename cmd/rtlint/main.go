@@ -3,18 +3,16 @@
 //
 // Usage:
 //
-//	go run ./cmd/rtlint [-json] [-tests] [-list] [-escapes] [-escape-cache dir] [packages...]
+//	go run ./cmd/rtlint [-json] [-tests] [-list] [-escapes] [packages...]
 //
 // Patterns follow the usual Go shapes ("./...", "./internal/sim");
 // packages outside the simulation-critical set are skipped. By default
 // rtlint also runs the compiler's escape analysis (go build
 // -gcflags=-m=2) so the allocfree analyzer can enforce
 // //rtlint:allocfree annotations; -escapes=false skips the compile (and
-// leaves allocfree dormant), and the parsed diagnostics are cached
-// under -escape-cache keyed on the toolchain, go.mod, and source
-// hashes. The exit status is 0 when no findings remain after
-// //rtlint:allow suppressions, 1 when findings (or malformed/stale
-// suppressions) exist, and 2 on usage or load errors.
+// leaves allocfree dormant). The exit status is 0 when no findings
+// remain after //rtlint:allow suppressions, 1 when findings (or
+// malformed/stale suppressions) exist, and 2 on usage or load errors.
 package main
 
 import (
@@ -36,7 +34,6 @@ func run(args []string) int {
 	tests := fs.Bool("tests", false, "also analyze the packages' own _test.go files")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	escapes := fs.Bool("escapes", true, "run compiler escape analysis so allocfree annotations are enforced")
-	escapeCache := fs.String("escape-cache", "", "directory for cached escape diagnostics (default <modroot>/.rtlint-cache)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -59,11 +56,7 @@ func run(args []string) int {
 	cfg := lint.DefaultConfig()
 	cfg.IncludeTests = *tests
 	if *escapes {
-		dir := *escapeCache
-		if dir == "" {
-			dir = filepath.Join(modRoot, ".rtlint-cache")
-		}
-		rep, _, err := lint.CollectEscapesCached(modRoot, dir, []string{"./..."})
+		rep, err := lint.CollectEscapes(modRoot, []string{"./..."})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rtlint:", err)
 			return 2

@@ -45,13 +45,12 @@ import (
 //
 // Hot-path note: the per-object write and absolute ceilings are cached
 // (ceilW/ceilA) instead of folded over the registration sets on every
-// query, and lock records live in an object-indexed slice with a compact
-// list of locked objects. Every cached value equals the commutative Max
-// fold it replaces, so journal bytes are unchanged; the golden fixtures
+// query, and the ceiling folds walk the lock table's compact list of
+// locked objects. Every cached value equals the commutative Max fold it
+// replaces, so journal bytes are unchanged; the golden fixtures
 // under testdata/journals pin that equivalence.
 type Ceiling struct {
-	k         *sim.Kernel
-	pr        lockProbes
+	lockTable
 	exclusive bool
 	name      string
 
@@ -63,28 +62,11 @@ type Ceiling struct {
 	readers, writers [][]*TxState
 	ceilW, ceilA     []sim.Priority
 
-	// locks[obj] is the lock record of a locked object (nil when
-	// unlocked); lockedObjs lists the locked object ids, unordered, so
-	// ceiling folds touch only locked objects. freeLocks recycles lock
-	// records: a record is reachable only through locks[obj] between
-	// grant and last release, so reuse cannot alias.
-	locks      []*pcpLock
-	lockedObjs []ObjectID
-	freeLocks  []*pcpLock
-
-	blocked     []*pcpWaiter
-	freeWaiters []*pcpWaiter
-	graph       *inheritGraph
-	seq         uint64
+	// blocked is every parked waiter: the ceiling test couples all
+	// objects, so the family keeps one list and no per-object queues.
+	blocked []*lockWaiter
 
 	registered map[*TxState]struct{}
-
-	// scratchObjs is reused by blameFor's sorted-object walk and
-	// scratchBlame by its result: the inheritance graph copies blame
-	// sets into its own id-sorted storage and the journal helpers only
-	// iterate, so each result is fully consumed before the next call.
-	scratchObjs  []ObjectID
-	scratchBlame []*TxState
 
 	// CeilingBlocks counts blocks where no direct lock conflict
 	// existed — the protocol's "insurance premium".
@@ -97,9 +79,6 @@ type Ceiling struct {
 	// records appear only on change.
 	lastCeil sim.Priority
 	ceilInit bool
-	// jsite tags journal records; distributed runs give each site's
-	// manager its site id (several managers share one kernel there).
-	jsite int32
 }
 
 // SetJournalSite tags this manager's journal records with a site id.
@@ -107,59 +86,6 @@ type Ceiling struct {
 func (m *Ceiling) SetJournalSite(site int32) { m.jsite = site }
 
 var _ Manager = (*Ceiling)(nil)
-
-// lockHolder is one holder of a lock record. Holder sets are tiny (one
-// writer or a few readers), so a linear slice beats a map.
-type lockHolder struct {
-	tx   *TxState
-	mode Mode
-}
-
-// pcpLock is one locked object's record. Records are pooled on the
-// manager (freeLocks) and reachable only through the locks slice
-// between grant and detachLock, so recycling cannot alias live state.
-//
-//rtlint:pooled
-type pcpLock struct {
-	holders   []lockHolder
-	writers   int // holders in Write mode
-	obj       ObjectID
-	lockedIdx int // position in Ceiling.lockedObjs
-}
-
-func (l *pcpLock) find(tx *TxState) int {
-	for i := range l.holders {
-		if l.holders[i].tx == tx {
-			return i
-		}
-	}
-	return -1
-}
-
-func (l *pcpLock) holdsTx(tx *TxState) bool { return l.find(tx) >= 0 }
-
-// pcpWaiter is one parked lock waiter. Waiters are pooled on the
-// manager (freeWaiters): by the time Acquire's Park returns, the grant
-// and cancel paths have both removed every reference (blocked list,
-// inheritance graph, token), so recycling cannot alias a live wait. The
-// token is embedded by value and the cancel hook is the static-function
-// form, so a blocking episode allocates nothing after warm-up.
-//
-//rtlint:pooled
-type pcpWaiter struct {
-	m    *Ceiling
-	tx   *TxState
-	obj  ObjectID
-	mode Mode
-	tok  sim.Token
-	seq  uint64
-}
-
-// pcpCancel is pcpWaiter's static cancel hook.
-func pcpCancel(arg any) {
-	w := arg.(*pcpWaiter)
-	w.m.dropWaiter(w)
-}
 
 // NewCeiling returns protocol C: the priority ceiling protocol with
 // read/write lock semantics.
@@ -170,40 +96,27 @@ func NewCeiling(k *sim.Kernel) *Ceiling { return newCeiling(k, row(ProtoCeiling)
 func NewCeilingExclusive(k *sim.Kernel) *Ceiling { return newCeiling(k, row(ProtoCeilingX)) }
 
 func newCeiling(k *sim.Kernel, row *ProtocolRow) *Ceiling {
-	return &Ceiling{
-		k:          k,
-		pr:         newLockProbes(k),
+	m := &Ceiling{
+		lockTable:  lockTable{k: k, pr: newLockProbes(k), graph: newInheritGraph()},
 		exclusive:  row.exclusive,
 		name:       row.Name,
-		graph:      newInheritGraph(),
 		registered: make(map[*TxState]struct{}),
 	}
+	m.owner = m
+	return m
 }
 
 // Name implements Manager.
 func (m *Ceiling) Name() string { return m.name }
 
-// growTo ensures the object-indexed slices cover obj.
+// growTo ensures the registration sets and ceiling caches cover obj.
 func (m *Ceiling) growTo(obj ObjectID) {
-	need := int(obj) + 1
-	if need <= len(m.locks) {
-		return
-	}
-	for len(m.locks) < need {
-		m.locks = append(m.locks, nil)
+	for len(m.ceilA) <= int(obj) {
 		m.readers = append(m.readers, nil)
 		m.writers = append(m.writers, nil)
 		m.ceilW = append(m.ceilW, sim.MinPriority)
 		m.ceilA = append(m.ceilA, sim.MinPriority)
 	}
-}
-
-// lockAt returns the lock record of obj, nil when unlocked or unseen.
-func (m *Ceiling) lockAt(obj ObjectID) *pcpLock {
-	if int(obj) >= len(m.locks) {
-		return nil
-	}
-	return m.locks[obj]
 }
 
 // Register implements Manager: the transaction's declared read and write
@@ -305,47 +218,17 @@ func (m *Ceiling) Acquire(p *sim.Proc, tx *TxState, obj ObjectID, mode Mode) err
 		m.grant(tx, obj, mode)
 		return nil
 	}
-	m.seq++
-	w := m.getWaiter() //rtlint:allow allocfree inlined pool-miss &pcpWaiter literal from getWaiter's growth path
-	w.tx, w.obj, w.mode, w.seq = tx, obj, mode, m.seq
+	w := m.newWaiter(tx, obj, mode, nil) //rtlint:allow allocfree inlined pool-miss &lockWaiter literal from newWaiter's growth path
 	m.blocked = append(m.blocked, w)
 	blamed := m.blameFor(tx, obj, mode)
-	ceilingBlock := !pcpConflict(m.lockAt(obj), tx, mode)
+	ceilingBlock := !holdersConflict(m.at(obj), tx, mode)
 	if ceilingBlock {
 		m.CeilingBlocks++
 	} else {
 		m.DirectBlocks++
 	}
-	m.pr.emitBlock(m.k, m.jsite, tx, obj, blamed, ceilingBlock)
-	tx.noteBlocked(m.k.Now(), blamed) //rtlint:allow allocfree inlined lazy BlockedBy map, allocated once per TxState on its first block
-	m.graph.setBlame(tx, blamed)
-	w.tok.SetCancel(pcpCancel, w)
-	err := p.Park(&w.tok)
-	m.pr.observeUnblocked(m.k, tx)
-	m.putWaiter(w)
-	return err
-}
-
-// getWaiter hands out a reset waiter from the pool.
-//
-//rtlint:allocfree
-func (m *Ceiling) getWaiter() *pcpWaiter {
-	if n := len(m.freeWaiters); n > 0 {
-		w := m.freeWaiters[n-1]
-		m.freeWaiters[n-1] = nil
-		m.freeWaiters = m.freeWaiters[:n-1]
-		return w
-	}
-	return &pcpWaiter{m: m} //rtlint:allow allocfree pool-miss growth path: one waiter per high-water-mark, amortized to zero in steady state
-}
-
-// putWaiter recycles a waiter whose Park has returned.
-//
-//rtlint:allocfree
-func (m *Ceiling) putWaiter(w *pcpWaiter) {
-	w.tx = nil
-	w.tok.Reset()
-	m.freeWaiters = append(m.freeWaiters, w)
+	m.block(w, blamed, ceilingBlock)
+	return m.wait(p, w)
 }
 
 // ReleaseAll implements Manager.
@@ -355,44 +238,17 @@ func (m *Ceiling) ReleaseAll(tx *TxState) {
 	for i := range tx.held {
 		obj := tx.held[i].obj
 		m.pr.emitRelease(m.k, m.jsite, tx, obj)
-		l := m.lockAt(obj)
-		if l == nil {
-			continue
-		}
-		if i := l.find(tx); i >= 0 {
-			if l.holders[i].mode == Write {
-				l.writers--
+		if e := m.at(obj); e != nil {
+			e.removeHolder(tx)
+			if len(e.holders) == 0 {
+				m.drop(e)
 			}
-			last := len(l.holders) - 1
-			l.holders[i] = l.holders[last]
-			l.holders[last] = lockHolder{}
-			l.holders = l.holders[:last]
-		}
-		if len(l.holders) == 0 {
-			m.detachLock(l)
 		}
 	}
 	tx.clearHeld()
 	m.emitCeilingChange()
 	m.graph.dropHolder(tx)
 	m.processBlocked()
-}
-
-// detachLock removes l from the locked-object list and recycles it.
-//
-//rtlint:allocfree
-func (m *Ceiling) detachLock(l *pcpLock) {
-	m.locks[l.obj] = nil
-	last := len(m.lockedObjs) - 1
-	if l.lockedIdx != last {
-		moved := m.lockedObjs[last]
-		m.lockedObjs[l.lockedIdx] = moved
-		m.locks[moved].lockedIdx = l.lockedIdx
-	}
-	m.lockedObjs = m.lockedObjs[:last]
-	l.holders = l.holders[:0]
-	l.writers = 0
-	m.freeLocks = append(m.freeLocks, l)
 }
 
 // WriteCeiling returns the current write-priority ceiling of obj.
@@ -415,21 +271,22 @@ func (m *Ceiling) AbsCeiling(obj ObjectID) sim.Priority {
 // the absolute ceiling if write-locked, the write ceiling if read-locked,
 // and MinPriority if unlocked.
 func (m *Ceiling) RWCeiling(obj ObjectID) sim.Priority {
-	l := m.lockAt(obj)
-	if l == nil || len(l.holders) == 0 {
-		return sim.MinPriority
+	if e := m.at(obj); e != nil {
+		return m.rwCeiling(e)
 	}
-	if m.exclusive || l.writers > 0 {
-		return m.AbsCeiling(obj)
+	return sim.MinPriority
+}
+
+// rwCeiling is RWCeiling of a locked object's entry.
+func (m *Ceiling) rwCeiling(e *lockEntry) sim.Priority {
+	if m.exclusive || e.writers > 0 {
+		return m.AbsCeiling(e.obj)
 	}
-	return m.WriteCeiling(obj)
+	return m.WriteCeiling(e.obj)
 }
 
 // Waiting reports how many transactions are ceiling- or direct-blocked.
 func (m *Ceiling) Waiting() int { return len(m.blocked) }
-
-// LockedObjects reports how many objects are currently locked.
-func (m *Ceiling) LockedObjects() int { return len(m.lockedObjs) }
 
 // grantable applies the ceiling test: tx's assigned priority must be
 // strictly higher than every rw-ceiling among objects locked by other
@@ -437,7 +294,7 @@ func (m *Ceiling) LockedObjects() int { return len(m.lockedObjs) }
 // the ceiling test (the requester's own registration contributes to the
 // ceilings) but checked anyway as a safety net.
 func (m *Ceiling) grantable(tx *TxState, obj ObjectID, mode Mode) bool {
-	if pcpConflict(m.lockAt(obj), tx, mode) {
+	if holdersConflict(m.at(obj), tx, mode) {
 		return false
 	}
 	if testCeilingBypass != nil && testCeilingBypass(tx.ID) {
@@ -471,16 +328,15 @@ func SetCeilingBypassForTest(f func(txID int64) bool) { testCeilingBypass = f }
 func (m *Ceiling) maxOtherCeiling(tx *TxState) (sim.Priority, bool) {
 	ceil := sim.MinPriority
 	any := false
-	// Commutative Max fold: lockedObjs order is irrelevant. Every entry
-	// has at least one holder, so an object tx does not hold is locked
-	// by another transaction by construction.
-	for _, obj := range m.lockedObjs {
-		l := m.locks[obj]
-		if l.holdsTx(tx) {
+	// Commutative Max fold: the locked list's order is irrelevant. Every
+	// entry has at least one holder, so an object tx does not hold is
+	// locked by another transaction by construction.
+	for _, e := range m.locked() {
+		if e.find(tx) >= 0 {
 			continue
 		}
 		any = true
-		ceil = ceil.Max(m.RWCeiling(obj))
+		ceil = ceil.Max(m.rwCeiling(e))
 	}
 	return ceil, any
 }
@@ -491,79 +347,32 @@ func (m *Ceiling) maxOtherCeiling(tx *TxState) (sim.Priority, bool) {
 // When the block is a direct conflict on the requested object with no
 // ceiling involvement, the conflicting holders are blamed.
 func (m *Ceiling) blameFor(tx *TxState, obj ObjectID, mode Mode) []*TxState {
-	best := sim.MinPriority
-	bestObj := ObjectID(-1)
-	objs := append(m.scratchObjs[:0], m.lockedObjs...)
-	m.scratchObjs = objs[:0]
-	sortObjIDs(objs)
-	for _, obj := range objs {
-		l := m.locks[obj]
-		if l.holdsTx(tx) {
+	var best *lockEntry
+	bestCeil := sim.MinPriority
+	for _, e := range m.locked() {
+		if e.find(tx) >= 0 {
 			continue
 		}
-		c := m.RWCeiling(obj)
-		if bestObj < 0 || c.Higher(best) {
-			best = c
-			bestObj = obj
+		c := m.rwCeiling(e)
+		if best == nil || c.Higher(bestCeil) || c == bestCeil && e.obj < best.obj {
+			best, bestCeil = e, c
 		}
 	}
-	if bestObj < 0 {
-		// No ceiling-bearing lock: the wait is a direct conflict on
-		// the requested object (possible when the requester shares a
-		// read lock it now wants to upgrade, or when ceilings moved
-		// between test and re-test). Blame the conflicting holders.
-		if l := m.lockAt(obj); l != nil {
-			blamed := m.scratchBlame[:0]
-			for _, h := range l.holders {
-				if h.tx != tx && !compatible(h.mode, mode) {
-					blamed = append(blamed, h.tx)
-				}
-			}
-			m.scratchBlame = blamed
-			sortTxByID(blamed)
-			return blamed
-		}
-		return nil
+	if best != nil {
+		return m.conflicting(best, tx, Write)
 	}
-	l := m.locks[bestObj]
-	blamed := m.scratchBlame[:0]
-	for _, h := range l.holders {
-		if h.tx != tx {
-			blamed = append(blamed, h.tx)
-		}
+	// No ceiling-bearing lock: the wait is a direct conflict on the
+	// requested object (possible when the requester shares a read lock it
+	// now wants to upgrade, or when ceilings moved between test and
+	// re-test). Blame the conflicting holders.
+	if e := m.at(obj); e != nil {
+		return m.conflicting(e, tx, mode)
 	}
-	m.scratchBlame = blamed
-	sortTxByID(blamed)
-	return blamed
+	return nil
 }
 
 func (m *Ceiling) grant(tx *TxState, obj ObjectID, mode Mode) {
-	m.growTo(obj)
-	l := m.locks[obj]
-	if l == nil {
-		if n := len(m.freeLocks); n > 0 {
-			l = m.freeLocks[n-1]
-			m.freeLocks[n-1] = nil
-			m.freeLocks = m.freeLocks[:n-1]
-		} else {
-			l = &pcpLock{}
-		}
-		l.obj = obj
-		l.lockedIdx = len(m.lockedObjs)
-		m.lockedObjs = append(m.lockedObjs, obj)
-		m.locks[obj] = l
-	}
-	if i := l.find(tx); i < 0 {
-		l.holders = append(l.holders, lockHolder{tx: tx, mode: mode})
-		if mode == Write {
-			l.writers++
-		}
-	} else if mode == Write && l.holders[i].mode == Read {
-		l.holders[i].mode = Write
-		l.writers++
-	}
-	tx.setHeld(obj, mode)
-	m.pr.emitGrant(m.k, m.jsite, tx, obj, mode)
+	m.hold(m.get(obj), tx, mode)
 	m.emitCeilingChange()
 }
 
@@ -576,8 +385,8 @@ func (m *Ceiling) emitCeilingChange() {
 		return
 	}
 	ceil := sim.MinPriority
-	for _, obj := range m.lockedObjs {
-		ceil = ceil.Max(m.RWCeiling(obj))
+	for _, e := range m.locked() {
+		ceil = ceil.Max(m.rwCeiling(e))
 	}
 	if m.ceilInit && ceil == m.lastCeil {
 		return
@@ -592,55 +401,33 @@ func (m *Ceiling) emitCeilingChange() {
 // so priority inheritance tracks the new lock state.
 func (m *Ceiling) processBlocked() {
 	for {
-		m.orderBlocked()
-		grantedIdx := -1
-		for i, w := range m.blocked {
-			if m.grantable(w.tx, w.obj, w.mode) {
-				grantedIdx = i
+		sortWaitersByPrio(m.blocked)
+		var w *lockWaiter
+		for _, b := range m.blocked {
+			if m.grantable(b.tx, b.obj, b.mode) {
+				w = b
 				break
 			}
 		}
-		if grantedIdx < 0 {
+		if w == nil {
 			break
 		}
-		w := m.blocked[grantedIdx]
-		m.blocked = append(m.blocked[:grantedIdx], m.blocked[grantedIdx+1:]...)
+		m.blocked = removeWaiter(m.blocked, w)
 		m.graph.clear(w.tx)
 		m.grant(w.tx, w.obj, w.mode)
 		w.tok.Wake(nil)
 	}
 	for _, w := range m.blocked {
 		blamed := m.blameFor(w.tx, w.obj, w.mode)
-		m.pr.emitBlame(m.k, m.jsite, w.tx, w.obj, blamed, !pcpConflict(m.lockAt(w.obj), w.tx, w.mode))
+		m.pr.emitBlame(m.k, m.jsite, w.tx, w.obj, blamed, !holdersConflict(m.at(w.obj), w.tx, w.mode))
 		m.graph.setBlame(w.tx, blamed)
 	}
 }
 
-func (m *Ceiling) orderBlocked() { sortPCPWaiters(m.blocked) }
-
-func (m *Ceiling) dropWaiter(w *pcpWaiter) {
-	for i, q := range m.blocked {
-		if q == w {
-			m.blocked = append(m.blocked[:i], m.blocked[i+1:]...)
-			break
-		}
-	}
+func (m *Ceiling) dropWaiter(w *lockWaiter) {
+	m.blocked = removeWaiter(m.blocked, w)
 	m.graph.clear(w.tx)
 	// The departed waiter may have been the reason others could not be
 	// re-blamed correctly; recompute.
 	m.processBlocked()
-}
-
-// pcpConflict reports whether l has a holder other than tx whose mode
-// conflicts with mode.
-func pcpConflict(l *pcpLock, tx *TxState, mode Mode) bool {
-	if l == nil {
-		return false
-	}
-	for _, h := range l.holders {
-		if h.tx != tx && !compatible(h.mode, mode) {
-			return true
-		}
-	}
-	return false
 }

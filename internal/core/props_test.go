@@ -143,13 +143,11 @@ func TestPropLockTableClean(t *testing.T) {
 				k := sim.NewKernel()
 				m := tc.mgr(k)
 				runScript(t, k, m, txs)
-				switch mm := m.(type) {
-				case *TwoPL:
-					return mm.HeldLocks() == 0 && mm.Waiting() == 0
-				case *Ceiling:
-					return mm.LockedObjects() == 0 && mm.Waiting() == 0
-				}
-				return false
+				mm := m.(interface {
+					LockedObjects() int
+					Waiting() int
+				})
+				return mm.LockedObjects() == 0 && mm.Waiting() == 0
 			}
 			if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 				t.Fatal(err)

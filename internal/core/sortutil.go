@@ -22,19 +22,6 @@ func sortTxByID(s []*TxState) {
 	}
 }
 
-// sortObjIDs orders an object-id slice ascending.
-func sortObjIDs(s []ObjectID) {
-	for i := 1; i < len(s); i++ {
-		o := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > o {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = o
-	}
-}
-
 // waiterAfter reports whether a orders strictly after b: lower effective
 // priority first loses, ties break toward the smaller sequence number.
 func waiterAfter(a, b *lockWaiter) bool {
@@ -52,28 +39,6 @@ func sortWaitersByPrio(q []*lockWaiter) {
 		j := i - 1
 		for j >= 0 && waiterAfter(q[j], w) {
 			q[j+1] = q[j]
-			j--
-		}
-		q[j+1] = w
-	}
-}
-
-// sortPCPWaiters orders the ceiling manager's blocked list by effective
-// priority, ties by sequence number.
-func sortPCPWaiters(q []*pcpWaiter) {
-	for i := 1; i < len(q); i++ {
-		w := q[i]
-		j := i - 1
-		for j >= 0 {
-			a := q[j]
-			if a.tx.Eff() != w.tx.Eff() {
-				if !w.tx.Eff().Higher(a.tx.Eff()) {
-					break
-				}
-			} else if a.seq <= w.seq {
-				break
-			}
-			q[j+1] = a
 			j--
 		}
 		q[j+1] = w

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -30,6 +31,14 @@ type scriptTx struct {
 	// estimate is the execution-time estimate the conditional-restart
 	// rule weighs against a requester's slack.
 	estimate sim.Duration
+	// interrupt, when positive, is how long after start the script's
+	// deadline expires: whatever it is parked on then is cancelled with
+	// errScriptDeadline.
+	interrupt sim.Duration
+	// every, when positive, repeats the script with that period, on one
+	// process and one recycled TxState as the transaction layer does; the
+	// caller then drives the kernel a period at a time (spawnScript).
+	every sim.Duration
 
 	st     *TxState
 	err    error
@@ -54,48 +63,73 @@ func (s *scriptTx) readWriteSets() (reads, writes []ObjectID) {
 	return reads, writes
 }
 
+// errScriptDeadline is what a script's interrupt delivers.
+var errScriptDeadline = errors.New("script deadline")
+
+func interruptProc(arg any) { arg.(*sim.Proc).Interrupt(errScriptDeadline) }
+
 // runScript spawns every scripted transaction and runs the kernel to
 // completion. Transactions that cannot finish (deadlock) remain live;
 // the caller inspects done flags. The kernel is shut down before return
 // so no goroutines leak.
 func runScript(t *testing.T, k *sim.Kernel, mgr Manager, txs []*scriptTx) {
 	t.Helper()
-	for _, tx := range txs {
-		tx := tx
-		k.Spawn("tx", func(p *sim.Proc) {
-			if err := p.Sleep(tx.start); err != nil {
-				tx.err = err
-				return
-			}
-			st := NewTxState(tx.id, sim.Priority{Deadline: tx.deadline, TxID: tx.id}, p)
-			st.ReadSet, st.WriteSet = tx.readWriteSets()
-			st.Estimate = tx.estimate
-			tx.st = st
-			mgr.Register(st)
-			defer mgr.Unregister(st)
-			defer mgr.ReleaseAll(st)
-			if err := p.Sleep(tx.pause); err != nil {
-				tx.err = err
-				return
-			}
-			for _, s := range tx.steps {
-				if err := mgr.Acquire(p, st, s.obj, s.mode); err != nil {
-					tx.err = err
-					return
-				}
-				if err := p.Sleep(s.work); err != nil {
-					tx.err = err
-					return
-				}
-			}
-			tx.done = true
-			tx.doneAt = p.Now()
-		})
-	}
+	spawnScript(k, mgr, txs)
 	k.Run()
 	if err := k.Shutdown(); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
+}
+
+// spawnScript spawns the scripted transactions without running them.
+func spawnScript(k *sim.Kernel, mgr Manager, txs []*scriptTx) {
+	for _, tx := range txs {
+		tx := tx
+		k.Spawn("tx", func(p *sim.Proc) {
+			reads, writes := tx.readWriteSets()
+			prio := sim.Priority{Deadline: tx.deadline, TxID: tx.id}
+			tx.st = NewTxState(tx.id, prio, p)
+			for began := p.Now(); ; began = began.Add(tx.every) {
+				tx.done = false
+				tx.err = tx.runOnce(k, mgr, p, reads, writes)
+				if tx.every <= 0 || p.Sleep(began.Add(tx.every).Sub(p.Now())) != nil {
+					return
+				}
+				tx.st.ResetFor(tx.id, prio, p)
+			}
+		})
+	}
+}
+
+// runOnce is one pass through the script; a nil error with done unset
+// cannot happen.
+func (tx *scriptTx) runOnce(k *sim.Kernel, mgr Manager, p *sim.Proc, reads, writes []ObjectID) error {
+	if err := p.Sleep(tx.start); err != nil {
+		return err
+	}
+	st := tx.st
+	st.ReadSet, st.WriteSet = reads, writes
+	st.Estimate = tx.estimate
+	if tx.interrupt > 0 {
+		defer k.AfterCall(tx.interrupt, interruptProc, p).Cancel()
+	}
+	mgr.Register(st)
+	defer mgr.Unregister(st)
+	defer mgr.ReleaseAll(st)
+	if err := p.Sleep(tx.pause); err != nil {
+		return err
+	}
+	for _, s := range tx.steps {
+		if err := mgr.Acquire(p, st, s.obj, s.mode); err != nil {
+			return err
+		}
+		if err := p.Sleep(s.work); err != nil {
+			return err
+		}
+	}
+	tx.done = true
+	tx.doneAt = p.Now()
+	return nil
 }
 
 // randomScript builds a reproducible random workload for property tests.

@@ -46,13 +46,9 @@ type lockRule struct {
 // aborted, which breaks the cycle. FindDeadlock exposes waits-for cycle
 // detection for tests and for the detection row.
 type TwoPL struct {
-	k    *sim.Kernel
-	pr   lockProbes
+	lockTable
 	name string
 	lockRule
-	graph *inheritGraph
-	table lockTable
-	seq   uint64
 
 	// DeadlocksResolved counts waits-for cycles broken by the
 	// detection row.
@@ -64,156 +60,13 @@ type TwoPL struct {
 
 var _ Manager = (*TwoPL)(nil)
 
-// lockEntry is one object's lock record in the two-phase locking family.
-// Holders are a small unordered slice (every consumer either reduces
-// them to a boolean or sorts by transaction id); entries are pooled via
-// lockTable, which makes the create/drop churn of short lock lifetimes
-// allocation-free.
-//
-//rtlint:pooled
-type lockEntry struct {
-	obj     ObjectID
-	holders []lockHolder
-	queue   []*lockWaiter
-}
-
-func (e *lockEntry) findHolder(tx *TxState) int {
-	for i := range e.holders {
-		if e.holders[i].tx == tx {
-			return i
-		}
-	}
-	return -1
-}
-
-// setHolder records tx as holding in mode, upgrading Read to Write;
-// weaker re-acquisitions are ignored.
-func (e *lockEntry) setHolder(tx *TxState, mode Mode) {
-	if i := e.findHolder(tx); i >= 0 {
-		if mode == Write && e.holders[i].mode == Read {
-			e.holders[i].mode = Write
-		}
-		return
-	}
-	e.holders = append(e.holders, lockHolder{tx: tx, mode: mode})
-}
-
-func (e *lockEntry) removeHolder(tx *TxState) {
-	if i := e.findHolder(tx); i >= 0 {
-		last := len(e.holders) - 1
-		e.holders[i] = e.holders[last]
-		e.holders[last] = lockHolder{}
-		e.holders = e.holders[:last]
-	}
-}
-
-// lockTable is an object-indexed store of lock entries with a free list.
-// An entry is reachable only through its table slot between get and
-// drop, so pooling cannot alias live state.
-type lockTable struct {
-	entries []*lockEntry
-	free    []*lockEntry
-	// freeWaiters recycles parked-waiter records (see lockWaiter).
-	freeWaiters []*lockWaiter
-}
-
-// getWaiter hands out a reset waiter from the pool. The caller must
-// set w.m before arming the cancel hook.
-//
-//rtlint:allocfree
-func (t *lockTable) getWaiter() *lockWaiter {
-	if n := len(t.freeWaiters); n > 0 {
-		w := t.freeWaiters[n-1]
-		t.freeWaiters[n-1] = nil
-		t.freeWaiters = t.freeWaiters[:n-1]
-		return w
-	}
-	return &lockWaiter{} //rtlint:allow allocfree pool-miss growth path: one waiter per high-water-mark, amortized to zero in steady state
-}
-
-// putWaiter recycles a waiter whose wait has fully ended (Park returned
-// or the waiter was dropped before parking).
-//
-//rtlint:allocfree
-func (t *lockTable) putWaiter(w *lockWaiter) {
-	w.tx = nil
-	w.e = nil
-	w.tok.Reset()
-	t.freeWaiters = append(t.freeWaiters, w)
-}
-
-// at returns obj's entry, nil when absent.
-func (t *lockTable) at(obj ObjectID) *lockEntry {
-	if int(obj) >= len(t.entries) {
-		return nil
-	}
-	return t.entries[obj]
-}
-
-// get returns obj's entry, creating (from the pool) when absent.
-//
-//rtlint:allocfree
-func (t *lockTable) get(obj ObjectID) *lockEntry {
-	for int(obj) >= len(t.entries) {
-		t.entries = append(t.entries, nil)
-	}
-	e := t.entries[obj]
-	if e == nil {
-		if n := len(t.free); n > 0 {
-			e = t.free[n-1]
-			t.free[n-1] = nil
-			t.free = t.free[:n-1]
-		} else {
-			e = &lockEntry{} //rtlint:allow allocfree pool-miss growth path: one entry per high-water-mark of simultaneously locked objects
-		}
-		e.obj = obj
-		t.entries[obj] = e
-	}
-	return e
-}
-
-// drop recycles an entry that has no holders and no waiters.
-//
-//rtlint:allocfree
-func (t *lockTable) drop(e *lockEntry) {
-	t.entries[e.obj] = nil
-	e.holders = e.holders[:0]
-	e.queue = e.queue[:0]
-	t.free = append(t.free, e)
-}
-
-// lockWaiter is one parked waiter of the two-phase locking family.
-// Waiters are pooled on the lockTable: by the time Acquire's Park
-// returns, the grant and cancel paths have both detached the waiter
-// from its queue, so recycling cannot alias a live wait. The manager
-// pointer lets the static cancel function route back to dropWaiter
-// without a per-block closure; the entry pointer stays valid for the
-// waiter's whole life because entries are only recycled once their
-// queue is empty.
-//
-//rtlint:pooled
-type lockWaiter struct {
-	tx   *TxState
-	obj  ObjectID
-	mode Mode
-	tok  sim.Token
-	seq  uint64
-	e    *lockEntry
-	m    *TwoPL
-}
-
-// lockWaiterCancel is the static cancel hook.
-func lockWaiterCancel(arg any) {
-	w := arg.(*lockWaiter)
-	w.m.dropWaiter(w.e, w)
-}
-
 // newTwoPL builds the lock-table manager a row of the protocol table
 // describes. The typed constructors below are for callers that read the
 // manager's counters or FindDeadlock; what each protocol is stands in
 // the table (protocols.go).
 func newTwoPL(k *sim.Kernel, row *ProtocolRow) *TwoPL {
-	m := &TwoPL{k: k, pr: newLockProbes(k), name: row.Name, lockRule: row.lock}
+	m := &TwoPL{lockTable: lockTable{k: k, pr: newLockProbes(k)}, name: row.Name, lockRule: row.lock}
+	m.owner = m
 	if m.inherit {
 		m.graph = newInheritGraph()
 	}
@@ -257,44 +110,43 @@ func (m *TwoPL) Acquire(p *sim.Proc, tx *TxState, obj ObjectID, mode Mode) error
 		m.pr.emitGrant(m.k, 0, tx, obj, mode)
 		return nil
 	}
-	e := m.table.get(obj) //rtlint:allow allocfree inlined pool-miss &lockEntry literal from get's growth path
+	e := m.get(obj) //rtlint:allow allocfree inlined pool-miss &lockEntry literal from get's growth path
 	if m.admissible(e, tx, mode) {
-		m.grant(e, tx, obj, mode)
+		m.hold(e, tx, mode)
 		return nil
 	}
-	m.seq++
-	w := m.table.getWaiter() //rtlint:allow allocfree inlined pool-miss &lockWaiter literal from getWaiter's growth path
-	w.m = m
-	w.tx, w.obj, w.mode, w.seq, w.e = tx, obj, mode, m.seq, e
+	w := m.newWaiter(tx, obj, mode, e) //rtlint:allow allocfree inlined pool-miss &lockWaiter literal from newWaiter's growth path
 	// Blame is fixed before any wound unwinds: a wounded holder's own
-	// canceled wait can hand obj to queued readers on the spot.
+	// canceled wait can hand obj to queued readers on the spot. (That
+	// hand-off re-blames nobody — the wounding rows do not inherit — so
+	// the scratch result survives applyWound.)
 	blamed := m.blameFor(e, w)
 	m.applyWound(tx, blamed)
 	e.queue = append(e.queue, w)
-	m.pr.emitBlock(m.k, 0, tx, obj, blamed, false)
-	tx.noteBlocked(m.k.Now(), blamed) //rtlint:allow allocfree inlined lazy BlockedBy map, allocated once per TxState on its first block
-	if m.inherit {
-		m.graph.setBlame(tx, blamed)
-	}
+	m.block(w, blamed, false)
 	if m.detect {
-		if cycle := m.FindDeadlock(); len(cycle) > 0 {
-			m.DeadlocksResolved++
-			victim := lowestPriority(cycle)
-			m.pr.emitWound(m.k, 0, victim, tx)
-			if victim == tx {
-				m.dropWaiter(e, w)
-				m.pr.observeUnblocked(m.k, tx)
-				m.table.putWaiter(w)
-				return ErrRestart
-			}
-			victim.RequestWound(ErrRestart)
-		}
+		m.breakCycle(w)
 	}
-	w.tok.SetCancel(lockWaiterCancel, w)
-	err := p.Park(&w.tok)
-	m.pr.observeUnblocked(m.k, tx)
-	m.table.putWaiter(w)
-	return err
+	return m.wait(p, w)
+}
+
+// breakCycle, run as w blocks, wounds the victim of a waits-for cycle w
+// just closed.
+func (m *TwoPL) breakCycle(w *lockWaiter) {
+	cycle := m.FindDeadlock()
+	if len(cycle) == 0 {
+		return
+	}
+	m.DeadlocksResolved++
+	victim := lowestPriority(cycle)
+	m.pr.emitWound(m.k, 0, victim, w.tx)
+	if victim == w.tx {
+		// Not parked yet: cancelling the armed token detaches w now and
+		// makes the coming Park return ErrRestart without yielding.
+		w.tok.Cancel(ErrRestart)
+		return
+	}
+	victim.RequestWound(ErrRestart)
 }
 
 // lowestPriority picks the deadlock victim: the least urgent transaction
@@ -343,7 +195,7 @@ func (m *TwoPL) ReleaseAll(tx *TxState) {
 	for i := range tx.held {
 		obj := tx.held[i].obj
 		m.pr.emitRelease(m.k, 0, tx, obj)
-		if e := m.table.at(obj); e != nil {
+		if e := m.at(obj); e != nil {
 			e.removeHolder(tx)
 		}
 	}
@@ -356,24 +208,11 @@ func (m *TwoPL) ReleaseAll(tx *TxState) {
 	tx.clearHeld()
 }
 
-// HeldLocks reports how many objects are currently locked (for tests).
-func (m *TwoPL) HeldLocks() int {
-	n := 0
-	for _, e := range m.table.entries {
-		if e != nil && len(e.holders) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Waiting reports how many transactions are parked in lock queues.
 func (m *TwoPL) Waiting() int {
 	n := 0
-	for _, e := range m.table.entries {
-		if e != nil {
-			n += len(e.queue)
-		}
+	for _, e := range m.locked() {
+		n += len(e.queue)
 	}
 	return n
 }
@@ -388,7 +227,7 @@ func (m *TwoPL) FindDeadlock() []*TxState {
 	// order also pins edge-slice ordering if a transaction ever waited
 	// twice.
 	edges := make(map[*TxState][]*TxState)
-	for _, e := range m.table.entries {
+	for _, e := range m.entries {
 		if e == nil {
 			continue
 		}
@@ -443,21 +282,6 @@ func (m *TwoPL) FindDeadlock() []*TxState {
 	return nil
 }
 
-// holdersConflict reports whether any holder other than tx is
-// incompatible with mode.
-func holdersConflict(e *lockEntry, tx *TxState, mode Mode) bool {
-	for i := range e.holders {
-		h := &e.holders[i]
-		if h.tx == tx {
-			continue
-		}
-		if !compatible(h.mode, mode) {
-			return true
-		}
-	}
-	return false
-}
-
 // admissible reports whether a brand-new request may be granted
 // immediately, respecting the queue order's fairness rule.
 func (m *TwoPL) admissible(e *lockEntry, tx *TxState, mode Mode) bool {
@@ -475,16 +299,10 @@ func (m *TwoPL) admissible(e *lockEntry, tx *TxState, mode Mode) bool {
 	return true
 }
 
-func (m *TwoPL) grant(e *lockEntry, tx *TxState, obj ObjectID, mode Mode) {
-	e.setHolder(tx, mode)
-	tx.setHeld(obj, mode)
-	m.pr.emitGrant(m.k, 0, tx, obj, mode)
-}
-
 // processQueue grants the maximal queue-ordered prefix of obj's queue
 // and, under inheritance, re-blames the waiters that remain blocked.
 func (m *TwoPL) processQueue(obj ObjectID) {
-	e := m.table.at(obj)
+	e := m.at(obj)
 	if e == nil {
 		return
 	}
@@ -500,14 +318,18 @@ func (m *TwoPL) processQueue(obj ObjectID) {
 		if holdersConflict(e, w.tx, w.mode) {
 			break
 		}
-		m.grant(e, w.tx, obj, w.mode)
+		m.hold(e, w.tx, w.mode)
 		if m.inherit {
 			m.graph.clear(w.tx)
 		}
 		w.tok.Wake(nil)
 		granted++
 	}
-	e.queue = e.queue[granted:]
+	if granted > 0 {
+		// Shifted down, not resliced: the pooled entry keeps its queue's
+		// capacity for the next episode.
+		e.queue = e.queue[:copy(e.queue, e.queue[granted:])]
+	}
 	if m.inherit {
 		for _, w := range e.queue {
 			blamed := m.blameFor(e, w)
@@ -516,7 +338,7 @@ func (m *TwoPL) processQueue(obj ObjectID) {
 		}
 	}
 	if len(e.holders) == 0 && len(e.queue) == 0 {
-		m.table.drop(e)
+		m.drop(e)
 	}
 }
 
@@ -525,36 +347,22 @@ func (m *TwoPL) processQueue(obj ObjectID) {
 // queue-order induced, the conflicting waiters ahead of w. The wounding
 // rows blame holders only.
 func (m *TwoPL) blameFor(e *lockEntry, w *lockWaiter) []*TxState {
-	var blamed []*TxState
-	for i := range e.holders {
-		h := &e.holders[i]
-		if h.tx != w.tx && !compatible(h.mode, w.mode) {
-			blamed = append(blamed, h.tx)
-		}
-	}
+	blamed := m.conflicting(e, w.tx, w.mode)
 	if len(blamed) > 0 || m.wound != woundNever {
-		sortTxByID(blamed)
 		return blamed
 	}
 	for _, other := range e.queue {
-		if other == w {
-			continue
-		}
 		if other.seq < w.seq && !compatible(other.mode, w.mode) {
 			blamed = append(blamed, other.tx)
 		}
 	}
+	m.blame = blamed
 	sortTxByID(blamed)
 	return blamed
 }
 
-func (m *TwoPL) dropWaiter(e *lockEntry, w *lockWaiter) {
-	for i, q := range e.queue {
-		if q == w {
-			e.queue = append(e.queue[:i], e.queue[i+1:]...)
-			break
-		}
-	}
+func (m *TwoPL) dropWaiter(w *lockWaiter) {
+	w.e.queue = removeWaiter(w.e.queue, w)
 	if m.inherit {
 		m.graph.clear(w.tx)
 	}

@@ -19,8 +19,8 @@ func TestTwoPLGrantAndRelease(t *testing.T) {
 	if b.doneAt <= a.doneAt {
 		t.Fatalf("b finished at %d, before a at %d; write lock not exclusive", b.doneAt, a.doneAt)
 	}
-	if m.HeldLocks() != 0 || m.Waiting() != 0 {
-		t.Fatalf("lock table not empty: held=%d waiting=%d", m.HeldLocks(), m.Waiting())
+	if m.LockedObjects() != 0 || m.Waiting() != 0 {
+		t.Fatalf("lock table not empty: held=%d waiting=%d", m.LockedObjects(), m.Waiting())
 	}
 }
 

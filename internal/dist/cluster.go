@@ -83,9 +83,6 @@ type Config struct {
 	// propagation delay so snapshots are complete at every replica
 	// (zero means the default of 3×CommDelay + 10×ApplyPerObj).
 	SnapshotLag sim.Duration
-	// VersionsKept bounds each object's retained history (zero means
-	// the default of 32).
-	VersionsKept int
 	// InstallRetries bounds how many times a replica installer retries
 	// when its lock wait times out; afterwards the update is dropped
 	// and counted (zero means the default of 5).
@@ -112,14 +109,6 @@ type Config struct {
 	// is lost, so a crash forgets the vote. Used by tests to seed a
 	// durability weakening the fault-space explorer must find.
 	WALForceFault func(site db.SiteID, txID int64) bool
-	// TwoPCRetries bounds the coordinator's prepare re-sends and a
-	// recovering participant's decision-resolution attempts when a
-	// fault plan is attached (zero means the default of 3).
-	TwoPCRetries int
-	// TwoPCTimeout is the per-phase 2PC timeout under an attached
-	// fault plan (zero picks 4× the farthest participant delay plus
-	// 10ms, doubling per retry).
-	TwoPCTimeout sim.Duration
 	// Metrics, when non-nil, receives virtual-time metric series from
 	// every layer (kernel, CPUs, network, lock managers, 2PC,
 	// replication), sampled every MetricsInterval of virtual time.
@@ -260,17 +249,11 @@ func (c *Config) fill() error {
 	if c.SnapshotLag <= 0 {
 		c.SnapshotLag = 3*c.CommDelay + 10*c.ApplyPerObj
 	}
-	if c.VersionsKept <= 0 {
-		c.VersionsKept = 32
-	}
 	if c.InstallTimeout <= 0 {
 		c.InstallTimeout = 50 * c.ApplyPerObj
 		if c.InstallTimeout < 10*sim.Millisecond {
 			c.InstallTimeout = 10 * sim.Millisecond
 		}
-	}
-	if c.TwoPCRetries <= 0 {
-		c.TwoPCRetries = 3
 	}
 	return nil
 }

@@ -153,10 +153,13 @@ func setupTwoPC(c *Cluster) {
 	c.registerTwoPCHandlers()
 }
 
+// versionsKept bounds each object's retained history at a replica.
+const versionsKept = 32
+
 func setupLocal(c *Cluster) {
 	managerPerSite(c)
 	for _, s := range c.sites {
-		s.mv = db.NewMVStore(s.id, c.cfg.VersionsKept)
+		s.mv = db.NewMVStore(s.id, versionsKept)
 	}
 	c.registerInstallHandlers()
 }

@@ -98,17 +98,14 @@ type voteCollector struct {
 // unanswered; it retries or presumes abort.
 var errPhaseTimeout = errors.New("dist: 2pc phase timed out")
 
-// backoff is the capped-doubling retry timeout: base<<attempt up to
-// 16×base, so large retry budgets degrade into steady polling instead
-// of ever-longer silent waits. The default budget (3 retries, max
-// shift 3 = 8×base) never reaches the cap, keeping existing runs
-// bit-identical.
-func backoff(base sim.Duration, attempt int) sim.Duration {
-	if attempt > 4 {
-		attempt = 4
-	}
-	return base << uint(attempt)
-}
+// twoPCRetries bounds the coordinator's prepare re-sends and a recovering
+// participant's decision-resolution attempts when a fault plan is
+// attached.
+const twoPCRetries = 3
+
+// backoff is the doubling retry timeout: base<<attempt, at most 8×base
+// under the retry budget.
+func backoff(base sim.Duration, attempt int) sim.Duration { return base << uint(attempt) }
 
 // registerTwoPCHandlers wires prepare/vote/decision ports at every site.
 func (c *Cluster) registerTwoPCHandlers() {
@@ -277,7 +274,7 @@ func (c *Cluster) spawnResolver(siteID db.SiteID, tx int64) {
 	c.resolveTok[key] = &sim.Token{} // reserve before the proc first runs
 	c.K.Spawn(fmt.Sprintf("resolve-%d@%d", tx, siteID), func(p *sim.Proc) {
 		defer delete(c.resolveTok, key)
-		for attempt := 0; attempt <= c.cfg.TwoPCRetries; attempt++ {
+		for attempt := 0; attempt <= twoPCRetries; attempt++ {
 			if c.prepared[siteID][tx] == nil || c.crashed[siteID] {
 				return // settled meanwhile, or we crashed again
 			}
@@ -313,7 +310,7 @@ func (c *Cluster) spawnResolver(siteID db.SiteID, tx int64) {
 			c.twopcCounter("twopc_retry_exhausted_total",
 				"Bounded retry loops that consumed every attempt, by phase.",
 				metrics.L("phase", "resolve")).Inc()
-			c.emit(siteID, journal.KRetryExhausted, tx, 0, int64(c.cfg.TwoPCRetries)+1, 0, "resolve")
+			c.emit(siteID, journal.KRetryExhausted, tx, 0, twoPCRetries+1, 0, "resolve")
 		}
 	})
 }
@@ -321,13 +318,10 @@ func (c *Cluster) spawnResolver(siteID db.SiteID, tx int64) {
 // resolveRoundBounds buckets the in-doubt resolution round histogram.
 var resolveRoundBounds = []int64{1, 2, 3, 4, 6, 8}
 
-// phaseTimeout is the per-phase 2PC timeout for one link: the
-// configured value, or 4× the link delay plus 10ms (mirroring the
-// network's synchronous time-out default).
+// phaseTimeout is the per-phase 2PC timeout for one link: 4× the link
+// delay plus 10ms (mirroring the network's synchronous time-out
+// default).
 func (c *Cluster) phaseTimeout(a, b db.SiteID) sim.Duration {
-	if c.cfg.TwoPCTimeout > 0 {
-		return c.cfg.TwoPCTimeout
-	}
 	return 4*c.Net.Delay(a, b) + 10*sim.Millisecond
 }
 
@@ -380,13 +374,10 @@ func (c *Cluster) runTwoPC(x *txRun, shares bool) error {
 			maxd = d
 		}
 	}
-	base := c.cfg.TwoPCTimeout
-	if base <= 0 {
-		base = 4*maxd + 10*sim.Millisecond
-	}
+	base := 4*maxd + 10*sim.Millisecond
 	attempts := 1
 	if c.faultsOn {
-		attempts = 1 + c.cfg.TwoPCRetries
+		attempts = 1 + twoPCRetries
 	}
 	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -412,7 +403,7 @@ func (c *Cluster) runTwoPC(x *txRun, shares bool) error {
 		col.tok = tok
 		var tev sim.EventRef
 		if c.faultsOn {
-			// Capped-doubling backoff per retry round.
+			// Doubling backoff per retry round.
 			tev = c.K.After(backoff(base, attempt), func() { tok.Wake(errPhaseTimeout) })
 		}
 		err = p.Park(tok)

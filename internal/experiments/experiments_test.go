@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"rtlock/internal/core"
 	"rtlock/internal/stats"
 )
 
@@ -365,6 +366,49 @@ func TestRunCustom(t *testing.T) {
 	}
 	if _, err := RunCustom(p, Protocol("bogus"), 8); err == nil {
 		t.Fatal("bogus protocol accepted")
+	}
+
+	// Three runs merge into the totals of the counts and the means of
+	// everything else, of the same three runs made one at a time.
+	p.Runs = 3
+	merged, err := RunCustom(p, core.ProtoTwoPLHP, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want stats.Summary
+	for r := int64(0); r < 3; r++ {
+		one := p
+		one.Runs, one.BaseSeed = 1, p.BaseSeed+r*7919
+		s, err := RunCustom(one, core.ProtoTwoPLHP, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Processed += s.Processed
+		want.Committed += s.Committed
+		want.Missed += s.Missed
+		want.Restarts += s.Restarts
+		want.MissedPct += s.MissedPct
+		want.Throughput += s.Throughput
+		want.AvgBlocked += s.AvgBlocked
+		want.AvgResp += s.AvgResp
+		want.RespP50 += s.RespP50
+		want.RespP99 += s.RespP99
+		want.CPUUtil += s.CPUUtil
+		want.IOUtil += s.IOUtil
+	}
+	if want.Restarts == 0 || want.AvgBlocked == 0 || want.RespP50 == 0 || want.CPUUtil == 0 || want.IOUtil == 0 {
+		t.Fatalf("load too light to tell a dropped field from a zero one: %+v", want)
+	}
+	want.MissedPct /= 3
+	want.Throughput /= 3
+	want.AvgBlocked /= 3
+	want.AvgResp /= 3
+	want.RespP50 /= 3
+	want.RespP99 /= 3
+	want.CPUUtil /= 3
+	want.IOUtil /= 3
+	if merged != want {
+		t.Errorf("3 merged runs = %+v\nwant %+v", merged, want)
 	}
 }
 

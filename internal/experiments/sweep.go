@@ -6,6 +6,7 @@ import (
 
 	"rtlock/internal/audit"
 	"rtlock/internal/journal"
+	"rtlock/internal/sim"
 	"rtlock/internal/stats"
 )
 
@@ -124,26 +125,37 @@ func (sw *Sweep) runs(c cell) ([]outcome, error) {
 }
 
 // RunCustom executes one configuration for the CLI's -experiment custom
-// mode; several runs average the headline metrics and total the counts.
+// mode; several runs total the counts and average everything else.
 func RunCustom(p SingleSiteParams, proto Protocol, size int) (stats.Summary, error) {
 	outs, err := NewSweep(Params{Single: p}).runs(p.cell(proto, size))
 	if err != nil {
 		return stats.Summary{}, err
 	}
-	if len(outs) == 1 {
-		return outs[0].sum, nil
-	}
 	var out stats.Summary
-	var thpts, misses []float64
 	for _, o := range outs {
-		out.Processed += o.sum.Processed
-		out.Committed += o.sum.Committed
-		out.Missed += o.sum.Missed
-		thpts = append(thpts, o.sum.Throughput)
-		misses = append(misses, o.sum.MissedPct)
+		s := o.sum
+		out.Processed += s.Processed
+		out.Committed += s.Committed
+		out.Missed += s.Missed
+		out.Restarts += s.Restarts
+		out.MissedPct += s.MissedPct
+		out.Throughput += s.Throughput
+		out.AvgBlocked += s.AvgBlocked
+		out.AvgResp += s.AvgResp
+		out.RespP50 += s.RespP50
+		out.RespP99 += s.RespP99
+		out.CPUUtil += s.CPUUtil
+		out.IOUtil += s.IOUtil
 	}
-	out.Throughput, _ = stats.MeanStd(thpts)
-	out.MissedPct, _ = stats.MeanStd(misses)
+	n := len(outs)
+	out.MissedPct /= float64(n)
+	out.Throughput /= float64(n)
+	out.AvgBlocked /= sim.Duration(n)
+	out.AvgResp /= sim.Duration(n)
+	out.RespP50 /= sim.Duration(n)
+	out.RespP99 /= sim.Duration(n)
+	out.CPUUtil /= float64(n)
+	out.IOUtil /= float64(n)
 	return out, nil
 }
 

@@ -68,7 +68,17 @@ type FaultOpts struct {
 // recovery-correctness family; each Outcome carries the failure
 // schedule the run committed to, and RunPlan replays such a plan —
 // byte-identically for fault-only schedules — without a chooser.
-func FaultTarget(o FaultOpts) (Target, error) {
+func FaultTarget(o FaultOpts) (Target, error) { return clusterTarget(o, true) }
+
+// clusterTarget builds a cluster exploration target. Its two rows
+// differ in whether the fault machinery is armed, and with that in the
+// name and journal-key prefix and in the auditors a run answers to;
+// unarmed, the fault fields of o are unused.
+func clusterTarget(o FaultOpts, armed bool) (Target, error) {
+	kind, auditors := "dist", audit.ForPlacement
+	if armed {
+		kind, auditors = "fault", audit.ForFaults
+	}
 	mode, err := dist.ModeFor(o.Global, o.Placement)
 	if err != nil {
 		return Target{}, err
@@ -94,7 +104,7 @@ func FaultTarget(o FaultOpts) (Target, error) {
 	if o.CPUPerObj <= 0 {
 		o.CPUPerObj = defaultCPUPerObj
 	}
-	if len(o.Space.CrashPoints) == 0 && o.Space.MaxMsgFates == 0 && len(o.Space.CutPoints) == 0 {
+	if armed && len(o.Space.CrashPoints) == 0 && o.Space.MaxMsgFates == 0 && len(o.Space.CutPoints) == 0 {
 		// Calibrated to the default workload: ~10 arrivals over ~300ms,
 		// so crash decisions cover the arrival window, an outage spans
 		// several 2PC rounds, and cut decisions land mid-traffic.
@@ -117,6 +127,9 @@ func FaultTarget(o FaultOpts) (Target, error) {
 	}
 	load := o.Load
 	if load == nil {
+		// The workload depends only on the catalog layout, a pure function
+		// of the configuration: generate it once against a throwaway
+		// cluster's catalog and share it read-only across schedules.
 		layout, err := dist.NewCluster(cfg)
 		if err != nil {
 			return Target{}, err
@@ -137,12 +150,13 @@ func FaultTarget(o FaultOpts) (Target, error) {
 			return Target{}, err
 		}
 	}
-	key := fmt.Sprintf("explore/fault/%s/sites=%d/db=%d/count=%d/size=%d/ro=%g",
-		mode, o.Sites, o.DBSize, len(load), o.MeanSize, o.ReadOnlyFrac)
-	// run executes one schedule: under the chooser-driven fault space
-	// (plan == nil) or under a fixed replayed plan (ch == nil). Both
-	// paths share the journal key and seed, which is what makes a
-	// fault-only counterexample's replay byte-identical.
+	key := fmt.Sprintf("explore/%s/%s/sites=%d/db=%d/count=%d/size=%d/ro=%g",
+		kind, mode, o.Sites, o.DBSize, len(load), o.MeanSize, o.ReadOnlyFrac)
+	// run executes one schedule: under the chooser (plan == nil), which
+	// on an armed target also drives the fault space, or under a fixed
+	// replayed plan (ch == nil). Both paths share the journal key and
+	// seed, which is what makes a fault-only counterexample's replay
+	// byte-identical.
 	run := func(ch sim.Chooser, plan *faults.Plan) (*Outcome, error) {
 		jrn := getJournal(o.Seed, key)
 		defer putJournal(jrn)
@@ -157,27 +171,32 @@ func FaultTarget(o FaultOpts) (Target, error) {
 				return nil, err
 			}
 		} else {
-			si := spacePool.Get().(*faults.SpaceInjector)
-			si.Reset(o.Space)
-			defer spacePool.Put(si)
-			cluster.AttachFaultSpace(si)
+			if armed {
+				si := spacePool.Get().(*faults.SpaceInjector)
+				si.Reset(o.Space)
+				defer spacePool.Put(si)
+				cluster.AttachFaultSpace(si)
+			}
 			cluster.K.SetChooser(ch)
 		}
 		cluster.Load(load)
 		cluster.Run()
 		out := &Outcome{
 			JournalHash: jrn.HashString(),
-			Violations:  audit.Run(jrn, audit.ForFaults(mode.String())...),
+			Violations:  audit.Run(jrn, auditors(mode.String())...),
 			FaultPlan:   plan,
 		}
 		if plan == nil {
-			out.FaultPlan = cluster.ChosenFaultPlan()
+			out.FaultPlan = cluster.ChosenFaultPlan() // nil unarmed
 		}
 		return out, nil
 	}
-	return Target{
-		Name:    "fault/" + mode.String(),
-		Run:     func(ch sim.Chooser) (*Outcome, error) { return run(ch, nil) },
-		RunPlan: func(plan *faults.Plan) (*Outcome, error) { return run(nil, plan) },
-	}, nil
+	t := Target{
+		Name: kind + "/" + mode.String(),
+		Run:  func(ch sim.Chooser) (*Outcome, error) { return run(ch, nil) },
+	}
+	if armed {
+		t.RunPlan = func(plan *faults.Plan) (*Outcome, error) { return run(nil, plan) }
+	}
+	return t, nil
 }

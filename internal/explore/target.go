@@ -8,7 +8,6 @@ import (
 	"rtlock/internal/audit"
 	"rtlock/internal/core"
 	"rtlock/internal/db"
-	"rtlock/internal/dist"
 	"rtlock/internal/journal"
 	"rtlock/internal/sim"
 	"rtlock/internal/txn"
@@ -182,84 +181,15 @@ type DistributedOpts struct {
 // architecture. The distributed decision points (message delivery
 // order, 2PC prepare rotation) only exist here.
 func DistributedTarget(o DistributedOpts) (Target, error) {
-	mode, err := dist.ModeFor(o.Global, 0)
-	if err != nil {
-		return Target{}, err
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Sites <= 0 {
-		o.Sites = 3
-	}
-	if o.Count <= 0 {
-		o.Count = 10
-	}
-	if o.DBSize <= 0 {
-		o.DBSize = defaultDBSize
-	}
-	if o.MeanSize <= 0 {
-		o.MeanSize = 3
-	}
-	if o.CommDelay <= 0 {
-		o.CommDelay = 10 * sim.Millisecond
-	}
-	if o.CPUPerObj <= 0 {
-		o.CPUPerObj = defaultCPUPerObj
-	}
-	key := fmt.Sprintf("explore/dist/%s/sites=%d/db=%d/count=%d/size=%d/ro=%g",
-		mode, o.Sites, o.DBSize, o.Count, o.MeanSize, o.ReadOnlyFrac)
-	// The workload depends only on the catalog layout, which is a pure
-	// function of (Sites, DBSize); generate it once against a throwaway
-	// cluster's catalog and share it read-only across schedules.
-	layout, err := dist.NewCluster(dist.Config{
-		Mode:      mode,
-		Sites:     o.Sites,
-		Objects:   o.DBSize,
-		CommDelay: o.CommDelay,
-		CPUPerObj: o.CPUPerObj,
-	})
-	if err != nil {
-		return Target{}, err
-	}
-	load, err := workload.Generate(workload.Params{
-		Seed:             o.Seed,
-		Catalog:          layout.Catalog,
-		Count:            o.Count,
-		MeanInterarrival: 30 * sim.Millisecond,
-		MeanSize:         o.MeanSize,
-		ReadOnlyFrac:     o.ReadOnlyFrac,
-		PerObjCost:       o.CPUPerObj,
-		SlackMin:         4,
-		SlackMax:         8,
-		LocalWriteSets:   mode.LocalWriteSets(),
-	})
-	if err != nil {
-		return Target{}, err
-	}
-	return Target{
-		Name: "dist/" + mode.String(),
-		Run: func(ch sim.Chooser) (*Outcome, error) {
-			jrn := getJournal(o.Seed, key)
-			defer putJournal(jrn)
-			cluster, err := dist.NewCluster(dist.Config{
-				Mode:      mode,
-				Sites:     o.Sites,
-				Objects:   o.DBSize,
-				CommDelay: o.CommDelay,
-				CPUPerObj: o.CPUPerObj,
-				Journal:   jrn,
-			})
-			if err != nil {
-				return nil, err
-			}
-			cluster.K.SetChooser(ch)
-			cluster.Load(load)
-			cluster.Run()
-			return &Outcome{
-				JournalHash: jrn.HashString(),
-				Violations:  audit.Run(jrn, audit.ForPlacement(mode.String())...),
-			}, nil
-		},
-	}, nil
+	return clusterTarget(FaultOpts{
+		Global:       o.Global,
+		Seed:         o.Seed,
+		Sites:        o.Sites,
+		Count:        o.Count,
+		DBSize:       o.DBSize,
+		MeanSize:     o.MeanSize,
+		CommDelay:    o.CommDelay,
+		CPUPerObj:    o.CPUPerObj,
+		ReadOnlyFrac: o.ReadOnlyFrac,
+	}, false)
 }

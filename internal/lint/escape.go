@@ -1,15 +1,10 @@
 package lint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,12 +14,12 @@ import (
 // escape analysis (-gcflags=-m=2), positioned in module source.
 type EscapeDiag struct {
 	// File is the absolute path of the source file.
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
+	File string
+	Line int
+	Col  int
 	// Message is the compiler's diagnostic ("&Event{} escapes to heap",
 	// "moved to heap: buf", ...).
-	Message string `json:"message"`
+	Message string
 }
 
 // EscapeReport indexes the compiler's escape diagnostics by file so the
@@ -59,23 +54,6 @@ func (r *EscapeReport) InFile(file string) []EscapeDiag {
 	return r.byFile[file]
 }
 
-// Diags returns every diagnostic, sorted by file then position.
-func (r *EscapeReport) Diags() []EscapeDiag {
-	if r == nil {
-		return nil
-	}
-	files := make([]string, 0, len(r.byFile))
-	for f := range r.byFile {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	var out []EscapeDiag
-	for _, f := range files {
-		out = append(out, r.byFile[f]...)
-	}
-	return out
-}
-
 // escapeLine matches one compiler diagnostic line: path:line:col: msg.
 var escapeLine = regexp.MustCompile(`^(.*\.go):(\d+):(\d+): (.+)$`)
 
@@ -84,8 +62,7 @@ var escapeLine = regexp.MustCompile(`^(.*\.go):(\d+):(\d+): (.+)$`)
 // re-emits diagnostics for every package matched by the -gcflags
 // pattern on every invocation (such packages are rebuilt, never served
 // stale from the build cache), so the output is complete even on a warm
-// cache; the JSON cache in CollectEscapesCached exists purely to skip
-// the ~2s compile.
+// cache.
 func CollectEscapes(modRoot string, patterns []string) (*EscapeReport, error) {
 	modPath, err := modulePath(filepath.Join(modRoot, "go.mod"))
 	if err != nil {
@@ -140,94 +117,4 @@ func parseEscapeOutput(modRoot, out string) []EscapeDiag {
 		diags = append(diags, EscapeDiag{File: file, Line: lineNo, Col: col, Message: msg})
 	}
 	return diags
-}
-
-// CollectEscapesCached wraps CollectEscapes with an on-disk JSON cache
-// keyed on the toolchain version, go.mod, and the content hash of every
-// buildable .go file in the module (the module is dependency-free, so
-// there is no go.sum to fold in). hit reports whether the compile was
-// skipped.
-func CollectEscapesCached(modRoot, cacheDir string, patterns []string) (rep *EscapeReport, hit bool, err error) {
-	key, err := escapeCacheKey(modRoot, patterns)
-	if err != nil {
-		return nil, false, err
-	}
-	path := filepath.Join(cacheDir, "escapes-"+key+".json")
-	if data, err := os.ReadFile(path); err == nil {
-		var diags []EscapeDiag
-		if json.Unmarshal(data, &diags) == nil {
-			for i := range diags { // stored relative to the module root
-				if !filepath.IsAbs(diags[i].File) {
-					diags[i].File = filepath.Join(modRoot, filepath.FromSlash(diags[i].File))
-				}
-			}
-			return NewEscapeReport(diags), true, nil
-		}
-	}
-	rep, err = CollectEscapes(modRoot, patterns)
-	if err != nil {
-		return nil, false, err
-	}
-	stored := rep.Diags()
-	for i := range stored {
-		if rel, err := filepath.Rel(modRoot, stored[i].File); err == nil && !strings.HasPrefix(rel, "..") {
-			stored[i].File = filepath.ToSlash(rel)
-		}
-	}
-	if err := os.MkdirAll(cacheDir, 0o755); err == nil {
-		if data, err := json.MarshalIndent(stored, "", "  "); err == nil {
-			// One live entry: drop superseded keys before writing.
-			if old, err := filepath.Glob(filepath.Join(cacheDir, "escapes-*.json")); err == nil {
-				for _, p := range old {
-					os.Remove(p)
-				}
-			}
-			_ = os.WriteFile(path, data, 0o644)
-		}
-	}
-	return rep, false, nil
-}
-
-// escapeCacheKey hashes everything the compile output depends on.
-func escapeCacheKey(modRoot string, patterns []string) (string, error) {
-	h := sha256.New()
-	fmt.Fprintln(h, runtime.Version())
-	fmt.Fprintln(h, strings.Join(patterns, " "))
-	gomod, err := os.ReadFile(filepath.Join(modRoot, "go.mod"))
-	if err != nil {
-		return "", err
-	}
-	h.Write(gomod)
-	var files []string
-	err = filepath.WalkDir(modRoot, func(p string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if p != modRoot && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "testdata" || name == "vendor" || name == "results") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(name, ".go") && !strings.HasPrefix(name, ".") {
-			files = append(files, p)
-		}
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	sort.Strings(files)
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			return "", err
-		}
-		rel, _ := filepath.Rel(modRoot, f)
-		fmt.Fprintln(h, filepath.ToSlash(rel))
-		h.Write(data)
-	}
-	return hex.EncodeToString(h.Sum(nil))[:16], nil
 }

@@ -233,7 +233,7 @@ func TestRepoIsCleanWithEscapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, _, err := CollectEscapesCached(root, t.TempDir(), []string{"./..."})
+	rep, err := CollectEscapes(root, []string{"./..."})
 	if err != nil {
 		t.Fatalf("collecting escapes: %v", err)
 	}

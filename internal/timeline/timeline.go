@@ -47,10 +47,6 @@ type Config struct {
 	// MaxWindows bounds the ring of retained rows; non-positive picks
 	// DefaultMaxWindows.
 	MaxWindows int
-	// SketchWidth/SketchBuckets size the per-window response sketch;
-	// non-positive values pick the stats package defaults.
-	SketchWidth   sim.Duration
-	SketchBuckets int
 }
 
 // Collector accumulates the open window and the ring of closed rows.
@@ -100,7 +96,7 @@ func New(cfg Config, reg *metrics.Registry) *Collector {
 	c := &Collector{
 		window: cfg.Window,
 		rows:   make([]Row, cfg.MaxWindows),
-		sketch: stats.NewSketch(cfg.SketchWidth, cfg.SketchBuckets),
+		sketch: stats.NewSketch(0, 0), // the stats package's default geometry
 	}
 	c.lockWait = reg.Histogram("lock_wait_ticks",
 		"Blocked-interval lengths of lock waiters, in ticks.", nil)

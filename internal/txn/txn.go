@@ -28,6 +28,13 @@ import (
 // ErrDeadlineMissed aborts a transaction whose deadline expired.
 var ErrDeadlineMissed = errors.New("txn: deadline missed")
 
+// The write-ahead log's CPU costs: the commit-record force per written
+// object, and the checkpoint snapshot per stored object.
+const (
+	logWritePerObj   = sim.Millisecond
+	checkpointPerObj = sim.Millisecond / 10
+)
+
 // Config parameterizes a single-site system.
 type Config struct {
 	// CPUPerObj is the CPU service demand per object accessed.
@@ -71,20 +78,14 @@ type Config struct {
 	// resource manager). Zero models free lock management.
 	LockOverhead sim.Duration
 	// WAL enables the redo-only write-ahead log: every update
-	// transaction forces a commit record (costing LogWritePerObj of
+	// transaction forces a commit record (costing logWritePerObj of
 	// CPU per written object) before its writes become visible, and a
 	// checkpointer snapshots the committed state every CheckpointEvery
-	// (costing CheckpointPerObj per stored object at top priority).
+	// (costing checkpointPerObj per stored object at top priority).
 	WAL bool
 	// CheckpointEvery spaces checkpoints (zero disables the
 	// checkpointer; the redo tail then grows unboundedly).
 	CheckpointEvery sim.Duration
-	// LogWritePerObj is the commit-record force cost per written
-	// object (default 1ms when WAL is on).
-	LogWritePerObj sim.Duration
-	// CheckpointPerObj is the snapshot cost per stored object (default
-	// 0.1ms when WAL is on).
-	CheckpointPerObj sim.Duration
 	// Metrics, when non-nil, receives virtual-time metric series from
 	// every layer (kernel, CPU, I/O, lock manager, transactions),
 	// sampled every MetricsInterval of virtual time. Metrics never
@@ -184,12 +185,6 @@ func NewSystem(cfg Config) (*System, error) {
 	s.mMissDead = m.Counter("txn_deadline_misses_total", "Transactions aborted at their deadline.", metrics.L("reason", "deadline"))
 	s.mRestarts = m.Counter("txn_restarts_total", "Attempt restarts (wounds, deadlock victims, conditional aborts).")
 	if cfg.WAL {
-		if s.cfg.LogWritePerObj <= 0 {
-			s.cfg.LogWritePerObj = sim.Millisecond
-		}
-		if s.cfg.CheckpointPerObj <= 0 {
-			s.cfg.CheckpointPerObj = sim.Millisecond / 10
-		}
 		s.Log = wal.NewLog()
 	}
 	return s, nil
@@ -264,7 +259,7 @@ func (s *System) checkpointer(p *sim.Proc) {
 			return
 		}
 		state := s.Store.State()
-		cost := sim.Duration(len(state)) * s.cfg.CheckpointPerObj
+		cost := sim.Duration(len(state)) * checkpointPerObj
 		if err := s.CPU.Use(p, sim.MaxPriority, cost); err != nil {
 			return
 		}
@@ -339,7 +334,7 @@ func (s *System) exec(p *sim.Proc, t *workload.Txn) {
 			// visible. An interruption here (deadline, wound)
 			// aborts the attempt with no record and no visible
 			// writes.
-			force := sim.Duration(len(st.WriteSet)) * s.cfg.LogWritePerObj
+			force := sim.Duration(len(st.WriteSet)) * logWritePerObj
 			if err = s.CPU.Use(p, st.Eff(), force); err == nil {
 				images := make([]wal.WriteImage, 0, len(st.WriteSet))
 				for _, obj := range st.WriteSet {
