@@ -192,6 +192,102 @@ func TestHopTimeoutConfigurable(t *testing.T) {
 	}
 }
 
+// msgChooser records every ChooseMsg decision and answers it from a
+// script; other decision points take the canonical pick.
+type msgChooser struct {
+	picks []int
+	seen  []int // n of each ChooseMsg call
+}
+
+func (c *msgChooser) Choose(p sim.ChoicePoint, n int) int {
+	if p != sim.ChooseMsg {
+		return 0
+	}
+	i := len(c.seen)
+	c.seen = append(c.seen, n)
+	if i < len(c.picks) {
+		return c.picks[i]
+	}
+	return 0
+}
+
+func TestSameInstantArrivalsHonourMsgChoices(t *testing.T) {
+	k := sim.NewKernel()
+	ch := &msgChooser{picks: []int{2, 1}}
+	k.SetChooser(ch)
+	n := NewNetwork(k, sim.Millisecond)
+	var order []int
+	n.Server(1).Handle("seq", func(msg Message) { order = append(order, msg.Payload.(int)) })
+	k.At(0, func() {
+		for i := 0; i < 3; i++ {
+			n.Send(0, 1, "seq", i)
+		}
+	})
+	k.Run()
+	if len(ch.seen) != 2 || ch.seen[0] != 3 || ch.seen[1] != 2 {
+		t.Fatalf("ChooseMsg alternatives = %v, want [3 2]", ch.seen)
+	}
+	// Pick 2 of [0 1 2], then 1 of [0 1], then the last one.
+	if len(order) != 3 || order[0] != 2 || order[1] != 1 || order[2] != 0 {
+		t.Fatalf("delivery order = %v, want [2 1 0]", order)
+	}
+	n.Shutdown()
+	k.Run()
+	if k.Live() != 0 {
+		t.Fatalf("%d live processes after shutdown", k.Live())
+	}
+}
+
+func TestHandlerRunsInEventContext(t *testing.T) {
+	k := sim.NewKernel()
+	n := NewNetwork(k, sim.Millisecond)
+	sleeper := k.Spawn("sleeper", func(p *sim.Proc) { _ = p.Sleep(sim.Second) })
+	var current *sim.Proc
+	var parkPanic any
+	n.Server(1).Handle("p", func(Message) {
+		current = k.Current()
+		defer func() { parkPanic = recover() }()
+		_ = sleeper.Park(&sim.Token{})
+	})
+	n.Send(0, 1, "p", nil)
+	k.Run()
+	if current != nil {
+		t.Fatalf("handler ran in process %q, want event context", current.Name())
+	}
+	if parkPanic == nil {
+		t.Fatal("Park from a handler did not panic")
+	}
+	n.Shutdown()
+	k.Run()
+	if k.Live() != 0 {
+		t.Fatalf("%d live processes after shutdown", k.Live())
+	}
+}
+
+func TestWarmSendDeliverZeroAlloc(t *testing.T) {
+	k := sim.NewKernel()
+	n := NewNetwork(k, sim.Millisecond)
+	delivered := 0
+	n.Server(1).Handle("p", func(Message) { delivered++ })
+	payload := &struct{ v int }{}
+	send := func() {
+		n.Send(0, 1, "p", payload)
+		k.Run()
+	}
+	send() // warm the event, record and queue pools
+	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
+		t.Fatalf("warm send→deliver→handler allocates %.2f times, want 0", allocs)
+	}
+	if delivered != 202 {
+		t.Fatalf("delivered %d, want 202", delivered)
+	}
+	n.Shutdown()
+	k.Run()
+	if k.Live() != 0 {
+		t.Fatalf("%d live processes after shutdown", k.Live())
+	}
+}
+
 func TestHandlerSpawnsWork(t *testing.T) {
 	k := sim.NewKernel()
 	n := NewNetwork(k, sim.Millisecond)

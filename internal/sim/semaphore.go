@@ -1,7 +1,7 @@
 package sim
 
-// Semaphore is a counting semaphore with a FIFO wait queue, matching the
-// StarLite kernel primitive the paper's message server blocks senders on.
+// Semaphore is a counting semaphore with a FIFO wait queue, the StarLite
+// kernel primitive; a Station queues its requests on one.
 type Semaphore struct {
 	k *Kernel
 	n int
