@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"slices"
+
 	"rtlock/internal/core"
 	"rtlock/internal/db"
 	"rtlock/internal/journal"
@@ -63,7 +65,7 @@ type quorumKey struct {
 // satisfy the quorum early.
 type quorumRound struct {
 	need   int
-	got    map[db.SiteID]bool
+	got    []db.SiteID // replicas that answered
 	maxSeq int64
 	tok    *sim.Token
 }
@@ -109,10 +111,10 @@ func (c *Cluster) registerQuorumHandlers() {
 // replica) and wakes the transaction once the quorum is complete.
 func (c *Cluster) quorumReply(key quorumKey, from db.SiteID, seq int64) {
 	round := c.qrounds[key]
-	if round == nil || round.got[from] {
+	if round == nil || slices.Contains(round.got, from) {
 		return
 	}
-	round.got[from] = true
+	round.got = append(round.got, from)
 	if seq > round.maxSeq {
 		round.maxSeq = seq
 	}
@@ -131,7 +133,7 @@ func (c *Cluster) quorumReply(key quorumKey, from db.SiteID, seq int64) {
 func (c *Cluster) gather(x *txRun, key quorumKey, from db.SiteID, port string, msg any, need int, seq int64) (int, int64, error) {
 	var round *quorumRound
 	if need > 0 {
-		round = &quorumRound{need: need, got: make(map[db.SiteID]bool), maxSeq: seq, tok: &sim.Token{}}
+		round = &quorumRound{need: need, got: make([]db.SiteID, 0, need), maxSeq: seq, tok: &sim.Token{}}
 		c.qrounds[key] = round
 		defer delete(c.qrounds, key)
 	}

@@ -89,9 +89,18 @@ type resolvedMsg struct {
 // Votes are deduplicated per participant so injected duplicates and
 // retry re-votes cannot satisfy the count early.
 type voteCollector struct {
+	c     *Cluster
+	tx    int64
 	need  int
-	voted map[db.SiteID]bool
+	voted []db.SiteID // participants whose yes-vote arrived
 	tok   *sim.Token
+}
+
+// closeVoteRound is the collector token's cancel hook: a coordinator
+// interrupted mid-round stops collecting, so late votes are ignored.
+func closeVoteRound(a any) {
+	col := a.(*voteCollector)
+	delete(col.c.twopc, col.tx)
 }
 
 // errPhaseTimeout unparks a coordinator whose vote round went
@@ -132,10 +141,10 @@ func (c *Cluster) registerTwoPCHandlers() {
 				col.tok.Wake(errVoteAbort)
 				return
 			}
-			if col.voted[msg.from] {
+			if slices.Contains(col.voted, msg.from) {
 				return // duplicate (injected copy or retry re-vote)
 			}
-			col.voted[msg.from] = true
+			col.voted = append(col.voted, msg.from)
 			if len(col.voted) >= col.need {
 				col.tok.Wake(nil)
 			}
@@ -366,7 +375,7 @@ func (c *Cluster) runTwoPC(x *txRun, shares bool) error {
 		participants = rot
 	}
 	started := c.K.Now()
-	col := &voteCollector{need: len(participants), voted: make(map[db.SiteID]bool)}
+	col := &voteCollector{c: c, tx: txID, need: len(participants), voted: make([]db.SiteID, 0, len(participants))}
 	c.twopc[txID] = col
 	var maxd sim.Duration
 	for _, s := range participants {
@@ -387,7 +396,7 @@ func (c *Cluster) runTwoPC(x *txRun, shares bool) error {
 			c.emit(home, journal.KRetry, txID, 0, int64(attempt), 0, "prepare")
 		}
 		for _, s := range participants {
-			if col.voted[s] {
+			if slices.Contains(col.voted, s) {
 				continue // already has this participant's yes-vote
 			}
 			x.msgs += 2 // prepare out, vote back
@@ -399,7 +408,7 @@ func (c *Cluster) runTwoPC(x *txRun, shares bool) error {
 			c.Net.Send(home, s, preparePort, prepareMsg{txID: txID, coord: home, objs: objs})
 		}
 		tok := &sim.Token{}
-		tok.OnCancel = func() { delete(c.twopc, txID) }
+		tok.SetCancel(closeVoteRound, col)
 		col.tok = tok
 		var tev sim.EventRef
 		if c.faultsOn {
