@@ -632,8 +632,9 @@ func (c *Cluster) Config() Config { return c.cfg }
 func (c *Cluster) Replication() ReplicationStats { return c.repl }
 
 // NetReport aggregates the run's message-layer counters: the network's
-// send and loss counts plus every site's message-server delivery and
-// no-handler counts.
+// send and loss counts plus the delivery and no-handler counts of every
+// site's message server. It only reads: a site that never had a server
+// (every site in primary mode) contributes nothing.
 func (c *Cluster) NetReport() stats.NetReport {
 	r := stats.NetReport{
 		Sent:         c.Net.Sent,
@@ -643,9 +644,10 @@ func (c *Cluster) NetReport() stats.NetReport {
 		Duplicated:   c.Net.Duplicated,
 	}
 	for _, s := range c.sites {
-		srv := c.Net.Server(s.id)
-		r.Delivered += srv.Delivered
-		r.DroppedNoHandler += srv.Dropped
+		if srv := c.Net.Lookup(s.id); srv != nil {
+			r.Delivered += srv.Delivered
+			r.DroppedNoHandler += srv.Dropped
+		}
 	}
 	return r
 }

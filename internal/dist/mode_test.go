@@ -200,6 +200,28 @@ func TestModePipeline(t *testing.T) {
 	}
 }
 
+// TestNetReportReadOnly checks that reading the message-layer report
+// after a run neither journals anything nor starts a process, in every
+// mode (primary registers no handler, so it has no message servers).
+func TestNetReportReadOnly(t *testing.T) {
+	for m := Local; m <= Primary; m++ {
+		conf := cfg(m, sim.Millisecond)
+		conf.Journal = journal.New(1, "netreport/"+m.String())
+		c, err := NewCluster(conf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Load(pipelineLoad())
+		c.Run()
+		records, live := conf.Journal.Len(), c.K.Live()
+		c.NetReport()
+		if conf.Journal.Len() != records || c.K.Live() != live {
+			t.Errorf("%s: NetReport moved the journal %d -> %d records and live processes %d -> %d",
+				m, records, conf.Journal.Len(), live, c.K.Live())
+		}
+	}
+}
+
 // TestModeFor pins the facade's (Global, placement) resolution, the one
 // home of the rule that a placement cannot be combined with Global.
 func TestModeFor(t *testing.T) {
