@@ -14,46 +14,67 @@ package rtlock
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
 // runAllocsPerTx runs a configuration twice — once to warm the runtime
-// — and returns the second run's heap allocations divided by the
-// transaction count.
-func runAllocsPerTx(t *testing.T, count int, run func() error) float64 {
+// — and returns the second run's heap allocations and allocated bytes,
+// each divided by the transaction count. Both runs use one processor
+// and the collector is paused for the second, so buffers pooled by the
+// first (sync.Pool) are reused: which processor a Get lands on, and
+// whether a collection empties the pool first, would otherwise decide
+// whether the run pays to regrow them.
+func runAllocsPerTx(t *testing.T, count int, run func() error) (allocs, bytes float64) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	if err := run(); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.ReadMemStats(&before)
 	if err := run(); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(count)
+	return float64(after.Mallocs-before.Mallocs) / float64(count),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(count)
 }
 
+// raceBuild is set under the race detector (race_test.go).
+var raceBuild bool
+
+// TestSingleSiteRunAllocGate also caps bytes per transaction where a
+// case has a budget: an audit-only run checks each journal record as it
+// is written and keeps none, so retaining the journal again (tens of
+// kilobytes per transaction) shows up here even though it adds few
+// allocations. Race builds skip the byte budgets (see race_test.go).
 func TestSingleSiteRunAllocGate(t *testing.T) {
 	const maxAllocsPerTx = 30
 	for _, tc := range []struct {
-		name string
-		cfg  SingleSiteConfig
+		name     string
+		cfg      SingleSiteConfig
+		maxBytes float64 // per transaction, 0 = unchecked
 	}{
-		{"plain", SingleSiteConfig{Workload: WorkloadConfig{Count: 200}}},
-		{"journal", SingleSiteConfig{Journal: true, Workload: WorkloadConfig{Count: 200}}},
+		{"plain", SingleSiteConfig{Workload: WorkloadConfig{Count: 200}}, 0},
+		{"journal", SingleSiteConfig{Journal: true, Workload: WorkloadConfig{Count: 200}}, 0},
+		{"audit", SingleSiteConfig{Audit: true, Workload: WorkloadConfig{Count: 2000}}, 4 << 10},
 		{"timeline", SingleSiteConfig{TimelineWindow: 10 * Second, MaxRawRecords: 64,
-			Workload: WorkloadConfig{Count: 200}}},
+			Workload: WorkloadConfig{Count: 200}}, 0},
 	} {
 		cfg := tc.cfg
-		got := runAllocsPerTx(t, cfg.Workload.Count, func() error {
+		got, bytes := runAllocsPerTx(t, cfg.Workload.Count, func() error {
 			_, err := RunSingleSite(cfg)
 			return err
 		})
-		t.Logf("%s: %.1f allocs/tx", tc.name, got)
+		t.Logf("%s: %.1f allocs/tx, %.0f B/tx", tc.name, got, bytes)
 		if got > maxAllocsPerTx {
 			t.Errorf("%s: %.1f allocs per transaction exceeds the gate of %d", tc.name, got, maxAllocsPerTx)
+		}
+		if tc.maxBytes > 0 && !raceBuild && bytes > tc.maxBytes {
+			t.Errorf("%s: %.0f bytes per transaction exceeds the gate of %.0f", tc.name, bytes, tc.maxBytes)
 		}
 	}
 }
@@ -80,7 +101,7 @@ func TestDistributedRunAllocGate(t *testing.T) {
 		if cfg.Placement != "" {
 			cfg.Workload.LocalityProb = 0.7
 		}
-		got := runAllocsPerTx(t, cfg.Workload.Count, func() error {
+		got, _ := runAllocsPerTx(t, cfg.Workload.Count, func() error {
 			_, err := RunDistributed(cfg)
 			return err
 		})

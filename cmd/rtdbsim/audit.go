@@ -106,7 +106,9 @@ func runAudit(args []string) error {
 	if err != nil {
 		return err
 	}
-	s.Audit = true
+	// The journal is kept, not only audited: its hash is printed and
+	// it may be exported.
+	s.Audit, s.Journal = true, true
 	res, err := runWithMetrics(s, *metricsDir, "audit")
 	if err != nil {
 		return err

@@ -62,9 +62,9 @@ type Spec struct {
 	BufferPages   int  `json:"bufferPages,omitempty"`
 	IODisks       int  `json:"ioDisks,omitempty"`
 
-	// Journal records a deterministic replay journal into
-	// Result.Journal; Audit additionally replays it through the
-	// protocol invariant auditors into Result.Violations.
+	// Audit checks the protocol invariants as the run goes, into
+	// Result.Violations; Journal keeps the records, in Result.Journal.
+	// Audit alone keeps none.
 	Journal bool `json:"journal,omitempty"`
 	Audit   bool `json:"audit,omitempty"`
 

@@ -33,6 +33,7 @@ func faultedJournal(t *testing.T, global bool, seed int64) *rtlock.Journal {
 	res, err := rtlock.RunDistributed(rtlock.DistributedConfig{
 		Global:   global,
 		Audit:    true,
+		Journal:  true,
 		Faults:   plan,
 		Workload: rtlock.WorkloadConfig{Seed: seed, Count: 120},
 	})
@@ -85,6 +86,7 @@ func TestEmptyFaultPlanEquivalence(t *testing.T) {
 			cfg := rtlock.DistributedConfig{
 				Global:   global,
 				Audit:    true,
+				Journal:  true,
 				Workload: rtlock.WorkloadConfig{Seed: 11, Count: 120},
 			}
 			if faulted {

@@ -25,6 +25,7 @@ func singleJournal(t *testing.T, proto rtlock.Protocol, seed int64) *rtlock.Jour
 	res, err := rtlock.RunSingleSite(rtlock.SingleSiteConfig{
 		Protocol: proto,
 		Audit:    true,
+		Journal:  true,
 		Workload: rtlock.WorkloadConfig{Seed: seed, Count: 120},
 	})
 	if err != nil {
@@ -46,6 +47,7 @@ func distJournal(t *testing.T, global bool, seed int64) *rtlock.Journal {
 	res, err := rtlock.RunDistributed(rtlock.DistributedConfig{
 		Global:   global,
 		Audit:    true,
+		Journal:  true,
 		Workload: rtlock.WorkloadConfig{Seed: seed, Count: 120},
 	})
 	if err != nil {
@@ -72,6 +74,7 @@ func placedJournal(t *testing.T, placement string, seed int64) *rtlock.Journal {
 		Placement: placement,
 		Sites:     4,
 		Audit:     true,
+		Journal:   true,
 		Workload:  rtlock.WorkloadConfig{Seed: seed, Count: 120, LocalityProb: 0.7},
 	})
 	if err != nil {

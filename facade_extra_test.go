@@ -168,7 +168,7 @@ func TestLostRegistrationRelease(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Sites, cfg.DBSize = 3, 9
 			cfg.CommDelay, cfg.CPUPerObj = 10*Millisecond, 2*Millisecond
-			cfg.Audit, cfg.Faults = true, plan
+			cfg.Audit, cfg.Journal, cfg.Faults = true, true, plan
 			cfg.Workload = WorkloadConfig{Transactions: []*Txn{{ID: 1, Kind: Update, Home: 2,
 				Arrival: 0, Deadline: Time(1 * Second), Ops: []Op{{Obj: tc.obj, Mode: Write}}}}}
 			res, err := RunDistributed(cfg)

@@ -12,7 +12,9 @@
 package audit
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -42,17 +44,19 @@ func (v Violation) String() string {
 }
 
 // Auditor consumes journal records and reports invariant violations.
+// It is a journal.Observer, so it can be teed into a journal and check
+// the run as it is written.
 type Auditor interface {
+	journal.Observer
 	// Name identifies the rule in reports.
 	Name() string
-	// Observe feeds one record, in journal order.
-	Observe(r *journal.Record)
 	// Finish runs end-of-journal checks and returns all violations.
 	Finish() []Violation
 }
 
-// Run replays a journal through the auditors and returns every
-// violation, ordered by exposing sequence number.
+// Run replays a retained journal through the auditors and returns every
+// violation, ordered by exposing sequence number. A run audited as it
+// goes tees the auditors into its journal instead and calls Finish.
 func Run(j *journal.Journal, auds ...Auditor) []Violation {
 	records := j.Records()
 	for i := range records {
@@ -61,12 +65,31 @@ func Run(j *journal.Journal, auds ...Auditor) []Violation {
 			a.Observe(r)
 		}
 	}
-	var out []Violation
+	return Finish(auds...)
+}
+
+// Finish closes the auditors after their last record and merges their
+// violations, ordered by exposing sequence number. The result is never
+// nil, so an audited run with no findings reads apart from an unaudited
+// one.
+func Finish(auds ...Auditor) []Violation {
+	out := []Violation{}
 	for _, a := range auds {
 		out = append(out, a.Finish()...)
 	}
-	sort.SliceStable(out, func(i, k int) bool { return out[i].Seq < out[k].Seq })
+	slices.SortStableFunc(out, func(a, b Violation) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
+}
+
+// Tee attaches the auditors to j, so each record is checked as it is
+// appended; with discard the journal keeps no records. Call it before
+// the run writes its first record.
+func Tee(j *journal.Journal, discard bool, auds ...Auditor) {
+	obs := make([]journal.Observer, len(auds))
+	for i, a := range auds {
+		obs[i] = a
+	}
+	j.Tee(discard, obs...)
 }
 
 // ForManager returns the auditors applicable to a single-site protocol,

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"fmt"
+
 	"rtlock/internal/audit"
+	"rtlock/internal/core"
 	"rtlock/internal/db"
 	"rtlock/internal/dist"
 	"rtlock/internal/faults"
@@ -14,11 +17,11 @@ import (
 )
 
 // cell is one point of a sweep: a complete, comparable description of a
-// configuration (so it keys the sweep's memo and labels its journals)
-// that knows how to run itself once. jrn is nil unless audit is set.
+// configuration (so it keys the sweep's memo) that knows how to run
+// itself once, checked by its auditors as it goes when audited.
 type cell interface {
 	schedule() (runs int, baseSeed int64, audit bool)
-	run(seed int64, jrn *journal.Journal) (outcome, error)
+	run(seed int64, audited bool) (outcome, error)
 }
 
 // base is what a parameter set fixes for every cell of its family: the
@@ -42,7 +45,19 @@ type outcome struct {
 	net      stats.NetReport       // distributed runs
 	repl     dist.ReplicationStats // distributed runs
 	recovery sim.Duration          // estimated restart time, WAL runs
-	auditors []audit.Auditor       // what replays the journal, when one was recorded
+	// violations are the auditors' findings, audited runs only.
+	violations []audit.Violation
+}
+
+// auditJournal returns a journal that checks a run against auds as it
+// is written and keeps no records, or nil when there is nothing to check.
+func auditJournal(seed int64, auds []audit.Auditor) *journal.Journal {
+	if len(auds) == 0 {
+		return nil
+	}
+	j := journal.New(seed, "")
+	audit.Tee(j, true, auds...)
+	return j
 }
 
 // singleCell is one single-site configuration: the family's base plus
@@ -72,10 +87,14 @@ func (p SingleSiteParams) cell(proto Protocol, size int) singleCell {
 }
 
 // run executes one single-site run.
-func (c singleCell) run(seed int64, jrn *journal.Journal) (outcome, error) {
-	newMgr, disc, err := ManagerFor(c.proto)
+func (c singleCell) run(seed int64, audited bool) (outcome, error) {
+	row, err := core.Lookup(c.proto)
 	if err != nil {
-		return outcome{}, err
+		return outcome{}, fmt.Errorf("experiments: %w", err)
+	}
+	var auds []audit.Auditor
+	if audited {
+		auds = audit.ForManager(row.Name)
 	}
 	cat, err := db.NewCatalog(1, c.dbSize)
 	if err != nil {
@@ -103,13 +122,13 @@ func (c singleCell) run(seed int64, jrn *journal.Journal) (outcome, error) {
 	sys, err := txn.NewSystem(txn.Config{
 		CPUPerObj:       c.cpuPerObj,
 		IOPerObj:        c.ioPerObj,
-		CPUDiscipline:   disc,
-		NewManager:      newMgr,
+		CPUDiscipline:   row.Discipline,
+		NewManager:      row.New,
 		BufferPages:     c.buffer,
 		LockOverhead:    c.overhead,
 		WAL:             c.wal,
 		CheckpointEvery: c.checkpoint,
-		Journal:         jrn,
+		Journal:         auditJournal(seed, auds),
 	})
 	if err != nil {
 		return outcome{}, err
@@ -120,9 +139,7 @@ func (c singleCell) run(seed int64, jrn *journal.Journal) (outcome, error) {
 		// 0.1ms/object snapshot load + 1ms/record redo.
 		o.recovery = sys.Log.RecoveryTime(sim.Millisecond/10, sim.Millisecond)
 	}
-	if jrn != nil {
-		o.auditors = audit.ForManager(sys.Mgr.Name())
-	}
+	o.violations = audit.Finish(auds...)
 	return o, nil
 }
 
@@ -150,7 +167,30 @@ type distCell struct {
 }
 
 // run executes one distributed run.
-func (c distCell) run(seed int64, jrn *journal.Journal) (outcome, error) {
+func (c distCell) run(seed int64, audited bool) (outcome, error) {
+	var plan *faults.Plan
+	if c.faults {
+		// The last arrival lands around count x interarrival, and the
+		// generator places every fault inside the first 85% of that
+		// horizon, so crashes and partitions hit live load rather than
+		// the drained tail.
+		var err error
+		plan, err = faults.Generate(seed, faults.GenParams{
+			Sites:    c.sites,
+			Horizon:  int64(sim.Duration(c.count) * c.meanInterarrival),
+			Severity: c.severity,
+		})
+		if err != nil {
+			return outcome{}, err
+		}
+	}
+	var auds []audit.Auditor
+	if audited {
+		auds = audit.ForPlacement(c.mode.String())
+		if !plan.Empty() {
+			auds = audit.ForFaults(c.mode.String())
+		}
+	}
 	cfg := dist.Config{
 		Mode:         c.mode,
 		Replicas:     c.k,
@@ -161,7 +201,7 @@ func (c distCell) run(seed int64, jrn *journal.Journal) (outcome, error) {
 		GCMSite:      c.gcm,
 		CPUPerObj:    c.cpuPerObj,
 		Multiversion: c.multiversion,
-		Journal:      jrn,
+		Journal:      auditJournal(seed, auds),
 	}
 	if c.star {
 		topo, err := netsim.Star(c.sites, 0, c.delay)
@@ -176,24 +216,10 @@ func (c distCell) run(seed int64, jrn *journal.Journal) (outcome, error) {
 	if err != nil {
 		return outcome{}, err
 	}
-	faulted := false
-	if c.faults {
-		// The last arrival lands around count x interarrival, and the
-		// generator places every fault inside the first 85% of that
-		// horizon, so crashes and partitions hit live load rather than
-		// the drained tail.
-		plan, err := faults.Generate(seed, faults.GenParams{
-			Sites:    c.sites,
-			Horizon:  int64(sim.Duration(c.count) * c.meanInterarrival),
-			Severity: c.severity,
-		})
-		if err != nil {
-			return outcome{}, err
-		}
+	if plan != nil {
 		if err := cluster.AttachFaults(plan, seed); err != nil {
 			return outcome{}, err
 		}
-		faulted = !plan.Empty()
 	}
 	load, err := workload.Generate(workload.Params{
 		Seed:             seed,
@@ -213,11 +239,6 @@ func (c distCell) run(seed int64, jrn *journal.Journal) (outcome, error) {
 	}
 	cluster.Load(load)
 	o := outcome{sum: cluster.Run(), net: cluster.NetReport(), repl: cluster.Replication()}
-	if jrn != nil {
-		o.auditors = audit.ForPlacement(c.mode.String())
-		if faulted {
-			o.auditors = audit.ForFaults(c.mode.String())
-		}
-	}
+	o.violations = audit.Finish(auds...)
 	return o, nil
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"rtlock/internal/audit"
-	"rtlock/internal/journal"
 	"rtlock/internal/sim"
 	"rtlock/internal/stats"
 )
@@ -93,9 +91,8 @@ func (sw *Sweep) values(c cell, y metric) ([]float64, error) {
 }
 
 // runs returns the cell's outcomes in run order, executing it on first
-// use: run r is seeded BaseSeed + r·7919, and under Audit every run
-// records a journal and replays it through its auditors, any violation
-// failing the sweep.
+// use: run r is seeded BaseSeed + r·7919, and under Audit every run is
+// checked by its auditors as it goes, any violation failing the sweep.
 func (sw *Sweep) runs(c cell) ([]outcome, error) {
 	if outs, ok := sw.memo[c]; ok {
 		return outs, nil
@@ -103,19 +100,12 @@ func (sw *Sweep) runs(c cell) ([]outcome, error) {
 	runs, baseSeed, audited := c.schedule()
 	outs, err := collectRuns(runs, func(r int) (outcome, error) {
 		seed := baseSeed + int64(r)*7919
-		var jrn *journal.Journal
-		if audited {
-			jrn = journal.New(seed, fmt.Sprintf("%T%+v", c, c))
+		o, err := c.run(seed, audited)
+		if err == nil && len(o.violations) > 0 {
+			err = fmt.Errorf("experiments: %+v seed=%d: %d invariant violations, first: %s",
+				c, seed, len(o.violations), o.violations[0])
 		}
-		o, err := c.run(seed, jrn)
-		if err != nil || jrn == nil {
-			return o, err
-		}
-		if vs := audit.Run(jrn, o.auditors...); len(vs) > 0 {
-			return o, fmt.Errorf("experiments: %+v seed=%d: %d invariant violations, first: %s",
-				c, seed, len(vs), vs[0])
-		}
-		return o, nil
+		return o, err
 	})
 	if err != nil {
 		return nil, err

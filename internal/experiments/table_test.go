@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"rtlock/internal/journal"
 	"rtlock/internal/sim"
 )
 
@@ -117,7 +116,7 @@ func TestAllRunsEachDistinctCellOnce(t *testing.T) {
 type countingCell struct{ n *atomic.Int32 }
 
 func (c countingCell) schedule() (int, int64, bool) { return 3, 1, false }
-func (c countingCell) run(int64, *journal.Journal) (outcome, error) {
+func (c countingCell) run(int64, bool) (outcome, error) {
 	c.n.Add(1)
 	return outcome{}, nil
 }

@@ -293,12 +293,30 @@ type jsonRecord struct {
 	Note string `json:"note,omitempty"`
 }
 
+// Observer consumes records as they are appended, in journal order.
+// The record pointer is valid only for the duration of the call (a
+// discarding journal reuses it for the next record), so an observer that
+// keeps a record must copy it.
+type Observer interface {
+	Observe(r *Record)
+}
+
 // Journal accumulates the records of one simulation run, keyed by the
-// run's seed and a canonical configuration string.
+// run's seed and a canonical configuration string. Observers attached
+// with Tee see every record at Append; a discarding journal keeps none,
+// so a run that is only audited holds no per-record state.
 type Journal struct {
 	seed    int64
 	config  string
 	records []Record
+	n       int // records appended since New or Reset
+
+	// cur holds the record being appended when records are discarded:
+	// observers get a pointer into the journal rather than into Append's
+	// frame, which would escape and allocate once per record.
+	cur     Record
+	obs     []Observer
+	discard bool
 
 	// encBuf is the reusable binary-encoding scratch shared by Hash and
 	// EncodeBinary, so hashing a journal at end of run allocates only on
@@ -350,21 +368,19 @@ func (j *Journal) ConfigHash() uint64 {
 	return h
 }
 
-// Reserve grows the record buffer to hold at least n records without
-// further allocation, batching what would otherwise be a chain of
-// append regrowths on the hot path. It never shrinks.
-func (j *Journal) Reserve(n int) {
-	if j == nil || cap(j.records) >= n {
-		return
-	}
-	records := make([]Record, len(j.records), n)
-	copy(records, j.records)
-	j.records = records
+// Tee attaches observers that see every later Append; with discard the
+// journal stops retaining records, so Records stays empty while Len
+// still counts them. Attach observers before the first Append: they
+// never see records already written.
+func (j *Journal) Tee(discard bool, obs ...Observer) {
+	j.discard = discard
+	j.obs = append(j.obs, obs...)
 }
 
-// Reset rekeys the journal and drops its records while keeping the
-// record and encoding buffers, so one journal can be recycled across
-// many runs (the schedule explorer executes hundreds per exploration).
+// Reset rekeys the journal, drops its records and detaches its
+// observers while keeping the record and encoding buffers, so one
+// journal can be recycled across many runs (the schedule explorer
+// executes hundreds per exploration).
 func (j *Journal) Reset(seed int64, config string) {
 	if j == nil {
 		return
@@ -377,19 +393,28 @@ func (j *Journal) Reset(seed int64, config string) {
 		j.records[i].Note = ""
 	}
 	j.records = j.records[:0]
+	j.n = 0
+	j.cur = Record{}
+	j.obs, j.discard = nil, false
 }
 
-// Append adds one record, assigning its sequence number. It is safe to
-// call on a nil journal (a no-op), so emission sites need no nil
-// checks.
+// Append writes the next record once, into its retained slot or, when
+// the journal discards, into cur, and hands it to every observer. It is
+// safe to call on a nil journal (a no-op), so emission sites need no
+// nil checks.
 //
 //rtlint:allocfree
 func (j *Journal) Append(at int64, kind Kind, site int32, tx int64, obj int32, a, b int64, note string) {
 	if j == nil {
 		return
 	}
-	j.records = append(j.records, Record{
-		Seq:  uint64(len(j.records)),
+	r := &j.cur
+	if !j.discard {
+		j.records = append(j.records, Record{})
+		r = &j.records[len(j.records)-1]
+	}
+	*r = Record{
+		Seq:  uint64(j.n),
 		At:   at,
 		Kind: kind,
 		Site: site,
@@ -398,15 +423,19 @@ func (j *Journal) Append(at int64, kind Kind, site int32, tx int64, obj int32, a
 		A:    a,
 		B:    b,
 		Note: note,
-	})
+	}
+	j.n++
+	for _, o := range j.obs {
+		o.Observe(r)
+	}
 }
 
-// Len returns the number of records.
+// Len returns the number of records appended, retained or not.
 func (j *Journal) Len() int {
 	if j == nil {
 		return 0
 	}
-	return len(j.records)
+	return j.n
 }
 
 // Records returns the record slice. Callers must not mutate it.
@@ -440,7 +469,7 @@ func (j *Journal) appendBinary(buf []byte) []byte {
 	buf = append(buf, binaryMagic...)
 	buf = binary.AppendVarint(buf, j.Seed())
 	buf = binary.AppendUvarint(buf, j.ConfigHash())
-	buf = binary.AppendUvarint(buf, uint64(j.Len()))
+	buf = binary.AppendUvarint(buf, uint64(len(j.Records())))
 	for i := range j.Records() {
 		r := &j.records[i]
 		buf = binary.AppendVarint(buf, r.At)
@@ -489,7 +518,7 @@ func (j *Journal) EncodeJSONL(w io.Writer) error {
 		Seed:       j.Seed(),
 		Config:     j.Config(),
 		ConfigHash: fmt.Sprintf("%016x", j.ConfigHash()),
-		Records:    j.Len(),
+		Records:    len(j.Records()),
 	}
 	if err := enc.Encode(hdr); err != nil {
 		return err
@@ -545,6 +574,7 @@ func DecodeJSONL(r io.Reader) (*Journal, error) {
 			Site: jr.Site, Tx: jr.Tx, Obj: jr.Obj, A: jr.A, B: jr.B,
 			Note: jr.Note,
 		})
+		j.n++
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -559,7 +589,7 @@ func DecodeJSONL(r io.Reader) (*Journal, error) {
 // record sequences. It is the in-memory form of byte-identity: Equal
 // journals produce identical binary and JSONL encodings.
 func Equal(a, b *Journal) bool {
-	if a.Seed() != b.Seed() || a.Config() != b.Config() || a.Len() != b.Len() {
+	if a.Seed() != b.Seed() || a.Config() != b.Config() || len(a.Records()) != len(b.Records()) {
 		return false
 	}
 	ar, br := a.Records(), b.Records()

@@ -37,6 +37,77 @@ func TestAppendAssignsDenseSeq(t *testing.T) {
 	}
 }
 
+// TestLenCountsRetainedRecords pins Len to the retained records on every
+// path that writes them: appending, resetting and decoding.
+func TestLenCountsRetainedRecords(t *testing.T) {
+	check := func(stage string, j *Journal) {
+		t.Helper()
+		if j.Len() != len(j.Records()) {
+			t.Fatalf("%s: Len() = %d, len(Records()) = %d", stage, j.Len(), len(j.Records()))
+		}
+	}
+	j := sample()
+	check("append", j)
+	var buf bytes.Buffer
+	if err := j.EncodeJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	j.Reset(1, "reset")
+	check("reset", j)
+	j.Append(0, KCommit, 0, 1, 0, 0, 0, "")
+	check("append after reset", j)
+	got, err := DecodeJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("decode", got)
+	if got.Len() == 0 {
+		t.Fatal("decoded journal reports no records")
+	}
+}
+
+// seqRecorder is an Observer that copies what it sees.
+type seqRecorder struct{ seen []Record }
+
+func (s *seqRecorder) Observe(r *Record) { s.seen = append(s.seen, *r) }
+
+// TestTeeObservesEveryAppend checks that observers see exactly the
+// records a retaining journal keeps, and that a discarding journal keeps
+// none while still counting them.
+func TestTeeObservesEveryAppend(t *testing.T) {
+	retained := sample()
+	for _, discard := range []bool{false, true} {
+		j := New(42, "proto=PCP size=8")
+		obs := &seqRecorder{}
+		j.Tee(discard, obs)
+		for _, r := range retained.Records() {
+			j.Append(r.At, r.Kind, r.Site, r.Tx, r.Obj, r.A, r.B, r.Note)
+		}
+		if len(obs.seen) != retained.Len() {
+			t.Fatalf("discard=%t: observed %d records, want %d", discard, len(obs.seen), retained.Len())
+		}
+		for i, r := range retained.Records() {
+			if obs.seen[i] != r {
+				t.Fatalf("discard=%t: observed record %d = %+v, want %+v", discard, i, obs.seen[i], r)
+			}
+		}
+		if j.Len() != retained.Len() {
+			t.Fatalf("discard=%t: Len() = %d, want %d", discard, j.Len(), retained.Len())
+		}
+		if discard && len(j.Records()) != 0 {
+			t.Fatalf("discarding journal kept %d records", len(j.Records()))
+		}
+		if !discard && !Equal(j, retained) {
+			t.Fatalf("teed journal diverged: %s", Diff(j, retained))
+		}
+		j.Reset(42, "")
+		j.Append(0, KCommit, 0, 1, 0, 0, 0, "")
+		if len(obs.seen) != retained.Len() || len(j.Records()) != 1 {
+			t.Fatalf("discard=%t: Reset left the tee attached", discard)
+		}
+	}
+}
+
 func TestJSONLRoundTrip(t *testing.T) {
 	j := sample()
 	var buf bytes.Buffer

@@ -13,7 +13,7 @@ import (
 // package (internal/metrics by default, plus any package whose package
 // doc carries //rtlint:pure=journal), it follows statically resolvable
 // calls through module source and reports any path that reaches a
-// function writing journal.Journal state (Append, Reset, Reserve, the
+// function writing journal.Journal state (Append, Reset, Tee, the
 // encoders). Mutators are detected by their bodies — a field write on a
 // journal.Journal value — not by name, so a new mutating method is
 // covered the day it is written.

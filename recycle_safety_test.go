@@ -49,15 +49,15 @@ func TestRecycleAliasingSafety(t *testing.T) {
 	// objects are handed between runs whose slices have different
 	// lengths — the regime where stale-capacity aliasing shows.
 	shapes := []shape{
-		{"single/C/audit/60", hashRun(SingleSiteConfig{Audit: true,
+		{"single/C/audit/60", hashRun(SingleSiteConfig{Audit: true, Journal: true,
 			Workload: WorkloadConfig{Count: 60}})},
-		{"single/HP/audit/35", hashRun(SingleSiteConfig{Protocol: TwoPLHighPriority, Audit: true,
+		{"single/HP/audit/35", hashRun(SingleSiteConfig{Protocol: TwoPLHighPriority, Audit: true, Journal: true,
 			Workload: WorkloadConfig{Count: 35}})},
 		{"single/DD/journal/50", hashRun(SingleSiteConfig{Protocol: TwoPLDetect, Journal: true,
 			Workload: WorkloadConfig{Count: 50}})},
-		{"dist/local/audit/40", hashDist(DistributedConfig{Audit: true,
+		{"dist/local/audit/40", hashDist(DistributedConfig{Audit: true, Journal: true,
 			Workload: WorkloadConfig{Count: 40}})},
-		{"dist/global/audit/30", hashDist(DistributedConfig{Global: true, Audit: true,
+		{"dist/global/audit/30", hashDist(DistributedConfig{Global: true, Audit: true, Journal: true,
 			Workload: WorkloadConfig{Count: 30}})},
 		{"explore/C", func() (string, error) {
 			rep, err := Explore(ExploreConfig{

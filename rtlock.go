@@ -300,12 +300,13 @@ type SingleSiteConfig struct {
 	// CheckpointEvery spaces WAL checkpoints (zero disables the
 	// checkpointer).
 	CheckpointEvery Duration
-	// Journal records every kernel-level event into Result.Journal;
+	// Journal keeps every kernel-level event in Result.Journal;
 	// byte-identical journals across runs prove determinism.
 	Journal bool
-	// Audit implies Journal and additionally replays the journal
-	// through the protocol's invariant auditors; violations land in
-	// Result.Violations.
+	// Audit checks the protocol's invariants as the run goes: the
+	// auditors observe each journal record as it is written, and
+	// violations land in Result.Violations. Audit alone keeps no
+	// records (Result.Journal stays nil); set Journal to keep them.
 	Audit bool
 	// Metrics implies Journal and additionally samples a deterministic
 	// virtual-time metrics registry into Result.Metrics and derives the
@@ -411,11 +412,10 @@ type DistributedConfig struct {
 	// global approach; the local approach's stale replica reads are
 	// intentionally not serializable system-wide).
 	RecordHistory bool
-	// Journal records every kernel-level event into Result.Journal.
+	// Journal keeps every kernel-level event in Result.Journal.
 	Journal bool
-	// Audit implies Journal and replays the journal through the
-	// architecture's invariant auditors; violations land in
-	// Result.Violations.
+	// Audit checks the architecture's invariants as the run goes (see
+	// SingleSiteConfig.Audit); Audit alone keeps no records.
 	Audit bool
 	// Metrics implies Journal and additionally samples a deterministic
 	// virtual-time metrics registry into Result.Metrics and derives the
@@ -482,7 +482,8 @@ type Result struct {
 	// runs.
 	Net *NetReport
 	// Journal is the deterministic replay journal, nil unless the
-	// Journal or Audit flag was set.
+	// Journal or Metrics flag was set: Audit checks as the run goes,
+	// Journal keeps the records.
 	Journal *Journal
 	// Violations lists invariant violations found by the auditors; it
 	// is non-nil (possibly empty) exactly when Audit was set.
@@ -581,11 +582,19 @@ func RunSingleSite(cfg SingleSiteConfig) (*Result, error) {
 		trace = stats.NewTrace(cfg.TraceEvents)
 	}
 	var jrn *journal.Journal
-	if cfg.Journal || cfg.Audit || cfg.Metrics {
+	var auds []Auditor
+	keep := cfg.Journal || cfg.Metrics
+	if keep || cfg.Audit {
 		jrn = journal.New(cfg.Workload.Seed, fmt.Sprintf(
 			"single/%s/db=%d/cpu=%d/io=%d/count=%d/size=%d/ro=%g",
 			cfg.Protocol, cfg.DBSize, int64(cfg.CPUPerObj), int64(cfg.IOPerObj),
 			cfg.Workload.Count, cfg.Workload.MeanSize, cfg.Workload.ReadOnlyFrac))
+	}
+	if cfg.Audit {
+		if auds, err = AuditorsForProtocol(cfg.Protocol); err != nil {
+			return nil, err
+		}
+		audit.Tee(jrn, !keep, auds...)
 	}
 	reg, tl := buildTelemetry(cfg.Metrics, cfg.TimelineWindow, cfg.TimelineMaxWindows)
 	sys, err := txn.NewSystem(txn.Config{
@@ -614,8 +623,11 @@ func RunSingleSite(cfg SingleSiteConfig) (*Result, error) {
 		sys.Load(cfg.Workload.Transactions)
 	}
 	sum := sys.Run()
-	res := &Result{Summary: sum, Records: sys.Monitor.Records(), Trace: trace, Journal: jrn,
+	res := &Result{Summary: sum, Records: sys.Monitor.Records(), Trace: trace,
 		RawRetained: sys.Monitor.RawRetained(), RawDropped: sys.Monitor.RawDropped()}
+	if keep {
+		res.Journal = jrn
+	}
 	if cfg.Metrics {
 		res.Metrics = reg
 		res.LockProfile = metrics.FromJournal(jrn, 0)
@@ -625,10 +637,7 @@ func RunSingleSite(cfg SingleSiteConfig) (*Result, error) {
 		res.TimelineDropped = tl.Dropped()
 	}
 	if cfg.Audit {
-		res.Violations = audit.Run(jrn, audit.ForManager(sys.Mgr.Name())...)
-		if res.Violations == nil {
-			res.Violations = []Violation{}
-		}
+		res.Violations = audit.Finish(auds...)
 	}
 	if sys.Log != nil {
 		res.Recovery = &RecoveryInfo{
@@ -676,7 +685,8 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 		return nil, fmt.Errorf("rtlock: LocalityProb requires a sharded, quorum, or primary-only placement")
 	}
 	var jrn *journal.Journal
-	if cfg.Journal || cfg.Audit || cfg.Metrics {
+	keep := cfg.Journal || cfg.Metrics
+	if keep || cfg.Audit {
 		key := fmt.Sprintf(
 			"dist/%s/sites=%d/db=%d/delay=%d/count=%d/size=%d/ro=%g/mv=%t",
 			mode, cfg.Sites, cfg.DBSize, int64(cfg.CommDelay),
@@ -703,6 +713,14 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 			key += "/" + cfg.Faults.String()
 		}
 		jrn = journal.New(cfg.Workload.Seed, key)
+	}
+	var auds []Auditor
+	if cfg.Audit {
+		auds = audit.ForPlacement(mode.String())
+		if !cfg.Faults.Empty() {
+			auds = audit.ForFaults(mode.String())
+		}
+		audit.Tee(jrn, !keep, auds...)
 	}
 	reg, tl := buildTelemetry(cfg.Metrics, cfg.TimelineWindow, cfg.TimelineMaxWindows)
 	cluster, err := dist.NewCluster(dist.Config{
@@ -758,9 +776,11 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 		Records:     cluster.Monitor.Records(),
 		Messages:    cluster.Net.Sent,
 		Net:         &net,
-		Journal:     jrn,
 		RawRetained: cluster.Monitor.RawRetained(),
 		RawDropped:  cluster.Monitor.RawDropped(),
+	}
+	if keep {
+		res.Journal = jrn
 	}
 	if cfg.Metrics {
 		res.Metrics = reg
@@ -771,14 +791,7 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 		res.TimelineDropped = tl.Dropped()
 	}
 	if cfg.Audit {
-		auds := audit.ForPlacement(mode.String())
-		if !cfg.Faults.Empty() {
-			auds = audit.ForFaults(mode.String())
-		}
-		res.Violations = audit.Run(jrn, auds...)
-		if res.Violations == nil {
-			res.Violations = []Violation{}
-		}
+		res.Violations = audit.Finish(auds...)
 	}
 	if mode == dist.Local {
 		repl := cluster.Replication()
