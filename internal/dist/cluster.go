@@ -114,13 +114,15 @@ type Config struct {
 	// replication), sampled every MetricsInterval of virtual time.
 	// Metrics never touch the journal.
 	Metrics *metrics.Registry
-	// MetricsInterval spaces registry snapshots (zero picks
-	// sim.DefaultSampleInterval).
+	// MetricsInterval spaces the snapshots of Metrics (zero picks
+	// sim.DefaultSampleInterval). Only Metrics is sampled: without it a
+	// Timeline's probe registry is attached for live values alone.
 	MetricsInterval sim.Duration
 	// Timeline, when non-nil, receives every finished transaction and
 	// rolls per-virtual-time-window rows. Like Metrics it never touches
-	// the journal; build it over the same registry as Metrics so the
-	// probe fields resolve.
+	// the journal. Build it over Metrics when that is set, so the probe
+	// fields resolve; otherwise over nil, and its own probe registry is
+	// attached unsampled.
 	Timeline *timeline.Collector
 	// MaxRawRecords caps the Monitor's raw TxRecord retention (0 keeps
 	// every record); the streaming aggregates are exact either way.
@@ -395,7 +397,17 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	k.SetJournal(cfg.Journal, 0)
 	// Attach metrics before the network and per-site CPUs are built:
 	// their constructors cache probe handles from the kernel's registry.
-	k.SetMetrics(cfg.Metrics, cfg.MetricsInterval)
+	// Only an exported registry is sampled; a timeline-only run
+	// attaches the collector's probe registry for live values.
+	if cfg.Metrics != nil {
+		every := cfg.MetricsInterval
+		if every <= 0 {
+			every = sim.DefaultSampleInterval
+		}
+		k.SetMetrics(cfg.Metrics, every)
+	} else {
+		k.SetMetrics(cfg.Timeline.Probes(), 0)
+	}
 	net := netsim.NewNetwork(k, cfg.CommDelay)
 	if cfg.Topology != nil {
 		net = netsim.NewNetworkTopology(k, cfg.Topology)

@@ -97,11 +97,6 @@ type LongRunResult struct {
 	RawRetained, RawDropped int
 }
 
-// longRunSampleRetention caps the probe registry's sample table; the
-// timeline reads live counters at window closes, so old sample rows are
-// dead weight.
-const longRunSampleRetention = 1024
-
 // LongRun executes the streaming soak and returns the windowed
 // timeline. Memory stays bounded by (windows retained + record cap +
 // live transactions), not by Count.
@@ -131,9 +126,7 @@ func LongRun(p LongRunParams) (*LongRunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := metrics.New()
-	reg.SetRetention(longRunSampleRetention)
-	tl := timeline.New(timeline.Config{Window: p.Window, MaxWindows: p.MaxWindows}, reg)
+	tl := timeline.New(timeline.Config{Window: p.Window, MaxWindows: p.MaxWindows}, nil)
 	if tl == nil {
 		return nil, fmt.Errorf("experiments: long run window %v invalid", p.Window)
 	}
@@ -141,7 +134,6 @@ func LongRun(p LongRunParams) (*LongRunResult, error) {
 		CPUPerObj:     p.CPUPerObj,
 		CPUDiscipline: disc,
 		NewManager:    newMgr,
-		Metrics:       reg,
 		Timeline:      tl,
 		MaxRawRecords: p.MaxRawRecords,
 	})

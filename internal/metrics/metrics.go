@@ -104,10 +104,9 @@ type series struct {
 // All methods are nil-safe on a nil *Registry, returning no-op handles,
 // so disabled metrics cost only nil checks at the probe sites.
 type Registry struct {
-	families  map[string]*family
-	order     []*family // creation order; exporters sort by name
-	times     []int64   // virtual timestamps of the samples taken
-	retention int       // max sample rows kept; 0 = unlimited
+	families map[string]*family
+	order    []*family // creation order; exporters sort by name
+	times    []int64   // virtual timestamps of the samples taken
 }
 
 // New returns an empty registry.
@@ -186,65 +185,6 @@ func (r *Registry) Sample(at int64) {
 				s.hpoints = append(s.hpoints, [2]int64{s.count, s.sum})
 			} else {
 				s.points = append(s.points, s.val)
-			}
-		}
-	}
-	r.trim()
-}
-
-// SetRetention bounds the number of sample rows the registry retains:
-// once more than n rows exist, the oldest are dropped. n <= 0 (the
-// default) keeps every row, preserving the historical behavior. Long
-// runs set a limit so sample history stops being O(run length); the
-// live series values are unaffected, only the sampled history rolls.
-func (r *Registry) SetRetention(n int) {
-	if r == nil {
-		return
-	}
-	r.retention = n
-	r.trim()
-}
-
-// Retention returns the configured sample-row limit (0 = unlimited).
-func (r *Registry) Retention() int {
-	if r == nil {
-		return 0
-	}
-	return r.retention
-}
-
-// trim drops the oldest sample rows beyond the retention limit. Rows
-// are shifted in place so slice capacity is reused: at steady state a
-// Sample+trim cycle allocates nothing.
-func (r *Registry) trim() {
-	if r.retention <= 0 {
-		return
-	}
-	drop := len(r.times) - r.retention
-	if drop <= 0 {
-		return
-	}
-	r.times = r.times[:copy(r.times, r.times[drop:])]
-	for _, f := range r.order {
-		for _, s := range f.order {
-			if s.firstIdx >= drop {
-				// Series created after the dropped rows: its points all
-				// survive, they just move drop rows earlier.
-				s.firstIdx -= drop
-				continue
-			}
-			d := drop - s.firstIdx
-			s.firstIdx = 0
-			if f.typ == histogramType {
-				if d > len(s.hpoints) {
-					d = len(s.hpoints)
-				}
-				s.hpoints = s.hpoints[:copy(s.hpoints, s.hpoints[d:])]
-			} else {
-				if d > len(s.points) {
-					d = len(s.points)
-				}
-				s.points = s.points[:copy(s.points, s.points[d:])]
 			}
 		}
 	}
@@ -360,7 +300,7 @@ func (h Histogram) Observe(v int64) {
 	}
 	h.s.count++
 	h.s.sum += v
-	for i, ub := range h.s.bucketsBounds() {
+	for i, ub := range h.s.boundsRef {
 		if v <= ub {
 			h.s.buckets[i]++
 			return
@@ -408,7 +348,3 @@ func (h Histogram) Snapshot(dst []int64) (count, sum int64) {
 	copy(dst, h.s.buckets)
 	return h.s.count, h.s.sum
 }
-
-// bucketsBounds returns the family's bucket bounds, mirrored onto the
-// series at creation so Observe never chases the family pointer.
-func (s *series) bucketsBounds() []int64 { return s.boundsRef }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -149,6 +150,10 @@ func TestCSVSampling(t *testing.T) {
 	if r.Samples() != 2 {
 		t.Fatalf("Samples() = %d, want 2", r.Samples())
 	}
+	// Sampling snapshots live values without perturbing them.
+	if c.Value() != 3 || g.Value() != 9 {
+		t.Errorf("live values perturbed: c=%d g=%d", c.Value(), g.Value())
+	}
 }
 
 func TestCSVHistogramColumnsAndQuoting(t *testing.T) {
@@ -191,5 +196,69 @@ func TestHTMLReportRenders(t *testing.T) {
 	}
 	if got := HTML("test report", r, FromJournal(nil, 0)); !bytes.Equal(got, b.Bytes()) {
 		t.Error("HTML() and WriteHTML disagree")
+	}
+}
+
+func TestHistogramSnapshotAndBounds(t *testing.T) {
+	r := New()
+	h := r.Histogram("lat", "h", []int64{10, 20, 30})
+	h.Observe(5)
+	h.Observe(15)
+	h.Observe(15)
+	h.Observe(99) // above every bound: count/sum only
+	if got := h.Bounds(); len(got) != 3 || got[2] != 30 {
+		t.Fatalf("Bounds() = %v", got)
+	}
+	dst := make([]int64, 3)
+	count, sum := h.Snapshot(dst)
+	if count != 4 || sum != 134 {
+		t.Errorf("Snapshot count/sum = %d/%d, want 4/134", count, sum)
+	}
+	if dst[0] != 1 || dst[1] != 2 || dst[2] != 0 {
+		t.Errorf("Snapshot buckets = %v, want [1 2 0]", dst)
+	}
+	var nilH Histogram
+	if nilH.Bounds() != nil {
+		t.Error("nil handle Bounds != nil")
+	}
+	if c, s := nilH.Snapshot(dst); c != 0 || s != 0 {
+		t.Error("nil handle Snapshot != 0,0")
+	}
+}
+
+func TestHTMLTimelineSection(t *testing.T) {
+	rows := []TimelineRow{
+		{Window: 0, Start: 0, End: 1_000_000, Processed: 10, Committed: 9, Missed: 1,
+			Throughput: 9, MissPct: 10, MeanResp: 5000, P50Resp: 4000, P99Resp: 9000,
+			LockWaitP50: 100, LockWaitP99: 900, InFlight: 2},
+		{Window: 1, Start: 1_000_000, End: 2_000_000, Processed: 5, Committed: 5,
+			Throughput: 5, MeanResp: 3000, P50Resp: 3000, P99Resp: 4000},
+	}
+	out := string(HTMLWithTimeline("t", nil, nil, rows))
+	for _, want := range []string{"<h2>Timeline</h2>", "<td>9</td>", "tput/s"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("timeline HTML missing %q", want)
+		}
+	}
+	// Plain WriteHTML has no timeline section and matches the nil-rows call.
+	plain := HTML("t", nil, nil)
+	if strings.Contains(string(plain), "Timeline") {
+		t.Error("WriteHTML grew a timeline section without rows")
+	}
+	if !bytes.Equal(plain, HTMLWithTimeline("t", nil, nil, nil)) {
+		t.Error("WriteHTML and WriteHTMLWithTimeline(nil) disagree")
+	}
+	// Over-long timelines elide the head, not the tail.
+	long := make([]TimelineRow, htmlTimelineMaxRows+7)
+	for i := range long {
+		long[i].Window = i
+		long[i].Throughput = 1
+	}
+	out = string(HTMLWithTimeline("t", nil, nil, long))
+	if !strings.Contains(out, "7 earlier windows elided") {
+		t.Error("elision note missing")
+	}
+	if !strings.Contains(out, "<td>"+strconv.Itoa(len(long)-1)+"</td>") {
+		t.Error("newest window missing from elided table")
 	}
 }

@@ -73,11 +73,12 @@ type Kernel struct {
 	jrn     *journal.Journal
 	jrnSite int32
 
-	// met, when set, receives virtual-time samples: the dispatch loop
-	// takes one registry snapshot per sampleEvery of virtual time (plus
-	// a final row when the event heap drains). Sampling is driven by
-	// event timestamps, never by extra scheduled events, so attaching
-	// metrics cannot change the event interleaving or the journal.
+	// met, when set, feeds the kernel's probe handles. With a positive
+	// sampleEvery the dispatch loop also takes one registry snapshot per
+	// sampleEvery of virtual time (plus a final row when the event heap
+	// drains); zero attaches the registry for live values only. Sampling
+	// is driven by event timestamps, never by extra scheduled events, so
+	// it cannot change the event interleaving or the journal.
 	met         *metrics.Registry
 	sampleEvery Duration
 	nextSample  Time
@@ -114,14 +115,16 @@ type (
 	Histogram = metrics.Histogram
 )
 
-// DefaultSampleInterval spaces metric samples when the caller does not
-// choose: 100ms of virtual time.
+// DefaultSampleInterval is the sample spacing the system constructors
+// pick for an exported registry whose caller does not choose: 100ms of
+// virtual time.
 const DefaultSampleInterval = 100 * Millisecond
 
 // SetMetrics attaches a metrics registry, sampled every `every` of
-// virtual time (zero or negative picks DefaultSampleInterval). It must
-// be called before the subsystems whose constructors cache probe
-// handles (CPU, stations, network) are built. A nil registry detaches.
+// virtual time; zero or negative takes no samples, so the registry
+// serves only live probe values. It must be called before the
+// subsystems whose constructors cache probe handles (CPU, stations,
+// network) are built. A nil registry detaches.
 func (k *Kernel) SetMetrics(m *metrics.Registry, every Duration) {
 	k.met = m
 	k.mEvents = m.Counter("sim_events_total", "Kernel events dispatched.")
@@ -132,12 +135,9 @@ func (k *Kernel) SetMetrics(m *metrics.Registry, every Duration) {
 	k.mHandoff = m.Counter(resumes, help, metrics.L("via", "handoff"))
 	k.mAdopt = m.Counter(resumes, help, metrics.L("via", "adopt"))
 	k.mStart = m.Counter(resumes, help, metrics.L("via", "start"))
-	if m == nil {
+	if m == nil || every <= 0 {
 		k.sampleEvery = 0
 		return
-	}
-	if every <= 0 {
-		every = DefaultSampleInterval
 	}
 	k.sampleEvery = every
 	k.nextSample = k.now.Add(every)

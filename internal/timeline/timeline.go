@@ -67,8 +67,9 @@ type Collector struct {
 	respSum  sim.Duration
 	sketch   *stats.Sketch
 
-	// Probe handles and rollover scratch. All handles are nil-safe
-	// no-ops when built without a registry, yielding zero-valued fields.
+	// Probe registry, handles and rollover scratch. A probe no layer
+	// updates leaves its fields zero.
+	probes     *metrics.Registry
 	lockWait   metrics.Histogram
 	lockBounds []int64
 	lockPrev   []int64 // cumulative bucket counts at last rollover
@@ -81,11 +82,12 @@ type Collector struct {
 	netDupPrv  int64
 }
 
-// New builds a collector reading probe series from reg (which may be
-// nil: transaction fields still roll up, probe fields stay zero).
-// Resolving the probe series here means they exist in the registry even
-// for runs that never block or drop a message; exporters sort by name,
-// so creation order does not show in any output.
+// New builds a collector reading probe series from reg; a nil reg gets
+// a fresh registry of its own, which Probes returns for the run to
+// attach to its kernel. Resolving the probe series here means they
+// exist in the registry even for runs that never block or drop a
+// message; exporters sort by name, so creation order does not show in
+// any output.
 func New(cfg Config, reg *metrics.Registry) *Collector {
 	if cfg.Window <= 0 {
 		return nil
@@ -93,10 +95,14 @@ func New(cfg Config, reg *metrics.Registry) *Collector {
 	if cfg.MaxWindows <= 0 {
 		cfg.MaxWindows = DefaultMaxWindows
 	}
+	if reg == nil {
+		reg = metrics.New()
+	}
 	c := &Collector{
 		window: cfg.Window,
 		rows:   make([]Row, cfg.MaxWindows),
 		sketch: stats.NewSketch(0, 0), // the stats package's default geometry
+		probes: reg,
 	}
 	c.lockWait = reg.Histogram("lock_wait_ticks",
 		"Blocked-interval lengths of lock waiters, in ticks.", nil)
@@ -116,6 +122,15 @@ func New(cfg Config, reg *metrics.Registry) *Collector {
 	c.netDup = reg.Counter("net_msgs_duplicated_total",
 		"Extra message copies the fault injector delivered.")
 	return c
+}
+
+// Probes returns the registry the collector reads its probe series
+// from (nil on a nil collector).
+func (c *Collector) Probes() *metrics.Registry {
+	if c == nil {
+		return nil
+	}
+	return c.probes
 }
 
 // Window returns the configured window width (0 on a nil collector).
@@ -290,11 +305,4 @@ func (c *Collector) Dropped() int {
 		return 0
 	}
 	return c.lost
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

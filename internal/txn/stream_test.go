@@ -7,6 +7,7 @@ import (
 	"rtlock/internal/db"
 	"rtlock/internal/journal"
 	"rtlock/internal/sim"
+	"rtlock/internal/timeline"
 	"rtlock/internal/workload"
 )
 
@@ -70,5 +71,40 @@ func TestLoadStreamJournalsIdentically(t *testing.T) {
 	if !journal.Equal(preloaded, streamed) {
 		t.Fatalf("streamed journal (%d records) differs from preloaded (%d records)",
 			streamed.Len(), preloaded.Len())
+	}
+}
+
+// TestTimelineOnlyRunTakesNoSamples pins that only an exported registry
+// is sampled: a run with a Timeline and no Metrics attaches the
+// collector's probe registry for live values, so the in-flight gauge
+// reaches the rows, but never snapshots it.
+func TestTimelineOnlyRunTakesNoSamples(t *testing.T) {
+	tl := timeline.New(timeline.Config{Window: 100 * sim.Millisecond}, nil)
+	s, err := NewSystem(Config{
+		CPUPerObj:  sim.Millisecond,
+		NewManager: func(k *sim.Kernel) core.Manager { return core.NewCeiling(k) },
+		Timeline:   tl,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.K.Metrics() != tl.Probes() {
+		t.Fatal("timeline probe registry not attached to the kernel")
+	}
+	txs, err := workload.Generate(streamLoadParams(400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Load(txs)
+	s.Run()
+	if n := tl.Probes().Samples(); n != 0 {
+		t.Fatalf("timeline-only run took %d registry samples, want 0", n)
+	}
+	var inflight int64
+	for _, r := range tl.Rows() {
+		inflight += r.InFlight
+	}
+	if inflight == 0 {
+		t.Fatal("no window saw a transaction in flight: probes not live")
 	}
 }

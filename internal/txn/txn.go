@@ -92,14 +92,16 @@ type Config struct {
 	// touch the journal, so journals are byte-identical with or
 	// without a registry attached.
 	Metrics *metrics.Registry
-	// MetricsInterval spaces registry snapshots (zero picks
-	// sim.DefaultSampleInterval).
+	// MetricsInterval spaces the snapshots of Metrics (zero picks
+	// sim.DefaultSampleInterval). Only Metrics is sampled: without it a
+	// Timeline's probe registry is attached for live values alone.
 	MetricsInterval sim.Duration
 	// Timeline, when non-nil, receives every finished transaction and
 	// rolls per-virtual-time-window rows (throughput, miss %, response
 	// quantiles, probe deltas). Like Metrics it never touches the
-	// journal. Build it over the same registry as Metrics so the probe
-	// fields resolve.
+	// journal. Build it over Metrics when that is set, so the probe
+	// fields resolve; otherwise over nil, and its own probe registry is
+	// attached unsampled.
 	Timeline *timeline.Collector
 	// MaxRawRecords caps the Monitor's raw TxRecord retention (0 keeps
 	// every record); the streaming aggregates are exact either way.
@@ -164,7 +166,17 @@ func NewSystem(cfg Config) (*System, error) {
 	k.SetJournal(cfg.Journal, 0)
 	// Attach metrics before the CPU and I/O station are built: their
 	// constructors cache probe handles from the kernel's registry.
-	k.SetMetrics(cfg.Metrics, cfg.MetricsInterval)
+	// Only an exported registry is sampled; a timeline-only run
+	// attaches the collector's probe registry for live values.
+	if cfg.Metrics != nil {
+		every := cfg.MetricsInterval
+		if every <= 0 {
+			every = sim.DefaultSampleInterval
+		}
+		k.SetMetrics(cfg.Metrics, every)
+	} else {
+		k.SetMetrics(cfg.Timeline.Probes(), 0)
+	}
 	s := &System{
 		K:       k,
 		CPU:     sim.NewCPU(k, cfg.CPUDiscipline),

@@ -319,7 +319,8 @@ type SingleSiteConfig struct {
 	// TimelineWindow, when positive, rolls the run into virtual-time
 	// windows of this width and fills Result.Timeline: per-window
 	// throughput, miss %, response quantiles, lock-wait quantiles, and
-	// the in-flight gauge. Unlike Metrics it does not imply a journal,
+	// the in-flight gauge. Unlike Metrics it neither implies a journal
+	// nor samples a registry (windows read live probe values at close),
 	// so million-transaction runs stay bounded-memory; combine with
 	// Metrics to also keep the sampled registry.
 	TimelineWindow Duration
@@ -804,26 +805,14 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 	return res, nil
 }
 
-// timelineSampleRetention bounds the probe registry's sample history in
-// timeline-only mode: the timeline needs live probe series, not an O(run
-// length) sample log, so long runs stay bounded-memory.
-const timelineSampleRetention = 1024
-
 // buildTelemetry assembles the metrics registry and timeline collector a
 // run needs. With the Metrics flag the registry is user-visible and
-// unbounded (compat); a timeline without Metrics gets a private probe
-// registry with capped sample retention that never reaches the Result.
+// sampled; a timeline without Metrics reads its own probe registry,
+// which is never sampled and never reaches the Result.
 func buildTelemetry(metricsOn bool, window Duration, maxWindows int) (*metrics.Registry, *timeline.Collector) {
 	var reg *metrics.Registry
 	if metricsOn {
 		reg = metrics.New()
-	}
-	if window <= 0 {
-		return reg, nil
-	}
-	if reg == nil {
-		reg = metrics.New()
-		reg.SetRetention(timelineSampleRetention)
 	}
 	return reg, timeline.New(timeline.Config{Window: window, MaxWindows: maxWindows}, reg)
 }

@@ -67,7 +67,8 @@ func TestTimelineDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // TestTimelineZeroOverhead proves windowed telemetry cannot perturb the
 // simulation: the replay journal of a timeline-enabled run (with the
 // raw record cap engaged) is record-identical to that of a run that
-// never saw a collector.
+// never saw a collector. Sampling cannot perturb the rows either: the
+// same run with an exported, sampled registry rolls identical windows.
 func TestTimelineZeroOverhead(t *testing.T) {
 	with := timelineTestConfig()
 	with.Journal = true
@@ -92,6 +93,20 @@ func TestTimelineZeroOverhead(t *testing.T) {
 	if rw.RawDropped == 0 {
 		t.Fatal("raw record cap never engaged — the proof exercised nothing")
 	}
+
+	sampled := with
+	sampled.Metrics = true
+	rs, err := RunSingleSite(sampled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Metrics.Samples() == 0 {
+		t.Fatal("Metrics run took no samples — the proof exercised nothing")
+	}
+	if !JournalsEqual(rw.Journal, rs.Journal) {
+		t.Fatalf("sampling perturbed the run: %s", JournalDiff(rw.Journal, rs.Journal))
+	}
+	compareExports(t, "sampled", timelineExports(t, rw), timelineExports(t, rs))
 }
 
 // TestTimelineOnlyRunHasNoMetricsOrJournal pins the bounded-memory
