@@ -25,6 +25,27 @@ type Catalog struct {
 	sites     int
 	objects   int
 	placement place.Map
+	// primaries lists each site's primary objects, ascending.
+	primaries [][]core.ObjectID
+}
+
+func newCatalog(pm place.Map) *Catalog {
+	c := &Catalog{sites: pm.Sites(), objects: pm.Objects(), placement: pm,
+		primaries: make([][]core.ObjectID, pm.Sites())}
+	// Count first, so the partitions share one exactly sized array.
+	n := make([]int, c.sites)
+	for i := range c.objects {
+		n[pm.Primary(i)]++
+	}
+	all := make([]core.ObjectID, c.objects)
+	for s := range c.primaries {
+		c.primaries[s], all = all[:0:n[s]], all[n[s]:]
+	}
+	for i := range c.objects {
+		s := pm.Primary(i)
+		c.primaries[s] = append(c.primaries[s], core.ObjectID(i))
+	}
+	return c
 }
 
 // NewCatalog lays out objects across sites with the historical default
@@ -41,7 +62,7 @@ func NewCatalog(sites, objects int) (*Catalog, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Catalog{sites: sites, objects: objects, placement: pm}, nil
+	return newCatalog(pm), nil
 }
 
 // NewCatalogWithPlacement lays out objects according to an explicit
@@ -50,7 +71,7 @@ func NewCatalogWithPlacement(pm place.Map) (*Catalog, error) {
 	if pm == nil {
 		return nil, fmt.Errorf("db: placement must not be nil")
 	}
-	return &Catalog{sites: pm.Sites(), objects: pm.Objects(), placement: pm}, nil
+	return newCatalog(pm), nil
 }
 
 // Sites returns the number of sites.
@@ -79,14 +100,12 @@ func (c *Catalog) Replicas(obj core.ObjectID) []SiteID {
 }
 
 // ObjectsAt returns the primary objects of a site, in ascending order.
+// The slice is the catalog's own: callers must not modify it.
 func (c *Catalog) ObjectsAt(site SiteID) []core.ObjectID {
-	var objs []core.ObjectID
-	for i := 0; i < c.objects; i++ {
-		if c.PrimarySite(core.ObjectID(i)) == site {
-			objs = append(objs, core.ObjectID(i))
-		}
+	if site < 0 || int(site) >= c.sites {
+		return nil
 	}
-	return objs
+	return c.primaries[site]
 }
 
 // Version is one committed value of an object: a logical payload plus the

@@ -181,4 +181,5 @@ var SimCriticalPkgs = []string{
 	"internal/explore",
 	"internal/stats",
 	"internal/timeline",
+	"internal/workload",
 }

@@ -1,0 +1,115 @@
+package workload
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// TestSourceMatchesMathRand pins the twin to math/rand's default source:
+// the raw stream over several register turns, then every method the
+// generator reads through rand.New(twin).
+func TestSourceMatchesMathRand(t *testing.T) {
+	for _, seed := range []int64{0, 1, -9, 1 << 40} {
+		var src source
+		src.Seed(seed)
+		ref := rand.NewSource(seed).(rand.Source64)
+		for i := range 2_000_000 {
+			if got, want := src.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("seed %d: Uint64 #%d = %#x, want %#x", seed, i, got, want)
+			}
+		}
+		twin, mr := rand.New(&src), rand.New(ref)
+		for i := range 20_000 {
+			if got, want := twin.Int63(), mr.Int63(); got != want {
+				t.Fatalf("seed %d: Int63 #%d = %d, want %d", seed, i, got, want)
+			}
+			if got, want := twin.Float64(), mr.Float64(); got != want {
+				t.Fatalf("seed %d: Float64 #%d = %v, want %v", seed, i, got, want)
+			}
+			if got, want := twin.ExpFloat64(), mr.ExpFloat64(); got != want {
+				t.Fatalf("seed %d: ExpFloat64 #%d = %v, want %v", seed, i, got, want)
+			}
+			if got, want := twin.NormFloat64(), mr.NormFloat64(); got != want {
+				t.Fatalf("seed %d: NormFloat64 #%d = %v, want %v", seed, i, got, want)
+			}
+			for _, n := range []int{1, 3, 200, 10_000, 1 << 40} {
+				if got, want := twin.Intn(n), mr.Intn(n); got != want {
+					t.Fatalf("seed %d: Intn(%d) #%d = %d, want %d", seed, n, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestInt31nTwin checks the inlined draw against (*rand.Rand).Int31n,
+// value for value and draw for draw: small moduli, every power of two,
+// and moduli just above 2^30, where about half the draws are rejected.
+func TestInt31nTwin(t *testing.T) {
+	var src source
+	src.Seed(3)
+	ref := rand.New(rand.NewSource(3))
+	check := func(m int32, draws int) {
+		t.Helper()
+		for i := range draws {
+			if got, want := src.int31n(m), ref.Int31n(m); got != want {
+				t.Fatalf("int31n(%d) #%d = %d, want %d", m, i, got, want)
+			}
+		}
+	}
+	for m := int32(1); m <= 10_000; m++ {
+		check(m, 20)
+	}
+	for m := int32(1); m > 0; m <<= 1 {
+		check(m, 200)
+	}
+	for m := int32(1<<30 - 2); m <= 1<<30+6; m++ {
+		check(m, 5_000)
+	}
+	check(1<<31-1, 5_000)
+	if got, want := src.Uint64(), ref.Uint64(); got != want {
+		t.Fatalf("streams diverged: next draw %#x, want %#x", got, want)
+	}
+}
+
+// BenchmarkPermPrefix times one access-set draw of the streaming soak:
+// 4 objects out of 10 000.
+func BenchmarkPermPrefix(b *testing.B) {
+	var src source
+	src.Seed(1)
+	dst := make([]int, 4)
+	for range b.N {
+		src.permPrefix(dst, 10_000)
+	}
+}
+
+// TestPermPrefixMatchesPerm checks the prefix shuffle against rand.Perm:
+// the same first size elements, and the same draws consumed.
+func TestPermPrefixMatchesPerm(t *testing.T) {
+	ns := []int{200, 500, 1000, 4999, 9999, 10_000}
+	for n := 1; n <= 100; n++ {
+		ns = append(ns, n)
+	}
+	for p := 128; p <= 8192; p <<= 1 {
+		ns = append(ns, p-1, p, p+1)
+	}
+	var src source
+	for _, n := range ns {
+		src.Seed(int64(n))
+		ref := rand.New(rand.NewSource(int64(n)))
+		sizes := []int{n}
+		for size := 1; size <= min(n, 20); size++ {
+			sizes = append(sizes, size)
+		}
+		for _, size := range sizes {
+			got := make([]int, size)
+			src.permPrefix(got, n)
+			if want := ref.Perm(n)[:size]; !slices.Equal(got, want) {
+				t.Fatalf("n=%d size=%d: prefix %v, want %v", n, size, got, want)
+			}
+			if got, want := src.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("n=%d size=%d: next draw %#x, want %#x", n, size, got, want)
+			}
+		}
+	}
+}

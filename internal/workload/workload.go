@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"rtlock/internal/core"
 	"rtlock/internal/db"
@@ -193,6 +194,10 @@ func (p Params) validate() error {
 	if p.Catalog == nil {
 		return fmt.Errorf("workload: nil catalog")
 	}
+	if p.Catalog.Objects() > math.MaxInt32 {
+		// The access-set shuffle draws rand.Perm's Int31n steps.
+		return fmt.Errorf("workload: %d objects exceed the generator's limit of %d", p.Catalog.Objects(), math.MaxInt32)
+	}
 	if p.Count <= 0 {
 		return fmt.Errorf("workload: count must be positive, got %d", p.Count)
 	}
@@ -249,15 +254,20 @@ func Generate(p Params) ([]*Txn, error) {
 // million-transaction run never materializes the whole load. Next
 // consumes the random stream exactly as Generate always has.
 type Stream struct {
-	p       Params
+	p Params
+	// src is the random stream; rng reads it through math/rand's
+	// methods, the access-set shuffle directly.
+	src     source
 	rng     *rand.Rand
 	period  sim.Duration
 	now     sim.Time
 	id      int64
 	emitted int
-	// One permutation buffer shared by every pickOps call: rand.Perm
-	// would allocate a database-sized slice per transaction.
-	perm []int
+	// idx is the index scratch of pickIndexes, as long as the largest
+	// access set drawn so far.
+	idx []int
+	// zipfs caches the locality draw's rank distribution per home site.
+	zipfs []*rand.Zipf
 	// Periodic streams are materialized lazily: each new periodic
 	// instance either continues an existing stream or starts one.
 	streams []*pstream
@@ -280,7 +290,10 @@ func NewStream(p Params) (*Stream, error) {
 	if period <= 0 {
 		period = 10 * p.MeanInterarrival
 	}
-	return &Stream{p: p, rng: rand.New(rand.NewSource(p.Seed)), period: period}, nil
+	s := &Stream{p: p, period: period}
+	s.src.Seed(p.Seed)
+	s.rng = rand.New(&s.src)
+	return s, nil
 }
 
 // Remaining reports how many transactions Next will still produce.
@@ -315,7 +328,7 @@ func (s *Stream) Next() *Txn {
 			ps = &pstream{
 				home: db.SiteID(s.rng.Intn(s.p.Catalog.Sites())),
 			}
-			ps.ops = pickOps(s.rng, s.p, Update, ps.home, &s.perm)
+			ps.ops = s.pickOps(Update, ps.home)
 			s.streams = append(s.streams, ps)
 		}
 		ps.next = s.now.Add(sim.Duration(s.period))
@@ -323,7 +336,7 @@ func (s *Stream) Next() *Txn {
 		t.Ops = append([]Op(nil), ps.ops...)
 	} else {
 		t.Home = db.SiteID(s.rng.Intn(s.p.Catalog.Sites()))
-		t.Ops = pickOps(s.rng, s.p, kind, t.Home, &s.perm)
+		t.Ops = s.pickOps(kind, t.Home)
 	}
 	slack := s.p.SlackMin + s.rng.Float64()*(s.p.SlackMax-s.p.SlackMin)
 	exec := sim.Duration(float64(t.Size()) * float64(s.p.PerObjCost) * slack)
@@ -367,7 +380,8 @@ func (s *Stream) meanInterarrival() sim.Duration {
 // objects uniform without replacement from the whole database (or, for
 // update transactions under LocalWriteSets, from the home site's primary
 // partition), in random request order.
-func pickOps(rng *rand.Rand, p Params, kind Kind, home db.SiteID, perm *[]int) []Op {
+func (s *Stream) pickOps(kind Kind, home db.SiteID) []Op {
+	p := &s.p
 	pool := p.Catalog.Objects()
 	var partition []core.ObjectID
 	if kind == Update && p.LocalWriteSets {
@@ -388,46 +402,49 @@ func pickOps(rng *rand.Rand, p Params, kind Kind, home db.SiteID, perm *[]int) [
 	if lo > hi {
 		lo = hi
 	}
-	size := lo + rng.Intn(hi-lo+1)
+	size := lo + s.rng.Intn(hi-lo+1)
 
 	mode := core.Write
 	if kind == ReadOnly {
 		mode = core.Read
 	}
 	if p.LocalityProb > 0 && partition == nil {
-		return pickLocalityOps(rng, p, mode, home, size)
+		return s.pickLocalityOps(mode, home, size)
 	}
-	picked := pickIndexes(rng, p, pool, size, perm)
-	ops := make([]Op, 0, size)
-	for _, idx := range picked {
+	ops := make([]Op, size)
+	for i, idx := range s.pickIndexes(pool, size) {
 		obj := core.ObjectID(idx)
 		if partition != nil {
 			obj = partition[idx]
 		}
-		ops = append(ops, Op{Obj: obj, Mode: mode})
+		ops[i] = Op{Obj: obj, Mode: mode}
 	}
 	return ops
 }
 
 // pickIndexes draws size distinct indexes from [0, pool): uniformly, or
 // skewed toward the hotspot prefix when configured. The returned slice
-// aliases the shared perm scratch and is only valid until the next call.
-func pickIndexes(rng *rand.Rand, p Params, pool, size int, perm *[]int) []int {
-	if p.HotspotProb <= 0 || p.HotspotFrac <= 0 {
-		return permInto(rng, perm, pool)[:size]
+// aliases the stream's index scratch and is only valid until the next
+// call.
+func (s *Stream) pickIndexes(pool, size int) []int {
+	if cap(s.idx) < size {
+		s.idx = make([]int, size)
 	}
-	hot := int(p.HotspotFrac * float64(pool))
-	if hot < 1 {
-		hot = 1
+	out := s.idx[:size]
+	p := &s.p
+	hot := 0
+	if p.HotspotProb > 0 && p.HotspotFrac > 0 {
+		hot = max(int(p.HotspotFrac*float64(pool)), 1)
 	}
-	if hot >= pool {
-		return permInto(rng, perm, pool)[:size]
+	if hot == 0 || hot >= pool {
+		// The uniform choice is rand.Perm(pool)[:size], draw for draw.
+		s.src.permPrefix(out, pool)
+		return out
 	}
-	used := make(map[int]bool, size)
-	out := make([]int, 0, size)
+	out = out[:0]
 	hotUsed, coldUsed := 0, 0
 	for len(out) < size {
-		fromHot := rng.Float64() < p.HotspotProb
+		fromHot := s.rng.Float64() < p.HotspotProb
 		// When one region is exhausted, draw from the other so the
 		// loop always terminates (size never exceeds the pool).
 		if hotUsed == hot {
@@ -437,14 +454,13 @@ func pickIndexes(rng *rand.Rand, p Params, pool, size int, perm *[]int) []int {
 		}
 		var idx int
 		if fromHot {
-			idx = rng.Intn(hot)
+			idx = s.rng.Intn(hot)
 		} else {
-			idx = hot + rng.Intn(pool-hot)
+			idx = hot + s.rng.Intn(pool-hot)
 		}
-		if used[idx] {
+		if slices.Contains(out, idx) {
 			continue
 		}
-		used[idx] = true
 		if fromHot {
 			hotUsed++
 		} else {
@@ -466,44 +482,34 @@ const zipfSkew = 1.5
 // back to the first unused partition object so the loop stays bounded;
 // an exhausted partition (or a site with no primaries under hash
 // placement) degrades to the uniform draw.
-func pickLocalityOps(rng *rand.Rand, p Params, mode core.Mode, home db.SiteID, size int) []Op {
-	local := p.Catalog.ObjectsAt(home)
-	total := p.Catalog.Objects()
-	var zipf *rand.Zipf
-	localSet := make(map[core.ObjectID]bool, len(local))
-	if len(local) > 0 {
-		zipf = rand.NewZipf(rng, zipfSkew, 1, uint64(len(local)-1))
-		for _, o := range local {
-			localSet[o] = true
-		}
-	}
-	used := make(map[core.ObjectID]bool, size)
+func (s *Stream) pickLocalityOps(mode core.Mode, home db.SiteID, size int) []Op {
+	local := s.p.Catalog.ObjectsAt(home)
+	total := s.p.Catalog.Objects()
 	localUsed := 0
 	ops := make([]Op, 0, size)
 	for len(ops) < size {
-		fromLocal := rng.Float64() < p.LocalityProb
+		fromLocal := s.rng.Float64() < s.p.LocalityProb
 		if localUsed >= len(local) {
 			fromLocal = false
 		}
 		var obj core.ObjectID
 		if fromLocal {
-			obj = local[zipf.Uint64()]
-			if used[obj] {
+			obj = local[s.zipf(home, len(local)).Uint64()]
+			if drawn(ops, obj) {
 				for _, cand := range local {
-					if !used[cand] {
+					if !drawn(ops, cand) {
 						obj = cand
 						break
 					}
 				}
 			}
 		} else {
-			obj = core.ObjectID(rng.Intn(total))
-			if used[obj] {
+			obj = core.ObjectID(s.rng.Intn(total))
+			if drawn(ops, obj) {
 				continue
 			}
 		}
-		used[obj] = true
-		if localSet[obj] {
+		if _, ok := slices.BinarySearch(local, obj); ok {
 			localUsed++
 		}
 		ops = append(ops, Op{Obj: obj, Mode: mode})
@@ -511,23 +517,27 @@ func pickLocalityOps(rng *rand.Rand, p Params, mode core.Mode, home db.SiteID, s
 	return ops
 }
 
-// permInto writes a uniform permutation of [0, n) into the shared
-// scratch buffer, growing it as needed. The loop is exactly
-// rand.Perm's, so it consumes the identical random stream — workloads
-// (and therefore journals) are byte-for-byte unchanged.
-func permInto(rng *rand.Rand, scratch *[]int, n int) []int {
-	s := *scratch
-	if cap(s) < n {
-		s = make([]int, n)
-		*scratch = s
+// zipf returns the home site's rank distribution over its n primaries.
+// Building one draws nothing from the stream, so it is built once.
+func (s *Stream) zipf(home db.SiteID, n int) *rand.Zipf {
+	if s.zipfs == nil {
+		s.zipfs = make([]*rand.Zipf, s.p.Catalog.Sites())
 	}
-	s = s[:n]
-	for i := 0; i < n; i++ {
-		j := rng.Intn(i + 1)
-		s[i] = s[j]
-		s[j] = i
+	if s.zipfs[home] == nil {
+		s.zipfs[home] = rand.NewZipf(s.rng, zipfSkew, 1, uint64(n-1))
 	}
-	return s
+	return s.zipfs[home]
+}
+
+// drawn reports whether obj is already in ops. Access sets are a handful
+// of objects, so a scan beats a per-transaction set.
+func drawn(ops []Op, obj core.ObjectID) bool {
+	for _, op := range ops {
+		if op.Obj == obj {
+			return true
+		}
+	}
+	return false
 }
 
 // expDuration draws from an exponential distribution with the given mean.
