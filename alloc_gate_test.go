@@ -111,3 +111,35 @@ func TestDistributedRunAllocGate(t *testing.T) {
 		}
 	}
 }
+
+// TestExploreScheduleAllocGate caps the bytes one explored schedule
+// allocates. Each schedule builds, runs and tears down a whole small
+// system, so per-run construction is the cost: a run holds no
+// response-time sketch unless a retention cap can read it, and these
+// tiny runs measure 56–85 KB per schedule; two 64 KB sketches per run
+// would put them near 200 KB, past the 128 KB gate. Race builds skip
+// the byte budget (see race_test.go).
+func TestExploreScheduleAllocGate(t *testing.T) {
+	const schedules, maxBytes = 60, 128 << 10
+	opts := ExploreOptions{Schedules: schedules, Workers: 1, MaxDepth: 24, Branch: 3}
+	for _, tc := range []struct {
+		name string
+		cfg  ExploreConfig
+	}{
+		{"single/HP", ExploreConfig{Protocol: TwoPLHighPriority}},
+		{"single/C", ExploreConfig{Protocol: Ceiling}},
+		{"faults-local", ExploreConfig{Faults: true}},
+	} {
+		cfg := tc.cfg
+		cfg.Seed = 1
+		cfg.Options = opts
+		allocs, bytes := runAllocsPerTx(t, schedules, func() error {
+			_, err := Explore(cfg)
+			return err
+		})
+		t.Logf("%s: %.0f allocs/schedule, %.0f B/schedule", tc.name, allocs, bytes)
+		if !raceBuild && bytes > maxBytes {
+			t.Errorf("%s: %.0f bytes per schedule exceeds the gate of %d", tc.name, bytes, maxBytes)
+		}
+	}
+}

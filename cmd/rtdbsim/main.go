@@ -53,6 +53,11 @@
 //
 //	rtdbsim sitesweep -sites 1,2,4,8,16 -audit
 //	rtdbsim sitesweep -policies shard,quorum,primary -json
+//
+// Every command also takes -cpuprofile and -memprofile, written when it
+// returns and read with go tool pprof:
+//
+//	rtdbsim explore -protocol HP -schedules 3600 -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
@@ -61,6 +66,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
 
@@ -164,8 +171,12 @@ func exitCode(err error) int {
 
 // parseFlags parses uniformly for every subcommand: -h/-help surfaces
 // flag.ErrHelp (exit 0), unknown flags become usage errors (exit 2),
-// and stray positional arguments are rejected with the usage text.
+// and stray positional arguments are rejected with the usage text. It
+// also adds -cpuprofile and -memprofile to every command and starts the
+// profiles they ask for; run writes them when the command returns.
 func parseFlags(fs *flag.FlagSet, args []string) error {
+	cpu := fs.String("cpuprofile", "", "write a CPU profile of the command to this file (read it with go tool pprof)")
+	mem := fs.String("memprofile", "", "write an allocation profile to this file when the command ends")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return flag.ErrHelp
@@ -177,7 +188,58 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 		fs.Usage()
 		return usagef("unexpected argument %q", fs.Arg(0))
 	}
+	return startProfiles(*cpu, *mem)
+}
+
+// profiles is what the command's -cpuprofile and -memprofile asked for.
+var profiles struct {
+	cpu *os.File // open while the CPU profile runs
+	mem string   // allocation profile path, written at stop
+}
+
+func startProfiles(cpu, mem string) error {
+	profiles.mem = mem
+	if cpu == "" {
+		return nil
+	}
+	f, err := os.Create(cpu)
+	if err != nil {
+		return fmt.Errorf("cpuprofile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("cpuprofile: %w", err)
+	}
+	profiles.cpu = f
 	return nil
+}
+
+// stopProfiles flushes the CPU profile and writes the allocation
+// profile (the one `go test -memprofile` writes), then forgets both.
+func stopProfiles() error {
+	var errs []error
+	if f := profiles.cpu; f != nil {
+		pprof.StopCPUProfile()
+		errs = append(errs, f.Close())
+	}
+	if path := profiles.mem; path != "" {
+		errs = append(errs, writeAllocsProfile(path))
+	}
+	profiles.cpu, profiles.mem = nil, ""
+	return errors.Join(errs...)
+}
+
+func writeAllocsProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	runtime.GC() // bring the profile up to date with the finished command
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	return f.Close()
 }
 
 // subcommands is the dispatch table; run rejects anything else that
@@ -196,7 +258,12 @@ func subcommandNames() []string {
 	return []string{"audit", "replay", "faults", "metrics", "explore", "timeline", "sitesweep"}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
+	defer func() {
+		if perr := stopProfiles(); perr != nil {
+			err = errors.Join(err, perr)
+		}
+	}()
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		sub, ok := subcommands[args[0]]
 		if !ok {

@@ -264,3 +264,36 @@ func TestRunExploreTiny(t *testing.T) {
 		t.Fatal("verdict output differs across worker counts")
 	}
 }
+
+// TestProfileFlags: every command takes -cpuprofile and -memprofile, and
+// both profiles are written when the command returns — on failure too.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		args []string
+		exit int
+	}{
+		{"explore", []string{"explore", "-protocol", "HP", "-schedules", "20"}, 0},
+		{"missing spec", []string{"-spec", filepath.Join(dir, "missing.json")}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cpu := filepath.Join(dir, tc.name+".cpu")
+			mem := filepath.Join(dir, tc.name+".mem")
+			err := run(slices.Concat(tc.args, []string{"-cpuprofile", cpu, "-memprofile", mem}))
+			if got := exitCode(err); got != tc.exit {
+				t.Fatalf("exit %d (%v), want %d", got, err, tc.exit)
+			}
+			for _, path := range []string{cpu, mem} {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// pprof writes gzip-compressed protocol buffers.
+				if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+					t.Errorf("%s: %d bytes, not a gzip file", path, len(data))
+				}
+			}
+		})
+	}
+}

@@ -28,7 +28,7 @@ type Sketch struct {
 	max    sim.Duration
 }
 
-// Default sketch geometry for response/blocked times: 1ms buckets
+// Default sketch geometry for response times: 1ms buckets
 // covering 0–8.192s. Every calibrated experiment's deadlines (and so
 // every committed response time) fit well inside the covered range.
 const (

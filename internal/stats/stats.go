@@ -10,6 +10,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rtlock/internal/db"
@@ -51,12 +52,14 @@ type TxRecord struct {
 // Monitor accumulates transaction statistics for one run. Every
 // aggregate the paper reports (throughput, %missed, mean blocked and
 // response times, restart and message totals) is maintained as a running
-// sum or count at Add time, and the response/blocked distributions feed
-// deterministic fixed-bucket sketches — so the aggregates cost O(1)
-// memory regardless of run length. Raw TxRecords are additionally
-// retained for callers that want per-transaction detail; SetMaxRaw caps
-// that retention (a ring of the most recent records) so million-
-// transaction runs stay bounded.
+// sum or count at Add time, so the aggregates cost O(1) memory regardless
+// of run length. Raw TxRecords are additionally retained for callers
+// that want per-transaction detail; SetMaxRaw caps that retention (a ring
+// of the most recent records) so million-transaction runs stay bounded.
+// A capped monitor also holds one deterministic fixed-bucket sketch of
+// committed response times, made when the cap is set, which answers the
+// percentiles once the cap has evicted records; an uncapped monitor
+// keeps every record and holds no sketch.
 type Monitor struct {
 	records []TxRecord
 	maxRaw  int // 0 = retain everything
@@ -74,35 +77,46 @@ type Monitor struct {
 	restarts     int
 	messages     int
 
-	respSketch    *Sketch // committed response times
-	blockedSketch *Sketch // blocked intervals, all processed
+	respSketch *Sketch // committed response times; nil until a cap is set
 }
 
-// NewMonitor returns an empty monitor with the default sketch geometry.
-func NewMonitor() *Monitor {
-	return &Monitor{
-		respSketch:    NewSketch(0, 0),
-		blockedSketch: NewSketch(0, 0),
-	}
-}
+// NewMonitor returns an empty, uncapped monitor.
+func NewMonitor() *Monitor { return &Monitor{} }
 
 // SetMaxRaw caps raw TxRecord retention at n records (0 restores
 // unlimited retention): once n records are held, each Add overwrites the
 // oldest. The streaming aggregates are unaffected — only Records (and
-// the exact percentile path) see the bounded window. Call it before the
-// run; lowering the cap mid-run drops the oldest retained records.
+// the exact percentile path) see the bounded window. The first positive
+// cap creates the response-time sketch and seeds it from the committed
+// records retained so far; an uncapped monitor has retained every
+// record, so capping late gives the same sketch as capping before the
+// run. Changing the cap mid-run keeps the newest records.
 func (m *Monitor) SetMaxRaw(n int) {
 	if n < 0 {
 		n = 0
 	}
+	if n > 0 && m.respSketch == nil {
+		m.respSketch = NewSketch(0, 0)
+		for _, r := range m.records {
+			if r.Outcome == Committed {
+				m.respSketch.Observe(r.Finish.Sub(r.Arrival))
+			}
+		}
+	}
+	if m.next > 0 {
+		// Put the wrapped ring back in finish order, oldest first, so
+		// the trim below keeps the newest and later Adds overwrite the
+		// oldest.
+		slices.Reverse(m.records[:m.next])
+		slices.Reverse(m.records[m.next:])
+		slices.Reverse(m.records)
+		m.next = 0
+	}
 	m.maxRaw = n
 	if n > 0 && len(m.records) > n {
-		// Keep the newest n. Records are held in finish order (ring
-		// rotation aside), so the front is the oldest.
 		m.dropped += len(m.records) - n
 		copy(m.records, m.records[len(m.records)-n:])
 		m.records = m.records[:n]
-		m.next = 0
 	}
 }
 
@@ -130,23 +144,25 @@ func (m *Monitor) Reserve(n int) {
 	m.records = records
 }
 
-// Add records one processed transaction: the streaming aggregates and
-// sketches always, the raw record subject to the retention cap. Under a
-// cap the method allocates nothing in steady state (ring overwrite); an
-// uncapped monitor grows the record slice as before.
+// Add records one processed transaction: the streaming aggregates
+// always, the response sketch when a cap made one, and the raw record
+// subject to the retention cap. Under a cap the method allocates nothing
+// in steady state (ring overwrite); an uncapped monitor grows the record
+// slice as before.
 func (m *Monitor) Add(r TxRecord) {
 	m.processed++
 	m.totalBlocked += r.Blocked
 	m.blockedCount += r.BlockedCount
 	m.restarts += r.Restarts
 	m.messages += r.Messages
-	m.blockedSketch.Observe(r.Blocked)
 	if r.Outcome == Committed {
 		m.committed++
 		m.objects += r.Size
 		resp := r.Finish.Sub(r.Arrival)
 		m.totalResp += resp
-		m.respSketch.Observe(resp)
+		if m.respSketch != nil {
+			m.respSketch.Observe(resp)
+		}
 	}
 	if r.Finish > m.horizon {
 		m.horizon = r.Finish
@@ -261,27 +277,6 @@ func (m *Monitor) ResponsePercentile(q float64) sim.Duration {
 	}
 	return resp[rank]
 }
-
-// ResponseQuantile returns the q-quantile of committed response times
-// from the streaming sketch: bounded memory, within one bucket width of
-// the exact nearest-rank answer.
-func (m *Monitor) ResponseQuantile(q float64) sim.Duration {
-	return m.respSketch.Quantile(q)
-}
-
-// BlockedQuantile returns the q-quantile of blocked intervals across
-// processed transactions from the streaming sketch.
-func (m *Monitor) BlockedQuantile(q float64) sim.Duration {
-	return m.blockedSketch.Quantile(q)
-}
-
-// ResponseSketch exposes the streaming response-time sketch (committed
-// transactions).
-func (m *Monitor) ResponseSketch() *Sketch { return m.respSketch }
-
-// BlockedSketch exposes the streaming blocked-interval sketch (all
-// processed transactions).
-func (m *Monitor) BlockedSketch() *Sketch { return m.blockedSketch }
 
 // Restarts returns the total number of aborted-and-retried attempts.
 func (m *Monitor) Restarts() int { return m.restarts }

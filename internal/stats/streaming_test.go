@@ -3,6 +3,8 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -35,8 +37,6 @@ func TestEmptyRunGuards(t *testing.T) {
 				{"AvgBlocked", float64(tc.m.AvgBlocked())},
 				{"AvgResponse", float64(tc.m.AvgResponse())},
 				{"ResponsePercentile(0.99)", float64(tc.m.ResponsePercentile(0.99))},
-				{"ResponseQuantile(0.5)", float64(tc.m.ResponseQuantile(0.5))},
-				{"BlockedQuantile(0.5)", float64(tc.m.BlockedQuantile(0.5))},
 			}
 			for _, c := range checks {
 				if math.IsNaN(c.got) || math.IsInf(c.got, 0) {
@@ -239,5 +239,100 @@ func TestMonitorAddSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("capped Monitor.Add allocates %.1f per call, want 0", allocs)
+	}
+}
+
+// TestSetMaxRawRecapKeepsNewest re-caps a monitor whose ring has
+// wrapped: lowering the cap keeps the newest records, and after raising
+// it later Adds still evict the oldest.
+func TestSetMaxRawRecapKeepsNewest(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		recap      int
+		wantRecap  []int64 // Records() IDs right after the re-cap
+		more       int     // further Adds
+		wantFinish []int64
+	}{
+		{"lower", 2, []int64{5, 6}, 1, []int64{6, 7}},
+		{"raise", 6, []int64{3, 4, 5, 6}, 5, []int64{6, 7, 8, 9, 10, 11}},
+		{"uncap", 0, []int64{3, 4, 5, 6}, 2, []int64{3, 4, 5, 6, 7, 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMonitor()
+			m.SetMaxRaw(4)
+			for i := 0; i < 6; i++ { // ids 1–6: the ring has wrapped
+				m.Add(synthRecord(i))
+			}
+			m.SetMaxRaw(tc.recap)
+			if got := recordIDs(m); !slices.Equal(got, tc.wantRecap) {
+				t.Errorf("after SetMaxRaw(%d): ids %v, want %v", tc.recap, got, tc.wantRecap)
+			}
+			for i := 6; i < 6+tc.more; i++ {
+				m.Add(synthRecord(i))
+			}
+			if got := recordIDs(m); !slices.Equal(got, tc.wantFinish) {
+				t.Errorf("after %d more Adds: ids %v, want %v", tc.more, got, tc.wantFinish)
+			}
+			if got, want := m.RawDropped(), 6+tc.more-len(tc.wantFinish); got != want {
+				t.Errorf("RawDropped = %d, want %d", got, want)
+			}
+		})
+	}
+}
+
+func recordIDs(m *Monitor) []int64 {
+	var ids []int64
+	for _, r := range m.Records() {
+		ids = append(ids, r.ID)
+	}
+	return ids
+}
+
+// TestLateCapSketchMatchesEarlyCap: the sketch a late cap seeds from the
+// retained records is the one a cap set before the run builds, so every
+// percentile answers the same.
+func TestLateCapSketchMatchesEarlyCap(t *testing.T) {
+	const n, cap, late = 3000, 64, 500
+	early := NewMonitor()
+	early.SetMaxRaw(cap)
+	capped := NewMonitor()
+	for i := 0; i < n; i++ {
+		if i == late {
+			capped.SetMaxRaw(cap)
+		}
+		early.Add(synthRecord(i))
+		capped.Add(synthRecord(i))
+	}
+	if early.RawDropped() != capped.RawDropped() || !slices.Equal(recordIDs(early), recordIDs(capped)) {
+		t.Fatalf("retention differs: dropped %d vs %d", early.RawDropped(), capped.RawDropped())
+	}
+	for _, q := range []float64{0.01, 0.5, 0.9, 0.99, 1} {
+		if got, want := capped.ResponsePercentile(q), early.ResponsePercentile(q); got != want {
+			t.Errorf("q=%v: late cap %d, early cap %d", q, got, want)
+		}
+	}
+}
+
+var monitorSink *Monitor
+
+// TestUncappedMonitorHasNoSketch: an uncapped monitor reads no sketch,
+// so it allocates none — not when it is made, and not as it is fed.
+func TestUncappedMonitorHasNoSketch(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { monitorSink = NewMonitor() }); allocs != 1 {
+		t.Errorf("NewMonitor allocates %.0f times, want 1 (the monitor itself)", allocs)
+	}
+	// The records are reserved up front, so what is measured is what Add
+	// allocates beside them; one default sketch is 64 KB.
+	const n = 1000
+	m := NewMonitor()
+	m.Reserve(n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		m.Add(synthRecord(i))
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= 64<<10 {
+		t.Errorf("%d uncapped Adds allocated %d bytes, want under 64 KB", n, bytes)
 	}
 }
