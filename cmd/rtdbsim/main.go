@@ -285,7 +285,7 @@ func run(args []string) (err error) {
 		size       = fs.Int("size", 10, "custom: mean transaction size")
 		spec       = fs.String("spec", "", "run a JSON specification file instead of a named experiment")
 		placeFlag  = fs.String("placement", "", "with -spec (distributed): override the data placement policy full|shard|quorum|primary")
-		trace      = fs.Int("trace", 0, "with -spec single mode: print up to N trace events")
+		trace      = fs.Int("trace", 0, "with -spec (single): print up to N transaction-level journal records")
 		auditRuns  = fs.Bool("audit", false, "record a replay journal for every run and fail on invariant violations")
 		metricsDir = fs.String("metrics", "", "with -spec: sample virtual-time metrics and export the bundle into this directory")
 		tlDir      = fs.String("timeline", "", "with -spec: roll windowed telemetry and export timeline.jsonl/csv + report into this directory")
@@ -300,11 +300,14 @@ func run(args []string) (err error) {
 			return err
 		}
 		if *trace > 0 {
+			if s.Mode != "single" {
+				return usagef("-trace requires a single spec, got mode %q", s.Mode)
+			}
 			s.TraceEvents = *trace
 		}
 		if *placeFlag != "" {
 			if s.Mode != "distributed" {
-				return fmt.Errorf("-placement %q requires a distributed spec, got mode %q", *placeFlag, s.Mode)
+				return usagef("-placement %q requires a distributed spec, got mode %q", *placeFlag, s.Mode)
 			}
 			s.Placement = *placeFlag
 		}

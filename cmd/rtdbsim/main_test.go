@@ -224,6 +224,8 @@ func TestExitCodes(t *testing.T) {
 		{"replay unknown flag", []string{"replay", "-bogus"}, 2},
 		{"custom unknown protocol", []string{"-experiment", "custom", "-protocol", "ZZ", "-runs", "1", "-count", "20"}, 2},
 		{"explore unknown protocol", []string{"explore", "-protocol", "ZZ"}, 2},
+		{"trace with distributed spec", []string{"-spec", "../../examples/specs/distributed-local.json", "-trace", "5"}, 2},
+		{"placement with single spec", []string{"-spec", "../../examples/specs/single-ceiling.json", "-placement", "shard"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package rtlock
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -76,6 +77,36 @@ func TestSpecRunSingleWithTrace(t *testing.T) {
 	if len(tl) == 0 || tl[0].Kind != TraceEventArrive {
 		t.Fatalf("tx1 timeline starts with %+v", tl)
 	}
+}
+
+// TestTraceShowsBlockedGrant runs the monitor example's load: tx2
+// arrives behind tx1's lock on object 1, and its grant line carries the
+// 15ms it was blocked.
+func TestTraceShowsBlockedGrant(t *testing.T) {
+	txs := []*Txn{
+		{ID: 1, Kind: Update, Arrival: 0, Deadline: Time(Second),
+			Ops: []Op{{Obj: 1, Mode: Write}, {Obj: 2, Mode: Write}, {Obj: 3, Mode: Write}}},
+		{ID: 2, Kind: Update, Arrival: Time(15 * Millisecond), Deadline: Time(200 * Millisecond),
+			Ops: []Op{{Obj: 1, Mode: Write}}},
+	}
+	res, err := RunSingleSite(SingleSiteConfig{MemoryResident: true, TraceEvents: 100,
+		Workload: WorkloadConfig{Transactions: txs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := res.Trace.Timeline(2)
+	if len(tl) == 0 || tl[0].Kind != TraceEventArrive {
+		t.Fatalf("tx2 timeline starts with %+v", tl)
+	}
+	for _, e := range tl {
+		if e.Kind == TraceEventLockGrant {
+			if e.Blocked != 15*Millisecond || !strings.HasSuffix(e.String(), "W blocked 15.0ms") {
+				t.Fatalf("tx2 grant = %q, blocked %v; want 15ms", e, e.Blocked)
+			}
+			return
+		}
+	}
+	t.Fatalf("tx2 has no grant:\n%s", res.Trace)
 }
 
 func TestSpecRunDistributed(t *testing.T) {

@@ -1,10 +1,10 @@
 // Monitor demonstrates the performance monitor: it runs a small
 // contended workload under the priority ceiling protocol and prints the
 // timeline the paper's Performance Monitor records — arrival, lock
-// requests and grants (with blocked intervals), operation completions,
-// and commit or deadline-miss, per transaction — followed by the
-// deterministic virtual-time metrics the same run sampled and the
-// journal-derived lock-contention profile.
+// requests, blocks and grants (with blocked intervals), operations, and
+// commit or deadline-miss, per transaction, read off the run's journal —
+// followed by the deterministic virtual-time metrics the same run
+// sampled and the journal-derived lock-contention profile.
 package main
 
 import (
@@ -49,7 +49,7 @@ func main() {
 	fmt.Println()
 	fmt.Printf("Summary: %s\n", res.Summary)
 	fmt.Println()
-	fmt.Println("tx2's lock-grant line shows its blocked interval behind tx1; tx3")
+	fmt.Println("tx2's lockgrant line shows its blocked interval behind tx1; tx3")
 	fmt.Println("was ceiling-blocked on an unlocked object — the protocol's")
 	fmt.Println("insurance premium against deadlock and chained blocking.")
 	fmt.Println()

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"rtlock/internal/check"
 	"rtlock/internal/core"
 	"rtlock/internal/db"
 	"rtlock/internal/faults"
@@ -90,9 +89,6 @@ type Config struct {
 	// InstallTimeout is the per-attempt installer lock timeout (zero
 	// means the default of 50× ApplyPerObj, at least 10ms).
 	InstallTimeout sim.Duration
-	// RecordHistory keeps the access history for serializability
-	// checks in tests.
-	RecordHistory bool
 	// Journal, when non-nil, receives every kernel-level event of the
 	// run (scheduling, locking, 2PC, replication) for deterministic
 	// replay and invariant auditing.
@@ -318,7 +314,6 @@ type Cluster struct {
 	Net     *netsim.Network
 	Catalog *db.Catalog
 	Monitor *stats.Monitor
-	History *check.History
 
 	cfg   Config
 	mode  *modeRow
@@ -419,9 +414,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		Monitor: stats.NewMonitor(),
 		cfg:     cfg,
 		mode:    &modes[cfg.Mode],
-	}
-	if cfg.RecordHistory {
-		c.History = check.NewHistory()
 	}
 	c.Monitor.SetMaxRaw(cfg.MaxRawRecords)
 	m := k.Metrics()
@@ -755,9 +747,6 @@ func (c *Cluster) record(x *txRun, err error) {
 		rec.Outcome = stats.Committed
 		c.mCommits.Inc()
 		c.emit(t.Home, journal.KCommit, t.ID, 0, 0, 0, "")
-		if c.History != nil {
-			c.History.Commit(t.ID)
-		}
 	} else {
 		rec.Outcome = stats.DeadlineMissed
 		note := ""

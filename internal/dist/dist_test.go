@@ -3,8 +3,10 @@ package dist
 import (
 	"testing"
 
+	"rtlock/internal/audit"
 	"rtlock/internal/core"
 	"rtlock/internal/db"
+	"rtlock/internal/journal"
 	"rtlock/internal/netsim"
 	"rtlock/internal/sim"
 	"rtlock/internal/stats"
@@ -253,7 +255,9 @@ func TestGlobalDeadlineAbort(t *testing.T) {
 
 func TestGlobalHistorySerializable(t *testing.T) {
 	conf := cfg(Global, 2*sim.Millisecond)
-	conf.RecordHistory = true
+	ser := audit.NewSerializable(false)
+	conf.Journal = journal.New(0, "dist-test")
+	conf.Journal.Tee(true, ser)
 	c, err := NewCluster(conf)
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +275,7 @@ func TestGlobalHistorySerializable(t *testing.T) {
 	if sum.Committed != 15 {
 		t.Fatalf("committed %d/15: %+v", sum.Committed, sum)
 	}
-	if !c.History.ConflictSerializable() {
+	if len(ser.Finish()) != 0 {
 		t.Fatal("global approach produced a non-serializable history")
 	}
 }

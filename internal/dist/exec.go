@@ -252,10 +252,6 @@ func (c *Cluster) runOps(x *txRun) error {
 			return err
 		}
 		c.emit(home, journal.KOp, t.ID, int32(op.Obj), int64(op.Mode), 0, "")
-		if c.History != nil && lock != nil {
-			// Only lock-ordered accesses enter the checked history.
-			c.History.Record(t.ID, op.Obj, op.Mode, x.p.Now())
-		}
 		if err := m.afterOp(c, x, op, data); err != nil {
 			return err
 		}

@@ -181,9 +181,6 @@ func (k *Kernel) SetJournal(j *journal.Journal, site int32) {
 // Journal returns the attached journal (nil when none).
 func (k *Kernel) Journal() *journal.Journal { return k.jrn }
 
-// JournalSite returns the site id journal records are tagged with.
-func (k *Kernel) JournalSite() int32 { return k.jrnSite }
-
 // Emit appends a record to the attached journal (a no-op when none) at
 // the current virtual time, tagged with the kernel's site. Subsystems
 // that hold a kernel reference use it instead of tracking the journal

@@ -22,7 +22,6 @@ import (
 type Sketch struct {
 	width  sim.Duration
 	counts []int64
-	over   int64 // observations beyond the covered range
 	count  int64
 	sum    sim.Duration
 	max    sim.Duration
@@ -68,11 +67,11 @@ func (s *Sketch) Observe(d sim.Duration) {
 		// Inclusive upper edge: d in (i·width, (i+1)·width] lands in i.
 		idx = int((d - 1) / s.width)
 	}
-	if idx >= len(s.counts) {
-		s.over++
-		return
+	// Beyond the covered range only count and max see the observation:
+	// Quantile answers a rank no bucket reaches with max.
+	if idx < len(s.counts) {
+		s.counts[idx]++
 	}
-	s.counts[idx]++
 }
 
 // Count returns the number of observations.
@@ -136,7 +135,6 @@ func (s *Sketch) Reset() {
 	for i := range s.counts {
 		s.counts[i] = 0
 	}
-	s.over = 0
 	s.count = 0
 	s.sum = 0
 	s.max = 0

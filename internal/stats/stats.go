@@ -120,9 +120,6 @@ func (m *Monitor) SetMaxRaw(n int) {
 	}
 }
 
-// MaxRaw returns the raw-retention cap (0 = unlimited).
-func (m *Monitor) MaxRaw() int { return m.maxRaw }
-
 // RawRetained returns how many raw records are currently held.
 func (m *Monitor) RawRetained() int { return len(m.records) }
 

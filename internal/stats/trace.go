@@ -4,96 +4,83 @@ import (
 	"fmt"
 	"strings"
 
+	"rtlock/internal/core"
+	"rtlock/internal/journal"
 	"rtlock/internal/sim"
 )
 
-// EventKind classifies trace events, mirroring what the paper's
-// Performance Monitor records: priority and read/write set per
-// transaction, the time each event occurred, blocked intervals, deadline
-// outcomes, and abort counts.
-type EventKind int
-
-// Trace event kinds.
-const (
-	EvArrive EventKind = iota + 1
-	EvLockRequest
-	EvLockGrant
-	EvOpDone
-	EvCommit
-	EvDeadlineMiss
-	EvRestart
-	EvMessage
-)
-
-// String names the kind in timelines.
-func (k EventKind) String() string {
-	switch k {
-	case EvArrive:
-		return "arrive"
-	case EvLockRequest:
-		return "lock-request"
-	case EvLockGrant:
-		return "lock-grant"
-	case EvOpDone:
-		return "op-done"
-	case EvCommit:
-		return "commit"
-	case EvDeadlineMiss:
-		return "deadline-miss"
-	case EvRestart:
-		return "restart"
-	case EvMessage:
-		return "message"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
-
-// Event is one recorded occurrence.
+// Event is one trace line: a transaction-level journal record and, on a
+// lockgrant, how long the transaction was blocked since its request.
 type Event struct {
-	At   sim.Time
-	Tx   int64
-	Kind EventKind
-	// Obj is the object involved in lock/op events (-1 otherwise).
-	Obj int32
-	// Note carries free-form detail ("W", "blocked 12ms", …).
-	Note string
+	journal.Record
+	Blocked sim.Duration
 }
 
 // String renders one event line.
 func (e Event) String() string {
-	s := fmt.Sprintf("%10.3fms tx%-4d %-13s", sim.Duration(e.At).Millis(), e.Tx, e.Kind)
-	if e.Obj >= 0 {
+	s := fmt.Sprintf("%10.3fms tx%-4d %-9s", sim.Duration(e.At).Millis(), e.Tx, e.Kind)
+	switch e.Kind {
+	case journal.KArrive:
+		s += fmt.Sprintf(" deadline=%.1fms", sim.Duration(e.A).Millis())
+	case journal.KLockRequest, journal.KLockGrant, journal.KOp:
+		s += fmt.Sprintf(" obj%-4d %s", e.Obj, core.Mode(e.A))
+		if e.Blocked > 0 {
+			s += fmt.Sprintf(" blocked %.1fms", e.Blocked.Millis())
+		}
+	case journal.KLockBlock:
 		s += fmt.Sprintf(" obj%-4d", e.Obj)
+		if e.B == 1 {
+			s += " ceiling"
+		}
+		if e.A >= 0 {
+			s += fmt.Sprintf(" by tx%d", e.A)
+		}
+	case journal.KRestart:
+		s += fmt.Sprintf(" attempt=%d", e.A)
 	}
 	if e.Note != "" {
 		s += " " + e.Note
 	}
-	return s
+	return strings.TrimRight(s, " ")
 }
 
-// Trace is a bounded in-order event log. A zero capacity means
-// unbounded; otherwise recording stops (silently) at the cap, keeping
-// long experiment runs cheap while short investigations see everything.
+// Trace is the performance monitor's event log: a journal observer
+// keeping, in order, the transaction-level records of a run (arrivals,
+// lock requests, blocks and grants, operations, restarts, commits and
+// deadline misses). A zero capacity means unbounded; otherwise
+// recording stops (silently) at the cap, keeping long runs cheap while
+// short investigations see everything.
 type Trace struct {
 	cap    int
 	events []Event
+	// requested holds each transaction's latest lock-request time, so
+	// its grant can report the blocked interval.
+	requested map[int64]int64
 }
 
 // NewTrace returns a trace keeping at most capacity events (0 =
 // unbounded).
-func NewTrace(capacity int) *Trace { return &Trace{cap: capacity} }
+func NewTrace(capacity int) *Trace {
+	return &Trace{cap: capacity, requested: make(map[int64]int64)}
+}
 
-// Log appends an event if capacity remains. Pass obj -1 when no object
-// is involved.
-func (t *Trace) Log(at sim.Time, tx int64, kind EventKind, obj int32, note string) {
-	if t == nil {
-		return
-	}
+// Observe implements journal.Observer.
+func (t *Trace) Observe(r *journal.Record) {
 	if t.cap > 0 && len(t.events) >= t.cap {
 		return
 	}
-	t.events = append(t.events, Event{At: at, Tx: tx, Kind: kind, Obj: obj, Note: note})
+	var blocked sim.Duration
+	switch r.Kind {
+	case journal.KLockRequest:
+		t.requested[r.Tx] = r.At
+	case journal.KLockGrant:
+		blocked = sim.Duration(r.At - t.requested[r.Tx])
+	case journal.KArrive, journal.KLockBlock, journal.KOp,
+		journal.KRestart, journal.KCommit, journal.KDeadlineMiss:
+	default:
+		return
+	}
+	t.events = append(t.events, Event{Record: *r, Blocked: blocked})
 }
 
 // Len returns the number of recorded events.
@@ -109,9 +96,7 @@ func (t *Trace) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
-	return out
+	return append([]Event(nil), t.events...)
 }
 
 // Timeline returns the events of one transaction, in order.

@@ -3,27 +3,26 @@ package txn
 import (
 	"testing"
 
+	"rtlock/internal/audit"
 	"rtlock/internal/core"
 	"rtlock/internal/sim"
 	"rtlock/internal/stats"
 	"rtlock/internal/workload"
 )
 
-func newSystem(t *testing.T, mgr func(*sim.Kernel) core.Manager) *System {
+func newSystem(t *testing.T, mgr func(*sim.Kernel) core.Manager) (*System, *audit.Serializable) {
 	t.Helper()
-	s, err := NewSystem(Config{
-		CPUPerObj:     10 * sim.Millisecond,
-		NewManager:    mgr,
-		RecordHistory: true,
-	})
+	cfg := Config{CPUPerObj: 10 * sim.Millisecond, NewManager: mgr}
+	ser := teeHistory(&cfg)
+	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return s, ser
 }
 
 func TestHPWoundedTransactionRestartsAndCommits(t *testing.T) {
-	s := newSystem(t, func(k *sim.Kernel) core.Manager { return core.NewTwoPLHP(k) })
+	s, ser := newSystem(t, func(k *sim.Kernel) core.Manager { return core.NewTwoPLHP(k) })
 	// Low-priority long transaction; high-priority short one arrives
 	// mid-flight and wounds it. The victim restarts and still commits
 	// before its (generous) deadline.
@@ -44,13 +43,13 @@ func TestHPWoundedTransactionRestartsAndCommits(t *testing.T) {
 	if s.Monitor.Restarts() != 1 {
 		t.Fatalf("monitor restarts = %d", s.Monitor.Restarts())
 	}
-	if !s.History.ConflictSerializable() {
+	if !serializable(ser) {
 		t.Fatal("HP history not serializable")
 	}
 }
 
 func TestHPWoundedPastDeadlineIsMissed(t *testing.T) {
-	s := newSystem(t, func(k *sim.Kernel) core.Manager { return core.NewTwoPLHP(k) })
+	s, _ := newSystem(t, func(k *sim.Kernel) core.Manager { return core.NewTwoPLHP(k) })
 	// The victim (lower priority = later deadline) is wounded at 15ms
 	// and must redo its 40ms of work behind the wounder; its 60ms
 	// deadline leaves no room.
@@ -71,7 +70,7 @@ func TestHPWoundedPastDeadlineIsMissed(t *testing.T) {
 }
 
 func TestTimestampRestartsUntilCommit(t *testing.T) {
-	s := newSystem(t, func(k *sim.Kernel) core.Manager { return core.NewTimestamp(k) })
+	s, ser := newSystem(t, func(k *sim.Kernel) core.Manager { return core.NewTimestamp(k) })
 	// Two same-object writers interleave; the one whose access arrives
 	// late restarts with a fresh timestamp and then succeeds.
 	a := mkTxn(1, 0, sim.Time(sim.Second), []core.ObjectID{1, 2}, core.Write)
@@ -84,13 +83,13 @@ func TestTimestampRestartsUntilCommit(t *testing.T) {
 	if s.Monitor.Restarts() == 0 {
 		t.Fatal("expected at least one TO restart")
 	}
-	if !s.History.ConflictSerializable() {
+	if !serializable(ser) {
 		t.Fatal("TO committed history not serializable")
 	}
 }
 
 func TestDetectResolvesDeadlockBothCommit(t *testing.T) {
-	s := newSystem(t, func(k *sim.Kernel) core.Manager { return core.NewTwoPLDetect(k) })
+	s, ser := newSystem(t, func(k *sim.Kernel) core.Manager { return core.NewTwoPLDetect(k) })
 	a := mkTxn(1, 0, sim.Time(2*sim.Second), []core.ObjectID{1, 2}, core.Write)
 	b := &workload.Txn{ID: 2, Kind: workload.Update,
 		Arrival: sim.Time(5 * sim.Millisecond), Deadline: sim.Time(2 * sim.Second),
@@ -103,7 +102,7 @@ func TestDetectResolvesDeadlockBothCommit(t *testing.T) {
 	if s.Monitor.Restarts() == 0 {
 		t.Fatal("no restart recorded for the deadlock victim")
 	}
-	if !s.History.ConflictSerializable() {
+	if !serializable(ser) {
 		t.Fatal("DD history not serializable")
 	}
 }
@@ -130,7 +129,7 @@ func TestRestartDelaySpacesAttempts(t *testing.T) {
 }
 
 func TestHeavyContentionHPAllProcessed(t *testing.T) {
-	s := newSystem(t, func(k *sim.Kernel) core.Manager { return core.NewTwoPLHP(k) })
+	s, ser := newSystem(t, func(k *sim.Kernel) core.Manager { return core.NewTwoPLHP(k) })
 	var txs []*workload.Txn
 	for i := int64(1); i <= 40; i++ {
 		objs := []core.ObjectID{core.ObjectID(i % 4), core.ObjectID((i + 1) % 4)}
@@ -141,13 +140,13 @@ func TestHeavyContentionHPAllProcessed(t *testing.T) {
 	if sum.Processed != 40 {
 		t.Fatalf("processed %d/40", sum.Processed)
 	}
-	if !s.History.ConflictSerializable() {
+	if !serializable(ser) {
 		t.Fatal("heavy HP history not serializable")
 	}
 }
 
 func TestHeavyContentionTOAllProcessed(t *testing.T) {
-	s := newSystem(t, func(k *sim.Kernel) core.Manager { return core.NewTimestamp(k) })
+	s, ser := newSystem(t, func(k *sim.Kernel) core.Manager { return core.NewTimestamp(k) })
 	var txs []*workload.Txn
 	for i := int64(1); i <= 40; i++ {
 		objs := []core.ObjectID{core.ObjectID(i % 4), core.ObjectID((i + 1) % 4)}
@@ -158,7 +157,7 @@ func TestHeavyContentionTOAllProcessed(t *testing.T) {
 	if sum.Processed != 40 {
 		t.Fatalf("processed %d/40", sum.Processed)
 	}
-	if !s.History.ConflictSerializable() {
+	if !serializable(ser) {
 		t.Fatal("heavy TO history not serializable")
 	}
 }

@@ -56,12 +56,13 @@ func TestSoakAllProtocols(t *testing.T) {
 	for name, mgr := range protocolsUnderTest() {
 		name, mgr := name, mgr
 		t.Run(name, func(t *testing.T) {
-			s, err := NewSystem(Config{
-				CPUPerObj:     10 * sim.Millisecond,
-				IOPerObj:      10 * sim.Millisecond,
-				NewManager:    mgr,
-				RecordHistory: true,
-			})
+			cfg := Config{
+				CPUPerObj:  10 * sim.Millisecond,
+				IOPerObj:   10 * sim.Millisecond,
+				NewManager: mgr,
+			}
+			ser := teeHistory(&cfg)
+			s, err := NewSystem(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +71,7 @@ func TestSoakAllProtocols(t *testing.T) {
 			if sum.Processed != count {
 				t.Fatalf("processed %d/%d", sum.Processed, count)
 			}
-			if !s.History.ConflictSerializable() {
+			if !serializable(ser) {
 				t.Fatal("committed history not conflict serializable")
 			}
 			if s.K.Live() != 0 {
@@ -88,17 +89,15 @@ func TestPropEveryProtocolSerializable(t *testing.T) {
 		name, mgr := name, mgr
 		t.Run(name, func(t *testing.T) {
 			prop := func(seed int64) bool {
-				s, err := NewSystem(Config{
-					CPUPerObj:     10 * sim.Millisecond,
-					NewManager:    mgr,
-					RecordHistory: true,
-				})
+				cfg := Config{CPUPerObj: 10 * sim.Millisecond, NewManager: mgr}
+				ser := teeHistory(&cfg)
+				s, err := NewSystem(cfg)
 				if err != nil {
 					return false
 				}
 				s.Load(soakLoad(t, seed, 60))
 				sum := s.Run()
-				return sum.Processed == 60 && s.History.ConflictSerializable() && s.K.Live() == 0
+				return sum.Processed == 60 && serializable(ser) && s.K.Live() == 0
 			}
 			if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 				t.Fatal(err)

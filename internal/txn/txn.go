@@ -13,7 +13,6 @@ import (
 	"strconv"
 
 	"rtlock/internal/buffer"
-	"rtlock/internal/check"
 	"rtlock/internal/core"
 	"rtlock/internal/db"
 	"rtlock/internal/journal"
@@ -49,21 +48,14 @@ type Config struct {
 	// NewManager constructs the concurrency-control protocol under
 	// test.
 	NewManager func(*sim.Kernel) core.Manager
-	// RecordHistory, when true, keeps the full access history for the
-	// serializability checker (tests); large runs leave it off.
-	RecordHistory bool
 	// RestartDelay spaces restart attempts of abort-based protocols
 	// (High-Priority wounding, timestamp ordering, deadlock
 	// detection). Zero retries immediately.
 	RestartDelay sim.Duration
-	// Trace, when non-nil, receives per-transaction events (arrival,
-	// lock request/grant with blocked interval, operation completion,
-	// commit, deadline miss, restarts) — the paper's performance
-	// monitor log.
-	Trace *stats.Trace
 	// Journal, when non-nil, receives the machine-checkable replay
 	// journal: every kernel, lock-manager, and transaction lifecycle
-	// event, in deterministic order. internal/audit consumes it.
+	// event, in deterministic order. Its observers (internal/audit's
+	// auditors, the stats.Trace event log) consume it.
 	Journal *journal.Journal
 	// BufferPages sizes the LRU object buffer: accesses that hit skip
 	// the I/O delay. Zero disables buffering (every access pays I/O),
@@ -116,7 +108,6 @@ type System struct {
 	Mgr     core.Manager
 	Store   *db.Store
 	Monitor *stats.Monitor
-	History *check.History
 	Buffer  *buffer.Pool
 	IO      *sim.Station
 	Log     *wal.Log
@@ -186,9 +177,6 @@ func NewSystem(cfg Config) (*System, error) {
 		Buffer:  buffer.New(cfg.BufferPages),
 		IO:      sim.NewStation(k, cfg.IODisks),
 		cfg:     cfg,
-	}
-	if cfg.RecordHistory {
-		s.History = check.NewHistory()
 	}
 	s.Monitor.SetMaxRaw(cfg.MaxRawRecords)
 	m := k.Metrics()
@@ -311,14 +299,9 @@ func (s *System) exec(p *sim.Proc, t *workload.Txn) {
 	s.mInflight.Add(1)
 	defer s.mInflight.Add(-1)
 	deadlineEv := s.K.At(t.Deadline, func() { p.Interrupt(ErrDeadlineMissed) })
-	if s.cfg.Trace != nil {
-		s.cfg.Trace.Log(p.Now(), t.ID, stats.EvArrive, -1,
-			fmt.Sprintf("size=%d deadline=%.1fms", t.Size(), sim.Duration(t.Deadline).Millis()))
-	}
 	s.K.Emit(journal.KArrive, t.ID, 0, int64(t.Deadline), 0, "")
 
 	var err error
-	var attempt []attemptOp
 	// The access sets and priority-change hook are attempt-invariant;
 	// computing them once per transaction keeps restarts allocation-free
 	// (managers only read the sets, never mutate them).
@@ -335,11 +318,10 @@ func (s *System) exec(p *sim.Proc, t *workload.Txn) {
 		st.WriteSet = writeSet
 		st.Estimate = estimate
 		st.OnPrioChange = onPrio
-		attempt = attempt[:0]
 
 		s.K.Emit(journal.KRegister, t.ID, 0, 0, 0, "")
 		s.Mgr.Register(st)
-		err = s.body(p, st, t, &attempt)
+		err = s.body(p, st, t)
 		if err == nil && s.Log != nil && len(st.WriteSet) > 0 {
 			// Write-ahead: force the commit record while still
 			// holding the write locks, before the writes become
@@ -368,7 +350,6 @@ func (s *System) exec(p *sim.Proc, t *workload.Txn) {
 		s.K.Emit(journal.KRestart, t.ID, 0, int64(rec.Restarts), 0, "")
 		s.mRestarts.Inc()
 		rec.Restarts++
-		s.cfg.Trace.Log(p.Now(), t.ID, stats.EvRestart, -1, "")
 		if s.cfg.RestartDelay > 0 {
 			if err = p.Sleep(s.cfg.RestartDelay); err != nil {
 				break
@@ -384,23 +365,13 @@ func (s *System) exec(p *sim.Proc, t *workload.Txn) {
 	switch {
 	case err == nil:
 		s.K.Emit(journal.KCommit, t.ID, 0, 0, 0, "")
-		s.cfg.Trace.Log(p.Now(), t.ID, stats.EvCommit, -1, "")
 		s.mCommits.Inc()
 		rec.Outcome = stats.Committed
 		for _, obj := range writeSet {
 			s.Store.Write(obj, t.ID, p.Now())
 		}
-		if s.History != nil {
-			// Only the committed attempt's accesses enter the
-			// history; aborted attempts were undone.
-			for _, op := range attempt {
-				s.History.Record(t.ID, op.obj, op.mode, op.at)
-			}
-			s.History.Commit(t.ID)
-		}
 	case errors.Is(err, ErrDeadlineMissed):
 		s.K.Emit(journal.KDeadlineMiss, t.ID, 0, 0, 0, "")
-		s.cfg.Trace.Log(p.Now(), t.ID, stats.EvDeadlineMiss, -1, "")
 		s.mMissDead.Inc()
 		rec.Outcome = stats.DeadlineMissed
 	default:
@@ -413,25 +384,13 @@ func (s *System) exec(p *sim.Proc, t *workload.Txn) {
 		rec.Finish.Sub(rec.Arrival), rec.Restarts)
 }
 
-// attemptOp is one access of the current attempt, buffered for the
-// history so that only committed attempts are checked.
-type attemptOp struct {
-	obj  core.ObjectID
-	mode core.Mode
-	at   sim.Time
-}
-
 // body performs the access sequence: lock (or timestamp validation),
 // then CPU, then I/O per object. A pending wound that missed its
 // interrupt window is honored at the next step boundary.
-func (s *System) body(p *sim.Proc, st *core.TxState, t *workload.Txn, attempt *[]attemptOp) error {
+func (s *System) body(p *sim.Proc, st *core.TxState, t *workload.Txn) error {
 	for _, op := range t.Ops {
 		if w := st.Wounded(); w != nil {
 			return w
-		}
-		requested := p.Now()
-		if s.cfg.Trace != nil {
-			s.cfg.Trace.Log(requested, t.ID, stats.EvLockRequest, int32(op.Obj), op.Mode.String())
 		}
 		if s.cfg.LockOverhead > 0 {
 			if err := s.CPU.Use(p, st.Eff(), s.cfg.LockOverhead); err != nil {
@@ -441,17 +400,7 @@ func (s *System) body(p *sim.Proc, st *core.TxState, t *workload.Txn, attempt *[
 		if err := s.Mgr.Acquire(p, st, op.Obj, op.Mode); err != nil {
 			return err
 		}
-		if s.cfg.Trace != nil {
-			note := op.Mode.String()
-			if wait := p.Now().Sub(requested); wait > 0 {
-				note = fmt.Sprintf("%s blocked %.1fms", note, wait.Millis())
-			}
-			s.cfg.Trace.Log(p.Now(), t.ID, stats.EvLockGrant, int32(op.Obj), note)
-		}
 		s.K.Emit(journal.KOp, t.ID, int32(op.Obj), int64(op.Mode), 0, "")
-		if s.History != nil {
-			*attempt = append(*attempt, attemptOp{obj: op.Obj, mode: op.Mode, at: p.Now()})
-		}
 		if err := s.CPU.Use(p, st.Eff(), s.cfg.CPUPerObj); err != nil {
 			return err
 		}
@@ -460,7 +409,6 @@ func (s *System) body(p *sim.Proc, st *core.TxState, t *workload.Txn, attempt *[
 				return err
 			}
 		}
-		s.cfg.Trace.Log(p.Now(), t.ID, stats.EvOpDone, int32(op.Obj), "")
 	}
 	if w := st.Wounded(); w != nil {
 		return w

@@ -3,26 +3,41 @@ package txn
 import (
 	"testing"
 
+	"rtlock/internal/audit"
 	"rtlock/internal/core"
+	"rtlock/internal/journal"
 	"rtlock/internal/sim"
 	"rtlock/internal/stats"
 	"rtlock/internal/workload"
 )
 
-func newPCPSystem(t *testing.T) *System {
+func newPCPSystem(t *testing.T) (*System, *audit.Serializable) {
 	t.Helper()
-	s, err := NewSystem(Config{
+	cfg := Config{
 		CPUPerObj:     10 * sim.Millisecond,
 		IOPerObj:      0,
 		CPUDiscipline: sim.PreemptivePriority,
 		NewManager:    func(k *sim.Kernel) core.Manager { return core.NewCeiling(k) },
-		RecordHistory: true,
-	})
+	}
+	ser := teeHistory(&cfg)
+	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return s, ser
 }
+
+// teeHistory gives cfg a discarding journal with the committed-history
+// serializability auditor teed onto it.
+func teeHistory(cfg *Config) *audit.Serializable {
+	ser := audit.NewSerializable(false)
+	cfg.Journal = journal.New(0, "txn-test")
+	cfg.Journal.Tee(true, ser)
+	return ser
+}
+
+// serializable reports the auditor's verdict once the run is over.
+func serializable(ser *audit.Serializable) bool { return len(ser.Finish()) == 0 }
 
 func mkTxn(id int64, arrival, deadline sim.Time, objs []core.ObjectID, mode core.Mode) *workload.Txn {
 	t := &workload.Txn{ID: id, Kind: workload.Update, Arrival: arrival, Deadline: deadline}
@@ -45,7 +60,7 @@ func TestSystemConfigValidation(t *testing.T) {
 }
 
 func TestCommitWithinDeadline(t *testing.T) {
-	s := newPCPSystem(t)
+	s, _ := newPCPSystem(t)
 	tx := mkTxn(1, 0, sim.Time(sim.Second), []core.ObjectID{1, 2, 3}, core.Write)
 	s.Load([]*workload.Txn{tx})
 	sum := s.Run()
@@ -64,7 +79,7 @@ func TestCommitWithinDeadline(t *testing.T) {
 }
 
 func TestDeadlineAbortReleasesLocksAndDisappears(t *testing.T) {
-	s := newPCPSystem(t)
+	s, _ := newPCPSystem(t)
 	// tx1 needs 50ms of CPU but has a 25ms deadline.
 	doomed := mkTxn(1, 0, sim.Time(25*sim.Millisecond), []core.ObjectID{1, 2, 3, 4, 5}, core.Write)
 	// tx2 wants the same first object afterwards and must get it.
@@ -85,7 +100,7 @@ func TestDeadlineAbortReleasesLocksAndDisappears(t *testing.T) {
 }
 
 func TestDeadlineAbortWhileBlocked(t *testing.T) {
-	s := newPCPSystem(t)
+	s, _ := newPCPSystem(t)
 	holder := mkTxn(1, 0, sim.Time(sim.Second), []core.ObjectID{1}, core.Write)
 	// Needs obj 1 but will be blocked past its deadline. Note holder
 	// has the earlier... later deadline; make waiter arrive during
@@ -109,7 +124,7 @@ func TestDeadlineAbortWhileBlocked(t *testing.T) {
 }
 
 func TestHistorySerializable(t *testing.T) {
-	s := newPCPSystem(t)
+	s, ser := newPCPSystem(t)
 	var txs []*workload.Txn
 	for i := int64(1); i <= 20; i++ {
 		objs := []core.ObjectID{core.ObjectID(i % 5), core.ObjectID((i + 1) % 5), core.ObjectID((i + 2) % 5)}
@@ -120,13 +135,13 @@ func TestHistorySerializable(t *testing.T) {
 	if sum.Committed != 20 {
 		t.Fatalf("committed %d/20", sum.Committed)
 	}
-	if !s.History.ConflictSerializable() {
+	if !serializable(ser) {
 		t.Fatal("PCP produced a non-serializable committed history")
 	}
 }
 
 func TestPreemptionByPriority(t *testing.T) {
-	s := newPCPSystem(t)
+	s, _ := newPCPSystem(t)
 	// Long low-priority transaction on disjoint objects; short urgent
 	// one arrives mid-run and must preempt on the CPU.
 	long := mkTxn(1, 0, sim.Time(10*sim.Second), []core.ObjectID{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, core.Write)
@@ -214,7 +229,7 @@ func TestBufferSkipsIO(t *testing.T) {
 }
 
 func TestThroughputNormalization(t *testing.T) {
-	s := newPCPSystem(t)
+	s, _ := newPCPSystem(t)
 	txs := []*workload.Txn{
 		mkTxn(1, 0, sim.Time(sim.Second), []core.ObjectID{1, 2, 3, 4}, core.Write),
 		mkTxn(2, sim.Time(sim.Second)-1, sim.Time(2*sim.Second), []core.ObjectID{5, 6, 7, 8}, core.Write),

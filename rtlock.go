@@ -114,9 +114,11 @@ type (
 	Figure = experiments.Figure
 	// Outcome classifies how a transaction left the system.
 	Outcome = stats.Outcome
-	// Trace is the performance monitor's event log.
+	// Trace is the performance monitor's event log: the
+	// transaction-level records of the run's journal.
 	Trace = stats.Trace
-	// TraceEvent is one recorded occurrence in a Trace.
+	// TraceEvent is one record in a Trace, with the blocked interval a
+	// lock grant ended.
 	TraceEvent = stats.Event
 	// Topology is a site interconnect with per-pair delays.
 	Topology = netsim.Topology
@@ -204,14 +206,13 @@ const (
 	Committed      = stats.Committed
 	DeadlineMissed = stats.DeadlineMissed
 
-	// Trace event kinds.
-	TraceEventArrive       = stats.EvArrive
-	TraceEventLockRequest  = stats.EvLockRequest
-	TraceEventLockGrant    = stats.EvLockGrant
-	TraceEventOpDone       = stats.EvOpDone
-	TraceEventCommit       = stats.EvCommit
-	TraceEventDeadlineMiss = stats.EvDeadlineMiss
-	TraceEventRestart      = stats.EvRestart
+	// Trace event kinds: the journal kinds of a Trace's records.
+	TraceEventArrive       = journal.KArrive
+	TraceEventLockRequest  = journal.KLockRequest
+	TraceEventLockGrant    = journal.KLockGrant
+	TraceEventCommit       = journal.KCommit
+	TraceEventDeadlineMiss = journal.KDeadlineMiss
+	TraceEventRestart      = journal.KRestart
 )
 
 // WorkloadConfig describes the generated transaction load, following the
@@ -280,12 +281,13 @@ type SingleSiteConfig struct {
 	MemoryResident bool
 	// Workload describes the load.
 	Workload WorkloadConfig
-	// RecordHistory keeps the access history and reports whether the
+	// RecordHistory reports in Result.Serializable whether the
 	// committed history was conflict serializable.
 	RecordHistory bool
-	// TraceEvents, when positive, records up to that many
-	// per-transaction events (arrivals, lock requests and grants with
-	// blocked intervals, commits, misses, restarts) into Result.Trace.
+	// TraceEvents, when positive, keeps up to that many
+	// transaction-level journal records (arrivals, lock requests,
+	// blocks and grants with blocked intervals, operations, restarts,
+	// commits, misses) in Result.Trace.
 	TraceEvents int
 	// BufferPages sizes the LRU object buffer; accesses that hit skip
 	// the I/O delay. Zero disables buffering.
@@ -409,9 +411,11 @@ type DistributedConfig struct {
 	// Workload describes the load. Updates are homed at their write
 	// set's primary site, read-only transactions at random sites.
 	Workload WorkloadConfig
-	// RecordHistory keeps the access history (meaningful for the
-	// global approach; the local approach's stale replica reads are
-	// intentionally not serializable system-wide).
+	// RecordHistory reports in Result.Serializable whether the whole
+	// system's committed history, every site's operations in one
+	// history, was conflict serializable. The local approach's stale
+	// replica reads and the uncoordinated primary placement waive that,
+	// so both can report false.
 	RecordHistory bool
 	// Journal keeps every kernel-level event in Result.Journal.
 	Journal bool
@@ -464,8 +468,10 @@ type Result struct {
 	Summary Summary
 	// Records lists every processed transaction.
 	Records []TxRecord
-	// Serializable reports whether the committed history was conflict
-	// serializable; it is nil unless RecordHistory was set.
+	// Serializable reports whether the whole system's committed
+	// history, judged from the journal's operation records, was
+	// conflict serializable; it is nil unless RecordHistory was set.
+	// Distributed local and primary runs can report false.
 	Serializable *bool
 	// Replication holds replica statistics for distributed local-
 	// ceiling runs, nil otherwise.
@@ -578,41 +584,34 @@ func RunSingleSite(cfg SingleSiteConfig) (*Result, error) {
 			return nil, err
 		}
 	}
-	var trace *stats.Trace
-	if cfg.TraceEvents > 0 {
-		trace = stats.NewTrace(cfg.TraceEvents)
-	}
-	var jrn *journal.Journal
 	var auds []Auditor
-	keep := cfg.Journal || cfg.Metrics
-	if keep || cfg.Audit {
-		jrn = journal.New(cfg.Workload.Seed, fmt.Sprintf(
-			"single/%s/db=%d/cpu=%d/io=%d/count=%d/size=%d/ro=%g",
-			cfg.Protocol, cfg.DBSize, int64(cfg.CPUPerObj), int64(cfg.IOPerObj),
-			cfg.Workload.Count, cfg.Workload.MeanSize, cfg.Workload.ReadOnlyFrac))
-	}
 	if cfg.Audit {
 		if auds, err = AuditorsForProtocol(cfg.Protocol); err != nil {
 			return nil, err
 		}
-		audit.Tee(jrn, !keep, auds...)
 	}
-	reg, tl := buildTelemetry(cfg.Metrics, cfg.TimelineWindow, cfg.TimelineMaxWindows)
+	rec := &recording{
+		journal: cfg.Journal, audit: cfg.Audit, auds: auds, metrics: cfg.Metrics, history: cfg.RecordHistory,
+		traceEvents: cfg.TraceEvents, window: cfg.TimelineWindow, maxWindows: cfg.TimelineMaxWindows,
+	}
+	rec.start(cfg.Workload.Seed, func() string {
+		return fmt.Sprintf("single/%s/db=%d/cpu=%d/io=%d/count=%d/size=%d/ro=%g",
+			cfg.Protocol, cfg.DBSize, int64(cfg.CPUPerObj), int64(cfg.IOPerObj),
+			cfg.Workload.Count, cfg.Workload.MeanSize, cfg.Workload.ReadOnlyFrac)
+	})
 	sys, err := txn.NewSystem(txn.Config{
 		CPUPerObj:       cfg.CPUPerObj,
 		IOPerObj:        cfg.IOPerObj,
 		CPUDiscipline:   disc,
 		NewManager:      newMgr,
-		RecordHistory:   cfg.RecordHistory,
-		Trace:           trace,
 		BufferPages:     cfg.BufferPages,
 		IODisks:         cfg.IODisks,
 		WAL:             cfg.WAL,
 		CheckpointEvery: cfg.CheckpointEvery,
-		Journal:         jrn,
-		Metrics:         reg,
+		Journal:         rec.jrn,
+		Metrics:         rec.reg,
 		MetricsInterval: cfg.MetricsInterval,
-		Timeline:        tl,
+		Timeline:        rec.tl,
 		MaxRawRecords:   cfg.MaxRawRecords,
 	})
 	if err != nil {
@@ -624,22 +623,9 @@ func RunSingleSite(cfg SingleSiteConfig) (*Result, error) {
 		sys.Load(cfg.Workload.Transactions)
 	}
 	sum := sys.Run()
-	res := &Result{Summary: sum, Records: sys.Monitor.Records(), Trace: trace,
+	res := &Result{Summary: sum, Records: sys.Monitor.Records(),
 		RawRetained: sys.Monitor.RawRetained(), RawDropped: sys.Monitor.RawDropped()}
-	if keep {
-		res.Journal = jrn
-	}
-	if cfg.Metrics {
-		res.Metrics = reg
-		res.LockProfile = metrics.FromJournal(jrn, 0)
-	}
-	if tl != nil {
-		res.Timeline = tl.Rows()
-		res.TimelineDropped = tl.Dropped()
-	}
-	if cfg.Audit {
-		res.Violations = audit.Finish(auds...)
-	}
+	rec.finish(res)
 	if sys.Log != nil {
 		res.Recovery = &RecoveryInfo{
 			Records:          sys.Log.Records(),
@@ -647,10 +633,6 @@ func RunSingleSite(cfg SingleSiteConfig) (*Result, error) {
 			RedoTail:         sys.Log.RedoLength(),
 			EstimatedRestart: sys.Log.RecoveryTime(Millisecond/10, Millisecond),
 		}
-	}
-	if sys.History != nil {
-		ok := sys.History.ConflictSerializable()
-		res.Serializable = &ok
 	}
 	return res, nil
 }
@@ -685,9 +667,18 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 	if cfg.Workload.LocalityProb > 0 && mode.LocalWriteSets() {
 		return nil, fmt.Errorf("rtlock: LocalityProb requires a sharded, quorum, or primary-only placement")
 	}
-	var jrn *journal.Journal
-	keep := cfg.Journal || cfg.Metrics
-	if keep || cfg.Audit {
+	var auds []Auditor
+	if cfg.Audit {
+		auds = audit.ForPlacement(mode.String())
+		if !cfg.Faults.Empty() {
+			auds = audit.ForFaults(mode.String())
+		}
+	}
+	rec := &recording{
+		journal: cfg.Journal, audit: cfg.Audit, auds: auds, metrics: cfg.Metrics, history: cfg.RecordHistory,
+		window: cfg.TimelineWindow, maxWindows: cfg.TimelineMaxWindows,
+	}
+	rec.start(cfg.Workload.Seed, func() string {
 		key := fmt.Sprintf(
 			"dist/%s/sites=%d/db=%d/delay=%d/count=%d/size=%d/ro=%g/mv=%t",
 			mode, cfg.Sites, cfg.DBSize, int64(cfg.CommDelay),
@@ -713,17 +704,8 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 			// journal stays byte-identical to a run without one.
 			key += "/" + cfg.Faults.String()
 		}
-		jrn = journal.New(cfg.Workload.Seed, key)
-	}
-	var auds []Auditor
-	if cfg.Audit {
-		auds = audit.ForPlacement(mode.String())
-		if !cfg.Faults.Empty() {
-			auds = audit.ForFaults(mode.String())
-		}
-		audit.Tee(jrn, !keep, auds...)
-	}
-	reg, tl := buildTelemetry(cfg.Metrics, cfg.TimelineWindow, cfg.TimelineMaxWindows)
+		return key
+	})
 	cluster, err := dist.NewCluster(dist.Config{
 		Mode:            mode,
 		HashShards:      cfg.HashShards,
@@ -740,11 +722,10 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 		Multiversion:    cfg.Multiversion,
 		SnapshotLag:     cfg.SnapshotLag,
 		SiteSpeed:       cfg.SiteSpeed,
-		RecordHistory:   cfg.RecordHistory,
-		Journal:         jrn,
-		Metrics:         reg,
+		Journal:         rec.jrn,
+		Metrics:         rec.reg,
 		MetricsInterval: cfg.MetricsInterval,
-		Timeline:        tl,
+		Timeline:        rec.tl,
 		MaxRawRecords:   cfg.MaxRawRecords,
 	})
 	if err != nil {
@@ -780,41 +761,85 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 		RawRetained: cluster.Monitor.RawRetained(),
 		RawDropped:  cluster.Monitor.RawDropped(),
 	}
-	if keep {
-		res.Journal = jrn
-	}
-	if cfg.Metrics {
-		res.Metrics = reg
-		res.LockProfile = metrics.FromJournal(jrn, 0)
-	}
-	if tl != nil {
-		res.Timeline = tl.Rows()
-		res.TimelineDropped = tl.Dropped()
-	}
-	if cfg.Audit {
-		res.Violations = audit.Finish(auds...)
-	}
+	rec.finish(res)
 	if mode == dist.Local {
 		repl := cluster.Replication()
 		res.Replication = &repl
 	}
-	if cluster.History != nil {
-		ok := cluster.History.ConflictSerializable()
-		res.Serializable = &ok
-	}
 	return res, nil
 }
 
-// buildTelemetry assembles the metrics registry and timeline collector a
-// run needs. With the Metrics flag the registry is user-visible and
-// sampled; a timeline without Metrics reads its own probe registry,
-// which is never sampled and never reaches the Result.
-func buildTelemetry(metricsOn bool, window Duration, maxWindows int) (*metrics.Registry, *timeline.Collector) {
-	var reg *metrics.Registry
-	if metricsOn {
-		reg = metrics.New()
+// recording is what one run records beside its monitor: the journal
+// and its observers (the auditors, the serializability verdict behind
+// RecordHistory, the trace behind TraceEvents), the metrics registry
+// and the timeline collector. The caller sets the knobs both run
+// configs share, and the auditors of an audited run; start builds the
+// rest.
+type recording struct {
+	journal, audit, metrics, history bool
+	auds                             []Auditor
+	traceEvents                      int
+	window                           Duration
+	maxWindows                       int
+
+	jrn    *journal.Journal
+	serial *audit.Serializable
+	trace  *stats.Trace
+	reg    *metrics.Registry
+	tl     *timeline.Collector
+}
+
+// start builds the run's journal, keyed by seed and the config string
+// key renders, and tees every requested observer onto it. A run that
+// keeps no records but has observers gets a discarding journal; a run
+// with neither gets none. With the Metrics flag the registry is
+// user-visible and sampled; a timeline without Metrics reads its own
+// probe registry, which is never sampled and never reaches the Result.
+func (r *recording) start(seed int64, key func() string) {
+	var obs []journal.Observer
+	for _, a := range r.auds {
+		obs = append(obs, a)
 	}
-	return reg, timeline.New(timeline.Config{Window: window, MaxWindows: maxWindows}, reg)
+	if r.history {
+		r.serial = audit.NewSerializable(false)
+		obs = append(obs, r.serial)
+	}
+	if r.traceEvents > 0 {
+		r.trace = stats.NewTrace(r.traceEvents)
+		obs = append(obs, r.trace)
+	}
+	keep := r.journal || r.metrics
+	if keep || len(obs) > 0 {
+		r.jrn = journal.New(seed, key())
+		r.jrn.Tee(!keep, obs...)
+	}
+	if r.metrics {
+		r.reg = metrics.New()
+	}
+	r.tl = timeline.New(timeline.Config{Window: r.window, MaxWindows: r.maxWindows}, r.reg)
+}
+
+// finish closes the observers and fills what they recorded into res.
+func (r *recording) finish(res *Result) {
+	if r.journal || r.metrics {
+		res.Journal = r.jrn
+	}
+	if r.metrics {
+		res.Metrics = r.reg
+		res.LockProfile = metrics.FromJournal(r.jrn, 0)
+	}
+	if r.tl != nil {
+		res.Timeline = r.tl.Rows()
+		res.TimelineDropped = r.tl.Dropped()
+	}
+	if r.audit {
+		res.Violations = audit.Finish(r.auds...)
+	}
+	if r.serial != nil {
+		ok := len(r.serial.Finish()) == 0
+		res.Serializable = &ok
+	}
+	res.Trace = r.trace
 }
 
 // generatorParams maps the facade workload config onto generator

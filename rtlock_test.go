@@ -171,3 +171,42 @@ func TestReproduceAllScaled(t *testing.T) {
 		}
 	}
 }
+
+// TestRunDistributedSerializableCanBeFalse: the verdict covers the whole
+// system's committed history, so the modes that waive serializability
+// report false where the coordinated ones report true. The local
+// approach reads stale replicas; the primary placement coordinates
+// nothing.
+func TestRunDistributedSerializableCanBeFalse(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		global    bool
+		placement string
+		seed      int64
+		want      bool
+	}{
+		{"local", false, "", 6, false},
+		{"local", false, "", 7, false},
+		{"primary", false, "primary", 6, false},
+		{"primary", false, "primary", 7, false},
+		{"global", true, "", 6, true},
+		{"global", true, "", 7, true},
+	} {
+		res, err := RunDistributed(DistributedConfig{
+			Global:        tc.global,
+			Placement:     tc.placement,
+			RecordHistory: true,
+			Workload: WorkloadConfig{Seed: tc.seed, Count: 200, MeanSize: 6,
+				MeanInterarrival: 20 * Millisecond, ReadOnlyFrac: 0.3},
+		})
+		if err != nil {
+			t.Fatalf("%s seed %d: %v", tc.name, tc.seed, err)
+		}
+		if res.Serializable == nil {
+			t.Fatalf("%s seed %d: no verdict with RecordHistory set", tc.name, tc.seed)
+		}
+		if *res.Serializable != tc.want {
+			t.Fatalf("%s seed %d: Serializable = %t, want %t", tc.name, tc.seed, *res.Serializable, tc.want)
+		}
+	}
+}
