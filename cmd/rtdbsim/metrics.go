@@ -1,10 +1,12 @@
 // The metrics subcommand: run one configuration with the deterministic
-// virtual-time metrics registry attached and export the observability
-// bundle — Prometheus text exposition, CSV time series, pprof-style
-// folded blocking-chain stacks, and a static HTML report. With -runs > 1
-// the exports are re-generated from independent executions and must be
-// byte-identical, proving the observability layer is as deterministic as
-// the simulation it watches.
+// virtual-time metrics registry and the lock-contention profiler
+// attached and export the observability bundle — Prometheus text
+// exposition, CSV time series, pprof-style folded blocking-chain stacks,
+// and a static HTML report. Both gather as the run goes, so the run
+// keeps no journal records however long it is. With -runs > 1 the
+// exports are re-generated from independent executions and must be
+// byte-identical, proving the observability layer is as deterministic
+// as the simulation it watches.
 package main
 
 import (
@@ -49,8 +51,7 @@ func runMetrics(args []string) error {
 	}
 
 	fmt.Println(res.Summary)
-	prof := metrics.FromJournal(res.Journal, *topk)
-	fmt.Print(prof.String())
+	fmt.Print(res.LockProfile.Top(*topk).String())
 	fmt.Println(processSwitches(res.Metrics))
 	if *runs > 1 {
 		fmt.Printf("metrics: %d runs byte-identical — deterministic\n", *runs)
@@ -130,7 +131,7 @@ func metricsBundle(res *rtlock.Result, title string, topk int) (bundle, error) {
 	if res.Metrics == nil {
 		return nil, fmt.Errorf("metrics: run produced no registry")
 	}
-	prof := metrics.FromJournal(res.Journal, topk)
+	prof := res.LockProfile.Top(topk)
 	return bundle{
 		{"metrics.prom", res.Metrics.Prometheus()},
 		{"metrics.csv", res.Metrics.CSV()},

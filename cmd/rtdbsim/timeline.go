@@ -23,7 +23,7 @@ func runTimeline(args []string) error {
 		out      = fs.String("out", "timeline-out", "directory for timeline.jsonl, timeline.csv, report.html")
 		windowMs = fs.Float64("window", 0, "window width in virtual milliseconds (0 keeps the spec's value, or 1000)")
 		maxWin   = fs.Int("maxwindows", 0, "retained windows in the ring (0 = default 4096)")
-		maxRaw   = fs.Int("maxraw", 4096, "raw per-transaction records retained (0 = unlimited)")
+		maxRaw   = fs.Int("maxraw", 4096, "raw per-transaction records retained (0 = unlimited); unset keeps the spec's cap, or 4096")
 		burst    = fs.Float64("burst", 0, "arrival burst factor (>1 enables the deterministic burst square wave)")
 		burstOn  = fs.Float64("burston", 2000, "burst phase width in milliseconds")
 		burstOff = fs.Float64("burstoff", 8000, "quiet phase width in milliseconds")
@@ -45,7 +45,11 @@ func runTimeline(args []string) error {
 	if *maxWin > 0 {
 		s.TimelineMaxWindows = *maxWin
 	}
-	if *maxRaw > 0 {
+	// An explicit -maxraw wins, 0 included; otherwise a spec's own cap
+	// stays and an uncapped spec takes the flag's default.
+	explicitRaw := false
+	fs.Visit(func(f *flag.Flag) { explicitRaw = explicitRaw || f.Name == "maxraw" })
+	if explicitRaw || s.MaxRawRecords <= 0 {
 		s.MaxRawRecords = *maxRaw
 	}
 	if *burst > 0 {

@@ -69,7 +69,8 @@ type Spec struct {
 	Audit   bool `json:"audit,omitempty"`
 
 	// Metrics samples a deterministic virtual-time metrics registry
-	// into Result.Metrics (implies Journal); MetricsIntervalMs spaces
+	// into Result.Metrics and profiles lock contention into
+	// Result.LockProfile, keeping no records; MetricsIntervalMs spaces
 	// the snapshots (zero picks the 100ms default).
 	Metrics           bool    `json:"metrics,omitempty"`
 	MetricsIntervalMs float64 `json:"metricsIntervalMs,omitempty"`

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
 	"rtlock/internal/core"
+	"rtlock/internal/explore"
 	"rtlock/internal/stats"
 )
 
@@ -451,8 +453,12 @@ func TestSweepsDeterministicUnderParallelRuns(t *testing.T) {
 	}
 }
 
+// TestCollectRunsOrderAndErrors pins the pool the sweeps collect their
+// runs on: outcomes in run order, the first error by run index, and
+// zero runs a no-op.
 func TestCollectRunsOrderAndErrors(t *testing.T) {
-	outs, err := collectRuns(8, func(r int) (outcome, error) {
+	workers := runtime.GOMAXPROCS(0)
+	outs, err := explore.RunBatch(8, workers, func(r int) (outcome, error) {
 		return outcome{sum: stats.Summary{Processed: r}}, nil
 	})
 	if err != nil {
@@ -463,7 +469,7 @@ func TestCollectRunsOrderAndErrors(t *testing.T) {
 			t.Fatalf("results out of order: %v", outs)
 		}
 	}
-	if _, err := collectRuns(4, func(r int) (outcome, error) {
+	if _, err := explore.RunBatch(4, workers, func(r int) (outcome, error) {
 		if r == 2 {
 			return outcome{}, errBoom
 		}
@@ -471,7 +477,7 @@ func TestCollectRunsOrderAndErrors(t *testing.T) {
 	}); err != errBoom {
 		t.Fatalf("error not surfaced: %v", err)
 	}
-	if outs, err := collectRuns(0, nil); err != nil || outs != nil {
+	if outs, err := explore.RunBatch[outcome](0, workers, nil); err != nil || outs != nil {
 		t.Fatal("zero runs must be a no-op")
 	}
 }

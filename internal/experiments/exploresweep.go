@@ -70,7 +70,7 @@ func exploreTargets(p ExploreParams) ([]explore.Target, error) {
 	}
 	if p.IncludeDistributed {
 		for _, global := range []bool{false, true} {
-			tgt, err := explore.DistributedTarget(explore.DistributedOpts{Global: global, Seed: p.Seed})
+			tgt, err := explore.DistributedTarget(explore.FaultOpts{Global: global, Seed: p.Seed})
 			if err != nil {
 				return nil, err
 			}

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
+	"rtlock/internal/explore"
 	"rtlock/internal/sim"
 	"rtlock/internal/stats"
 )
@@ -98,7 +100,9 @@ func (sw *Sweep) runs(c cell) ([]outcome, error) {
 		return outs, nil
 	}
 	runs, baseSeed, audited := c.schedule()
-	outs, err := collectRuns(runs, func(r int) (outcome, error) {
+	// Each run builds its own kernel, so runs are independent; the pool
+	// returns them in run order, keeping every aggregate deterministic.
+	outs, err := explore.RunBatch(runs, runtime.GOMAXPROCS(0), func(r int) (outcome, error) {
 		seed := baseSeed + int64(r)*7919
 		o, err := c.run(seed, audited)
 		if err == nil && len(o.violations) > 0 {

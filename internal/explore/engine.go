@@ -102,32 +102,32 @@ func (e *engine) runDFS() error {
 			batch[i] = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 		}
-		results := runBatch(n, e.o.Workers, func(i int) (runResult, error) {
+		results, err := RunBatch(n, e.o.Workers, func(i int) (runResult, error) {
 			return e.execute(batch[i], replayChooser(batch[i]))
 		})
+		if err != nil {
+			return err
+		}
 		for _, r := range results {
-			if r.err != nil {
-				return r.err
-			}
-			fresh := e.observe(r.val)
+			fresh := e.observe(r)
 			if !fresh || e.stop {
 				continue
 			}
 			// Branch the canonical suffix, deepest position pushed
 			// last so it pops first (true backtracking order).
-			limit := len(r.val.trace)
+			limit := len(r.trace)
 			if limit > e.o.MaxDepth {
 				limit = e.o.MaxDepth
 			}
-			for pos := len(r.val.prefix); pos < limit; pos++ {
-				fan := r.val.trace[pos].N
+			for pos := len(r.prefix); pos < limit; pos++ {
+				fan := r.trace[pos].N
 				if fan > e.o.Branch {
 					fan = e.o.Branch
 				}
 				for alt := 1; alt < fan; alt++ {
 					child := make([]int, pos+1)
 					for j := 0; j < pos; j++ {
-						child[j] = r.val.trace[j].Pick
+						child[j] = r.trace[j].Pick
 					}
 					child[pos] = alt
 					stack = append(stack, child)
@@ -150,7 +150,7 @@ func (e *engine) runRandom() error {
 			n = rem
 		}
 		base := next
-		results := runBatch(n, e.o.Workers, func(i int) (runResult, error) {
+		results, err := RunBatch(n, e.o.Workers, func(i int) (runResult, error) {
 			idx := base + i
 			if idx == 0 {
 				return e.execute(nil, replayChooser(nil))
@@ -158,12 +158,12 @@ func (e *engine) runRandom() error {
 			ch := randomChooser(mix(e.o.Seed, int64(idx)), e.o.MaxDepth, e.o.Branch)
 			return e.execute(nil, ch)
 		})
+		if err != nil {
+			return err
+		}
 		next += n
 		for _, r := range results {
-			if r.err != nil {
-				return r.err
-			}
-			e.observe(r.val)
+			e.observe(r)
 		}
 	}
 	e.rep.Frontier = e.o.Schedules - next

@@ -19,10 +19,11 @@ import (
 // the chooser, so pooling never affects outcomes.
 var spacePool = sync.Pool{New: func() any { return new(faults.SpaceInjector) }}
 
-// FaultOpts configures a fault-space exploration target: a distributed
-// cluster whose schedule tree includes failure decisions — site
-// crashes, per-message drop/duplicate fates, and partition cuts — in
-// addition to the scheduling decision points.
+// FaultOpts configures a cluster exploration target. Under FaultTarget
+// the schedule tree includes failure decisions — site crashes,
+// per-message drop/duplicate fates, and partition cuts — in addition to
+// the scheduling decision points; DistributedTarget explores the
+// scheduling decision points alone.
 type FaultOpts struct {
 	// Global selects the global-ceiling-manager architecture; false
 	// selects local ceilings over full replication.
@@ -35,8 +36,7 @@ type FaultOpts struct {
 	// Seed drives the workload stream (default 1).
 	Seed int64
 	// Sites, Count, DBSize, MeanSize, CommDelay, CPUPerObj, and
-	// ReadOnlyFrac shape the cluster and workload, as in
-	// DistributedOpts.
+	// ReadOnlyFrac shape the cluster and workload.
 	Sites        int
 	Count        int
 	DBSize       int

@@ -6,31 +6,25 @@ import (
 	"sync"
 )
 
-// runBatch executes n jobs on up to `workers` goroutines and returns
-// the results in input order. The job set and its order are decided by
-// the caller before runBatch starts, and results are index-addressed,
+// RunBatch executes n jobs on up to `workers` goroutines (never more
+// than GOMAXPROCS) and returns their values in input order, or the
+// first error by job index. The job set and its order are decided by
+// the caller before RunBatch starts, and results are index-addressed,
 // so worker count (and OS scheduling) affect wall-clock time only —
 // never which jobs run or how their results are observed. A panicking
 // job is captured as that slot's error instead of tearing down the
-// process.
+// process. Zero jobs return nil.
 //
-// This file is the package's only goroutine spawn site and is listed in
-// rtlint's raw-go allowlist; everything else in the package runs on the
-// caller's goroutine.
-func runBatch[T any](n, workers int, job func(i int) (T, error)) []batchResult[T] {
-	out := make([]batchResult[T], n)
-	if n == 0 {
-		return out
+// This file is the module's only goroutine spawn site outside the
+// kernel and is listed in rtlint's raw-go allowlist; the schedule
+// explorer and the experiment sweeps both run their jobs here.
+func RunBatch[T any](n, workers int, job func(i int) (T, error)) ([]T, error) {
+	if n <= 0 {
+		return nil, nil
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers > runtime.GOMAXPROCS(0) {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, n, runtime.GOMAXPROCS(0)))
+	vals := make([]T, n)
+	errs := make([]error, n)
 	next := make(chan int, n)
 	for i := 0; i < n; i++ {
 		next <- i
@@ -42,27 +36,24 @@ func runBatch[T any](n, workers int, job func(i int) (T, error)) []batchResult[T
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				out[i] = guardedJob(i, job)
+				vals[i], errs[i] = guardedJob(i, job)
 			}
 		}()
 	}
 	wg.Wait()
-	return out
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return vals, nil
 }
 
-// batchResult is one job's slot: the value or the error (including a
-// recovered panic).
-type batchResult[T any] struct {
-	val T
-	err error
-}
-
-func guardedJob[T any](i int, job func(i int) (T, error)) (res batchResult[T]) {
+func guardedJob[T any](i int, job func(i int) (T, error)) (val T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res.err = fmt.Errorf("explore: schedule job %d panicked: %v", i, r)
+			err = fmt.Errorf("explore: batch job %d panicked: %v", i, r)
 		}
 	}()
-	res.val, res.err = job(i)
-	return res
+	return job(i)
 }

@@ -159,37 +159,8 @@ func SingleSiteTarget(o SingleSiteOpts) (Target, error) {
 	}, nil
 }
 
-// DistributedOpts configures a distributed exploration target.
-type DistributedOpts struct {
-	// Global selects the global-ceiling-manager architecture; false
-	// selects local ceilings over full replication.
-	Global bool
-	// Seed drives the workload stream (default 1).
-	Seed int64
-	// Sites, Count, DBSize, MeanSize, CommDelay, CPUPerObj, and
-	// ReadOnlyFrac shape the cluster and workload.
-	Sites        int
-	Count        int
-	DBSize       int
-	MeanSize     int
-	CommDelay    sim.Duration
-	CPUPerObj    sim.Duration
-	ReadOnlyFrac float64
-}
-
 // DistributedTarget builds the exploration target for one distributed
 // architecture. The distributed decision points (message delivery
-// order, 2PC prepare rotation) only exist here.
-func DistributedTarget(o DistributedOpts) (Target, error) {
-	return clusterTarget(FaultOpts{
-		Global:       o.Global,
-		Seed:         o.Seed,
-		Sites:        o.Sites,
-		Count:        o.Count,
-		DBSize:       o.DBSize,
-		MeanSize:     o.MeanSize,
-		CommDelay:    o.CommDelay,
-		CPUPerObj:    o.CPUPerObj,
-		ReadOnlyFrac: o.ReadOnlyFrac,
-	}, false)
-}
+// order, 2PC prepare rotation) only exist here. Unlike FaultTarget it
+// never arms the fault space, so o.Space is unused.
+func DistributedTarget(o FaultOpts) (Target, error) { return clusterTarget(o, false) }

@@ -72,7 +72,7 @@ func TestCleanTreeSingleSiteExploresClean(t *testing.T) {
 // decision points.
 func TestCleanTreeDistributedExploresClean(t *testing.T) {
 	for _, global := range []bool{false, true} {
-		tgt, err := DistributedTarget(DistributedOpts{Global: global})
+		tgt, err := DistributedTarget(FaultOpts{Global: global})
 		if err != nil {
 			t.Fatal(err)
 		}

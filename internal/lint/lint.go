@@ -119,11 +119,10 @@ type Config struct {
 
 // DefaultGoSpawnAllowlist names the only files where a raw `go`
 // statement is part of the deterministic machinery: the kernel's
-// baton-passing worker start, the run-indexed parallel sweep runner, and the
-// schedule explorer's index-slotted batch pool.
+// baton-passing worker start, and the index-slotted batch pool the
+// schedule explorer and the experiment sweeps share.
 var DefaultGoSpawnAllowlist = []string{
 	"internal/sim/proc.go",
-	"internal/experiments/parallel.go",
 	"internal/explore/pool.go",
 }
 

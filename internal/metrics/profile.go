@@ -10,11 +10,12 @@ import (
 )
 
 // The lock-contention profiler derives per-object hold/wait breakdowns
-// and blocking-chain stacks from the replay journal rather than from
+// and blocking-chain stacks from the journal's records rather than from
 // live probes: the journal already carries every lock request, grant,
 // block (with blamed holders), and release in deterministic order, so
-// the profile is exact, adds zero cost to the simulation, and two
-// identical runs profile byte-identically.
+// the profile is exact, cannot perturb the simulation, and two
+// identical runs profile byte-identically. It observes the records as
+// they are appended, so a profiled run need not keep them.
 
 // ObjectProfile aggregates one (site, object) pair's lock behavior.
 type ObjectProfile struct {
@@ -92,6 +93,9 @@ type Profile struct {
 	// Totals across every object.
 	TotalWaitTicks, TotalHoldTicks, TotalInversionTicks int64
 	TotalObjects                                        int
+
+	// ranked holds every object in Objects' order; Top cuts from it.
+	ranked []ObjectProfile
 }
 
 type objKey struct {
@@ -116,134 +120,166 @@ type waitState struct {
 	depth    int
 }
 
-// FromJournal builds the contention profile from a replay journal. A
-// nil or empty journal yields an empty profile. topK bounds the object
-// table (<= 0 picks 10).
+// defaultTopK is the object-table size when none is asked for.
+const defaultTopK = 10
+
+// Profiler is a journal observer that builds the contention profile as
+// the run goes: tee it onto a run's journal, or feed it a finished one
+// through FromJournal, then call Finish once after the last record.
+type Profiler struct {
+	p         *Profile
+	objs      map[objKey]*ObjectProfile
+	holds     map[holdKey]int64
+	waits     map[int64]*waitState // by waiter tx id
+	deadlines map[int64]int64
+	stacks    map[string]int64
+	causes    map[string]int64
+	crashAt   map[int32]int64 // open outages by site
+}
+
+// NewProfiler returns an empty profiler.
+func NewProfiler() *Profiler {
+	return &Profiler{
+		p:         &Profile{},
+		objs:      make(map[objKey]*ObjectProfile),
+		holds:     make(map[holdKey]int64),
+		waits:     make(map[int64]*waitState),
+		deadlines: make(map[int64]int64),
+		stacks:    make(map[string]int64),
+		causes:    make(map[string]int64),
+		crashAt:   make(map[int32]int64),
+	}
+}
+
+// FromJournal builds the contention profile by replaying a journal
+// through a Profiler. A nil or empty journal yields an empty profile.
+// topK bounds the object table (<= 0 picks 10).
 func FromJournal(j *journal.Journal, topK int) *Profile {
-	if topK <= 0 {
-		topK = 10
+	pr := NewProfiler()
+	records := j.Records()
+	for i := range records {
+		pr.Observe(&records[i])
 	}
-	p := &Profile{TopK: topK}
-	if j == nil {
-		return p
-	}
-	objs := make(map[objKey]*ObjectProfile)
-	holds := make(map[holdKey]int64)
-	waits := make(map[int64]*waitState) // by waiter tx id
-	deadlines := make(map[int64]int64)
-	stacks := make(map[string]int64)
-	causes := make(map[string]int64)
-	crashAt := make(map[int32]int64) // open outages by site
+	return pr.Finish().Top(topK)
+}
 
-	obj := func(site, o int32) *ObjectProfile {
-		k := objKey{site: site, obj: o}
-		op, ok := objs[k]
-		if !ok {
-			op = &ObjectProfile{Site: site, Obj: o}
-			objs[k] = op
-		}
-		return op
+func (pr *Profiler) obj(site, o int32) *ObjectProfile {
+	k := objKey{site: site, obj: o}
+	op, ok := pr.objs[k]
+	if !ok {
+		op = &ObjectProfile{Site: site, Obj: o}
+		pr.objs[k] = op
 	}
-	closeWait := func(ws *waitState, tx, at int64) {
-		elapsed := at - ws.start
-		if elapsed < 0 {
-			elapsed = 0
-		}
-		op := obj(ws.site, ws.obj)
-		op.WaitTicks += elapsed
-		if elapsed > op.MaxWaitTicks {
-			op.MaxWaitTicks = elapsed
-		}
-		if ws.inverted {
-			op.InversionTicks += elapsed
-		}
-		stacks[ws.stack] += elapsed
-		delete(waits, tx)
-	}
+	return op
+}
 
-	for _, rec := range j.Records() {
-		switch rec.Kind {
-		case journal.KArrive:
-			if _, ok := deadlines[rec.Tx]; !ok {
-				deadlines[rec.Tx] = rec.A
-			}
-		case journal.KLockRequest:
-			obj(rec.Site, rec.Obj).Requests++
-		case journal.KLockGrant:
-			obj(rec.Site, rec.Obj).Grants++
-			holds[holdKey{site: rec.Site, tx: rec.Tx, obj: rec.Obj}] = rec.At
-			if ws, ok := waits[rec.Tx]; ok && ws.site == rec.Site && ws.obj == rec.Obj {
-				closeWait(ws, rec.Tx, rec.At)
-			}
-		case journal.KLockBlock:
-			if ws, ok := waits[rec.Tx]; ok {
-				if ws.site == rec.Site && ws.obj == rec.Obj && ws.start == rec.At {
-					break // additional blamed holder of the same event
-				}
-				// A new block before the old one closed (restart path):
-				// close the stale interval at its own start.
-				closeWait(ws, rec.Tx, rec.At)
-			}
-			ws := &waitState{site: rec.Site, obj: rec.Obj, start: rec.At, blamed: rec.A}
-			ws.inverted = rec.A >= 0 && deadlines[rec.A] > deadlines[rec.Tx]
-			ws.stack, ws.depth = foldChain(rec.Tx, rec.Obj, rec.A, waits)
-			if ws.depth > p.ChainMax {
-				p.ChainMax = ws.depth
-			}
-			waits[rec.Tx] = ws
-			obj(rec.Site, rec.Obj).Blocks++
-		case journal.KLockRelease:
-			op := obj(rec.Site, rec.Obj)
-			op.Releases++
-			hk := holdKey{site: rec.Site, tx: rec.Tx, obj: rec.Obj}
-			if from, ok := holds[hk]; ok {
-				op.HoldTicks += rec.At - from
-				delete(holds, hk)
-			}
-		case journal.KUnregister:
-			if ws, ok := waits[rec.Tx]; ok {
-				closeWait(ws, rec.Tx, rec.At)
-			}
-		case journal.KWound:
-			causes["wound"]++
-		case journal.KRestart:
-			causes["restart"]++
-		case journal.KDeadlineMiss:
-			if rec.Note == "crashed" {
-				causes["site_crash"]++
-			} else {
-				causes["deadline_miss"]++
-			}
-		case journal.KSiteCrash:
-			p.Recovery.Crashes++
-			crashAt[rec.Site] = rec.At
-		case journal.KSiteRecover:
-			p.Recovery.Recoveries++
-			if from, ok := crashAt[rec.Site]; ok {
-				down := rec.At - from
-				p.Recovery.DownTicks += down
-				if down > p.Recovery.MaxDownTicks {
-					p.Recovery.MaxDownTicks = down
-				}
-				delete(crashAt, rec.Site)
-			}
-		case journal.KWALRedo:
-			p.Recovery.RedoVotes += rec.A
-		case journal.KRetry:
-			p.Recovery.Retries++
-		case journal.KRetryExhausted:
-			p.Recovery.RetryExhausted++
-		}
+func (pr *Profiler) closeWait(ws *waitState, tx, at int64) {
+	elapsed := at - ws.start
+	if elapsed < 0 {
+		elapsed = 0
 	}
+	op := pr.obj(ws.site, ws.obj)
+	op.WaitTicks += elapsed
+	if elapsed > op.MaxWaitTicks {
+		op.MaxWaitTicks = elapsed
+	}
+	if ws.inverted {
+		op.InversionTicks += elapsed
+	}
+	pr.stacks[ws.stack] += elapsed
+	delete(pr.waits, tx)
+}
 
-	// Aggregate totals and pick the top K, sorting outside the map
+// Observe folds one journal record into the profile.
+func (pr *Profiler) Observe(rec *journal.Record) {
+	p := pr.p
+	switch rec.Kind {
+	case journal.KArrive:
+		if _, ok := pr.deadlines[rec.Tx]; !ok {
+			pr.deadlines[rec.Tx] = rec.A
+		}
+	case journal.KLockRequest:
+		pr.obj(rec.Site, rec.Obj).Requests++
+	case journal.KLockGrant:
+		pr.obj(rec.Site, rec.Obj).Grants++
+		pr.holds[holdKey{site: rec.Site, tx: rec.Tx, obj: rec.Obj}] = rec.At
+		if ws, ok := pr.waits[rec.Tx]; ok && ws.site == rec.Site && ws.obj == rec.Obj {
+			pr.closeWait(ws, rec.Tx, rec.At)
+		}
+	case journal.KLockBlock:
+		if ws, ok := pr.waits[rec.Tx]; ok {
+			if ws.site == rec.Site && ws.obj == rec.Obj && ws.start == rec.At {
+				break // additional blamed holder of the same event
+			}
+			// A new block before the old one closed (restart path):
+			// close the stale interval at its own start.
+			pr.closeWait(ws, rec.Tx, rec.At)
+		}
+		ws := &waitState{site: rec.Site, obj: rec.Obj, start: rec.At, blamed: rec.A}
+		ws.inverted = rec.A >= 0 && pr.deadlines[rec.A] > pr.deadlines[rec.Tx]
+		ws.stack, ws.depth = foldChain(rec.Tx, rec.Obj, rec.A, pr.waits)
+		if ws.depth > p.ChainMax {
+			p.ChainMax = ws.depth
+		}
+		pr.waits[rec.Tx] = ws
+		pr.obj(rec.Site, rec.Obj).Blocks++
+	case journal.KLockRelease:
+		op := pr.obj(rec.Site, rec.Obj)
+		op.Releases++
+		hk := holdKey{site: rec.Site, tx: rec.Tx, obj: rec.Obj}
+		if from, ok := pr.holds[hk]; ok {
+			op.HoldTicks += rec.At - from
+			delete(pr.holds, hk)
+		}
+	case journal.KUnregister:
+		if ws, ok := pr.waits[rec.Tx]; ok {
+			pr.closeWait(ws, rec.Tx, rec.At)
+		}
+	case journal.KWound:
+		pr.causes["wound"]++
+	case journal.KRestart:
+		pr.causes["restart"]++
+	case journal.KDeadlineMiss:
+		if rec.Note == "crashed" {
+			pr.causes["site_crash"]++
+		} else {
+			pr.causes["deadline_miss"]++
+		}
+	case journal.KSiteCrash:
+		p.Recovery.Crashes++
+		pr.crashAt[rec.Site] = rec.At
+	case journal.KSiteRecover:
+		p.Recovery.Recoveries++
+		if from, ok := pr.crashAt[rec.Site]; ok {
+			down := rec.At - from
+			p.Recovery.DownTicks += down
+			if down > p.Recovery.MaxDownTicks {
+				p.Recovery.MaxDownTicks = down
+			}
+			delete(pr.crashAt, rec.Site)
+		}
+	case journal.KWALRedo:
+		p.Recovery.RedoVotes += rec.A
+	case journal.KRetry:
+		p.Recovery.Retries++
+	case journal.KRetryExhausted:
+		p.Recovery.RetryExhausted++
+	}
+}
+
+// Finish ranks the objects, totals them, and sorts the stacks and
+// causes into the finished profile, whose object table holds the 10
+// hottest objects (Top cuts it to another size).
+func (pr *Profiler) Finish() *Profile {
+	p := pr.p
+	// Aggregate totals and rank every object, sorting outside the map
 	// range so iteration order cannot leak.
-	all := make([]*ObjectProfile, 0, len(objs))
-	for _, op := range objs {
-		all = append(all, op)
+	all := make([]ObjectProfile, 0, len(pr.objs))
+	for _, op := range pr.objs {
+		all = append(all, *op)
 	}
 	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
+		a, b := &all[i], &all[j]
 		if a.WaitTicks != b.WaitTicks {
 			return a.WaitTicks > b.WaitTicks
 		}
@@ -256,38 +292,53 @@ func FromJournal(j *journal.Journal, topK int) *Profile {
 		return a.Obj < b.Obj
 	})
 	p.TotalObjects = len(all)
-	for _, op := range all {
-		p.TotalWaitTicks += op.WaitTicks
-		p.TotalHoldTicks += op.HoldTicks
-		p.TotalInversionTicks += op.InversionTicks
+	for i := range all {
+		p.TotalWaitTicks += all[i].WaitTicks
+		p.TotalHoldTicks += all[i].HoldTicks
+		p.TotalInversionTicks += all[i].InversionTicks
 	}
-	if len(all) > topK {
-		all = all[:topK]
-	}
-	for _, op := range all {
-		p.Objects = append(p.Objects, *op)
-	}
+	p.ranked = all
+	p.TopK = defaultTopK
+	p.Objects = p.top(defaultTopK)
 
-	stackKeys := make([]string, 0, len(stacks))
-	for s := range stacks {
+	stackKeys := make([]string, 0, len(pr.stacks))
+	for s := range pr.stacks {
 		stackKeys = append(stackKeys, s)
 	}
 	sort.Strings(stackKeys)
 	for _, s := range stackKeys {
-		if stacks[s] > 0 {
-			p.Stacks = append(p.Stacks, StackSample{Stack: s, Ticks: stacks[s]})
+		if pr.stacks[s] > 0 {
+			p.Stacks = append(p.Stacks, StackSample{Stack: s, Ticks: pr.stacks[s]})
 		}
 	}
 
-	causeKeys := make([]string, 0, len(causes))
-	for cause := range causes {
+	causeKeys := make([]string, 0, len(pr.causes))
+	for cause := range pr.causes {
 		causeKeys = append(causeKeys, cause)
 	}
 	sort.Strings(causeKeys)
 	for _, cause := range causeKeys {
-		p.Causes = append(p.Causes, CauseCount{Cause: cause, Count: causes[cause]})
+		p.Causes = append(p.Causes, CauseCount{Cause: cause, Count: pr.causes[cause]})
 	}
 	return p
+}
+
+// Top returns a copy of the profile whose object table holds the k
+// hottest objects (k <= 0 picks 10), as FromJournal with that topK
+// would have built it.
+func (p *Profile) Top(k int) *Profile {
+	if k <= 0 {
+		k = defaultTopK
+	}
+	q := *p
+	q.TopK = k
+	q.Objects = p.top(k)
+	return &q
+}
+
+// top copies the k hottest ranked objects; nil when there are none.
+func (p *Profile) top(k int) []ObjectProfile {
+	return append([]ObjectProfile(nil), p.ranked[:min(k, len(p.ranked))]...)
 }
 
 // foldChain renders the blocking chain for a waiter blamed on holder

@@ -2,8 +2,12 @@ package rtlock
 
 import (
 	"bytes"
+	"os"
+	"reflect"
 	"runtime"
 	"testing"
+
+	"rtlock/internal/metrics"
 )
 
 // metricsTestConfig is a small but contended single-site run: a tiny
@@ -111,6 +115,92 @@ func TestMetricsZeroOverhead(t *testing.T) {
 	}
 	if !JournalsEqual(rw.Journal, ro.Journal) {
 		t.Fatalf("metrics perturbed the run: %s", JournalDiff(ro.Journal, rw.Journal))
+	}
+}
+
+// TestMetricsKeepsNoJournal: the lock profile is built as the run goes,
+// so a Metrics-only run keeps no records, single-site or distributed
+// under faults, and exports exactly what the same run exports with its
+// journal kept.
+func TestMetricsKeepsNoJournal(t *testing.T) {
+	data, err := os.ReadFile("examples/specs/faultplan.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := ParseFaultPlan(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(journal bool) (*Result, error)
+	}{
+		{"single-site", func(journal bool) (*Result, error) {
+			cfg := metricsTestConfig()
+			cfg.Journal = journal
+			return RunSingleSite(cfg)
+		}},
+		{"faulted distributed", func(journal bool) (*Result, error) {
+			cfg := DistributedConfig{Global: true, Sites: 3, Faults: plan, Metrics: true, Journal: journal}
+			cfg.Workload.Seed = 3
+			cfg.Workload.Count = 200
+			return RunDistributed(cfg)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			only, err := tc.run(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept, err := tc.run(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if only.Journal != nil {
+				t.Fatalf("Metrics-only run kept a %d-record journal", only.Journal.Len())
+			}
+			if kept.Journal == nil || kept.Journal.Len() == 0 {
+				t.Fatal("Journal run kept no records")
+			}
+			if tc.name == "faulted distributed" && only.LockProfile.Recovery.Crashes == 0 {
+				t.Fatal("no site crashed — the faulted case exercised nothing")
+			}
+			compareExports(t, tc.name, metricsExports(t, kept), metricsExports(t, only))
+		})
+	}
+}
+
+// TestLockProfileTopMatchesReplay: the profile a run builds as it goes
+// equals the replay of its journal, and cutting it to the k hottest
+// objects equals replaying with that topK — over a contended run and
+// over a faulted golden journal.
+func TestLockProfileTopMatchesReplay(t *testing.T) {
+	cfg := metricsTestConfig()
+	cfg.Journal = true
+	res, err := RunSingleSite(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.LockProfile, metrics.FromJournal(res.Journal, 0)) {
+		t.Fatal("live lock profile differs from the replay of the run's journal")
+	}
+	faulted := goldenDistFaults(t)
+	for _, tc := range []struct {
+		name string
+		j    *Journal
+		p    *LockProfile
+	}{
+		{"contended", res.Journal, res.LockProfile},
+		{"faulted golden", faulted, metrics.FromJournal(faulted, 0)},
+	} {
+		if tc.p.TotalObjects < 4 {
+			t.Fatalf("%s: %d objects — too few for the cut to matter", tc.name, tc.p.TotalObjects)
+		}
+		for _, k := range []int{0, 1, 3, 50} {
+			if got, want := tc.p.Top(k), metrics.FromJournal(tc.j, k); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: Top(%d) = %+v, want %+v", tc.name, k, got, want)
+			}
+		}
 	}
 }
 

@@ -145,9 +145,11 @@ type (
 	// registry a run fills when the Metrics flag is set. Export it
 	// with WritePrometheus, WriteCSV, or WriteHTML (internal/metrics).
 	MetricsRegistry = metrics.Registry
-	// LockProfile is the journal-derived lock-contention profile: per-
-	// object wait/hold/inversion totals, abort causes, and folded
-	// blocking-chain stacks.
+	// LockProfile is the lock-contention profile a Metrics run builds
+	// from its journal records as they are written: per-object
+	// wait/hold/inversion totals, abort causes, and folded
+	// blocking-chain stacks. Top cuts its object table to the k
+	// hottest.
 	LockProfile = metrics.Profile
 	// ObjectProfile is one contended object's row in a LockProfile.
 	ObjectProfile = metrics.ObjectProfile
@@ -310,10 +312,11 @@ type SingleSiteConfig struct {
 	// violations land in Result.Violations. Audit alone keeps no
 	// records (Result.Journal stays nil); set Journal to keep them.
 	Audit bool
-	// Metrics implies Journal and additionally samples a deterministic
-	// virtual-time metrics registry into Result.Metrics and derives the
-	// lock-contention profile into Result.LockProfile. Identical
-	// (seed, config) runs export byte-identical metrics.
+	// Metrics samples a deterministic virtual-time metrics registry
+	// into Result.Metrics and profiles lock contention into
+	// Result.LockProfile as the run goes. Like Audit it keeps no
+	// records; set Journal to keep them. Identical (seed, config) runs
+	// export byte-identical metrics.
 	Metrics bool
 	// MetricsInterval spaces registry snapshots in virtual time (zero
 	// picks the 100ms default).
@@ -321,10 +324,10 @@ type SingleSiteConfig struct {
 	// TimelineWindow, when positive, rolls the run into virtual-time
 	// windows of this width and fills Result.Timeline: per-window
 	// throughput, miss %, response quantiles, lock-wait quantiles, and
-	// the in-flight gauge. Unlike Metrics it neither implies a journal
-	// nor samples a registry (windows read live probe values at close),
-	// so million-transaction runs stay bounded-memory; combine with
-	// Metrics to also keep the sampled registry.
+	// the in-flight gauge. Unlike Metrics it samples no registry
+	// (windows read live probe values at close) and observes no
+	// journal, so million-transaction runs stay bounded-memory; combine
+	// with Metrics to also keep the sampled registry.
 	TimelineWindow Duration
 	// TimelineMaxWindows bounds the retained timeline rows (ring of the
 	// newest; zero picks a 4096-window default).
@@ -422,9 +425,10 @@ type DistributedConfig struct {
 	// Audit checks the architecture's invariants as the run goes (see
 	// SingleSiteConfig.Audit); Audit alone keeps no records.
 	Audit bool
-	// Metrics implies Journal and additionally samples a deterministic
-	// virtual-time metrics registry into Result.Metrics and derives the
-	// lock-contention profile into Result.LockProfile.
+	// Metrics samples a deterministic virtual-time metrics registry
+	// into Result.Metrics and profiles lock contention into
+	// Result.LockProfile as the run goes (see SingleSiteConfig.Metrics);
+	// Metrics alone keeps no records.
 	Metrics bool
 	// MetricsInterval spaces registry snapshots in virtual time (zero
 	// picks the 100ms default).
@@ -489,8 +493,8 @@ type Result struct {
 	// runs.
 	Net *NetReport
 	// Journal is the deterministic replay journal, nil unless the
-	// Journal or Metrics flag was set: Audit checks as the run goes,
-	// Journal keeps the records.
+	// Journal flag was set: Audit and Metrics observe the records as
+	// the run goes, Journal keeps them.
 	Journal *Journal
 	// Violations lists invariant violations found by the auditors; it
 	// is non-nil (possibly empty) exactly when Audit was set.
@@ -498,8 +502,9 @@ type Result struct {
 	// Metrics is the sampled virtual-time registry, nil unless the
 	// Metrics flag was set.
 	Metrics *MetricsRegistry
-	// LockProfile is the journal-derived contention profile, nil
-	// unless the Metrics flag was set.
+	// LockProfile is the lock-contention profile the run's journal
+	// records built as they were written, nil unless the Metrics flag
+	// was set.
 	LockProfile *LockProfile
 	// Timeline holds the per-window rows of a TimelineWindow-enabled
 	// run, oldest first; nil otherwise. Export with TimelineJSONL,
@@ -771,8 +776,9 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 
 // recording is what one run records beside its monitor: the journal
 // and its observers (the auditors, the serializability verdict behind
-// RecordHistory, the trace behind TraceEvents), the metrics registry
-// and the timeline collector. The caller sets the knobs both run
+// RecordHistory, the trace behind TraceEvents, the lock-contention
+// profiler behind Metrics), the metrics registry and the timeline
+// collector. The caller sets the knobs both run
 // configs share, and the auditors of an audited run; start builds the
 // rest.
 type recording struct {
@@ -785,6 +791,7 @@ type recording struct {
 	jrn    *journal.Journal
 	serial *audit.Serializable
 	trace  *stats.Trace
+	prof   *metrics.Profiler
 	reg    *metrics.Registry
 	tl     *timeline.Collector
 }
@@ -808,25 +815,26 @@ func (r *recording) start(seed int64, key func() string) {
 		r.trace = stats.NewTrace(r.traceEvents)
 		obs = append(obs, r.trace)
 	}
-	keep := r.journal || r.metrics
-	if keep || len(obs) > 0 {
-		r.jrn = journal.New(seed, key())
-		r.jrn.Tee(!keep, obs...)
-	}
 	if r.metrics {
+		r.prof = metrics.NewProfiler()
+		obs = append(obs, r.prof)
 		r.reg = metrics.New()
+	}
+	if r.journal || len(obs) > 0 {
+		r.jrn = journal.New(seed, key())
+		r.jrn.Tee(!r.journal, obs...)
 	}
 	r.tl = timeline.New(timeline.Config{Window: r.window, MaxWindows: r.maxWindows}, r.reg)
 }
 
 // finish closes the observers and fills what they recorded into res.
 func (r *recording) finish(res *Result) {
-	if r.journal || r.metrics {
+	if r.journal {
 		res.Journal = r.jrn
 	}
 	if r.metrics {
 		res.Metrics = r.reg
-		res.LockProfile = metrics.FromJournal(r.jrn, 0)
+		res.LockProfile = r.prof.Finish()
 	}
 	if r.tl != nil {
 		res.Timeline = r.tl.Rows()
@@ -1076,7 +1084,7 @@ func Explore(cfg ExploreConfig) (*ExploreReport, error) {
 		}
 		tgt, err = explore.FaultTarget(explore.FaultOpts{Global: cfg.Global, Placement: pol, Seed: cfg.Seed})
 	} else if cfg.Distributed {
-		tgt, err = explore.DistributedTarget(explore.DistributedOpts{Global: cfg.Global, Seed: cfg.Seed})
+		tgt, err = explore.DistributedTarget(explore.FaultOpts{Global: cfg.Global, Seed: cfg.Seed})
 	} else {
 		if cfg.Protocol == "" {
 			cfg.Protocol = Ceiling
