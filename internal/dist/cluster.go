@@ -659,29 +659,63 @@ func (c *Cluster) NetReport() stats.NetReport {
 // Store returns site i's store, for inspection in tests and examples.
 func (c *Cluster) Store(i db.SiteID) *db.Store { return c.sites[i].store }
 
-// Load schedules the transactions' arrivals. An arrival at a crashed
-// site is lost with the site's volatile state: it is recorded as an
-// immediate miss and never spawns a process.
+// Load schedules the transactions' arrivals. It is LoadStream over the
+// slice.
 func (c *Cluster) Load(txs []*workload.Txn) {
-	for _, t := range txs {
-		t := t
-		c.K.At(t.Arrival, func() {
-			if c.faultsOn && c.crashed[t.Home] {
-				c.emit(t.Home, journal.KArrive, t.ID, 0, int64(t.Deadline), 0, "")
-				c.record(&txRun{t: t}, ErrSiteCrashed)
-				return
-			}
-			c.K.Spawn("tx"+strconv.FormatInt(t.ID, 10), func(p *sim.Proc) {
-				c.mInflight.Add(1)
-				defer c.mInflight.Add(-1)
-				if c.faultsOn {
-					c.liveTx[t.Home][t.ID] = p
-					defer delete(c.liveTx[t.Home], t.ID)
-				}
-				c.exec(p, t)
-			})
-		})
+	c.load(len(txs), workload.Pull(txs))
+}
+
+// LoadStream schedules arrivals one at a time: each arrival event pulls
+// the next transaction from the stream and schedules it before anything
+// else, so the event heap holds one pending arrival however long the
+// load is. Arrivals take sequence numbers reserved up front, so they
+// fire among simultaneous events exactly as a load scheduled all at once
+// would.
+func (c *Cluster) LoadStream(src *workload.Stream) {
+	c.load(src.Remaining(), src.Next)
+}
+
+// arrivals is one load's arrival chain: where its transactions come
+// from and the sequence numbers their arrivals fire under. Each arrival
+// event captures it as one pointer, which keeps the closure in a
+// smaller size class.
+type arrivals struct {
+	next func() *workload.Txn
+	seqs sim.SeqBlock
+}
+
+// load reserves the monitor's records and the arrivals' sequence numbers
+// for n transactions and starts the arrival chain over next.
+func (c *Cluster) load(n int, next func() *workload.Txn) {
+	c.Monitor.Reserve(n)
+	c.scheduleNext(&arrivals{next: next, seqs: c.K.ReserveSeq(n)})
+}
+
+// scheduleNext pulls one transaction and registers its arrival. An
+// arrival at a crashed site is lost with the site's volatile state: it
+// is recorded as an immediate miss and never spawns a process.
+func (c *Cluster) scheduleNext(a *arrivals) {
+	t := a.next()
+	if t == nil {
+		return
 	}
+	a.seqs.At(t.Arrival, func() {
+		c.scheduleNext(a)
+		if c.faultsOn && c.crashed[t.Home] {
+			c.emit(t.Home, journal.KArrive, t.ID, 0, int64(t.Deadline), 0, "")
+			c.record(&txRun{t: t}, ErrSiteCrashed)
+			return
+		}
+		c.K.Spawn("tx"+strconv.FormatInt(t.ID, 10), func(p *sim.Proc) {
+			c.mInflight.Add(1)
+			defer c.mInflight.Add(-1)
+			if c.faultsOn {
+				c.liveTx[t.Home][t.ID] = p
+				defer delete(c.liveTx[t.Home], t.ID)
+			}
+			c.exec(p, t)
+		})
+	})
 }
 
 // Run drives the simulation to completion, tears down the message

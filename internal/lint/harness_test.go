@@ -169,6 +169,12 @@ func TestRawGoFixture(t *testing.T) {
 	checkFixture(t, "rawgo", []*Analyzer{RawGo}, cfg)
 }
 
+// TestRawGoWorkloadAllowlist checks that the shipped allowlist admits the
+// stream's chunk-ahead file and nothing else in internal/workload.
+func TestRawGoWorkloadAllowlist(t *testing.T) {
+	checkFixture(t, "rawgoworkload/internal/workload", []*Analyzer{RawGo}, DefaultConfig())
+}
+
 func TestSelectOrderFixture(t *testing.T) {
 	checkFixture(t, "selectorder", []*Analyzer{SelectOrder}, DefaultConfig())
 }

@@ -119,11 +119,14 @@ type Config struct {
 
 // DefaultGoSpawnAllowlist names the only files where a raw `go`
 // statement is part of the deterministic machinery: the kernel's
-// baton-passing worker start, and the index-slotted batch pool the
-// schedule explorer and the experiment sweeps share.
+// baton-passing worker start, the index-slotted batch pool the
+// schedule explorer and the experiment sweeps share, and the workload
+// stream's chunk-ahead generator, which runs no simulation code and
+// hands its one piece of state back with each chunk.
 var DefaultGoSpawnAllowlist = []string{
 	"internal/sim/proc.go",
 	"internal/explore/pool.go",
+	"internal/workload/ahead.go",
 }
 
 // DefaultConfig returns the policy rtlint ships with.

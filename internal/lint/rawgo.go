@@ -12,12 +12,14 @@ import (
 // started at one site in internal/sim/proc.go, run only while they hold
 // the baton and pass it with a channel send; a goroutine created
 // anywhere else runs unsynchronized with virtual time and races the
-// journal. The parallel experiment runner is the one other
-// allow-listed site: it fans out whole independent kernels and joins
-// them by run index, never sharing simulation state.
+// journal. Two other sites are allow-listed: the parallel experiment
+// runner fans out whole independent kernels and joins them by run
+// index, never sharing simulation state; the workload stream's
+// chunk-ahead goroutine draws transactions, touches no kernel state, and
+// passes the generator back with the chunk it sends.
 var RawGo = &Analyzer{
 	Name: "rawgo",
-	Doc:  "forbids go statements outside the kernel baton protocol and the allow-listed parallel sweep runner",
+	Doc:  "forbids go statements outside the kernel baton protocol, the allow-listed parallel sweep runner and the chunk-ahead load generator",
 	Run:  runRawGo,
 }
 

@@ -224,12 +224,45 @@ func (k *Kernel) AfterCall(d Duration, call func(any), arg any) EventRef {
 	return k.schedule(k.now.Add(d), nil, call, arg)
 }
 
+// SeqBlock is a run of event sequence numbers set aside by ReserveSeq.
+type SeqBlock struct {
+	k         *Kernel
+	next, end uint64
+}
+
+// ReserveSeq sets aside the next n event sequence numbers. An event
+// scheduled through the block takes the next of them, so among
+// simultaneous events it fires where it would have, had it been
+// scheduled at the reservation: a loader can keep one arrival pending
+// at a time and still fire every arrival exactly as scheduling the
+// whole load up front would.
+func (k *Kernel) ReserveSeq(n int) SeqBlock {
+	b := SeqBlock{k: k, next: k.seq + 1, end: k.seq + uint64(n)}
+	k.seq = b.end
+	return b
+}
+
+// At schedules fn to run at virtual time t, clamped to now, under the
+// block's next sequence number. It panics once all n are used.
+func (b *SeqBlock) At(t Time, fn func()) EventRef {
+	if b.next > b.end {
+		panic("sim: sequence block used up")
+	}
+	b.next++
+	return b.k.scheduleSeq(t, b.next-1, fn, nil, nil)
+}
+
 //rtlint:allocfree
 func (k *Kernel) schedule(t Time, fn func(), call func(any), arg any) EventRef {
+	k.seq++
+	return k.scheduleSeq(t, k.seq, fn, call, arg)
+}
+
+//rtlint:allocfree
+func (k *Kernel) scheduleSeq(t Time, seq uint64, fn func(), call func(any), arg any) EventRef {
 	if t < k.now {
 		t = k.now
 	}
-	k.seq++
 	var e *Event
 	if n := len(k.freeEvents); n > 0 {
 		e = k.freeEvents[n-1]
@@ -239,7 +272,7 @@ func (k *Kernel) schedule(t Time, fn func(), call func(any), arg any) EventRef {
 		e = &Event{} //rtlint:allow allocfree pool-miss growth path: one Event per high-water-mark, amortized to zero in steady state
 	}
 	e.at = t
-	e.seq = k.seq
+	e.seq = seq
 	e.fn = fn
 	e.call = call
 	e.arg = arg

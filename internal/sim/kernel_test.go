@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -36,6 +37,31 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 			t.Fatalf("simultaneous events out of schedule order: %v", got)
 		}
 	}
+}
+
+// TestSeqBlockOrdersAsReserved pins the reserved sequence numbers a
+// chained loader schedules its arrivals under: an event scheduled late
+// through a block still fires before simultaneous events scheduled
+// after the reservation, and a used-up block refuses more.
+func TestSeqBlockOrdersAsReserved(t *testing.T) {
+	k := NewKernel()
+	var got []string
+	b := k.ReserveSeq(2)
+	k.At(10, func() { got = append(got, "x") })
+	b.At(5, func() {
+		got = append(got, "a")
+		b.At(10, func() { got = append(got, "b") })
+	})
+	k.Run()
+	if want := []string{"a", "b", "x"}; !slices.Equal(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a used-up block scheduled a third event")
+		}
+	}()
+	b.At(20, func() {})
 }
 
 func TestEventCancel(t *testing.T) {

@@ -74,6 +74,46 @@ func TestLoadStreamJournalsIdentically(t *testing.T) {
 	}
 }
 
+// TestArrivalTieFiresAsPreloaded pins where a chained arrival fires
+// among simultaneous events. tx3 arrives at the instant tx1's CPU burst
+// ends; its arrival was scheduled from tx2's, after that burst's end,
+// yet it fires first, as it did when every arrival was scheduled before
+// the run: tx3 arrives before tx1 commits.
+func TestArrivalTieFiresAsPreloaded(t *testing.T) {
+	s, err := NewSystem(Config{
+		CPUPerObj:     10 * sim.Millisecond,
+		CPUDiscipline: sim.PreemptivePriority,
+		NewManager:    func(k *sim.Kernel) core.Manager { return core.NewCeiling(k) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := journal.New(1, "arrival-tie")
+	s.K.SetJournal(j, 0)
+	ms := func(n int) sim.Time { return sim.Time(n) * sim.Time(sim.Millisecond) }
+	s.Load([]*workload.Txn{
+		mkTxn(1, 0, ms(100), []core.ObjectID{1}, core.Write),
+		mkTxn(2, ms(5), ms(200), []core.ObjectID{2}, core.Write),
+		mkTxn(3, ms(10), ms(300), []core.ObjectID{3}, core.Write),
+	})
+	s.Run()
+	arrive, commit := -1, -1
+	for i, r := range j.Records() {
+		switch {
+		case r.Kind == journal.KArrive && r.Tx == 3:
+			arrive = i
+		case r.Kind == journal.KCommit && r.Tx == 1:
+			if r.At != int64(ms(10)) {
+				t.Fatalf("tx1 committed at %d, want the tie at %d", r.At, ms(10))
+			}
+			commit = i
+		}
+	}
+	if arrive < 0 || commit < 0 || arrive > commit {
+		t.Fatalf("tx3 arrive at record %d, tx1 commit at %d: want the arrival first", arrive, commit)
+	}
+}
+
 // TestTimelineOnlyRunTakesNoSamples pins that only an exported registry
 // is sampled: a run with a Timeline and no Metrics attaches the
 // collector's probe registry for live values, so the in-flight gauge

@@ -191,36 +191,35 @@ func NewSystem(cfg Config) (*System, error) {
 }
 
 // Load schedules the transactions' arrivals and, with a write-ahead log
-// configured, the checkpointer.
+// configured, the checkpointer. It is LoadStream over the slice.
 func (s *System) Load(txs []*workload.Txn) {
-	s.remaining += len(txs)
-	s.Monitor.Reserve(s.remaining)
-	for _, t := range txs {
-		t := t
-		// "tx" + FormatInt keeps the KSpawn journal bytes identical to
-		// the old Sprintf("tx%d") while skipping the fmt machinery.
-		name := "tx" + strconv.FormatInt(t.ID, 10)
-		s.K.At(t.Arrival, func() {
-			s.K.Spawn(name, func(p *sim.Proc) {
-				s.exec(p, t)
-				s.remaining--
-			})
-		})
-	}
-	if s.Log != nil && s.cfg.CheckpointEvery > 0 {
-		s.K.Spawn("checkpointer", s.checkpointer)
-	}
+	s.load(len(txs), workload.Pull(txs))
 }
 
 // LoadStream schedules arrivals one at a time: each arrival event pulls
 // the next transaction from the stream and schedules it before spawning
 // its own worker, so the event heap and live transaction set stay
-// bounded no matter how long the load is. The spawn order and names
-// match Load, so a streamed run journals identically to a preloaded
-// one.
+// bounded no matter how long the load is. Arrivals take sequence numbers
+// reserved up front, so they fire among simultaneous events exactly as a
+// load scheduled all at once would.
 func (s *System) LoadStream(src *workload.Stream) {
-	s.Monitor.Reserve(src.Remaining())
-	s.scheduleNext(src)
+	s.load(src.Remaining(), src.Next)
+}
+
+// arrivals is one load's arrival chain: where its transactions come
+// from and the sequence numbers their arrivals fire under. Each arrival
+// event captures it as one pointer, which keeps the closure in a
+// smaller size class.
+type arrivals struct {
+	next func() *workload.Txn
+	seqs sim.SeqBlock
+}
+
+// load reserves the monitor's records and the arrivals' sequence numbers
+// for n transactions and starts the arrival chain over next.
+func (s *System) load(n int, next func() *workload.Txn) {
+	s.Monitor.Reserve(n)
+	s.scheduleNext(&arrivals{next: next, seqs: s.K.ReserveSeq(n)})
 	if s.Log != nil && s.cfg.CheckpointEvery > 0 {
 		s.K.Spawn("checkpointer", s.checkpointer)
 	}
@@ -230,16 +229,17 @@ func (s *System) LoadStream(src *workload.Stream) {
 // remaining is incremented at schedule time, before the previous
 // transaction can finish, so the checkpointer's remaining==0 exit never
 // fires while an arrival is still pending.
-func (s *System) scheduleNext(src *workload.Stream) {
-	t := src.Next()
+func (s *System) scheduleNext(a *arrivals) {
+	t := a.next()
 	if t == nil {
 		return
 	}
 	s.remaining++
-	name := "tx" + strconv.FormatInt(t.ID, 10)
-	s.K.At(t.Arrival, func() {
-		s.scheduleNext(src)
-		s.K.Spawn(name, func(p *sim.Proc) {
+	a.seqs.At(t.Arrival, func() {
+		s.scheduleNext(a)
+		// "tx" + FormatInt keeps the KSpawn journal bytes identical to
+		// the old Sprintf("tx%d") while skipping the fmt machinery.
+		s.K.Spawn("tx"+strconv.FormatInt(t.ID, 10), func(p *sim.Proc) {
 			s.exec(p, t)
 			s.remaining--
 		})

@@ -106,15 +106,31 @@ func (s *source) permPrefix(dst []int, n int) {
 		dst[i] = dst[j]
 		dst[j] = i
 	}
+	// int31n(i+1) and Uint64, written out: the calls do not inline,
+	// and this loop is nearly all of a large database's generation time.
+	// The register indexes live in locals, written back only around
+	// redraw, so no draw waits on storing and reloading them.
+	tap, feed := s.tap, s.feed
 	for i := size; i < n; i++ {
-		// int31n(i+1), written out: the call does not inline, and this
-		// loop is nearly all of a large database's generation time.
-		v := int32(s.Int63() >> 32)
+		tap--
+		if tap < 0 {
+			tap += srcLen
+		}
+		feed--
+		if feed < 0 {
+			feed += srcLen
+		}
+		x := s.vec[feed] + s.vec[tap]
+		s.vec[feed] = x
+		v := int32(x & srcMask >> 32)
 		if int(v) > math.MaxInt32-i {
+			s.tap, s.feed = tap, feed
 			v = s.redraw(v, int32(i+1))
+			tap, feed = s.tap, s.feed
 		}
 		if j := int(uint32(v) % uint32(i+1)); j < size {
 			dst[j] = i
 		}
 	}
+	s.tap, s.feed = tap, feed
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -112,4 +113,52 @@ func TestPermPrefixMatchesPerm(t *testing.T) {
 			}
 		}
 	}
+}
+
+// drawLog is a math/rand source that remembers the Int63 draws.
+type drawLog struct {
+	rand.Source
+	draws []int64
+}
+
+func (d *drawLog) Int63() int64 {
+	v := d.Source.Int63()
+	d.draws = append(d.draws, v)
+	return v
+}
+
+// TestPermPrefixRedraw covers the tail loop's way out to redraw, which
+// it takes for a draw above 2^31-(i+1), about once in 2^31/i steps: at
+// n = 2^17 each shuffle takes it a few times. A reference walk of
+// rand.Perm's draws counts the tail steps whose first draw is that
+// high, and the prefix must still be rand.Perm's.
+func TestPermPrefixRedraw(t *testing.T) {
+	const n, size = 1 << 17, 4
+	redraws := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		log := &drawLog{Source: rand.NewSource(seed)}
+		walk := rand.New(log)
+		for i := range n {
+			log.draws = log.draws[:0]
+			walk.Int31n(int32(i + 1))
+			if i >= size && int32(log.draws[0]>>32) > math.MaxInt32-int32(i) {
+				redraws++
+			}
+		}
+		var src source
+		src.Seed(seed)
+		ref := rand.New(rand.NewSource(seed))
+		got := make([]int, size)
+		src.permPrefix(got, n)
+		if want := ref.Perm(n)[:size]; !slices.Equal(got, want) {
+			t.Fatalf("seed %d: prefix %v, want %v", seed, got, want)
+		}
+		if got, want := src.Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("seed %d: next draw %#x, want %#x", seed, got, want)
+		}
+	}
+	if redraws == 0 {
+		t.Fatal("no tail step drew above its rejection threshold: redraw untested")
+	}
+	t.Logf("%d tail steps took redraw", redraws)
 }

@@ -2,7 +2,9 @@ package workload
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"rtlock/internal/db"
 	"rtlock/internal/place"
@@ -182,5 +184,120 @@ func TestBurstOffLeavesLoadUnchanged(t *testing.T) {
 	}
 	if !reflect.DeepEqual(base, same) {
 		t.Fatal("BurstFactor = 1 changed the generated load")
+	}
+}
+
+// TestChunkAheadMatchesGenerate pins the chunk-ahead hand-off: whatever
+// the parameters and however the count falls against the chunk length,
+// Next returns Generate's load transaction for transaction, and
+// Remaining counts the transactions handed out.
+func TestChunkAheadMatchesGenerate(t *testing.T) {
+	shard, err := place.NewSharded(4, 1000, place.RangePartition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardCat, err := db.NewCatalogWithPlacement(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		edit func(*Params)
+	}{
+		{"db200", func(p *Params) { p.Catalog = mustCatalog(1, 200) }},
+		{"db10000", func(p *Params) { p.Catalog = mustCatalog(1, 10_000) }},
+		{"periodic-implicit", func(p *Params) { p.PeriodicFrac, p.ImplicitDeadlines = 0.5, true }},
+		{"hotspot", func(p *Params) { p.HotspotFrac, p.HotspotProb = 0.1, 0.8 }},
+		{"local-write-sets", func(p *Params) {
+			p.Catalog = mustCatalog(3, 300)
+			p.LocalWriteSets = true
+		}},
+		{"locality", func(p *Params) { p.Catalog, p.LocalityProb = shardCat, 0.7 }},
+		{"bursts", func(p *Params) {
+			p.BurstFactor, p.BurstOn, p.BurstOff = 3, 20*sim.Millisecond, 80*sim.Millisecond
+		}},
+		{"edf", func(p *Params) { p.Policy = PriorityEDF }},
+		{"fcfs", func(p *Params) { p.Policy = PriorityFCFS }},
+		{"random", func(p *Params) { p.Policy = PriorityRandom }},
+		{"slack", func(p *Params) { p.Policy = PrioritySlack }},
+	}
+	for _, c := range cases {
+		for _, count := range []int{0, 1, chunkLen - 1, chunkLen, chunkLen + 1, 1000} {
+			p := streamParams(count)
+			c.edit(&p)
+			want, genErr := Generate(p)
+			s, err := NewStream(p)
+			if count == 0 {
+				if genErr == nil || err == nil {
+					t.Fatalf("%s: count 0 accepted (Generate err %v, NewStream err %v)", c.name, genErr, err)
+				}
+				continue
+			}
+			if genErr != nil || err != nil {
+				t.Fatalf("%s/%d: Generate err %v, NewStream err %v", c.name, count, genErr, err)
+			}
+			for i, w := range want {
+				if got := s.Remaining(); got != count-i {
+					t.Fatalf("%s/%d: Remaining before tx %d = %d, want %d", c.name, count, i, got, count-i)
+				}
+				if g := s.Next(); !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s/%d: tx %d: stream %+v != generate %+v", c.name, count, i, g, w)
+				}
+			}
+			for range 2 {
+				if g := s.Next(); g != nil {
+					t.Fatalf("%s/%d: Next past Count returned %+v", c.name, count, g)
+				}
+				if got := s.Remaining(); got != 0 {
+					t.Fatalf("%s/%d: Remaining after drain = %d, want 0", c.name, count, got)
+				}
+			}
+		}
+	}
+}
+
+// TestAbandonedStreamGoroutines checks that a stream dropped part way
+// leaves no goroutine behind: the one generating its next chunk exits on
+// its own once the chunk is sent.
+func TestAbandonedStreamGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, k := range []int{0, 1, chunkLen - 1, chunkLen, chunkLen + 1, 500} {
+		p := streamParams(1000)
+		p.Catalog = mustCatalog(1, 10_000)
+		s, err := NewStream(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range k {
+			s.Next()
+		}
+		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				t.Fatalf("after %d of 1000: %d goroutines linger, baseline %d", k, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestPullOrdersByArrival checks the slice form of Next: a sorted slice
+// comes out as is, an unsorted one in stable arrival order (the order
+// its arrivals fire), and the caller's slice keeps its order.
+func TestPullOrdersByArrival(t *testing.T) {
+	tx := func(id int64, at sim.Time) *Txn { return &Txn{ID: id, Arrival: at} }
+	txs := []*Txn{tx(1, 30), tx(2, 10), tx(3, 30), tx(4, 10), tx(5, 20)}
+	next := Pull(txs)
+	var got []int64
+	for t := next(); t != nil; t = next() {
+		got = append(got, t.ID)
+	}
+	if want := []int64{2, 4, 5, 1, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("pulled %v, want %v", got, want)
+	}
+	if txs[0].ID != 1 || txs[4].ID != 5 {
+		t.Fatal("Pull reordered the caller's slice")
+	}
+	if next() != nil {
+		t.Fatal("Pull handed out past the end")
 	}
 }

@@ -8,6 +8,7 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -232,37 +233,57 @@ func (p Params) validate() error {
 	return nil
 }
 
-// Generate produces the transaction load, ordered by arrival time. It
-// is a Stream drained to completion: the random draw sequence per
-// transaction is identical, so existing (seed, config) loads — and
-// therefore journals — are byte-for-byte unchanged by the streaming
-// refactor.
+// Generate produces the transaction load, ordered by arrival time, in
+// the calling goroutine. It draws from the generator a Stream reads, so
+// a generated and a streamed load are the same transaction for
+// transaction, and existing (seed, config) loads — and therefore
+// journals — are byte-for-byte unchanged by the streaming refactor.
 func Generate(p Params) ([]*Txn, error) {
-	s, err := NewStream(p)
+	g, err := newGenerator(p)
 	if err != nil {
 		return nil, err
 	}
-	txs := make([]*Txn, 0, p.Count)
-	for t := s.Next(); t != nil; t = s.Next() {
-		txs = append(txs, t)
+	txs := make([]*Txn, p.Count)
+	for i := range txs {
+		txs[i] = g.next()
 	}
 	return txs, nil
 }
 
-// Stream generates the transaction load one transaction at a time, so a
-// loader can schedule arrival i+1 from arrival i's event and a
-// million-transaction run never materializes the whole load. Next
-// consumes the random stream exactly as Generate always has.
-type Stream struct {
+// Pull returns a function that hands out txs one at a time, then nil:
+// the slice form of Stream.Next, so a loader schedules a preloaded and a
+// streamed load through one arrival chain. A slice out of arrival order
+// is handed out in stable arrival order, the order in which its arrivals
+// fire; txs itself is not reordered.
+func Pull(txs []*Txn) func() *Txn {
+	byArrival := func(a, b *Txn) int { return cmp.Compare(a.Arrival, b.Arrival) }
+	if !slices.IsSortedFunc(txs, byArrival) {
+		txs = slices.Clone(txs)
+		slices.SortStableFunc(txs, byArrival)
+	}
+	i := 0
+	return func() *Txn {
+		if i == len(txs) {
+			return nil
+		}
+		i++
+		return txs[i-1]
+	}
+}
+
+// generator is the load's draw state. Exactly one goroutine holds it at
+// a time, so the draw sequence is the same wherever it runs.
+type generator struct {
 	p Params
 	// src is the random stream; rng reads it through math/rand's
 	// methods, the access-set shuffle directly.
-	src     source
-	rng     *rand.Rand
-	period  sim.Duration
-	now     sim.Time
-	id      int64
-	emitted int
+	src    source
+	rng    *rand.Rand
+	period sim.Duration
+	now    sim.Time
+	id     int64
+	// made counts the transactions generated so far.
+	made int
 	// idx is the index scratch of pickIndexes, as long as the largest
 	// access set drawn so far.
 	idx []int
@@ -280,9 +301,9 @@ type pstream struct {
 	next sim.Time
 }
 
-// NewStream validates the parameters and positions the stream before
-// the first arrival.
-func NewStream(p Params) (*Stream, error) {
+// newGenerator validates the parameters and positions the generator
+// before the first arrival.
+func newGenerator(p Params) (*generator, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
@@ -290,67 +311,61 @@ func NewStream(p Params) (*Stream, error) {
 	if period <= 0 {
 		period = 10 * p.MeanInterarrival
 	}
-	s := &Stream{p: p, period: period}
-	s.src.Seed(p.Seed)
-	s.rng = rand.New(&s.src)
-	return s, nil
+	g := &generator{p: p, period: period}
+	g.src.Seed(p.Seed)
+	g.rng = rand.New(&g.src)
+	return g, nil
 }
 
-// Remaining reports how many transactions Next will still produce.
-func (s *Stream) Remaining() int { return s.p.Count - s.emitted }
-
-// Next returns the next transaction, or nil once Count have been
-// produced. Arrival times are non-decreasing.
-func (s *Stream) Next() *Txn {
-	if s.emitted >= s.p.Count {
-		return nil
-	}
-	s.emitted++
-	s.now = s.now.Add(expDuration(s.rng, s.meanInterarrival()))
-	s.id++
+// next generates the next transaction; the caller stops after Count.
+// Arrival times are non-decreasing.
+func (g *generator) next() *Txn {
+	g.made++
+	g.now = g.now.Add(expDuration(g.rng, g.meanInterarrival()))
+	g.id++
 	kind := Update
-	if s.rng.Float64() < s.p.ReadOnlyFrac {
+	if g.rng.Float64() < g.p.ReadOnlyFrac {
 		kind = ReadOnly
 	}
-	t := &Txn{ID: s.id, Kind: kind, Arrival: s.now}
+	t := &Txn{ID: g.id, Kind: kind, Arrival: g.now}
 
-	if kind == Update && s.p.PeriodicFrac > 0 && s.rng.Float64() < s.p.PeriodicFrac {
+	if kind == Update && g.p.PeriodicFrac > 0 && g.rng.Float64() < g.p.PeriodicFrac {
 		t.Periodic = true
 		var ps *pstream
 		// Reuse the stream whose next instance is due.
-		for _, cand := range s.streams {
-			if cand.next <= s.now {
+		for _, cand := range g.streams {
+			if cand.next <= g.now {
 				ps = cand
 				break
 			}
 		}
 		if ps == nil {
 			ps = &pstream{
-				home: db.SiteID(s.rng.Intn(s.p.Catalog.Sites())),
+				home: db.SiteID(g.rng.Intn(g.p.Catalog.Sites())),
 			}
-			ps.ops = s.pickOps(Update, ps.home)
-			s.streams = append(s.streams, ps)
+			ps.ops = g.pickOps(Update, ps.home)
+			g.streams = append(g.streams, ps)
 		}
-		ps.next = s.now.Add(sim.Duration(s.period))
+		ps.next = g.now.Add(sim.Duration(g.period))
 		t.Home = ps.home
 		t.Ops = append([]Op(nil), ps.ops...)
 	} else {
-		t.Home = db.SiteID(s.rng.Intn(s.p.Catalog.Sites()))
-		t.Ops = s.pickOps(kind, t.Home)
+		t.Home = db.SiteID(g.rng.Intn(g.p.Catalog.Sites()))
+		t.Ops = g.pickOps(kind, t.Home)
 	}
-	slack := s.p.SlackMin + s.rng.Float64()*(s.p.SlackMax-s.p.SlackMin)
-	exec := sim.Duration(float64(t.Size()) * float64(s.p.PerObjCost) * slack)
+	slack := g.p.SlackMin + g.rng.Float64()*(g.p.SlackMax-g.p.SlackMin)
+	exec := sim.Duration(float64(t.Size()) * float64(g.p.PerObjCost) * slack)
 	t.Deadline = t.Arrival.Add(exec)
-	if t.Periodic && s.p.ImplicitDeadlines {
-		t.Deadline = t.Arrival.Add(s.period)
+	if t.Periodic && g.p.ImplicitDeadlines {
+		t.Deadline = t.Arrival.Add(g.period)
 	}
-	switch s.p.Policy {
+	switch g.p.Policy {
 	case PriorityFCFS:
 		t.Prio = sim.Priority{Deadline: int64(t.Arrival), TxID: t.ID}
 	case PriorityRandom:
-		t.Prio = sim.Priority{Deadline: s.rng.Int63(), TxID: t.ID}
+		t.Prio = sim.Priority{Deadline: g.rng.Int63(), TxID: t.ID}
 	case PrioritySlack:
-		est := sim.Duration(t.Size()) * s.p.PerObjCost
+		est := sim.Duration(t.Size()) * g.p.PerObjCost
 		t.Prio = sim.Priority{Deadline: int64(t.Deadline.Sub(t.Arrival) - est), TxID: t.ID}
 	}
 	return t
@@ -361,14 +376,14 @@ func (s *Stream) Next() *Txn {
 // wave (evaluated at the previous arrival instant) is on. With bursts
 // off this is exactly the base mean, and since the burst branch draws
 // nothing from the random stream, non-bursty loads are unchanged.
-func (s *Stream) meanInterarrival() sim.Duration {
-	mean := s.p.MeanInterarrival
-	if s.p.BurstFactor <= 1 {
+func (g *generator) meanInterarrival() sim.Duration {
+	mean := g.p.MeanInterarrival
+	if g.p.BurstFactor <= 1 {
 		return mean
 	}
-	cycle := s.p.BurstOn + s.p.BurstOff
-	if sim.Duration(int64(s.now)%int64(cycle)) < s.p.BurstOn {
-		mean = sim.Duration(float64(mean) / s.p.BurstFactor)
+	cycle := g.p.BurstOn + g.p.BurstOff
+	if sim.Duration(int64(g.now)%int64(cycle)) < g.p.BurstOn {
+		mean = sim.Duration(float64(mean) / g.p.BurstFactor)
 		if mean < 1 {
 			mean = 1
 		}
@@ -380,8 +395,8 @@ func (s *Stream) meanInterarrival() sim.Duration {
 // objects uniform without replacement from the whole database (or, for
 // update transactions under LocalWriteSets, from the home site's primary
 // partition), in random request order.
-func (s *Stream) pickOps(kind Kind, home db.SiteID) []Op {
-	p := &s.p
+func (g *generator) pickOps(kind Kind, home db.SiteID) []Op {
+	p := &g.p
 	pool := p.Catalog.Objects()
 	var partition []core.ObjectID
 	if kind == Update && p.LocalWriteSets {
@@ -402,17 +417,17 @@ func (s *Stream) pickOps(kind Kind, home db.SiteID) []Op {
 	if lo > hi {
 		lo = hi
 	}
-	size := lo + s.rng.Intn(hi-lo+1)
+	size := lo + g.rng.Intn(hi-lo+1)
 
 	mode := core.Write
 	if kind == ReadOnly {
 		mode = core.Read
 	}
 	if p.LocalityProb > 0 && partition == nil {
-		return s.pickLocalityOps(mode, home, size)
+		return g.pickLocalityOps(mode, home, size)
 	}
 	ops := make([]Op, size)
-	for i, idx := range s.pickIndexes(pool, size) {
+	for i, idx := range g.pickIndexes(pool, size) {
 		obj := core.ObjectID(idx)
 		if partition != nil {
 			obj = partition[idx]
@@ -424,27 +439,27 @@ func (s *Stream) pickOps(kind Kind, home db.SiteID) []Op {
 
 // pickIndexes draws size distinct indexes from [0, pool): uniformly, or
 // skewed toward the hotspot prefix when configured. The returned slice
-// aliases the stream's index scratch and is only valid until the next
+// aliases the generator's index scratch and is only valid until the next
 // call.
-func (s *Stream) pickIndexes(pool, size int) []int {
-	if cap(s.idx) < size {
-		s.idx = make([]int, size)
+func (g *generator) pickIndexes(pool, size int) []int {
+	if cap(g.idx) < size {
+		g.idx = make([]int, size)
 	}
-	out := s.idx[:size]
-	p := &s.p
+	out := g.idx[:size]
+	p := &g.p
 	hot := 0
 	if p.HotspotProb > 0 && p.HotspotFrac > 0 {
 		hot = max(int(p.HotspotFrac*float64(pool)), 1)
 	}
 	if hot == 0 || hot >= pool {
 		// The uniform choice is rand.Perm(pool)[:size], draw for draw.
-		s.src.permPrefix(out, pool)
+		g.src.permPrefix(out, pool)
 		return out
 	}
 	out = out[:0]
 	hotUsed, coldUsed := 0, 0
 	for len(out) < size {
-		fromHot := s.rng.Float64() < p.HotspotProb
+		fromHot := g.rng.Float64() < p.HotspotProb
 		// When one region is exhausted, draw from the other so the
 		// loop always terminates (size never exceeds the pool).
 		if hotUsed == hot {
@@ -454,9 +469,9 @@ func (s *Stream) pickIndexes(pool, size int) []int {
 		}
 		var idx int
 		if fromHot {
-			idx = s.rng.Intn(hot)
+			idx = g.rng.Intn(hot)
 		} else {
-			idx = hot + s.rng.Intn(pool-hot)
+			idx = hot + g.rng.Intn(pool-hot)
 		}
 		if slices.Contains(out, idx) {
 			continue
@@ -482,19 +497,19 @@ const zipfSkew = 1.5
 // back to the first unused partition object so the loop stays bounded;
 // an exhausted partition (or a site with no primaries under hash
 // placement) degrades to the uniform draw.
-func (s *Stream) pickLocalityOps(mode core.Mode, home db.SiteID, size int) []Op {
-	local := s.p.Catalog.ObjectsAt(home)
-	total := s.p.Catalog.Objects()
+func (g *generator) pickLocalityOps(mode core.Mode, home db.SiteID, size int) []Op {
+	local := g.p.Catalog.ObjectsAt(home)
+	total := g.p.Catalog.Objects()
 	localUsed := 0
 	ops := make([]Op, 0, size)
 	for len(ops) < size {
-		fromLocal := s.rng.Float64() < s.p.LocalityProb
+		fromLocal := g.rng.Float64() < g.p.LocalityProb
 		if localUsed >= len(local) {
 			fromLocal = false
 		}
 		var obj core.ObjectID
 		if fromLocal {
-			obj = local[s.zipf(home, len(local)).Uint64()]
+			obj = local[g.zipf(home, len(local)).Uint64()]
 			if drawn(ops, obj) {
 				for _, cand := range local {
 					if !drawn(ops, cand) {
@@ -504,7 +519,7 @@ func (s *Stream) pickLocalityOps(mode core.Mode, home db.SiteID, size int) []Op 
 				}
 			}
 		} else {
-			obj = core.ObjectID(s.rng.Intn(total))
+			obj = core.ObjectID(g.rng.Intn(total))
 			if drawn(ops, obj) {
 				continue
 			}
@@ -519,14 +534,14 @@ func (s *Stream) pickLocalityOps(mode core.Mode, home db.SiteID, size int) []Op 
 
 // zipf returns the home site's rank distribution over its n primaries.
 // Building one draws nothing from the stream, so it is built once.
-func (s *Stream) zipf(home db.SiteID, n int) *rand.Zipf {
-	if s.zipfs == nil {
-		s.zipfs = make([]*rand.Zipf, s.p.Catalog.Sites())
+func (g *generator) zipf(home db.SiteID, n int) *rand.Zipf {
+	if g.zipfs == nil {
+		g.zipfs = make([]*rand.Zipf, g.p.Catalog.Sites())
 	}
-	if s.zipfs[home] == nil {
-		s.zipfs[home] = rand.NewZipf(s.rng, zipfSkew, 1, uint64(n-1))
+	if g.zipfs[home] == nil {
+		g.zipfs[home] = rand.NewZipf(g.rng, zipfSkew, 1, uint64(n-1))
 	}
-	return s.zipfs[home]
+	return g.zipfs[home]
 }
 
 // drawn reports whether obj is already in ops. Access sets are a handful

@@ -736,9 +736,10 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	load := cfg.Workload.Transactions
-	if load == nil {
-		load, err = workload.Generate(generatorParams(cfg.Workload, cluster.Catalog, cfg.CPUPerObj, mode.LocalWriteSets()))
+	// Generated loads stream, as on a single site.
+	var stream *workload.Stream
+	if cfg.Workload.Transactions == nil {
+		stream, err = workload.NewStream(generatorParams(cfg.Workload, cluster.Catalog, cfg.CPUPerObj, mode.LocalWriteSets()))
 		if err != nil {
 			return nil, err
 		}
@@ -755,7 +756,11 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 	for _, f := range cfg.Failures {
 		cluster.FailSite(f.Site, f.At, f.RecoverAt)
 	}
-	cluster.Load(load)
+	if stream != nil {
+		cluster.LoadStream(stream)
+	} else {
+		cluster.Load(cfg.Workload.Transactions)
+	}
 	sum := cluster.Run()
 	net := cluster.NetReport()
 	res := &Result{
