@@ -128,12 +128,14 @@ func (s *Sketch) Quantile(q float64) sim.Duration {
 	return s.max
 }
 
-// Reset clears the sketch for reuse without releasing its buckets.
+// Reset clears the sketch for reuse without releasing its buckets. Only
+// buckets up to the maximum's can be non-zero, so an empty sketch
+// clears none and the cost follows the observations, not the geometry.
 //
 //rtlint:allocfree
 func (s *Sketch) Reset() {
-	for i := range s.counts {
-		s.counts[i] = 0
+	if s.count > 0 {
+		clear(s.counts[:min(int((s.max-1)/s.width)+1, len(s.counts))])
 	}
 	s.count = 0
 	s.sum = 0

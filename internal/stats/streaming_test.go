@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -132,6 +133,31 @@ func TestSketchEdgeCases(t *testing.T) {
 	s.Reset()
 	if s.Count() != 0 || s.Sum() != 0 || s.Max() != 0 || s.Quantile(1) != 0 {
 		t.Error("Reset left state behind")
+	}
+}
+
+// TestSketchResetMatchesFresh: Reset clears only the buckets in use, so
+// after any mix of observations — zero, on an edge, mid-range, beyond
+// the covered range — a reset sketch must equal a fresh one.
+func TestSketchResetMatchesFresh(t *testing.T) {
+	fresh := NewSketch(sim.Millisecond, 16)
+	for _, obs := range [][]sim.Duration{
+		nil,
+		{0},
+		{sim.Millisecond},
+		{sim.Millisecond + 1, 7 * sim.Millisecond},
+		{16 * sim.Millisecond},
+		{3 * sim.Millisecond, 200 * sim.Millisecond},
+		{-sim.Second, 15*sim.Millisecond + 1},
+	} {
+		s := NewSketch(sim.Millisecond, 16)
+		for _, d := range obs {
+			s.Observe(d)
+		}
+		s.Reset()
+		if !reflect.DeepEqual(s, fresh) {
+			t.Errorf("after %v: reset sketch %+v, want %+v", obs, s, fresh)
+		}
 	}
 }
 
