@@ -18,7 +18,6 @@ import (
 	"sort"
 	"sync"
 
-	"rtlock/internal/check"
 	"rtlock/internal/core"
 	"rtlock/internal/journal"
 	"rtlock/internal/sim"
@@ -613,14 +612,14 @@ func (t *TwoPCConsistent) Finish() []Violation {
 }
 
 // Serializable feeds committed attempts' operations into the conflict
-// serializability checker of internal/check. With perSite set (the
+// serializability checker in history.go. With perSite set (the
 // local-ceiling replication approach) every site's history is judged
 // independently — each replica set is its own database; otherwise all
 // operations form one history.
 type Serializable struct {
 	perSite bool
 	pending map[int64][]pendingOp
-	hist    map[int32]*check.History
+	hist    map[int32]*history
 	lastSeq uint64
 	lastAt  int64
 
@@ -641,7 +640,7 @@ type pendingOp struct {
 // explorer audits hundreds of journals per exploration, and each
 // history's op buffer and checker scratch would otherwise be regrown
 // from nothing. Finish returns each history after its verdict.
-var historyPool = sync.Pool{New: func() any { return check.NewHistory() }}
+var historyPool = sync.Pool{New: func() any { return newHistory() }}
 
 // NewSerializable returns the committed-history serializability
 // auditor.
@@ -649,7 +648,7 @@ func NewSerializable(perSite bool) *Serializable {
 	return &Serializable{
 		perSite: perSite,
 		pending: make(map[int64][]pendingOp, 64),
-		hist:    make(map[int32]*check.History, 4),
+		hist:    make(map[int32]*history, 4),
 	}
 }
 
@@ -682,7 +681,7 @@ func (s *Serializable) Observe(r *journal.Record) {
 			}
 			h, ok := s.hist[site]
 			if !ok {
-				h = historyPool.Get().(*check.History)
+				h = historyPool.Get().(*history)
 				s.hist[site] = h
 			}
 			h.Record(r.Tx, op.obj, op.mode, op.at)
