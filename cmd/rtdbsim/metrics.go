@@ -27,7 +27,7 @@ func runMetrics(args []string) error {
 	sel.register(fs)
 	var (
 		out      = fs.String("out", "metrics-out", "directory for metrics.prom, metrics.csv, profile.folded, report.html")
-		interval = fs.Float64("interval", 0, "virtual-time snapshot interval in milliseconds (0 picks the 100ms default)")
+		interval = fs.Float64("interval", 0, "window width in virtual milliseconds: one metrics.csv row per window (0 picks the 100ms default)")
 		topk     = fs.Int("topk", 10, "hottest objects to print and embed in the report")
 		runs     = fs.Int("runs", 1, "independent executions; with >1 every export must be byte-identical")
 		approach = fs.String("approach", "global", "fault-plan mode: architecture under test, global|local")
@@ -53,6 +53,7 @@ func runMetrics(args []string) error {
 	fmt.Println(res.Summary)
 	fmt.Print(res.LockProfile.Top(*topk).String())
 	fmt.Println(processSwitches(res.Metrics))
+	fmt.Printf("metrics: %d windows (%d evicted)\n", len(res.Timeline), res.TimelineDropped)
 	if *runs > 1 {
 		fmt.Printf("metrics: %d runs byte-identical — deterministic\n", *runs)
 	}
@@ -99,8 +100,16 @@ func metricsRunner(sel *specSelection, intervalMs float64, approach string, site
 	}
 	s.Metrics = true
 	s.MetricsIntervalMs = intervalMs
+	if s.MaxRawRecords <= 0 {
+		s.MaxRawRecords = defaultMaxRaw
+	}
 	return s.Run, title, nil
 }
+
+// defaultMaxRaw caps the per-transaction records of a metrics or
+// timeline run whose spec sets no cap. Neither bundle exports them, so
+// the cap keeps a run's memory bounded however long it is.
+const defaultMaxRaw = 4096
 
 // faultPlanRunner is metricsRunner for a fault-plan file: a distributed
 // run of the quick-config load under the plan.
@@ -119,6 +128,7 @@ func faultPlanRunner(sel *specSelection, plan []byte, intervalMs float64, approa
 		Faults:          fp,
 		Metrics:         true,
 		MetricsInterval: rtlock.Duration(intervalMs * float64(rtlock.Millisecond)),
+		MaxRawRecords:   defaultMaxRaw,
 	}
 	cfg.Workload.Seed = sel.seed
 	cfg.Workload.Count = sel.count
@@ -134,9 +144,9 @@ func metricsBundle(res *rtlock.Result, title string, topk int) (bundle, error) {
 	prof := res.LockProfile.Top(topk)
 	return bundle{
 		{"metrics.prom", res.Metrics.Prometheus()},
-		{"metrics.csv", res.Metrics.CSV()},
+		{"metrics.csv", rtlock.MetricsCSV(res.Metrics, res.Timeline)},
 		{"profile.folded", prof.Folded()},
-		{"report.html", metrics.HTML("rtlock metrics — "+title, res.Metrics, prof)},
+		{"report.html", rtlock.HTMLReport("rtlock metrics — "+title, res.Metrics, prof, res.Timeline)},
 	}, nil
 }
 

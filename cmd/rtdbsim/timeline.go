@@ -23,7 +23,7 @@ func runTimeline(args []string) error {
 		out      = fs.String("out", "timeline-out", "directory for timeline.jsonl, timeline.csv, report.html")
 		windowMs = fs.Float64("window", 0, "window width in virtual milliseconds (0 keeps the spec's value, or 1000)")
 		maxWin   = fs.Int("maxwindows", 0, "retained windows in the ring (0 = default 4096)")
-		maxRaw   = fs.Int("maxraw", 4096, "raw per-transaction records retained (0 = unlimited); unset keeps the spec's cap, or 4096")
+		maxRaw   = fs.Int("maxraw", defaultMaxRaw, "raw per-transaction records retained (0 = unlimited); unset keeps the spec's cap, or 4096")
 		burst    = fs.Float64("burst", 0, "arrival burst factor (>1 enables the deterministic burst square wave)")
 		burstOn  = fs.Float64("burston", 2000, "burst phase width in milliseconds")
 		burstOff = fs.Float64("burstoff", 8000, "quiet phase width in milliseconds")
@@ -84,6 +84,6 @@ func timelineBundle(res *rtlock.Result, title string) (bundle, error) {
 	return bundle{
 		{"timeline.jsonl", rtlock.TimelineJSONL(res.Timeline)},
 		{"timeline.csv", rtlock.TimelineCSV(res.Timeline)},
-		{"report.html", rtlock.HTMLTimelineReport("rtlock timeline — "+title, res.Metrics, nil, res.Timeline)},
+		{"report.html", rtlock.HTMLReport("rtlock timeline — "+title, nil, nil, res.Timeline)},
 	}, nil
 }

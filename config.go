@@ -68,10 +68,11 @@ type Spec struct {
 	Journal bool `json:"journal,omitempty"`
 	Audit   bool `json:"audit,omitempty"`
 
-	// Metrics samples a deterministic virtual-time metrics registry
-	// into Result.Metrics and profiles lock contention into
-	// Result.LockProfile, keeping no records; MetricsIntervalMs spaces
-	// the snapshots (zero picks the 100ms default).
+	// Metrics fills a deterministic metrics registry into
+	// Result.Metrics, snapshots it into every window row of
+	// Result.Timeline, and profiles lock contention into
+	// Result.LockProfile, keeping no records; MetricsIntervalMs is the
+	// window width when TimelineWindowMs is unset (zero picks 100ms).
 	Metrics           bool    `json:"metrics,omitempty"`
 	MetricsIntervalMs float64 `json:"metricsIntervalMs,omitempty"`
 
@@ -79,9 +80,10 @@ type Spec struct {
 	CheckpointEveryMs float64 `json:"checkpointEveryMs,omitempty"`
 
 	// TimelineWindowMs rolls the run into virtual-time windows of this
-	// width and fills Result.Timeline (bounded memory, no journal);
-	// TimelineMaxWindows bounds the retained rows (0 = 4096) and
-	// MaxRawRecords caps per-transaction record retention (0 = all).
+	// width, the run's one window width, and fills Result.Timeline
+	// (bounded memory, no journal); TimelineMaxWindows bounds the
+	// retained rows (0 = 4096) and MaxRawRecords caps per-transaction
+	// record retention (0 = all).
 	TimelineWindowMs   float64 `json:"timelineWindowMs,omitempty"`
 	TimelineMaxWindows int     `json:"timelineMaxWindows,omitempty"`
 	MaxRawRecords      int     `json:"maxRawRecords,omitempty"`

@@ -105,20 +105,12 @@ type Config struct {
 	// is lost, so a crash forgets the vote. Used by tests to seed a
 	// durability weakening the fault-space explorer must find.
 	WALForceFault func(site db.SiteID, txID int64) bool
-	// Metrics, when non-nil, receives virtual-time metric series from
-	// every layer (kernel, CPUs, network, lock managers, 2PC,
-	// replication), sampled every MetricsInterval of virtual time.
-	// Metrics never touch the journal.
-	Metrics *metrics.Registry
-	// MetricsInterval spaces the snapshots of Metrics (zero picks
-	// sim.DefaultSampleInterval). Only Metrics is sampled: without it a
-	// Timeline's probe registry is attached for live values alone.
-	MetricsInterval sim.Duration
-	// Timeline, when non-nil, receives every finished transaction and
-	// rolls per-virtual-time-window rows. Like Metrics it never touches
-	// the journal. Build it over Metrics when that is set, so the probe
-	// fields resolve; otherwise over nil, and its own probe registry is
-	// attached unsampled.
+	// Timeline, when non-nil, is the run's one time-series store: it
+	// receives every finished transaction, the kernel closes its
+	// windows, and its probe registry — the exported one when the run
+	// exports metrics, see timeline.New — receives virtual-time metric
+	// series from every layer. Neither touches the journal, so journals
+	// are byte-identical with or without it.
 	Timeline *timeline.Collector
 	// MaxRawRecords caps the Monitor's raw TxRecord retention (0 keeps
 	// every record); the streaming aggregates are exact either way.
@@ -390,19 +382,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	k := sim.NewKernel()
 	k.SetJournal(cfg.Journal, 0)
-	// Attach metrics before the network and per-site CPUs are built:
-	// their constructors cache probe handles from the kernel's registry.
-	// Only an exported registry is sampled; a timeline-only run
-	// attaches the collector's probe registry for live values.
-	if cfg.Metrics != nil {
-		every := cfg.MetricsInterval
-		if every <= 0 {
-			every = sim.DefaultSampleInterval
-		}
-		k.SetMetrics(cfg.Metrics, every)
-	} else {
-		k.SetMetrics(cfg.Timeline.Probes(), 0)
-	}
+	// Attach the registry before the network and per-site CPUs are
+	// built: their constructors cache probe handles from it.
+	k.SetMetrics(cfg.Timeline.Probes())
+	k.SetWindows(cfg.Timeline.Window(), cfg.Timeline)
 	net := netsim.NewNetwork(k, cfg.CommDelay)
 	if cfg.Topology != nil {
 		net = netsim.NewNetworkTopology(k, cfg.Topology)
@@ -729,7 +712,6 @@ func (c *Cluster) Run() stats.Summary {
 		// transaction has a deadline timer and installers time out).
 		_ = c.K.Shutdown()
 	}
-	c.cfg.Timeline.Finish(c.Monitor.Horizon())
 	sum := c.Monitor.Summarize()
 	if h := c.Monitor.Horizon(); h > 0 {
 		var busy sim.Duration

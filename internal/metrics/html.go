@@ -114,26 +114,25 @@ th { background: #f0f0f0; } td.l, th.l { text-align: left; }
 </html>
 `))
 
-// WriteHTML renders the report. reg or prof may be nil; whatever is
-// present is reported.
-func WriteHTML(w io.Writer, title string, reg *Registry, prof *Profile) error {
-	return WriteHTMLWithTimeline(w, title, reg, prof, nil)
-}
-
 // htmlTimelineMaxRows bounds the timeline table so long runs do not
 // produce megabyte reports; the newest windows are shown.
 const htmlTimelineMaxRows = 200
 
-// WriteHTMLWithTimeline renders the report with a windowed-timeline
-// section. reg, prof, or rows may be nil/empty; whatever is present is
-// reported.
-func WriteHTMLWithTimeline(w io.Writer, title string, reg *Registry, prof *Profile, rows []TimelineRow) error {
-	rep := htmlReport{Title: title, Profile: prof}
-	if len(rows) > htmlTimelineMaxRows {
+// WriteHTML renders the report of a run from its registry, lock profile
+// and window rows, any of which may be nil or empty. The header's
+// horizon and sample count come from the rows. A report with a
+// registry lists its series' final values; one without shows the
+// rows' per-window table instead.
+func WriteHTML(w io.Writer, title string, reg *Registry, prof *Profile, rows []TimelineRow) error {
+	rep := htmlReport{Title: title, Profile: prof, Samples: len(rows)}
+	if len(rows) > 0 {
+		rep.FinalTime = rows[len(rows)-1].End
+	}
+	if reg == nil && len(rows) > htmlTimelineMaxRows {
 		rep.TimelineOmit = len(rows) - htmlTimelineMaxRows
 		rows = rows[rep.TimelineOmit:]
 	}
-	if len(rows) > 0 {
+	if reg == nil && len(rows) > 0 {
 		peak := 1.0
 		for _, r := range rows {
 			if r.Throughput > peak {
@@ -155,10 +154,6 @@ func WriteHTMLWithTimeline(w io.Writer, title string, reg *Registry, prof *Profi
 		}
 	}
 	if reg != nil {
-		rep.Samples = len(reg.times)
-		if rep.Samples > 0 {
-			rep.FinalTime = reg.times[rep.Samples-1]
-		}
 		fams := make([]*family, len(reg.order))
 		copy(fams, reg.order)
 		sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
@@ -223,19 +218,4 @@ func WriteHTMLWithTimeline(w io.Writer, title string, reg *Registry, prof *Profi
 	}
 	_, err := w.Write(b.Bytes())
 	return err
-}
-
-// HTML returns the report as a byte slice.
-func HTML(title string, reg *Registry, prof *Profile) []byte {
-	var b bytes.Buffer
-	_ = WriteHTML(&b, title, reg, prof)
-	return b.Bytes()
-}
-
-// HTMLWithTimeline returns the report, timeline section included, as a
-// byte slice.
-func HTMLWithTimeline(title string, reg *Registry, prof *Profile, rows []TimelineRow) []byte {
-	var b bytes.Buffer
-	_ = WriteHTMLWithTimeline(&b, title, reg, prof, rows)
-	return b.Bytes()
 }

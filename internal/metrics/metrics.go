@@ -1,11 +1,12 @@
 // Package metrics is the simulator's deterministic observability layer:
-// a registry of counters, gauges, and fixed-bucket histograms sampled on
-// virtual time. Nothing in this package reads the wall clock or any
-// other ambient state — sample rows are appended only when the kernel
-// crosses a virtual-time sampling boundary — so two runs of the same
-// (seed, config) pair produce byte-identical metric output, and the
-// exporters (Prometheus text, CSV, HTML) are pure functions of the
-// registry contents.
+// a registry of counters, gauges, and fixed-bucket histograms holding
+// live values, and the exporters of a run's window ring (TimelineRow,
+// each carrying a registry snapshot when the registry is exported).
+// Nothing in this package reads the wall clock or any other ambient
+// state — snapshots are taken only when the kernel closes a
+// virtual-time window — so two runs of the same (seed, config) pair
+// produce byte-identical metric output, and the exporters (Prometheus
+// text, CSV, JSONL, HTML) are pure functions of the registry and rows.
 //
 // Probe sites hold typed handles (Counter, Gauge, Histogram) obtained
 // from the registry once and updated on the hot path. Every handle and
@@ -83,30 +84,25 @@ type family struct {
 type series struct {
 	key    string // canonical label rendering, "" for unlabeled
 	labels []Label
+	col    int // offset of the series' values in a Snapshot
 
-	// firstIdx is how many registry samples had been taken when the
-	// series was created; its i-th point belongs to sample firstIdx+i.
-	firstIdx int
-
-	// Live state.
 	val       int64   // counter/gauge current value
 	buckets   []int64 // histogram per-bound counts (non-cumulative)
-	boundsRef []int64 // the family's bounds, mirrored for Observe
+	boundsRef []int64 // the family's bounds, mirrored for Observe; nil unless a histogram
 	sum       int64
 	count     int64
-
-	// Sampled state: one entry per registry sample since firstIdx.
-	points  []int64    // counter/gauge snapshots
-	hpoints [][2]int64 // histogram {count, sum} snapshots
 }
 
-// Registry holds the metric families and the virtual-time sample rows.
-// All methods are nil-safe on a nil *Registry, returning no-op handles,
-// so disabled metrics cost only nil checks at the probe sites.
+// Registry holds the metric families and their live values; the run's
+// window ring keeps the time series (see Snapshot). All methods are
+// nil-safe on a nil *Registry, returning no-op handles, so disabled
+// metrics cost only nil checks at the probe sites.
 type Registry struct {
 	families map[string]*family
 	order    []*family // creation order; exporters sort by name
-	times    []int64   // virtual timestamps of the samples taken
+	all      []*series // creation order, which Snapshot follows
+	width    int       // values per Snapshot
+	samples  int       // snapshots taken
 }
 
 // New returns an empty registry.
@@ -159,43 +155,58 @@ func (r *Registry) series(name, help string, typ metricType, bounds []int64, lab
 	key := renderLabels(labels)
 	s, ok := f.byKey[key]
 	if !ok {
-		s = &series{key: key, labels: canonLabels(labels), firstIdx: len(r.times)}
+		s = &series{key: key, labels: canonLabels(labels), col: r.width}
+		r.width++
 		if typ == histogramType {
 			s.buckets = make([]int64, len(f.bounds))
 			s.boundsRef = f.bounds
+			r.width++ // count and sum
 		}
 		f.byKey[key] = s
 		f.order = append(f.order, s)
+		r.all = append(r.all, s)
 	}
 	return s
 }
 
-// Sample appends one row: the current value of every series, stamped
-// with the given virtual time. The kernel calls it on sampling
-// boundaries; timestamps must be non-decreasing for the CSV export to
-// make sense, which the kernel's monotonic clock guarantees.
-func (r *Registry) Sample(at int64) {
-	if r == nil {
-		return
+// Find returns the handle of a series some layer has already
+// registered, or a no-op handle when none has: a reader of probes
+// (the timeline's window columns) must not add series to the export.
+func Find[H Counter | Gauge | Histogram](r *Registry, name string, labels ...Label) H {
+	if r == nil || r.families[name] == nil {
+		return H{}
 	}
-	r.times = append(r.times, at)
-	for _, f := range r.order {
-		for _, s := range f.order {
-			if f.typ == histogramType {
-				s.hpoints = append(s.hpoints, [2]int64{s.count, s.sum})
-			} else {
-				s.points = append(s.points, s.val)
-			}
-		}
-	}
+	return H{s: r.families[name].byKey[renderLabels(labels)]}
 }
 
-// Samples reports how many rows have been taken.
+// Snapshot appends the current value of every series to dst and returns
+// it: counters and gauges as their value, histograms as count then sum,
+// in creation order, so a series' values sit at the same offset in
+// every snapshot and a series created later lies past the end of the
+// snapshots taken before it. Reusing dst's storage, a snapshot of an
+// unchanged registry allocates nothing.
+func (r *Registry) Snapshot(dst []int64) []int64 {
+	if r == nil {
+		return dst
+	}
+	r.samples++
+	for _, s := range r.all {
+		if s.boundsRef != nil {
+			dst = append(dst, s.count, s.sum)
+		} else {
+			dst = append(dst, s.val)
+		}
+	}
+	return dst
+}
+
+// Samples reports how many snapshots have been taken, counting those
+// the window ring has since evicted.
 func (r *Registry) Samples() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.times)
+	return r.samples
 }
 
 // canonLabels returns a sorted copy of the labels.
@@ -337,7 +348,7 @@ func (h Histogram) Bounds() []int64 {
 // Snapshot copies the per-bound bucket counts into dst — which must be
 // at least len(Bounds()) long — and returns the running count and sum.
 // Observations above the last bound appear in count/sum only. The
-// method allocates nothing, so window-rollover code can diff successive
+// method allocates nothing, so window-close code can diff successive
 // snapshots on the hot path.
 //
 //rtlint:allocfree

@@ -20,15 +20,14 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil-registry handles must read zero")
 	}
-	r.Sample(10)
-	if r.Samples() != 0 {
-		t.Fatal("nil registry must not record samples")
+	if got := r.Snapshot(nil); got != nil || r.Samples() != 0 {
+		t.Fatalf("nil registry snapshot %v, %d samples", got, r.Samples())
+	}
+	if Find[Counter](r, "c").Value() != 0 {
+		t.Fatal("Find on a nil registry must return a no-op handle")
 	}
 	if got := r.Prometheus(); len(got) != 0 {
 		t.Fatalf("nil registry exposition: %q", got)
-	}
-	if got := r.CSV(); len(got) != 0 {
-		t.Fatalf("nil registry CSV: %q", got)
 	}
 	if got := r.FinalString(); got != "" {
 		t.Fatalf("nil registry FinalString: %q", got)
@@ -137,22 +136,43 @@ func TestCSVSampling(t *testing.T) {
 	r := New()
 	c := r.Counter("c", "h")
 	c.Inc()
-	r.Sample(100)
-	// A series created after sampling started back-fills zeros.
+	rows := []TimelineRow{{End: 100, Series: r.Snapshot(nil)}}
+	// Series created after a snapshot read zero in its row, a new
+	// series of an existing family included.
 	g := r.Gauge("g", "h")
 	g.Set(9)
 	c.Add(2)
-	r.Sample(200)
-	const want = "time_us,c,g\n100,1,0\n200,3,9\n"
-	if got := string(r.CSV()); got != want {
+	r.Counter("c", "h", L("k", "v")).Add(4)
+	rows = append(rows, TimelineRow{End: 200, Series: r.Snapshot(nil)})
+	const want = "time_us,c,\"c{k=\"\"v\"\"}\",g\n100,1,0,0\n200,3,4,9\n"
+	if got := string(CSV(r, rows)); got != want {
 		t.Errorf("CSV mismatch:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 	if r.Samples() != 2 {
 		t.Fatalf("Samples() = %d, want 2", r.Samples())
 	}
-	// Sampling snapshots live values without perturbing them.
+	// Snapshots read live values without perturbing them.
 	if c.Value() != 3 || g.Value() != 9 {
 		t.Errorf("live values perturbed: c=%d g=%d", c.Value(), g.Value())
+	}
+	// Without a registry the same rows render as timeline.csv.
+	if got := string(CSV(nil, rows[:1])); got != timelineHeader+"\n0,0,100,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n" {
+		t.Errorf("timeline CSV mismatch:\n%s", got)
+	}
+}
+
+// TestFindDoesNotRegister: Find hands out the live handle of a series a
+// layer registered and a no-op one otherwise, without adding a series.
+func TestFindDoesNotRegister(t *testing.T) {
+	r := New()
+	r.Gauge("g", "h").Set(5)
+	if got := Find[Gauge](r, "g").Value(); got != 5 {
+		t.Errorf("Find(g) = %d, want the live 5", got)
+	}
+	Find[Counter](r, "missing").Inc()
+	Find[Counter](r, "g", L("k", "v")).Inc()
+	if got, want := string(r.Prometheus()), "# HELP g h\n# TYPE g gauge\ng 5\n"; got != want {
+		t.Errorf("Find registered a series:\n%s", got)
 	}
 }
 
@@ -160,8 +180,7 @@ func TestCSVHistogramColumnsAndQuoting(t *testing.T) {
 	r := New()
 	h := r.Histogram("lat", "h", []int64{10}, L("link", "a,b"))
 	h.Observe(4)
-	r.Sample(50)
-	got := string(r.CSV())
+	got := string(CSV(r, []TimelineRow{{End: 50, Series: r.Snapshot(nil)}}))
 	wantHeader := `time_us,"lat{link=""a,b""}_count","lat{link=""a,b""}_sum"`
 	if !strings.HasPrefix(got, wantHeader+"\n") {
 		t.Fatalf("CSV header mismatch:\ngot  %q\nwant %q", strings.SplitN(got, "\n", 2)[0], wantHeader)
@@ -183,19 +202,19 @@ func TestLabelEscaping(t *testing.T) {
 func TestHTMLReportRenders(t *testing.T) {
 	r := New()
 	r.Counter("c_total", "Things.", L("kind", "x")).Add(3)
-	r.Sample(1000)
+	rows := []TimelineRow{{End: 1000, Series: r.Snapshot(nil)}}
 	var b bytes.Buffer
-	if err := WriteHTML(&b, "test report", r, FromJournal(nil, 0)); err != nil {
+	if err := WriteHTML(&b, "test report", r, FromJournal(nil, 0), rows); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"<html", "test report", "c_total"} {
+	for _, want := range []string{"<html", "test report", "c_total", "1000 ticks &middot; 1 samples"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("HTML report missing %q", want)
 		}
 	}
-	if got := HTML("test report", r, FromJournal(nil, 0)); !bytes.Equal(got, b.Bytes()) {
-		t.Error("HTML() and WriteHTML disagree")
+	if strings.Contains(out, "<h2>Timeline</h2>") {
+		t.Error("a registry report grew the per-window table")
 	}
 }
 
@@ -234,19 +253,21 @@ func TestHTMLTimelineSection(t *testing.T) {
 		{Window: 1, Start: 1_000_000, End: 2_000_000, Processed: 5, Committed: 5,
 			Throughput: 5, MeanResp: 3000, P50Resp: 3000, P99Resp: 4000},
 	}
-	out := string(HTMLWithTimeline("t", nil, nil, rows))
-	for _, want := range []string{"<h2>Timeline</h2>", "<td>9</td>", "tput/s"} {
+	html := func(rows []TimelineRow) string {
+		var b bytes.Buffer
+		if err := WriteHTML(&b, "t", nil, nil, rows); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	out := html(rows)
+	for _, want := range []string{"<h2>Timeline</h2>", "<td>9</td>", "tput/s", "2000000 ticks &middot; 2 samples"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("timeline HTML missing %q", want)
 		}
 	}
-	// Plain WriteHTML has no timeline section and matches the nil-rows call.
-	plain := HTML("t", nil, nil)
-	if strings.Contains(string(plain), "Timeline") {
+	if plain := html(nil); strings.Contains(plain, "Timeline") {
 		t.Error("WriteHTML grew a timeline section without rows")
-	}
-	if !bytes.Equal(plain, HTMLWithTimeline("t", nil, nil, nil)) {
-		t.Error("WriteHTML and WriteHTMLWithTimeline(nil) disagree")
 	}
 	// Over-long timelines elide the head, not the tail.
 	long := make([]TimelineRow, htmlTimelineMaxRows+7)
@@ -254,7 +275,7 @@ func TestHTMLTimelineSection(t *testing.T) {
 		long[i].Window = i
 		long[i].Throughput = 1
 	}
-	out = string(HTMLWithTimeline("t", nil, nil, long))
+	out = html(long)
 	if !strings.Contains(out, "7 earlier windows elided") {
 		t.Error("elision note missing")
 	}

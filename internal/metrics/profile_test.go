@@ -173,7 +173,14 @@ func TestFromJournalRecovery(t *testing.T) {
 }
 
 func TestHTMLRecoverySection(t *testing.T) {
-	page := string(HTML("t", nil, FromJournal(recoveryJournal(), 0)))
+	html := func(prof *Profile) string {
+		var b strings.Builder
+		if err := WriteHTML(&b, "t", nil, prof, nil); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	page := html(FromJournal(recoveryJournal(), 0))
 	if !strings.Contains(page, "Crash recovery") {
 		t.Fatalf("HTML report missing recovery section:\n%s", page)
 	}
@@ -182,7 +189,7 @@ func TestHTMLRecoverySection(t *testing.T) {
 			t.Errorf("HTML recovery table missing %q:\n%s", cell, page)
 		}
 	}
-	if page := string(HTML("t", nil, FromJournal(contendedJournal(), 0))); strings.Contains(page, "Crash recovery") {
+	if page := html(FromJournal(contendedJournal(), 0)); strings.Contains(page, "Crash recovery") {
 		t.Errorf("fault-free HTML report grew a recovery section")
 	}
 }

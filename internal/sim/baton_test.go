@@ -161,7 +161,7 @@ func resumeCounts(m *metrics.Registry) map[string]int64 {
 func TestWorkerAdoptsNextStart(t *testing.T) {
 	k := NewKernel()
 	m := metrics.New()
-	k.SetMetrics(m, 0)
+	k.SetMetrics(m)
 	var trace []string
 	k.Spawn("first", func(*Proc) { trace = append(trace, "first") })
 	k.At(5, func() {
@@ -192,7 +192,7 @@ func TestWorkerAdoptsNextStart(t *testing.T) {
 func TestResumeCountersSplit(t *testing.T) {
 	k := NewKernel()
 	m := metrics.New()
-	k.SetMetrics(m, 0)
+	k.SetMetrics(m)
 	var trace []string
 	sleeper(k, &trace, 5)
 	k.Run()
@@ -202,7 +202,7 @@ func TestResumeCountersSplit(t *testing.T) {
 
 	k = NewKernel()
 	m = metrics.New()
-	k.SetMetrics(m, 0)
+	k.SetMetrics(m)
 	var ta, tb Token
 	const rounds = 4
 	k.Spawn("a", func(p *Proc) {
@@ -267,57 +267,33 @@ func TestChooserAppliesWithProcessDriving(t *testing.T) {
 	}
 }
 
-// csvColumns returns, per sample row, the named columns of the
-// registry's CSV export.
-func csvColumns(t *testing.T, m *metrics.Registry, names ...string) [][]int64 {
-	t.Helper()
-	lines := strings.Split(strings.TrimSpace(string(m.CSV())), "\n")
-	header := strings.Split(lines[0], ",")
-	idx := make([]int, len(names))
-	for i, name := range names {
-		idx[i] = -1
-		for c, h := range header {
-			if h == name {
-				idx[i] = c
-			}
-		}
-		if idx[i] < 0 {
-			t.Fatalf("CSV has no column %q: %s", name, lines[0])
-		}
-	}
-	var rows [][]int64
-	for _, line := range lines[1:] {
-		cells := strings.Split(line, ",")
-		row := make([]int64, len(names))
-		for i, c := range idx {
-			v, err := strconv.ParseInt(cells[c], 10, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			row[i] = v
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
+// closeFunc is a WindowStore that calls itself.
+type closeFunc func(end Time)
 
-// TestSamplingAppliesWithProcessDriving: sample rows are cut on the
-// virtual-time boundaries the parked process's loop crosses, and the
-// drain row is flushed by the worker that empties the heap.
+func (f closeFunc) Close(end Time) { f(end) }
+
+// TestSamplingAppliesWithProcessDriving: windows are closed on the
+// virtual-time boundaries the parked process's loop crosses, before any
+// event at the boundary, and the partial last window is closed by the
+// worker that empties the heap; draining again at the same instant
+// closes nothing.
 func TestSamplingAppliesWithProcessDriving(t *testing.T) {
 	k := NewKernel()
 	m := metrics.New()
-	k.SetMetrics(m, 10)
+	k.SetMetrics(m)
 	ticks := m.Counter("test_ticks", "timer handlers run")
+	events := m.Counter("sim_events_total", "")
+	var got [][]int64
+	k.SetWindows(10, closeFunc(func(end Time) { got = append(got, []int64{int64(end), events.Value(), ticks.Value()}) }))
 	k.Spawn("p", func(p *Proc) { _ = p.Sleep(35) })
-	for _, at := range []Time{5, 15, 25} {
+	for _, at := range []Time{5, 10, 25} {
 		k.At(at, ticks.Inc)
 	}
 	k.Run()
-	got := csvColumns(t, m, "time_us", "sim_events_total", "test_ticks")
+	k.Run()
 	want := [][]int64{{10, 2, 1}, {20, 3, 2}, {30, 4, 3}, {35, 6, 3}}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sample rows (time, events, ticks) = %v, want %v", got, want)
+		t.Fatalf("closed windows (end, events, ticks) = %v, want %v", got, want)
 	}
 }
 
@@ -433,7 +409,11 @@ func TestBatonCSVStable(t *testing.T) {
 	run := func() []byte {
 		k := NewKernel()
 		m := metrics.New()
-		k.SetMetrics(m, 5)
+		k.SetMetrics(m)
+		var rows []metrics.TimelineRow
+		k.SetWindows(5, closeFunc(func(end Time) {
+			rows = append(rows, metrics.TimelineRow{End: int64(end), Series: m.Snapshot(nil)})
+		}))
 		cpu := NewCPU(k, PreemptivePriority)
 		for i := 0; i < 8; i++ {
 			prio := Priority{Deadline: int64(100 - i), TxID: int64(i)}
@@ -446,7 +426,7 @@ func TestBatonCSVStable(t *testing.T) {
 			})
 		}
 		k.Run()
-		return m.CSV()
+		return metrics.CSV(m, rows)
 	}
 	first := run()
 	for i := 0; i < 5; i++ {

@@ -53,7 +53,7 @@ type Kernel struct {
 	// while a process goroutine holds the baton; horizon and budget are
 	// the bound that call set, and whoever reaches it hands back. hooked
 	// says the loop has more to do per event than pop it: a bound, a
-	// chooser or metric sampling (see popHooked); drive works it out on
+	// chooser or telemetry windows (see popHooked); drive works it out on
 	// entry, which is why both must be attached before the run starts. idle holds
 	// the channels of workers (see work) whose body returned and that
 	// passed the baton on; a process start draws from it.
@@ -74,13 +74,14 @@ type Kernel struct {
 	jrnSite int32
 
 	// met, when set, feeds the kernel's probe handles. With a positive
-	// sampleEvery the dispatch loop also takes one registry snapshot per
-	// sampleEvery of virtual time (plus a final row when the event heap
-	// drains); zero attaches the registry for live values only. Sampling
-	// is driven by event timestamps, never by extra scheduled events, so
-	// it cannot change the event interleaving or the journal.
+	// sampleEvery the dispatch loop also has windows close one window
+	// per sampleEvery of virtual time (plus one when the event heap
+	// drains). The tick is driven by event timestamps, never by extra
+	// scheduled events, so it cannot change the event interleaving or
+	// the journal.
 	met         *metrics.Registry
 	sampleEvery Duration
+	windows     WindowStore
 	nextSample  Time
 	flushedAt   Time
 
@@ -115,17 +116,10 @@ type (
 	Histogram = metrics.Histogram
 )
 
-// DefaultSampleInterval is the sample spacing the system constructors
-// pick for an exported registry whose caller does not choose: 100ms of
-// virtual time.
-const DefaultSampleInterval = 100 * Millisecond
-
-// SetMetrics attaches a metrics registry, sampled every `every` of
-// virtual time; zero or negative takes no samples, so the registry
-// serves only live probe values. It must be called before the
-// subsystems whose constructors cache probe handles (CPU, stations,
-// network) are built. A nil registry detaches.
-func (k *Kernel) SetMetrics(m *metrics.Registry, every Duration) {
+// SetMetrics attaches a metrics registry for live probe values. It must
+// be called before the subsystems whose constructors cache probe
+// handles (CPU, stations, network) are built. A nil registry detaches.
+func (k *Kernel) SetMetrics(m *metrics.Registry) {
 	k.met = m
 	k.mEvents = m.Counter("sim_events_total", "Kernel events dispatched.")
 	k.mProcs = m.Gauge("sim_procs_live", "Simulated processes currently alive.")
@@ -135,11 +129,26 @@ func (k *Kernel) SetMetrics(m *metrics.Registry, every Duration) {
 	k.mHandoff = m.Counter(resumes, help, metrics.L("via", "handoff"))
 	k.mAdopt = m.Counter(resumes, help, metrics.L("via", "adopt"))
 	k.mStart = m.Counter(resumes, help, metrics.L("via", "start"))
-	if m == nil || every <= 0 {
-		k.sampleEvery = 0
+}
+
+// A WindowStore is a telemetry store whose windows the dispatch loop
+// closes: internal/timeline's Collector, which this package cannot
+// import.
+type WindowStore interface {
+	Close(end Time)
+}
+
+// SetWindows has the dispatch loop close one of w's windows per `every`
+// of virtual time: w.Close(T) runs at each multiple T of every, before
+// any event at T, and once more at the current time when the event heap
+// drains, closing the partial last window. A non-positive every
+// detaches. It must be called before the run starts.
+func (k *Kernel) SetWindows(every Duration, w WindowStore) {
+	if every <= 0 {
+		k.sampleEvery, k.windows = 0, nil
 		return
 	}
-	k.sampleEvery = every
+	k.sampleEvery, k.windows = every, w
 	k.nextSample = k.now.Add(every)
 	k.flushedAt = -1
 }
@@ -148,24 +157,24 @@ func (k *Kernel) SetMetrics(m *metrics.Registry, every Duration) {
 // call it once at construction; all registry methods are nil-safe.
 func (k *Kernel) Metrics() *metrics.Registry { return k.met }
 
-// sampleTo takes every due registry snapshot strictly before advancing
-// the clock to t: a sample at time T reflects the state after all
-// events earlier than T and before any event at T.
+// sampleTo closes every due window strictly before advancing the clock
+// to t: a window ending at T reflects the state after all events
+// earlier than T and before any event at T.
 func (k *Kernel) sampleTo(t Time) {
 	for k.nextSample <= t {
-		k.met.Sample(int64(k.nextSample))
+		k.windows.Close(k.nextSample)
 		k.flushedAt = k.nextSample
 		k.nextSample = k.nextSample.Add(k.sampleEvery)
 	}
 }
 
-// flushSample records one final row at the current time when the event
-// heap drains, so short runs (and the tail beyond the last boundary)
-// still appear in the time series. Repeated drains at the same instant
-// (Cluster.Run re-enters Run after shutdown) add nothing.
+// flushSample closes the open window at the current time when the
+// event heap drains, so short runs (and the tail beyond the last
+// boundary) still appear in the time series. Repeated drains at the
+// same instant (Cluster.Run re-enters Run after shutdown) add nothing.
 func (k *Kernel) flushSample() {
 	if k.now > k.flushedAt {
-		k.met.Sample(int64(k.now))
+		k.windows.Close(k.now)
 		k.flushedAt = k.now
 	}
 }
@@ -374,10 +383,10 @@ func (k *Kernel) run() *Proc {
 }
 
 // popHooked is the loop's uncommon pop, taken when the run is bounded
-// (RunUntil, Steps), has a chooser or samples metrics, so that these
+// (RunUntil, Steps), has a chooser or closes telemetry windows, so that these
 // apply whichever goroutine is driving. It checks the bound before
 // popping the head event e (nil when reached), lets the chooser swap e
-// for a simultaneous event, takes the samples due before its time and
+// for a simultaneous event, closes the windows due before its time and
 // advances the clock to it.
 //
 //rtlint:allocfree

@@ -1,24 +1,25 @@
-// Package timeline rolls a run's activity into fixed virtual-time
-// windows, giving long runs a bounded-memory, time-resolved view of
-// throughput, deadline misses, response-time quantiles, lock waiting,
-// and network loss — the streaming counterpart of the end-of-run
-// aggregates in internal/stats.
+// Package timeline is a run's one time-series store: a bounded ring of
+// fixed virtual-time windows, each a row of throughput, deadline
+// misses, response-time quantiles, lock waiting and network loss — the
+// streaming counterpart of the end-of-run aggregates in internal/stats
+// — plus, when the run exports its metrics registry, a snapshot of
+// every series at the window's end.
 //
-// The collector is driven from the transaction layer: every finished
-// transaction is reported with Tx, and because the kernel's clock is
-// monotonic those reports arrive in non-decreasing finish-time order,
-// so window rollover is a simple forward sweep. A window [start, end)
-// owns the transactions finishing inside it; probe-derived fields
-// (lock-wait quantiles, net counters, the in-flight gauge) are sampled
-// at rollover, so activity between the last transaction of a window and
-// the first of the next is attributed to the later window. Both rules
-// are functions of the event sequence only, so two runs of the same
-// (seed, config) pair produce byte-identical timelines.
+// The transaction layer reports every finished transaction with Tx; the
+// kernel's sampling tick closes the windows (sim.Kernel.SetWindows):
+// at each boundary, before any event at that time, and once more when
+// the run drains. A window [start, end) owns the transactions finishing
+// inside it; probe-derived fields (lock-wait quantiles, net counters,
+// the in-flight gauge) are read at the boundary, so activity after it
+// belongs to the later window. Both rules are functions of the event
+// sequence only, so two runs of the same (seed, config) pair produce
+// byte-identical timelines.
 //
-// Memory is fixed at construction: a preallocated ring of MaxWindows
-// rows (oldest windows overwritten, count reported by Dropped), one
-// reusable response-time sketch, and scratch slices for histogram
-// snapshots. The hot path (Tx and window rollover) allocates nothing
+// Memory is bounded at construction: a preallocated ring of MaxWindows
+// rows (oldest windows evicted, count reported by Dropped), whose
+// snapshot slices are reused once the ring wraps, one reusable
+// response-time sketch, and scratch slices for histogram snapshots.
+// The hot path (Tx and window close) allocates nothing in steady state
 // and never touches the replay journal; the marker below has rtlint
 // prove the latter.
 //
@@ -56,6 +57,7 @@ type Collector struct {
 	head   int   // index of oldest retained row
 	n      int   // retained rows
 	lost   int   // rows overwritten by ring wrap
+	snap   bool  // store a registry snapshot in each row
 
 	// Open-window state.
 	winIdx   int
@@ -67,12 +69,13 @@ type Collector struct {
 	respSum  sim.Duration
 	sketch   *stats.Sketch
 
-	// Probe registry, handles and rollover scratch. A probe no layer
-	// updates leaves its fields zero.
+	// Probe registry, handles and close scratch, bound at the first
+	// close. A probe no layer registers leaves its fields zero.
 	probes     *metrics.Registry
+	bound      bool
 	lockWait   metrics.Histogram
 	lockBounds []int64
-	lockPrev   []int64 // cumulative bucket counts at last rollover
+	lockPrev   []int64 // cumulative bucket counts at the last close
 	lockCur    []int64 // snapshot scratch
 	lockPrevN  int64
 	inflight   metrics.Gauge
@@ -82,12 +85,10 @@ type Collector struct {
 	netDupPrv  int64
 }
 
-// New builds a collector reading probe series from reg; a nil reg gets
-// a fresh registry of its own, which Probes returns for the run to
-// attach to its kernel. Resolving the probe series here means they
-// exist in the registry even for runs that never block or drop a
-// message; exporters sort by name, so creation order does not show in
-// any output.
+// New builds a collector reading probe series from reg, the run's
+// exported registry, and storing a snapshot of it in every row; a nil
+// reg gets a private registry, never snapshotted, which Probes returns
+// for the run to attach to its kernel.
 func New(cfg Config, reg *metrics.Registry) *Collector {
 	if cfg.Window <= 0 {
 		return nil
@@ -95,33 +96,34 @@ func New(cfg Config, reg *metrics.Registry) *Collector {
 	if cfg.MaxWindows <= 0 {
 		cfg.MaxWindows = DefaultMaxWindows
 	}
-	if reg == nil {
-		reg = metrics.New()
-	}
 	c := &Collector{
 		window: cfg.Window,
 		rows:   make([]Row, cfg.MaxWindows),
+		snap:   reg != nil,
 		sketch: stats.NewSketch(0, 0), // the stats package's default geometry
 		probes: reg,
 	}
-	c.lockWait = reg.Histogram("lock_wait_ticks",
-		"Blocked-interval lengths of lock waiters, in ticks.", nil)
-	c.lockBounds = c.lockWait.Bounds()
-	if len(c.lockBounds) > 0 {
-		c.lockPrev = make([]int64, len(c.lockBounds))
-		c.lockCur = make([]int64, len(c.lockBounds))
+	if reg == nil {
+		c.probes = metrics.New()
 	}
-	c.inflight = reg.Gauge("txn_inflight",
-		"Transactions between arrival and commit/abort.")
-	c.netDrop[0] = reg.Counter("net_msgs_dropped_total",
-		"Messages lost in transit, by reason.", metrics.L("reason", "down"))
-	c.netDrop[1] = reg.Counter("net_msgs_dropped_total",
-		"Messages lost in transit, by reason.", metrics.L("reason", "cut"))
-	c.netDrop[2] = reg.Counter("net_msgs_dropped_total",
-		"Messages lost in transit, by reason.", metrics.L("reason", "fault"))
-	c.netDup = reg.Counter("net_msgs_duplicated_total",
-		"Extra message copies the fault injector delivered.")
 	return c
+}
+
+// bind resolves the probe series the layers registered while the run
+// was built. Looking them up rather than registering them keeps an
+// exported registry free of series no layer updates.
+func (c *Collector) bind() {
+	reg := c.probes
+	c.lockWait = metrics.Find[metrics.Histogram](reg, "lock_wait_ticks")
+	c.lockBounds = c.lockWait.Bounds()
+	c.lockPrev = make([]int64, len(c.lockBounds))
+	c.lockCur = make([]int64, len(c.lockBounds))
+	c.inflight = metrics.Find[metrics.Gauge](reg, "txn_inflight")
+	for i, reason := range [...]string{"down", "cut", "fault"} {
+		c.netDrop[i] = metrics.Find[metrics.Counter](reg, "net_msgs_dropped_total", metrics.L("reason", reason))
+	}
+	c.netDup = metrics.Find[metrics.Counter](reg, "net_msgs_duplicated_total")
+	c.bound = true
 }
 
 // Probes returns the registry the collector reads its probe series
@@ -141,17 +143,16 @@ func (c *Collector) Window() sim.Duration {
 	return c.window
 }
 
-// Tx reports one finished transaction: its finish time, whether it
+// Tx reports one finished transaction to the open window: whether it
 // committed, its response time (ignored unless committed), and how many
-// times it restarted. Finish times must be non-decreasing, which the
-// kernel's monotonic clock guarantees at the call sites.
+// times it restarted. The finish time is the caller's clock, which the
+// kernel's tick has already closed every earlier window for.
 //
 //rtlint:allocfree
 func (c *Collector) Tx(finish sim.Time, committed bool, resp sim.Duration, restarts int) {
 	if c == nil {
 		return
 	}
-	c.advance(finish)
 	c.procd++
 	c.restarts += int64(restarts)
 	if committed {
@@ -163,34 +164,19 @@ func (c *Collector) Tx(finish sim.Time, committed bool, resp sim.Duration, resta
 	}
 }
 
-// Finish closes every window up to the run horizon, including a final
-// partial window when the horizon falls inside one.
-func (c *Collector) Finish(horizon sim.Time) {
+// Close stores the open window as a row ending at end (start + window,
+// except for the partial last window the drain closes), evicting the
+// oldest row when the ring is full, and opens the next window at end.
+// The kernel's tick calls it (sim.Kernel.SetWindows).
+//
+//rtlint:allocfree
+func (c *Collector) Close(end sim.Time) {
 	if c == nil {
 		return
 	}
-	c.advance(horizon)
-	if horizon > c.start {
-		c.close(horizon)
+	if !c.bound {
+		c.bind()
 	}
-}
-
-// advance closes every window that ends at or before t, so the open
-// window contains t. Consecutive empty windows produce zero-valued rows
-// (probe deltas land in the first row closed by a sweep).
-//
-//rtlint:allocfree
-func (c *Collector) advance(t sim.Time) {
-	for end := c.start.Add(c.window); t >= end; end = c.start.Add(c.window) {
-		c.close(end)
-	}
-}
-
-// close emits the open window as a row ending at end (end is start +
-// window except for a partial final window) and resets the accumulators.
-//
-//rtlint:allocfree
-func (c *Collector) close(end sim.Time) {
 	row := Row{
 		Window:    c.winIdx,
 		Start:     int64(c.start),
@@ -220,21 +206,23 @@ func (c *Collector) close(end sim.Time) {
 	c.netDupPrv = dup
 	row.InFlight = c.inflight.Value()
 
+	i := c.head + c.n
 	if c.n == len(c.rows) {
-		c.rows[c.head] = row
 		c.head++
 		if c.head == len(c.rows) {
 			c.head = 0
 		}
 		c.lost++
 	} else {
-		i := c.head + c.n
-		if i >= len(c.rows) {
-			i -= len(c.rows)
-		}
-		c.rows[i] = row
 		c.n++
 	}
+	if i >= len(c.rows) {
+		i -= len(c.rows)
+	}
+	if c.snap {
+		row.Series = c.probes.Snapshot(c.rows[i].Series[:0])
+	}
+	c.rows[i] = row
 
 	c.winIdx++
 	c.start = end
@@ -244,7 +232,7 @@ func (c *Collector) close(end sim.Time) {
 }
 
 // lockWaitQuantiles diffs the cumulative lock-wait histogram against
-// the previous rollover and answers nearest-rank p50/p99 over the
+// the previous close and answers nearest-rank p50/p99 over the
 // delta, each as the containing bucket's upper bound (observations
 // beyond the last bound answer the last bound).
 //
@@ -288,7 +276,8 @@ func (c *Collector) lockWaitQuantiles() (p50, p99 int64) {
 	return p50, p99
 }
 
-// Rows returns the retained rows, oldest first, as a fresh slice.
+// Rows returns the retained rows, oldest first, as a fresh slice. Their
+// Series share storage with the ring, so they hold until the next Close.
 func (c *Collector) Rows() []Row {
 	if c == nil || c.n == 0 {
 		return nil

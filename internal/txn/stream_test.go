@@ -114,10 +114,10 @@ func TestArrivalTieFiresAsPreloaded(t *testing.T) {
 	}
 }
 
-// TestTimelineOnlyRunTakesNoSamples pins that only an exported registry
-// is sampled: a run with a Timeline and no Metrics attaches the
-// collector's probe registry for live values, so the in-flight gauge
-// reaches the rows, but never snapshots it.
+// TestTimelineOnlyRunTakesNoSamples pins that a timeline-only run
+// stores no registry snapshots: a collector built without an exported
+// registry attaches its private probe registry for live values, so the
+// in-flight gauge reaches the rows, but no row carries a snapshot.
 func TestTimelineOnlyRunTakesNoSamples(t *testing.T) {
 	tl := timeline.New(timeline.Config{Window: 100 * sim.Millisecond}, nil)
 	s, err := NewSystem(Config{
@@ -138,10 +138,13 @@ func TestTimelineOnlyRunTakesNoSamples(t *testing.T) {
 	s.Load(txs)
 	s.Run()
 	if n := tl.Probes().Samples(); n != 0 {
-		t.Fatalf("timeline-only run took %d registry samples, want 0", n)
+		t.Fatalf("timeline-only run took %d registry snapshots, want 0", n)
 	}
 	var inflight int64
 	for _, r := range tl.Rows() {
+		if r.Series != nil {
+			t.Fatalf("window %d stored a registry snapshot", r.Window)
+		}
 		inflight += r.InFlight
 	}
 	if inflight == 0 {

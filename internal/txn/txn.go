@@ -78,22 +78,12 @@ type Config struct {
 	// CheckpointEvery spaces checkpoints (zero disables the
 	// checkpointer; the redo tail then grows unboundedly).
 	CheckpointEvery sim.Duration
-	// Metrics, when non-nil, receives virtual-time metric series from
-	// every layer (kernel, CPU, I/O, lock manager, transactions),
-	// sampled every MetricsInterval of virtual time. Metrics never
-	// touch the journal, so journals are byte-identical with or
-	// without a registry attached.
-	Metrics *metrics.Registry
-	// MetricsInterval spaces the snapshots of Metrics (zero picks
-	// sim.DefaultSampleInterval). Only Metrics is sampled: without it a
-	// Timeline's probe registry is attached for live values alone.
-	MetricsInterval sim.Duration
-	// Timeline, when non-nil, receives every finished transaction and
-	// rolls per-virtual-time-window rows (throughput, miss %, response
-	// quantiles, probe deltas). Like Metrics it never touches the
-	// journal. Build it over Metrics when that is set, so the probe
-	// fields resolve; otherwise over nil, and its own probe registry is
-	// attached unsampled.
+	// Timeline, when non-nil, is the run's one time-series store: it
+	// receives every finished transaction, the kernel closes its
+	// windows, and its probe registry — the exported one when the run
+	// exports metrics, see timeline.New — receives virtual-time metric
+	// series from every layer. Neither touches the journal, so journals
+	// are byte-identical with or without it.
 	Timeline *timeline.Collector
 	// MaxRawRecords caps the Monitor's raw TxRecord retention (0 keeps
 	// every record); the streaming aggregates are exact either way.
@@ -155,19 +145,10 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	k := sim.NewKernel()
 	k.SetJournal(cfg.Journal, 0)
-	// Attach metrics before the CPU and I/O station are built: their
-	// constructors cache probe handles from the kernel's registry.
-	// Only an exported registry is sampled; a timeline-only run
-	// attaches the collector's probe registry for live values.
-	if cfg.Metrics != nil {
-		every := cfg.MetricsInterval
-		if every <= 0 {
-			every = sim.DefaultSampleInterval
-		}
-		k.SetMetrics(cfg.Metrics, every)
-	} else {
-		k.SetMetrics(cfg.Timeline.Probes(), 0)
-	}
+	// Attach the registry before the CPU and I/O station are built:
+	// their constructors cache probe handles from it.
+	k.SetMetrics(cfg.Timeline.Probes())
+	k.SetWindows(cfg.Timeline.Window(), cfg.Timeline)
 	s := &System{
 		K:       k,
 		CPU:     sim.NewCPU(k, cfg.CPUDiscipline),
@@ -270,7 +251,6 @@ func (s *System) checkpointer(p *sim.Proc) {
 // Run drives the simulation to completion and returns the summary.
 func (s *System) Run() stats.Summary {
 	s.K.Run()
-	s.cfg.Timeline.Finish(s.Monitor.Horizon())
 	sum := s.Monitor.Summarize()
 	if h := s.Monitor.Horizon(); h > 0 {
 		horizon := sim.Duration(h).Seconds()

@@ -27,9 +27,9 @@ func metricsExports(t *testing.T, res *Result) map[string][]byte {
 	}
 	return map[string][]byte{
 		"prom":   res.Metrics.Prometheus(),
-		"csv":    res.Metrics.CSV(),
+		"csv":    MetricsCSV(res.Metrics, res.Timeline),
 		"folded": res.LockProfile.Folded(),
-		"html":   HTMLReport("test", res.Metrics, res.LockProfile),
+		"html":   HTMLReport("test", res.Metrics, res.LockProfile, res.Timeline),
 	}
 }
 
@@ -260,4 +260,61 @@ func containsMetric(prom, fam string) bool {
 	return bytes.Contains([]byte(prom), []byte("\n"+fam+" ")) ||
 		bytes.Contains([]byte(prom), []byte("\n"+fam+"{")) ||
 		bytes.Contains([]byte(prom), []byte("# TYPE "+fam+" "))
+}
+
+// TestGoldenMetricsCSV pins metrics.csv of the quickstart spec, one row
+// per 100ms window, byte for byte.
+func TestGoldenMetricsCSV(t *testing.T) {
+	data, err := os.ReadFile("examples/specs/single-ceiling.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ParseSpec(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Metrics = true
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/metrics/single-ceiling.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := MetricsCSV(res.Metrics, res.Timeline); !bytes.Equal(got, want) {
+		t.Fatalf("metrics.csv diverged from the golden file (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestMetricsRingKeepsNewestWindows: a Metrics run longer than
+// TimelineMaxWindows keeps exactly the newest windows, snapshots and
+// all, and reports the rest as evicted.
+func TestMetricsRingKeepsNewestWindows(t *testing.T) {
+	full, err := RunSingleSite(metricsTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keep = 8
+	cfg := metricsTestConfig()
+	cfg.TimelineMaxWindows = keep
+	capped, err := RunSingleSite(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(full.Timeline)
+	if full.TimelineDropped != 0 || n <= keep {
+		t.Fatalf("uncapped run: %d windows, %d evicted", n, full.TimelineDropped)
+	}
+	if len(capped.Timeline) != keep || capped.TimelineDropped != n-keep {
+		t.Fatalf("capped run: %d windows, %d evicted; want %d, %d", len(capped.Timeline), capped.TimelineDropped, keep, n-keep)
+	}
+	if !reflect.DeepEqual(capped.Timeline, full.Timeline[n-keep:]) {
+		t.Fatal("capped run's windows are not the uncapped run's newest")
+	}
+	fullCSV := bytes.SplitAfter(MetricsCSV(full.Metrics, full.Timeline), []byte("\n"))
+	want := bytes.Join(append(fullCSV[:1], fullCSV[len(fullCSV)-1-keep:]...), nil)
+	if got := MetricsCSV(capped.Metrics, capped.Timeline); !bytes.Equal(got, want) {
+		t.Fatalf("capped metrics.csv is not the header plus the newest %d lines:\n%s", keep, got)
+	}
 }

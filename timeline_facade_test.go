@@ -1,6 +1,7 @@
 package rtlock
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -24,7 +25,7 @@ func timelineExports(t *testing.T, res *Result) map[string][]byte {
 	return map[string][]byte{
 		"jsonl": TimelineJSONL(res.Timeline),
 		"csv":   TimelineCSV(res.Timeline),
-		"html":  HTMLTimelineReport("test", nil, nil, res.Timeline),
+		"html":  HTMLReport("test", nil, nil, res.Timeline),
 	}
 }
 
@@ -173,5 +174,47 @@ func TestSketchParityAcrossProtocols(t *testing.T) {
 					proto, q.name, q.got, q.want, diff)
 			}
 		}
+	}
+}
+
+// TestProbesReadAtWindowBoundary: the kernel closes each window at its
+// boundary, so probe activity between a boundary and the next finish
+// belongs to the later window. Under deadlock detection, tx 1 holds
+// object 1 and tx 2 (arriving at 7ms, after the first boundary) holds
+// object 2; each then waits for the other's object until the detector
+// restarts tx 1 at 16ms, ending tx 2's 1ms wait. No transaction
+// finishes before 24ms, yet in 6ms windows the arrival shows in
+// [6,12) and the wait in [12,18), not in the first window the next
+// finish would have closed.
+func TestProbesReadAtWindowBoundary(t *testing.T) {
+	ms := func(n int64) Time { return Time(n * int64(Millisecond)) }
+	w := func(obj ObjectID) Op { return Op{Obj: obj, Mode: Write} }
+	res, err := RunSingleSite(SingleSiteConfig{
+		Protocol: TwoPLDetect, CPUPerObj: 8 * Millisecond, MemoryResident: true,
+		TimelineWindow: 6 * Millisecond,
+		Workload: WorkloadConfig{Transactions: []*Txn{
+			{ID: 1, Kind: Update, Arrival: 0, Deadline: ms(1000), Ops: []Op{w(1), w(2)}},
+			{ID: 2, Kind: Update, Arrival: ms(7), Deadline: ms(100), Ops: []Op{w(2), w(1)}},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cols struct{ end, processed, inFlight, lockWaitP50 int64 }
+	var got []cols
+	for _, r := range res.Timeline {
+		got = append(got, cols{r.End, r.Processed, r.InFlight, r.LockWaitP50})
+	}
+	want := []cols{
+		{6_000, 0, 1, 0},
+		{12_000, 0, 2, 0},
+		{18_000, 0, 2, 1_000}, // the bucket holding tx 2's 1ms wait
+		{24_000, 0, 2, 0},
+		{30_000, 1, 1, 10_000}, // tx 1's 8ms wait behind tx 2
+		{36_000, 0, 1, 0},
+		{40_000, 1, 0, 0},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("windows (end, processed, in flight, lock wait p50) = %v, want %v", got, want)
 	}
 }
