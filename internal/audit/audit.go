@@ -188,6 +188,15 @@ func ForFaults(mode string) []Auditor {
 	return auds
 }
 
+// ForCluster returns ForFaults(mode) for a run with a fault plan
+// attached, else ForPlacement(mode).
+func ForCluster(mode string, faulted bool) []Auditor {
+	if faulted {
+		return ForFaults(mode)
+	}
+	return ForPlacement(mode)
+}
+
 // grouper detects the record-group convention the emitters use: a
 // blocking (or re-blame) episode with several blamed transactions is
 // written as consecutive records sharing kind, transaction, object, and

@@ -10,18 +10,17 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"strconv"
 
 	"rtlock/internal/core"
 	"rtlock/internal/db"
 	"rtlock/internal/faults"
 	"rtlock/internal/journal"
-	"rtlock/internal/metrics"
 	"rtlock/internal/netsim"
 	"rtlock/internal/place"
 	"rtlock/internal/sim"
 	"rtlock/internal/stats"
 	"rtlock/internal/timeline"
+	"rtlock/internal/txn"
 	"rtlock/internal/wal"
 	"rtlock/internal/workload"
 )
@@ -105,15 +104,9 @@ type Config struct {
 	// is lost, so a crash forgets the vote. Used by tests to seed a
 	// durability weakening the fault-space explorer must find.
 	WALForceFault func(site db.SiteID, txID int64) bool
-	// Timeline, when non-nil, is the run's one time-series store: it
-	// receives every finished transaction, the kernel closes its
-	// windows, and its probe registry — the exported one when the run
-	// exports metrics, see timeline.New — receives virtual-time metric
-	// series from every layer. Neither touches the journal, so journals
-	// are byte-identical with or without it.
-	Timeline *timeline.Collector
-	// MaxRawRecords caps the Monitor's raw TxRecord retention (0 keeps
-	// every record); the streaming aggregates are exact either way.
+	// Timeline, the run's one time-series store, and MaxRawRecords, the
+	// Monitor's raw TxRecord cap, are txn.Config's.
+	Timeline      *timeline.Collector
 	MaxRawRecords int
 }
 
@@ -308,6 +301,7 @@ type Cluster struct {
 	Monitor *stats.Monitor
 
 	cfg   Config
+	life  txn.Lifecycle
 	mode  *modeRow
 	sites []*site
 	// gcm is global mode's manager (also sites[GCMSite].mgr), else nil.
@@ -336,10 +330,6 @@ type Cluster struct {
 
 	// Probe handles, cached at construction (no-ops without a
 	// registry).
-	mInflight  sim.Gauge
-	mCommits   sim.Counter
-	mMissDead  sim.Counter
-	mMissCrash sim.Counter
 	mGCMDown   sim.Gauge
 	mFailovers sim.Counter
 	// Per-mode probes, initialized only in the matching mode.
@@ -394,16 +384,14 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		K:       k,
 		Net:     net,
 		Catalog: cat,
-		Monitor: stats.NewMonitor(),
 		cfg:     cfg,
 		mode:    &modes[cfg.Mode],
+		sites:   make([]*site, 0, cfg.Sites),
 	}
-	c.Monitor.SetMaxRaw(cfg.MaxRawRecords)
+	c.life = txn.NewLifecycle(k, cfg.Timeline, cfg.MaxRawRecords, c.exec)
+	c.Monitor = c.life.Monitor
+	c.life.MissReason(ErrSiteCrashed, "crashed")
 	m := k.Metrics()
-	c.mInflight = m.Gauge("txn_inflight", "Transactions between arrival and commit/abort.")
-	c.mCommits = m.Counter("txn_commits_total", "Transactions that committed by their deadline.")
-	c.mMissDead = m.Counter("txn_deadline_misses_total", "Transactions aborted at their deadline.", metrics.L("reason", "deadline"))
-	c.mMissCrash = m.Counter("txn_deadline_misses_total", "Transactions aborted at their deadline.", metrics.L("reason", "crashed"))
 	c.mGCMDown = m.Gauge("dist_gcm_down", "1 while the global ceiling manager's site is crashed.")
 	c.mFailovers = m.Counter("dist_failovers_total", "Lock requests served by a failover manager while the GCM was down.")
 	for i := 0; i < cfg.Sites; i++ {
@@ -642,63 +630,27 @@ func (c *Cluster) NetReport() stats.NetReport {
 // Store returns site i's store, for inspection in tests and examples.
 func (c *Cluster) Store(i db.SiteID) *db.Store { return c.sites[i].store }
 
-// Load schedules the transactions' arrivals. It is LoadStream over the
-// slice.
+// Load schedules the transactions' arrivals: LoadStream over a slice.
 func (c *Cluster) Load(txs []*workload.Txn) {
-	c.load(len(txs), workload.Pull(txs))
+	c.life.Load(len(txs), workload.Pull(txs), c.arrive)
 }
 
-// LoadStream schedules arrivals one at a time: each arrival event pulls
-// the next transaction from the stream and schedules it before anything
-// else, so the event heap holds one pending arrival however long the
-// load is. Arrivals take sequence numbers reserved up front, so they
-// fire among simultaneous events exactly as a load scheduled all at once
-// would.
+// LoadStream schedules arrivals one at a time (see txn.Lifecycle.Load),
+// so the event heap holds one pending arrival however long the load is.
 func (c *Cluster) LoadStream(src *workload.Stream) {
-	c.load(src.Remaining(), src.Next)
+	c.life.Load(src.Remaining(), src.Next, c.arrive)
 }
 
-// arrivals is one load's arrival chain: where its transactions come
-// from and the sequence numbers their arrivals fire under. Each arrival
-// event captures it as one pointer, which keeps the closure in a
-// smaller size class.
-type arrivals struct {
-	next func() *workload.Txn
-	seqs sim.SeqBlock
-}
-
-// load reserves the monitor's records and the arrivals' sequence numbers
-// for n transactions and starts the arrival chain over next.
-func (c *Cluster) load(n int, next func() *workload.Txn) {
-	c.Monitor.Reserve(n)
-	c.scheduleNext(&arrivals{next: next, seqs: c.K.ReserveSeq(n)})
-}
-
-// scheduleNext pulls one transaction and registers its arrival. An
-// arrival at a crashed site is lost with the site's volatile state: it
-// is recorded as an immediate miss and never spawns a process.
-func (c *Cluster) scheduleNext(a *arrivals) {
-	t := a.next()
-	if t == nil {
+// arrive admits one arrival. An arrival at a crashed site is lost with
+// the site's volatile state: it is recorded as an immediate miss and
+// never spawns a process.
+func (c *Cluster) arrive(t *workload.Txn) {
+	if c.faultsOn && c.crashed[t.Home] {
+		rec := c.life.Arrive(t, t.Home)
+		c.life.Finish(&rec, ErrSiteCrashed)
 		return
 	}
-	a.seqs.At(t.Arrival, func() {
-		c.scheduleNext(a)
-		if c.faultsOn && c.crashed[t.Home] {
-			c.emit(t.Home, journal.KArrive, t.ID, 0, int64(t.Deadline), 0, "")
-			c.record(&txRun{t: t}, ErrSiteCrashed)
-			return
-		}
-		c.K.Spawn("tx"+strconv.FormatInt(t.ID, 10), func(p *sim.Proc) {
-			c.mInflight.Add(1)
-			defer c.mInflight.Add(-1)
-			if c.faultsOn {
-				c.liveTx[t.Home][t.ID] = p
-				defer delete(c.liveTx[t.Home], t.ID)
-			}
-			c.exec(p, t)
-		})
-	})
+	c.life.Spawn(t)
 }
 
 // Run drives the simulation to completion, tears down the message
@@ -736,45 +688,4 @@ func b2i(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-// record finalizes the monitor record for a processed transaction.
-func (c *Cluster) record(x *txRun, err error) {
-	if errors.Is(err, sim.ErrShutdown) {
-		return
-	}
-	t := x.t
-	rec := stats.TxRecord{
-		ID:       t.ID,
-		Site:     t.Home,
-		Size:     t.Size(),
-		ReadOnly: t.Kind == workload.ReadOnly,
-		Arrival:  t.Arrival,
-		Start:    t.Arrival,
-		Deadline: t.Deadline,
-		Finish:   c.K.Now(),
-		Messages: x.msgs,
-	}
-	for i := range x.pins {
-		rec.Blocked += x.pins[i].st.BlockedTime
-		rec.BlockedCount += x.pins[i].st.BlockedCount
-	}
-	if err == nil {
-		rec.Outcome = stats.Committed
-		c.mCommits.Inc()
-		c.emit(t.Home, journal.KCommit, t.ID, 0, 0, 0, "")
-	} else {
-		rec.Outcome = stats.DeadlineMissed
-		note := ""
-		if errors.Is(err, ErrSiteCrashed) {
-			note = "crashed"
-			c.mMissCrash.Inc()
-		} else {
-			c.mMissDead.Inc()
-		}
-		c.emit(t.Home, journal.KDeadlineMiss, t.ID, 0, 0, 0, note)
-	}
-	c.Monitor.Add(rec)
-	c.cfg.Timeline.Tx(rec.Finish, rec.Outcome == stats.Committed,
-		rec.Finish.Sub(rec.Arrival), rec.Restarts)
 }

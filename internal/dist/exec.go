@@ -8,7 +8,6 @@ import (
 	"rtlock/internal/db"
 	"rtlock/internal/journal"
 	"rtlock/internal/sim"
-	"rtlock/internal/txn"
 	"rtlock/internal/workload"
 )
 
@@ -58,36 +57,41 @@ func newState(x *txRun, reads, writes []core.ObjectID, onPrio func(sim.Priority)
 	return st
 }
 
-// missDeadline is the deadline timer's action on the transaction's process.
-func missDeadline(p any) { p.(*sim.Proc).Interrupt(txn.ErrDeadlineMissed) }
-
 // exec runs one transaction through the pipeline every mode shares:
 // arrive, pin managers, register, arm the deadline, run the operations,
 // commit, release, install, record. What a mode does differently is in
 // its row of the mode table.
 func (c *Cluster) exec(p *sim.Proc, t *workload.Txn) {
+	if c.faultsOn {
+		c.liveTx[t.Home][t.ID] = p
+		defer delete(c.liveTx[t.Home], t.ID)
+	}
 	m := c.mode
 	x := &txRun{p: p, t: t}
-	c.emit(t.Home, journal.KArrive, t.ID, 0, int64(t.Deadline), 0, "")
+	rec := c.life.Arrive(t, t.Home)
 	m.pin(c, x)
 	c.atPins(x, enroll)
-	deadline := c.K.AtCall(t.Deadline, missDeadline, p)
+	deadline := c.life.Deadline(p, t)
 	err := c.runOps(x)
 	if err == nil {
 		err = m.commit(c, x)
 	}
 	deadline.Cancel()
-	if c.faultsOn && errors.Is(err, ErrSiteCrashed) {
-		// Killed with its home site: the managers there are gone, and the
-		// surviving ones evicted the registration on detecting the crash.
-		c.record(x, err)
-		return
+	// Killed with its home site, the transaction has nothing to release:
+	// the managers there are gone, and the surviving ones evicted the
+	// registration on detecting the crash.
+	if !c.faultsOn || !errors.Is(err, ErrSiteCrashed) {
+		c.atPins(x, discharge)
+		if err == nil {
+			m.install(c, x)
+		}
 	}
-	c.atPins(x, discharge)
-	if err == nil {
-		m.install(c, x)
+	rec.Messages = x.msgs
+	for i := range x.pins {
+		rec.Blocked += x.pins[i].st.BlockedTime
+		rec.BlockedCount += x.pins[i].st.BlockedCount
 	}
-	c.record(x, err)
+	c.life.Finish(&rec, err)
 }
 
 // atPins runs step at every pinned manager: at once at the home site,

@@ -136,8 +136,7 @@ func (c singleCell) run(seed int64, audited bool) (outcome, error) {
 	sys.Load(load)
 	o := outcome{sum: sys.Run()}
 	if sys.Log != nil {
-		// 0.1ms/object snapshot load + 1ms/record redo.
-		o.recovery = sys.Log.RecoveryTime(sim.Millisecond/10, sim.Millisecond)
+		o.recovery = sys.Log.RecoveryTime()
 	}
 	o.violations = audit.Finish(auds...)
 	return o, nil
@@ -186,10 +185,7 @@ func (c distCell) run(seed int64, audited bool) (outcome, error) {
 	}
 	var auds []audit.Auditor
 	if audited {
-		auds = audit.ForPlacement(c.mode.String())
-		if !plan.Empty() {
-			auds = audit.ForFaults(c.mode.String())
-		}
+		auds = audit.ForCluster(c.mode.String(), !plan.Empty())
 	}
 	cfg := dist.Config{
 		Mode:         c.mode,

@@ -75,9 +75,9 @@ func FaultTarget(o FaultOpts) (Target, error) { return clusterTarget(o, true) }
 // name and journal-key prefix and in the auditors a run answers to;
 // unarmed, the fault fields of o are unused.
 func clusterTarget(o FaultOpts, armed bool) (Target, error) {
-	kind, auditors := "dist", audit.ForPlacement
+	kind := "dist"
 	if armed {
-		kind, auditors = "fault", audit.ForFaults
+		kind = "fault"
 	}
 	mode, err := dist.ModeFor(o.Global, o.Placement)
 	if err != nil {
@@ -183,7 +183,7 @@ func clusterTarget(o FaultOpts, armed bool) (Target, error) {
 		cluster.Run()
 		out := &Outcome{
 			JournalHash: jrn.HashString(),
-			Violations:  audit.Run(jrn, auditors(mode.String())...),
+			Violations:  audit.Run(jrn, audit.ForCluster(mode.String(), armed)...),
 			FaultPlan:   plan,
 		}
 		if plan == nil {

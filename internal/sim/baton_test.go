@@ -297,6 +297,28 @@ func TestSamplingAppliesWithProcessDriving(t *testing.T) {
 	}
 }
 
+// TestDrainOnBoundaryClosesZeroWidthTail: events at the instant of a
+// window boundary, which was closed before them, land in a zero-width
+// last row when the heap drains right there; draining again with
+// nothing new adds nothing.
+func TestDrainOnBoundaryClosesZeroWidthTail(t *testing.T) {
+	k := NewKernel()
+	m := metrics.New()
+	k.SetMetrics(m)
+	ticks := m.Counter("test_ticks", "timer handlers run")
+	var got [][]int64
+	k.SetWindows(10, closeFunc(func(end Time) { got = append(got, []int64{int64(end), ticks.Value()}) }))
+	for _, at := range []Time{5, 20, 20} {
+		k.At(at, ticks.Inc)
+	}
+	k.Run()
+	k.Run()
+	want := [][]int64{{10, 1}, {20, 1}, {20, 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("closed windows (end, ticks) = %v, want %v", got, want)
+	}
+}
+
 // TestStaleResumeOfDeadProcessSkipped: a resume event naming a process
 // whose body has already returned is dropped, not delivered.
 func TestStaleResumeOfDeadProcessSkipped(t *testing.T) {

@@ -84,6 +84,8 @@ type Kernel struct {
 	windows     WindowStore
 	nextSample  Time
 	flushedAt   Time
+	// atClose: events ran at flushedAt after its boundary was closed.
+	atClose bool
 
 	// Kernel-owned probe handles (no-ops without a registry). The four
 	// resume counters split process resumptions by how control arrived:
@@ -150,7 +152,7 @@ func (k *Kernel) SetWindows(every Duration, w WindowStore) {
 	}
 	k.sampleEvery, k.windows = every, w
 	k.nextSample = k.now.Add(every)
-	k.flushedAt = -1
+	k.flushedAt, k.atClose = -1, false
 }
 
 // Metrics returns the attached registry (nil when none). Probe sites
@@ -165,17 +167,20 @@ func (k *Kernel) sampleTo(t Time) {
 		k.windows.Close(k.nextSample)
 		k.flushedAt = k.nextSample
 		k.nextSample = k.nextSample.Add(k.sampleEvery)
+		k.atClose = k.flushedAt == t
 	}
 }
 
 // flushSample closes the open window at the current time when the
 // event heap drains, so short runs (and the tail beyond the last
-// boundary) still appear in the time series. Repeated drains at the
-// same instant (Cluster.Run re-enters Run after shutdown) add nothing.
+// boundary) still appear in the time series — a run whose last events
+// fell on the boundary closed last gets a zero-width row for them.
+// Repeated drains at the same instant (Cluster.Run re-enters Run after
+// shutdown) add nothing.
 func (k *Kernel) flushSample() {
-	if k.now > k.flushedAt {
+	if k.now > k.flushedAt || k.atClose {
 		k.windows.Close(k.now)
-		k.flushedAt = k.now
+		k.flushedAt, k.atClose = k.now, false
 	}
 }
 

@@ -10,13 +10,11 @@ package txn
 import (
 	"errors"
 	"fmt"
-	"strconv"
 
 	"rtlock/internal/buffer"
 	"rtlock/internal/core"
 	"rtlock/internal/db"
 	"rtlock/internal/journal"
-	"rtlock/internal/metrics"
 	"rtlock/internal/sim"
 	"rtlock/internal/stats"
 	"rtlock/internal/timeline"
@@ -102,8 +100,8 @@ type System struct {
 	IO      *sim.Station
 	Log     *wal.Log
 
-	cfg       Config
-	remaining int
+	cfg  Config
+	life Lifecycle
 
 	// freeTx recycles per-attempt transaction states: an attempt's
 	// state fully leaves the manager before the next attempt starts
@@ -112,9 +110,6 @@ type System struct {
 	// freelist suffices.
 	freeTx []*core.TxState
 
-	mInflight sim.Gauge
-	mCommits  sim.Counter
-	mMissDead sim.Counter
 	mRestarts sim.Counter
 }
 
@@ -150,21 +145,17 @@ func NewSystem(cfg Config) (*System, error) {
 	k.SetMetrics(cfg.Timeline.Probes())
 	k.SetWindows(cfg.Timeline.Window(), cfg.Timeline)
 	s := &System{
-		K:       k,
-		CPU:     sim.NewCPU(k, cfg.CPUDiscipline),
-		Mgr:     cfg.NewManager(k),
-		Store:   db.NewStore(0),
-		Monitor: stats.NewMonitor(),
-		Buffer:  buffer.New(cfg.BufferPages),
-		IO:      sim.NewStation(k, cfg.IODisks),
-		cfg:     cfg,
+		K:      k,
+		CPU:    sim.NewCPU(k, cfg.CPUDiscipline),
+		Mgr:    cfg.NewManager(k),
+		Store:  db.NewStore(0),
+		Buffer: buffer.New(cfg.BufferPages),
+		IO:     sim.NewStation(k, cfg.IODisks),
+		cfg:    cfg,
 	}
-	s.Monitor.SetMaxRaw(cfg.MaxRawRecords)
-	m := k.Metrics()
-	s.mInflight = m.Gauge("txn_inflight", "Transactions between arrival and commit/abort.")
-	s.mCommits = m.Counter("txn_commits_total", "Transactions that committed by their deadline.")
-	s.mMissDead = m.Counter("txn_deadline_misses_total", "Transactions aborted at their deadline.", metrics.L("reason", "deadline"))
-	s.mRestarts = m.Counter("txn_restarts_total", "Attempt restarts (wounds, deadlock victims, conditional aborts).")
+	s.life = NewLifecycle(k, cfg.Timeline, cfg.MaxRawRecords, s.exec)
+	s.Monitor = s.life.Monitor
+	s.mRestarts = k.Metrics().Counter("txn_restarts_total", "Attempt restarts (wounds, deadlock victims, conditional aborts).")
 	if cfg.WAL {
 		s.Log = wal.NewLog()
 	}
@@ -177,54 +168,17 @@ func (s *System) Load(txs []*workload.Txn) {
 	s.load(len(txs), workload.Pull(txs))
 }
 
-// LoadStream schedules arrivals one at a time: each arrival event pulls
-// the next transaction from the stream and schedules it before spawning
-// its own worker, so the event heap and live transaction set stay
-// bounded no matter how long the load is. Arrivals take sequence numbers
-// reserved up front, so they fire among simultaneous events exactly as a
-// load scheduled all at once would.
+// LoadStream is Load over a stream, pulled one arrival at a time (see
+// Lifecycle.Load), so memory stays bounded however long the load is.
 func (s *System) LoadStream(src *workload.Stream) {
 	s.load(src.Remaining(), src.Next)
 }
 
-// arrivals is one load's arrival chain: where its transactions come
-// from and the sequence numbers their arrivals fire under. Each arrival
-// event captures it as one pointer, which keeps the closure in a
-// smaller size class.
-type arrivals struct {
-	next func() *workload.Txn
-	seqs sim.SeqBlock
-}
-
-// load reserves the monitor's records and the arrivals' sequence numbers
-// for n transactions and starts the arrival chain over next.
 func (s *System) load(n int, next func() *workload.Txn) {
-	s.Monitor.Reserve(n)
-	s.scheduleNext(&arrivals{next: next, seqs: s.K.ReserveSeq(n)})
+	s.life.Load(n, next, s.life.Spawn)
 	if s.Log != nil && s.cfg.CheckpointEvery > 0 {
 		s.K.Spawn("checkpointer", s.checkpointer)
 	}
-}
-
-// scheduleNext pulls one transaction and registers its arrival.
-// remaining is incremented at schedule time, before the previous
-// transaction can finish, so the checkpointer's remaining==0 exit never
-// fires while an arrival is still pending.
-func (s *System) scheduleNext(a *arrivals) {
-	t := a.next()
-	if t == nil {
-		return
-	}
-	s.remaining++
-	a.seqs.At(t.Arrival, func() {
-		s.scheduleNext(a)
-		// "tx" + FormatInt keeps the KSpawn journal bytes identical to
-		// the old Sprintf("tx%d") while skipping the fmt machinery.
-		s.K.Spawn("tx"+strconv.FormatInt(t.ID, 10), func(p *sim.Proc) {
-			s.exec(p, t)
-			s.remaining--
-		})
-	})
 }
 
 // checkpointer periodically snapshots the committed state into the log,
@@ -236,7 +190,7 @@ func (s *System) checkpointer(p *sim.Proc) {
 		if err := p.Sleep(s.cfg.CheckpointEvery); err != nil {
 			return
 		}
-		if s.remaining == 0 {
+		if s.life.pending == 0 {
 			return
 		}
 		state := s.Store.State()
@@ -267,20 +221,8 @@ func (s *System) Run() stats.Summary {
 // exec runs one transaction to commit or deadline abort, restarting
 // attempts that abort-based protocols reject.
 func (s *System) exec(p *sim.Proc, t *workload.Txn) {
-	rec := stats.TxRecord{
-		ID:       t.ID,
-		Site:     0,
-		Size:     t.Size(),
-		ReadOnly: t.Kind == workload.ReadOnly,
-		Arrival:  p.Now(),
-		Start:    p.Now(),
-		Deadline: t.Deadline,
-	}
-	s.mInflight.Add(1)
-	defer s.mInflight.Add(-1)
-	deadlineEv := s.K.At(t.Deadline, func() { p.Interrupt(ErrDeadlineMissed) })
-	s.K.Emit(journal.KArrive, t.ID, 0, int64(t.Deadline), 0, "")
-
+	deadline := s.life.Deadline(p, t)
+	rec := s.life.Arrive(t, 0)
 	var err error
 	// The access sets and priority-change hook are attempt-invariant;
 	// computing them once per transaction keeps restarts allocation-free
@@ -336,32 +278,13 @@ func (s *System) exec(p *sim.Proc, t *workload.Txn) {
 			}
 		}
 	}
-	deadlineEv.Cancel()
-
-	if errors.Is(err, sim.ErrShutdown) {
-		return // simulation torn down; nothing to record
-	}
-	rec.Finish = p.Now()
-	switch {
-	case err == nil:
-		s.K.Emit(journal.KCommit, t.ID, 0, 0, 0, "")
-		s.mCommits.Inc()
-		rec.Outcome = stats.Committed
+	deadline.Cancel()
+	if err == nil {
 		for _, obj := range writeSet {
 			s.Store.Write(obj, t.ID, p.Now())
 		}
-	case errors.Is(err, ErrDeadlineMissed):
-		s.K.Emit(journal.KDeadlineMiss, t.ID, 0, 0, 0, "")
-		s.mMissDead.Inc()
-		rec.Outcome = stats.DeadlineMissed
-	default:
-		// Unexpected protocol error: surface it as a miss but keep
-		// the record so it is visible in reports.
-		rec.Outcome = stats.DeadlineMissed
 	}
-	s.Monitor.Add(rec)
-	s.cfg.Timeline.Tx(rec.Finish, rec.Outcome == stats.Committed,
-		rec.Finish.Sub(rec.Arrival), rec.Restarts)
+	s.life.Finish(&rec, err)
 }
 
 // body performs the access sequence: lock (or timestamp validation),

@@ -176,10 +176,11 @@ func (l *Log) Recover() map[core.ObjectID]int64 {
 	return state
 }
 
-// RecoveryTime estimates restart duration: loading the snapshot plus
-// replaying the redo tail, at the given per-object and per-record costs.
-func (l *Log) RecoveryTime(loadPerObj, redoPerRecord sim.Duration) sim.Duration {
-	return sim.Duration(len(l.snapshot))*loadPerObj + sim.Duration(len(l.records))*redoPerRecord
+// RecoveryTime estimates restart duration, the model every report uses:
+// loading the snapshot at 0.1 ms per object plus replaying the redo
+// tail at 1 ms per record.
+func (l *Log) RecoveryTime() sim.Duration {
+	return sim.Duration(len(l.snapshot))*sim.Millisecond/10 + sim.Duration(len(l.records))*sim.Millisecond
 }
 
 // String summarizes the log for reports.

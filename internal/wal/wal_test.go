@@ -59,8 +59,8 @@ func TestRecoveryTimeModel(t *testing.T) {
 	l := NewLog()
 	l.Checkpoint(0, map[core.ObjectID]int64{1: 1, 2: 2})
 	l.AppendCommit(1, 10, []WriteImage{{Obj: 3, Value: 3}})
-	got := l.RecoveryTime(2*sim.Millisecond, 5*sim.Millisecond)
-	want := 2*2*sim.Millisecond + 1*5*sim.Millisecond
+	got := l.RecoveryTime()
+	want := 2*sim.Millisecond/10 + 1*sim.Millisecond
 	if got != want {
 		t.Fatalf("recovery time %v, want %v", got, want)
 	}

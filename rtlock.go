@@ -634,16 +634,13 @@ func RunSingleSite(cfg SingleSiteConfig) (*Result, error) {
 	} else {
 		sys.Load(cfg.Workload.Transactions)
 	}
-	sum := sys.Run()
-	res := &Result{Summary: sum, Records: sys.Monitor.Records(),
-		RawRetained: sys.Monitor.RawRetained(), RawDropped: sys.Monitor.RawDropped()}
-	rec.finish(res)
+	res := rec.finish(sys.Run(), sys.Monitor)
 	if sys.Log != nil {
 		res.Recovery = &RecoveryInfo{
 			Records:          sys.Log.Records(),
 			Checkpoints:      sys.Log.Checkpoints(),
 			RedoTail:         sys.Log.RedoLength(),
-			EstimatedRestart: sys.Log.RecoveryTime(Millisecond/10, Millisecond),
+			EstimatedRestart: sys.Log.RecoveryTime(),
 		}
 	}
 	return res, nil
@@ -681,10 +678,7 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 	}
 	var auds []Auditor
 	if cfg.Audit {
-		auds = audit.ForPlacement(mode.String())
-		if !cfg.Faults.Empty() {
-			auds = audit.ForFaults(mode.String())
-		}
+		auds = audit.ForCluster(mode.String(), !cfg.Faults.Empty())
 	}
 	rec := &recording{
 		journal: cfg.Journal, audit: cfg.Audit, auds: auds, metrics: cfg.Metrics, history: cfg.RecordHistory,
@@ -766,17 +760,9 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 	} else {
 		cluster.Load(cfg.Workload.Transactions)
 	}
-	sum := cluster.Run()
+	res := rec.finish(cluster.Run(), cluster.Monitor)
 	net := cluster.NetReport()
-	res := &Result{
-		Summary:     sum,
-		Records:     cluster.Monitor.Records(),
-		Messages:    cluster.Net.Sent,
-		Net:         &net,
-		RawRetained: cluster.Monitor.RawRetained(),
-		RawDropped:  cluster.Monitor.RawDropped(),
-	}
-	rec.finish(res)
+	res.Messages, res.Net = cluster.Net.Sent, &net
 	if mode == dist.Local {
 		repl := cluster.Replication()
 		res.Replication = &repl
@@ -845,8 +831,10 @@ func (r *recording) start(seed int64, key func() string) {
 	r.tl = timeline.New(timeline.Config{Window: window, MaxWindows: r.maxWindows}, r.reg)
 }
 
-// finish closes the observers and fills what they recorded into res.
-func (r *recording) finish(res *Result) {
+// finish builds the run's Result: its summary, the monitor's records,
+// and what the observers recorded, which it closes.
+func (r *recording) finish(sum Summary, mon *stats.Monitor) *Result {
+	res := &Result{Summary: sum, Records: mon.Records(), RawRetained: mon.RawRetained(), RawDropped: mon.RawDropped()}
 	if r.journal {
 		res.Journal = r.jrn
 	}
@@ -866,6 +854,7 @@ func (r *recording) finish(res *Result) {
 		res.Serializable = &ok
 	}
 	res.Trace = r.trace
+	return res
 }
 
 // generatorParams maps the facade workload config onto generator
