@@ -38,13 +38,18 @@ func (sel *specSelection) load() (*rtlock.Spec, error) {
 	if sel.spec != "" {
 		return rtlock.LoadSpec(sel.spec)
 	}
-	return sel.inline(), nil
+	return sel.inline()
 }
 
-// inline is the quick configuration the flags describe.
-func (sel *specSelection) inline() *rtlock.Spec {
+// inline is the quick configuration the flags describe. Distributed
+// runs use the ceiling protocol, so naming another one with -distributed
+// or -global is a usage error rather than a setting silently dropped.
+func (sel *specSelection) inline() (*rtlock.Spec, error) {
 	s := &rtlock.Spec{Mode: "single", Protocol: sel.protocol.String()}
 	if sel.distributed || sel.global {
+		if p := rtlock.Protocol(*sel.protocol); p != rtlock.Ceiling {
+			return nil, usagef("-protocol %s: distributed runs use the ceiling protocol %s", p, rtlock.Ceiling)
+		}
 		s.Mode = "distributed"
 		s.Global = sel.global
 		s.Protocol = ""
@@ -52,7 +57,7 @@ func (sel *specSelection) inline() *rtlock.Spec {
 	s.Workload.Seed = sel.seed
 	s.Workload.Count = sel.count
 	s.Workload.MeanSize = sel.size
-	return s
+	return s, nil
 }
 
 // writeJournal exports a journal with the given encoder, creating path.
@@ -87,8 +92,9 @@ func exportJournal(j *rtlock.Journal, jsonl, chrome string) error {
 	return nil
 }
 
-// runAudit executes one run with the journal attached and replays it
-// through the configuration's protocol-invariant auditors.
+// runAudit executes one run with the configuration's protocol-invariant
+// auditors checking each journal record as it is written, and keeps the
+// journal to print its hash and export it.
 func runAudit(args []string) error {
 	fs := flag.NewFlagSet("rtdbsim audit", flag.ContinueOnError)
 	var sel specSelection

@@ -26,7 +26,7 @@ func runFaults(args []string) error {
 		runs       = fs.Int("runs", 0, "sweep: runs per point (0 keeps the default)")
 		seed       = fs.Int64("seed", 1, "base random seed (workload and injector)")
 		severities = fs.String("severities", "", "sweep: comma-separated severities in [0,1] (empty keeps the default)")
-		auditRuns  = fs.Bool("audit", true, "record a replay journal and fail on invariant violations")
+		auditRuns  = fs.Bool("audit", true, "check every run with its invariant auditors and fail on violations")
 		csv        = fs.Bool("csv", false, "sweep: also print CSV")
 	)
 	if err := parseFlags(fs, args); err != nil {

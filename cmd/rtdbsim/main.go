@@ -286,7 +286,7 @@ func run(args []string) (err error) {
 		spec       = fs.String("spec", "", "run a JSON specification file instead of a named experiment")
 		placeFlag  = fs.String("placement", "", "with -spec (distributed): override the data placement policy full|shard|quorum|primary")
 		trace      = fs.Int("trace", 0, "with -spec (single): print up to N transaction-level journal records")
-		auditRuns  = fs.Bool("audit", false, "record a replay journal for every run and fail on invariant violations")
+		auditRuns  = fs.Bool("audit", false, "check every run with its invariant auditors and fail on violations")
 		metricsDir = fs.String("metrics", "", "with -spec: sample virtual-time metrics and export the bundle into this directory")
 		tlDir      = fs.String("timeline", "", "with -spec: roll windowed telemetry and export timeline.jsonl/csv + report into this directory")
 	)

@@ -226,6 +226,8 @@ func TestExitCodes(t *testing.T) {
 		{"explore unknown protocol", []string{"explore", "-protocol", "ZZ"}, 2},
 		{"trace with distributed spec", []string{"-spec", "../../examples/specs/distributed-local.json", "-trace", "5"}, 2},
 		{"placement with single spec", []string{"-spec", "../../examples/specs/single-ceiling.json", "-placement", "shard"}, 2},
+		{"audit protocol with distributed", []string{"audit", "-distributed", "-protocol", "HP"}, 2},
+		{"metrics protocol with global", []string{"metrics", "-global", "-protocol", "P", "-out", os.DevNull}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

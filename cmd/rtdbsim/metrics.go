@@ -79,8 +79,13 @@ func processSwitches(m *metrics.Registry) string {
 // subcommand's plan files; only a run spec has a "mode", and the file is
 // parsed, and its errors reported, as the kind its content says it is.
 func metricsRunner(sel *specSelection, intervalMs float64, approach string, sites int) (func() (*rtlock.Result, error), string, error) {
-	s, title := sel.inline(), filepath.Base(sel.spec)
+	var s *rtlock.Spec
+	title := filepath.Base(sel.spec)
 	if sel.spec == "" {
+		var err error
+		if s, err = sel.inline(); err != nil {
+			return nil, "", err
+		}
 		title = specTitle(s)
 	} else {
 		data, err := os.ReadFile(sel.spec)

@@ -28,7 +28,7 @@ func runSiteSweep(args []string) error {
 		replicas  = fs.Int("replicas", 0, "quorum replica-set size K (0 keeps the cluster default)")
 		readQ     = fs.Int("readq", 0, "quorum read size R (0 keeps the default majority)")
 		writeQ    = fs.Int("writeq", 0, "quorum write size W (0 keeps the default K-R+1)")
-		auditRuns = fs.Bool("audit", false, "record a replay journal for every run and fail on invariant violations")
+		auditRuns = fs.Bool("audit", false, "check every run with its invariant auditors and fail on violations")
 		csv       = fs.Bool("csv", false, "also print CSV after each table")
 		jsonOut   = fs.Bool("json", false, "print the figures as one JSON document instead of text tables")
 		outDir    = fs.String("out", "", "also write <name>.txt and <name>.csv per figure into this directory")

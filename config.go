@@ -17,14 +17,15 @@ import (
 )
 
 // Spec is a complete, serializable run description. Exactly one of the
-// modes is selected by Mode ("single" or "distributed").
+// modes is selected by Mode ("single" or "distributed"); ParseSpec
+// rejects a spec that sets a field only the other mode reads.
 type Spec struct {
 	// Mode selects "single" (one site, Figures 2–3 setting) or
 	// "distributed" (Figures 4–6 setting).
 	Mode string `json:"mode"`
 	// Protocol applies to single-site runs: a letter of the protocol
 	// table (empty means C). Distributed runs always use the ceiling
-	// protocol, per the paper.
+	// protocol, per the paper, so a distributed spec may name only C.
 	Protocol string `json:"protocol,omitempty"`
 	// Global selects the global-ceiling-manager architecture for
 	// distributed runs.
@@ -124,6 +125,9 @@ func ParseSpec(data []byte) (*Spec, error) {
 	default:
 		return nil, fmt.Errorf("rtlock: spec mode %q (want \"single\" or \"distributed\")", s.Mode)
 	}
+	if field := s.otherModeField(); field != "" {
+		return nil, fmt.Errorf("rtlock: spec field %q does not apply to %s mode", field, s.Mode)
+	}
 	if s.Mode == "single" && s.Protocol != "" {
 		if _, err := core.Lookup(Protocol(s.Protocol)); err != nil {
 			return nil, fmt.Errorf("rtlock: spec: %w", err)
@@ -133,9 +137,6 @@ func ParseSpec(data []byte) (*Spec, error) {
 		return nil, fmt.Errorf("rtlock: spec readOnlyFrac %v out of [0,1]", s.Workload.ReadOnlyFrac)
 	}
 	if s.Placement != "" {
-		if s.Mode != "distributed" {
-			return nil, fmt.Errorf("rtlock: spec placement %q requires distributed mode", s.Placement)
-		}
 		if _, err := place.ParsePolicy(s.Placement); err != nil {
 			return nil, err
 		}
@@ -144,6 +145,39 @@ func ParseSpec(data []byte) (*Spec, error) {
 		return nil, fmt.Errorf("rtlock: spec localityProb %v out of [0,1]", s.Workload.LocalityProb)
 	}
 	return &s, nil
+}
+
+// otherModeField returns the JSON name of the first field s sets that
+// only the other mode reads, or "": Run would silently drop it.
+// Distributed runs use the ceiling protocol, so a distributed spec may
+// name C and no other.
+func (s *Spec) otherModeField() string {
+	type field struct {
+		name string
+		set  bool
+	}
+	fields := []field{
+		{"placement", s.Placement != ""}, {"global", s.Global}, {"hashShards", s.HashShards},
+		{"replicas", s.Replicas != 0}, {"readQuorum", s.ReadQuorum != 0}, {"writeQuorum", s.WriteQuorum != 0},
+		{"sites", s.Sites != 0}, {"commDelayMs", s.CommDelayMs != 0}, {"applyPerObjMs", s.ApplyPerObjMs != 0},
+		{"multiversion", s.Multiversion}, {"snapshotLagMs", s.SnapshotLagMs != 0},
+		{"failures", len(s.Failures) > 0}, {"siteSpeed", len(s.SiteSpeed) > 0},
+		{"workload.localityProb", s.Workload.LocalityProb != 0},
+	}
+	if s.Mode == "distributed" {
+		fields = []field{
+			{"protocol", s.Protocol != "" && Protocol(s.Protocol) != Ceiling},
+			{"ioPerObjMs", s.IOPerObjMs != 0}, {"memoryResident", s.MemoryResident},
+			{"bufferPages", s.BufferPages != 0}, {"ioDisks", s.IODisks != 0}, {"wal", s.WAL},
+			{"checkpointEveryMs", s.CheckpointEveryMs != 0}, {"traceEvents", s.TraceEvents != 0},
+		}
+	}
+	for _, f := range fields {
+		if f.set {
+			return f.name
+		}
+	}
+	return ""
 }
 
 // LoadSpec reads a specification file.

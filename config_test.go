@@ -1,6 +1,7 @@
 package rtlock
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -47,6 +48,42 @@ func TestParseSpecRejectsBad(t *testing.T) {
 		if _, err := ParseSpec([]byte(c)); err == nil {
 			t.Fatalf("case %d accepted: %s", i, c)
 		}
+	}
+	// A field only the other mode reads would be dropped by Run; the
+	// error names it.
+	otherMode := []struct{ spec, field string }{
+		{`{"mode": "single", "global": true}`, "global"},
+		{`{"mode": "single", "hashShards": true}`, "hashShards"},
+		{`{"mode": "single", "replicas": 3}`, "replicas"},
+		{`{"mode": "single", "readQuorum": 2}`, "readQuorum"},
+		{`{"mode": "single", "writeQuorum": 2}`, "writeQuorum"},
+		{`{"mode": "single", "sites": 4}`, "sites"},
+		{`{"mode": "single", "commDelayMs": 5}`, "commDelayMs"},
+		{`{"mode": "single", "applyPerObjMs": 5}`, "applyPerObjMs"},
+		{`{"mode": "single", "multiversion": true}`, "multiversion"},
+		{`{"mode": "single", "snapshotLagMs": 5}`, "snapshotLagMs"},
+		{`{"mode": "single", "failures": [{"site": 1, "atMs": 50}]}`, "failures"},
+		{`{"mode": "single", "siteSpeed": [1, 2]}`, "siteSpeed"},
+		{`{"mode": "single", "placement": "shard"}`, "placement"},
+		{`{"mode": "single", "workload": {"localityProb": 0.5}}`, "workload.localityProb"},
+		{`{"mode": "distributed", "protocol": "HP", "traceEvents": 50, "wal": true}`, "protocol"},
+		{`{"mode": "distributed", "ioPerObjMs": 20}`, "ioPerObjMs"},
+		{`{"mode": "distributed", "memoryResident": true}`, "memoryResident"},
+		{`{"mode": "distributed", "bufferPages": 10}`, "bufferPages"},
+		{`{"mode": "distributed", "ioDisks": 2}`, "ioDisks"},
+		{`{"mode": "distributed", "wal": true}`, "wal"},
+		{`{"mode": "distributed", "checkpointEveryMs": 100}`, "checkpointEveryMs"},
+		{`{"mode": "distributed", "traceEvents": 50}`, "traceEvents"},
+	}
+	for _, c := range otherMode {
+		_, err := ParseSpec([]byte(c.spec))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", c.field)) {
+			t.Errorf("%s: error %v, want one naming %q", c.spec, err, c.field)
+		}
+	}
+	// A distributed spec may spell out the protocol it runs.
+	if _, err := ParseSpec([]byte(`{"mode": "distributed", "protocol": "C"}`)); err != nil {
+		t.Errorf("distributed spec naming C: %v", err)
 	}
 }
 

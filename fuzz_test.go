@@ -11,6 +11,14 @@ import (
 	"rtlock"
 )
 
+// otherModeKeys names, by mode, the JSON fields only the other mode
+// reads.
+var otherModeKeys = map[string][]string{
+	"single": {"placement", "global", "hashShards", "replicas", "readQuorum", "writeQuorum", "sites",
+		"commDelayMs", "applyPerObjMs", "multiversion", "snapshotLagMs", "failures", "siteSpeed"},
+	"distributed": {"ioPerObjMs", "memoryResident", "bufferPages", "ioDisks", "wal", "checkpointEveryMs", "traceEvents"},
+}
+
 func FuzzConfig(f *testing.F) {
 	f.Add([]byte(`{"mode":"single","protocol":"C","workload":{"count":50,"meanSize":8}}`))
 	f.Add([]byte(`{"mode":"single","protocol":"HP","dbSize":100,"wal":true,"audit":true}`))
@@ -20,6 +28,9 @@ func FuzzConfig(f *testing.F) {
 	f.Add([]byte(`{"mode":"distributed","placement":"quorum","replicas":3,"readQuorum":2,"writeQuorum":2}`))
 	f.Add([]byte(`{"mode":"distributed","placement":"primary","sites":8,"workload":{"localityProb":1}}`))
 	f.Add([]byte(`{"mode":"single","placement":"shard"}`))
+	f.Add([]byte(`{"mode":"single","sites":4,"workload":{"localityProb":0.5}}`))
+	f.Add([]byte(`{"mode":"distributed","protocol":"HP","traceEvents":50,"wal":true}`))
+	f.Add([]byte(`{"mode":"distributed","protocol":"C","ioPerObjMs":20}`))
 	f.Add([]byte(`{"mode":"distributed","placement":"bogus"}`))
 	f.Add([]byte(`{"mode":"distributed","workload":{"localityProb":1.5}}`))
 	f.Add([]byte(`{"mode":"nope"}`))
@@ -49,9 +60,6 @@ func FuzzConfig(f *testing.F) {
 			t.Fatalf("accepted spec with localityProb %v", lp)
 		}
 		if s.Placement != "" {
-			if s.Mode != "distributed" {
-				t.Fatalf("accepted single-site spec with placement %q", s.Placement)
-			}
 			if _, err := rtlock.ParsePlacementPolicy(s.Placement); err != nil {
 				t.Fatalf("accepted spec with unparseable placement %q", s.Placement)
 			}
@@ -59,6 +67,23 @@ func FuzzConfig(f *testing.F) {
 		out, err := json.Marshal(s)
 		if err != nil {
 			t.Fatalf("marshal accepted spec: %v", err)
+		}
+		// Run reads one mode's fields, so an accepted spec sets none of
+		// the other's: every zero field is omitted from out.
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(out, &keys); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range otherModeKeys[s.Mode] {
+			if _, set := keys[k]; set {
+				t.Fatalf("accepted %s spec setting %q: %s", s.Mode, k, out)
+			}
+		}
+		if s.Mode == "single" && s.Workload.LocalityProb != 0 {
+			t.Fatalf("accepted single spec setting workload.localityProb: %s", out)
+		}
+		if s.Mode == "distributed" && s.Protocol != "" && rtlock.Protocol(s.Protocol) != rtlock.Ceiling {
+			t.Fatalf("accepted distributed spec with protocol %q", s.Protocol)
 		}
 		if _, err := rtlock.ParseSpec(out); err != nil {
 			t.Fatalf("accepted spec does not re-parse: %v\n%s", err, out)

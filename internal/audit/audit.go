@@ -80,17 +80,6 @@ func Finish(auds ...Auditor) []Violation {
 	return out
 }
 
-// Tee attaches the auditors to j, so each record is checked as it is
-// appended; with discard the journal keeps no records. Call it before
-// the run writes its first record.
-func Tee(j *journal.Journal, discard bool, auds ...Auditor) {
-	obs := make([]journal.Observer, len(auds))
-	for i, a := range auds {
-		obs[i] = a
-	}
-	j.Tee(discard, obs...)
-}
-
 // ForManager returns the auditors applicable to a single-site protocol,
 // selected by its Manager.Name(): serializability of committed work
 // always, then one check per promise of the protocol's table row

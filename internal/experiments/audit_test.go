@@ -9,8 +9,8 @@ import (
 )
 
 // The Audit flag turns every experiment cell into a correctness check:
-// a journal is recorded and replayed through the protocol's invariant
-// auditors, and any violation fails the run. Exhaustive per-protocol
+// the protocol's invariant auditors observe each journal record as it
+// is written, and any violation fails the run. Exhaustive per-protocol
 // determinism coverage lives in the root package's determinism tests;
 // these check the plumbing at the experiments layer.
 

@@ -458,26 +458,26 @@ func TestSweepsDeterministicUnderParallelRuns(t *testing.T) {
 // zero runs a no-op.
 func TestCollectRunsOrderAndErrors(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
-	outs, err := explore.RunBatch(8, workers, func(r int) (outcome, error) {
-		return outcome{sum: stats.Summary{Processed: r}}, nil
+	outs, err := explore.RunBatch(8, workers, func(r int) (*Result, error) {
+		return &Result{Summary: stats.Summary{Processed: r}}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, o := range outs {
-		if o.sum.Processed != i {
+		if o.Summary.Processed != i {
 			t.Fatalf("results out of order: %v", outs)
 		}
 	}
-	if _, err := explore.RunBatch(4, workers, func(r int) (outcome, error) {
+	if _, err := explore.RunBatch(4, workers, func(r int) (*Result, error) {
 		if r == 2 {
-			return outcome{}, errBoom
+			return nil, errBoom
 		}
-		return outcome{}, nil
+		return &Result{}, nil
 	}); err != errBoom {
 		t.Fatalf("error not surfaced: %v", err)
 	}
-	if outs, err := explore.RunBatch[outcome](0, workers, nil); err != nil || outs != nil {
+	if outs, err := explore.RunBatch[*Result](0, workers, nil); err != nil || outs != nil {
 		t.Fatal("zero runs must be a no-op")
 	}
 }

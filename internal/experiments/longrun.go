@@ -10,13 +10,9 @@ package experiments
 import (
 	"fmt"
 
-	"rtlock/internal/db"
 	"rtlock/internal/metrics"
 	"rtlock/internal/sim"
 	"rtlock/internal/stats"
-	"rtlock/internal/timeline"
-	"rtlock/internal/txn"
-	"rtlock/internal/workload"
 )
 
 // LongRunParams configures the streaming soak. The zero value runs the
@@ -102,51 +98,24 @@ type LongRunResult struct {
 // live transactions), not by Count.
 func LongRun(p LongRunParams) (*LongRunResult, error) {
 	p.fill()
-	newMgr, disc, err := ManagerFor(p.Protocol)
-	if err != nil {
-		return nil, err
-	}
-	cat, err := db.NewCatalog(1, p.DBSize)
-	if err != nil {
-		return nil, err
-	}
-	stream, err := workload.NewStream(workload.Params{
-		Seed:             p.Seed,
-		Catalog:          cat,
-		Count:            p.Count,
-		MeanInterarrival: p.MeanInterarrival,
-		MeanSize:         p.MeanSize,
-		PerObjCost:       p.CPUPerObj,
-		SlackMin:         4,
-		SlackMax:         8,
-		BurstFactor:      p.BurstFactor,
-		BurstOn:          p.BurstOn,
-		BurstOff:         p.BurstOff,
-	})
-	if err != nil {
-		return nil, err
-	}
-	tl := timeline.New(timeline.Config{Window: p.Window, MaxWindows: p.MaxWindows}, nil)
-	if tl == nil {
+	if p.Window <= 0 {
 		return nil, fmt.Errorf("experiments: long run window %v invalid", p.Window)
 	}
-	sys, err := txn.NewSystem(txn.Config{
-		CPUPerObj:     p.CPUPerObj,
-		CPUDiscipline: disc,
-		NewManager:    newMgr,
-		Timeline:      tl,
-		MaxRawRecords: p.MaxRawRecords,
-	})
+	res, err := runSingleSite(SingleSiteConfig{
+		Protocol: p.Protocol, DBSize: p.DBSize, CPUPerObj: p.CPUPerObj, MemoryResident: true,
+		TimelineWindow: p.Window, TimelineMaxWindows: p.MaxWindows, MaxRawRecords: p.MaxRawRecords,
+		Workload: WorkloadConfig{Seed: p.Seed, Count: p.Count, MeanInterarrival: p.MeanInterarrival,
+			MeanSize: p.MeanSize, SlackMin: 4, SlackMax: 8,
+			BurstFactor: p.BurstFactor, BurstOn: p.BurstOn, BurstOff: p.BurstOff},
+	}, false)
 	if err != nil {
 		return nil, err
 	}
-	sys.LoadStream(stream)
-	sum := sys.Run()
 	return &LongRunResult{
-		Summary:         sum,
-		Timeline:        tl.Rows(),
-		TimelineDropped: tl.Dropped(),
-		RawRetained:     sys.Monitor.RawRetained(),
-		RawDropped:      sys.Monitor.RawDropped(),
+		Summary:         res.Summary,
+		Timeline:        res.Timeline,
+		TimelineDropped: res.TimelineDropped,
+		RawRetained:     res.RawRetained,
+		RawDropped:      res.RawDropped,
 	}, nil
 }

@@ -49,10 +49,9 @@ type SingleSiteParams struct {
 	// Policy assigns transaction priorities (zero value = earliest
 	// deadline first, the paper's choice).
 	Policy workload.PriorityPolicy
-	// Audit records a replay journal for every run and replays it
-	// through the protocol's invariant auditors; any violation fails
-	// the run. It turns every experiment cell into a correctness test
-	// at modest memory cost.
+	// Audit checks every run with the protocol's invariant auditors as
+	// its journal is written (no records are kept); any violation fails
+	// the run. It turns every experiment cell into a correctness test.
 	Audit bool
 }
 
@@ -97,9 +96,8 @@ type DistParams struct {
 	// Figure 6 shows.
 	Fig6Delays []float64
 	BaseSeed   int64
-	// Audit records a replay journal for every run and replays it
-	// through the approach's invariant auditors; any violation fails
-	// the run.
+	// Audit checks every run with the approach's invariant auditors as
+	// its journal is written; any violation fails the run.
 	Audit bool
 }
 
@@ -156,9 +154,9 @@ type SiteSweepParams struct {
 	// minimal intersecting W).
 	Replicas, ReadQuorum, WriteQuorum int
 	BaseSeed                          int64
-	// Audit records a replay journal for every run and replays it
-	// through the policy's invariant auditors (quorum runs include the
-	// quorum-intersection invariant); any violation fails the sweep.
+	// Audit checks every run with the policy's invariant auditors as its
+	// journal is written (quorum runs include the quorum-intersection
+	// invariant); any violation fails the sweep.
 	Audit bool
 }
 
@@ -201,9 +199,8 @@ type FaultParams struct {
 	// Severities is the swept fault severity in [0, 1].
 	Severities []float64
 	BaseSeed   int64
-	// Audit records a replay journal for every run and replays it
-	// through the fault-aware invariant auditors; any violation fails
-	// the sweep.
+	// Audit checks every run with the fault-aware invariant auditors as
+	// its journal is written; any violation fails the sweep.
 	Audit bool
 }
 

@@ -17,12 +17,12 @@ import (
 // three) run them once, and a figure requested alone runs only its own.
 type Sweep struct {
 	p    Params
-	memo map[cell][]outcome
+	memo map[cell][]*Result
 }
 
 // NewSweep binds a parameter set.
 func NewSweep(p Params) *Sweep {
-	return &Sweep{p: p, memo: make(map[cell][]outcome)}
+	return &Sweep{p: p, memo: make(map[cell][]*Result)}
 }
 
 // Run evaluates one named figure on its own.
@@ -95,19 +95,19 @@ func (sw *Sweep) values(c cell, y metric) ([]float64, error) {
 // runs returns the cell's outcomes in run order, executing it on first
 // use: run r is seeded BaseSeed + r·7919, and under Audit every run is
 // checked by its auditors as it goes, any violation failing the sweep.
-func (sw *Sweep) runs(c cell) ([]outcome, error) {
+func (sw *Sweep) runs(c cell) ([]*Result, error) {
 	if outs, ok := sw.memo[c]; ok {
 		return outs, nil
 	}
 	runs, baseSeed, audited := c.schedule()
 	// Each run builds its own kernel, so runs are independent; the pool
 	// returns them in run order, keeping every aggregate deterministic.
-	outs, err := explore.RunBatch(runs, runtime.GOMAXPROCS(0), func(r int) (outcome, error) {
+	outs, err := explore.RunBatch(runs, runtime.GOMAXPROCS(0), func(r int) (*Result, error) {
 		seed := baseSeed + int64(r)*7919
 		o, err := c.run(seed, audited)
-		if err == nil && len(o.violations) > 0 {
+		if err == nil && len(o.Violations) > 0 {
 			err = fmt.Errorf("experiments: %+v seed=%d: %d invariant violations, first: %s",
-				c, seed, len(o.violations), o.violations[0])
+				c, seed, len(o.Violations), o.Violations[0])
 		}
 		return o, err
 	})
@@ -127,7 +127,7 @@ func RunCustom(p SingleSiteParams, proto Protocol, size int) (stats.Summary, err
 	}
 	var out stats.Summary
 	for _, o := range outs {
-		s := o.sum
+		s := o.Summary
 		out.Processed += s.Processed
 		out.Committed += s.Committed
 		out.Missed += s.Missed

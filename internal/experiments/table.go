@@ -46,28 +46,32 @@ type series struct {
 }
 
 // metric reads one run's y value; ok=false drops the run from the point.
-type metric func(o outcome) (y float64, ok bool)
+type metric func(o *Result) (y float64, ok bool)
 
-func missed(o outcome) (float64, bool)     { return o.sum.MissedPct, true }
-func throughput(o outcome) (float64, bool) { return o.sum.Throughput, true }
-func respMs(o outcome) (float64, bool)     { return o.sum.AvgResp.Millis(), true }
-func recoveryMs(o outcome) (float64, bool) { return o.recovery.Millis(), true }
+func missed(o *Result) (float64, bool)     { return o.Summary.MissedPct, true }
+func throughput(o *Result) (float64, bool) { return o.Summary.Throughput, true }
+func respMs(o *Result) (float64, bool)     { return o.Summary.AvgResp.Millis(), true }
+
+// recoveryMs is the estimated restart time at the end of a WAL run.
+func recoveryMs(o *Result) (float64, bool) { return o.Recovery.EstimatedRestart.Millis(), true }
 
 // tailRatio is p99/p50 response of committed transactions.
-func tailRatio(o outcome) (float64, bool) {
-	if o.sum.RespP50 <= 0 {
+func tailRatio(o *Result) (float64, bool) {
+	if o.Summary.RespP50 <= 0 {
 		return 0, false
 	}
-	return float64(o.sum.RespP99) / float64(o.sum.RespP50), true
+	return float64(o.Summary.RespP99) / float64(o.Summary.RespP50), true
 }
 
 // inconsistentPct is the share of classified read-only views that could
-// never have coexisted.
-func inconsistentPct(o outcome) (float64, bool) {
-	return pct(o.repl.InconsistentViews, o.repl.ConsistentViews+o.repl.InconsistentViews), true
+// never have coexisted (local-approach runs).
+func inconsistentPct(o *Result) (float64, bool) {
+	r := o.Replication
+	return pct(r.InconsistentViews, r.ConsistentViews+r.InconsistentViews), true
 }
 
-func lostPct(o outcome) (float64, bool) { return pct(o.net.Lost(), o.net.Sent), true }
+// lostPct is the share of sent messages lost (distributed runs).
+func lostPct(o *Result) (float64, bool) { return pct(o.Net.Lost(), o.Net.Sent), true }
 
 func pct(part, whole int) float64 {
 	if whole == 0 {

@@ -56,7 +56,7 @@ func TestEveryRowRuns(t *testing.T) {
 
 // cellsOf evaluates the named figures in one sweep and returns the cells
 // it ran.
-func cellsOf(t *testing.T, p Params, names ...string) map[cell][]outcome {
+func cellsOf(t *testing.T, p Params, names ...string) map[cell][]*Result {
 	t.Helper()
 	sw := NewSweep(p)
 	for _, name := range names {
@@ -116,9 +116,9 @@ func TestAllRunsEachDistinctCellOnce(t *testing.T) {
 type countingCell struct{ n *atomic.Int32 }
 
 func (c countingCell) schedule() (int, int64, bool) { return 3, 1, false }
-func (c countingCell) run(int64, bool) (outcome, error) {
+func (c countingCell) run(int64, bool) (*Result, error) {
 	c.n.Add(1)
-	return outcome{}, nil
+	return &Result{}, nil
 }
 
 func TestSweepMemoizesCells(t *testing.T) {
