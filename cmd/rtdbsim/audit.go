@@ -45,19 +45,15 @@ func (sel *specSelection) load() (*rtlock.Spec, error) {
 // runs use the ceiling protocol, so naming another one with -distributed
 // or -global is a usage error rather than a setting silently dropped.
 func (sel *specSelection) inline() (*rtlock.Spec, error) {
-	s := &rtlock.Spec{Mode: "single", Protocol: sel.protocol.String()}
-	if sel.distributed || sel.global {
-		if p := rtlock.Protocol(*sel.protocol); p != rtlock.Ceiling {
-			return nil, usagef("-protocol %s: distributed runs use the ceiling protocol %s", p, rtlock.Ceiling)
-		}
-		s.Mode = "distributed"
-		s.Global = sel.global
-		s.Protocol = ""
+	wl := rtlock.WorkloadConfig{Seed: sel.seed, Count: sel.count, MeanSize: sel.size}
+	p := rtlock.Protocol(*sel.protocol)
+	if !sel.distributed && !sel.global {
+		return &rtlock.Spec{Single: &rtlock.SingleSiteConfig{Protocol: p, Workload: wl}}, nil
 	}
-	s.Workload.Seed = sel.seed
-	s.Workload.Count = sel.count
-	s.Workload.MeanSize = sel.size
-	return s, nil
+	if p != rtlock.Ceiling {
+		return nil, usagef("-protocol %s: distributed runs use the ceiling protocol %s", p, rtlock.Ceiling)
+	}
+	return &rtlock.Spec{Distributed: &rtlock.DistributedConfig{Global: sel.global, Workload: wl}}, nil
 }
 
 // writeJournal exports a journal with the given encoder, creating path.
@@ -114,7 +110,8 @@ func runAudit(args []string) error {
 	}
 	// The journal is kept, not only audited: its hash is printed and
 	// it may be exported.
-	s.Audit, s.Journal = true, true
+	k := knobs(s)
+	*k.audit, *k.journal = true, true
 	res, err := runWithMetrics(s, *metricsDir, "audit")
 	if err != nil {
 		return err
@@ -146,11 +143,14 @@ func runReplay(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	if *against == "" && *runs < 2 {
+		return usagef("-runs %d: replay compares at least 2 runs, or one against -against", *runs)
+	}
 	s, err := sel.load()
 	if err != nil {
 		return err
 	}
-	s.Journal = true
+	*knobs(s).journal = true
 	res, err := runWithMetrics(s, *metricsDir, "replay")
 	if err != nil {
 		return err

@@ -38,22 +38,16 @@ func runFaults(args []string) error {
 		if err != nil {
 			return err
 		}
-		fp, err := rtlock.ParseFaultPlan(data)
-		if err != nil {
-			return fmt.Errorf("%s: %w", *plan, err)
-		}
-		global, err := globalApproach(*approach)
+		s, err := faultPlanSpec(*plan, data, *approach, *sites, rtlock.WorkloadConfig{Seed: *seed, Count: *count})
 		if err != nil {
 			return err
 		}
-		cfg := rtlock.DistributedConfig{Global: global, Sites: *sites, Faults: fp, Audit: *auditRuns}
-		cfg.Workload.Seed = *seed
-		cfg.Workload.Count = *count
-		res, err := rtlock.RunDistributed(cfg)
+		s.Distributed.Audit = *auditRuns
+		res, err := s.Run()
 		if err != nil {
 			return err
 		}
-		fmt.Printf("plan: %s\n", fp)
+		fmt.Printf("plan: %s\n", s.Distributed.Faults)
 		fmt.Println(res.Summary)
 		if res.Net != nil {
 			fmt.Printf("net: %s\n", res.Net)

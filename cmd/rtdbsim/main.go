@@ -150,10 +150,32 @@ func globalApproach(approach string) (bool, error) {
 
 // specTitle labels an export of an inline-configured run.
 func specTitle(s *rtlock.Spec) string {
-	if s.Protocol != "" {
-		return s.Mode + "/" + s.Protocol
+	switch {
+	case s.Single == nil:
+		return "distributed"
+	case s.Single.Protocol == "":
+		return "single"
 	}
-	return s.Mode
+	return "single/" + string(s.Single.Protocol)
+}
+
+// runKnobs points at the settings the command line overrides in the run
+// config a spec selects; both configs declare them alike.
+type runKnobs struct {
+	audit, journal, metrics           *bool
+	metricsInterval, timelineWindow   *rtlock.Duration
+	timelineMaxWindows, maxRawRecords *int
+	workload                          *rtlock.WorkloadConfig
+}
+
+func knobs(s *rtlock.Spec) runKnobs {
+	if c := s.Single; c != nil {
+		return runKnobs{&c.Audit, &c.Journal, &c.Metrics, &c.MetricsInterval, &c.TimelineWindow,
+			&c.TimelineMaxWindows, &c.MaxRawRecords, &c.Workload}
+	}
+	c := s.Distributed
+	return runKnobs{&c.Audit, &c.Journal, &c.Metrics, &c.MetricsInterval, &c.TimelineWindow,
+		&c.TimelineMaxWindows, &c.MaxRawRecords, &c.Workload}
 }
 
 // exitCode maps a run error to the process exit code.
@@ -300,22 +322,23 @@ func run(args []string) (err error) {
 			return err
 		}
 		if *trace > 0 {
-			if s.Mode != "single" {
-				return usagef("-trace requires a single spec, got mode %q", s.Mode)
+			if s.Single == nil {
+				return usagef("-trace requires a single spec, got a distributed one")
 			}
-			s.TraceEvents = *trace
+			s.Single.TraceEvents = *trace
 		}
 		if *placeFlag != "" {
-			if s.Mode != "distributed" {
-				return usagef("-placement %q requires a distributed spec, got mode %q", *placeFlag, s.Mode)
+			if s.Distributed == nil {
+				return usagef("-placement %q requires a distributed spec, got a single one", *placeFlag)
 			}
-			s.Placement = *placeFlag
+			s.Distributed.Placement = *placeFlag
 		}
+		k := knobs(s)
 		if *auditRuns {
-			s.Audit = true
+			*k.audit = true
 		}
-		if *tlDir != "" && s.TimelineWindowMs <= 0 {
-			s.TimelineWindowMs = 1000
+		if *tlDir != "" && *k.timelineWindow <= 0 {
+			*k.timelineWindow = 1000 * rtlock.Millisecond
 		}
 		res, err := runWithMetrics(s, *metricsDir, filepath.Base(*spec))
 		if err != nil {

@@ -228,6 +228,8 @@ func TestExitCodes(t *testing.T) {
 		{"placement with single spec", []string{"-spec", "../../examples/specs/single-ceiling.json", "-placement", "shard"}, 2},
 		{"audit protocol with distributed", []string{"audit", "-distributed", "-protocol", "HP"}, 2},
 		{"metrics protocol with global", []string{"metrics", "-global", "-protocol", "P", "-out", os.DevNull}, 2},
+		{"replay one run", []string{"replay", "-runs", "1"}, 2},
+		{"replay no runs", []string{"replay", "-runs", "0"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -18,6 +18,7 @@ import (
 
 	"rtlock"
 	"rtlock/internal/metrics"
+	"rtlock/internal/sim"
 )
 
 // runMetrics implements "rtdbsim metrics".
@@ -97,16 +98,20 @@ func metricsRunner(sel *specSelection, intervalMs float64, approach string, site
 			return nil, "", fmt.Errorf("%s: %w", sel.spec, err)
 		}
 		if _, isRunSpec := keys["mode"]; !isRunSpec {
-			return faultPlanRunner(sel, data, intervalMs, approach, sites)
+			wl := rtlock.WorkloadConfig{Seed: sel.seed, Count: sel.count, MeanSize: sel.size}
+			s, err = faultPlanSpec(sel.spec, data, approach, sites, wl)
+		} else if s, err = rtlock.ParseSpec(data); err != nil {
+			err = fmt.Errorf("%s: %w", sel.spec, err)
 		}
-		if s, err = rtlock.ParseSpec(data); err != nil {
-			return nil, "", fmt.Errorf("%s: %w", sel.spec, err)
+		if err != nil {
+			return nil, "", err
 		}
 	}
-	s.Metrics = true
-	s.MetricsIntervalMs = intervalMs
-	if s.MaxRawRecords <= 0 {
-		s.MaxRawRecords = defaultMaxRaw
+	k := knobs(s)
+	*k.metrics = true
+	*k.metricsInterval = sim.FromMillis(intervalMs)
+	if *k.maxRawRecords <= 0 {
+		*k.maxRawRecords = defaultMaxRaw
 	}
 	return s.Run, title, nil
 }
@@ -116,29 +121,18 @@ func metricsRunner(sel *specSelection, intervalMs float64, approach string, site
 // the cap keeps a run's memory bounded however long it is.
 const defaultMaxRaw = 4096
 
-// faultPlanRunner is metricsRunner for a fault-plan file: a distributed
-// run of the quick-config load under the plan.
-func faultPlanRunner(sel *specSelection, plan []byte, intervalMs float64, approach string, sites int) (func() (*rtlock.Result, error), string, error) {
+// faultPlanSpec is the run of the fault plan in file name: a
+// distributed run of the load wl under the plan.
+func faultPlanSpec(name string, plan []byte, approach string, sites int, wl rtlock.WorkloadConfig) (*rtlock.Spec, error) {
 	fp, err := rtlock.ParseFaultPlan(plan)
 	if err != nil {
-		return nil, "", fmt.Errorf("%s: %w", sel.spec, err)
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	global, err := globalApproach(approach)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	cfg := rtlock.DistributedConfig{
-		Global:          global,
-		Sites:           sites,
-		Faults:          fp,
-		Metrics:         true,
-		MetricsInterval: rtlock.Duration(intervalMs * float64(rtlock.Millisecond)),
-		MaxRawRecords:   defaultMaxRaw,
-	}
-	cfg.Workload.Seed = sel.seed
-	cfg.Workload.Count = sel.count
-	cfg.Workload.MeanSize = sel.size
-	return func() (*rtlock.Result, error) { return rtlock.RunDistributed(cfg) }, filepath.Base(sel.spec), nil
+	return &rtlock.Spec{Distributed: &rtlock.DistributedConfig{Global: global, Sites: sites, Faults: fp, Workload: wl}}, nil
 }
 
 // metricsBundle renders the four export formats from a completed run.
@@ -159,7 +153,8 @@ func metricsBundle(res *rtlock.Result, title string, topk int) (bundle, error) {
 // replay: run s and, when a directory is given, export the run's
 // observability bundle into it.
 func runWithMetrics(s *rtlock.Spec, dir, title string) (*rtlock.Result, error) {
-	s.Metrics = s.Metrics || dir != ""
+	k := knobs(s)
+	*k.metrics = *k.metrics || dir != ""
 	res, err := s.Run()
 	if err != nil || dir == "" {
 		return res, err

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"rtlock"
+	"rtlock/internal/sim"
 )
 
 // runTimeline implements "rtdbsim timeline".
@@ -36,26 +37,27 @@ func runTimeline(args []string) error {
 	if err != nil {
 		return err
 	}
+	k := knobs(s)
 	if *windowMs > 0 {
-		s.TimelineWindowMs = *windowMs
+		*k.timelineWindow = sim.FromMillis(*windowMs)
 	}
-	if s.TimelineWindowMs <= 0 {
-		s.TimelineWindowMs = 1000
+	if *k.timelineWindow <= 0 {
+		*k.timelineWindow = 1000 * rtlock.Millisecond
 	}
 	if *maxWin > 0 {
-		s.TimelineMaxWindows = *maxWin
+		*k.timelineMaxWindows = *maxWin
 	}
 	// An explicit -maxraw wins, 0 included; otherwise a spec's own cap
 	// stays and an uncapped spec takes the flag's default.
 	explicitRaw := false
 	fs.Visit(func(f *flag.Flag) { explicitRaw = explicitRaw || f.Name == "maxraw" })
-	if explicitRaw || s.MaxRawRecords <= 0 {
-		s.MaxRawRecords = *maxRaw
+	if explicitRaw || *k.maxRawRecords <= 0 {
+		*k.maxRawRecords = *maxRaw
 	}
 	if *burst > 0 {
-		s.Workload.BurstFactor = *burst
-		s.Workload.BurstOnMs = *burstOn
-		s.Workload.BurstOffMs = *burstOff
+		k.workload.BurstFactor = *burst
+		k.workload.BurstOn = sim.FromMillis(*burstOn)
+		k.workload.BurstOff = sim.FromMillis(*burstOff)
 	}
 	title := specTitle(s)
 	first, res, err := identicalRuns("timeline", *runs, s.Run, func(res *rtlock.Result) (bundle, error) {

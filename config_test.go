@@ -31,8 +31,40 @@ func TestParseSpecValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Mode != "single" || s.Protocol != "C" || s.DBSize != 100 {
+	if s.Single == nil || s.Single.Protocol != "C" || s.Single.DBSize != 100 || s.Distributed != nil {
 		t.Fatalf("spec = %+v", s)
+	}
+}
+
+// TestSpecDurationsRoundToTheTick: a millisecond key converts to the
+// nearest tick, not the one below.
+func TestSpecDurationsRoundToTheTick(t *testing.T) {
+	for ms, want := range map[string]Duration{"1.001": 1001, "1.003": 1003, "0.0004": 0, "0.0006": 1, "10": 10 * Millisecond} {
+		s, err := ParseSpec([]byte(`{"mode": "single", "cpuPerObjMs": ` + ms + `}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Single.CPUPerObj; got != want {
+			t.Errorf("cpuPerObjMs %s = %d ticks, want %d", ms, got, want)
+		}
+	}
+}
+
+// TestFailureOfMissingSite: a failure scheduled on a site the cluster
+// does not have is an error naming the site, through the spec and the
+// facade alike, not a silent no-op.
+func TestFailureOfMissingSite(t *testing.T) {
+	const want = "rtlock: failure of site 7, outside the 3 sites"
+	_, err := ParseSpec([]byte(`{"mode": "distributed", "failures": [{"site": 7, "atMs": 5}], "workload": {"count": 50}}`))
+	if err == nil || err.Error() != want {
+		t.Errorf("spec: error %v, want %q", err, want)
+	}
+	_, err = RunDistributed(DistributedConfig{Failures: []SiteFailure{{Site: -1, At: Time(5 * Millisecond)}}})
+	if err == nil || !strings.Contains(err.Error(), "site -1") {
+		t.Errorf("facade: error %v, want one naming site -1", err)
+	}
+	if _, err := ParseSpec([]byte(`{"mode": "distributed", "sites": 8, "failures": [{"site": 7, "atMs": 5}]}`)); err != nil {
+		t.Errorf("failure of site 7 of 8: %v", err)
 	}
 }
 
@@ -41,8 +73,12 @@ func TestParseSpecRejectsBad(t *testing.T) {
 		`{`,                                    // malformed JSON
 		`{"mode": "weird"}`,                    // bad mode
 		`{"mode": "single", "protocol": "ZZ"}`, // unknown protocol
-		`{"mode": "single", "workload": {"readOnlyFrac": 2}}`,        // bad fraction
-		`{"mode": "distributed", "workload": {"readOnlyFrac": -.1}}`, // bad fraction
+		`{"mode": "single", "workload": {"readOnlyFrac": 2}}`,           // bad fraction
+		`{"mode": "distributed", "workload": {"readOnlyFrac": -.1}}`,    // bad fraction
+		`{"mode": "single", "bogus": 1}`,                                // unknown key
+		`{"mode": "single", "workload": {"count": 50, "meanSizze": 3}}`, // unknown workload key
+		`{"mode": "single", "cpuPerObjMs": "10"}`,                       // duration as a string
+		`{"mode": "single"} {}`,                                         // trailing data
 	}
 	for i, c := range cases {
 		if _, err := ParseSpec([]byte(c)); err == nil {
@@ -173,7 +209,7 @@ func TestLoadSpecFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Protocol != "C" {
+	if s.Single == nil || s.Single.Protocol != "C" {
 		t.Fatalf("spec = %+v", s)
 	}
 	if _, err := LoadSpec(filepath.Join(dir, "missing.json")); err == nil {

@@ -201,20 +201,19 @@ func TestLostRegistrationRelease(t *testing.T) {
 }
 
 // TestGlobalPlacementConflict checks that every entry point — the
-// facade, the spec path, and fault exploration — rejects Global combined
-// with a placement, all with the one message from dist.ModeFor.
+// facade, the spec parser, and fault exploration — rejects Global
+// combined with a placement, all with the one message from dist.ModeFor.
 func TestGlobalPlacementConflict(t *testing.T) {
 	const want = "dist: placement shard selects its own execution model; Global must be false"
-	spec, err := ParseSpec([]byte(`{"mode":"distributed","global":true,"placement":"shard"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, run := range map[string]func() error{
 		"facade": func() error {
 			_, err := RunDistributed(DistributedConfig{Global: true, Placement: "shard"})
 			return err
 		},
-		"spec": func() error { _, err := spec.Run(); return err },
+		"spec": func() error {
+			_, err := ParseSpec([]byte(`{"mode":"distributed","global":true,"placement":"shard"}`))
+			return err
+		},
 		"explore -faults": func() error {
 			_, err := Explore(ExploreConfig{Faults: true, Global: true, Placement: "shard"})
 			return err

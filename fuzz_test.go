@@ -6,18 +6,11 @@ package rtlock_test
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"rtlock"
 )
-
-// otherModeKeys names, by mode, the JSON fields only the other mode
-// reads.
-var otherModeKeys = map[string][]string{
-	"single": {"placement", "global", "hashShards", "replicas", "readQuorum", "writeQuorum", "sites",
-		"commDelayMs", "applyPerObjMs", "multiversion", "snapshotLagMs", "failures", "siteSpeed"},
-	"distributed": {"ioPerObjMs", "memoryResident", "bufferPages", "ioDisks", "wal", "checkpointEveryMs", "traceEvents"},
-}
 
 func FuzzConfig(f *testing.F) {
 	f.Add([]byte(`{"mode":"single","protocol":"C","workload":{"count":50,"meanSize":8}}`))
@@ -33,6 +26,10 @@ func FuzzConfig(f *testing.F) {
 	f.Add([]byte(`{"mode":"distributed","protocol":"C","ioPerObjMs":20}`))
 	f.Add([]byte(`{"mode":"distributed","placement":"bogus"}`))
 	f.Add([]byte(`{"mode":"distributed","workload":{"localityProb":1.5}}`))
+	f.Add([]byte(`{"mode":"single","cpuPerObjMs":1.001,"workload":{"burstFactor":2,"burstOnMs":0.5,"burstOffMs":3}}`))
+	f.Add([]byte(`{"mode":"distributed","commDelayMs":2.5,"failures":[{"site":2,"atMs":1.0004,"recoverAtMs":9}],"siteSpeed":[]}`))
+	f.Add([]byte(`{"mode":"distributed","failures":[{"site":3,"atMs":5}]}`))
+	f.Add([]byte(`{"mode":"single","workload":{"meanSizze":3}}`))
 	f.Add([]byte(`{"mode":"nope"}`))
 	f.Add([]byte(`{"mode":"single","protocol":"ZZ"}`))
 	f.Add([]byte(`{"mode":"single","workload":{"readOnlyFrac":2}}`))
@@ -50,43 +47,32 @@ func FuzzConfig(f *testing.F) {
 		if s == nil {
 			t.Fatal("ParseSpec returned nil spec without error")
 		}
-		if s.Mode != "single" && s.Mode != "distributed" {
-			t.Fatalf("accepted spec with mode %q", s.Mode)
+		if (s.Single == nil) == (s.Distributed == nil) {
+			t.Fatalf("accepted spec selects both run configs or neither: %+v", s)
 		}
-		if ro := s.Workload.ReadOnlyFrac; ro < 0 || ro > 1 {
-			t.Fatalf("accepted spec with readOnlyFrac %v", ro)
+		// Re-encoded as its mode and config, an accepted spec re-parses
+		// to the same config: every key is a config field, and the
+		// millisecond durations round-trip to the tick.
+		var doc any = struct {
+			Mode string `json:"mode"`
+			*rtlock.SingleSiteConfig
+		}{"single", s.Single}
+		if s.Distributed != nil {
+			doc = struct {
+				Mode string `json:"mode"`
+				*rtlock.DistributedConfig
+			}{"distributed", s.Distributed}
 		}
-		if lp := s.Workload.LocalityProb; lp < 0 || lp > 1 {
-			t.Fatalf("accepted spec with localityProb %v", lp)
-		}
-		if s.Placement != "" {
-			if _, err := rtlock.ParsePlacementPolicy(s.Placement); err != nil {
-				t.Fatalf("accepted spec with unparseable placement %q", s.Placement)
-			}
-		}
-		out, err := json.Marshal(s)
+		out, err := json.Marshal(doc)
 		if err != nil {
 			t.Fatalf("marshal accepted spec: %v", err)
 		}
-		// Run reads one mode's fields, so an accepted spec sets none of
-		// the other's: every zero field is omitted from out.
-		var keys map[string]json.RawMessage
-		if err := json.Unmarshal(out, &keys); err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range otherModeKeys[s.Mode] {
-			if _, set := keys[k]; set {
-				t.Fatalf("accepted %s spec setting %q: %s", s.Mode, k, out)
-			}
-		}
-		if s.Mode == "single" && s.Workload.LocalityProb != 0 {
-			t.Fatalf("accepted single spec setting workload.localityProb: %s", out)
-		}
-		if s.Mode == "distributed" && s.Protocol != "" && rtlock.Protocol(s.Protocol) != rtlock.Ceiling {
-			t.Fatalf("accepted distributed spec with protocol %q", s.Protocol)
-		}
-		if _, err := rtlock.ParseSpec(out); err != nil {
+		again, err := rtlock.ParseSpec(out)
+		if err != nil {
 			t.Fatalf("accepted spec does not re-parse: %v\n%s", err, out)
+		}
+		if !reflect.DeepEqual(s, again) {
+			t.Fatalf("re-parsed spec differs: %+v vs %+v\n%s", s, again, out)
 		}
 	})
 }

@@ -32,48 +32,50 @@ import (
 // deadlines proportional to size, earliest-deadline-highest priorities.
 type WorkloadConfig struct {
 	// Seed drives the deterministic random stream (default 1).
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// Count is the number of transactions (default 500).
-	Count int
+	Count int `json:"count,omitempty"`
 	// MeanInterarrival is the mean arrival spacing (default 450ms
 	// single-site, 30ms distributed — the calibrated heavy loads).
-	MeanInterarrival sim.Duration
+	MeanInterarrival sim.Duration `json:"meanInterarrivalMs,omitempty"`
 	// MeanSize is the mean number of objects accessed (default 10
 	// single-site, 6 distributed).
-	MeanSize int
+	MeanSize int `json:"meanSize,omitempty"`
 	// ReadOnlyFrac is the fraction of read-only transactions
 	// (default 0).
-	ReadOnlyFrac float64
+	ReadOnlyFrac float64 `json:"readOnlyFrac,omitempty"`
 	// SlackMin and SlackMax bound the uniform deadline slack factor
 	// (defaults 4 and 8).
-	SlackMin, SlackMax float64
+	SlackMin float64 `json:"slackMin,omitempty"`
+	SlackMax float64 `json:"slackMax,omitempty"`
 	// PeriodicFrac generates that fraction of update transactions as
 	// periodic task instances (default 0).
-	PeriodicFrac float64
+	PeriodicFrac float64 `json:"periodicFrac,omitempty"`
 	// Period is the period of periodic streams (default
 	// 10×MeanInterarrival).
-	Period sim.Duration
+	Period sim.Duration `json:"periodMs,omitempty"`
 	// ImplicitDeadlines gives periodic instances the start of the next
 	// period as their deadline.
-	ImplicitDeadlines bool
+	ImplicitDeadlines bool `json:"-"`
 	// BurstFactor, when > 1, makes the arrival process bursty: a
 	// deterministic square wave alternates BurstOn at BurstFactor times
 	// the base rate with BurstOff at the base rate. Zero or one leaves
 	// the load unchanged.
-	BurstFactor float64
+	BurstFactor float64 `json:"burstFactor,omitempty"`
 	// BurstOn and BurstOff are the burst and quiet phase widths; both
 	// must be positive when BurstFactor > 1.
-	BurstOn, BurstOff sim.Duration
+	BurstOn  sim.Duration `json:"burstOnMs,omitempty"`
+	BurstOff sim.Duration `json:"burstOffMs,omitempty"`
 	// LocalityProb, for distributed runs with a sharded, quorum, or
 	// primary-only placement, biases object selection toward the
 	// transaction's home shard: each access is drawn Zipf-skewed from
 	// the home site's primaries with this probability, uniformly from
 	// the whole database otherwise. Zero keeps uniform global
 	// selection; requires Placement to be set.
-	LocalityProb float64
+	LocalityProb float64 `json:"localityProb,omitempty"`
 	// Transactions, when non-nil, bypasses generation entirely and
 	// runs exactly these transactions.
-	Transactions []*workload.Txn
+	Transactions []*workload.Txn `json:"-"`
 
 	// policy assigns priorities (zero is earliest deadline first) and
 	// hotspot is the probability that an access lands in the first tenth
@@ -86,58 +88,58 @@ type WorkloadConfig struct {
 // paper's Figures 2–3).
 type SingleSiteConfig struct {
 	// Protocol under test (default C, the ceiling protocol).
-	Protocol Protocol
+	Protocol Protocol `json:"protocol,omitempty"`
 	// DBSize is the number of data objects (default 200).
-	DBSize int
+	DBSize int `json:"dbSize,omitempty"`
 	// CPUPerObj is the CPU demand per object accessed (default 10ms).
-	CPUPerObj sim.Duration
+	CPUPerObj sim.Duration `json:"cpuPerObjMs,omitempty"`
 	// IOPerObj is the I/O delay per object accessed, served in
 	// parallel (default 20ms).
-	IOPerObj sim.Duration
+	IOPerObj sim.Duration `json:"ioPerObjMs,omitempty"`
 	// MemoryResident forces IOPerObj to zero, modeling the
 	// memory-resident database of the distributed experiments.
-	MemoryResident bool
+	MemoryResident bool `json:"memoryResident,omitempty"`
 	// Workload describes the load.
-	Workload WorkloadConfig
+	Workload WorkloadConfig `json:"workload"`
 	// RecordHistory reports in Result.Serializable whether the
 	// committed history was conflict serializable.
-	RecordHistory bool
+	RecordHistory bool `json:"recordHistory,omitempty"`
 	// TraceEvents, when positive, keeps up to that many
 	// transaction-level journal records (arrivals, lock requests,
 	// blocks and grants with blocked intervals, operations, restarts,
 	// commits, misses) in Result.Trace.
-	TraceEvents int
+	TraceEvents int `json:"traceEvents,omitempty"`
 	// BufferPages sizes the LRU object buffer; accesses that hit skip
 	// the I/O delay. Zero disables buffering.
-	BufferPages int
+	BufferPages int `json:"bufferPages,omitempty"`
 	// IODisks bounds I/O parallelism (misses queue FIFO for a disk).
 	// Zero keeps the paper's unbounded parallel-I/O assumption.
-	IODisks int
+	IODisks int `json:"ioDisks,omitempty"`
 	// WAL enables the redo-only write-ahead log: commits force a log
 	// record before their writes become visible, and Result.Recovery
 	// reports the restart cost.
-	WAL bool
+	WAL bool `json:"wal,omitempty"`
 	// CheckpointEvery spaces WAL checkpoints (zero disables the
 	// checkpointer).
-	CheckpointEvery sim.Duration
+	CheckpointEvery sim.Duration `json:"checkpointEveryMs,omitempty"`
 	// Journal keeps every kernel-level event in Result.Journal;
 	// byte-identical journals across runs prove determinism.
-	Journal bool
+	Journal bool `json:"journal,omitempty"`
 	// Audit checks the protocol's invariants as the run goes: the
 	// auditors observe each journal record as it is written, and
 	// violations land in Result.Violations. Audit alone keeps no
 	// records (Result.Journal stays nil); set Journal to keep them.
-	Audit bool
+	Audit bool `json:"audit,omitempty"`
 	// Metrics fills a deterministic metrics registry into
 	// Result.Metrics, snapshots it into every window row of
 	// Result.Timeline, and profiles lock contention into
 	// Result.LockProfile as the run goes. Like Audit it keeps no
 	// records; set Journal to keep them. Identical (seed, config) runs
 	// export byte-identical metrics.
-	Metrics bool
+	Metrics bool `json:"metrics,omitempty"`
 	// MetricsInterval is the window width of a Metrics run that sets no
 	// TimelineWindow (zero picks 100ms).
-	MetricsInterval sim.Duration
+	MetricsInterval sim.Duration `json:"metricsIntervalMs,omitempty"`
 	// TimelineWindow, when positive, rolls the run into virtual-time
 	// windows of this width and fills Result.Timeline: per-window
 	// throughput, miss %, response quantiles, lock-wait quantiles, and
@@ -146,14 +148,14 @@ type SingleSiteConfig struct {
 	// Without Metrics the rows carry no registry snapshot and the run
 	// observes no journal, so million-transaction runs stay
 	// bounded-memory.
-	TimelineWindow sim.Duration
+	TimelineWindow sim.Duration `json:"timelineWindowMs,omitempty"`
 	// TimelineMaxWindows bounds the retained window rows (ring of the
 	// newest; zero picks a 4096-window default).
-	TimelineMaxWindows int
+	TimelineMaxWindows int `json:"timelineMaxWindows,omitempty"`
 	// MaxRawRecords caps per-transaction record retention: only the
 	// newest MaxRawRecords land in Result.Records, while Summary and the
 	// streaming quantiles stay exact. Zero keeps every record.
-	MaxRawRecords int
+	MaxRawRecords int `json:"maxRawRecords,omitempty"`
 
 	// lockOverhead is the CPU charged per lock operation, which only the
 	// overhead figure varies.
@@ -166,7 +168,7 @@ type DistributedConfig struct {
 	// Global selects the global-ceiling-manager architecture; false
 	// (the default) selects local ceilings with full replication.
 	// Mutually exclusive with the non-full Placement policies.
-	Global bool
+	Global bool `json:"global,omitempty"`
 	// Placement selects a point on the data placement and replication
 	// spectrum (internal/place): "" or "full" keeps the paper's fully
 	// replicated layout under the approach selected by Global; "shard"
@@ -176,44 +178,45 @@ type DistributedConfig struct {
 	// uncoordinated primary-only baseline — no distributed locking, no
 	// 2PC, serializability waived and journaled as such. Comparing a
 	// coordinated mode against "primary" yields its consistency tax.
-	Placement string
+	Placement string `json:"placement,omitempty"`
 	// HashShards selects hash partitioning for the primary mapping of
 	// sharded, quorum, and primary-only placements (default: contiguous
 	// range partitioning).
-	HashShards bool
+	HashShards bool `json:"hashShards,omitempty"`
 	// Replicas is the replica-set size K for the quorum placement
 	// (default min(3, Sites)).
-	Replicas int
+	Replicas int `json:"replicas,omitempty"`
 	// ReadQuorum and WriteQuorum are the quorum sizes R and W over the
 	// K replicas; defaults are a read majority (K/2+1) and the smallest
 	// intersecting write quorum (K-R+1). R+W must exceed K.
-	ReadQuorum, WriteQuorum int
+	ReadQuorum  int `json:"readQuorum,omitempty"`
+	WriteQuorum int `json:"writeQuorum,omitempty"`
 	// Sites is the number of fully interconnected sites (default 3).
-	Sites int
+	Sites int `json:"sites,omitempty"`
 	// DBSize is the number of data objects (default 200).
-	DBSize int
+	DBSize int `json:"dbSize,omitempty"`
 	// CommDelay is the one-way inter-site delay over a uniform full
 	// mesh (default 20ms). Ignored when Topology is set.
-	CommDelay sim.Duration
+	CommDelay sim.Duration `json:"commDelayMs,omitempty"`
 	// Topology, when non-nil, supplies per-pair delays; build one with
 	// the facade's NewFullMesh, NewRing, NewStar, or NewCustomTopology.
-	Topology *netsim.Topology
+	Topology *netsim.Topology `json:"-"`
 	// GCMSite places the global ceiling manager (global mode only).
-	GCMSite db.SiteID
+	GCMSite db.SiteID `json:"-"`
 	// CPUPerObj is the CPU demand per object (default 10ms); the
 	// distributed database is memory-resident.
-	CPUPerObj sim.Duration
+	CPUPerObj sim.Duration `json:"cpuPerObjMs,omitempty"`
 	// ApplyPerObj is the replica-installation CPU per object for the
 	// local approach (default CPUPerObj/2).
-	ApplyPerObj sim.Duration
+	ApplyPerObj sim.Duration `json:"applyPerObjMs,omitempty"`
 	// Multiversion gives read-only transactions in the local approach
 	// temporally consistent snapshot reads (the paper's §4 closing
 	// multi-version idea) instead of latest-copy reads.
-	Multiversion bool
+	Multiversion bool `json:"multiversion,omitempty"`
 	// Failures schedules sites to become unreachable: messages toward
 	// a down site are dropped and synchronous requests time out (the
 	// paper's message-server time-out mechanism).
-	Failures []SiteFailure
+	Failures []SiteFailure `json:"failures"`
 	// Faults, when non-nil, attaches a deterministic fault-injection
 	// plan: sites crash (losing volatile state) and recover, links
 	// drop/duplicate/delay messages, partitions cut the mesh. Attaching
@@ -223,49 +226,49 @@ type DistributedConfig struct {
 	// ceiling managers while the GCM site is down. An empty plan arms
 	// the machinery but injects nothing; the journal stays byte-
 	// identical to a run without it.
-	Faults *faults.Plan
+	Faults *faults.Plan `json:"-"`
 	// FaultSeed seeds the fault injector's random stream (defaults to
 	// the workload seed).
-	FaultSeed int64
+	FaultSeed int64 `json:"-"`
 	// SiteSpeed optionally scales each site's processor speed; empty
 	// means uniform speed 1.
-	SiteSpeed []float64
+	SiteSpeed []float64 `json:"siteSpeed"`
 	// SnapshotLag is the snapshot age for multiversion reads (zero
 	// uses a default covering typical propagation).
-	SnapshotLag sim.Duration
+	SnapshotLag sim.Duration `json:"snapshotLagMs,omitempty"`
 	// Workload describes the load. Updates are homed at their write
 	// set's primary site, read-only transactions at random sites.
-	Workload WorkloadConfig
+	Workload WorkloadConfig `json:"workload"`
 	// RecordHistory reports in Result.Serializable whether the whole
 	// system's committed history, every site's operations in one
 	// history, was conflict serializable. The local approach's stale
 	// replica reads and the uncoordinated primary placement waive that,
 	// so both can report false.
-	RecordHistory bool
+	RecordHistory bool `json:"recordHistory,omitempty"`
 	// Journal keeps every kernel-level event in Result.Journal.
-	Journal bool
+	Journal bool `json:"journal,omitempty"`
 	// Audit checks the architecture's invariants as the run goes (see
 	// SingleSiteConfig.Audit); Audit alone keeps no records.
-	Audit bool
+	Audit bool `json:"audit,omitempty"`
 	// Metrics fills a deterministic metrics registry into
 	// Result.Metrics, snapshots it into every window row, and profiles
 	// lock contention into Result.LockProfile as the run goes (see
 	// SingleSiteConfig.Metrics); Metrics alone keeps no records.
-	Metrics bool
+	Metrics bool `json:"metrics,omitempty"`
 	// MetricsInterval is the window width of a Metrics run that sets no
 	// TimelineWindow (zero picks 100ms).
-	MetricsInterval sim.Duration
+	MetricsInterval sim.Duration `json:"metricsIntervalMs,omitempty"`
 	// TimelineWindow, when positive, rolls the run into virtual-time
 	// windows of this width and fills Result.Timeline (see
 	// SingleSiteConfig.TimelineWindow, which gives the precedence of the
 	// window widths).
-	TimelineWindow sim.Duration
+	TimelineWindow sim.Duration `json:"timelineWindowMs,omitempty"`
 	// TimelineMaxWindows bounds the retained window rows (zero picks a
 	// 4096-window default).
-	TimelineMaxWindows int
+	TimelineMaxWindows int `json:"timelineMaxWindows,omitempty"`
 	// MaxRawRecords caps per-transaction record retention (see
 	// SingleSiteConfig.MaxRawRecords).
-	MaxRawRecords int
+	MaxRawRecords int `json:"maxRawRecords,omitempty"`
 }
 
 // RecoveryInfo summarizes the write-ahead log after a WAL-enabled run.
@@ -284,9 +287,9 @@ type RecoveryInfo struct {
 // SiteFailure makes a site unreachable from At until RecoverAt (no
 // recovery when RecoverAt is not after At).
 type SiteFailure struct {
-	Site      db.SiteID
-	At        sim.Time
-	RecoverAt sim.Time
+	Site      db.SiteID `json:"site"`
+	At        sim.Time  `json:"atMs"`
+	RecoverAt sim.Time  `json:"recoverAtMs,omitempty"`
 }
 
 // Result is the outcome of a run.
@@ -371,9 +374,7 @@ func (w *WorkloadConfig) fill(singleSite bool) {
 	}
 }
 
-// RunSingleSite executes one single-site simulation with the documented
-// defaults filled in.
-func RunSingleSite(cfg SingleSiteConfig) (*Result, error) {
+func (cfg *SingleSiteConfig) fill() {
 	if cfg.Protocol == "" {
 		cfg.Protocol = ProtoCeiling
 	}
@@ -387,15 +388,38 @@ func RunSingleSite(cfg SingleSiteConfig) (*Result, error) {
 		cfg.IOPerObj = 20 * sim.Millisecond
 	}
 	cfg.Workload.fill(true)
-	if cfg.Workload.LocalityProb > 0 {
-		return nil, fmt.Errorf("rtlock: LocalityProb requires a distributed sharded, quorum, or primary-only placement")
-	}
-	return runSingleSite(cfg, true)
 }
 
-// RunDistributed executes one distributed simulation with the documented
-// defaults filled in.
-func RunDistributed(cfg DistributedConfig) (*Result, error) {
+// Validate reports why cfg, with the documented defaults filled in,
+// cannot run.
+func (cfg SingleSiteConfig) Validate() error {
+	cfg.fill()
+	_, err := cfg.check()
+	return err
+}
+
+// check validates a filled config and returns its protocol's row.
+func (cfg *SingleSiteConfig) check() (*core.ProtocolRow, error) {
+	row, err := core.Lookup(cfg.Protocol)
+	if err != nil {
+		return nil, fmt.Errorf("rtlock: %w", err)
+	}
+	if err := cfg.Workload.check(false); err != nil {
+		return nil, err
+	}
+	return row, nil
+}
+
+// Validate reports why cfg, with the documented defaults filled in,
+// cannot run.
+func (cfg DistributedConfig) Validate() error {
+	_, err := cfg.prepare()
+	return err
+}
+
+// prepare fills in the documented defaults, validates the result and
+// returns the execution mode Global and Placement select.
+func (cfg *DistributedConfig) prepare() (dist.Mode, error) {
 	if cfg.Sites == 0 {
 		cfg.Sites = 3
 	}
@@ -416,30 +440,67 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 	if cfg.Placement != "" {
 		var err error
 		if pol, err = place.ParsePolicy(cfg.Placement); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 	mode, err := dist.ModeFor(cfg.Global, pol)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if cfg.Workload.LocalityProb > 0 && mode.LocalWriteSets() {
-		return nil, fmt.Errorf("rtlock: LocalityProb requires a sharded, quorum, or primary-only placement")
+	if err := cfg.Workload.check(!mode.LocalWriteSets()); err != nil {
+		return 0, err
+	}
+	for _, f := range cfg.Failures {
+		if f.Site < 0 || int(f.Site) >= cfg.Sites {
+			return 0, fmt.Errorf("rtlock: failure of site %d, outside the %d sites", f.Site, cfg.Sites)
+		}
+	}
+	return mode, nil
+}
+
+// check validates the load's fractions; locality says whether the run
+// reads LocalityProb.
+func (w *WorkloadConfig) check(locality bool) error {
+	if w.ReadOnlyFrac < 0 || w.ReadOnlyFrac > 1 {
+		return fmt.Errorf("rtlock: workload.readOnlyFrac %v out of [0,1]", w.ReadOnlyFrac)
+	}
+	if w.LocalityProb != 0 && !locality {
+		return fmt.Errorf("rtlock: %q requires a distributed sharded, quorum, or primary-only placement", "workload.localityProb")
+	}
+	if w.LocalityProb < 0 || w.LocalityProb > 1 {
+		return fmt.Errorf("rtlock: workload.localityProb %v out of [0,1]", w.LocalityProb)
+	}
+	return nil
+}
+
+// RunSingleSite executes one single-site simulation with the documented
+// defaults filled in.
+func RunSingleSite(cfg SingleSiteConfig) (*Result, error) {
+	cfg.fill()
+	return runSingleSite(cfg, true)
+}
+
+// RunDistributed executes one distributed simulation with the documented
+// defaults filled in.
+func RunDistributed(cfg DistributedConfig) (*Result, error) {
+	mode, err := cfg.prepare()
+	if err != nil {
+		return nil, err
 	}
 	return runDistributed(cfg, mode, true)
 }
 
-// runSingleSite assembles and runs the single-site system cfg describes,
-// taking every field as it is. With records the Result carries the
-// monitor's per-transaction records; a caller that reads only the
-// aggregates is spared their copy.
+// runSingleSite checks, assembles and runs the single-site system cfg
+// describes, taking every field as it is. With records the Result
+// carries the monitor's per-transaction records; a caller that reads
+// only the aggregates is spared their copy.
 func runSingleSite(cfg SingleSiteConfig, records bool) (*Result, error) {
+	row, err := cfg.check()
+	if err != nil {
+		return nil, err
+	}
 	if cfg.MemoryResident {
 		cfg.IOPerObj = 0
-	}
-	row, err := core.Lookup(cfg.Protocol)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	// Generated loads stream: arrivals are scheduled one event at a
 	// time, so a million-transaction run never materializes the whole

@@ -273,7 +273,7 @@ func TestGoldenMetricsCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Metrics = true
+	s.Single.Metrics = true
 	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
