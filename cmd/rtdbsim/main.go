@@ -334,9 +334,7 @@ func run(args []string) (err error) {
 			s.Distributed.Placement = *placeFlag
 		}
 		k := knobs(s)
-		if *auditRuns {
-			*k.audit = true
-		}
+		*k.audit = *k.audit || *auditRuns
 		if *tlDir != "" && *k.timelineWindow <= 0 {
 			*k.timelineWindow = 1000 * rtlock.Millisecond
 		}

@@ -35,36 +35,32 @@ func ParseSpec(data []byte) (*Spec, error) {
 		return nil, fmt.Errorf("rtlock: parse spec: %w", err)
 	}
 	var s Spec
-	var doc any
-	var validate func() error
-	switch head.Mode {
-	case "single":
+	var doc interface{ Validate() error } // the config, beside "mode"
+	switch {
+	case head.Mode == "single":
 		s.Single = new(SingleSiteConfig)
 		doc = &struct {
 			Mode string `json:"mode"`
 			*SingleSiteConfig
 		}{SingleSiteConfig: s.Single}
-		validate = func() error { return s.Single.Validate() }
-	case "distributed":
-		if head.Protocol != "" && head.Protocol != Ceiling {
-			return nil, fmt.Errorf("rtlock: spec %q %s: distributed runs use the ceiling protocol %s", "protocol", head.Protocol, Ceiling)
-		}
+	case head.Mode != "distributed":
+		return nil, fmt.Errorf("rtlock: spec mode %q (want \"single\" or \"distributed\")", head.Mode)
+	case head.Protocol != "" && head.Protocol != Ceiling:
+		return nil, fmt.Errorf("rtlock: spec %q %s: distributed runs use the ceiling protocol %s", "protocol", head.Protocol, Ceiling)
+	default:
 		s.Distributed = new(DistributedConfig)
 		doc = &struct {
 			Mode     string   `json:"mode"`
 			Protocol Protocol `json:"protocol"`
 			*DistributedConfig
 		}{DistributedConfig: s.Distributed}
-		validate = func() error { return s.Distributed.Validate() }
-	default:
-		return nil, fmt.Errorf("rtlock: spec mode %q (want \"single\" or \"distributed\")", head.Mode)
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(doc); err != nil {
 		return nil, fmt.Errorf("rtlock: parse spec: %w", err)
 	}
-	if err := validate(); err != nil {
+	if err := doc.Validate(); err != nil {
 		return nil, err
 	}
 	return &s, nil
@@ -81,8 +77,11 @@ func LoadSpec(path string) (*Spec, error) {
 
 // Run executes the specification.
 func (s *Spec) Run() (*Result, error) {
-	if s.Single != nil {
+	switch {
+	case s.Single != nil:
 		return RunSingleSite(*s.Single)
+	case s.Distributed != nil:
+		return RunDistributed(*s.Distributed)
 	}
-	return RunDistributed(*s.Distributed)
+	return nil, fmt.Errorf("rtlock: spec selects no run config")
 }

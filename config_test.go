@@ -85,6 +85,15 @@ func TestParseSpecRejectsBad(t *testing.T) {
 			t.Fatalf("case %d accepted: %s", i, c)
 		}
 	}
+	// A value the config declares but cannot run with; the error names it.
+	for spec, want := range map[string]string{
+		`{"mode": "distributed", "placement": "bogus"}`:                                    `"bogus"`,
+		`{"mode": "distributed", "placement": "shard", "workload": {"localityProb": 1.5}}`: "localityProb 1.5",
+	} {
+		if _, err := ParseSpec([]byte(spec)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one naming %s", spec, err, want)
+		}
+	}
 	// A field only the other mode reads would be dropped by Run; the
 	// error names it.
 	otherMode := []struct{ spec, field string }{
@@ -120,6 +129,12 @@ func TestParseSpecRejectsBad(t *testing.T) {
 	// A distributed spec may spell out the protocol it runs.
 	if _, err := ParseSpec([]byte(`{"mode": "distributed", "protocol": "C"}`)); err != nil {
 		t.Errorf("distributed spec naming C: %v", err)
+	}
+}
+
+func TestZeroSpecRunErrors(t *testing.T) {
+	if _, err := (&Spec{}).Run(); err == nil || !strings.Contains(err.Error(), "no run config") {
+		t.Fatalf("zero spec ran: %v", err)
 	}
 }
 

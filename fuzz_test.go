@@ -50,6 +50,19 @@ func FuzzConfig(f *testing.F) {
 		if (s.Single == nil) == (s.Distributed == nil) {
 			t.Fatalf("accepted spec selects both run configs or neither: %+v", s)
 		}
+		var w rtlock.WorkloadConfig
+		if s.Single != nil {
+			if w = s.Single.Workload; w.LocalityProb != 0 {
+				t.Fatalf("accepted single spec with localityProb %v", w.LocalityProb)
+			}
+		} else if w = s.Distributed.Workload; s.Distributed.Placement != "" {
+			if _, err := rtlock.ParsePlacementPolicy(s.Distributed.Placement); err != nil {
+				t.Fatalf("accepted spec with unparseable placement %q", s.Distributed.Placement)
+			}
+		}
+		if w.ReadOnlyFrac < 0 || w.ReadOnlyFrac > 1 || w.LocalityProb < 0 || w.LocalityProb > 1 {
+			t.Fatalf("accepted spec with readOnlyFrac %v, localityProb %v", w.ReadOnlyFrac, w.LocalityProb)
+		}
 		// Re-encoded as its mode and config, an accepted spec re-parses
 		// to the same config: every key is a config field, and the
 		// millisecond durations round-trip to the tick.

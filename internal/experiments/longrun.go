@@ -10,9 +10,7 @@ package experiments
 import (
 	"fmt"
 
-	"rtlock/internal/metrics"
 	"rtlock/internal/sim"
-	"rtlock/internal/stats"
 )
 
 // LongRunParams configures the streaming soak. The zero value runs the
@@ -82,40 +80,19 @@ func (p *LongRunParams) fill() {
 	}
 }
 
-// LongRunResult is the bounded-size outcome of a streaming soak.
-type LongRunResult struct {
-	Summary  stats.Summary
-	Timeline []metrics.TimelineRow
-	// TimelineDropped counts windows evicted from the ring.
-	TimelineDropped int
-	// RawRetained/RawDropped report the record cap in effect: retained
-	// never exceeds MaxRawRecords no matter how large Count is.
-	RawRetained, RawDropped int
-}
-
-// LongRun executes the streaming soak and returns the windowed
-// timeline. Memory stays bounded by (windows retained + record cap +
-// live transactions), not by Count.
-func LongRun(p LongRunParams) (*LongRunResult, error) {
+// LongRun executes the streaming soak: a Result with the windowed
+// timeline and no records, so memory stays bounded by (windows retained +
+// record cap + live transactions), not by Count.
+func LongRun(p LongRunParams) (*Result, error) {
 	p.fill()
 	if p.Window <= 0 {
 		return nil, fmt.Errorf("experiments: long run window %v invalid", p.Window)
 	}
-	res, err := runSingleSite(SingleSiteConfig{
+	return runSingleSite(SingleSiteConfig{
 		Protocol: p.Protocol, DBSize: p.DBSize, CPUPerObj: p.CPUPerObj, MemoryResident: true,
 		TimelineWindow: p.Window, TimelineMaxWindows: p.MaxWindows, MaxRawRecords: p.MaxRawRecords,
 		Workload: WorkloadConfig{Seed: p.Seed, Count: p.Count, MeanInterarrival: p.MeanInterarrival,
 			MeanSize: p.MeanSize, SlackMin: 4, SlackMax: 8,
 			BurstFactor: p.BurstFactor, BurstOn: p.BurstOn, BurstOff: p.BurstOff},
 	}, false)
-	if err != nil {
-		return nil, err
-	}
-	return &LongRunResult{
-		Summary:         res.Summary,
-		Timeline:        res.Timeline,
-		TimelineDropped: res.TimelineDropped,
-		RawRetained:     res.RawRetained,
-		RawDropped:      res.RawDropped,
-	}, nil
 }
