@@ -55,19 +55,23 @@
 //	rtdbsim sitesweep -policies shard,quorum,primary -json
 //
 // Every command also takes -cpuprofile and -memprofile, written when it
-// returns and read with go tool pprof:
+// returns and read with go tool pprof, and -exectrace, an execution
+// trace read with go tool trace:
 //
 //	rtdbsim explore -protocol HP -schedules 3600 -cpuprofile cpu.out -memprofile mem.out
+//	rtdbsim -experiment longrun -count 20000 -exectrace trace.out
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"runtime/trace"
 	"slices"
 	"strings"
 
@@ -194,11 +198,13 @@ func exitCode(err error) int {
 // parseFlags parses uniformly for every subcommand: -h/-help surfaces
 // flag.ErrHelp (exit 0), unknown flags become usage errors (exit 2),
 // and stray positional arguments are rejected with the usage text. It
-// also adds -cpuprofile and -memprofile to every command and starts the
-// profiles they ask for; run writes them when the command returns.
+// also adds -cpuprofile, -memprofile and -exectrace to every command and
+// starts the profiles they ask for; run writes them when the command
+// returns.
 func parseFlags(fs *flag.FlagSet, args []string) error {
 	cpu := fs.String("cpuprofile", "", "write a CPU profile of the command to this file (read it with go tool pprof)")
 	mem := fs.String("memprofile", "", "write an allocation profile to this file when the command ends")
+	exec := fs.String("exectrace", "", "write an execution trace of the command to this file (read it with go tool trace)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return flag.ErrHelp
@@ -210,44 +216,61 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 		fs.Usage()
 		return usagef("unexpected argument %q", fs.Arg(0))
 	}
-	return startProfiles(*cpu, *mem)
+	return startProfiles(*cpu, *mem, *exec)
 }
 
-// profiles is what the command's -cpuprofile and -memprofile asked for.
+// profiles is what the command's -cpuprofile, -memprofile and
+// -exectrace asked for.
 var profiles struct {
-	cpu *os.File // open while the CPU profile runs
-	mem string   // allocation profile path, written at stop
+	cpu  *os.File // open while the CPU profile runs
+	mem  string   // allocation profile path, written at stop
+	exec *os.File // open while the execution trace runs
 }
 
-func startProfiles(cpu, mem string) error {
+func startProfiles(cpu, mem, exec string) error {
 	profiles.mem = mem
-	if cpu == "" {
-		return nil
+	var err error
+	if profiles.cpu, err = startProfile("cpuprofile", cpu, pprof.StartCPUProfile); err != nil {
+		return err
 	}
-	f, err := os.Create(cpu)
-	if err != nil {
-		return fmt.Errorf("cpuprofile: %w", err)
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return fmt.Errorf("cpuprofile: %w", err)
-	}
-	profiles.cpu = f
-	return nil
+	profiles.exec, err = startProfile("exectrace", exec, trace.Start)
+	return err
 }
 
-// stopProfiles flushes the CPU profile and writes the allocation
-// profile (the one `go test -memprofile` writes), then forgets both.
+// startProfile creates path and starts writing the profile its flag
+// names into it; an empty path starts nothing.
+func startProfile(name, path string, start func(io.Writer) error) (*os.File, error) {
+	if path == "" {
+		return nil, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	if err := start(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	return f, nil
+}
+
+// stopProfiles flushes the CPU profile and the execution trace and
+// writes the allocation profile (the one `go test -memprofile` writes),
+// then forgets all three.
 func stopProfiles() error {
 	var errs []error
 	if f := profiles.cpu; f != nil {
 		pprof.StopCPUProfile()
 		errs = append(errs, f.Close())
 	}
+	if f := profiles.exec; f != nil {
+		trace.Stop()
+		errs = append(errs, f.Close())
+	}
 	if path := profiles.mem; path != "" {
 		errs = append(errs, writeAllocsProfile(path))
 	}
-	profiles.cpu, profiles.mem = nil, ""
+	profiles.cpu, profiles.mem, profiles.exec = nil, "", nil
 	return errors.Join(errs...)
 }
 

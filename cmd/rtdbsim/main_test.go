@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -271,8 +272,9 @@ func TestRunExploreTiny(t *testing.T) {
 	}
 }
 
-// TestProfileFlags: every command takes -cpuprofile and -memprofile, and
-// both profiles are written when the command returns — on failure too.
+// TestProfileFlags: every command takes -cpuprofile, -memprofile and
+// -exectrace, and all three are written when the command returns — on
+// failure too.
 func TestProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
@@ -286,9 +288,16 @@ func TestProfileFlags(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cpu := filepath.Join(dir, tc.name+".cpu")
 			mem := filepath.Join(dir, tc.name+".mem")
-			err := run(slices.Concat(tc.args, []string{"-cpuprofile", cpu, "-memprofile", mem}))
+			exec := filepath.Join(dir, tc.name+".trace")
+			err := run(slices.Concat(tc.args, []string{"-cpuprofile", cpu, "-memprofile", mem, "-exectrace", exec}))
 			if got := exitCode(err); got != tc.exit {
 				t.Fatalf("exit %d (%v), want %d", got, err, tc.exit)
+			}
+			// An execution trace starts with its format's magic header.
+			if data, err := os.ReadFile(exec); err != nil {
+				t.Fatal(err)
+			} else if !bytes.HasPrefix(data, []byte("go 1.")) {
+				t.Errorf("%s: %d bytes, not an execution trace", exec, len(data))
 			}
 			for _, path := range []string{cpu, mem} {
 				data, err := os.ReadFile(path)

@@ -68,6 +68,29 @@ func TestFailureOfMissingSite(t *testing.T) {
 	}
 }
 
+// TestLocalWriteSetsNeedPrimariesEverywhere: under local write sets a
+// site without primaries would give its updates empty access sets, so
+// the spec is rejected with an error naming the site and the counts.
+func TestLocalWriteSetsNeedPrimariesEverywhere(t *testing.T) {
+	const want = "workload: local write sets need primaries at every site, but site 4 of 8 holds none of the 4 objects"
+	for _, spec := range []string{
+		`{"mode": "distributed", "sites": 8, "dbSize": 4, "workload": {"count": 200}}`,
+		`{"mode": "distributed", "global": true, "sites": 8, "dbSize": 4}`,
+	} {
+		if _, err := ParseSpec([]byte(spec)); err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", spec, err, want)
+		}
+	}
+	// The sharded layout reads no write set locally; 4 objects over 8
+	// sites run there.
+	if _, err := ParseSpec([]byte(`{"mode": "distributed", "placement": "shard", "sites": 8, "dbSize": 4}`)); err != nil {
+		t.Errorf("sharded 4 objects over 8 sites: %v", err)
+	}
+	if _, err := ParseSpec([]byte(`{"mode": "distributed", "sites": 8, "dbSize": 8}`)); err != nil {
+		t.Errorf("8 objects over 8 sites: %v", err)
+	}
+}
+
 func TestParseSpecRejectsBad(t *testing.T) {
 	cases := []string{
 		`{`,                                    // malformed JSON

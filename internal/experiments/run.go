@@ -413,8 +413,18 @@ func (cfg *SingleSiteConfig) check() (*core.ProtocolRow, error) {
 // Validate reports why cfg, with the documented defaults filled in,
 // cannot run.
 func (cfg DistributedConfig) Validate() error {
-	_, err := cfg.prepare()
-	return err
+	mode, err := cfg.prepare()
+	if err != nil || !mode.LocalWriteSets() || cfg.Workload.Transactions != nil {
+		return err
+	}
+	// Under local write sets an update draws its objects from its home
+	// site's primaries, so the generator checks the catalog too; these
+	// modes lay it out in full, as NewCatalog does.
+	cat, err := db.NewCatalog(cfg.Sites, cfg.DBSize)
+	if err != nil {
+		return err
+	}
+	return generatorParams(cfg.Workload, cat, cfg.CPUPerObj, true).Validate()
 }
 
 // prepare fills in the documented defaults, validates the result and

@@ -108,28 +108,45 @@ func (s *source) permPrefix(dst []int, n int) {
 	}
 	// int31n(i+1) and Uint64, written out: the calls do not inline,
 	// and this loop is nearly all of a large database's generation time.
-	// The register indexes live in locals, written back only around
-	// redraw, so no draw waits on storing and reloading them.
+	// The register is walked in runs that wrap neither index: a run of k
+	// steps reads the k slots below tap and feed from the top down, so a
+	// step is a load, an add, a store and a check, with no index
+	// arithmetic. t is cut to f's length, so neither index is
+	// bounds-checked.
 	tap, feed := s.tap, s.feed
-	for i := size; i < n; i++ {
-		tap--
-		if tap < 0 {
-			tap += srcLen
+	for i := size; i < n; {
+		if tap == 0 {
+			tap = srcLen
 		}
-		feed--
-		if feed < 0 {
-			feed += srcLen
+		if feed == 0 {
+			feed = srcLen
 		}
-		x := s.vec[feed] + s.vec[tap]
-		s.vec[feed] = x
-		v := int32(x & srcMask >> 32)
-		if int(v) > math.MaxInt32-i {
-			s.tap, s.feed = tap, feed
-			v = s.redraw(v, int32(i+1))
-			tap, feed = s.tap, s.feed
-		}
-		if j := int(uint32(v) % uint32(i+1)); j < size {
-			dst[j] = i
+		k := min(tap, feed, n-i)
+		tap, feed = tap-k, feed-k
+		f := s.vec[feed : feed+k]
+		t := s.vec[tap:][:len(f)]
+		for j := len(f) - 1; j >= 0; j-- {
+			x := f[j] + t[j]
+			f[j] = x
+			v := int32(x & srcMask >> 32)
+			if int(v) > math.MaxInt32-i {
+				// redraw steps the register itself: hand it this
+				// step's indexes, finish the step here (so the common
+				// path tests nothing more), and start the next run
+				// where redraw left them.
+				s.tap, s.feed = tap+j, feed+j
+				v = s.redraw(v, int32(i+1))
+				tap, feed = s.tap, s.feed
+				if r := int(uint32(v) % uint32(i+1)); r < size {
+					dst[r] = i
+				}
+				i++
+				break
+			}
+			if r := int(uint32(v) % uint32(i+1)); r < size {
+				dst[r] = i
+			}
+			i++
 		}
 	}
 	s.tap, s.feed = tap, feed

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -73,14 +74,20 @@ func TestInt31nTwin(t *testing.T) {
 	}
 }
 
-// BenchmarkPermPrefix times one access-set draw of the streaming soak:
-// 4 objects out of 10 000.
+// BenchmarkPermPrefix times one access-set draw in the two shapes the
+// benchmark workloads draw: the paper default, 10 objects out of 200
+// (single-plain, dist-modes, explore), and the streaming soak, 4 out of
+// 10 000 (stream).
 func BenchmarkPermPrefix(b *testing.B) {
-	var src source
-	src.Seed(1)
-	dst := make([]int, 4)
-	for range b.N {
-		src.permPrefix(dst, 10_000)
+	for _, c := range []struct{ db, size int }{{200, 10}, {10_000, 4}} {
+		b.Run(fmt.Sprintf("db%d/size%d", c.db, c.size), func(b *testing.B) {
+			var src source
+			src.Seed(1)
+			dst := make([]int, c.size)
+			for range b.N {
+				src.permPrefix(dst, c.db)
+			}
+		})
 	}
 }
 
@@ -161,4 +168,63 @@ func TestPermPrefixRedraw(t *testing.T) {
 		t.Fatal("no tail step drew above its rejection threshold: redraw untested")
 	}
 	t.Logf("%d tail steps took redraw", redraws)
+}
+
+// TestPermPrefixEveryRegisterPhase starts the prefix shuffle at every
+// position of the register (phase draws after Seed), so the tail loop's
+// runs begin and end at every offset of both indexes, with pools that
+// end a run before, at and after either index wraps.
+func TestPermPrefixEveryRegisterPhase(t *testing.T) {
+	const seed, size = 7, 4
+	ns := []int{size + 1, 273, 274, 334, 335, 606, 607, 608, 1214, 10_000}
+	var src source
+	for phase := range srcLen {
+		for _, n := range ns {
+			src.Seed(seed)
+			ref := rand.New(rand.NewSource(seed))
+			for range phase {
+				src.Uint64()
+				ref.Uint64()
+			}
+			got := make([]int, size)
+			src.permPrefix(got, n)
+			if want := ref.Perm(n)[:size]; !slices.Equal(got, want) {
+				t.Fatalf("phase %d n=%d: prefix %v, want %v", phase, n, got, want)
+			}
+			if got, want := src.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("phase %d n=%d: next draw %#x, want %#x", phase, n, got, want)
+			}
+		}
+	}
+}
+
+// FuzzPermPrefix checks the prefix shuffle against rand.Perm from any
+// seed and register phase, for pools up to 2^18 objects.
+func FuzzPermPrefix(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint32(10_000), uint16(4))
+	f.Add(int64(3), uint16(333), uint32(200), uint16(10))
+	f.Add(int64(-9), uint16(606), uint32(608), uint16(608))
+	// At n = 2^17 the shuffle from seed 1 takes redraw a few times.
+	f.Add(int64(1), uint16(0), uint32(1<<17), uint16(4))
+	f.Fuzz(func(t *testing.T, seed int64, phase uint16, n uint32, size uint16) {
+		if n %= 1<<18 + 1; n == 0 {
+			t.Skip()
+		}
+		size = uint16(min(uint32(size), n))
+		var src source
+		src.Seed(seed)
+		ref := rand.New(rand.NewSource(seed))
+		for range int(phase) % srcLen {
+			src.Uint64()
+			ref.Uint64()
+		}
+		got := make([]int, size)
+		src.permPrefix(got, int(n))
+		if want := ref.Perm(int(n))[:size]; !slices.Equal(got, want) {
+			t.Fatalf("prefix %v, want %v", got, want)
+		}
+		if got, want := src.Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("next draw %#x, want %#x", got, want)
+		}
+	})
 }

@@ -191,9 +191,20 @@ type Params struct {
 	BurstOn, BurstOff sim.Duration
 }
 
-func (p Params) validate() error {
+// Validate reports why no load can be generated from p.
+func (p Params) Validate() error {
 	if p.Catalog == nil {
 		return fmt.Errorf("workload: nil catalog")
+	}
+	if p.LocalWriteSets {
+		// An update homed at a site without primaries would draw its
+		// access set from an empty partition.
+		for site := range p.Catalog.Sites() {
+			if len(p.Catalog.ObjectsAt(db.SiteID(site))) == 0 {
+				return fmt.Errorf("workload: local write sets need primaries at every site, but site %d of %d holds none of the %d objects",
+					site, p.Catalog.Sites(), p.Catalog.Objects())
+			}
+		}
 	}
 	if p.Catalog.Objects() > math.MaxInt32 {
 		// The access-set shuffle draws rand.Perm's Int31n steps.
@@ -304,7 +315,7 @@ type pstream struct {
 // newGenerator validates the parameters and positions the generator
 // before the first arrival.
 func newGenerator(p Params) (*generator, error) {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	period := p.Period

@@ -202,6 +202,35 @@ func TestGenerateLocalWriteSets(t *testing.T) {
 	}
 }
 
+// TestLocalWriteSetsNeedPrimariesEverywhere: with more sites than
+// objects, some site holds no primaries, and its update transactions
+// would come out with no ops.
+func TestLocalWriteSetsNeedPrimariesEverywhere(t *testing.T) {
+	p := params(t)
+	p.LocalWriteSets = true
+	cat, err := db.NewCatalog(8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Catalog, p.Count = cat, 200
+	const want = "workload: local write sets need primaries at every site, but site 4 of 8 holds none of the 4 objects"
+	if _, err := Generate(p); err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+	if p.Catalog, err = db.NewCatalog(4, 4); err != nil {
+		t.Fatal(err)
+	}
+	txs, err := Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tx := range txs {
+		if len(tx.Ops) == 0 {
+			t.Fatalf("transaction %d has no ops", tx.ID)
+		}
+	}
+}
+
 func TestGeneratePriorityEDF(t *testing.T) {
 	p := params(t)
 	txs, err := Generate(p)
