@@ -56,15 +56,8 @@ func runFaults(args []string) error {
 	}
 
 	p := experiments.DefaultFaults()
-	p.BaseSeed = *seed
+	setSchedule(&p.Schedule, *seed, *auditRuns, *runs, *count)
 	p.Sites = *sites
-	p.Audit = *auditRuns
-	if *count > 0 {
-		p.Count = *count
-	}
-	if *runs > 0 {
-		p.Runs = *runs
-	}
 	if *severities != "" {
 		p.Severities = p.Severities[:0]
 		for _, tok := range strings.Split(*severities, ",") {

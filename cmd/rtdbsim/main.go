@@ -398,22 +398,29 @@ func run(args []string) (err error) {
 		return usagef("unknown experiment %q (want one of %s)", *experiment, strings.Join(experimentNames(), ", "))
 	}
 	p := experiments.DefaultParams()
-	override := func(baseSeed *int64, nRuns, nCount *int, audit *bool) {
-		*baseSeed, *audit = *seed, *auditRuns
-		if *runs > 0 {
-			*nRuns = *runs
-		}
-		if *count > 0 {
-			*nCount = *count
-		}
+	for _, s := range []*experiments.Schedule{&p.Single.Schedule, &p.Dist.Schedule, &p.SiteSweep.Schedule, &p.Faults.Schedule} {
+		setSchedule(s, *seed, *auditRuns, *runs, *count)
 	}
-	override(&p.Single.BaseSeed, &p.Single.Runs, &p.Single.Count, &p.Single.Audit)
-	override(&p.Dist.BaseSeed, &p.Dist.Runs, &p.Dist.Count, &p.Dist.Audit)
-	override(&p.SiteSweep.BaseSeed, &p.SiteSweep.Runs, &p.SiteSweep.Count, &p.SiteSweep.Audit)
-	override(&p.Faults.BaseSeed, &p.Faults.Runs, &p.Faults.Count, &p.Faults.Audit)
+	// ignored rejects the named flags set on the command line, which the
+	// mode would silently drop.
+	ignored := func(names ...string) error {
+		var set []string
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(names, f.Name) {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			return usagef("%s does nothing with -experiment %s", strings.Join(set, ", "), want)
+		}
+		return nil
+	}
 	names := []string{want}
 	switch want {
 	case "custom":
+		if err := ignored("plot", "out", "csv"); err != nil {
+			return err
+		}
 		sum, err := experiments.RunCustom(p.Single, experiments.Protocol(*protocol), *size)
 		if err != nil {
 			return err
@@ -421,6 +428,9 @@ func run(args []string) (err error) {
 		fmt.Printf("protocol=%s size=%d %s\n", *protocol, *size, sum)
 		return nil
 	case "longrun":
+		if err := ignored("audit", "runs", "plot", "out"); err != nil {
+			return err
+		}
 		res, err := experiments.LongRun(experiments.LongRunParams{
 			Protocol: experiments.Protocol(*protocol),
 			Seed:     *seed,
@@ -461,6 +471,18 @@ func run(args []string) (err error) {
 		}
 	}
 	return nil
+}
+
+// setSchedule applies the command line to a figure family's run
+// schedule; a zero runs or count keeps the family's default.
+func setSchedule(s *experiments.Schedule, seed int64, audit bool, runs, count int) {
+	s.BaseSeed, s.Audit = seed, audit
+	if runs > 0 {
+		s.Runs = runs
+	}
+	if count > 0 {
+		s.Count = count
+	}
 }
 
 // experimentNames is every value -experiment accepts: the figure table's

@@ -231,6 +231,13 @@ func TestExitCodes(t *testing.T) {
 		{"metrics protocol with global", []string{"metrics", "-global", "-protocol", "P", "-out", os.DevNull}, 2},
 		{"replay one run", []string{"replay", "-runs", "1"}, 2},
 		{"replay no runs", []string{"replay", "-runs", "0"}, 2},
+		{"longrun audit", []string{"-experiment", "longrun", "-count", "20", "-audit"}, 2},
+		{"longrun runs", []string{"-experiment", "longrun", "-count", "20", "-runs", "5"}, 2},
+		{"longrun plot", []string{"-experiment", "longrun", "-count", "20", "-plot"}, 2},
+		{"longrun out", []string{"-experiment", "longrun", "-count", "20", "-out", os.DevNull}, 2},
+		{"custom plot", []string{"-experiment", "custom", "-runs", "1", "-count", "20", "-plot"}, 2},
+		{"custom out", []string{"-experiment", "custom", "-runs", "1", "-count", "20", "-out", os.DevNull}, 2},
+		{"custom csv", []string{"-experiment", "custom", "-runs", "1", "-count", "20", "-csv"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

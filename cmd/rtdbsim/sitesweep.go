@@ -38,14 +38,7 @@ func runSiteSweep(args []string) error {
 	}
 
 	p := rtlock.DefaultSiteSweepParams()
-	p.BaseSeed = *seed
-	p.Audit = *auditRuns
-	if *runs > 0 {
-		p.Runs = *runs
-	}
-	if *count > 0 {
-		p.Count = *count
-	}
+	setSchedule(&p.Schedule, *seed, *auditRuns, *runs, *count)
 	if *locality >= 0 {
 		p.LocalityProb = *locality
 	}

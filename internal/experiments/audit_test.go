@@ -15,7 +15,8 @@ import (
 // these check the plumbing at the experiments layer.
 
 func TestAuditFlagSingleSite(t *testing.T) {
-	p := DefaultSingleSite().Scale(0.25, 1)
+	p := DefaultSingleSite()
+	p.Scale(0.25, 1)
 	p.Audit = true
 	for _, proto := range []Protocol{core.ProtoCeiling, core.ProtoTwoPLHP, core.ProtoTwoPLDD} {
 		if _, err := NewSweep(Params{Single: p}).runs(p.cell(proto, 12)); err != nil {
@@ -25,7 +26,8 @@ func TestAuditFlagSingleSite(t *testing.T) {
 }
 
 func TestAuditFlagDistributed(t *testing.T) {
-	p := DefaultDistributed().Scale(0.25, 1)
+	p := DefaultDistributed()
+	p.Scale(0.25, 1)
 	p.Audit = true
 	for _, mode := range []dist.Mode{dist.Global, dist.Local} {
 		if _, err := NewSweep(Params{Dist: p}).runs(p.cell(mode, 0.5, 2)); err != nil {
@@ -37,7 +39,8 @@ func TestAuditFlagDistributed(t *testing.T) {
 // TestAuditFlagUnknownProtocol checks the failure plumbing: an unknown
 // protocol must surface an error, not a silent skip.
 func TestAuditFlagUnknownProtocol(t *testing.T) {
-	p := DefaultSingleSite().Scale(0.25, 1)
+	p := DefaultSingleSite()
+	p.Scale(0.25, 1)
 	p.Audit = true
 	if _, err := NewSweep(Params{Single: p}).runs(p.cell("nope", 12)); err == nil ||
 		!strings.Contains(err.Error(), "unknown protocol") {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"cmp"
+
 	"rtlock/internal/db"
 	"rtlock/internal/dist"
 	"rtlock/internal/faults"
@@ -17,27 +19,14 @@ type cell interface {
 	run(seed int64, audited bool) (*Result, error)
 }
 
-// base is what a parameter set fixes for every cell of its family: the
-// run schedule and the load no figure varies.
-type base struct {
-	runs             int
-	baseSeed         int64
-	audit            bool
-	count            int
-	cpuPerObj        sim.Duration
-	meanInterarrival sim.Duration
-	slackMin         float64
-	slackMax         float64
-}
+func (s Schedule) schedule() (int, int64, bool) { return s.Runs, s.BaseSeed, s.Audit }
 
-func (b base) schedule() (int, int64, bool) { return b.runs, b.baseSeed, b.audit }
-
-// singleCell is one single-site configuration: the family's base plus
-// what the single-site figures vary. The zero value of every field after
-// policy leaves that mechanism off.
+// singleCell is one single-site configuration: its family's schedule
+// plus what the single-site figures vary on SingleSiteConfig's defaults.
+// A zero dbSize keeps the default; the zero value of every field after
+// it leaves that mechanism off.
 type singleCell struct {
-	base
-	ioPerObj   sim.Duration
+	Schedule
 	proto      Protocol
 	size       int // mean transaction size
 	dbSize     int
@@ -53,35 +42,41 @@ type singleCell struct {
 
 // cell is the paper's setting at one protocol and size.
 func (p SingleSiteParams) cell(proto Protocol, size int) singleCell {
-	return singleCell{
-		base:     base{p.Runs, p.BaseSeed, p.Audit, p.Count, p.CPUPerObj, p.MeanInterarrival, p.SlackMin, p.SlackMax},
-		ioPerObj: p.IOPerObj, proto: proto, size: size, dbSize: p.DBSize, mix: p.ReadOnlyFrac, policy: p.Policy}
+	return singleCell{Schedule: p.Schedule, proto: proto, size: size}
 }
 
 // run executes one single-site run through the assembly; the figures
 // read only its aggregates.
 func (c singleCell) run(seed int64, audited bool) (*Result, error) {
-	return runSingleSite(SingleSiteConfig{
-		Protocol: c.proto, DBSize: c.dbSize, CPUPerObj: c.cpuPerObj, IOPerObj: c.ioPerObj,
-		BufferPages: c.buffer, WAL: c.wal, CheckpointEvery: c.checkpoint, Audit: audited, lockOverhead: c.overhead,
-		// ImplicitDeadlines is read by periodic instances only.
-		Workload: WorkloadConfig{Seed: seed, Count: c.count, MeanInterarrival: c.meanInterarrival, MeanSize: c.size,
-			ReadOnlyFrac: c.mix, SlackMin: c.slackMin, SlackMax: c.slackMax, PeriodicFrac: c.periodic,
-			ImplicitDeadlines: true, policy: c.policy, hotspot: c.hotspot},
-	}, false)
+	var cfg SingleSiteConfig
+	cfg.fill()
+	cfg.Protocol = c.proto
+	cfg.DBSize = cmp.Or(c.dbSize, cfg.DBSize)
+	cfg.BufferPages = c.buffer
+	cfg.WAL, cfg.CheckpointEvery = c.wal, c.checkpoint
+	cfg.lockOverhead = c.overhead
+	cfg.Audit = audited
+	w := &cfg.Workload
+	w.Seed, w.Count = seed, c.Count
+	w.MeanSize, w.ReadOnlyFrac = c.size, c.mix
+	w.PeriodicFrac, w.policy, w.hotspot = c.periodic, c.policy, c.hotspot
+	// ImplicitDeadlines is read by periodic instances only.
+	w.ImplicitDeadlines = true
+	return runSingleSite(cfg, false)
 }
 
-// distCell is one distributed configuration: the family's base plus
-// what the distributed figures vary.
+// distCell is one distributed configuration: its family's schedule plus
+// what the distributed figures vary on DistributedConfig's defaults. A
+// zero objects or sites keeps the default.
 type distCell struct {
-	base
-	objects  int
-	meanSize int
-	mode     dist.Mode
-	sites    int
-	// delay is the one-way delay of a uniform full mesh, or with star
-	// the per-link delay of a star around site 0.
-	delay        sim.Duration
+	Schedule
+	objects int
+	mode    dist.Mode
+	sites   int
+	// delay is the one-way delay, in units of the per-object CPU cost,
+	// of a uniform full mesh, or with star the per-link delay of a star
+	// around site 0.
+	delay        float64
 	star         bool
 	gcm          db.SiteID // global mode's ceiling manager site
 	multiversion bool
@@ -96,20 +91,28 @@ type distCell struct {
 
 // run executes one distributed run through the assembly.
 func (c distCell) run(seed int64, audited bool) (*Result, error) {
-	cfg := DistributedConfig{
-		Replicas: c.k, ReadQuorum: c.r, WriteQuorum: c.w, Sites: c.sites, DBSize: c.objects, GCMSite: c.gcm,
-		CPUPerObj: c.cpuPerObj, Multiversion: c.multiversion, FaultSeed: seed, Audit: audited,
-		Workload: WorkloadConfig{Seed: seed, Count: c.count, MeanInterarrival: c.meanInterarrival, MeanSize: c.meanSize,
-			ReadOnlyFrac: c.mix, SlackMin: c.slackMin, SlackMax: c.slackMax, LocalityProb: c.locality},
-	}
+	var cfg DistributedConfig
+	cfg.fill()
+	cfg.Sites = cmp.Or(c.sites, cfg.Sites)
+	cfg.DBSize = cmp.Or(c.objects, cfg.DBSize)
+	cfg.CommDelay = sim.Duration(c.delay * float64(cfg.CPUPerObj))
+	cfg.GCMSite = c.gcm
+	cfg.Multiversion = c.multiversion
+	cfg.Replicas, cfg.ReadQuorum, cfg.WriteQuorum = c.k, c.r, c.w
+	cfg.FaultSeed = seed
+	cfg.Audit = audited
+	w := &cfg.Workload
+	w.Seed, w.Count = seed, c.Count
+	w.ReadOnlyFrac, w.LocalityProb = c.mix, c.locality
 	if c.faults {
 		// The last arrival lands around count x interarrival, and the
 		// generator places every fault inside the first 85% of that
 		// horizon, so crashes and partitions hit live load rather than
-		// the drained tail.
+		// the drained tail. A fault cell names its site count, so zero
+		// sites fails here rather than taking the default.
 		plan, err := faults.Generate(seed, faults.GenParams{
 			Sites:    c.sites,
-			Horizon:  int64(sim.Duration(c.count) * c.meanInterarrival),
+			Horizon:  int64(sim.Duration(w.Count) * w.MeanInterarrival),
 			Severity: c.severity,
 		})
 		if err != nil {
@@ -118,13 +121,11 @@ func (c distCell) run(seed int64, audited bool) (*Result, error) {
 		cfg.Faults = plan
 	}
 	if c.star {
-		topo, err := netsim.Star(c.sites, 0, c.delay)
+		topo, err := netsim.Star(cfg.Sites, 0, cfg.CommDelay)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Topology = topo
-	} else {
-		cfg.CommDelay = c.delay
+		cfg.Topology, cfg.CommDelay = topo, 0
 	}
 	return runDistributed(cfg, c.mode, false)
 }

@@ -513,12 +513,9 @@ func TestFigurePlot(t *testing.T) {
 }
 
 func TestScaleClampsCount(t *testing.T) {
-	p := DefaultSingleSite().Scale(0.0001, 1)
-	if p.Count < 20 || p.Runs != 1 {
-		t.Fatalf("Scale produced %+v", p)
-	}
-	d := DefaultDistributed().Scale(0.0001, 2)
-	if d.Count < 20 || d.Runs != 2 {
-		t.Fatalf("Scale produced %+v", d)
+	s := Schedule{Count: 300, Runs: 8}
+	s.Scale(0.0001, 2)
+	if s.Count != 20 || s.Runs != 2 {
+		t.Fatalf("Scale produced %+v, want the floor of 20 transactions over 2 runs", s)
 	}
 }

@@ -11,7 +11,8 @@ import (
 // partitions, loss — left the protocol auditors satisfied for both
 // architectures.
 func TestFaultSoak(t *testing.T) {
-	p := DefaultFaults().Scale(0.1, 2)
+	p := DefaultFaults()
+	p.Scale(0.1, 2)
 	p.Audit = true
 	p.Severities = []float64{0, 0.5, 1}
 	for _, seed := range []int64{1, 99} {
@@ -31,7 +32,8 @@ func TestFaultSoak(t *testing.T) {
 // an unsorted, repetitive severity slice yields exactly the figure its
 // sorted set would — point for point, including replicated-run stddevs.
 func TestFaultSweepSeverityOrder(t *testing.T) {
-	p := DefaultFaults().Scale(0.1, 2)
+	p := DefaultFaults()
+	p.Scale(0.1, 2)
 	p.Severities = []float64{1, 0.5, 0, 0.5, 1, 1}
 	messy, err := Run("faultsweep", Params{Faults: p})
 	if err != nil {
@@ -62,11 +64,11 @@ func TestFaultSweepSeverityOrder(t *testing.T) {
 
 func TestFaultSweepScale(t *testing.T) {
 	p := DefaultFaults()
-	s := p.Scale(0.01, 1)
-	if s.Count < 20 {
-		t.Fatalf("Count = %d, want the floor of 20", s.Count)
+	p.Scale(0.01, 1)
+	if p.Count < 20 {
+		t.Fatalf("Count = %d, want the floor of 20", p.Count)
 	}
-	if s.Runs != 1 {
-		t.Fatalf("Runs = %d", s.Runs)
+	if p.Runs != 1 {
+		t.Fatalf("Runs = %d", p.Runs)
 	}
 }

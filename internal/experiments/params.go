@@ -6,7 +6,6 @@ import (
 	"rtlock/internal/core"
 	"rtlock/internal/place"
 	"rtlock/internal/sim"
-	"rtlock/internal/workload"
 )
 
 // Protocol names a concurrency-control protocol under test by the
@@ -27,96 +26,66 @@ func ManagerFor(p Protocol) (func(*sim.Kernel) core.Manager, sim.Discipline, err
 	return row.New, row.Discipline, nil
 }
 
-// SingleSiteParams configures the single-site experiments (Figures 2–3).
-// The defaults reproduce the paper's setting: a database of 200 objects;
-// transaction size swept up to 10% of the database so conflicts are
-// frequent; an arrival rate that keeps the system heavily loaded (both
-// CPU and I/O are saturated when the mean size reaches 20); deadlines
-// proportional to size; hard transactions aborted at their deadlines.
-type SingleSiteParams struct {
-	DBSize           int
-	CPUPerObj        sim.Duration
-	IOPerObj         sim.Duration
-	MeanInterarrival sim.Duration
-	SlackMin         float64
-	SlackMax         float64
-	ReadOnlyFrac     float64
-	Count            int // transactions per run
-	Runs             int // independent runs averaged per point
-	Sizes            []int
-	Protocols        []Protocol
-	BaseSeed         int64
-	// Policy assigns transaction priorities (zero value = earliest
-	// deadline first, the paper's choice).
-	Policy workload.PriorityPolicy
-	// Audit checks every run with the protocol's invariant auditors as
-	// its journal is written (no records are kept); any violation fails
-	// the run. It turns every experiment cell into a correctness test.
+// Schedule is how every cell of a family is run: Runs independent runs
+// of Count transactions, run r seeded BaseSeed + r·7919. The system, the
+// database and the load are the run configs' documented defaults (the
+// paper's setting); a family adds only what its figures vary.
+type Schedule struct {
+	Count    int // transactions per run
+	Runs     int // independent runs averaged per point
+	BaseSeed int64
+	// Audit checks every run with its invariant auditors as its journal
+	// is written (no records are kept); any violation fails the sweep. It
+	// turns every experiment cell into a correctness test.
 	Audit bool
+}
+
+// Scale shrinks the run length for quick tests and benchmarks: countFrac
+// of the transactions, at least 20, over the given number of runs.
+func (s *Schedule) Scale(countFrac float64, runs int) {
+	s.Count, s.Runs = max(int(float64(s.Count)*countFrac), 20), runs
+}
+
+// SingleSiteParams configures the single-site experiments (Figures 2–3):
+// SingleSiteConfig's defaults, a database of 200 objects under an
+// arrival rate that saturates both CPU and I/O when the mean size
+// reaches 20, with the transaction size swept up to 10% of the database
+// so conflicts are frequent.
+type SingleSiteParams struct {
+	Schedule
+	Sizes []int
 }
 
 // DefaultSingleSite returns the calibrated configuration.
 func DefaultSingleSite() SingleSiteParams {
 	return SingleSiteParams{
-		DBSize:           200,
-		CPUPerObj:        10 * sim.Millisecond,
-		IOPerObj:         20 * sim.Millisecond,
-		MeanInterarrival: 450 * sim.Millisecond,
-		SlackMin:         4,
-		SlackMax:         8,
-		Count:            400,
-		Runs:             10,
-		Sizes:            []int{2, 4, 6, 8, 10, 12, 14, 16, 18, 20},
-		Protocols:        []Protocol{core.ProtoCeiling, core.ProtoTwoPLPrio, core.ProtoTwoPL},
-		BaseSeed:         1,
+		Schedule: Schedule{Count: 400, Runs: 10, BaseSeed: 1},
+		Sizes:    []int{2, 4, 6, 8, 10, 12, 14, 16, 18, 20},
 	}
 }
 
-// DistParams configures the distributed experiments (Figures 4–6): three
-// fully interconnected sites, a memory-resident database (no I/O cost),
-// update transactions assigned to the site of their write set, read-only
-// transactions distributed randomly, and a swept communication delay
-// measured in "time units" (one unit is the per-object CPU cost).
+// DistParams configures the distributed experiments (Figures 4–6):
+// DistributedConfig's defaults, three fully interconnected sites over a
+// memory-resident database, with the transaction mix and the
+// communication delay swept. Delays are in "time units" of the
+// per-object CPU cost.
 type DistParams struct {
-	Sites            int
-	DBSize           int
-	CPUPerObj        sim.Duration
-	MeanInterarrival sim.Duration
-	SlackMin         float64
-	SlackMax         float64
-	MeanSize         int
-	Count            int
-	Runs             int
+	Schedule
 	// Mixes is the swept fraction of read-only transactions.
 	Mixes []float64
-	// DelayUnits is the swept communication delay, in units of
-	// CPUPerObj.
+	// DelayUnits is the swept communication delay.
 	DelayUnits []float64
-	// Fig6Delays picks the two delays (same units) whose curves
-	// Figure 6 shows.
+	// Fig6Delays picks the two delays whose curves Figure 6 shows.
 	Fig6Delays []float64
-	BaseSeed   int64
-	// Audit checks every run with the approach's invariant auditors as
-	// its journal is written; any violation fails the run.
-	Audit bool
 }
 
 // DefaultDistributed returns the calibrated configuration.
 func DefaultDistributed() DistParams {
 	return DistParams{
-		Sites:            3,
-		DBSize:           200,
-		CPUPerObj:        10 * sim.Millisecond,
-		MeanInterarrival: 30 * sim.Millisecond,
-		SlackMin:         4,
-		SlackMax:         8,
-		MeanSize:         6,
-		Count:            300,
-		Runs:             8,
-		Mixes:            []float64{0, 0.25, 0.5, 0.75, 1},
-		DelayUnits:       []float64{0, 0.5, 1, 2, 4, 6, 8, 10},
-		Fig6Delays:       []float64{2, 8},
-		BaseSeed:         1,
+		Schedule:   Schedule{Count: 300, Runs: 8, BaseSeed: 1},
+		Mixes:      []float64{0, 0.25, 0.5, 0.75, 1},
+		DelayUnits: []float64{0, 0.5, 1, 2, 4, 6, 8, 10},
+		Fig6Delays: []float64{2, 8},
 	}
 }
 
@@ -126,20 +95,11 @@ func DefaultDistributed() DistParams {
 // against the uncoordinated primary-only baseline to price its
 // consistency tax.
 type SiteSweepParams struct {
+	Schedule
 	// Sites is the swept cluster-size axis (default {1, 2, 4, 8, 16}).
 	Sites []int
 	// Policies selects the placement policies (default all four).
 	Policies []place.Policy
-	DBSize   int
-	// CPUPerObj is the per-object CPU demand; the database is
-	// memory-resident as in the paper's distributed setting.
-	CPUPerObj sim.Duration
-	// CommDelay is the fixed one-way inter-site delay.
-	CommDelay        sim.Duration
-	MeanInterarrival sim.Duration
-	MeanSize         int
-	Count            int
-	Runs             int
 	// LocalityProb biases each access of the placement workloads toward
 	// the transaction's home shard (full replication keeps the paper's
 	// home-partition write sets instead; locality is meaningless when
@@ -147,109 +107,42 @@ type SiteSweepParams struct {
 	LocalityProb float64
 	// ReadOnlyFrac is the transaction mix.
 	ReadOnlyFrac float64
-	SlackMin     float64
-	SlackMax     float64
 	// Replicas, ReadQuorum, WriteQuorum parameterize the quorum policy
 	// (zero takes the cluster defaults: K=min(3,sites), majority R,
 	// minimal intersecting W).
 	Replicas, ReadQuorum, WriteQuorum int
-	BaseSeed                          int64
-	// Audit checks every run with the policy's invariant auditors as its
-	// journal is written (quorum runs include the quorum-intersection
-	// invariant); any violation fails the sweep.
-	Audit bool
 }
 
 // DefaultSiteSweep returns the calibrated site-sweep configuration.
 func DefaultSiteSweep() SiteSweepParams {
 	return SiteSweepParams{
-		Sites:            []int{1, 2, 4, 8, 16},
-		Policies:         place.Policies(),
-		DBSize:           240,
-		CPUPerObj:        10 * sim.Millisecond,
-		CommDelay:        20 * sim.Millisecond,
-		MeanInterarrival: 30 * sim.Millisecond,
-		MeanSize:         6,
-		Count:            300,
-		Runs:             8,
-		LocalityProb:     0.7,
-		ReadOnlyFrac:     0.5,
-		SlackMin:         4,
-		SlackMax:         8,
-		BaseSeed:         1,
+		Schedule:     Schedule{Count: 300, Runs: 8, BaseSeed: 1},
+		Sites:        []int{1, 2, 4, 8, 16},
+		Policies:     place.Policies(),
+		LocalityProb: 0.7,
+		ReadOnlyFrac: 0.5,
 	}
 }
 
 // FaultParams configures the graceful-degradation sweep: the Figures 4–6
-// setting (three sites, memory-resident database, 50/50 mix) rerun under
-// generated fault plans of increasing severity. Severity 0 is the
-// fault-free baseline; each higher point crashes more sites for longer
-// and loses, duplicates, and delays more messages.
+// setting (a 50/50 mix at delay 2) rerun under generated fault plans of
+// increasing severity. Severity 0 is the fault-free baseline; each
+// higher point crashes more sites for longer and loses, duplicates, and
+// delays more messages.
 type FaultParams struct {
-	Sites            int
-	DBSize           int
-	CPUPerObj        sim.Duration
-	MeanInterarrival sim.Duration
-	SlackMin         float64
-	SlackMax         float64
-	MeanSize         int
-	ReadOnlyFrac     float64
-	Count            int
-	Runs             int
+	Schedule
+	Sites int // cluster size (default 3)
 	// Severities is the swept fault severity in [0, 1].
 	Severities []float64
-	BaseSeed   int64
-	// Audit checks every run with the fault-aware invariant auditors as
-	// its journal is written; any violation fails the sweep.
-	Audit bool
 }
 
 // DefaultFaults returns the calibrated configuration.
 func DefaultFaults() FaultParams {
 	return FaultParams{
-		Sites:            3,
-		DBSize:           200,
-		CPUPerObj:        10 * sim.Millisecond,
-		MeanInterarrival: 30 * sim.Millisecond,
-		SlackMin:         4,
-		SlackMax:         8,
-		MeanSize:         6,
-		ReadOnlyFrac:     0.5,
-		Count:            300,
-		Runs:             8,
-		Severities:       []float64{0, 0.25, 0.5, 0.75, 1},
-		BaseSeed:         1,
+		Schedule:   Schedule{Count: 300, Runs: 8, BaseSeed: 1},
+		Sites:      3,
+		Severities: []float64{0, 0.25, 0.5, 0.75, 1},
 	}
-}
-
-// scaled shrinks a run length for quick tests and benchmarks, keeping at
-// least 20 transactions.
-func scaled(count int, frac float64) int {
-	return max(int(float64(count)*frac), 20)
-}
-
-// Scale shrinks the run length for quick tests and benchmarks.
-func (p SingleSiteParams) Scale(countFrac float64, runs int) SingleSiteParams {
-	p.Count, p.Runs = scaled(p.Count, countFrac), runs
-	return p
-}
-
-// Scale shrinks the run length for quick tests and benchmarks.
-func (p DistParams) Scale(countFrac float64, runs int) DistParams {
-	p.Count, p.Runs = scaled(p.Count, countFrac), runs
-	return p
-}
-
-// Scale shrinks the run length for quick tests and benchmarks.
-func (p SiteSweepParams) Scale(countFrac float64, runs int) SiteSweepParams {
-	p.Count, p.Runs = scaled(p.Count, countFrac), runs
-	return p
-}
-
-// Scale shrinks the run length for quick tests and benchmarks.
-func (p FaultParams) Scale(countFrac float64, runs int) FaultParams {
-	p.Count, p.Runs = scaled(p.Count, countFrac), runs
-	return p
 }
 
 // Params is the configuration handed to a Sweep: one parameter set per

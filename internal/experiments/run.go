@@ -4,9 +4,10 @@ package experiments
 // figure cell and the streaming soak build their engine here: catalog,
 // load, journal and its observers, window ring, engine, Result. The
 // public entry points fill the documented defaults and call the
-// assembly, which fills none, so a zero a caller sets stays zero: a
-// figure's delay-0 cell keeps CommDelay 0 (from which the cluster
-// derives its snapshot lag) and a run seed of 0 stays 0.
+// assembly, which fills none. A figure cell starts from the filled
+// defaults and sets what it varies, so a zero it sets stays zero: a
+// delay-0 cell keeps CommDelay 0 (from which the cluster derives its
+// snapshot lag) and a run seed of 0 stays 0.
 
 import (
 	"fmt"
@@ -413,7 +414,8 @@ func (cfg *SingleSiteConfig) check() (*core.ProtocolRow, error) {
 // Validate reports why cfg, with the documented defaults filled in,
 // cannot run.
 func (cfg DistributedConfig) Validate() error {
-	mode, err := cfg.prepare()
+	cfg.fill()
+	mode, err := cfg.check()
 	if err != nil || !mode.LocalWriteSets() || cfg.Workload.Transactions != nil {
 		return err
 	}
@@ -427,9 +429,7 @@ func (cfg DistributedConfig) Validate() error {
 	return generatorParams(cfg.Workload, cat, cfg.CPUPerObj, true).Validate()
 }
 
-// prepare fills in the documented defaults, validates the result and
-// returns the execution mode Global and Placement select.
-func (cfg *DistributedConfig) prepare() (dist.Mode, error) {
+func (cfg *DistributedConfig) fill() {
 	if cfg.Sites == 0 {
 		cfg.Sites = 3
 	}
@@ -446,6 +446,11 @@ func (cfg *DistributedConfig) prepare() (dist.Mode, error) {
 	if cfg.FaultSeed == 0 {
 		cfg.FaultSeed = cfg.Workload.Seed
 	}
+}
+
+// check validates a filled config and returns the execution mode Global
+// and Placement select.
+func (cfg *DistributedConfig) check() (dist.Mode, error) {
 	var pol place.Policy
 	if cfg.Placement != "" {
 		var err error
@@ -493,7 +498,8 @@ func RunSingleSite(cfg SingleSiteConfig) (*Result, error) {
 // RunDistributed executes one distributed simulation with the documented
 // defaults filled in.
 func RunDistributed(cfg DistributedConfig) (*Result, error) {
-	mode, err := cfg.prepare()
+	cfg.fill()
+	mode, err := cfg.check()
 	if err != nil {
 		return nil, err
 	}

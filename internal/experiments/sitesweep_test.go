@@ -8,7 +8,8 @@ import (
 )
 
 func TestSiteSweepSmall(t *testing.T) {
-	p := DefaultSiteSweep().Scale(0.15, 2)
+	p := DefaultSiteSweep()
+	p.Scale(0.15, 2)
 	p.Sites = []int{1, 2, 4}
 	p.Audit = true
 	figs := figures(t, Params{SiteSweep: p}, "sites-throughput", "sites-missed", "consistency-tax")
@@ -43,7 +44,8 @@ func TestSiteSweepSmall(t *testing.T) {
 // counts, so the latency tax of the 2PC policies stays >= 1 within
 // noise.
 func TestSiteSweepBaselineCheaper(t *testing.T) {
-	p := DefaultSiteSweep().Scale(0.15, 2)
+	p := DefaultSiteSweep()
+	p.Scale(0.15, 2)
 	p.Sites = []int{4}
 	tax := figure(t, "consistency-tax", Params{SiteSweep: p})
 	for _, label := range []string{"shard/latency", "quorum/latency"} {

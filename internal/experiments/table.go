@@ -119,13 +119,12 @@ func each[T any](items []T, one func(T) series) []series {
 }
 
 // perProto plots y with one series per named protocol (default: the
-// configured ones); at sets x on the paper-setting cell.
+// paper's C, P and L); at sets x on the paper-setting cell.
 func perProto(y metric, at func(c *singleCell, x float64), protos ...Protocol) func(p *Params) []series {
+	if protos == nil {
+		protos = []Protocol{core.ProtoCeiling, core.ProtoTwoPLPrio, core.ProtoTwoPL}
+	}
 	return func(p *Params) []series {
-		protos := protos
-		if protos == nil {
-			protos = p.Single.Protocols
-		}
 		return each(protos, func(proto Protocol) series {
 			return series{label: string(proto), y: y, cell: func(x float64) cell {
 				c := p.Single.cell(proto, 0)
@@ -140,12 +139,9 @@ func perProto(y metric, at func(c *singleCell, x float64), protos ...Protocol) f
 func size(c *singleCell, x float64) { c.size = int(x) }
 
 // cell is one of the paper's two architectures at a mix and a
-// communication delay in units of CPUPerObj.
+// communication delay in units of the per-object CPU cost.
 func (p DistParams) cell(mode dist.Mode, mix, delayUnits float64) distCell {
-	return distCell{
-		base:    base{p.Runs, p.BaseSeed, p.Audit, p.Count, p.CPUPerObj, p.MeanInterarrival, p.SlackMin, p.SlackMax},
-		objects: p.DBSize, meanSize: p.MeanSize, mode: mode, sites: p.Sites, mix: mix,
-		delay: sim.Duration(delayUnits * float64(p.CPUPerObj))}
+	return distCell{Schedule: p.Schedule, mode: mode, mix: mix, delay: delayUnits}
 }
 
 // fig4Delays thins the delay axis for Figure 4's per-delay series to the
@@ -165,13 +161,12 @@ func (p DistParams) missFloor(global, local float64) float64 {
 	return math.Max(global, floor) / math.Max(local, floor)
 }
 
-// cell is the family's cell: a placement policy at a site count. An
-// unknown policy maps to the zero mode, which the cluster rejects.
+// cell is the family's cell: a placement policy at a site count, over
+// 240 objects at a delay of 2 units (20ms). An unknown policy maps to
+// the zero mode, which the cluster rejects.
 func (p SiteSweepParams) cell(pol place.Policy, sites int) distCell {
 	mode, _ := dist.ModeFor(false, pol)
-	c := distCell{
-		base:    base{p.Runs, p.BaseSeed, p.Audit, p.Count, p.CPUPerObj, p.MeanInterarrival, p.SlackMin, p.SlackMax},
-		objects: p.DBSize, meanSize: p.MeanSize, mode: mode, sites: sites, delay: p.CommDelay, mix: p.ReadOnlyFrac}
+	c := distCell{Schedule: p.Schedule, objects: 240, mode: mode, sites: sites, delay: 2, mix: p.ReadOnlyFrac}
 	if !mode.LocalWriteSets() {
 		c.locality = p.LocalityProb
 	}
@@ -470,10 +465,8 @@ var table = []row{
 			q := p.Faults
 			for _, mode := range []dist.Mode{dist.Global, dist.Local} {
 				at := func(sev float64) cell {
-					return distCell{
-						base:    base{q.Runs, q.BaseSeed, q.Audit, q.Count, q.CPUPerObj, q.MeanInterarrival, q.SlackMin, q.SlackMax},
-						objects: q.DBSize, meanSize: q.MeanSize, mode: mode, sites: q.Sites,
-						delay: 2 * q.CPUPerObj, mix: q.ReadOnlyFrac, faults: true, severity: sev}
+					return distCell{Schedule: q.Schedule, mode: mode, sites: q.Sites, delay: 2, mix: 0.5,
+						faults: true, severity: sev}
 				}
 				out = append(out, series{label: mode.String(), y: missed, cell: at},
 					series{label: mode.String() + ",%msgs lost", y: lostPct, cell: at})

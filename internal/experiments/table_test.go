@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"rtlock/internal/sim"
 )
 
 func TestTableNamesUnique(t *testing.T) {
@@ -30,7 +28,10 @@ func TestTableNamesUnique(t *testing.T) {
 // cell.
 func scaledParams() Params {
 	p := DefaultParams()
-	return Params{p.Single.Scale(0.1, 1), p.Dist.Scale(0.1, 1), p.SiteSweep.Scale(0.1, 1), p.Faults.Scale(0.1, 1)}
+	for _, s := range []*Schedule{&p.Single.Schedule, &p.Dist.Schedule, &p.SiteSweep.Schedule, &p.Faults.Schedule} {
+		s.Scale(0.1, 1)
+	}
+	return p
 }
 
 // TestEveryRowRuns evaluates the whole table at a tenth of the run
@@ -71,12 +72,13 @@ func cellsOf(t *testing.T, p Params, names ...string) map[cell][]*Result {
 // approaches over its thinned delay axis and nothing that only fig5 (the
 // large delays) or fig6 (delay 8 across the mixes) plots.
 func TestFigureAloneRunsOnlyItsCells(t *testing.T) {
-	p := Params{Dist: DefaultDistributed().Scale(0.1, 1)}
+	p := Params{Dist: DefaultDistributed()}
+	p.Dist.Scale(0.1, 1)
 	alone := cellsOf(t, p, "fig4")
 	if want := 2 * len(p.Dist.fig4Delays()) * len(p.Dist.Mixes); len(alone) != want {
 		t.Fatalf("fig4 alone ran %d cells, want %d", len(alone), want)
 	}
-	maxDelay := sim.Duration(p.Dist.fig4Delays()[3] * float64(p.Dist.CPUPerObj))
+	maxDelay := p.Dist.fig4Delays()[3]
 	for c := range alone {
 		if d := c.(distCell).delay; d > maxDelay {
 			t.Errorf("fig4 alone ran %+v, beyond its delay axis", c)

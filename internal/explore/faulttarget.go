@@ -19,6 +19,12 @@ import (
 // the chooser, so pooling never affects outcomes.
 var spacePool = sync.Pool{New: func() any { return new(faults.SpaceInjector) }}
 
+// The generated cluster exploration load (see FaultOpts).
+const (
+	clusterCount    = 10
+	clusterMeanSize = 3
+)
+
 // FaultOpts configures a cluster exploration target. Under FaultTarget
 // the schedule tree includes failure decisions — site crashes,
 // per-message drop/duplicate fates, and partition cuts — in addition to
@@ -35,15 +41,12 @@ type FaultOpts struct {
 	Placement place.Policy
 	// Seed drives the workload stream (default 1).
 	Seed int64
-	// Sites, Count, DBSize, MeanSize, CommDelay, CPUPerObj, and
-	// ReadOnlyFrac shape the cluster and workload.
-	Sites        int
-	Count        int
-	DBSize       int
-	MeanSize     int
-	CommDelay    sim.Duration
-	CPUPerObj    sim.Duration
-	ReadOnlyFrac float64
+	// Sites, DBSize, CommDelay and CPUPerObj shape the cluster; the
+	// generated load is ten update transactions of mean size three.
+	Sites     int
+	DBSize    int
+	CommDelay sim.Duration
+	CPUPerObj sim.Duration
 	// Space bounds the failure decisions surfaced to the chooser. Zero
 	// takes a calibrated default sized to the exploration workload:
 	// crash decisions every 25ms across the arrival window, 80ms
@@ -89,14 +92,8 @@ func clusterTarget(o FaultOpts, armed bool) (Target, error) {
 	if o.Sites <= 0 {
 		o.Sites = 3
 	}
-	if o.Count <= 0 {
-		o.Count = 10
-	}
 	if o.DBSize <= 0 {
 		o.DBSize = defaultDBSize
-	}
-	if o.MeanSize <= 0 {
-		o.MeanSize = 3
 	}
 	if o.CommDelay <= 0 {
 		o.CommDelay = 10 * sim.Millisecond
@@ -137,10 +134,9 @@ func clusterTarget(o FaultOpts, armed bool) (Target, error) {
 		load, err = workload.Generate(workload.Params{
 			Seed:             o.Seed,
 			Catalog:          layout.Catalog,
-			Count:            o.Count,
+			Count:            clusterCount,
 			MeanInterarrival: 30 * sim.Millisecond,
-			MeanSize:         o.MeanSize,
-			ReadOnlyFrac:     o.ReadOnlyFrac,
+			MeanSize:         clusterMeanSize,
 			PerObjCost:       o.CPUPerObj,
 			SlackMin:         4,
 			SlackMax:         8,
@@ -150,8 +146,8 @@ func clusterTarget(o FaultOpts, armed bool) (Target, error) {
 			return Target{}, err
 		}
 	}
-	key := fmt.Sprintf("explore/%s/%s/sites=%d/db=%d/count=%d/size=%d/ro=%g",
-		kind, mode, o.Sites, o.DBSize, len(load), o.MeanSize, o.ReadOnlyFrac)
+	key := fmt.Sprintf("explore/%s/%s/sites=%d/db=%d/count=%d/size=%d/ro=0",
+		kind, mode, o.Sites, o.DBSize, len(load), clusterMeanSize)
 	// run executes one schedule: under the chooser (plan == nil), which
 	// on an armed target also drives the fault space, or under a fixed
 	// replayed plan (ch == nil). Both paths share the journal key and

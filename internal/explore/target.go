@@ -31,9 +31,10 @@ func getJournal(seed int64, config string) *journal.Journal {
 
 func putJournal(j *journal.Journal) { journalPool.Put(j) }
 
-// Exploration workloads default to small, high-contention runs: the
-// engine executes hundreds of full simulations per exploration, and
-// contention — not load volume — is what makes decision points matter.
+// Exploration workloads are small, high-contention runs (a cluster's
+// shape is FaultOpts' to change): the engine executes hundreds of full
+// simulations per exploration, and contention — not load volume — is
+// what makes decision points matter.
 // The read-only fraction matters most: shared read locks are what make
 // one release wake several waiters on the same tick, and those group
 // wakes are the densest ChooseEvent sites in a single-site run.
@@ -61,17 +62,6 @@ type SingleSiteOpts struct {
 	Discipline sim.Discipline
 	// Seed drives the workload stream (default 1).
 	Seed int64
-	// Count, DBSize, MeanSize, CPUPerObj, IOPerObj, MeanInterarrival,
-	// and ReadOnlyFrac shape the workload (exploration-sized defaults).
-	// ReadOnlyFrac zero takes the contention-tuned default; pass a
-	// negative value for a workload with no read-only transactions.
-	Count            int
-	DBSize           int
-	MeanSize         int
-	CPUPerObj        sim.Duration
-	IOPerObj         sim.Duration
-	MeanInterarrival sim.Duration
-	ReadOnlyFrac     float64
 }
 
 // SingleSiteTarget builds the exploration target for one single-site
@@ -88,45 +78,24 @@ func SingleSiteTarget(o SingleSiteOpts) (Target, error) {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Count <= 0 {
-		o.Count = defaultCount
-	}
-	if o.DBSize <= 0 {
-		o.DBSize = defaultDBSize
-	}
-	if o.MeanSize <= 0 {
-		o.MeanSize = defaultMeanSize
-	}
-	if o.CPUPerObj <= 0 {
-		o.CPUPerObj = defaultCPUPerObj
-	}
-	if o.MeanInterarrival <= 0 {
-		o.MeanInterarrival = defaultInterarr
-	}
-	switch {
-	case o.ReadOnlyFrac == 0:
-		o.ReadOnlyFrac = defaultReadOnly
-	case o.ReadOnlyFrac < 0:
-		o.ReadOnlyFrac = 0
-	}
 	key := fmt.Sprintf("explore/single/%s/db=%d/count=%d/size=%d/ro=%g",
-		o.Proto, o.DBSize, o.Count, o.MeanSize, o.ReadOnlyFrac)
+		o.Proto, defaultDBSize, defaultCount, defaultMeanSize, defaultReadOnly)
 	// The catalog and workload are pure functions of the options, so
 	// they are generated once here and shared read-only by every
 	// schedule execution: the runtime only reads Txn fields (Ops, the
 	// access sets, timing), never mutates them.
-	cat, err := db.NewCatalog(1, o.DBSize)
+	cat, err := db.NewCatalog(1, defaultDBSize)
 	if err != nil {
 		return Target{}, err
 	}
 	load, err := workload.Generate(workload.Params{
 		Seed:             o.Seed,
 		Catalog:          cat,
-		Count:            o.Count,
-		MeanInterarrival: o.MeanInterarrival,
-		MeanSize:         o.MeanSize,
-		ReadOnlyFrac:     o.ReadOnlyFrac,
-		PerObjCost:       o.CPUPerObj + o.IOPerObj,
+		Count:            defaultCount,
+		MeanInterarrival: defaultInterarr,
+		MeanSize:         defaultMeanSize,
+		ReadOnlyFrac:     defaultReadOnly,
+		PerObjCost:       defaultCPUPerObj,
 		SlackMin:         4,
 		SlackMax:         8,
 	})
@@ -139,8 +108,7 @@ func SingleSiteTarget(o SingleSiteOpts) (Target, error) {
 			jrn := getJournal(o.Seed, key)
 			defer putJournal(jrn)
 			sys, err := txn.NewSystem(txn.Config{
-				CPUPerObj:     o.CPUPerObj,
-				IOPerObj:      o.IOPerObj,
+				CPUPerObj:     defaultCPUPerObj,
 				CPUDiscipline: o.Discipline,
 				NewManager:    o.NewManager,
 				Journal:       jrn,

@@ -297,10 +297,14 @@ const (
 // "quorum", "primary").
 func ParsePlacementPolicy(name string) (PlacementPolicy, error) { return place.ParsePolicy(name) }
 
-// SingleSiteParams re-exports the Figures 2–3 experiment configuration.
+// SingleSiteParams re-exports the Figures 2–3 experiment configuration:
+// the run schedule (Count, Runs, BaseSeed, Audit) and the swept sizes.
+// The system and the load are SingleSiteConfig's defaults.
 type SingleSiteParams = experiments.SingleSiteParams
 
-// DistParams re-exports the Figures 4–6 experiment configuration.
+// DistParams re-exports the Figures 4–6 experiment configuration: the
+// run schedule and the swept mixes and delays. The system and the load
+// are DistributedConfig's defaults.
 type DistParams = experiments.DistParams
 
 // DefaultSingleSiteParams returns the calibrated single-site experiment
@@ -312,7 +316,9 @@ func DefaultSingleSiteParams() SingleSiteParams { return experiments.DefaultSing
 func DefaultDistParams() DistParams { return experiments.DefaultDistributed() }
 
 // SiteSweepParams re-exports the placement site-count sweep
-// configuration.
+// configuration: the run schedule, the swept site counts and policies,
+// and the locality, mix and quorum sizes the sitesweep command sets.
+// Everything else is DistributedConfig's defaults over 240 objects.
 type SiteSweepParams = experiments.SiteSweepParams
 
 // DefaultSiteSweepParams returns the calibrated site-sweep

@@ -149,9 +149,11 @@ func TestReproduceAllScaled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full reproduction sweep")
 	}
-	sp := DefaultSingleSiteParams().Scale(0.15, 1)
+	sp := DefaultSingleSiteParams()
+	sp.Scale(0.15, 1)
 	sp.Sizes = []int{6, 20}
-	dp := DefaultDistParams().Scale(0.2, 1)
+	dp := DefaultDistParams()
+	dp.Scale(0.2, 1)
 	dp.Mixes = []float64{0, 1}
 	dp.DelayUnits = []float64{0, 8}
 	dp.Fig6Delays = []float64{8}
