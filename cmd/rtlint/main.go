@@ -3,16 +3,14 @@
 //
 // Usage:
 //
-//	go run ./cmd/rtlint [-json] [-tests] [-list] [-escapes] [packages...]
+//	go run ./cmd/rtlint [-json] [-list] [packages...]
 //
 // Patterns follow the usual Go shapes ("./...", "./internal/sim");
-// packages outside the simulation-critical set are skipped. By default
-// rtlint also runs the compiler's escape analysis (go build
-// -gcflags=-m=2) so the allocfree analyzer can enforce
-// //rtlint:allocfree annotations; -escapes=false skips the compile (and
-// leaves allocfree dormant). The exit status is 0 when no findings
-// remain after //rtlint:allow suppressions, 1 when findings (or
-// malformed/stale suppressions) exist, and 2 on usage or load errors.
+// packages outside the simulation-critical set are skipped, and a
+// pattern that matches no package is a load error. The exit status is 0
+// when no findings remain after //rtlint:allow suppressions, 1 when
+// findings (or malformed/stale suppressions) exist, and 2 on usage or
+// load errors.
 package main
 
 import (
@@ -31,9 +29,7 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("rtlint", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array for CI annotation")
-	tests := fs.Bool("tests", false, "also analyze the packages' own _test.go files")
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	escapes := fs.Bool("escapes", true, "run compiler escape analysis so allocfree annotations are enforced")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -53,17 +49,7 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "rtlint:", err)
 		return 2
 	}
-	cfg := lint.DefaultConfig()
-	cfg.IncludeTests = *tests
-	if *escapes {
-		rep, err := lint.CollectEscapes(modRoot, []string{"./..."})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtlint:", err)
-			return 2
-		}
-		cfg.Escapes = rep
-	}
-	diags, err := lint.Run(modRoot, patterns, cfg)
+	diags, err := lint.Run(modRoot, patterns, lint.DefaultConfig())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rtlint:", err)
 		return 2

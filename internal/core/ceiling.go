@@ -200,11 +200,9 @@ func (m *Ceiling) recomputeCeil(obj ObjectID) {
 }
 
 // Acquire implements Manager.
-//
-//rtlint:allocfree
 func (m *Ceiling) Acquire(p *sim.Proc, tx *TxState, obj ObjectID, mode Mode) error {
 	if _, ok := m.registered[tx]; !ok {
-		return fmt.Errorf("pcp: transaction %d acquired before Register", tx.ID) //rtlint:allow allocfree misuse-error path: boxing tx.ID for fmt never runs in a correct simulation
+		return fmt.Errorf("pcp: transaction %d acquired before Register", tx.ID)
 	}
 	if m.exclusive {
 		mode = Write
@@ -218,7 +216,7 @@ func (m *Ceiling) Acquire(p *sim.Proc, tx *TxState, obj ObjectID, mode Mode) err
 		m.grant(tx, obj, mode)
 		return nil
 	}
-	w := m.newWaiter(tx, obj, mode, nil) //rtlint:allow allocfree inlined pool-miss &lockWaiter literal from newWaiter's growth path
+	w := m.newWaiter(tx, obj, mode, nil)
 	m.blocked = append(m.blocked, w)
 	blamed := m.blameFor(tx, obj, mode)
 	ceilingBlock := !holdersConflict(m.at(obj), tx, mode)

@@ -77,8 +77,6 @@ type Manager interface {
 // pooled by the transaction system (one per in-flight attempt, recycled
 // via ResetFor), so nothing may retain a *TxState past ReleaseAll +
 // Unregister of the attempt that owns it.
-//
-//rtlint:pooled
 type TxState struct {
 	// ID is unique per run and breaks priority ties.
 	ID int64

@@ -14,8 +14,6 @@ type lockHolder struct {
 // slice (every consumer either reduces them to a boolean or sorts by
 // transaction id). Entries are pooled on the lockTable, which makes the
 // create/drop churn of short lock lifetimes allocation-free.
-//
-//rtlint:pooled
 type lockEntry struct {
 	obj     ObjectID
 	holders []lockHolder
@@ -83,8 +81,6 @@ func holdersConflict(e *lockEntry, tx *TxState, mode Mode) bool {
 // closure, so a blocking episode allocates nothing after warm-up. The
 // entry pointer (lock-table family only) stays valid for the waiter's
 // whole life because entries are recycled only once their queue is empty.
-//
-//rtlint:pooled
 type lockWaiter struct {
 	tx    *TxState
 	obj   ObjectID
@@ -170,8 +166,6 @@ func (t *lockTable) locked() []*lockEntry { return t.pool[:t.live] }
 func (t *lockTable) LockedObjects() int { return t.live }
 
 // get returns obj's entry, creating (from the pool) when absent.
-//
-//rtlint:allocfree
 func (t *lockTable) get(obj ObjectID) *lockEntry {
 	for int(obj) >= len(t.entries) {
 		t.entries = append(t.entries, nil)
@@ -179,7 +173,7 @@ func (t *lockTable) get(obj ObjectID) *lockEntry {
 	e := t.entries[obj]
 	if e == nil {
 		if t.live == len(t.pool) {
-			t.pool = append(t.pool, &lockEntry{}) //rtlint:allow allocfree pool-miss growth path: one entry per high-water-mark of simultaneously locked objects
+			t.pool = append(t.pool, &lockEntry{})
 		}
 		e = t.pool[t.live]
 		e.obj, e.poolIdx = obj, t.live
@@ -191,8 +185,6 @@ func (t *lockTable) get(obj ObjectID) *lockEntry {
 
 // drop recycles an entry that has no holders and no waiters, which is
 // all the reset an entry needs: it trades places with the last live one.
-//
-//rtlint:allocfree
 func (t *lockTable) drop(e *lockEntry) {
 	t.entries[e.obj] = nil
 	t.live--
@@ -225,8 +217,6 @@ func (t *lockTable) conflicting(e *lockEntry, tx *TxState, mode Mode) []*TxState
 
 // newWaiter hands out a pooled waiter for tx's request, stamped with the
 // next arrival number.
-//
-//rtlint:allocfree
 func (t *lockTable) newWaiter(tx *TxState, obj ObjectID, mode Mode, e *lockEntry) *lockWaiter {
 	var w *lockWaiter
 	if n := len(t.freeWaiters); n > 0 {
@@ -234,7 +224,7 @@ func (t *lockTable) newWaiter(tx *TxState, obj ObjectID, mode Mode, e *lockEntry
 		t.freeWaiters[n-1] = nil
 		t.freeWaiters = t.freeWaiters[:n-1]
 	} else {
-		w = &lockWaiter{owner: t.owner} //rtlint:allow allocfree pool-miss growth path: one waiter per high-water-mark, amortized to zero in steady state
+		w = &lockWaiter{owner: t.owner}
 	}
 	t.seq++
 	w.tx, w.obj, w.mode, w.seq, w.e = tx, obj, mode, t.seq, e
@@ -244,11 +234,9 @@ func (t *lockTable) newWaiter(tx *TxState, obj ObjectID, mode Mode, e *lockEntry
 // block publishes w's wait on the blamed transactions: the block record,
 // the blocked-interval clock, inheritance, and the hook that detaches w
 // if the wait is cancelled.
-//
-//rtlint:allocfree
 func (t *lockTable) block(w *lockWaiter, blamed []*TxState, ceiling bool) {
 	t.pr.emitBlock(t.k, t.jsite, w.tx, w.obj, blamed, ceiling)
-	w.tx.noteBlocked(t.k.Now(), blamed) //rtlint:allow allocfree inlined lazy BlockedBy map, allocated once per TxState on its first block
+	w.tx.noteBlocked(t.k.Now(), blamed)
 	if t.graph != nil {
 		t.graph.setBlame(w.tx, blamed)
 	}
@@ -256,8 +244,6 @@ func (t *lockTable) block(w *lockWaiter, blamed []*TxState, ceiling bool) {
 }
 
 // wait parks p until w is granted or cancelled, then recycles w.
-//
-//rtlint:allocfree
 func (t *lockTable) wait(p *sim.Proc, w *lockWaiter) error {
 	err := p.Park(&w.tok)
 	t.pr.observeUnblocked(t.k, w.tx)

@@ -102,20 +102,18 @@ func (m *TwoPL) Register(tx *TxState) {}
 func (m *TwoPL) Unregister(tx *TxState) {}
 
 // Acquire implements Manager.
-//
-//rtlint:allocfree
 func (m *TwoPL) Acquire(p *sim.Proc, tx *TxState, obj ObjectID, mode Mode) error {
 	m.pr.emitRequest(m.k, 0, tx, obj, mode)
 	if held, ok := tx.Holds(obj); ok && (held == Write || mode == Read) {
 		m.pr.emitGrant(m.k, 0, tx, obj, mode)
 		return nil
 	}
-	e := m.get(obj) //rtlint:allow allocfree inlined pool-miss &lockEntry literal from get's growth path
+	e := m.get(obj)
 	if m.admissible(e, tx, mode) {
 		m.hold(e, tx, mode)
 		return nil
 	}
-	w := m.newWaiter(tx, obj, mode, e) //rtlint:allow allocfree inlined pool-miss &lockWaiter literal from newWaiter's growth path
+	w := m.newWaiter(tx, obj, mode, e)
 	// Blame is fixed before any wound unwinds: a wounded holder's own
 	// canceled wait can hand obj to queued readers on the spot. (That
 	// hand-off re-blames nobody — the wounding rows do not inherit — so
@@ -184,8 +182,6 @@ func (m *TwoPL) applyWound(tx *TxState, conflicts []*TxState) {
 }
 
 // ReleaseAll implements Manager.
-//
-//rtlint:allocfree
 func (m *TwoPL) ReleaseAll(tx *TxState) {
 	if len(tx.held) == 0 {
 		return

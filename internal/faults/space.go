@@ -47,8 +47,6 @@ type Space struct {
 // section retrievable with ChosenPlan — the exact, replayable failure
 // schedule this run suffered. It is recycled across exploration runs
 // via Reset.
-//
-//rtlint:pooled
 type SpaceInjector struct {
 	space Space
 	k     *sim.Kernel

@@ -402,8 +402,6 @@ func (j *Journal) Reset(seed int64, config string) {
 // the journal discards, into cur, and hands it to every observer. It is
 // safe to call on a nil journal (a no-op), so emission sites need no
 // nil checks.
-//
-//rtlint:allocfree
 func (j *Journal) Append(at int64, kind Kind, site int32, tx int64, obj int32, a, b int64, note string) {
 	if j == nil {
 		return
@@ -453,8 +451,6 @@ const binaryMagic = "RTJ1"
 // the (seed, config hash, record count) key, then each record as
 // varint-packed fields. The encoding is byte-stable: the same record
 // sequence always produces the same bytes.
-//
-//rtlint:allocfree
 func (j *Journal) EncodeBinary(w io.Writer) error {
 	j.encBuf = j.appendBinary(j.encBuf[:0])
 	_, err := w.Write(j.encBuf)
@@ -463,8 +459,6 @@ func (j *Journal) EncodeBinary(w io.Writer) error {
 
 // appendBinary appends the canonical binary encoding to buf, reusing
 // buf's capacity.
-//
-//rtlint:allocfree
 func (j *Journal) appendBinary(buf []byte) []byte {
 	buf = append(buf, binaryMagic...)
 	buf = binary.AppendVarint(buf, j.Seed())

@@ -24,26 +24,12 @@ type Directive struct {
 
 // Directive parse errors, matched by tests.
 var (
-	ErrDirectiveVerb     = errors.New("unknown rtlint directive verb (supported: allow, pooled, allocfree, pure=journal)")
+	ErrDirectiveVerb     = errors.New("unknown rtlint directive verb (supported: allow)")
 	ErrDirectiveAnalyzer = errors.New("rtlint:allow needs an analyzer name")
 	ErrDirectiveBadName  = errors.New("rtlint:allow analyzer name must be lowercase letters and digits")
 	ErrDirectiveReason   = errors.New("rtlint:allow needs a reason after the analyzer name")
 	ErrDirectiveSpace    = errors.New("rtlint directives must start exactly with //rtlint: (no space, no block comment)")
 )
-
-// Marker parse errors.
-var (
-	ErrMarkerArgs   = errors.New("rtlint marker takes no arguments")
-	ErrMarkerDomain = errors.New("rtlint:pure only supports the \"journal\" domain (//rtlint:pure=journal)")
-)
-
-// markerVerb reports whether verb names a marker directive (an
-// annotation that tags a declaration for an analyzer, as opposed to an
-// //rtlint:allow suppression).
-func markerVerb(verb string) bool {
-	return verb == "pooled" || verb == "allocfree" ||
-		verb == "pure" || strings.HasPrefix(verb, "pure=")
-}
 
 // ParseDirective parses one comment's text (including the // or /*
 // marker, as go/ast stores it). It returns ok=false when the comment is
@@ -72,12 +58,6 @@ func ParseDirective(text string) (Directive, bool, error) {
 		rest = ""
 	}
 	if verb != "allow" {
-		if markerVerb(verb) {
-			// Marker directives (//rtlint:pooled, //rtlint:allocfree,
-			// //rtlint:pure=journal) are parsed by ParseMarker; they are
-			// not suppressions.
-			return Directive{}, false, nil
-		}
 		return Directive{}, true, fmt.Errorf("%w: %q", ErrDirectiveVerb, verb)
 	}
 	fields := strings.Fields(rest)

@@ -100,26 +100,11 @@ func splitQuoted(t *testing.T, pos token.Position, s string) []string {
 // meta-analyzer), and compares against the // want comments.
 func checkFixture(t *testing.T, name string, analyzers []*Analyzer, cfg Config) {
 	t.Helper()
-	checkFixtureWith(t, name, analyzers, cfg, nil)
-}
-
-// checkFixtureWith is checkFixture plus a prep hook that can adjust the
-// config once the fixture package is loaded (e.g. to synthesize an
-// escape report at the fixture's own positions). The resolver is wired
-// from the fixture's loader, mirroring what Run does for real packages.
-func checkFixtureWith(t *testing.T, name string, analyzers []*Analyzer, cfg Config, prep func(*Package, *Config)) {
-	t.Helper()
 	l := fixtureLoader(t)
 	dir := filepath.Join("testdata", "src", name)
 	pkg, err := l.LoadDir(dir, "fixture/"+name)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
-	}
-	if cfg.Resolve == nil {
-		cfg.Resolve = NewResolver(l)
-	}
-	if prep != nil {
-		prep(pkg, &cfg)
 	}
 	diags, err := Analyze(pkg, analyzers, cfg)
 	if err != nil {
@@ -185,41 +170,6 @@ func TestFloatRangeFixture(t *testing.T) {
 
 func TestDirectiveFixture(t *testing.T) {
 	checkFixture(t, "directive", Analyzers(), DefaultConfig())
-}
-
-func TestPoolSafetyFixture(t *testing.T) {
-	checkFixture(t, "poolsafety", []*Analyzer{PoolSafety}, DefaultConfig())
-}
-
-func TestJournalPurityFixture(t *testing.T) {
-	checkFixture(t, "journalpurity", []*Analyzer{JournalPurity}, DefaultConfig())
-}
-
-func TestAllocFreeFixture(t *testing.T) {
-	checkFixtureWith(t, "allocfree", []*Analyzer{AllocFree}, DefaultConfig(),
-		func(pkg *Package, cfg *Config) {
-			cfg.Escapes = fixtureEscapes(pkg)
-		})
-}
-
-// fixtureEscapes synthesizes an EscapeReport from "/* escape: msg */"
-// comments, each standing in for a -gcflags=-m=2 diagnostic at its line.
-func fixtureEscapes(pkg *Package) *EscapeReport {
-	var diags []EscapeDiag
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(c.Text, "/*"), "*/"))
-				msg, ok := strings.CutPrefix(text, "escape: ")
-				if !ok {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				diags = append(diags, EscapeDiag{File: pos.Filename, Line: pos.Line, Col: pos.Column, Message: msg})
-			}
-		}
-	}
-	return NewEscapeReport(diags)
 }
 
 // TestAnalyzersHaveDocs keeps the -list output and DESIGN.md honest.

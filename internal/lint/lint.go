@@ -1,13 +1,16 @@
 // Package lint is a determinism-preserving static-analysis suite for the
 // simulation. The prototyping environment is only useful because its
-// executions are repeatable; PR 1 made that checkable at runtime with the
-// replay journal and the protocol auditors, but the two map-iteration
-// shutdown bugs it caught were found only because a shuffled interleaving
+// executions are repeatable; the replay journal and the protocol
+// auditors check that at runtime, but the two map-iteration shutdown
+// bugs they caught were found only because a shuffled interleaving
 // happened to trigger them. The whole bug class — unordered map ranges,
-// wall-clock reads, unseeded global randomness, goroutines spawned outside
-// the kernel baton protocol, racy selects, order-dependent float accumulation —
-// is statically detectable, and this package detects it at compile time so
-// every performance PR is gated on determinism before a single test runs.
+// wall-clock reads, unseeded global randomness, goroutines spawned
+// outside the kernel baton protocol, racy selects, order-dependent float
+// accumulation — is statically detectable, and the six analyzers here
+// detect it at compile time, before a single test runs. Pool lifecycles,
+// steady-state allocation and journal purity are not checked here: the
+// runtime gates DESIGN.md lists under "Hot-path and purity gates" fail
+// on them.
 //
 // The design mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) but is built on the standard library alone: go/parser,
@@ -51,9 +54,6 @@ type Pass struct {
 	// Config carries runner-level policy (e.g. the raw-go spawn-site
 	// allowlist) that some analyzers consult.
 	Config Config
-	// Markers holds the package's parsed //rtlint:pooled, allocfree,
-	// and pure= annotations.
-	Markers *pkgMarkers
 
 	report func(Diagnostic)
 }
@@ -65,21 +65,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Position: p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ReportAt records a finding at an externally supplied position (e.g. a
-// compiler diagnostic that has no token.Pos in this FileSet).
-func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
-	p.report(Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Position: pos,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// positionOf converts a compiler escape diagnostic to a position.
-func positionOf(e EscapeDiag) token.Position {
-	return token.Position{Filename: e.File, Line: e.Line, Column: e.Col}
 }
 
 // Diagnostic is one positioned finding.
@@ -99,22 +84,6 @@ type Config struct {
 	// which `go` statements are legal. The defaults are the kernel's
 	// worker start site and the parallel experiment runner.
 	GoSpawnAllowlist []string
-	// IncludeTests also analyzes _test.go files of the package itself
-	// (external _test packages are never analyzed).
-	IncludeTests bool
-	// Escapes carries the compiler's -gcflags=-m=2 heap-escape
-	// diagnostics for the allocfree analyzer. When nil the analyzer is
-	// dormant and its //rtlint:allow directives are exempt from
-	// staleness (source-only runs cannot tell whether they still mask
-	// anything).
-	Escapes *EscapeReport
-	// Resolve gives analyzers whole-module context (cross-package call
-	// summaries, imported //rtlint:pooled markers). Run and the fixture
-	// harness wire one automatically.
-	Resolve *Resolver
-	// JournalPurePkgs lists import-path suffixes that are journal-pure
-	// by policy, in addition to packages tagged //rtlint:pure=journal.
-	JournalPurePkgs []string
 }
 
 // DefaultGoSpawnAllowlist names the only files where a raw `go`
@@ -131,10 +100,7 @@ var DefaultGoSpawnAllowlist = []string{
 
 // DefaultConfig returns the policy rtlint ships with.
 func DefaultConfig() Config {
-	return Config{
-		GoSpawnAllowlist: DefaultGoSpawnAllowlist,
-		JournalPurePkgs:  DefaultJournalPurePkgs,
-	}
+	return Config{GoSpawnAllowlist: DefaultGoSpawnAllowlist}
 }
 
 // Analyzers returns the full determinism suite, in stable order. The
@@ -149,9 +115,6 @@ func Analyzers() []*Analyzer {
 		RawGo,
 		SelectOrder,
 		FloatRange,
-		PoolSafety,
-		AllocFree,
-		JournalPurity,
 	}
 }
 

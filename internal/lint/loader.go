@@ -34,10 +34,9 @@ type Package struct {
 // library) goes through go/importer's source importer, so no compiled
 // export data or external tooling is needed.
 type Loader struct {
-	Fset         *token.FileSet
-	ModRoot      string
-	ModPath      string
-	IncludeTests bool
+	Fset    *token.FileSet
+	ModRoot string
+	ModPath string
 
 	std  types.ImporterFrom
 	pkgs map[string]*Package
@@ -139,7 +138,7 @@ func (l *Loader) LoadDir(dir, displayPath string) (*Package, error) {
 }
 
 func (l *Loader) loadDir(dir, path string) (*Package, error) {
-	names, err := goFilesIn(dir, l.IncludeTests)
+	names, err := goFilesIn(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -186,8 +185,8 @@ func (l *Loader) loadDir(dir, path string) (*Package, error) {
 	return &Package{Path: path, Fset: l.Fset, Dir: dir, Files: files, Types: tpkg, Info: info}, nil
 }
 
-// goFilesIn lists the buildable Go files of a directory in sorted order.
-func goFilesIn(dir string, includeTests bool) ([]string, error) {
+// goFilesIn lists the non-test Go files of a directory in sorted order.
+func goFilesIn(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -195,10 +194,8 @@ func goFilesIn(dir string, includeTests bool) ([]string, error) {
 	var names []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		if !includeTests && strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") ||
+			strings.HasPrefix(name, "_") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		names = append(names, name)
@@ -208,37 +205,37 @@ func goFilesIn(dir string, includeTests bool) ([]string, error) {
 }
 
 // Expand resolves command-line patterns ("./...", "./internal/sim",
-// "rtlock/internal/core") to in-module import paths, sorted.
+// "rtlock/internal/core") to in-module import paths, sorted. A pattern
+// that matches no directory holding Go files is an error, so a typo
+// cannot pass as a clean run.
 func (l *Loader) Expand(patterns []string) ([]string, error) {
 	seen := make(map[string]bool)
 	var out []string
-	add := func(p string) {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
 	for _, pat := range patterns {
+		var paths []string
+		var err error
 		switch {
 		case pat == "./..." || pat == "...":
-			paths, err := l.walkPackages(l.ModRoot)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range paths {
-				add(p)
-			}
+			paths, err = l.walkPackages(l.ModRoot)
 		case strings.HasSuffix(pat, "/..."):
-			root := l.dirFor(l.pathForPattern(strings.TrimSuffix(pat, "/...")))
-			paths, err := l.walkPackages(root)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range paths {
-				add(p)
-			}
+			paths, err = l.walkPackages(l.dirFor(l.pathForPattern(strings.TrimSuffix(pat, "/..."))))
 		default:
-			add(l.pathForPattern(pat))
+			path := l.pathForPattern(pat)
+			if names, _ := goFilesIn(l.dirFor(path)); len(names) > 0 {
+				paths = []string{path}
+			}
+		}
+		if err == nil && len(paths) == 0 {
+			err = fmt.Errorf("lint: pattern %q matches no package", pat)
+		}
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range paths {
+			if !seen[p] {
+				seen[p] = true
+				out = append(out, p)
+			}
 		}
 	}
 	sort.Strings(out)
@@ -275,7 +272,7 @@ func (l *Loader) walkPackages(root string) ([]string, error) {
 			name == "testdata" || name == "vendor" || name == "results") {
 			return filepath.SkipDir
 		}
-		files, err := goFilesIn(p, false)
+		files, err := goFilesIn(p)
 		if err != nil {
 			return err
 		}

@@ -20,7 +20,6 @@ const MetaAnalyzerName = "directive"
 // about the directives themselves. Diagnostics come back sorted by
 // position.
 func Analyze(pkg *Package, analyzers []*Analyzer, cfg Config) ([]Diagnostic, error) {
-	markers := collectMarkers(pkg)
 	var raw []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -30,7 +29,6 @@ func Analyze(pkg *Package, analyzers []*Analyzer, cfg Config) ([]Diagnostic, err
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
 			Config:   cfg,
-			Markers:  markers,
 			report:   func(d Diagnostic) { raw = append(raw, d) },
 		}
 		if err := a.Run(pass); err != nil {
@@ -41,7 +39,6 @@ func Analyze(pkg *Package, analyzers []*Analyzer, cfg Config) ([]Diagnostic, err
 	known := KnownAnalyzers()
 	var directives []*Directive
 	var meta []Diagnostic
-	meta = append(meta, markers.meta...)
 	for _, f := range pkg.Files {
 		ds, malformed := fileDirectives(pkg.Fset, f)
 		directives = append(directives, ds...)
@@ -59,11 +56,6 @@ func Analyze(pkg *Package, analyzers []*Analyzer, cfg Config) ([]Diagnostic, err
 				Message:  msg,
 			})
 			d.used = true // don't double-report as stale
-		}
-		// allocfree findings exist only when escape data is present; a
-		// source-only run cannot judge these suppressions stale.
-		if cfg.Escapes == nil && d.Analyzer == AllocFree.Name {
-			d.used = true
 		}
 	}
 
@@ -110,10 +102,6 @@ func Run(modRoot string, patterns []string, cfg Config) ([]Diagnostic, error) {
 	loader, err := NewLoader(modRoot)
 	if err != nil {
 		return nil, err
-	}
-	loader.IncludeTests = cfg.IncludeTests
-	if cfg.Resolve == nil {
-		cfg.Resolve = NewResolver(loader)
 	}
 	paths, err := loader.Expand(patterns)
 	if err != nil {

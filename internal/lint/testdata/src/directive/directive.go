@@ -79,10 +79,10 @@ func nearMiss(m map[int64]int64) {
 	}
 }
 
-// A marker in a statement position is inert; flag it so the reader is
-// not misled into thinking the type below is pool-checked.
-func misplacedMarker() {
-	/* want "misplaced marker: //rtlint:pooled" */ //rtlint:pooled
+// rtlint has no marker directives; a leftover one is an unknown verb,
+// so no reader takes the type below for checked.
+func leftoverMarker() {
+	/* want "unknown rtlint directive verb" */ //rtlint:pooled
 	type local struct{ n int }
 	_ = local{}
 }

@@ -60,16 +60,6 @@ func isMapRange(info *types.Info, rs *ast.RangeStmt) bool {
 	return isMap
 }
 
-// identObj resolves an expression to the object of a plain identifier,
-// or nil.
-func identObj(info *types.Info, e ast.Expr) types.Object {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	return info.Uses[id]
-}
-
 // declOrUseObj resolves an identifier whether it is being defined (:=)
 // or used (=).
 func declOrUseObj(info *types.Info, id *ast.Ident) types.Object {

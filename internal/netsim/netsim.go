@@ -119,8 +119,6 @@ type Network struct {
 
 // inflight is one message copy on the wire: the argument of its
 // delivery event, recycled when the event fires.
-//
-//rtlint:pooled
 type inflight struct {
 	n   *Network
 	msg Message
@@ -257,8 +255,6 @@ func (n *Network) Lookup(site db.SiteID) *Server { return n.servers[site] }
 // Inter-site messages pass the fault path: a down endpoint, a cut link,
 // or an injected fault can drop (or duplicate, or delay) the message,
 // each loss journaled as a KMsgDrop record.
-//
-//rtlint:allocfree
 func (n *Network) Send(from, to db.SiteID, port string, payload any) {
 	msg := Message{From: from, To: to, Port: port, Payload: payload, SentAt: n.k.Now()}
 	if from != to {
@@ -301,8 +297,6 @@ func (n *Network) Send(from, to db.SiteID, port string, payload any) {
 // partition state at delivery time: a message in flight toward a site
 // that goes down (or across a link that gets cut) is lost, and the loss
 // is journaled rather than silent.
-//
-//rtlint:allocfree
 func (n *Network) deliverAfter(msg Message, d sim.Duration) {
 	n.mInflight.Add(1)
 	var f *inflight
@@ -311,7 +305,7 @@ func (n *Network) deliverAfter(msg Message, d sim.Duration) {
 		n.freeInflight[i] = nil
 		n.freeInflight = n.freeInflight[:i]
 	} else {
-		f = &inflight{n: n} //rtlint:allow allocfree pool-miss growth path: one record per in-flight high-water mark, amortized to zero in steady state
+		f = &inflight{n: n}
 	}
 	f.msg = msg
 	n.k.AfterCall(d, deliver, f)
@@ -319,8 +313,6 @@ func (n *Network) deliverAfter(msg Message, d sim.Duration) {
 
 // deliver is the static delivery-event handler: it recycles the
 // in-flight record and hands the message to the destination's server.
-//
-//rtlint:allocfree
 func deliver(a any) {
 	f := a.(*inflight)
 	n, msg := f.n, f.msg
@@ -480,8 +472,6 @@ func (s *Server) QueueLen() int { return len(s.queue) }
 // enqueue appends an arrival and, unless one is pending, schedules a
 // drain at the current instant. Later arrivals at the same instant only
 // append: the pending drain delivers them too.
-//
-//rtlint:allocfree
 func (s *Server) enqueue(msg Message) {
 	if s.stopped {
 		s.Dropped++
@@ -499,8 +489,6 @@ func (s *Server) enqueue(msg Message) {
 // canonical order is arrival order (index 0), but any queued message is
 // a legal next delivery since the network guarantees no ordering across
 // senders anyway.
-//
-//rtlint:allocfree
 func drain(a any) {
 	s := a.(*Server)
 	for len(s.queue) > 0 {

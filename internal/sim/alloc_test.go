@@ -3,6 +3,8 @@ package sim
 import (
 	"runtime"
 	"testing"
+
+	"rtlock/internal/journal"
 )
 
 // allocTicker is the self-rescheduling dispatch workload for the
@@ -15,6 +17,7 @@ type allocTicker struct {
 
 func allocTick(arg any) {
 	t := arg.(*allocTicker)
+	t.k.Emit(journal.KOp, 0, 0, int64(t.n), 0, "")
 	if t.n > 0 {
 		t.n--
 		t.k.AfterCall(Millisecond, allocTick, t)
@@ -25,9 +28,13 @@ func allocTick(arg any) {
 // kernel's event fast path: once the event pool is warm, scheduling and
 // dispatching events must not allocate at all. A regression here (a
 // closure sneaking into a hot site, an event escaping its pool) fails
-// the gate before it can show up as a throughput loss.
+// the gate before it can show up as a throughput loss. Each event also
+// emits a record to a journal that keeps none, as audit-only runs do.
 func TestKernelDispatchZeroAlloc(t *testing.T) {
 	k := NewKernel()
+	j := journal.New(1, "alloc-gate")
+	j.Tee(true)
+	k.SetJournal(j, 0)
 	tick := &allocTicker{k: k}
 	run := func() {
 		tick.n = 256

@@ -22,8 +22,6 @@ package sim
 // resumption from Park. The dispatch loop handles these itself (see
 // Kernel.run), because the goroutine that pops one may be the very
 // process it names.
-//
-//rtlint:pooled
 type Event struct {
 	at   Time
 	seq  uint64

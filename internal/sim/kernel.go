@@ -199,8 +199,6 @@ func (k *Kernel) Journal() *journal.Journal { return k.jrn }
 // the current virtual time, tagged with the kernel's site. Subsystems
 // that hold a kernel reference use it instead of tracking the journal
 // themselves.
-//
-//rtlint:allocfree
 func (k *Kernel) Emit(kind journal.Kind, tx int64, obj int32, a, b int64, note string) {
 	k.jrn.Append(int64(k.now), kind, k.jrnSite, tx, obj, a, b, note)
 }
@@ -266,13 +264,11 @@ func (b *SeqBlock) At(t Time, fn func()) EventRef {
 	return b.k.scheduleSeq(t, b.next-1, fn, nil, nil)
 }
 
-//rtlint:allocfree
 func (k *Kernel) schedule(t Time, fn func(), call func(any), arg any) EventRef {
 	k.seq++
 	return k.scheduleSeq(t, k.seq, fn, call, arg)
 }
 
-//rtlint:allocfree
 func (k *Kernel) scheduleSeq(t Time, seq uint64, fn func(), call func(any), arg any) EventRef {
 	if t < k.now {
 		t = k.now
@@ -283,7 +279,7 @@ func (k *Kernel) scheduleSeq(t Time, seq uint64, fn func(), call func(any), arg 
 		k.freeEvents[n-1] = nil
 		k.freeEvents = k.freeEvents[:n-1]
 	} else {
-		e = &Event{} //rtlint:allow allocfree pool-miss growth path: one Event per high-water-mark, amortized to zero in steady state
+		e = &Event{}
 	}
 	e.at = t
 	e.seq = seq
@@ -296,8 +292,6 @@ func (k *Kernel) scheduleSeq(t Time, seq uint64, fn func(), call func(any), arg 
 
 // recycle returns a fired or discarded event to the pool. Bumping the
 // generation first invalidates every outstanding EventRef to it.
-//
-//rtlint:allocfree
 func (k *Kernel) recycle(e *Event) {
 	e.gen++
 	e.fn = nil
@@ -311,8 +305,6 @@ func (k *Kernel) recycle(e *Event) {
 
 // peekEvent returns the earliest pending event without removing it,
 // recycling canceled events as it goes; nil when exhausted.
-//
-//rtlint:allocfree
 func (k *Kernel) peekEvent() *Event {
 	for {
 		e := k.events.min()
@@ -329,8 +321,6 @@ func (k *Kernel) peekEvent() *Event {
 
 // scheduleProc schedules control to move into p at the current time: its
 // start if it has not run yet, otherwise its resumption from Park.
-//
-//rtlint:allocfree
 func (k *Kernel) scheduleProc(p *Proc) {
 	k.schedule(k.now, nil, nil, nil).e.proc = p
 }
@@ -349,8 +339,6 @@ func (k *Kernel) scheduleProc(p *Proc) {
 //
 // The pop is written out here rather than in a function of its own: the
 // extra call costs a plain event a tenth of its 15 ns.
-//
-//rtlint:allocfree
 func (k *Kernel) run() *Proc {
 	for {
 		e := k.events.min()
@@ -393,8 +381,6 @@ func (k *Kernel) run() *Proc {
 // popping the head event e (nil when reached), lets the chooser swap e
 // for a simultaneous event, closes the windows due before its time and
 // advances the clock to it.
-//
-//rtlint:allocfree
 func (k *Kernel) popHooked(e *Event) *Event {
 	if e.at > k.horizon || k.budget == 0 {
 		return nil
@@ -416,8 +402,6 @@ func (k *Kernel) popHooked(e *Event) *Event {
 // if it is parked, an idle worker or a new one if p has not started, or
 // the driver when p is nil. The caller must not touch kernel state
 // afterwards until it is handed the baton back on its own channel.
-//
-//rtlint:allocfree
 func (k *Kernel) passTo(p *Proc) {
 	switch {
 	case p == nil:

@@ -35,8 +35,6 @@ type Proc struct {
 // the awaited condition calls Wake; whoever needs to cancel the wait
 // (deadline aborts, shutdown) calls Cancel, which first runs OnCancel so
 // the resource that enqueued the waiter can remove it.
-//
-//rtlint:pooled
 type Token struct {
 	// OnCancel, if set, detaches the waiter from whatever queue it
 	// sits in. It runs exactly once, before the process is woken with
@@ -77,8 +75,6 @@ func (t *Token) Reset() { *t = Token{} }
 // getToken hands out a reset token from the pool. Only call sites that
 // own the token's full lifecycle (no other holder after Park returns)
 // may pair it with putToken; everyone else allocates a Token normally.
-//
-//rtlint:allocfree
 func (k *Kernel) getToken() *Token {
 	if n := len(k.freeTokens); n > 0 {
 		t := k.freeTokens[n-1]
@@ -86,14 +82,12 @@ func (k *Kernel) getToken() *Token {
 		k.freeTokens = k.freeTokens[:n-1]
 		return t
 	}
-	return &Token{} //rtlint:allow allocfree pool-miss growth path: one Token per high-water-mark, amortized to zero in steady state
+	return &Token{}
 }
 
 // putToken resets and recycles a consumed token. A canceled timer event
 // may still hold the token as its argument, but canceled events are
 // discarded without running, so the stale reference is never followed.
-//
-//rtlint:allocfree
 func (k *Kernel) putToken(t *Token) {
 	*t = Token{}
 	k.freeTokens = append(k.freeTokens, t)
@@ -197,8 +191,6 @@ func panicParkNotRunning(name string) {
 // Park suspends the process until tok is woken or canceled. It returns
 // the error delivered with the wake-up (nil for a normal Wake). Each
 // token may be parked on at most once.
-//
-//rtlint:allocfree
 func (p *Proc) Park(tok *Token) error {
 	if tok.p != nil {
 		panicTokenReuse(p.name)
@@ -231,8 +223,6 @@ func (p *Proc) Park(tok *Token) error {
 }
 
 // parkPush links p at the head of the kernel's parked list.
-//
-//rtlint:allocfree
 func (k *Kernel) parkPush(p *Proc) {
 	p.parkNext = k.parked
 	if k.parked != nil {
@@ -242,8 +232,6 @@ func (k *Kernel) parkPush(p *Proc) {
 }
 
 // parkRemove unlinks p from the kernel's parked list.
-//
-//rtlint:allocfree
 func (k *Kernel) parkRemove(p *Proc) {
 	if p.parkPrev != nil {
 		p.parkPrev.parkNext = p.parkNext
@@ -263,8 +251,6 @@ func (k *Kernel) parkRemove(p *Proc) {
 // Wake never transfers control immediately: it schedules the resumption
 // as a process event at the current time, preserving the single-runner
 // discipline even when one process wakes another.
-//
-//rtlint:allocfree
 func (t *Token) Wake(err error) bool {
 	if t.fired {
 		return false
@@ -283,8 +269,6 @@ func (t *Token) Wake(err error) bool {
 // Cancel detaches the waiter from its resource (revoking its timer and
 // running the cancel hooks) and wakes the process with err. It reports
 // whether the token was still pending.
-//
-//rtlint:allocfree
 func (t *Token) Cancel(err error) bool {
 	if t.fired {
 		return false
@@ -315,15 +299,13 @@ func (p *Proc) Interrupt(err error) bool {
 // The token and timer event are pooled: Sleep owns the token's whole
 // lifecycle (nothing else ever sees it), so it is recycled as soon as
 // Park returns.
-//
-//rtlint:allocfree
 func (p *Proc) Sleep(d Duration) error {
 	if d <= 0 {
 		// Even zero-length sleeps yield through the event queue so
 		// that simultaneous activities interleave deterministically.
 		d = 0
 	}
-	tok := p.k.getToken() //rtlint:allow allocfree inlined pool-miss &Token literal from getToken's growth path
+	tok := p.k.getToken()
 	tok.ev = p.k.AfterCall(d, wakeTokenNil, tok)
 	err := p.Park(tok)
 	p.k.putToken(tok)

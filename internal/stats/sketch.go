@@ -51,8 +51,6 @@ func NewSketch(width sim.Duration, buckets int) *Sketch {
 
 // Observe records one duration. Negative durations clamp to zero. The
 // method allocates nothing; it is safe on the simulation hot path.
-//
-//rtlint:allocfree
 func (s *Sketch) Observe(d sim.Duration) {
 	if d < 0 {
 		d = 0
@@ -99,8 +97,6 @@ func (s *Sketch) Mean() sim.Duration {
 // the maximum observation — so the answer is within one bucket width of
 // the exact nearest-rank value whenever the rank falls inside the
 // covered range, and exactly the maximum when it falls beyond it.
-//
-//rtlint:allocfree
 func (s *Sketch) Quantile(q float64) sim.Duration {
 	if q <= 0 || q > 1 || s.count == 0 {
 		return 0
@@ -131,8 +127,6 @@ func (s *Sketch) Quantile(q float64) sim.Duration {
 // Reset clears the sketch for reuse without releasing its buckets. Only
 // buckets up to the maximum's can be non-zero, so an empty sketch
 // clears none and the cost follows the observations, not the geometry.
-//
-//rtlint:allocfree
 func (s *Sketch) Reset() {
 	if s.count > 0 {
 		clear(s.counts[:min(int((s.max-1)/s.width)+1, len(s.counts))])

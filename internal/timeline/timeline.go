@@ -20,10 +20,8 @@
 // snapshot slices are reused once the ring wraps, one reusable
 // response-time sketch, and scratch slices for histogram snapshots.
 // The hot path (Tx and window close) allocates nothing in steady state
-// and never touches the replay journal; the marker below has rtlint
-// prove the latter.
-//
-//rtlint:pure=journal
+// (TestHotPathAllocFree) and never touches the replay journal
+// (TestTimelineZeroOverhead, package rtlock).
 package timeline
 
 import (
@@ -147,8 +145,6 @@ func (c *Collector) Window() sim.Duration {
 // committed, its response time (ignored unless committed), and how many
 // times it restarted. The finish time is the caller's clock, which the
 // kernel's tick has already closed every earlier window for.
-//
-//rtlint:allocfree
 func (c *Collector) Tx(finish sim.Time, committed bool, resp sim.Duration, restarts int) {
 	if c == nil {
 		return
@@ -168,8 +164,6 @@ func (c *Collector) Tx(finish sim.Time, committed bool, resp sim.Duration, resta
 // except for the partial last window the drain closes), evicting the
 // oldest row when the ring is full, and opens the next window at end.
 // The kernel's tick calls it (sim.Kernel.SetWindows).
-//
-//rtlint:allocfree
 func (c *Collector) Close(end sim.Time) {
 	if c == nil {
 		return
@@ -235,8 +229,6 @@ func (c *Collector) Close(end sim.Time) {
 // the previous close and answers nearest-rank p50/p99 over the
 // delta, each as the containing bucket's upper bound (observations
 // beyond the last bound answer the last bound).
-//
-//rtlint:allocfree
 func (c *Collector) lockWaitQuantiles() (p50, p99 int64) {
 	if len(c.lockBounds) == 0 {
 		return 0, 0

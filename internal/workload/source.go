@@ -54,8 +54,6 @@ func (s *source) step() {
 }
 
 // Uint64 returns the next 64 bits of the stream.
-//
-//rtlint:allocfree
 func (s *source) Uint64() uint64 {
 	s.step()
 	x := s.vec[s.feed] + s.vec[s.tap]
@@ -97,8 +95,6 @@ func (s *source) redraw(v, m int32) int32 {
 // position to a higher one, so once i >= len(dst) a step can touch the
 // prefix only by writing i into it: the shuffle writes len(dst) slots
 // and draws n times.
-//
-//rtlint:allocfree
 func (s *source) permPrefix(dst []int, n int) {
 	size := len(dst)
 	for i := range size {

@@ -116,6 +116,15 @@ func TestStreamNextAllocs(t *testing.T) {
 			}
 		})
 	}
+	// The access-set draw under Next allocates nothing of its own: one
+	// allocation per draw would hide in Next's truncated average.
+	g, err := newGenerator(streamParams(1 << 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(2000, func() { g.pickIndexes(500, 8) }); allocs != 0 {
+		t.Fatalf("a warm access-set draw allocates %.2f times, want 0", allocs)
+	}
 }
 
 func TestBurstValidation(t *testing.T) {

@@ -173,7 +173,8 @@ func TestMetricsKeepsNoJournal(t *testing.T) {
 // TestLockProfileTopMatchesReplay: the profile a run builds as it goes
 // equals the replay of its journal, and cutting it to the k hottest
 // objects equals replaying with that topK — over a contended run and
-// over a faulted golden journal.
+// over a faulted golden journal. Replaying only reads: both journals
+// hash the same after every replay as before the first.
 func TestLockProfileTopMatchesReplay(t *testing.T) {
 	cfg := metricsTestConfig()
 	cfg.Journal = true
@@ -181,10 +182,12 @@ func TestLockProfileTopMatchesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	runHash := res.Journal.Hash()
 	if !reflect.DeepEqual(res.LockProfile, metrics.FromJournal(res.Journal, 0)) {
 		t.Fatal("live lock profile differs from the replay of the run's journal")
 	}
 	faulted := goldenDistFaults(t)
+	faultedHash := faulted.Hash()
 	for _, tc := range []struct {
 		name string
 		j    *Journal
@@ -201,6 +204,9 @@ func TestLockProfileTopMatchesReplay(t *testing.T) {
 				t.Errorf("%s: Top(%d) = %+v, want %+v", tc.name, k, got, want)
 			}
 		}
+	}
+	if res.Journal.Hash() != runHash || faulted.Hash() != faultedHash {
+		t.Error("replaying a journal into a lock profile changed the journal")
 	}
 }
 
