@@ -138,9 +138,11 @@ func runExplore(args []string) error {
 }
 
 // writeFaultPlan persists one counterexample's failure schedule as a
-// standalone fault-plan JSON spec, runnable directly with
-// "rtdbsim faults -plan FILE". Counterexamples without fault decisions
-// are skipped.
+// standalone fault-plan JSON spec. The exploration target's RunPlan
+// replays it to the counterexample's journal; "rtdbsim faults -plan
+// FILE" runs the same fault schedule on the facade's default cluster,
+// a different run with a different journal. Counterexamples without
+// fault decisions are skipped.
 func writeFaultPlan(dir, target string, idx int, ce rtlock.ExploreCounterexample) error {
 	if ce.FaultPlan == nil {
 		return nil

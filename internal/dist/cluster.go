@@ -316,7 +316,7 @@ type Cluster struct {
 	// gates every behavioral addition so a cluster without a plan is
 	// byte-identical to earlier revisions.
 	faultsOn   bool
-	spaceInj   *faults.SpaceInjector
+	inj        *faults.Injector
 	crashed    []bool
 	crashAt    []sim.Time
 	gcmDown    bool
@@ -435,56 +435,19 @@ func (c *Cluster) FailSite(site db.SiteID, at, recoverAt sim.Time) {
 	}
 }
 
-// AttachFaults wires a fault plan into the cluster before Run: the
-// plan's injector becomes the network's per-message fault source, its
-// crash/partition windows are scheduled as kernel events, and the
-// crash-aware protocol paths switch on — participant votes are WAL-
-// forced and redone on recovery, the coordinator retries prepares with
-// bounded backoff and presumes abort, and (global mode) lock traffic
-// fails over to per-site ceiling managers while the GCM site is down.
-// Attaching an empty plan enables the same machinery but injects
-// nothing; the run's journal stays byte-identical to one without the
-// plan.
-func (c *Cluster) AttachFaults(plan *faults.Plan, seed int64) error {
-	if err := plan.Validate(c.cfg.Sites); err != nil {
-		return err
-	}
-	faults.New(plan, seed).Install(c.K, c.Net, c.cfg.Sites, c.enableFaultMachinery())
-	return nil
-}
-
-// AttachFaultSpace arms the same crash-recovery machinery as
-// AttachFaults and installs a fault decision space instead of a fixed
-// plan: the kernel's chooser picks concrete faults at the space's
-// decision points (every canonical pick injects nothing), and
-// ChosenFaultPlan exposes the exact failure schedule afterwards. The
-// injector is caller-owned so explorations can recycle it across runs.
-func (c *Cluster) AttachFaultSpace(si *faults.SpaceInjector) {
-	c.spaceInj = si
-	si.Install(c.K, c.Net, c.cfg.Sites, c.enableFaultMachinery())
-}
-
-// ChosenFaultPlan returns the exact fault plan a fault-space run
-// committed to (nil without an attached space, or when every decision
-// was canonical). Replaying it through AttachFaults regenerates the
-// same failure schedule — and, for the same (seed, config) journal
-// key, a byte-identical journal.
-func (c *Cluster) ChosenFaultPlan() *faults.Plan {
-	if c.spaceInj == nil {
-		return nil
-	}
-	return c.spaceInj.ChosenPlan()
-}
-
-// enableFaultMachinery switches on the crash-aware protocol paths once:
-// WAL-forced votes, presumed-abort retries, failover managers. Gated by
-// faultsOn so a cluster without faults stays byte-identical to earlier
-// revisions. It returns the hooks an injector drives the cluster with.
-func (c *Cluster) enableFaultMachinery() faults.Hooks {
-	hooks := faults.Hooks{OnCrash: c.onCrash, OnRecover: c.onRecover}
-	if c.faultsOn {
-		return hooks
-	}
+// AttachFaults wires a fault injector into the cluster; call it once,
+// before Run. The crash-aware protocol paths switch on — participant
+// votes are WAL-forced and redone on recovery, the coordinator retries
+// prepares with bounded backoff and presumes abort, and (global mode)
+// lock traffic fails over to per-site ceiling managers while the GCM
+// site is down — and the injector is installed: it becomes the
+// network's per-message fault source, and its plan's crash and
+// partition windows (and, armed, its decision points) are scheduled as
+// kernel events. Attaching a nil injector (an empty plan's) enables the
+// same machinery but injects nothing; the run's journal stays
+// byte-identical to one without the plan. A plan that does not
+// validate against the cluster is an error.
+func (c *Cluster) AttachFaults(in *faults.Injector) error {
 	c.faultsOn = true
 	c.crashed = make([]bool, c.cfg.Sites)
 	c.crashAt = make([]sim.Time, c.cfg.Sites)
@@ -505,8 +468,15 @@ func (c *Cluster) enableFaultMachinery() faults.Hooks {
 			}
 		}
 	}
-	return hooks
+	c.inj = in
+	return in.Install(c.K, c.Net, c.cfg.Sites, faults.Hooks{OnCrash: c.onCrash, OnRecover: c.onRecover})
 }
+
+// ChosenFaultPlan returns the exact faults the attached injector
+// injected (nil without one, or when it injected none). Replaying it
+// through AttachFaults regenerates the same failure schedule — and, for
+// the same (seed, config) journal key, a byte-identical journal.
+func (c *Cluster) ChosenFaultPlan() *faults.Plan { return c.inj.ChosenPlan() }
 
 // WAL returns a site's write-ahead log (nil before AttachFaults), for
 // inspection in tests and reports.

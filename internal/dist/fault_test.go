@@ -25,7 +25,7 @@ func TestAttachFaultsValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := &faults.Plan{Crashes: []faults.Crash{{Site: 9, At: 0}}}
-	if err := c.AttachFaults(bad, 1); err == nil {
+	if err := c.AttachFaults(faults.New(bad, 1)); err == nil {
 		t.Fatal("out-of-range crash site accepted")
 	}
 }
@@ -52,7 +52,7 @@ func TestAttachEmptyPlanJournalIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if attach {
-				if err := c.AttachFaults(&faults.Plan{}, 7); err != nil {
+				if err := c.AttachFaults(faults.New(&faults.Plan{}, 7)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -78,7 +78,7 @@ func TestCrashKillsResidentAndArrivalsMiss(t *testing.T) {
 	plan := &faults.Plan{Crashes: []faults.Crash{{
 		Site: 0, At: 5 * int64(sim.Millisecond), RecoverAt: 100 * int64(sim.Millisecond),
 	}}}
-	if err := c.AttachFaults(plan, 1); err != nil {
+	if err := c.AttachFaults(faults.New(plan, 1)); err != nil {
 		t.Fatal(err)
 	}
 	ms := func(n int) sim.Time { return sim.Time(n) * sim.Time(sim.Millisecond) }
@@ -122,7 +122,7 @@ func TestGCMFailoverDuringCrash(t *testing.T) {
 	plan := &faults.Plan{Crashes: []faults.Crash{{
 		Site: 0, At: 2 * int64(sim.Millisecond), RecoverAt: 100 * int64(sim.Millisecond),
 	}}}
-	if err := c.AttachFaults(plan, 1); err != nil {
+	if err := c.AttachFaults(faults.New(plan, 1)); err != nil {
 		t.Fatal(err)
 	}
 	ms := func(n int) sim.Time { return sim.Time(n) * sim.Time(sim.Millisecond) }
@@ -221,7 +221,7 @@ func twopcScenario(t *testing.T, name string, plan *faults.Plan) *journal.Journa
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AttachFaults(plan, 1); err != nil {
+	if err := c.AttachFaults(faults.New(plan, 1)); err != nil {
 		t.Fatal(err)
 	}
 	c.Load([]*workload.Txn{twopcTxn()})

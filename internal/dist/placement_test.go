@@ -337,7 +337,7 @@ func TestPlacementFaults(t *testing.T) {
 				plan := &faults.Plan{Crashes: []faults.Crash{{
 					Site: 0, At: 30 * int64(sim.Millisecond), RecoverAt: 250 * int64(sim.Millisecond),
 				}}}
-				if err := c.AttachFaults(plan, 11); err != nil {
+				if err := c.AttachFaults(faults.New(plan, 11)); err != nil {
 					t.Fatal(err)
 				}
 				c.Load(placementLoad(t, c, pol, 7))

@@ -23,7 +23,7 @@ func TestLoadStreamJournalsIdentically(t *testing.T) {
 				t.Fatal(err)
 			}
 			crash := faults.Crash{Site: 1, At: int64(200 * sim.Millisecond), RecoverAt: int64(400 * sim.Millisecond)}
-			if err := c.AttachFaults(&faults.Plan{Crashes: []faults.Crash{crash}}, 3); err != nil {
+			if err := c.AttachFaults(faults.New(&faults.Plan{Crashes: []faults.Crash{crash}}, 3)); err != nil {
 				t.Fatal(err)
 			}
 			p := workload.Params{

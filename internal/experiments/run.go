@@ -648,7 +648,7 @@ func runDistributed(cfg DistributedConfig, mode dist.Mode, records bool) (*Resul
 		}
 	}
 	if cfg.Faults != nil {
-		if err := cluster.AttachFaults(cfg.Faults, cfg.FaultSeed); err != nil {
+		if err := cluster.AttachFaults(faults.New(cfg.Faults, cfg.FaultSeed)); err != nil {
 			return nil, err
 		}
 	}

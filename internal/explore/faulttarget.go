@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"sync"
 
 	"rtlock/internal/audit"
 	"rtlock/internal/db"
@@ -12,12 +11,6 @@ import (
 	"rtlock/internal/sim"
 	"rtlock/internal/workload"
 )
-
-// spacePool recycles fault-space injectors across schedule executions,
-// mirroring journalPool: Reset keeps the chosen-fault and site-state
-// buffers. An injector's decisions are a pure function of the space and
-// the chooser, so pooling never affects outcomes.
-var spacePool = sync.Pool{New: func() any { return new(faults.SpaceInjector) }}
 
 // The generated cluster exploration load (see FaultOpts).
 const (
@@ -162,30 +155,23 @@ func clusterTarget(o FaultOpts, armed bool) (Target, error) {
 		if err != nil {
 			return nil, err
 		}
-		if plan != nil {
-			if err := cluster.AttachFaults(plan, o.Seed); err != nil {
+		if armed {
+			in := faults.New(plan, o.Seed)
+			if plan == nil {
+				in = in.Arm(o.Space)
+			}
+			if err := cluster.AttachFaults(in); err != nil {
 				return nil, err
 			}
-		} else {
-			if armed {
-				si := spacePool.Get().(*faults.SpaceInjector)
-				si.Reset(o.Space)
-				defer spacePool.Put(si)
-				cluster.AttachFaultSpace(si)
-			}
-			cluster.K.SetChooser(ch)
 		}
+		cluster.K.SetChooser(ch)
 		cluster.Load(load)
 		cluster.Run()
-		out := &Outcome{
+		return &Outcome{
 			JournalHash: jrn.HashString(),
 			Violations:  audit.Run(jrn, audit.ForCluster(mode.String(), armed)...),
-			FaultPlan:   plan,
-		}
-		if plan == nil {
-			out.FaultPlan = cluster.ChosenFaultPlan() // nil unarmed
-		}
-		return out, nil
+			FaultPlan:   cluster.ChosenFaultPlan(), // nil unarmed
+		}, nil
 	}
 	t := Target{
 		Name: kind + "/" + mode.String(),

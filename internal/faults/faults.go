@@ -7,6 +7,11 @@
 // streams consumed in deterministic kernel order, so identical
 // (seed, config, plan) triples produce byte-identical replay journals.
 //
+// Armed with a Space, the same Injector surfaces fault decisions to the
+// kernel's chooser; the faults picked export as a plan's Chosen
+// section, whose unarmed replay injects them through the same methods
+// and, under the same journal key, journals byte-identically.
+//
 // An empty plan is a strict no-op: it draws no random numbers,
 // schedules no events, and appends no journal records, so a run with
 // an empty plan is byte-identical to a run without the subsystem.
@@ -68,14 +73,6 @@ const (
 	FateDup = 2
 )
 
-// ChosenCrash is one exact crash decision: site Site crashes at tick At
-// and recovers at RecoverAt (RecoverAt <= At means never).
-type ChosenCrash struct {
-	Site      int   `json:"site"`
-	At        int64 `json:"at"`
-	RecoverAt int64 `json:"recover_at,omitempty"`
-}
-
 // ChosenFate is one exact message-fate decision: the Msg-th inter-site
 // message the injector is consulted about (a deterministic ordinal)
 // suffers Fate. From/To record the link for readability; the ordinal
@@ -103,9 +100,10 @@ type ChosenCut struct {
 // numbers and journal themselves as KFaultCrash/KFaultFate/KFaultCut at
 // the decision instants.
 type ChosenFaults struct {
-	Crashes []ChosenCrash `json:"crashes,omitempty"`
-	Fates   []ChosenFate  `json:"fates,omitempty"`
-	Cuts    []ChosenCut   `json:"cuts,omitempty"`
+	// Crashes are exact crash decisions, shaped like a plan's crashes.
+	Crashes []Crash      `json:"crashes,omitempty"`
+	Fates   []ChosenFate `json:"fates,omitempty"`
+	Cuts    []ChosenCut  `json:"cuts,omitempty"`
 }
 
 func (c *ChosenFaults) empty() bool {
@@ -138,13 +136,8 @@ func (p *Plan) Validate(sites int) error {
 	if sites > 63 {
 		return fmt.Errorf("faults: at most 63 sites supported, got %d", sites)
 	}
-	for i, c := range p.Crashes {
-		if c.Site < 0 || c.Site >= sites {
-			return fmt.Errorf("faults: crash %d: site %d out of range [0,%d)", i, c.Site, sites)
-		}
-		if c.At < 0 {
-			return fmt.Errorf("faults: crash %d: negative time %d", i, c.At)
-		}
+	if err := validCrashes("crash", p.Crashes, sites); err != nil {
+		return err
 	}
 	for i, l := range p.Links {
 		if l.From < -1 || l.From >= sites {
@@ -188,13 +181,8 @@ func (p *Plan) Validate(sites int) error {
 		}
 	}
 	if p.Chosen != nil {
-		for i, c := range p.Chosen.Crashes {
-			if c.Site < 0 || c.Site >= sites {
-				return fmt.Errorf("faults: chosen crash %d: site %d out of range [0,%d)", i, c.Site, sites)
-			}
-			if c.At < 0 {
-				return fmt.Errorf("faults: chosen crash %d: negative time %d", i, c.At)
-			}
+		if err := validCrashes("chosen crash", p.Chosen.Crashes, sites); err != nil {
+			return err
 		}
 		last := int64(-1)
 		for i, f := range p.Chosen.Fates {
@@ -230,6 +218,20 @@ func (p *Plan) Validate(sites int) error {
 	return nil
 }
 
+// validCrashes checks one crash list of a plan; what names the list in
+// errors.
+func validCrashes(what string, crashes []Crash, sites int) error {
+	for i, c := range crashes {
+		if c.Site < 0 || c.Site >= sites {
+			return fmt.Errorf("faults: %s %d: site %d out of range [0,%d)", what, i, c.Site, sites)
+		}
+		if c.At < 0 {
+			return fmt.Errorf("faults: %s %d: negative time %d", what, i, c.At)
+		}
+	}
+	return nil
+}
+
 // mask returns the group-A bitmask of a partition (sites < 64, enforced
 // by Validate).
 func (pt *Partition) mask() int64 {
@@ -242,71 +244,51 @@ func (pt *Partition) mask() int64 {
 
 // String renders the plan canonically — a stable, compact form suitable
 // for journal config keys, so the plan is part of the determinism key.
+// Non-empty sections are separated by ';', their entries by ','.
 func (p *Plan) String() string {
 	if p.Empty() {
 		return "faults{}"
 	}
-	var b strings.Builder
-	b.WriteString("faults{")
-	for i, c := range p.Crashes {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "crash(%d@%d-%d)", c.Site, c.At, c.RecoverAt)
+	crash := func(c Crash) string { return fmt.Sprintf("crash(%d@%d-%d)", c.Site, c.At, c.RecoverAt) }
+	secs := []string{
+		list(p.Crashes, crash),
+		list(p.Links, func(l LinkFault) string {
+			return fmt.Sprintf("link(%d>%d@%d-%d,drop=%g,dup=%g,jit=%d)", l.From, l.To, l.Start, l.End, l.Drop, l.Dup, l.JitterMax)
+		}),
+		list(p.Partitions, func(pt Partition) string {
+			groups := append([]int(nil), pt.GroupA...)
+			sort.Ints(groups)
+			return fmt.Sprintf("part(%v@%d-%d)", groups, pt.At, pt.HealAt)
+		}),
 	}
-	if len(p.Crashes) > 0 && len(p.Links) > 0 {
-		b.WriteByte(';')
+	if c := p.Chosen; !c.empty() {
+		secs = append(secs, "chosen{"+sections(
+			list(c.Crashes, crash),
+			list(c.Fates, func(f ChosenFate) string { return fmt.Sprintf("fate(%d:%d>%d=%d)", f.Msg, f.From, f.To, f.Fate) }),
+			list(c.Cuts, func(ct ChosenCut) string { return fmt.Sprintf("cut(%d@%d-%d)", ct.Site, ct.At, ct.HealAt) }),
+		)+"}")
 	}
-	for i, l := range p.Links {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "link(%d>%d@%d-%d,drop=%g,dup=%g,jit=%d)", l.From, l.To, l.Start, l.End, l.Drop, l.Dup, l.JitterMax)
+	return "faults{" + sections(secs...) + "}"
+}
+
+// list renders each entry of one plan section, comma-separated.
+func list[T any](xs []T, entry func(T) string) string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = entry(x)
 	}
-	if (len(p.Crashes) > 0 || len(p.Links) > 0) && len(p.Partitions) > 0 {
-		b.WriteByte(';')
+	return strings.Join(out, ",")
+}
+
+// sections joins the non-empty sections of a plan string with ';'.
+func sections(secs ...string) string {
+	out := secs[:0]
+	for _, s := range secs {
+		if s != "" {
+			out = append(out, s)
+		}
 	}
-	for i, pt := range p.Partitions {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		groups := append([]int(nil), pt.GroupA...)
-		sort.Ints(groups)
-		fmt.Fprintf(&b, "part(%v@%d-%d)", groups, pt.At, pt.HealAt)
-	}
-	if !p.Chosen.empty() {
-		if len(p.Crashes) > 0 || len(p.Links) > 0 || len(p.Partitions) > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString("chosen{")
-		for i, c := range p.Chosen.Crashes {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "crash(%d@%d-%d)", c.Site, c.At, c.RecoverAt)
-		}
-		if len(p.Chosen.Crashes) > 0 && len(p.Chosen.Fates) > 0 {
-			b.WriteByte(';')
-		}
-		for i, f := range p.Chosen.Fates {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "fate(%d:%d>%d=%d)", f.Msg, f.From, f.To, f.Fate)
-		}
-		if (len(p.Chosen.Crashes) > 0 || len(p.Chosen.Fates) > 0) && len(p.Chosen.Cuts) > 0 {
-			b.WriteByte(';')
-		}
-		for i, ct := range p.Chosen.Cuts {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "cut(%d@%d-%d)", ct.Site, ct.At, ct.HealAt)
-		}
-		b.WriteByte('}')
-	}
-	b.WriteByte('}')
-	return b.String()
+	return strings.Join(out, ";")
 }
 
 // Parse decodes a JSON plan, rejecting unknown fields so typos in plan

@@ -34,6 +34,9 @@ type Event struct {
 	// canceled marks the event dead in place; the heap discards it
 	// lazily on pop, which is cheaper than eager removal.
 	canceled bool
+	// optional events fire only while other work is pending (see
+	// Kernel.AtOptional).
+	optional bool
 }
 
 // EventRef is a cancelable handle to a scheduled event. The zero value

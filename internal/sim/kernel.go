@@ -224,6 +224,17 @@ func (k *Kernel) After(d Duration, fn func()) EventRef {
 	return k.schedule(k.now.Add(d), fn, nil, nil)
 }
 
+// AtOptional is At for an event the run does not wait for: it fires
+// only while other live events are pending. Once every pending event is
+// optional, the run ends and they are discarded unfired, so an event
+// that would do nothing cannot move the clock past the run's last real
+// work.
+func (k *Kernel) AtOptional(t Time, fn func()) EventRef {
+	r := k.schedule(t, fn, nil, nil)
+	r.e.optional = true
+	return r
+}
+
 // AtCall is the allocation-free form of At: call(arg) runs at t. Hot
 // sites use it because storing a pointer in an interface value does not
 // allocate, while the equivalent capturing closure does.
@@ -299,6 +310,7 @@ func (k *Kernel) recycle(e *Event) {
 	e.arg = nil
 	e.proc = nil
 	e.canceled = false
+	e.optional = false
 	e.idx = -1
 	k.freeEvents = append(k.freeEvents, e)
 }
@@ -317,6 +329,20 @@ func (k *Kernel) peekEvent() *Event {
 		k.events.popMin()
 		k.recycle(e)
 	}
+}
+
+// dropIfOnlyOptional reports whether every live pending event is
+// optional and, if so, discards them all, ending the run.
+func (k *Kernel) dropIfOnlyOptional() bool {
+	for _, e := range k.events.s {
+		if !e.canceled && !e.optional {
+			return false
+		}
+	}
+	for e := k.events.popMin(); e != nil; e = k.events.popMin() {
+		k.recycle(e)
+	}
+	return true
 }
 
 // scheduleProc schedules control to move into p at the current time: its
@@ -344,6 +370,9 @@ func (k *Kernel) run() *Proc {
 		e := k.events.min()
 		if e != nil && e.canceled {
 			e = k.peekEvent()
+		}
+		if e != nil && e.optional && k.dropIfOnlyOptional() {
+			e = nil
 		}
 		if e == nil {
 			if k.sampleEvery > 0 {
