@@ -168,6 +168,26 @@ func (t *TxState) ResetFor(id int64, base sim.Priority, p *sim.Proc) {
 	t.igWaiters = t.igWaiters[:0]
 }
 
+// TxPool recycles transaction states. Put a state only once it has fully
+// left its manager (see ResetFor) and nothing will use it again: Get
+// hands it to the next attempt, which may register it anywhere.
+type TxPool struct{ free []*TxState }
+
+// Get returns a reset state from the pool, or a new one.
+func (p *TxPool) Get(id int64, base sim.Priority, proc *sim.Proc) *TxState {
+	if n := len(p.free); n > 0 {
+		st := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		st.ResetFor(id, base, proc)
+		return st
+	}
+	return NewTxState(id, base, proc)
+}
+
+// Put returns st to the pool.
+func (p *TxPool) Put(st *TxState) { p.free = append(p.free, st) }
+
 // Eff returns the current effective (possibly inherited) priority.
 func (t *TxState) Eff() sim.Priority { return t.eff }
 

@@ -7,6 +7,7 @@ package db
 
 import (
 	"fmt"
+	"sync"
 
 	"rtlock/internal/core"
 	"rtlock/internal/place"
@@ -27,6 +28,10 @@ type Catalog struct {
 	placement place.Map
 	// primaries lists each site's primary objects, ascending.
 	primaries [][]core.ObjectID
+	// replicas lists each object's copies, primary first, built by the
+	// first Replicas call.
+	replicasOnce sync.Once
+	replicas     [][]SiteID
 }
 
 func newCatalog(pm place.Map) *Catalog {
@@ -89,14 +94,24 @@ func (c *Catalog) PrimarySite(obj core.ObjectID) SiteID {
 }
 
 // Replicas returns every site holding a copy of obj, primary first, in
-// deterministic order.
+// deterministic order. The slice is the catalog's own: callers must not
+// modify it.
 func (c *Catalog) Replicas(obj core.ObjectID) []SiteID {
-	reps := c.placement.Replicas(int(obj))
-	out := make([]SiteID, len(reps))
-	for i, s := range reps {
-		out[i] = SiteID(s)
+	c.replicasOnce.Do(c.buildReplicas)
+	return c.replicas[obj]
+}
+
+// buildReplicas lays every object's replica list out in one array.
+func (c *Catalog) buildReplicas() {
+	c.replicas = make([][]SiteID, c.objects)
+	all := make([]SiteID, 0, c.objects*c.placement.ReplicaCount())
+	for i := range c.replicas {
+		from := len(all)
+		for _, s := range c.placement.Replicas(i) {
+			all = append(all, SiteID(s))
+		}
+		c.replicas[i] = all[from:len(all):len(all)]
 	}
-	return out
 }
 
 // ObjectsAt returns the primary objects of a site, in ascending order.

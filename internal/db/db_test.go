@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"rtlock/internal/core"
+	"rtlock/internal/place"
 )
 
 func TestCatalogValidation(t *testing.T) {
@@ -151,5 +152,33 @@ func TestStoreStaleness(t *testing.T) {
 	primary.Write(7, 2, 400)
 	if d := replica.Staleness(7, primary.Read(7), 500); d != 400 {
 		t.Fatalf("stale replica staleness = %d, want 400 (since local write at 100)", d)
+	}
+}
+
+// TestCatalogReplicasView: Replicas is the placement's replica list,
+// primary first, served from the catalog's own table without
+// allocating.
+func TestCatalogReplicasView(t *testing.T) {
+	pm, err := place.NewQuorum(5, 40, place.HashPartition, 3, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCatalogWithPlacement(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for obj := 0; obj < 40; obj++ {
+		got, want := c.Replicas(core.ObjectID(obj)), pm.Replicas(obj)
+		if len(got) != len(want) || got[0] != c.PrimarySite(core.ObjectID(obj)) {
+			t.Fatalf("object %d: replicas %v, placement says %v", obj, got, want)
+		}
+		for i := range want {
+			if int(got[i]) != want[i] {
+				t.Fatalf("object %d: replicas %v, placement says %v", obj, got, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = c.Replicas(7) }); allocs != 0 {
+		t.Fatalf("Replicas allocates %.1f times", allocs)
 	}
 }

@@ -132,12 +132,16 @@ func (s *MVStore) Interval(obj core.ObjectID, seq int64) (start, end sim.Time, k
 	return 0, 0, false
 }
 
+// append adds v as obj's newest version. Histories stay ordered by Seq;
+// replicated installs always advance Seq (guarded by Install), local
+// writes too. A full history shifts down in place, dropping its oldest
+// version, so its array is reused rather than regrown.
 func (s *MVStore) append(obj core.ObjectID, v Version) {
-	hist := append(s.versions[obj], v)
-	// Histories stay ordered by Seq; replicated installs always advance
-	// Seq (guarded by Install), local writes too.
-	if len(hist) > s.keep {
-		hist = hist[len(hist)-s.keep:]
+	hist := s.versions[obj]
+	if len(hist) == s.keep {
+		copy(hist, hist[1:])
+		hist[len(hist)-1] = v
+		return
 	}
-	s.versions[obj] = hist
+	s.versions[obj] = append(hist, v)
 }

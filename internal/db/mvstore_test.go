@@ -159,3 +159,34 @@ func TestPropMVStoreAsOfNeverNewer(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMVStoreFullHistoryWriteZeroAlloc: once an object's history holds
+// keep versions, a write drops the oldest in place, and the history
+// still holds the newest keep versions, oldest first. Each measured run
+// is a whole cycle of 2×keep writes: dropping from the front of the
+// slice instead would reallocate about once per keep writes, which a
+// per-write average rounds away.
+func TestMVStoreFullHistoryWriteZeroAlloc(t *testing.T) {
+	const keep = 4
+	s := NewMVStore(0, keep)
+	for i := int64(1); i <= keep; i++ {
+		s.Write(1, i, sim.Time(i))
+	}
+	now := sim.Time(keep)
+	if allocs := testing.AllocsPerRun(20, func() {
+		for range 2 * keep {
+			now++
+			s.Write(1, int64(now), now)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a cycle of %d writes on a full history allocates %.0f times", 2*keep, allocs)
+	}
+	if n := s.HistoryLen(1); n != keep {
+		t.Fatalf("history holds %d versions, want %d", n, keep)
+	}
+	for i, v := range s.versions[1] {
+		if want := now - keep + 1 + sim.Time(i); v.WrittenAt != want || v.Seq != int64(want) {
+			t.Fatalf("version %d = %+v, want the write at %d", i, v, want)
+		}
+	}
+}

@@ -311,6 +311,10 @@ type Cluster struct {
 	twopc      map[int64]*voteCollector
 	decisions  int
 	qrounds    map[quorumKey]*quorumRound
+	// runs and states pool the per-attempt runs and pin states (see
+	// txRun and discharge).
+	runs   []*txRun
+	states core.TxPool
 
 	// Fault-plan state, inert until AttachFaults is called. faultsOn
 	// gates every behavioral addition so a cluster without a plan is

@@ -26,34 +26,70 @@ type pin struct {
 	st   *core.TxState
 }
 
-// txRun is one transaction attempt on the pipeline.
+// txRun is one transaction attempt on the pipeline. Runs are pooled:
+// exec takes one with newRun, and the run goes back once nothing can
+// reach it any more (see doneWith).
 type txRun struct {
 	p *sim.Proc
 	t *workload.Txn
 	// pins are the managers the attempt registers with, ascending by
-	// site; one backs a single pin without a second allocation.
+	// site.
 	pins   []pin
-	one    [1]pin
-	writes []core.ObjectID // the whole write set, ascending (nil in primary mode)
+	writes []core.ObjectID // the whole write set (nil in primary mode)
 	msgs   int             // inter-site messages the transaction caused
 	views  []readSample    // the version each read observed (local mode)
+	// onPrio wires the transaction's priority inheritance to every
+	// site's processor (the process may be queued at any of them while
+	// executing remotely); the states at all its pins share it. It is
+	// bound once per pooled run and reads p.
+	onPrio func(sim.Priority)
+	// live counts what still holds the run: exec until it returns, and
+	// each pin until discharge hands its state back to the pool. A
+	// state that never goes back (evicted, its release lost, its site
+	// crashed) keeps the run out of the pool: a manager may still hold
+	// the state, and with it onPrio.
+	live int
+	// The attempt's reusable round state: its open quorum round, its
+	// 2PC vote round, and the write order of its quorum commit.
+	round quorumRound
+	votes voteCollector
+	order []core.ObjectID
 }
 
-// prioHook wires a transaction's priority inheritance to every site's
-// processor (the process may be queued at any of them while executing
-// remotely); the protocol states at all its pins share the one hook.
-func (c *Cluster) prioHook(p *sim.Proc) func(sim.Priority) {
-	return func(pr sim.Priority) {
-		for _, s := range c.sites {
-			s.cpu.Reprioritize(p, pr)
+// newRun takes a run from the pool (or builds one) for t's process p.
+func (c *Cluster) newRun(p *sim.Proc, t *workload.Txn) *txRun {
+	var x *txRun
+	if n := len(c.runs); n > 0 {
+		x = c.runs[n-1]
+		c.runs[n-1] = nil
+		c.runs = c.runs[:n-1]
+	} else {
+		x = &txRun{}
+		x.onPrio = func(pr sim.Priority) {
+			for _, s := range c.sites {
+				s.cpu.Reprioritize(x.p, pr)
+			}
 		}
+	}
+	x.p, x.t, x.msgs, x.live = p, t, 0, 1
+	x.pins, x.writes, x.views = x.pins[:0], nil, x.views[:0]
+	return x
+}
+
+// doneWith drops one hold on x; the last one returns it to the pool.
+func (c *Cluster) doneWith(x *txRun) {
+	if x.live--; x.live == 0 {
+		x.p, x.t = nil, nil
+		c.runs = append(c.runs, x)
 	}
 }
 
-// newState builds the protocol state for one pin.
-func newState(x *txRun, reads, writes []core.ObjectID, onPrio func(sim.Priority)) *core.TxState {
-	st := core.NewTxState(x.t.ID, x.t.Priority(), x.p)
-	st.ReadSet, st.WriteSet, st.OnPrioChange = reads, writes, onPrio
+// newState builds the protocol state for one pin, from the pool. The
+// pin holds x until discharge returns the state to the pool.
+func (c *Cluster) newState(x *txRun, reads, writes []core.ObjectID) *core.TxState {
+	x.live++
+	st := c.states.Get(x.t.ID, x.t.Priority(), x.p)
+	st.ReadSet, st.WriteSet, st.OnPrioChange = reads, writes, x.onPrio
 	return st
 }
 
@@ -67,7 +103,7 @@ func (c *Cluster) exec(p *sim.Proc, t *workload.Txn) {
 		defer delete(c.liveTx[t.Home], t.ID)
 	}
 	m := c.mode
-	x := &txRun{p: p, t: t}
+	x := c.newRun(p, t)
 	rec := c.life.Arrive(t, t.Home)
 	m.pin(c, x)
 	c.atPins(x, enroll)
@@ -77,6 +113,11 @@ func (c *Cluster) exec(p *sim.Proc, t *workload.Txn) {
 		err = m.commit(c, x)
 	}
 	deadline.Cancel()
+	// Sum the blocking before discharge can hand a state back.
+	for i := range x.pins {
+		rec.Blocked += x.pins[i].st.BlockedTime
+		rec.BlockedCount += x.pins[i].st.BlockedCount
+	}
 	// Killed with its home site, the transaction has nothing to release:
 	// the managers there are gone, and the surviving ones evicted the
 	// registration on detecting the crash.
@@ -87,11 +128,8 @@ func (c *Cluster) exec(p *sim.Proc, t *workload.Txn) {
 		}
 	}
 	rec.Messages = x.msgs
-	for i := range x.pins {
-		rec.Blocked += x.pins[i].st.BlockedTime
-		rec.BlockedCount += x.pins[i].st.BlockedCount
-	}
 	c.life.Finish(&rec, err)
+	c.doneWith(x)
 }
 
 // atPins runs step at every pinned manager: at once at the home site,
@@ -133,9 +171,13 @@ func enroll(c *Cluster, x *txRun, pn *pin) {
 }
 
 // discharge releases and unregisters at a pinned manager after the
-// outcome. The locks stay held while a remote release travels — the cost
-// the paper attributes to holding locks across the network — and a lost
-// one is reclaimed by crash eviction or the global manager's resync.
+// outcome, and hands the state back to the pool. It is the only place a
+// state goes back: a registration a crash evicted, or one whose release
+// was lost, keeps its state, so Registered (which tests by pointer)
+// never mistakes another transaction's state for it. The locks stay
+// held while a remote release travels — the cost the paper attributes
+// to holding locks across the network — and a lost one is reclaimed by
+// crash eviction or the global manager's resync.
 func discharge(c *Cluster, x *txRun, pn *pin) {
 	if c.faultsOn && !pn.mgr.Registered(pn.st) {
 		return // the registration was lost, or evicted meanwhile: nothing to release
@@ -146,6 +188,8 @@ func discharge(c *Cluster, x *txRun, pn *pin) {
 	if c.faultsOn {
 		delete(c.reg[pn.site], x.t.ID)
 	}
+	c.states.Put(pn.st)
+	c.doneWith(x)
 }
 
 // regEntry tracks one registration at a manager so a crash can evict it.

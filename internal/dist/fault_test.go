@@ -9,6 +9,7 @@ package dist
 // crash plan is built around them.
 
 import (
+	"errors"
 	"testing"
 
 	"rtlock/internal/audit"
@@ -108,6 +109,45 @@ func TestCrashKillsResidentAndArrivalsMiss(t *testing.T) {
 	}
 	if vs := audit.Run(conf.Journal, audit.ForFaults("local")...); len(vs) > 0 {
 		t.Fatalf("auditors: %v", vs)
+	}
+}
+
+// TestEvictedRegistrationStaysEvicted: a state a crash evicted never
+// goes back to the cluster's pool, so a request on the evicted
+// registration is still refused after another transaction has
+// registered at the same manager. Tx 1 (home 0) runs at site 1 when
+// site 0 crashes, and site 1 evicts its registration; tx 2 then
+// registers at site 1. Had tx 1's state gone back to the pool — at the
+// eviction, or at tx 1's end before a discharge ran — tx 2 would hold
+// it, and the manager would take the evicted registration for tx 2's.
+func TestEvictedRegistrationStaysEvicted(t *testing.T) {
+	ms := func(n int) sim.Time { return sim.Time(n) * sim.Time(sim.Millisecond) }
+	c, err := NewCluster(cfg(Shard, 2*sim.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &faults.Plan{Crashes: []faults.Crash{{Site: 0, At: int64(ms(8))}}}
+	if err := c.AttachFaults(faults.New(plan, 1)); err != nil {
+		t.Fatal(err)
+	}
+	c.Load([]*workload.Txn{
+		mkDistTxn(1, 0, 0, ms(500), []workload.Op{{Obj: 13, Mode: core.Write}}),
+		mkDistTxn(2, 1, ms(30), ms(500), []workload.Op{{Obj: 14, Mode: core.Write}}),
+	})
+	var evicted regEntry // tx 1's registration at site 1
+	c.K.At(ms(4), func() { evicted = c.reg[1][1] })
+	probe := errors.New("never probed")
+	c.K.At(ms(35), func() { // tx 2 holds object 14 at site 1
+		c.K.Spawn("probe", func(p *sim.Proc) {
+			probe = c.acquire(&txRun{p: p}, &evicted.pin, workload.Op{Obj: 15, Mode: core.Write})
+		})
+	})
+	c.Run()
+	if evicted.st == nil {
+		t.Fatal("tx 1 never registered at site 1")
+	}
+	if !errors.Is(probe, ErrShardEvicted) {
+		t.Fatalf("a request on the evicted registration returned %v, want ErrShardEvicted", probe)
 	}
 }
 

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 
 	"rtlock/internal/core"
 	"rtlock/internal/db"
@@ -206,9 +207,9 @@ func (c *Cluster) placementBanner(suffix string) {
 
 // pinWhole pins the manager at site with the whole access sets.
 func pinWhole(c *Cluster, x *txRun, site db.SiteID) {
-	x.writes = x.t.WriteSet()
-	x.one[0] = pin{site: site, mgr: c.sites[site].mgr, st: newState(x, x.t.ReadSet(), x.writes, c.prioHook(x.p))}
-	x.pins = x.one[:]
+	var reads []core.ObjectID
+	reads, x.writes = x.t.AccessSets(c.Catalog)
+	x.pins = append(x.pins, pin{site: site, mgr: c.sites[site].mgr, st: c.newState(x, reads, x.writes)})
 }
 
 func pinHome(c *Cluster, x *txRun) { pinWhole(c, x, x.t.Home) }
@@ -231,29 +232,31 @@ func pinGlobal(c *Cluster, x *txRun) {
 }
 
 // pinShards pins the manager of every primary the access sets touch,
-// each with just the slice of the sets it owns, so a shard's ceilings
-// see only the demand actually arriving there.
+// each with just the run of the sets it owns, so a shard's ceilings see
+// only the demand actually arriving there.
 func pinShards(c *Cluster, x *txRun) {
-	reads, onPrio := x.t.ReadSet(), c.prioHook(x.p)
-	x.writes = x.t.WriteSet()
-	x.pins = x.one[:0]
+	var reads []core.ObjectID
+	reads, x.writes = x.t.AccessSets(c.Catalog)
 	for _, s := range c.sites {
 		r, w := c.ownedBy(reads, s.id), c.ownedBy(x.writes, s.id)
 		if len(r)+len(w) > 0 {
-			x.pins = append(x.pins, pin{site: s.id, mgr: s.mgr, st: newState(x, r, w, onPrio)})
+			x.pins = append(x.pins, pin{site: s.id, mgr: s.mgr, st: c.newState(x, r, w)})
 		}
 	}
 }
 
-// ownedBy keeps the objects whose primary is site.
+// ownedBy is the run of objs, an access set ordered by primary site
+// (see workload.Txn.AccessSets), whose primary is site.
 func (c *Cluster) ownedBy(objs []core.ObjectID, site db.SiteID) []core.ObjectID {
-	var out []core.ObjectID
-	for _, o := range objs {
-		if c.Catalog.PrimarySite(o) == site {
-			out = append(out, o)
-		}
+	i := 0
+	for i < len(objs) && c.Catalog.PrimarySite(objs[i]) != site {
+		i++
 	}
-	return out
+	j := i
+	for j < len(objs) && c.Catalog.PrimarySite(objs[j]) == site {
+		j++
+	}
+	return objs[i:j:j]
 }
 
 func use(c *Cluster, x *txRun, _ workload.Op, s *site, prio sim.Priority) error {
@@ -300,7 +303,10 @@ func commitQuorum(c *Cluster, x *txRun) error {
 	if err := c.runTwoPC(x, false); err != nil {
 		return err
 	}
-	for _, obj := range x.writes {
+	// x.writes runs by primary site; the rounds go in object order.
+	x.order = append(x.order[:0], x.writes...)
+	slices.Sort(x.order)
+	for _, obj := range x.order {
 		if err := c.quorumWrite(x, obj); err != nil {
 			return err
 		}
@@ -347,12 +353,19 @@ func installAndShip(c *Cluster, x *txRun) {
 		return
 	}
 	home := c.sites[x.t.Home]
-	versions := make(map[core.ObjectID]db.Version, len(x.writes))
 	for _, obj := range x.writes {
-		versions[obj] = home.store.Write(obj, x.t.ID, x.p.Now())
+		home.store.Write(obj, x.t.ID, x.p.Now())
 		home.mv.Write(obj, x.t.ID, x.p.Now())
 	}
-	msg := installMsg{origin: x.t.ID, deadline: x.t.Deadline, objs: x.writes, versions: versions}
+	if len(c.sites) == 1 {
+		return // no replica to ship to
+	}
+	versions := make([]db.Version, len(x.writes))
+	for i, obj := range x.writes {
+		versions[i] = home.store.Read(obj)
+	}
+	// Boxed once for every destination.
+	var msg any = installMsg{origin: x.t.ID, deadline: x.t.Deadline, objs: x.writes, versions: versions}
 	for _, other := range c.sites {
 		if other.id != home.id {
 			x.msgs++

@@ -1,9 +1,12 @@
 package dist
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"rtlock/internal/core"
+	"rtlock/internal/db"
 	"rtlock/internal/sim"
 	"rtlock/internal/stats"
 	"rtlock/internal/txn"
@@ -85,4 +88,85 @@ func TestSingleSiteOracle(t *testing.T) {
 			t.Errorf("%s no longer diverges: drop it from oracleDiverges and DESIGN.md", f)
 		}
 	}
+}
+
+// TestOneSiteAllocParity is the allocation precondition for running
+// single-site as the one-site cluster: on the oracle's load, the local
+// mode's one-site cluster allocates no more often per transaction than
+// txn.System, and at most 1.06 times its bytes. Each cost is marginal,
+// (cost of 2n transactions − cost of n) ÷ n, so what the two engines
+// spend on construction cancels; n is large enough that the cluster's
+// bounded replica histories (versionsKept) have mostly filled by then,
+// so their growth cancels too.
+func TestOneSiteAllocParity(t *testing.T) {
+	const n, cpu = 4000, 10 * sim.Millisecond
+	cat, err := db.NewCatalog(1, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := map[int][]*workload.Txn{}
+	for _, count := range []int{n, 2 * n} {
+		if loads[count], err = workload.Generate(workload.Params{
+			Seed: 7, Catalog: cat, Count: count, MeanInterarrival: 40 * sim.Millisecond,
+			MeanSize: 6, ReadOnlyFrac: 0.5, SlackMin: 2, SlackMax: 6, PerObjCost: cpu,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	row, err := core.Lookup(core.ProtoCeiling)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := func(load []*workload.Txn) error {
+		s, err := txn.NewSystem(txn.Config{CPUPerObj: cpu, CPUDiscipline: row.Discipline, NewManager: row.New})
+		if err != nil {
+			return err
+		}
+		s.Load(load)
+		s.Run()
+		return nil
+	}
+	cluster := func(load []*workload.Txn) error {
+		c, err := NewCluster(Config{Mode: Local, Sites: 1, Objects: 200, CPUPerObj: cpu})
+		if err != nil {
+			return err
+		}
+		c.Load(load)
+		c.Run()
+		return nil
+	}
+	marginal := func(run func([]*workload.Txn) error) (allocs, bytes float64) {
+		a1, b1 := runCost(t, loads[n], run)
+		a2, b2 := runCost(t, loads[2*n], run)
+		return float64(a2-a1) / n, float64(b2-b1) / n
+	}
+	sa, sb := marginal(single)
+	ca, cb := marginal(cluster)
+	t.Logf("per transaction: txn.System %.2f allocs, %.0f B; one-site cluster %.2f allocs, %.0f B", sa, sb, ca, cb)
+	if ca > sa {
+		t.Errorf("the one-site cluster allocates %.2f times per transaction, txn.System %.2f", ca, sa)
+	}
+	if cb > 1.06*sb {
+		t.Errorf("the one-site cluster allocates %.0f B per transaction, over 1.06 × txn.System's %.0f B", cb, sb)
+	}
+}
+
+// runCost runs load twice, the first time to warm the runtime, and
+// returns the heap allocations and bytes of the second. It runs on one
+// processor with the collector paused.
+func runCost(t *testing.T, load []*workload.Txn, run func([]*workload.Txn) error) (allocs, bytes uint64) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if err := run(load); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.ReadMemStats(&before)
+	if err := run(load); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }

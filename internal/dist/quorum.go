@@ -62,12 +62,13 @@ type quorumKey struct {
 
 // quorumRound gathers one round's replies at the transaction's home.
 // Replies are deduplicated per site so injected duplicates cannot
-// satisfy the quorum early.
+// satisfy the quorum early. A transaction has at most one round open, so
+// each run keeps one and reuses it.
 type quorumRound struct {
 	need   int
 	got    []db.SiteID // replicas that answered
 	maxSeq int64
-	tok    *sim.Token
+	tok    sim.Token
 }
 
 // registerQuorumHandlers wires the replication round ports at every
@@ -133,7 +134,9 @@ func (c *Cluster) quorumReply(key quorumKey, from db.SiteID, seq int64) {
 func (c *Cluster) gather(x *txRun, key quorumKey, from db.SiteID, port string, msg any, need int, seq int64) (int, int64, error) {
 	var round *quorumRound
 	if need > 0 {
-		round = &quorumRound{need: need, got: make([]db.SiteID, 0, need), maxSeq: seq, tok: &sim.Token{}}
+		round = &x.round
+		round.need, round.got, round.maxSeq = need, round.got[:0], seq
+		round.tok.Reset()
 		c.qrounds[key] = round
 		defer delete(c.qrounds, key)
 	}
@@ -144,7 +147,7 @@ func (c *Cluster) gather(x *txRun, key quorumKey, from db.SiteID, port string, m
 	if round == nil {
 		return 0, seq, nil
 	}
-	if err := x.p.Park(round.tok); err != nil {
+	if err := x.p.Park(&round.tok); err != nil {
 		return 0, seq, err
 	}
 	return len(round.got), round.maxSeq, nil

@@ -25,7 +25,7 @@ type installMsg struct {
 	origin   int64
 	deadline sim.Time
 	objs     []core.ObjectID
-	versions map[core.ObjectID]db.Version
+	versions []db.Version // versions[i] is objs[i]'s
 }
 
 // readSample records which version a read observed, for the temporal
@@ -132,6 +132,7 @@ func (c *Cluster) install(p *sim.Proc, s *site, msg installMsg) {
 	// tie-breaks favor real transactions.
 	id := int64(1)<<40 + c.installSeq
 	prio := sim.Priority{Deadline: int64(msg.deadline), TxID: id}
+	onPrio := func(pr sim.Priority) { s.cpu.Reprioritize(p, pr) }
 	for attempt := 0; attempt < c.cfg.InstallRetries; attempt++ {
 		if c.faultsOn && c.crashed[s.id] {
 			return // the replica crashed; the update dies with it
@@ -139,16 +140,19 @@ func (c *Cluster) install(p *sim.Proc, s *site, msg installMsg) {
 		// Pin the manager per attempt: a crash replaces it, and this
 		// attempt's release must pair with its own registration.
 		mgr := s.mgr
-		st := core.NewTxState(id, prio, p)
+		st := c.states.Get(id, prio, p)
 		st.WriteSet = msg.objs
-		st.OnPrioChange = func(pr sim.Priority) { s.cpu.Reprioritize(p, pr) }
+		st.OnPrioChange = onPrio
 		c.emit(s.id, journal.KRegister, id, 0, int64(attempt), 0, "install")
 		mgr.Register(st)
-		timeout := c.K.After(c.cfg.InstallTimeout, func() { p.Interrupt(errInstallTimeout) })
+		timeout := c.K.AfterCall(c.cfg.InstallTimeout, interruptInstall, p)
 		err := c.installBody(p, st, s, mgr, msg)
 		timeout.Cancel()
 		mgr.ReleaseAll(st)
 		mgr.Unregister(st)
+		// Released and unregistered whatever the outcome, the state has
+		// left its manager: nothing else holds it.
+		c.states.Put(st)
 		c.emit(s.id, journal.KUnregister, id, 0, int64(attempt), 0, "install")
 		switch {
 		case err == nil:
@@ -170,6 +174,9 @@ func (c *Cluster) install(p *sim.Proc, s *site, msg installMsg) {
 	c.emit(s.id, journal.KInstallDrop, msg.origin, 0, id, 0, "")
 }
 
+// interruptInstall is an installer attempt's timer.
+func interruptInstall(p any) { p.(*sim.Proc).Interrupt(errInstallTimeout) }
+
 func (c *Cluster) installBody(p *sim.Proc, st *core.TxState, s *site, mgr *core.Ceiling, msg installMsg) error {
 	for _, obj := range msg.objs {
 		if c.faultsOn && c.crashed[s.id] {
@@ -182,9 +189,9 @@ func (c *Cluster) installBody(p *sim.Proc, st *core.TxState, s *site, mgr *core.
 			return err
 		}
 	}
-	for _, obj := range msg.objs {
-		s.store.Install(obj, msg.versions[obj])
-		s.mv.Install(obj, msg.versions[obj])
+	for i, obj := range msg.objs {
+		s.store.Install(obj, msg.versions[i])
+		s.mv.Install(obj, msg.versions[i])
 	}
 	return nil
 }

@@ -87,13 +87,14 @@ type resolvedMsg struct {
 
 // voteCollector gathers one transaction's votes at the coordinator.
 // Votes are deduplicated per participant so injected duplicates and
-// retry re-votes cannot satisfy the count early.
+// retry re-votes cannot satisfy the count early. Each run keeps one and
+// reuses it, and its token, round after round.
 type voteCollector struct {
 	c     *Cluster
 	tx    int64
 	need  int
 	voted []db.SiteID // participants whose yes-vote arrived
-	tok   *sim.Token
+	tok   sim.Token
 }
 
 // closeVoteRound is the collector token's cancel hook: a coordinator
@@ -106,6 +107,10 @@ func closeVoteRound(a any) {
 // errPhaseTimeout unparks a coordinator whose vote round went
 // unanswered; it retries or presumes abort.
 var errPhaseTimeout = errors.New("dist: 2pc phase timed out")
+
+// phaseTimedOut is the vote round's timer: it wakes the coordinator's
+// token with errPhaseTimeout.
+func phaseTimedOut(tok any) { tok.(*sim.Token).Wake(errPhaseTimeout) }
 
 // twoPCRetries bounds the coordinator's prepare re-sends and a recovering
 // participant's decision-resolution attempts when a fault plan is
@@ -375,7 +380,8 @@ func (c *Cluster) runTwoPC(x *txRun, shares bool) error {
 		participants = rot
 	}
 	started := c.K.Now()
-	col := &voteCollector{c: c, tx: txID, need: len(participants), voted: make([]db.SiteID, 0, len(participants))}
+	col := &x.votes
+	col.c, col.tx, col.need, col.voted = c, txID, len(participants), col.voted[:0]
 	c.twopc[txID] = col
 	var maxd sim.Duration
 	for _, s := range participants {
@@ -407,15 +413,14 @@ func (c *Cluster) runTwoPC(x *txRun, shares bool) error {
 			}
 			c.Net.Send(home, s, preparePort, prepareMsg{txID: txID, coord: home, objs: objs})
 		}
-		tok := &sim.Token{}
-		tok.SetCancel(closeVoteRound, col)
-		col.tok = tok
+		col.tok.Reset()
+		col.tok.SetCancel(closeVoteRound, col)
 		var tev sim.EventRef
 		if c.faultsOn {
 			// Doubling backoff per retry round.
-			tev = c.K.After(backoff(base, attempt), func() { tok.Wake(errPhaseTimeout) })
+			tev = c.K.AfterCall(backoff(base, attempt), phaseTimedOut, &col.tok)
 		}
-		err = p.Park(tok)
+		err = p.Park(&col.tok)
 		tev.Cancel()
 		if err == nil {
 			break

@@ -103,29 +103,15 @@ type System struct {
 	cfg  Config
 	life Lifecycle
 
-	// freeTx recycles per-attempt transaction states: an attempt's
+	// states recycles per-attempt transaction states: an attempt's
 	// state fully leaves the manager before the next attempt starts
 	// (strict two-phase release plus Unregister), and the kernel's
 	// single-runner discipline serializes all attempt loops, so a plain
-	// freelist suffices.
-	freeTx []*core.TxState
+	// free list suffices.
+	states core.TxPool
 
 	mRestarts sim.Counter
 }
-
-// getTxState hands out a reset transaction state from the pool.
-func (s *System) getTxState(id int64, base sim.Priority, p *sim.Proc) *core.TxState {
-	if n := len(s.freeTx); n > 0 {
-		st := s.freeTx[n-1]
-		s.freeTx[n-1] = nil
-		s.freeTx = s.freeTx[:n-1]
-		st.ResetFor(id, base, p)
-		return st
-	}
-	return core.NewTxState(id, base, p)
-}
-
-func (s *System) putTxState(st *core.TxState) { s.freeTx = append(s.freeTx, st) }
 
 // NewSystem assembles a system from the configuration.
 func NewSystem(cfg Config) (*System, error) {
@@ -227,15 +213,14 @@ func (s *System) exec(p *sim.Proc, t *workload.Txn) {
 	// The access sets and priority-change hook are attempt-invariant;
 	// computing them once per transaction keeps restarts allocation-free
 	// (managers only read the sets, never mutate them).
-	readSet := t.ReadSet()
-	writeSet := t.WriteSet()
+	readSet, writeSet := t.AccessSets(nil)
 	estimate := sim.Duration(t.Size()) * (s.cfg.CPUPerObj + s.cfg.IOPerObj)
 	onPrio := func(pr sim.Priority) {
 		s.K.Emit(journal.KInherit, t.ID, 0, pr.Deadline, pr.TxID, "")
 		s.CPU.Reprioritize(p, pr)
 	}
 	for {
-		st := s.getTxState(t.ID, t.Priority(), p)
+		st := s.states.Get(t.ID, t.Priority(), p)
 		st.ReadSet = readSet
 		st.WriteSet = writeSet
 		st.Estimate = estimate
@@ -264,7 +249,7 @@ func (s *System) exec(p *sim.Proc, t *workload.Txn) {
 		s.K.Emit(journal.KUnregister, t.ID, 0, 0, 0, "")
 		rec.Blocked += st.BlockedTime
 		rec.BlockedCount += st.BlockedCount
-		s.putTxState(st)
+		s.states.Put(st)
 
 		if !errors.Is(err, core.ErrRestart) {
 			break

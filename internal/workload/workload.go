@@ -87,31 +87,50 @@ func (t *Txn) Priority() sim.Priority {
 	return sim.Priority{Deadline: int64(t.Deadline), TxID: t.ID}
 }
 
-// ReadSet returns the objects read, ascending.
-func (t *Txn) ReadSet() []core.ObjectID { return t.set(core.Read) }
-
-// WriteSet returns the objects written, ascending.
-func (t *Txn) WriteSet() []core.ObjectID { return t.set(core.Write) }
-
-func (t *Txn) set(mode core.Mode) []core.ObjectID {
-	var objs []core.ObjectID
+// AccessSets returns the objects t reads and the objects it writes, both
+// from one array sized to t's operations. Each set is ascending; with a
+// catalog, ascending by primary site first, so the objects a site owns
+// are one run of each set. The sets are t's for good: messages may carry
+// them past the attempt that asked.
+func (t *Txn) AccessSets(cat *db.Catalog) (reads, writes []core.ObjectID) {
+	all := make([]core.ObjectID, len(t.Ops))
+	r, w := 0, len(all)
 	for _, op := range t.Ops {
-		if op.Mode == mode {
-			objs = append(objs, op.Obj)
+		if op.Mode == core.Read {
+			all[r] = op.Obj
+			r++
+		} else {
+			w--
+			all[w] = op.Obj
 		}
 	}
-	// Access sets are small (mean size objects); insertion sort beats
-	// sort.Slice and its closure on the hot path.
+	reads, writes = all[:r:r], all[r:]
+	sortObjects(reads, cat)
+	sortObjects(writes, cat)
+	return reads, writes
+}
+
+// sortObjects orders objs by primary site (with a catalog), then by id.
+// Access sets are small (mean size objects); insertion sort beats
+// sort.Slice and its closure on the hot path.
+func sortObjects(objs []core.ObjectID, cat *db.Catalog) {
+	less := func(a, b core.ObjectID) bool {
+		if cat != nil {
+			if sa, sb := cat.PrimarySite(a), cat.PrimarySite(b); sa != sb {
+				return sa < sb
+			}
+		}
+		return a < b
+	}
 	for i := 1; i < len(objs); i++ {
 		v := objs[i]
 		j := i - 1
-		for j >= 0 && objs[j] > v {
+		for j >= 0 && less(v, objs[j]) {
 			objs[j+1] = objs[j]
 			j--
 		}
 		objs[j+1] = v
 	}
-	return objs
 }
 
 // Params configures generation.

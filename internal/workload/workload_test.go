@@ -6,6 +6,7 @@ import (
 
 	"rtlock/internal/core"
 	"rtlock/internal/db"
+	"rtlock/internal/place"
 	"rtlock/internal/sim"
 )
 
@@ -193,7 +194,8 @@ func TestGenerateLocalWriteSets(t *testing.T) {
 		if tx.Kind != Update {
 			continue
 		}
-		for _, obj := range tx.WriteSet() {
+		_, writes := tx.AccessSets(nil)
+		for _, obj := range writes {
 			if p.Catalog.PrimarySite(obj) != tx.Home {
 				t.Fatalf("update transaction %d at site %d writes object %d whose primary is site %d",
 					tx.ID, tx.Home, obj, p.Catalog.PrimarySite(obj))
@@ -441,6 +443,60 @@ func TestGenerateSortedByArrival(t *testing.T) {
 	for i := 1; i < len(txs); i++ {
 		if txs[i].Arrival < txs[i-1].Arrival {
 			t.Fatal("arrivals not monotone")
+		}
+	}
+}
+
+// TestAccessSets: the read and write sets partition a transaction's
+// objects by mode; without a catalog each set is ascending, with one it
+// is ascending by (primary site, object), so each site's objects are
+// one run; and both come from a single allocation.
+func TestAccessSets(t *testing.T) {
+	pm, err := place.NewSharded(4, 200, place.HashPartition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashed, err := db.NewCatalogWithPlacement(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txs, err := Generate(params(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cat := range []*db.Catalog{nil, hashed} {
+		key := func(o core.ObjectID) [2]int {
+			if cat == nil {
+				return [2]int{0, int(o)}
+			}
+			return [2]int{int(cat.PrimarySite(o)), int(o)}
+		}
+		for _, tx := range txs[:300] {
+			reads, writes := tx.AccessSets(cat)
+			mode := map[core.ObjectID]core.Mode{}
+			for _, op := range tx.Ops {
+				mode[op.Obj] = op.Mode
+			}
+			if len(reads)+len(writes) != len(tx.Ops) {
+				t.Fatalf("tx %d: %d reads + %d writes for %d ops", tx.ID, len(reads), len(writes), len(tx.Ops))
+			}
+			for set, m := range map[*[]core.ObjectID]core.Mode{&reads: core.Read, &writes: core.Write} {
+				for i, o := range *set {
+					if mode[o] != m {
+						t.Fatalf("tx %d: object %d in the set of mode %d, accessed in mode %d", tx.ID, o, m, mode[o])
+					}
+					if i == 0 {
+						continue
+					}
+					if prev, k := key((*set)[i-1]), key(o); prev[0] > k[0] || prev[0] == k[0] && prev[1] >= k[1] {
+						t.Fatalf("tx %d: set %v out of order at %d", tx.ID, *set, i)
+					}
+				}
+			}
+		}
+		tx := txs[0]
+		if allocs := testing.AllocsPerRun(50, func() { tx.AccessSets(cat) }); allocs != 1 {
+			t.Fatalf("AccessSets allocates %.0f times, want 1", allocs)
 		}
 	}
 }

@@ -2,9 +2,9 @@ package rtlock
 
 // Aliasing/recycle safety property test for the pooled hot path. The
 // fast path recycles events, wait tokens, lock waiters, transaction
-// states, journals, and serializability histories; a recycle bug (stale
-// field, object shared across owners, capacity carrying data over)
-// would show up as a run whose journal differs depending on what ran
+// states, a cluster's attempt runs and rounds, journals, and
+// serializability histories; a recycle bug (stale field, object shared
+// across owners, capacity carrying data over) would show up as a run whose journal differs depending on what ran
 // before it in the same process. This test pins the opposite property:
 // every configuration hashes identically no matter which — and how many
 // — other configurations ran first on the same warm pools. CI runs it
@@ -14,6 +14,8 @@ package rtlock
 import (
 	"fmt"
 	"testing"
+
+	"rtlock/internal/journal"
 )
 
 func TestRecycleAliasingSafety(t *testing.T) {
@@ -59,6 +61,34 @@ func TestRecycleAliasingSafety(t *testing.T) {
 			Workload: WorkloadConfig{Count: 40}})},
 		{"dist/global/audit/30", hashDist(DistributedConfig{Global: true, Audit: true, Journal: true,
 			Workload: WorkloadConfig{Count: 30}})},
+		{"dist/shard/audit/45", hashDist(DistributedConfig{Placement: "shard", Sites: 4, Audit: true, Journal: true,
+			Workload: WorkloadConfig{Count: 45, LocalityProb: 0.5}})},
+		{"dist/quorum/audit/35", hashDist(DistributedConfig{Placement: "quorum", Sites: 4, Audit: true, Journal: true,
+			Workload: WorkloadConfig{Count: 35, LocalityProb: 0.5}})},
+		// Site 1 crashes with transactions homed there registered at
+		// other sites' managers, which evict them: states that must
+		// never go back to the cluster's pool.
+		{"dist/shard/faults/60", func() (string, error) {
+			res, err := RunDistributed(DistributedConfig{Placement: "shard", Sites: 4, Audit: true, Journal: true,
+				Faults:   &FaultPlan{Crashes: []FaultCrash{{Site: 1, At: int64(1200 * Millisecond), RecoverAt: int64(1800 * Millisecond)}}},
+				Workload: WorkloadConfig{Count: 60, LocalityProb: 0.5}})
+			if err != nil {
+				return "", err
+			}
+			if len(res.Violations) > 0 {
+				return "", fmt.Errorf("violations: %v", res.Violations)
+			}
+			evicted := int64(0)
+			for _, r := range res.Journal.Records() {
+				if r.Kind == journal.KResync && r.Note == "evict" {
+					evicted += r.A
+				}
+			}
+			if evicted == 0 {
+				return "", fmt.Errorf("the crash evicted no remote registration")
+			}
+			return res.Journal.HashString(), nil
+		}},
 		{"explore/C", func() (string, error) {
 			rep, err := Explore(ExploreConfig{
 				Protocol: Ceiling,
