@@ -1,5 +1,5 @@
-// Export bundles: the named files a metrics or timeline export writes,
-// with the byte-identity self-check both subcommands run under -runs.
+// Export bundles: the named files the metrics subcommand writes, with
+// the byte-identity self-check it runs under -runs.
 package main
 
 import (
@@ -18,8 +18,8 @@ type bundle []struct {
 	data []byte
 }
 
-// diff names the first file whose bytes differ between two bundles of
-// the same kind, "" when none does.
+// diff names the first file whose bytes differ between two bundles,
+// "" when none does.
 func (b bundle) diff(other bundle) string {
 	for i, f := range b {
 		if !bytes.Equal(f.data, other[i].data) {
@@ -49,7 +49,7 @@ func (b bundle) write(dir string) error {
 // byte-identical to the first — the proof that the export is as
 // deterministic as the simulation. It returns the first run's bundle and
 // result.
-func identicalRuns(what string, runs int, run func() (*rtlock.Result, error),
+func identicalRuns(runs int, run func() (*rtlock.Result, error),
 	render func(*rtlock.Result) (bundle, error)) (bundle, *rtlock.Result, error) {
 	var first bundle
 	var firstRes *rtlock.Result
@@ -65,7 +65,7 @@ func identicalRuns(what string, runs int, run func() (*rtlock.Result, error),
 		if r == 1 {
 			first, firstRes = b, res
 		} else if name := first.diff(b); name != "" {
-			return nil, nil, fmt.Errorf("%s: %s diverged on run %d — nondeterminism", what, name, r)
+			return nil, nil, fmt.Errorf("metrics: %s diverged on run %d — nondeterminism", name, r)
 		}
 	}
 	return first, firstRes, nil

@@ -20,7 +20,7 @@ func runFaults(args []string) error {
 	fs := flag.NewFlagSet("rtdbsim faults", flag.ContinueOnError)
 	var (
 		plan       = fs.String("plan", "", "JSON fault-plan file; empty runs the generated-plan severity sweep")
-		approach   = fs.String("approach", "global", "architecture under test: global|local (plan mode), or both (sweep mode ignores this)")
+		approach   = fs.String("approach", "global", "plan: architecture under test, global|local (the sweep runs both)")
 		sites      = fs.Int("sites", 3, "number of sites")
 		count      = fs.Int("count", 0, "transactions per run (0 keeps the default)")
 		runs       = fs.Int("runs", 0, "sweep: runs per point (0 keeps the default)")
@@ -34,6 +34,9 @@ func runFaults(args []string) error {
 	}
 
 	if *plan != "" {
+		if err := ignored(fs, "with -plan", "runs", "severities", "csv"); err != nil {
+			return err
+		}
 		data, err := os.ReadFile(*plan)
 		if err != nil {
 			return err
@@ -55,6 +58,9 @@ func runFaults(args []string) error {
 		return reportViolations(res.Violations, len(res.Violations))
 	}
 
+	if err := ignored(fs, "in the severity sweep", "approach"); err != nil {
+		return err
+	}
 	p := experiments.DefaultFaults()
 	setSchedule(&p.Schedule, *seed, *auditRuns, *runs, *count)
 	p.Sites = *sites

@@ -21,15 +21,20 @@
 //	rtdbsim faults -plan examples/specs/faultplan.json -approach global
 //	rtdbsim faults -severities 0,0.5,1 -runs 4 -count 120
 //
-// A fourth exports the deterministic virtual-time observability bundle
-// (Prometheus exposition, CSV time series, folded blocking-chain stacks,
-// HTML report); -spec accepts a run spec or a fault plan:
+// A fourth rolls a run into virtual-time windows and exports the
+// deterministic observability bundle (Prometheus exposition, the
+// registry's CSV time series, the window rows as CSV and JSONL, folded
+// blocking-chain stacks, HTML report); -spec accepts a run spec or a
+// fault plan:
 //
 //	rtdbsim metrics -protocol C -count 200 -out metrics-out
+//	rtdbsim metrics -protocol C -count 40000 -window 1000 -runs 2
 //	rtdbsim metrics -spec examples/specs/faultplan.json -runs 2
 //
 // The main -spec path and the audit/replay subcommands accept a
 // -metrics directory to export the same bundle alongside their output.
+// The bounded-memory million-transaction soak with arrival bursts is
+// -experiment longrun.
 //
 // A fifth explores the schedule space: alternative scheduling decisions
 // instead of the single canonical order, every explored schedule
@@ -38,15 +43,7 @@
 //	rtdbsim explore -protocol C -schedules 64 -minimize
 //	rtdbsim explore -all -jsonl verdict.jsonl -minout counterexamples
 //
-// A sixth rolls a run into virtual-time windows and exports the
-// streaming timeline (JSONL rows, CSV, HTML report) in bounded memory,
-// suitable for million-transaction soaks; the main -spec path accepts a
-// -timeline directory for the same bundle:
-//
-//	rtdbsim timeline -protocol C -count 1000000 -window 10000 -burst 3
-//	rtdbsim timeline -spec run.json -runs 2 -out timeline-out
-//
-// A seventh sweeps the data-placement spectrum (full replication,
+// A sixth sweeps the data-placement spectrum (full replication,
 // primary-copy sharding, quorum replication, uncoordinated primary-only)
 // across site counts and prices each coordinated policy's consistency
 // tax against the no-2PC baseline:
@@ -100,6 +97,21 @@ func (e *usageError) Unwrap() error { return e.err }
 
 func usagef(format string, a ...any) error {
 	return &usageError{fmt.Errorf(format, a...)}
+}
+
+// ignored rejects the named flags that the command line set on fs: the
+// mode, named by how, would silently drop them.
+func ignored(fs *flag.FlagSet, how string, names ...string) error {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(names, f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) > 0 {
+		return usagef("%s does nothing %s", strings.Join(set, ", "), how)
+	}
+	return nil
 }
 
 // protocolFlag is a -protocol value: a letter of the protocol table.
@@ -166,20 +178,17 @@ func specTitle(s *rtlock.Spec) string {
 // runKnobs points at the settings the command line overrides in the run
 // config a spec selects; both configs declare them alike.
 type runKnobs struct {
-	audit, journal, metrics           *bool
-	metricsInterval, timelineWindow   *rtlock.Duration
-	timelineMaxWindows, maxRawRecords *int
-	workload                          *rtlock.WorkloadConfig
+	audit, journal, metrics *bool
+	timelineWindow          *rtlock.Duration
+	maxRawRecords           *int
 }
 
 func knobs(s *rtlock.Spec) runKnobs {
 	if c := s.Single; c != nil {
-		return runKnobs{&c.Audit, &c.Journal, &c.Metrics, &c.MetricsInterval, &c.TimelineWindow,
-			&c.TimelineMaxWindows, &c.MaxRawRecords, &c.Workload}
+		return runKnobs{&c.Audit, &c.Journal, &c.Metrics, &c.TimelineWindow, &c.MaxRawRecords}
 	}
 	c := s.Distributed
-	return runKnobs{&c.Audit, &c.Journal, &c.Metrics, &c.MetricsInterval, &c.TimelineWindow,
-		&c.TimelineMaxWindows, &c.MaxRawRecords, &c.Workload}
+	return runKnobs{&c.Audit, &c.Journal, &c.Metrics, &c.TimelineWindow, &c.MaxRawRecords}
 }
 
 // exitCode maps a run error to the process exit code.
@@ -295,12 +304,11 @@ var subcommands = map[string]func([]string) error{
 	"faults":    runFaults,
 	"metrics":   runMetrics,
 	"explore":   runExplore,
-	"timeline":  runTimeline,
 	"sitesweep": runSiteSweep,
 }
 
 func subcommandNames() []string {
-	return []string{"audit", "replay", "faults", "metrics", "explore", "timeline", "sitesweep"}
+	return []string{"audit", "replay", "faults", "metrics", "explore", "sitesweep"}
 }
 
 func run(args []string) (err error) {
@@ -333,7 +341,6 @@ func run(args []string) (err error) {
 		trace      = fs.Int("trace", 0, "with -spec (single): print up to N transaction-level journal records")
 		auditRuns  = fs.Bool("audit", false, "check every run with its invariant auditors and fail on violations")
 		metricsDir = fs.String("metrics", "", "with -spec: sample virtual-time metrics and export the bundle into this directory")
-		tlDir      = fs.String("timeline", "", "with -spec: roll windowed telemetry and export timeline.jsonl/csv + report into this directory")
 	)
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -358,21 +365,9 @@ func run(args []string) (err error) {
 		}
 		k := knobs(s)
 		*k.audit = *k.audit || *auditRuns
-		if *tlDir != "" && *k.timelineWindow <= 0 {
-			*k.timelineWindow = 1000 * rtlock.Millisecond
-		}
 		res, err := runWithMetrics(s, *metricsDir, filepath.Base(*spec))
 		if err != nil {
 			return err
-		}
-		if *tlDir != "" {
-			b, err := timelineBundle(res, filepath.Base(*spec))
-			if err != nil {
-				return err
-			}
-			if err := b.write(*tlDir); err != nil {
-				return err
-			}
 		}
 		fmt.Println(res.Summary)
 		if res.Serializable != nil {
@@ -401,24 +396,11 @@ func run(args []string) (err error) {
 	for _, s := range []*experiments.Schedule{&p.Single.Schedule, &p.Dist.Schedule, &p.SiteSweep.Schedule, &p.Faults.Schedule} {
 		setSchedule(s, *seed, *auditRuns, *runs, *count)
 	}
-	// ignored rejects the named flags set on the command line, which the
-	// mode would silently drop.
-	ignored := func(names ...string) error {
-		var set []string
-		fs.Visit(func(f *flag.Flag) {
-			if slices.Contains(names, f.Name) {
-				set = append(set, "-"+f.Name)
-			}
-		})
-		if len(set) > 0 {
-			return usagef("%s does nothing with -experiment %s", strings.Join(set, ", "), want)
-		}
-		return nil
-	}
+	mode := "with -experiment " + want
 	names := []string{want}
 	switch want {
 	case "custom":
-		if err := ignored("plot", "out", "csv"); err != nil {
+		if err := ignored(fs, mode, "plot", "out", "csv"); err != nil {
 			return err
 		}
 		sum, err := experiments.RunCustom(p.Single, experiments.Protocol(*protocol), *size)
@@ -428,7 +410,7 @@ func run(args []string) (err error) {
 		fmt.Printf("protocol=%s size=%d %s\n", *protocol, *size, sum)
 		return nil
 	case "longrun":
-		if err := ignored("audit", "runs", "plot", "out"); err != nil {
+		if err := ignored(fs, mode, "audit", "runs", "plot", "out"); err != nil {
 			return err
 		}
 		res, err := experiments.LongRun(experiments.LongRunParams{

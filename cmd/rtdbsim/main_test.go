@@ -66,7 +66,7 @@ func helpText(t *testing.T, args ...string) string {
 // once had to be edited per protocol), and an unknown letter is a usage
 // error naming the choices.
 func TestProtocolLettersFromTable(t *testing.T) {
-	for _, sub := range [][]string{nil, {"audit"}, {"replay"}, {"metrics"}, {"timeline"}, {"explore"}} {
+	for _, sub := range [][]string{nil, {"audit"}, {"replay"}, {"metrics"}, {"explore"}} {
 		// The flag package prints "  -protocol value" and the usage
 		// text on the line after it.
 		_, usage, ok := strings.Cut(helpText(t, sub...), "  -protocol ")
@@ -214,6 +214,7 @@ func TestExitCodes(t *testing.T) {
 		{"explore help", []string{"explore", "-h"}, 0},
 		{"audit help", []string{"audit", "-h"}, 0},
 		{"unknown subcommand", []string{"bogus"}, 2},
+		{"timeline subcommand", []string{"timeline", "-count", "20"}, 2},
 		{"unknown flag", []string{"-bogus"}, 2},
 		{"unknown experiment", []string{"-experiment", "nope"}, 2},
 		{"stray positional", []string{"-experiment", "custom", "stray"}, 2},
@@ -229,6 +230,14 @@ func TestExitCodes(t *testing.T) {
 		{"placement with single spec", []string{"-spec", "../../examples/specs/single-ceiling.json", "-placement", "shard"}, 2},
 		{"audit protocol with distributed", []string{"audit", "-distributed", "-protocol", "HP"}, 2},
 		{"metrics protocol with global", []string{"metrics", "-global", "-protocol", "P", "-out", os.DevNull}, 2},
+		{"metrics approach with run spec", []string{"metrics", "-spec", "../../examples/specs/single-ceiling.json", "-approach", "local", "-out", os.DevNull}, 2},
+		{"metrics sites with run spec", []string{"metrics", "-spec", "../../examples/specs/distributed-local.json", "-sites", "4", "-out", os.DevNull}, 2},
+		{"metrics approach inline", []string{"metrics", "-count", "20", "-approach", "local", "-out", os.DevNull}, 2},
+		{"metrics sites inline", []string{"metrics", "-distributed", "-count", "20", "-sites", "4", "-out", os.DevNull}, 2},
+		{"faults plan runs", []string{"faults", "-plan", "../../examples/specs/faultplan.json", "-runs", "2"}, 2},
+		{"faults plan severities", []string{"faults", "-plan", "../../examples/specs/faultplan.json", "-severities", "0,1"}, 2},
+		{"faults plan csv", []string{"faults", "-plan", "../../examples/specs/faultplan.json", "-csv"}, 2},
+		{"faults sweep approach", []string{"faults", "-approach", "local", "-runs", "1", "-count", "20", "-severities", "0"}, 2},
 		{"replay one run", []string{"replay", "-runs", "1"}, 2},
 		{"replay no runs", []string{"replay", "-runs", "0"}, 2},
 		{"longrun audit", []string{"-experiment", "longrun", "-count", "20", "-audit"}, 2},

@@ -1,9 +1,11 @@
 // The metrics subcommand: run one configuration with the deterministic
-// virtual-time metrics registry and the lock-contention profiler
-// attached and export the observability bundle — Prometheus text
-// exposition, CSV time series, pprof-style folded blocking-chain stacks,
-// and a static HTML report. Both gather as the run goes, so the run
-// keeps no journal records however long it is. With -runs > 1 the
+// virtual-time metrics registry, the window ring and the
+// lock-contention profiler attached and export the observability
+// bundle — Prometheus text exposition, the registry's CSV time series,
+// the window rows as CSV and JSONL, pprof-style folded blocking-chain
+// stacks, and a static HTML report. All of them gather as the run goes,
+// so the run keeps no journal records however long it is, but the lock
+// profile grows with the blocking chains it sees. With -runs > 1 the
 // exports are re-generated from independent executions and must be
 // byte-identical, proving the observability layer is as deterministic
 // as the simulation it watches.
@@ -27,8 +29,8 @@ func runMetrics(args []string) error {
 	var sel specSelection
 	sel.register(fs)
 	var (
-		out      = fs.String("out", "metrics-out", "directory for metrics.prom, metrics.csv, profile.folded, report.html")
-		interval = fs.Float64("interval", 0, "window width in virtual milliseconds: one metrics.csv row per window (0 picks the 100ms default)")
+		out      = fs.String("out", "metrics-out", "directory for the bundle: metrics.prom, metrics.csv, timeline.csv, timeline.jsonl, profile.folded, report.html")
+		windowMs = fs.Float64("window", 0, "window width in virtual milliseconds: one row per window (0 keeps the spec's timelineWindowMs, else its metricsIntervalMs, else 100)")
 		topk     = fs.Int("topk", 10, "hottest objects to print and embed in the report")
 		runs     = fs.Int("runs", 1, "independent executions; with >1 every export must be byte-identical")
 		approach = fs.String("approach", "global", "fault-plan mode: architecture under test, global|local")
@@ -37,11 +39,11 @@ func runMetrics(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	run, title, err := metricsRunner(&sel, *interval, *approach, *sites)
+	run, title, err := metricsRunner(fs, &sel, *windowMs, *approach, *sites)
 	if err != nil {
 		return err
 	}
-	first, res, err := identicalRuns("metrics", *runs, run, func(res *rtlock.Result) (bundle, error) {
+	first, res, err := identicalRuns(*runs, run, func(res *rtlock.Result) (bundle, error) {
 		return metricsBundle(res, title, *topk)
 	})
 	if err != nil {
@@ -55,6 +57,7 @@ func runMetrics(args []string) error {
 	fmt.Print(res.LockProfile.Top(*topk).String())
 	fmt.Println(processSwitches(res.Metrics))
 	fmt.Printf("metrics: %d windows (%d evicted)\n", len(res.Timeline), res.TimelineDropped)
+	fmt.Printf("raw records retained/dropped %d/%d\n", res.RawRetained, res.RawDropped)
 	if *runs > 1 {
 		fmt.Printf("metrics: %d runs byte-identical — deterministic\n", *runs)
 	}
@@ -79,10 +82,15 @@ func processSwitches(m *metrics.Registry) string {
 // the observability bundle composes with the fault-injection
 // subcommand's plan files; only a run spec has a "mode", and the file is
 // parsed, and its errors reported, as the kind its content says it is.
-func metricsRunner(sel *specSelection, intervalMs float64, approach string, sites int) (func() (*rtlock.Result, error), string, error) {
+// The run has one window width: a positive windowMs, else the spec's
+// own (see rtlock.SingleSiteConfig.TimelineWindow).
+func metricsRunner(fs *flag.FlagSet, sel *specSelection, windowMs float64, approach string, sites int) (func() (*rtlock.Result, error), string, error) {
 	var s *rtlock.Spec
 	title := filepath.Base(sel.spec)
 	if sel.spec == "" {
+		if err := ignored(fs, "without a fault plan", "approach", "sites"); err != nil {
+			return nil, "", err
+		}
 		var err error
 		if s, err = sel.inline(); err != nil {
 			return nil, "", err
@@ -100,8 +108,10 @@ func metricsRunner(sel *specSelection, intervalMs float64, approach string, site
 		if _, isRunSpec := keys["mode"]; !isRunSpec {
 			wl := rtlock.WorkloadConfig{Seed: sel.seed, Count: sel.count, MeanSize: sel.size}
 			s, err = faultPlanSpec(sel.spec, data, approach, sites, wl)
-		} else if s, err = rtlock.ParseSpec(data); err != nil {
-			err = fmt.Errorf("%s: %w", sel.spec, err)
+		} else if err = ignored(fs, "with a run spec", "approach", "sites"); err == nil {
+			if s, err = rtlock.ParseSpec(data); err != nil {
+				err = fmt.Errorf("%s: %w", sel.spec, err)
+			}
 		}
 		if err != nil {
 			return nil, "", err
@@ -109,16 +119,18 @@ func metricsRunner(sel *specSelection, intervalMs float64, approach string, site
 	}
 	k := knobs(s)
 	*k.metrics = true
-	*k.metricsInterval = sim.FromMillis(intervalMs)
+	if windowMs > 0 {
+		*k.timelineWindow = sim.FromMillis(windowMs)
+	}
 	if *k.maxRawRecords <= 0 {
 		*k.maxRawRecords = defaultMaxRaw
 	}
 	return s.Run, title, nil
 }
 
-// defaultMaxRaw caps the per-transaction records of a metrics or
-// timeline run whose spec sets no cap. Neither bundle exports them, so
-// the cap keeps a run's memory bounded however long it is.
+// defaultMaxRaw caps the per-transaction records of a metrics run whose
+// spec sets no cap. The bundle does not export them, so the cap keeps
+// them from growing with the run.
 const defaultMaxRaw = 4096
 
 // faultPlanSpec is the run of the fault plan in file name: a
@@ -135,7 +147,7 @@ func faultPlanSpec(name string, plan []byte, approach string, sites int, wl rtlo
 	return &rtlock.Spec{Distributed: &rtlock.DistributedConfig{Global: global, Sites: sites, Faults: fp, Workload: wl}}, nil
 }
 
-// metricsBundle renders the four export formats from a completed run.
+// metricsBundle renders the six files of the bundle from a completed run.
 func metricsBundle(res *rtlock.Result, title string, topk int) (bundle, error) {
 	if res.Metrics == nil {
 		return nil, fmt.Errorf("metrics: run produced no registry")
@@ -144,6 +156,8 @@ func metricsBundle(res *rtlock.Result, title string, topk int) (bundle, error) {
 	return bundle{
 		{"metrics.prom", res.Metrics.Prometheus()},
 		{"metrics.csv", rtlock.MetricsCSV(res.Metrics, res.Timeline)},
+		{"timeline.csv", rtlock.TimelineCSV(res.Timeline)},
+		{"timeline.jsonl", rtlock.TimelineJSONL(res.Timeline)},
 		{"profile.folded", prof.Folded()},
 		{"report.html", rtlock.HTMLReport("rtlock metrics — "+title, res.Metrics, prof, res.Timeline)},
 	}, nil

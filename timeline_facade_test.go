@@ -1,6 +1,8 @@
 package rtlock
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -108,6 +110,51 @@ func TestTimelineZeroOverhead(t *testing.T) {
 		t.Fatalf("sampling perturbed the run: %s", JournalDiff(rw.Journal, rs.Journal))
 	}
 	compareExports(t, "sampled", timelineExports(t, rw), timelineExports(t, rs))
+}
+
+// TestMetricsRowsMatchTimelineOnlyRows: the window rows of a Metrics run
+// render the same timeline exports as those of a timeline-only run of
+// the same configuration, at a short and a long window, on one site and
+// on a cluster. That is what lets one bundle export the registry and
+// the window rows of a single run.
+func TestMetricsRowsMatchTimelineOnlyRows(t *testing.T) {
+	for _, window := range []Duration{100 * Millisecond, Second} {
+		single := SingleSiteConfig{Protocol: Ceiling, TimelineWindow: window}
+		single.Workload.Seed, single.Workload.Count = 3, 300
+		cluster := DistributedConfig{Global: true, Sites: 3, TimelineWindow: window}
+		cluster.Workload.Seed, cluster.Workload.Count = 3, 120
+		for name, run := range map[string]func(metrics bool) (*Result, error){
+			"single": func(metrics bool) (*Result, error) {
+				cfg := single
+				cfg.Metrics = metrics
+				return RunSingleSite(cfg)
+			},
+			"cluster": func(metrics bool) (*Result, error) {
+				cfg := cluster
+				cfg.Metrics = metrics
+				return RunDistributed(cfg)
+			},
+		} {
+			only, err := run(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sampled, err := run(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("%s at %v", name, window)
+			if sampled.Metrics == nil || len(only.Timeline) < 2 {
+				t.Fatalf("%s: %d windows and no registry — the check compares nothing", what, len(only.Timeline))
+			}
+			if !bytes.Equal(TimelineJSONL(only.Timeline), TimelineJSONL(sampled.Timeline)) {
+				t.Errorf("%s: timeline.jsonl differs between a timeline-only and a Metrics run", what)
+			}
+			if !bytes.Equal(TimelineCSV(only.Timeline), TimelineCSV(sampled.Timeline)) {
+				t.Errorf("%s: timeline.csv differs between a timeline-only and a Metrics run", what)
+			}
+		}
+	}
 }
 
 // TestTimelineOnlyRunHasNoMetricsOrJournal pins the bounded-memory
