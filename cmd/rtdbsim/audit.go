@@ -12,8 +12,9 @@ import (
 	"rtlock"
 )
 
-// specSelection holds the flags shared by audit and replay that pick the
-// run to perform: a JSON spec file, or a quick inline configuration.
+// specSelection holds the flags shared by audit, replay and metrics that
+// pick the run to perform: a JSON spec file, or a quick inline
+// configuration.
 type specSelection struct {
 	spec        string
 	protocol    *protocolFlag
@@ -25,7 +26,7 @@ type specSelection struct {
 }
 
 func (sel *specSelection) register(fs *flag.FlagSet) {
-	fs.StringVar(&sel.spec, "spec", "", "JSON specification file (overrides the quick-config flags)")
+	fs.StringVar(&sel.spec, "spec", "", "JSON specification file, in place of the quick-config flags")
 	sel.protocol = registerProtocol(fs, "quick config:")
 	fs.IntVar(&sel.size, "size", 0, "quick config: mean transaction size (0 keeps the default)")
 	fs.IntVar(&sel.count, "count", 0, "quick config: transactions per run (0 keeps the default)")
@@ -34,8 +35,18 @@ func (sel *specSelection) register(fs *flag.FlagSet) {
 	fs.BoolVar(&sel.global, "global", false, "quick config: distributed global-ceiling run")
 }
 
-func (sel *specSelection) load() (*rtlock.Spec, error) {
+// quickFlags are the flags of the quick configuration.
+var quickFlags = []string{"protocol", "size", "count", "seed", "distributed", "global"}
+
+// load is the run the selection names: the -spec file, which sets
+// everything the quick-config flags would (so setting one of them too is
+// a usage error rather than a setting silently dropped), or the quick
+// configuration.
+func (sel *specSelection) load(fs *flag.FlagSet) (*rtlock.Spec, error) {
 	if sel.spec != "" {
+		if err := ignored(fs, "with -spec", quickFlags...); err != nil {
+			return nil, err
+		}
 		return rtlock.LoadSpec(sel.spec)
 	}
 	return sel.inline()
@@ -104,7 +115,7 @@ func runAudit(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	s, err := sel.load()
+	s, err := sel.load(fs)
 	if err != nil {
 		return err
 	}
@@ -146,7 +157,7 @@ func runReplay(args []string) error {
 	if *against == "" && *runs < 2 {
 		return usagef("-runs %d: replay compares at least 2 runs, or one against -against", *runs)
 	}
-	s, err := sel.load()
+	s, err := sel.load(fs)
 	if err != nil {
 		return err
 	}

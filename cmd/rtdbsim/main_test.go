@@ -234,6 +234,13 @@ func TestExitCodes(t *testing.T) {
 		{"metrics sites with run spec", []string{"metrics", "-spec", "../../examples/specs/distributed-local.json", "-sites", "4", "-out", os.DevNull}, 2},
 		{"metrics approach inline", []string{"metrics", "-count", "20", "-approach", "local", "-out", os.DevNull}, 2},
 		{"metrics sites inline", []string{"metrics", "-distributed", "-count", "20", "-sites", "4", "-out", os.DevNull}, 2},
+		{"audit count with spec", []string{"audit", "-spec", "../../examples/specs/single-ceiling.json", "-count", "5"}, 2},
+		{"audit protocol with spec", []string{"audit", "-spec", "../../examples/specs/single-ceiling.json", "-protocol", "HP"}, 2},
+		{"replay seed with spec", []string{"replay", "-spec", "../../examples/specs/single-ceiling.json", "-seed", "3"}, 2},
+		{"replay distributed with spec", []string{"replay", "-spec", "../../examples/specs/single-ceiling.json", "-distributed"}, 2},
+		{"metrics size with run spec", []string{"metrics", "-spec", "../../examples/specs/single-ceiling.json", "-size", "4", "-out", os.DevNull}, 2},
+		{"metrics protocol with fault plan", []string{"metrics", "-spec", "../../examples/specs/faultplan.json", "-protocol", "P", "-out", os.DevNull}, 2},
+		{"metrics global with fault plan", []string{"metrics", "-spec", "../../examples/specs/faultplan.json", "-global", "-out", os.DevNull}, 2},
 		{"faults plan runs", []string{"faults", "-plan", "../../examples/specs/faultplan.json", "-runs", "2"}, 2},
 		{"faults plan severities", []string{"faults", "-plan", "../../examples/specs/faultplan.json", "-severities", "0,1"}, 2},
 		{"faults plan csv", []string{"faults", "-plan", "../../examples/specs/faultplan.json", "-csv"}, 2},

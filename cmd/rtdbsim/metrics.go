@@ -106,9 +106,12 @@ func metricsRunner(fs *flag.FlagSet, sel *specSelection, windowMs float64, appro
 			return nil, "", fmt.Errorf("%s: %w", sel.spec, err)
 		}
 		if _, isRunSpec := keys["mode"]; !isRunSpec {
-			wl := rtlock.WorkloadConfig{Seed: sel.seed, Count: sel.count, MeanSize: sel.size}
-			s, err = faultPlanSpec(sel.spec, data, approach, sites, wl)
-		} else if err = ignored(fs, "with a run spec", "approach", "sites"); err == nil {
+			// A fault plan takes its load from -seed, -count and -size.
+			if err = ignored(fs, "with a fault plan", "protocol", "distributed", "global"); err == nil {
+				wl := rtlock.WorkloadConfig{Seed: sel.seed, Count: sel.count, MeanSize: sel.size}
+				s, err = faultPlanSpec(sel.spec, data, approach, sites, wl)
+			}
+		} else if err = ignored(fs, "with a run spec", append(quickFlags, "approach", "sites")...); err == nil {
 			if s, err = rtlock.ParseSpec(data); err != nil {
 				err = fmt.Errorf("%s: %w", sel.spec, err)
 			}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"rtlock/internal/core"
 	"rtlock/internal/journal"
@@ -224,9 +223,9 @@ type BlockedAtMostOnce struct {
 // NewBlockedAtMostOnce returns the PCP blocking-bound auditor.
 func NewBlockedAtMostOnce() *BlockedAtMostOnce {
 	return &BlockedAtMostOnce{
-		prio:     make(map[int64]sim.Priority, 64),
-		episodes: make(map[int64]int, 64),
-		counted:  make(map[int64]bool, 64),
+		prio:     make(map[int64]sim.Priority),
+		episodes: make(map[int64]int),
+		counted:  make(map[int64]bool),
 	}
 }
 
@@ -292,8 +291,8 @@ type DeadlockFree struct {
 // NewDeadlockFree returns the waits-for cycle auditor.
 func NewDeadlockFree() *DeadlockFree {
 	return &DeadlockFree{
-		edges: make(map[int64][]int64, 64),
-		seen:  make(map[int64]bool, 64),
+		edges: make(map[int64][]int64),
+		seen:  make(map[int64]bool),
 	}
 }
 
@@ -399,7 +398,7 @@ type StrictTwoPhase struct {
 
 // NewStrictTwoPhase returns the strict-2PL auditor.
 func NewStrictTwoPhase() *StrictTwoPhase {
-	return &StrictTwoPhase{released: make(map[int64]uint64, 64)}
+	return &StrictTwoPhase{released: make(map[int64]uint64)}
 }
 
 // Name implements Auditor.
@@ -453,7 +452,7 @@ type txMode struct {
 
 // NewLockSafety returns the grant-compatibility auditor.
 func NewLockSafety() *LockSafety {
-	return &LockSafety{holders: make(map[lockKey][]txMode, 64)}
+	return &LockSafety{holders: make(map[lockKey][]txMode)}
 }
 
 // Name implements Auditor.
@@ -634,18 +633,12 @@ type pendingOp struct {
 	at   sim.Time
 }
 
-// historyPool recycles committed histories across audit runs: the
-// explorer audits hundreds of journals per exploration, and each
-// history's op buffer and checker scratch would otherwise be regrown
-// from nothing. Finish returns each history after its verdict.
-var historyPool = sync.Pool{New: func() any { return newHistory() }}
-
 // NewSerializable returns the committed-history serializability
 // auditor.
 func NewSerializable(perSite bool) *Serializable {
 	return &Serializable{
 		perSite: perSite,
-		pending: make(map[int64][]pendingOp, 64),
+		pending: make(map[int64][]pendingOp),
 		hist:    make(map[int32]*history, 4),
 	}
 }
@@ -679,7 +672,7 @@ func (s *Serializable) Observe(r *journal.Record) {
 			}
 			h, ok := s.hist[site]
 			if !ok {
-				h = historyPool.Get().(*history)
+				h = newHistory()
 				s.hist[site] = h
 			}
 			h.Record(r.Tx, op.obj, op.mode, op.at)
@@ -709,11 +702,8 @@ func (s *Serializable) Finish() []Violation {
 	var v []Violation
 	for _, site := range sites {
 		h := s.hist[site]
-		serializable := h.ConflictSerializable()
-		h.Reset()
-		historyPool.Put(h)
 		delete(s.hist, site)
-		if !serializable {
+		if !h.ConflictSerializable() {
 			v = append(v, Violation{
 				Rule: s.Name(), Seq: s.lastSeq, At: s.lastAt,
 				Detail: fmt.Sprintf("committed history at site %d is not conflict serializable", site),

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -329,5 +330,34 @@ func TestForManagerSelection(t *testing.T) {
 	global := names(ForPlacement("global"))
 	if !global["twopc-consistent"] || global["pcp-blocked-at-most-once"] {
 		t.Fatalf("global auditors = %v", global)
+	}
+}
+
+// TestSerializableCostIndependentOfEarlierRuns: what an audit allocates
+// depends only on its journal. A history recycled across runs made the
+// cost depend on whether the previous run's history was still cached
+// for the processor the next run started on, so equal runs differed by
+// a whole history.
+func TestSerializableCostIndependentOfEarlierRuns(t *testing.T) {
+	b := newJB()
+	for tx := int64(1); tx <= 400; tx++ {
+		for k := int64(0); k < 8; k++ {
+			b.add(journal.KOp, 0, tx, int32((tx*3+k)%50), 1+(tx+k)%2, 0)
+		}
+		b.add(journal.KCommit, 0, tx, 0, 0, 0)
+	}
+	cost := func() uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		wantViolations(t, Run(b.j, NewSerializable(false)), "serializable", 0)
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	runtime.GC()
+	runtime.GC()
+	cold := cost()
+	warm := cost()
+	if diff := max(cold, warm) - min(cold, warm); diff*100 > cold {
+		t.Fatalf("audit after an identical one allocated %d B, first %d B", warm, cold)
 	}
 }

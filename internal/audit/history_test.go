@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rtlock/internal/core"
+	"rtlock/internal/sim"
 )
 
 func TestSerializableSimple(t *testing.T) {
@@ -89,5 +90,64 @@ func TestTieBreakBySeq(t *testing.T) {
 	h.Commit(2)
 	if !h.ConflictSerializable() {
 		t.Fatal("t1 before t2 on both objects; serializable")
+	}
+}
+
+func TestEdgeAgainstCommitOrder(t *testing.T) {
+	// t1 writes x before t2 but commits after it: the edge t1→t2 runs
+	// against commit order, so the commit-order pass cannot vouch for
+	// the history and the graph decides.
+	h := newHistory()
+	h.Record(1, 1, core.Write, 1)
+	h.Record(2, 1, core.Write, 2)
+	h.Commit(2)
+	h.Commit(1)
+	if !h.ConflictSerializable() {
+		t.Fatal("acyclic history against commit order flagged")
+	}
+	h = newHistory()
+	h.Record(1, 1, core.Write, 1)
+	h.Record(2, 1, core.Write, 2)
+	h.Record(2, 2, core.Write, 3)
+	h.Record(1, 2, core.Write, 4)
+	h.Commit(2)
+	h.Commit(1)
+	if h.ConflictSerializable() {
+		t.Fatal("cycle against commit order passed")
+	}
+}
+
+func TestHistoryAcrossChunks(t *testing.T) {
+	// Serial transactions over a few objects, enough operations to fill
+	// several chunks, and optionally a cycle whose two halves are
+	// recorded in the first chunk and the last.
+	const txs, size = 700, 5
+	build := func(cycle bool) *history {
+		h := newHistory()
+		if cycle {
+			h.Record(txs+1, 100, core.Write, 1)
+			h.Record(txs+2, 100, core.Write, 2)
+		}
+		at := sim.Time(0)
+		for tx := int64(1); tx <= txs; tx++ {
+			for k := 0; k < size; k++ {
+				at++
+				h.Record(tx, core.ObjectID((int(tx)+k)%7), core.Write, at)
+			}
+			h.Commit(tx)
+		}
+		if cycle {
+			h.Record(txs+2, 101, core.Read, at+1)
+			h.Record(txs+1, 101, core.Write, at+2)
+			h.Commit(txs + 1)
+			h.Commit(txs + 2)
+		}
+		return h
+	}
+	if h := build(false); h.Len() <= 2*histChunk || !h.ConflictSerializable() {
+		t.Fatalf("serial history of %d operations flagged", h.Len())
+	}
+	if build(true).ConflictSerializable() {
+		t.Fatal("cycle across chunks passed")
 	}
 }

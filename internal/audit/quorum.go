@@ -22,7 +22,7 @@ type QuorumIntersection struct {
 
 // NewQuorumIntersection returns the quorum-intersection auditor.
 func NewQuorumIntersection() *QuorumIntersection {
-	return &QuorumIntersection{committed: make(map[int32]int64, 64)}
+	return &QuorumIntersection{committed: make(map[int32]int64)}
 }
 
 // Name implements Auditor.

@@ -134,14 +134,24 @@ func (s *MVStore) Interval(obj core.ObjectID, seq int64) (start, end sim.Time, k
 
 // append adds v as obj's newest version. Histories stay ordered by Seq;
 // replicated installs always advance Seq (guarded by Install), local
-// writes too. A full history shifts down in place, dropping its oldest
-// version, so its array is reused rather than regrown.
+// writes too. A history starts with room for a few versions, and an
+// object written past those gets its full-length history in one step
+// rather than by doubling; a full history shifts down in place, dropping
+// its oldest version.
 func (s *MVStore) append(obj core.ObjectID, v Version) {
 	hist := s.versions[obj]
-	if len(hist) == s.keep {
+	switch {
+	case len(hist) == s.keep:
 		copy(hist, hist[1:])
 		hist[len(hist)-1] = v
 		return
+	case hist == nil:
+		hist = make([]Version, 0, min(firstVersions, s.keep))
+	case len(hist) == cap(hist):
+		hist = append(make([]Version, 0, s.keep), hist...)
 	}
 	s.versions[obj] = append(hist, v)
 }
+
+// firstVersions is the room a history starts with.
+const firstVersions = 4

@@ -311,10 +311,12 @@ type Cluster struct {
 	twopc      map[int64]*voteCollector
 	decisions  int
 	qrounds    map[quorumKey]*quorumRound
-	// runs and states pool the per-attempt runs and pin states (see
-	// txRun and discharge).
-	runs   []*txRun
-	states core.TxPool
+	// runs, states and installers pool the per-attempt runs, pin
+	// states and replica installers (see txRun, discharge and
+	// installer).
+	runs       []*txRun
+	states     core.TxPool
+	installers []*installer
 
 	// Fault-plan state, inert until AttachFaults is called. faultsOn
 	// gates every behavioral addition so a cluster without a plan is
@@ -392,7 +394,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		mode:    &modes[cfg.Mode],
 		sites:   make([]*site, 0, cfg.Sites),
 	}
-	c.life = txn.NewLifecycle(k, cfg.Timeline, cfg.MaxRawRecords, c.exec)
+	c.life = txn.NewLifecycle(k, cfg.Timeline, cfg.MaxRawRecords)
 	c.Monitor = c.life.Monitor
 	c.life.MissReason(ErrSiteCrashed, "crashed")
 	m := k.Metrics()
@@ -624,7 +626,7 @@ func (c *Cluster) arrive(t *workload.Txn) {
 		c.life.Finish(&rec, ErrSiteCrashed)
 		return
 	}
-	c.life.Spawn(t)
+	c.life.Spawn(t, c.newRun(t).body)
 }
 
 // Run drives the simulation to completion, tears down the message

@@ -27,7 +27,7 @@ type pin struct {
 }
 
 // txRun is one transaction attempt on the pipeline. Runs are pooled:
-// exec takes one with newRun, and the run goes back once nothing can
+// arrive takes one with newRun, and the run goes back once nothing can
 // reach it any more (see doneWith).
 type txRun struct {
 	p *sim.Proc
@@ -35,13 +35,16 @@ type txRun struct {
 	// pins are the managers the attempt registers with, ascending by
 	// site.
 	pins   []pin
+	sets   []core.ObjectID // the scratch the access sets are written into
 	writes []core.ObjectID // the whole write set (nil in primary mode)
 	msgs   int             // inter-site messages the transaction caused
 	views  []readSample    // the version each read observed (local mode)
-	// onPrio wires the transaction's priority inheritance to every
-	// site's processor (the process may be queued at any of them while
-	// executing remotely); the states at all its pins share it. It is
-	// bound once per pooled run and reads p.
+	// body is the process body. onPrio wires the transaction's
+	// priority inheritance to every site's processor (the process may
+	// be queued at any of them while executing remotely); the states at
+	// all its pins share it. Both are bound once per pooled run and
+	// read p.
+	body   func(*sim.Proc)
 	onPrio func(sim.Priority)
 	// live counts what still holds the run: exec until it returns, and
 	// each pin until discharge hands its state back to the pool. A
@@ -54,10 +57,15 @@ type txRun struct {
 	round quorumRound
 	votes voteCollector
 	order []core.ObjectID
+	// pin0 and view0 back pins and views when the run is built: the
+	// usual single pin and up to 16 read samples cost a new run no
+	// allocation of their own.
+	pin0  [1]pin
+	view0 [16]readSample
 }
 
-// newRun takes a run from the pool (or builds one) for t's process p.
-func (c *Cluster) newRun(p *sim.Proc, t *workload.Txn) *txRun {
+// newRun takes a run from the pool (or builds one) for t.
+func (c *Cluster) newRun(t *workload.Txn) *txRun {
 	var x *txRun
 	if n := len(c.runs); n > 0 {
 		x = c.runs[n-1]
@@ -65,15 +73,25 @@ func (c *Cluster) newRun(p *sim.Proc, t *workload.Txn) *txRun {
 		c.runs = c.runs[:n-1]
 	} else {
 		x = &txRun{}
+		x.pins, x.views = x.pin0[:0], x.view0[:0]
+		x.body = func(p *sim.Proc) { c.exec(p, x) }
 		x.onPrio = func(pr sim.Priority) {
 			for _, s := range c.sites {
 				s.cpu.Reprioritize(x.p, pr)
 			}
 		}
 	}
-	x.p, x.t, x.msgs, x.live = p, t, 0, 1
+	x.t, x.msgs, x.live = t, 0, 1
 	x.pins, x.writes, x.views = x.pins[:0], nil, x.views[:0]
 	return x
+}
+
+// accessSets writes the transaction's access sets into the run's
+// scratch (see workload.Txn.AccessSets) and keeps the write set.
+func (x *txRun) accessSets(cat *db.Catalog) (reads []core.ObjectID) {
+	x.sets = slices.Grow(x.sets[:0], x.t.Size())
+	reads, x.writes = x.t.AccessSets(cat, x.sets)
+	return reads
 }
 
 // doneWith drops one hold on x; the last one returns it to the pool.
@@ -97,13 +115,14 @@ func (c *Cluster) newState(x *txRun, reads, writes []core.ObjectID) *core.TxStat
 // arrive, pin managers, register, arm the deadline, run the operations,
 // commit, release, install, record. What a mode does differently is in
 // its row of the mode table.
-func (c *Cluster) exec(p *sim.Proc, t *workload.Txn) {
+func (c *Cluster) exec(p *sim.Proc, x *txRun) {
+	t := x.t
+	x.p = p
 	if c.faultsOn {
 		c.liveTx[t.Home][t.ID] = p
 		defer delete(c.liveTx[t.Home], t.ID)
 	}
 	m := c.mode
-	x := c.newRun(p, t)
 	rec := c.life.Arrive(t, t.Home)
 	m.pin(c, x)
 	c.atPins(x, enroll)

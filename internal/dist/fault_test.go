@@ -439,3 +439,48 @@ func TestTwoPCPartitionDuringPrepare(t *testing.T) {
 		t.Error("partition open/heal not journaled")
 	}
 }
+
+// TestTwoPCPreparedShareOutlivesRun: a participant keeps its share of
+// the write set past the coordinator's transaction. The partition
+// drops the commit decision, so the participant stays prepared while
+// the coordinator commits, and its run goes back to the pool; the next
+// transaction at that home reuses the run's access-set scratch for a
+// write of its own. When the partition heals, the participant resolves
+// the commit and must install object 20, its share, not what the
+// scratch holds by then.
+func TestTwoPCPreparedShareOutlivesRun(t *testing.T) {
+	_, _, decAt := twopcBaseline(t)
+	conf := twopcConf()
+	conf.Journal = journal.New(1, "twopc-share")
+	c, err := NewCluster(conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &faults.Plan{Partitions: []faults.Partition{{
+		GroupA: []int{2}, At: decAt - 1, HealAt: decAt + 100*int64(sim.Millisecond),
+	}}}
+	if err := c.AttachFaults(faults.New(plan, 1)); err != nil {
+		t.Fatal(err)
+	}
+	next := mkDistTxn(2, 1, sim.Time(decAt)+sim.Time(5*sim.Millisecond), sim.Time(2*sim.Second),
+		[]workload.Op{{Obj: 10, Mode: core.Write}})
+	c.Load([]*workload.Txn{twopcTxn(), next})
+	if sum := c.Run(); sum.Committed != 2 {
+		t.Fatalf("summary: %+v", sum)
+	}
+	resolved := false
+	for _, r := range conf.Journal.Records() {
+		if r.Kind == journal.KTwoPCDecision && r.Site == 2 && r.Note == "resolved" && r.A == 1 {
+			resolved = true
+		}
+	}
+	if !resolved {
+		t.Fatal("the participant did not resolve the commit after the partition healed")
+	}
+	if c.Store(2).Read(20).Seq == 0 {
+		t.Fatal("the resolved commit did not install object 20 at the participant")
+	}
+	if v := c.Store(2).Read(10); v.Seq != 0 {
+		t.Fatalf("the participant installed object 10, another transaction's write: %+v", v)
+	}
+}

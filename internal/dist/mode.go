@@ -207,8 +207,7 @@ func (c *Cluster) placementBanner(suffix string) {
 
 // pinWhole pins the manager at site with the whole access sets.
 func pinWhole(c *Cluster, x *txRun, site db.SiteID) {
-	var reads []core.ObjectID
-	reads, x.writes = x.t.AccessSets(c.Catalog)
+	reads := x.accessSets(c.Catalog)
 	x.pins = append(x.pins, pin{site: site, mgr: c.sites[site].mgr, st: c.newState(x, reads, x.writes)})
 }
 
@@ -235,8 +234,7 @@ func pinGlobal(c *Cluster, x *txRun) {
 // each with just the run of the sets it owns, so a shard's ceilings see
 // only the demand actually arriving there.
 func pinShards(c *Cluster, x *txRun) {
-	var reads []core.ObjectID
-	reads, x.writes = x.t.AccessSets(c.Catalog)
+	reads := x.accessSets(c.Catalog)
 	for _, s := range c.sites {
 		r, w := c.ownedBy(reads, s.id), c.ownedBy(x.writes, s.id)
 		if len(r)+len(w) > 0 {
@@ -360,12 +358,12 @@ func installAndShip(c *Cluster, x *txRun) {
 	if len(c.sites) == 1 {
 		return // no replica to ship to
 	}
-	versions := make([]db.Version, len(x.writes))
+	writes := make([]replicaWrite, len(x.writes))
 	for i, obj := range x.writes {
-		versions[i] = home.store.Read(obj)
+		writes[i] = replicaWrite{obj: obj, v: home.store.Read(obj)}
 	}
 	// Boxed once for every destination.
-	var msg any = installMsg{origin: x.t.ID, deadline: x.t.Deadline, objs: x.writes, versions: versions}
+	var msg any = installMsg{origin: x.t.ID, deadline: x.t.Deadline, writes: writes}
 	for _, other := range c.sites {
 		if other.id != home.id {
 			x.msgs++

@@ -99,49 +99,16 @@ func TestSingleSiteOracle(t *testing.T) {
 // bounded replica histories (versionsKept) have mostly filled by then,
 // so their growth cancels too.
 func TestOneSiteAllocParity(t *testing.T) {
-	const n, cpu = 4000, 10 * sim.Millisecond
-	cat, err := db.NewCatalog(1, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loads := map[int][]*workload.Txn{}
-	for _, count := range []int{n, 2 * n} {
-		if loads[count], err = workload.Generate(workload.Params{
-			Seed: 7, Catalog: cat, Count: count, MeanInterarrival: 40 * sim.Millisecond,
-			MeanSize: 6, ReadOnlyFrac: 0.5, SlackMin: 2, SlackMax: 6, PerObjCost: cpu,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	row, err := core.Lookup(core.ProtoCeiling)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := func(load []*workload.Txn) error {
-		s, err := txn.NewSystem(txn.Config{CPUPerObj: cpu, CPUDiscipline: row.Discipline, NewManager: row.New})
-		if err != nil {
-			return err
-		}
-		s.Load(load)
-		s.Run()
-		return nil
-	}
-	cluster := func(load []*workload.Txn) error {
-		c, err := NewCluster(Config{Mode: Local, Sites: 1, Objects: 200, CPUPerObj: cpu})
+	sa, sb := marginalCost(t, runSingle)
+	ca, cb := marginalCost(t, func(load []*workload.Txn) error {
+		c, err := NewCluster(Config{Mode: Local, Sites: 1, Objects: 200, CPUPerObj: parityCPU})
 		if err != nil {
 			return err
 		}
 		c.Load(load)
 		c.Run()
 		return nil
-	}
-	marginal := func(run func([]*workload.Txn) error) (allocs, bytes float64) {
-		a1, b1 := runCost(t, loads[n], run)
-		a2, b2 := runCost(t, loads[2*n], run)
-		return float64(a2-a1) / n, float64(b2-b1) / n
-	}
-	sa, sb := marginal(single)
-	ca, cb := marginal(cluster)
+	})
 	t.Logf("per transaction: txn.System %.2f allocs, %.0f B; one-site cluster %.2f allocs, %.0f B", sa, sb, ca, cb)
 	if ca > sa {
 		t.Errorf("the one-site cluster allocates %.2f times per transaction, txn.System %.2f", ca, sa)
@@ -149,6 +116,67 @@ func TestOneSiteAllocParity(t *testing.T) {
 	if cb > 1.06*sb {
 		t.Errorf("the one-site cluster allocates %.0f B per transaction, over 1.06 × txn.System's %.0f B", cb, sb)
 	}
+}
+
+// TestSystemMarginalAllocs gates what txn.System spends per transaction
+// between generation and commit on the parity load: its process and
+// nothing else. The run's arrival, process body, priority hook, access
+// sets and attempt state are pooled or static; what is left over the
+// one allocation is the lock table's and the pools' growth with a longer
+// run (1.02 at this size).
+func TestSystemMarginalAllocs(t *testing.T) {
+	a, b := marginalCost(t, runSingle)
+	t.Logf("per transaction: txn.System %.3f allocs, %.0f B", a, b)
+	if a > 1.1 {
+		t.Errorf("txn.System allocates %.3f times per transaction, want <= 1.1", a)
+	}
+}
+
+// The parity load's run size and per-object CPU cost.
+const parityN, parityCPU = 4000, 10 * sim.Millisecond
+
+// parityLoads generates the parity load at n and 2n transactions.
+func parityLoads(t *testing.T) map[int][]*workload.Txn {
+	t.Helper()
+	cat, err := db.NewCatalog(1, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := map[int][]*workload.Txn{}
+	for _, count := range []int{parityN, 2 * parityN} {
+		if loads[count], err = workload.Generate(workload.Params{
+			Seed: 7, Catalog: cat, Count: count, MeanInterarrival: 40 * sim.Millisecond,
+			MeanSize: 6, ReadOnlyFrac: 0.5, SlackMin: 2, SlackMax: 6, PerObjCost: parityCPU,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return loads
+}
+
+// runSingle runs load on a protocol-C txn.System.
+func runSingle(load []*workload.Txn) error {
+	row, err := core.Lookup(core.ProtoCeiling)
+	if err != nil {
+		return err
+	}
+	s, err := txn.NewSystem(txn.Config{CPUPerObj: parityCPU, CPUDiscipline: row.Discipline, NewManager: row.New})
+	if err != nil {
+		return err
+	}
+	s.Load(load)
+	s.Run()
+	return nil
+}
+
+// marginalCost is run's cost per transaction on the parity load:
+// (cost of 2n transactions − cost of n) ÷ n, in allocations and bytes.
+func marginalCost(t *testing.T, run func([]*workload.Txn) error) (allocs, bytes float64) {
+	t.Helper()
+	loads := parityLoads(t)
+	a1, b1 := runCost(t, loads[parityN], run)
+	a2, b2 := runCost(t, loads[2*parityN], run)
+	return float64(a2-a1) / parityN, float64(b2-b1) / parityN
 }
 
 // runCost runs load twice, the first time to warm the runtime, and

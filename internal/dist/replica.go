@@ -20,12 +20,60 @@ const installPort = "install"
 var errInstallTimeout = errors.New("dist: replica install attempt timed out")
 
 // installMsg carries one committed transaction's updates to a secondary
-// site.
+// site. It owns them: the transaction's write set lives in its run's
+// scratch, which a later transaction reuses while the message travels.
 type installMsg struct {
 	origin   int64
 	deadline sim.Time
-	objs     []core.ObjectID
-	versions []db.Version // versions[i] is objs[i]'s
+	writes   []replicaWrite
+}
+
+// replicaWrite is one object's new version.
+type replicaWrite struct {
+	obj core.ObjectID
+	v   db.Version
+}
+
+// installer is the process that applies one update at a secondary site.
+// Installers are pooled: the install handler takes one per arriving
+// update, and its process hands it back when install returns, by which
+// time each attempt's state has left its manager.
+type installer struct {
+	s   *site
+	msg installMsg
+	p   *sim.Proc
+	// objs is the update's write set, which the attempts register.
+	objs []core.ObjectID
+	// body is the process body and onPrio the attempts' priority-change
+	// hook, both bound once per pooled installer.
+	body   func(*sim.Proc)
+	onPrio func(sim.Priority)
+}
+
+// newInstaller takes an installer from the pool (or builds one) for msg
+// at site s.
+func (c *Cluster) newInstaller(s *site, msg installMsg) *installer {
+	var in *installer
+	if n := len(c.installers); n > 0 {
+		in = c.installers[n-1]
+		c.installers[n-1] = nil
+		c.installers = c.installers[:n-1]
+	} else {
+		in = &installer{}
+		in.body = func(p *sim.Proc) {
+			in.p = p
+			c.install(in)
+			in.s, in.msg, in.p = nil, installMsg{}, nil
+			c.installers = append(c.installers, in)
+		}
+		in.onPrio = func(pr sim.Priority) { in.s.cpu.Reprioritize(in.p, pr) }
+	}
+	in.s, in.msg = s, msg
+	in.objs = in.objs[:0]
+	for _, w := range msg.writes {
+		in.objs = append(in.objs, w.obj)
+	}
+	return in
 }
 
 // readSample records which version a read observed, for the temporal
@@ -103,7 +151,7 @@ func (c *Cluster) sampleStaleness(s *site, obj core.ObjectID, now sim.Time) {
 }
 
 // registerInstallHandlers wires every site's message server to spawn an
-// installer process per arriving update.
+// installer process per arriving update, named for the journal only.
 func (c *Cluster) registerInstallHandlers() {
 	for _, s := range c.sites {
 		s := s
@@ -112,9 +160,11 @@ func (c *Cluster) registerInstallHandlers() {
 			if !ok {
 				return
 			}
-			c.K.Spawn(fmt.Sprintf("install-%d@%d", msg.origin, s.id), func(p *sim.Proc) {
-				c.install(p, s, msg)
-			})
+			name := ""
+			if c.K.Journal() != nil {
+				name = fmt.Sprintf("install-%d@%d", msg.origin, s.id)
+			}
+			c.K.Spawn(name, c.newInstaller(s, msg).body)
 		})
 	}
 }
@@ -126,13 +176,13 @@ func (c *Cluster) registerInstallHandlers() {
 // retried; after the retry budget the update is dropped and counted —
 // the copy stays at its previous version until a newer update lands,
 // which the monotone Install tolerates.
-func (c *Cluster) install(p *sim.Proc, s *site, msg installMsg) {
+func (c *Cluster) install(in *installer) {
+	p, s, msg := in.p, in.s, &in.msg
 	c.installSeq++
 	// Installer ids live far above transaction ids so priority
 	// tie-breaks favor real transactions.
 	id := int64(1)<<40 + c.installSeq
 	prio := sim.Priority{Deadline: int64(msg.deadline), TxID: id}
-	onPrio := func(pr sim.Priority) { s.cpu.Reprioritize(p, pr) }
 	for attempt := 0; attempt < c.cfg.InstallRetries; attempt++ {
 		if c.faultsOn && c.crashed[s.id] {
 			return // the replica crashed; the update dies with it
@@ -141,8 +191,8 @@ func (c *Cluster) install(p *sim.Proc, s *site, msg installMsg) {
 		// attempt's release must pair with its own registration.
 		mgr := s.mgr
 		st := c.states.Get(id, prio, p)
-		st.WriteSet = msg.objs
-		st.OnPrioChange = onPrio
+		st.WriteSet = in.objs
+		st.OnPrioChange = in.onPrio
 		c.emit(s.id, journal.KRegister, id, 0, int64(attempt), 0, "install")
 		mgr.Register(st)
 		timeout := c.K.AfterCall(c.cfg.InstallTimeout, interruptInstall, p)
@@ -177,21 +227,21 @@ func (c *Cluster) install(p *sim.Proc, s *site, msg installMsg) {
 // interruptInstall is an installer attempt's timer.
 func interruptInstall(p any) { p.(*sim.Proc).Interrupt(errInstallTimeout) }
 
-func (c *Cluster) installBody(p *sim.Proc, st *core.TxState, s *site, mgr *core.Ceiling, msg installMsg) error {
-	for _, obj := range msg.objs {
+func (c *Cluster) installBody(p *sim.Proc, st *core.TxState, s *site, mgr *core.Ceiling, msg *installMsg) error {
+	for _, w := range msg.writes {
 		if c.faultsOn && c.crashed[s.id] {
 			return ErrSiteCrashed
 		}
-		if err := mgr.Acquire(p, st, obj, core.Write); err != nil {
+		if err := mgr.Acquire(p, st, w.obj, core.Write); err != nil {
 			return err
 		}
 		if err := s.use(p, st.Eff(), c.cfg.ApplyPerObj); err != nil {
 			return err
 		}
 	}
-	for i, obj := range msg.objs {
-		s.store.Install(obj, msg.versions[i])
-		s.mv.Install(obj, msg.versions[i])
+	for _, w := range msg.writes {
+		s.store.Install(w.obj, w.v)
+		s.mv.Install(w.obj, w.v)
 	}
 	return nil
 }

@@ -286,7 +286,11 @@ func (c *Cluster) spawnResolver(siteID db.SiteID, tx int64) {
 	}
 	coord := pt.coord
 	c.resolveTok[key] = &sim.Token{} // reserve before the proc first runs
-	c.K.Spawn(fmt.Sprintf("resolve-%d@%d", tx, siteID), func(p *sim.Proc) {
+	name := ""
+	if c.K.Journal() != nil {
+		name = fmt.Sprintf("resolve-%d@%d", tx, siteID)
+	}
+	c.K.Spawn(name, func(p *sim.Proc) {
 		defer delete(c.resolveTok, key)
 		for attempt := 0; attempt <= twoPCRetries; attempt++ {
 			if c.prepared[siteID][tx] == nil || c.crashed[siteID] {
@@ -409,7 +413,9 @@ func (c *Cluster) runTwoPC(x *txRun, shares bool) error {
 			c.emit(home, journal.KTwoPCPrepare, txID, 0, int64(s), int64(attempt), "")
 			var objs []core.ObjectID
 			if shares {
-				objs = c.ownedBy(x.writes, s)
+				// A copy: the participant keeps its share past this
+				// transaction, whose sets are its run's scratch.
+				objs = slices.Clone(c.ownedBy(x.writes, s))
 			}
 			c.Net.Send(home, s, preparePort, prepareMsg{txID: txID, coord: home, objs: objs})
 		}

@@ -3,6 +3,7 @@ package sim
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"rtlock/internal/journal"
 )
@@ -86,5 +87,15 @@ func TestKernelSleepScaleInvariantAllocs(t *testing.T) {
 	// would add >=960 allocations if the park path allocated per sleep.
 	if long > short+32 {
 		t.Fatalf("sleep path allocates per iteration: 64 sleeps = %d allocs, 1024 sleeps = %d allocs", short, long)
+	}
+}
+
+// TestProcSize keeps a process within the 80-byte size class. A
+// transaction's process is the one allocation its path from generation
+// to commit makes, so a field that grows Proc past 80 B moves every
+// transaction up a size class (96 B, or 112 B for two pointer pairs).
+func TestProcSize(t *testing.T) {
+	if got := unsafe.Sizeof(Proc{}); got > 80 {
+		t.Fatalf("Proc is %d bytes, want <= 80", got)
 	}
 }

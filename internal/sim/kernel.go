@@ -265,14 +265,16 @@ func (k *Kernel) ReserveSeq(n int) SeqBlock {
 	return b
 }
 
-// At schedules fn to run at virtual time t, clamped to now, under the
-// block's next sequence number. It panics once all n are used.
-func (b *SeqBlock) At(t Time, fn func()) EventRef {
+// AtCall schedules call(arg) to run at virtual time t, clamped to now,
+// under the block's next sequence number. It panics once all n are used.
+// Like Kernel.AtCall it takes a static function and its argument, so a
+// loader chaining one arrival after another allocates nothing per event.
+func (b *SeqBlock) AtCall(t Time, call func(any), arg any) EventRef {
 	if b.next > b.end {
 		panic("sim: sequence block used up")
 	}
 	b.next++
-	return b.k.scheduleSeq(t, b.next-1, fn, nil, nil)
+	return b.k.scheduleSeq(t, b.next-1, nil, call, arg)
 }
 
 func (k *Kernel) schedule(t Time, fn func(), call func(any), arg any) EventRef {

@@ -48,10 +48,10 @@ func TestSeqBlockOrdersAsReserved(t *testing.T) {
 	var got []string
 	b := k.ReserveSeq(2)
 	k.At(10, func() { got = append(got, "x") })
-	b.At(5, func() {
+	b.AtCall(5, func(any) {
 		got = append(got, "a")
-		b.At(10, func() { got = append(got, "b") })
-	})
+		b.AtCall(10, func(arg any) { got = append(got, arg.(string)) }, "b")
+	}, nil)
 	k.Run()
 	if want := []string{"a", "b", "x"}; !slices.Equal(got, want) {
 		t.Fatalf("order = %v, want %v", got, want)
@@ -61,7 +61,7 @@ func TestSeqBlockOrdersAsReserved(t *testing.T) {
 			t.Fatal("a used-up block scheduled a third event")
 		}
 	}()
-	b.At(20, func() {})
+	b.AtCall(20, func(any) {}, nil)
 }
 
 func TestEventCancel(t *testing.T) {

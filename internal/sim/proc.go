@@ -95,7 +95,9 @@ func (k *Kernel) putToken(t *Token) {
 
 // Spawn creates a process named name and schedules it to start now. The
 // body runs in simulation context; when it returns the process
-// terminates.
+// terminates. The process itself is Spawn's one allocation: a caller
+// that spawns per transaction passes a body bound once and reused, and
+// may pass an empty name when no journal would record it.
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 	k.nextPID++
 	p := &Proc{k: k, id: k.nextPID, name: name, body: body}
@@ -158,7 +160,7 @@ func (k *Kernel) releaseIdle() {
 // ID returns the process id (unique per kernel).
 func (p *Proc) ID() int64 { return p.id }
 
-// Name returns the process name given at Spawn.
+// Name returns the process name given at Spawn (possibly empty).
 func (p *Proc) Name() string { return p.name }
 
 // Dead reports whether the process body has finished. Crash-recovery
@@ -176,16 +178,17 @@ func (p *Proc) Now() Time { return p.k.now }
 // formatting (which heap-allocates its fmt arguments) out of Park's
 // body, so the parking hot path stays provably allocation-free. The
 // noinline pragma stops the compiler from inlining the Sprintf back
-// into every caller.
+// into every caller. They name the process by its id: a transaction's
+// process has a name only while a journal is attached.
 //
 //go:noinline
-func panicTokenReuse(name string) {
-	panic(fmt.Sprintf("sim: token reused by process %q", name))
+func panicTokenReuse(p *Proc) {
+	panic(fmt.Sprintf("sim: token reused by process %d %q", p.id, p.name))
 }
 
 //go:noinline
-func panicParkNotRunning(name string) {
-	panic(fmt.Sprintf("sim: Park called by %q while not running", name))
+func panicParkNotRunning(p *Proc) {
+	panic(fmt.Sprintf("sim: Park called by process %d %q while not running", p.id, p.name))
 }
 
 // Park suspends the process until tok is woken or canceled. It returns
@@ -193,10 +196,10 @@ func panicParkNotRunning(name string) {
 // token may be parked on at most once.
 func (p *Proc) Park(tok *Token) error {
 	if tok.p != nil {
-		panicTokenReuse(p.name)
+		panicTokenReuse(p)
 	}
 	if p.k.current != p {
-		panicParkNotRunning(p.name)
+		panicParkNotRunning(p)
 	}
 	tok.p = p
 	tok.k = p.k

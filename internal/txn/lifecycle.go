@@ -17,14 +17,13 @@ import (
 // shared by the single-site System and dist's Cluster: the arrival
 // chain, the in-flight count, the deadline timer, and the outcome — its
 // journal record, lifecycle counters, Monitor record and timeline entry.
-// An engine passes in what differs: the body its transaction processes
-// run, its per-arrival action, and a miss reason beyond the deadline.
+// An engine passes in what differs: its per-arrival action, the body its
+// transaction processes run, and a miss reason beyond the deadline.
 type Lifecycle struct {
 	Monitor *stats.Monitor
 
-	k    *sim.Kernel
-	tl   *timeline.Collector
-	body func(*sim.Proc, *workload.Txn)
+	k  *sim.Kernel
+	tl *timeline.Collector
 	// pending counts transactions from the moment their arrival is
 	// scheduled until their outcome is recorded.
 	pending int
@@ -47,10 +46,10 @@ const missHelp = "Transactions aborted at their deadline."
 
 // NewLifecycle registers the lifecycle series on k's registry and builds
 // the run's Monitor, retaining at most maxRaw raw records (0 keeps
-// every one). body runs each transaction in the process Spawn starts.
-// An engine keeps the Lifecycle by value and uses it in place.
-func NewLifecycle(k *sim.Kernel, tl *timeline.Collector, maxRaw int, body func(*sim.Proc, *workload.Txn)) Lifecycle {
-	l := Lifecycle{Monitor: stats.NewMonitor(), k: k, tl: tl, body: body}
+// every one). An engine keeps the Lifecycle by value and uses it in
+// place.
+func NewLifecycle(k *sim.Kernel, tl *timeline.Collector, maxRaw int) Lifecycle {
+	l := Lifecycle{Monitor: stats.NewMonitor(), k: k, tl: tl}
 	l.Monitor.SetMaxRaw(maxRaw)
 	m := k.Metrics()
 	l.mInflight = m.Gauge("txn_inflight", "Transactions between arrival and commit/abort.")
@@ -77,13 +76,16 @@ func (l *Lifecycle) Load(n int, next func() *workload.Txn, arrive func(*workload
 	(&arrivals{l: l, next: next, arrive: arrive, seqs: l.k.ReserveSeq(n)}).schedule()
 }
 
-// arrivals is one load's arrival chain. Each arrival event captures it
-// as one pointer, which keeps the closure in a smaller size class.
+// arrivals is one load's arrival chain. Every arrival event is the same
+// static handler with the chain as its argument, and the chain holds the
+// one transaction whose arrival is pending, so an arrival allocates
+// nothing.
 type arrivals struct {
 	l      *Lifecycle
 	next   func() *workload.Txn
 	arrive func(*workload.Txn)
 	seqs   sim.SeqBlock
+	due    *workload.Txn
 }
 
 // schedule pulls one transaction and registers its arrival. It is
@@ -94,26 +96,34 @@ func (a *arrivals) schedule() {
 		return
 	}
 	a.l.pending++
-	a.seqs.At(t.Arrival, func() {
-		a.schedule()
-		a.arrive(t)
-	})
+	a.due = t
+	a.seqs.AtCall(t.Arrival, fireArrival, a)
 }
 
-// Spawn starts t's process, which runs the body while t counts as in
-// flight.
-func (l *Lifecycle) Spawn(t *workload.Txn) {
-	// "tx" + FormatInt keeps the KSpawn journal bytes identical to the
-	// old Sprintf("tx%d") while skipping the fmt machinery.
-	l.k.Spawn("tx"+strconv.FormatInt(t.ID, 10), func(p *sim.Proc) {
-		l.mInflight.Add(1)
-		defer l.mInflight.Add(-1)
-		l.body(p, t)
-	})
+// fireArrival is the arrival event: it schedules the next arrival, then
+// admits the one that is due.
+func fireArrival(arg any) {
+	a := arg.(*arrivals)
+	t := a.due
+	a.schedule()
+	a.arrive(t)
 }
 
-// Arrive journals t's arrival at site and opens its record.
+// Spawn starts t's process running body. An engine binds body once per
+// pooled run, so the process is the spawn's one allocation; its name,
+// "tx" and the id, is built only for the journal's KSpawn record.
+func (l *Lifecycle) Spawn(t *workload.Txn, body func(*sim.Proc)) {
+	name := ""
+	if l.k.Journal() != nil {
+		name = "tx" + strconv.FormatInt(t.ID, 10)
+	}
+	l.k.Spawn(name, body)
+}
+
+// Arrive journals t's arrival at site and opens its record; t counts as
+// in flight until Finish.
 func (l *Lifecycle) Arrive(t *workload.Txn, site db.SiteID) stats.TxRecord {
+	l.mInflight.Add(1)
 	l.emit(site, journal.KArrive, t.ID, int64(t.Deadline), "")
 	return stats.TxRecord{ID: t.ID, Site: site, Size: t.Size(), ReadOnly: t.Kind == workload.ReadOnly,
 		Arrival: l.k.Now(), Start: l.k.Now(), Deadline: t.Deadline}
@@ -133,6 +143,7 @@ func missDeadline(p any) { p.(*sim.Proc).Interrupt(ErrDeadlineMissed) }
 // reason's error, else a deadline miss. The journal record is at rec.Site.
 func (l *Lifecycle) Finish(rec *stats.TxRecord, err error) {
 	l.pending--
+	l.mInflight.Add(-1)
 	if errors.Is(err, sim.ErrShutdown) {
 		return
 	}

@@ -10,6 +10,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"rtlock/internal/buffer"
 	"rtlock/internal/core"
@@ -109,8 +110,58 @@ type System struct {
 	// single-runner discipline serializes all attempt loops, so a plain
 	// free list suffices.
 	states core.TxPool
+	// runs recycles per-transaction runs the same way: exec is done
+	// with its run once the outcome is recorded.
+	runs []*run
 
 	mRestarts sim.Counter
+}
+
+// run is one transaction on the system, from its arrival to its
+// outcome. Runs are pooled, the way dist's are: arrive takes one for
+// the transaction, and its process hands it back when exec returns, by
+// which time every attempt's state has left the manager and nothing
+// else holds the run.
+type run struct {
+	p *sim.Proc
+	t *workload.Txn
+	// sets is the scratch the access sets are written into; managers
+	// only read them, and only while the attempt is registered.
+	sets []core.ObjectID
+	// body is the process body, and onPrio the priority-change hook
+	// the attempts' states share. Both are bound once per pooled run
+	// and read p and t.
+	body   func(*sim.Proc)
+	onPrio func(sim.Priority)
+}
+
+// newRun takes a run from the pool (or builds one) for t.
+func (s *System) newRun(t *workload.Txn) *run {
+	var x *run
+	if n := len(s.runs); n > 0 {
+		x = s.runs[n-1]
+		s.runs[n-1] = nil
+		s.runs = s.runs[:n-1]
+	} else {
+		x = &run{}
+		x.body = func(p *sim.Proc) {
+			x.p = p
+			s.exec(x)
+			x.p, x.t = nil, nil
+			s.runs = append(s.runs, x)
+		}
+		x.onPrio = func(pr sim.Priority) {
+			s.K.Emit(journal.KInherit, x.t.ID, 0, pr.Deadline, pr.TxID, "")
+			s.CPU.Reprioritize(x.p, pr)
+		}
+	}
+	x.t = t
+	return x
+}
+
+// arrive spawns the process of an arriving transaction.
+func (s *System) arrive(t *workload.Txn) {
+	s.life.Spawn(t, s.newRun(t).body)
 }
 
 // NewSystem assembles a system from the configuration.
@@ -139,7 +190,7 @@ func NewSystem(cfg Config) (*System, error) {
 		IO:     sim.NewStation(k, cfg.IODisks),
 		cfg:    cfg,
 	}
-	s.life = NewLifecycle(k, cfg.Timeline, cfg.MaxRawRecords, s.exec)
+	s.life = NewLifecycle(k, cfg.Timeline, cfg.MaxRawRecords)
 	s.Monitor = s.life.Monitor
 	s.mRestarts = k.Metrics().Counter("txn_restarts_total", "Attempt restarts (wounds, deadlock victims, conditional aborts).")
 	if cfg.WAL {
@@ -161,7 +212,7 @@ func (s *System) LoadStream(src *workload.Stream) {
 }
 
 func (s *System) load(n int, next func() *workload.Txn) {
-	s.life.Load(n, next, s.life.Spawn)
+	s.life.Load(n, next, s.arrive)
 	if s.Log != nil && s.cfg.CheckpointEvery > 0 {
 		s.K.Spawn("checkpointer", s.checkpointer)
 	}
@@ -204,27 +255,25 @@ func (s *System) Run() stats.Summary {
 	return sum
 }
 
-// exec runs one transaction to commit or deadline abort, restarting
+// exec runs x's transaction to commit or deadline abort, restarting
 // attempts that abort-based protocols reject.
-func (s *System) exec(p *sim.Proc, t *workload.Txn) {
+func (s *System) exec(x *run) {
+	p, t := x.p, x.t
 	deadline := s.life.Deadline(p, t)
 	rec := s.life.Arrive(t, 0)
 	var err error
 	// The access sets and priority-change hook are attempt-invariant;
 	// computing them once per transaction keeps restarts allocation-free
 	// (managers only read the sets, never mutate them).
-	readSet, writeSet := t.AccessSets(nil)
+	x.sets = slices.Grow(x.sets[:0], t.Size())
+	readSet, writeSet := t.AccessSets(nil, x.sets)
 	estimate := sim.Duration(t.Size()) * (s.cfg.CPUPerObj + s.cfg.IOPerObj)
-	onPrio := func(pr sim.Priority) {
-		s.K.Emit(journal.KInherit, t.ID, 0, pr.Deadline, pr.TxID, "")
-		s.CPU.Reprioritize(p, pr)
-	}
 	for {
 		st := s.states.Get(t.ID, t.Priority(), p)
 		st.ReadSet = readSet
 		st.WriteSet = writeSet
 		st.Estimate = estimate
-		st.OnPrioChange = onPrio
+		st.OnPrioChange = x.onPrio
 
 		s.K.Emit(journal.KRegister, t.ID, 0, 0, 0, "")
 		s.Mgr.Register(st)

@@ -3,9 +3,11 @@ package workload
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"rtlock/internal/core"
 	"rtlock/internal/db"
 	"rtlock/internal/place"
 	"rtlock/internal/sim"
@@ -68,10 +70,12 @@ func TestStreamMatchesGenerate(t *testing.T) {
 	}
 }
 
-// TestStreamNextAllocs gates a warm Next at the transaction and its
-// access sequence: no database-sized scratch, no per-transaction
-// partition or set. The locality path may also build its home site's
-// Zipf once.
+// TestStreamNextAllocs gates a warm Next at no allocation of its own:
+// the transactions and their operations come from per-chunk arenas, so
+// AllocsPerRun's truncated average is 0 unless something allocates per
+// transaction (a database-sized scratch, a partition or set, the
+// transaction or its operations one by one). The locality path builds
+// its home site's Zipf once, while warming up.
 func TestStreamNextAllocs(t *testing.T) {
 	shard, err := place.NewSharded(4, 1000, place.RangePartition)
 	if err != nil {
@@ -82,22 +86,21 @@ func TestStreamNextAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name  string
-		edit  func(*Params)
-		limit float64
+		name string
+		edit func(*Params)
 	}{
-		{"uniform", func(p *Params) {}, 2},
+		{"uniform", func(p *Params) {}},
 		{"db10000", func(p *Params) {
 			p.Catalog = mustCatalog(1, 10000)
 			p.BurstFactor, p.BurstOn, p.BurstOff = 3, 2*sim.Second, 8*sim.Second
-		}, 2},
+		}},
 		{"local-write-sets", func(p *Params) {
 			p.Catalog = mustCatalog(3, 300)
 			p.LocalWriteSets = true
-		}, 2},
+		}},
 		{"locality", func(p *Params) {
 			p.Catalog, p.LocalityProb = shardCat, 0.7
-		}, 3},
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -111,8 +114,8 @@ func TestStreamNextAllocs(t *testing.T) {
 			for range 200 {
 				s.Next()
 			}
-			if allocs := testing.AllocsPerRun(2000, func() { s.Next() }); allocs > c.limit {
-				t.Fatalf("warm Next allocates %.2f per transaction, want <= %.0f", allocs, c.limit)
+			if allocs := testing.AllocsPerRun(2000, func() { s.Next() }); allocs != 0 {
+				t.Fatalf("warm Next allocates %.0f times per transaction, want 0", allocs)
 			}
 		})
 	}
@@ -308,5 +311,73 @@ func TestPullOrdersByArrival(t *testing.T) {
 	}
 	if next() != nil {
 		t.Fatal("Pull handed out past the end")
+	}
+}
+
+// TestArenaOpsDoNotAlias: transactions carved from one arena stay
+// independent. Every transaction's operations have capacity equal to
+// their length, so appending to one copies it and leaves its
+// neighbour's operations as generated, across the chunk boundaries of a
+// multi-chunk load; and no two transactions share operation slots.
+func TestArenaOpsDoNotAlias(t *testing.T) {
+	p := streamParams(3*chunkLen + 5)
+	p.Catalog = mustCatalog(3, 300)
+	p.LocalityProb = 0.5
+	txs, err := Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]Op, len(txs))
+	for i, tx := range txs {
+		if cap(tx.Ops) != len(tx.Ops) {
+			t.Fatalf("tx %d: ops capacity %d, length %d", tx.ID, cap(tx.Ops), len(tx.Ops))
+		}
+		want[i] = slices.Clone(tx.Ops)
+	}
+	for _, tx := range txs {
+		tx.Ops = append(tx.Ops, Op{Obj: -1, Mode: core.Write})
+	}
+	for i, tx := range txs {
+		if got := tx.Ops[:len(tx.Ops)-1]; !slices.Equal(got, want[i]) {
+			t.Fatalf("tx %d: ops %v after appending to every transaction, generated %v", tx.ID, got, want[i])
+		}
+	}
+	slots := map[*Op]int64{}
+	for _, tx := range txs {
+		for i := range tx.Ops {
+			if other, dup := slots[&tx.Ops[i]]; dup {
+				t.Fatalf("tx %d and tx %d share an operation slot", other, tx.ID)
+			}
+			slots[&tx.Ops[i]] = tx.ID
+		}
+	}
+}
+
+// TestPeriodicInstancesOwnTheirOps: a periodic instance's operations
+// are a copy of its stream's, so a change to one instance reaches
+// neither the stream nor the stream's later instances.
+func TestPeriodicInstancesOwnTheirOps(t *testing.T) {
+	p := streamParams(2 * chunkLen)
+	p.ReadOnlyFrac, p.PeriodicFrac = 0, 1
+	g, err := newGenerator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := map[*pstream][]Op{}
+	for range p.Count {
+		tx := g.next()
+		ps := g.streams[slices.IndexFunc(g.streams, func(s *pstream) bool { return s.next == tx.Arrival.Add(g.period) })]
+		if &tx.Ops[0] == &ps.ops[0] {
+			t.Fatalf("tx %d shares its stream's operations", tx.ID)
+		}
+		if ops, seen := first[ps]; seen && !slices.Equal(tx.Ops, ops) {
+			t.Fatalf("tx %d: ops %v, its stream's first instance had %v", tx.ID, tx.Ops, ops)
+		} else if !seen {
+			first[ps] = slices.Clone(tx.Ops)
+		}
+		tx.Ops[0].Obj = -1
+	}
+	if len(first) < 2 {
+		t.Fatalf("%d periodic streams: the load does not exercise reuse", len(first))
 	}
 }

@@ -88,12 +88,18 @@ func (t *Txn) Priority() sim.Priority {
 }
 
 // AccessSets returns the objects t reads and the objects it writes, both
-// from one array sized to t's operations. Each set is ascending; with a
-// catalog, ascending by primary site first, so the objects a site owns
-// are one run of each set. The sets are t's for good: messages may carry
-// them past the attempt that asked.
-func (t *Txn) AccessSets(cat *db.Catalog) (reads, writes []core.ObjectID) {
-	all := make([]core.ObjectID, len(t.Ops))
+// in buf's array when it holds t's operations, else in a new one sized to
+// them. Each set is ascending; with a catalog, ascending by primary site
+// first, so the objects a site owns are one run of each set. Sets written
+// into a reused buf last only until its next use: a message that carries
+// a set past the attempt must carry a copy.
+func (t *Txn) AccessSets(cat *db.Catalog, buf []core.ObjectID) (reads, writes []core.ObjectID) {
+	var all []core.ObjectID
+	if cap(buf) >= len(t.Ops) {
+		all = buf[:len(t.Ops)]
+	} else {
+		all = make([]core.ObjectID, len(t.Ops))
+	}
 	r, w := 0, len(all)
 	for _, op := range t.Ops {
 		if op.Mode == core.Read {
@@ -322,6 +328,13 @@ type generator struct {
 	// Periodic streams are materialized lazily: each new periodic
 	// instance either continues an existing stream or starts one.
 	streams []*pstream
+	// txs and ops are the arenas the transactions and their operations
+	// are carved from: txs holds the rest of the current chunk's
+	// transactions (at most chunkLen, never more than the load has
+	// left), ops the free operation slots. A load costs its generator a
+	// few allocations per chunk, not two per transaction.
+	txs []Txn
+	ops []Op
 }
 
 // pstream is one periodic task stream (a repetitive tracking scan).
@@ -350,6 +363,7 @@ func newGenerator(p Params) (*generator, error) {
 // next generates the next transaction; the caller stops after Count.
 // Arrival times are non-decreasing.
 func (g *generator) next() *Txn {
+	t := g.newTxn()
 	g.made++
 	g.now = g.now.Add(expDuration(g.rng, g.meanInterarrival()))
 	g.id++
@@ -357,7 +371,7 @@ func (g *generator) next() *Txn {
 	if g.rng.Float64() < g.p.ReadOnlyFrac {
 		kind = ReadOnly
 	}
-	t := &Txn{ID: g.id, Kind: kind, Arrival: g.now}
+	t.ID, t.Kind, t.Arrival = g.id, kind, g.now
 
 	if kind == Update && g.p.PeriodicFrac > 0 && g.rng.Float64() < g.p.PeriodicFrac {
 		t.Periodic = true
@@ -378,7 +392,8 @@ func (g *generator) next() *Txn {
 		}
 		ps.next = g.now.Add(sim.Duration(g.period))
 		t.Home = ps.home
-		t.Ops = append([]Op(nil), ps.ops...)
+		t.Ops = g.carve(len(ps.ops))
+		copy(t.Ops, ps.ops)
 	} else {
 		t.Home = db.SiteID(g.rng.Intn(g.p.Catalog.Sites()))
 		t.Ops = g.pickOps(kind, t.Home)
@@ -399,6 +414,32 @@ func (g *generator) next() *Txn {
 		t.Prio = sim.Priority{Deadline: int64(t.Deadline.Sub(t.Arrival) - est), TxID: t.ID}
 	}
 	return t
+}
+
+// newTxn carves the next transaction from the chunk's arena, starting a
+// new chunk, with fresh operation slots, when the arena is used up.
+func (g *generator) newTxn() *Txn {
+	if len(g.txs) == 0 {
+		g.txs = make([]Txn, min(chunkLen, max(g.p.Count-g.made, 1)))
+		g.ops = nil
+	}
+	t := &g.txs[0]
+	g.txs = g.txs[1:]
+	return t
+}
+
+// carve returns n operation slots from the arena, with capacity n: an
+// append to one transaction's operations copies them rather than
+// overwriting its neighbour's. A short arena is replaced by one sized
+// for this request, the mean size of each transaction the chunk has
+// left, and two more means, so that a chunk's sizes seldom outrun it.
+func (g *generator) carve(n int) []Op {
+	if len(g.ops) < n {
+		g.ops = make([]Op, n+(len(g.txs)+2)*g.p.MeanSize)
+	}
+	ops := g.ops[:n:n]
+	g.ops = g.ops[n:]
+	return ops
 }
 
 // meanInterarrival returns the phase-dependent mean: the base mean, or
@@ -456,7 +497,7 @@ func (g *generator) pickOps(kind Kind, home db.SiteID) []Op {
 	if p.LocalityProb > 0 && partition == nil {
 		return g.pickLocalityOps(mode, home, size)
 	}
-	ops := make([]Op, size)
+	ops := g.carve(size)
 	for i, idx := range g.pickIndexes(pool, size) {
 		obj := core.ObjectID(idx)
 		if partition != nil {
@@ -531,7 +572,7 @@ func (g *generator) pickLocalityOps(mode core.Mode, home db.SiteID, size int) []
 	local := g.p.Catalog.ObjectsAt(home)
 	total := g.p.Catalog.Objects()
 	localUsed := 0
-	ops := make([]Op, 0, size)
+	ops := g.carve(size)[:0]
 	for len(ops) < size {
 		fromLocal := g.rng.Float64() < g.p.LocalityProb
 		if localUsed >= len(local) {

@@ -194,7 +194,7 @@ func TestGenerateLocalWriteSets(t *testing.T) {
 		if tx.Kind != Update {
 			continue
 		}
-		_, writes := tx.AccessSets(nil)
+		_, writes := tx.AccessSets(nil, nil)
 		for _, obj := range writes {
 			if p.Catalog.PrimarySite(obj) != tx.Home {
 				t.Fatalf("update transaction %d at site %d writes object %d whose primary is site %d",
@@ -450,7 +450,8 @@ func TestGenerateSortedByArrival(t *testing.T) {
 // TestAccessSets: the read and write sets partition a transaction's
 // objects by mode; without a catalog each set is ascending, with one it
 // is ascending by (primary site, object), so each site's objects are
-// one run; and both come from a single allocation.
+// one run; and both come from a single allocation, or none into a
+// buffer that holds them.
 func TestAccessSets(t *testing.T) {
 	pm, err := place.NewSharded(4, 200, place.HashPartition)
 	if err != nil {
@@ -472,7 +473,7 @@ func TestAccessSets(t *testing.T) {
 			return [2]int{int(cat.PrimarySite(o)), int(o)}
 		}
 		for _, tx := range txs[:300] {
-			reads, writes := tx.AccessSets(cat)
+			reads, writes := tx.AccessSets(cat, nil)
 			mode := map[core.ObjectID]core.Mode{}
 			for _, op := range tx.Ops {
 				mode[op.Obj] = op.Mode
@@ -495,8 +496,12 @@ func TestAccessSets(t *testing.T) {
 			}
 		}
 		tx := txs[0]
-		if allocs := testing.AllocsPerRun(50, func() { tx.AccessSets(cat) }); allocs != 1 {
+		if allocs := testing.AllocsPerRun(50, func() { tx.AccessSets(cat, nil) }); allocs != 1 {
 			t.Fatalf("AccessSets allocates %.0f times, want 1", allocs)
+		}
+		buf := make([]core.ObjectID, tx.Size())
+		if allocs := testing.AllocsPerRun(50, func() { tx.AccessSets(cat, buf) }); allocs != 0 {
+			t.Fatalf("AccessSets into a buffer that holds the sets allocates %.0f times, want 0", allocs)
 		}
 	}
 }
