@@ -37,7 +37,7 @@ func runExplore(args []string) error {
 		all         = fs.Bool("all", false, "explore every protocol plus both distributed architectures (with -faults: both fault-space architectures too)")
 		jsonl       = fs.String("jsonl", "", "write the byte-stable JSONL verdict stream to this file (\"-\" = stdout)")
 		minout      = fs.String("minout", "", "write each minimized counterexample as JSON into this directory")
-		faultplans  = fs.String("faultplans", "", "write each counterexample's fault plan into this directory as a runnable \"rtdbsim faults -plan\" JSON spec")
+		faultplans  = fs.String("faultplans", "", "write each counterexample's fault plan into this directory as a distributed run spec (run it with -spec)")
 	)
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -125,7 +125,7 @@ func runExplore(args []string) error {
 				}
 			}
 			if *faultplans != "" {
-				if err := writeFaultPlan(*faultplans, rep.Target, i, ce); err != nil {
+				if err := writeFaultPlan(*faultplans, cfg, rep.Target, i, ce); err != nil {
 					return err
 				}
 			}
@@ -138,19 +138,28 @@ func runExplore(args []string) error {
 }
 
 // writeFaultPlan persists one counterexample's failure schedule as a
-// standalone fault-plan JSON spec. The exploration target's RunPlan
-// replays it to the counterexample's journal; "rtdbsim faults -plan
-// FILE" runs the same fault schedule on the facade's default cluster,
-// a different run with a different journal. Counterexamples without
-// fault decisions are skipped.
-func writeFaultPlan(dir, target string, idx int, ce rtlock.ExploreCounterexample) error {
+// distributed run spec of the explored architecture and cluster size,
+// the plan under its "faults" key. The exploration target's RunPlan
+// replays the plan to the counterexample's journal; "rtdbsim -spec FILE"
+// (or audit, replay or metrics -spec) runs the same fault schedule on
+// the facade's default cluster and load, a different run with a
+// different journal. Counterexamples without fault decisions are
+// skipped.
+func writeFaultPlan(dir string, cfg rtlock.ExploreConfig, target string, idx int, ce rtlock.ExploreCounterexample) error {
 	if ce.FaultPlan == nil {
 		return nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("create fault-plan dir: %w", err)
 	}
-	data, err := json.MarshalIndent(ce.FaultPlan, "", "  ")
+	spec := struct {
+		Mode      string            `json:"mode"`
+		Global    bool              `json:"global,omitempty"`
+		Placement string            `json:"placement,omitempty"`
+		Sites     int               `json:"sites"`
+		Faults    *rtlock.FaultPlan `json:"faults"`
+	}{"distributed", cfg.Global, cfg.Placement, explore.DefaultSites, ce.FaultPlan}
+	data, err := json.MarshalIndent(spec, "", "  ")
 	if err != nil {
 		return fmt.Errorf("marshal fault plan: %w", err)
 	}

@@ -15,21 +15,21 @@
 //	rtdbsim replay -protocol C -runs 3         # prove byte-identical journals
 //	rtdbsim replay -spec run.json -against saved.jsonl
 //
-// A third subcommand runs distributed configurations under deterministic
-// fault injection (site crashes, message loss, partitions):
+// A distributed spec's "faults" key runs it under deterministic fault
+// injection (site crashes, message loss, partitions); a third
+// subcommand sweeps generated fault plans by severity:
 //
-//	rtdbsim faults -plan examples/specs/faultplan.json -approach global
+//	rtdbsim -spec examples/specs/distributed-faults.json -audit
 //	rtdbsim faults -severities 0,0.5,1 -runs 4 -count 120
 //
 // A fourth rolls a run into virtual-time windows and exports the
 // deterministic observability bundle (Prometheus exposition, the
 // registry's CSV time series, the window rows as CSV and JSONL, folded
-// blocking-chain stacks, HTML report); -spec accepts a run spec or a
-// fault plan:
+// blocking-chain stacks, HTML report):
 //
 //	rtdbsim metrics -protocol C -count 200 -out metrics-out
 //	rtdbsim metrics -protocol C -count 40000 -window 1000 -runs 2
-//	rtdbsim metrics -spec examples/specs/faultplan.json -runs 2
+//	rtdbsim metrics -spec examples/specs/distributed-faults.json -runs 2
 //
 // The main -spec path and the audit/replay subcommands accept a
 // -metrics directory to export the same bundle alongside their output.
@@ -154,14 +154,6 @@ func reportViolations(vs []rtlock.Violation, maxPrint int) error {
 	}
 	fmt.Println("audit: all invariants hold")
 	return nil
-}
-
-// globalApproach maps an -approach value onto DistributedConfig.Global.
-func globalApproach(approach string) (bool, error) {
-	if approach != "global" && approach != "local" {
-		return false, fmt.Errorf("unknown approach %q", approach)
-	}
-	return approach == "global", nil
 }
 
 // specTitle labels an export of an inline-configured run.

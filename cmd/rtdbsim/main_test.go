@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"rtlock"
 	"rtlock/internal/experiments"
+	"rtlock/internal/faults"
 )
 
 func TestRunUnknownExperiment(t *testing.T) {
@@ -89,15 +91,16 @@ func TestProtocolLettersFromTable(t *testing.T) {
 	}
 }
 
-// TestMetricsSpecReportsItsOwnError: `metrics -spec` takes a run spec or
-// a fault plan, and a broken file is reported by the parser of the kind
-// it is — a run spec's unknown protocol used to surface as the fault-plan
-// parser's complaint about the "mode" field.
+// TestMetricsSpecReportsItsOwnError: `metrics -spec` reads the file as
+// a run spec, as audit and replay do, and a broken one is a runtime
+// error naming the file and the fault — a fault plan's included, since
+// a plan is the spec's "faults" key and no file of its own.
 func TestMetricsSpecReportsItsOwnError(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct{ name, body, want string }{
 		{"spec.json", `{"mode":"single","protocol":"ZZ","workload":{"count":20}}`, `unknown protocol "ZZ"`},
-		{"plan.json", `{"crashes":[{"site":1,"bogus":true}]}`, "parse plan"},
+		{"plan.json", `{"mode":"distributed","faults":{"crashes":[{"site":1,"bogus":true}]}}`, `unknown field "bogus"`},
+		{"bare-plan.json", `{"crashes":[{"site":1,"at":5}]}`, `spec mode ""`},
 		{"torn.json", `{"mode":`, "unexpected end of JSON"},
 	} {
 		path := filepath.Join(dir, tc.name)
@@ -239,12 +242,14 @@ func TestExitCodes(t *testing.T) {
 		{"replay seed with spec", []string{"replay", "-spec", "../../examples/specs/single-ceiling.json", "-seed", "3"}, 2},
 		{"replay distributed with spec", []string{"replay", "-spec", "../../examples/specs/single-ceiling.json", "-distributed"}, 2},
 		{"metrics size with run spec", []string{"metrics", "-spec", "../../examples/specs/single-ceiling.json", "-size", "4", "-out", os.DevNull}, 2},
-		{"metrics protocol with fault plan", []string{"metrics", "-spec", "../../examples/specs/faultplan.json", "-protocol", "P", "-out", os.DevNull}, 2},
-		{"metrics global with fault plan", []string{"metrics", "-spec", "../../examples/specs/faultplan.json", "-global", "-out", os.DevNull}, 2},
-		{"faults plan runs", []string{"faults", "-plan", "../../examples/specs/faultplan.json", "-runs", "2"}, 2},
-		{"faults plan severities", []string{"faults", "-plan", "../../examples/specs/faultplan.json", "-severities", "0,1"}, 2},
-		{"faults plan csv", []string{"faults", "-plan", "../../examples/specs/faultplan.json", "-csv"}, 2},
+		{"metrics protocol with fault plan", []string{"metrics", "-spec", "../../examples/specs/distributed-faults.json", "-protocol", "P", "-out", os.DevNull}, 2},
+		{"metrics global with fault plan", []string{"metrics", "-spec", "../../examples/specs/distributed-faults.json", "-global", "-out", os.DevNull}, 2},
+		{"faults plan runs", []string{"faults", "-plan", "../../examples/specs/distributed-faults.json", "-runs", "2"}, 2},
+		{"faults plan severities", []string{"faults", "-plan", "../../examples/specs/distributed-faults.json", "-severities", "0,1"}, 2},
+		{"faults plan csv", []string{"faults", "-plan", "../../examples/specs/distributed-faults.json", "-csv"}, 2},
 		{"faults sweep approach", []string{"faults", "-approach", "local", "-runs", "1", "-count", "20", "-severities", "0"}, 2},
+		{"faults plan", []string{"faults", "-plan", "../../examples/specs/distributed-faults.json"}, 2},
+		{"metrics approach", []string{"metrics", "-spec", "../../examples/specs/distributed-faults.json", "-approach", "local", "-out", os.DevNull}, 2},
 		{"replay one run", []string{"replay", "-runs", "1"}, 2},
 		{"replay no runs", []string{"replay", "-runs", "0"}, 2},
 		{"longrun audit", []string{"-experiment", "longrun", "-count", "20", "-audit"}, 2},
@@ -292,6 +297,29 @@ func TestRunExploreTiny(t *testing.T) {
 	}
 	if string(data) != string(data2) {
 		t.Fatal("verdict output differs across worker counts")
+	}
+}
+
+// TestFaultPlanIsARunnableSpec: explore -faultplans writes a
+// counterexample's plan as a distributed spec of the explored
+// architecture, which -spec and audit -spec run as they are.
+func TestFaultPlanIsARunnableSpec(t *testing.T) {
+	dir := t.TempDir()
+	plan := &rtlock.FaultPlan{Chosen: &faults.ChosenFaults{Crashes: []faults.Crash{{Site: 1, At: 50000, RecoverAt: 130000}}}}
+	cfg := rtlock.ExploreConfig{Faults: true, Placement: "shard"}
+	if err := writeFaultPlan(dir, cfg, "fault/shard", 0, rtlock.ExploreCounterexample{FaultPlan: plan}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "fault-shard-0-faults.json")
+	s, err := rtlock.LoadSpec(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := s.Distributed; c == nil || c.Global || c.Placement != "shard" || c.Sites != 3 || c.Faults.String() != plan.String() {
+		t.Fatalf("spec = %+v, want a 3-site shard run under %s", c, plan)
+	}
+	for _, args := range [][]string{{"-spec", path}, {"audit", "-spec", path}} {
+		stdoutOf(t, args...)
 	}
 }
 

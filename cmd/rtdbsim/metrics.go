@@ -12,10 +12,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"rtlock"
@@ -33,13 +31,11 @@ func runMetrics(args []string) error {
 		windowMs = fs.Float64("window", 0, "window width in virtual milliseconds: one row per window (0 keeps the spec's timelineWindowMs, else its metricsIntervalMs, else 100)")
 		topk     = fs.Int("topk", 10, "hottest objects to print and embed in the report")
 		runs     = fs.Int("runs", 1, "independent executions; with >1 every export must be byte-identical")
-		approach = fs.String("approach", "global", "fault-plan mode: architecture under test, global|local")
-		sites    = fs.Int("sites", 3, "fault-plan mode: number of sites")
 	)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	run, title, err := metricsRunner(fs, &sel, *windowMs, *approach, *sites)
+	run, title, err := metricsRunner(fs, &sel, *windowMs)
 	if err != nil {
 		return err
 	}
@@ -77,48 +73,17 @@ func processSwitches(m *metrics.Registry) string {
 		via("self"), via("handoff"), via("adopt"), via("start"))
 }
 
-// metricsRunner builds the run closure from the selection. The -spec
-// file may be either a JSON run specification or a JSON fault plan, so
-// the observability bundle composes with the fault-injection
-// subcommand's plan files; only a run spec has a "mode", and the file is
-// parsed, and its errors reported, as the kind its content says it is.
-// The run has one window width: a positive windowMs, else the spec's
-// own (see rtlock.SingleSiteConfig.TimelineWindow).
-func metricsRunner(fs *flag.FlagSet, sel *specSelection, windowMs float64, approach string, sites int) (func() (*rtlock.Result, error), string, error) {
-	var s *rtlock.Spec
+// metricsRunner builds the run closure from the selection, like audit
+// and replay. The run has one window width: a positive windowMs, else
+// the spec's own (see rtlock.SingleSiteConfig.TimelineWindow).
+func metricsRunner(fs *flag.FlagSet, sel *specSelection, windowMs float64) (func() (*rtlock.Result, error), string, error) {
+	s, err := sel.load(fs)
+	if err != nil {
+		return nil, "", err
+	}
 	title := filepath.Base(sel.spec)
 	if sel.spec == "" {
-		if err := ignored(fs, "without a fault plan", "approach", "sites"); err != nil {
-			return nil, "", err
-		}
-		var err error
-		if s, err = sel.inline(); err != nil {
-			return nil, "", err
-		}
 		title = specTitle(s)
-	} else {
-		data, err := os.ReadFile(sel.spec)
-		if err != nil {
-			return nil, "", err
-		}
-		var keys map[string]json.RawMessage
-		if err := json.Unmarshal(data, &keys); err != nil {
-			return nil, "", fmt.Errorf("%s: %w", sel.spec, err)
-		}
-		if _, isRunSpec := keys["mode"]; !isRunSpec {
-			// A fault plan takes its load from -seed, -count and -size.
-			if err = ignored(fs, "with a fault plan", "protocol", "distributed", "global"); err == nil {
-				wl := rtlock.WorkloadConfig{Seed: sel.seed, Count: sel.count, MeanSize: sel.size}
-				s, err = faultPlanSpec(sel.spec, data, approach, sites, wl)
-			}
-		} else if err = ignored(fs, "with a run spec", append(quickFlags, "approach", "sites")...); err == nil {
-			if s, err = rtlock.ParseSpec(data); err != nil {
-				err = fmt.Errorf("%s: %w", sel.spec, err)
-			}
-		}
-		if err != nil {
-			return nil, "", err
-		}
 	}
 	k := knobs(s)
 	*k.metrics = true
@@ -135,20 +100,6 @@ func metricsRunner(fs *flag.FlagSet, sel *specSelection, windowMs float64, appro
 // spec sets no cap. The bundle does not export them, so the cap keeps
 // them from growing with the run.
 const defaultMaxRaw = 4096
-
-// faultPlanSpec is the run of the fault plan in file name: a
-// distributed run of the load wl under the plan.
-func faultPlanSpec(name string, plan []byte, approach string, sites int, wl rtlock.WorkloadConfig) (*rtlock.Spec, error) {
-	fp, err := rtlock.ParseFaultPlan(plan)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	global, err := globalApproach(approach)
-	if err != nil {
-		return nil, err
-	}
-	return &rtlock.Spec{Distributed: &rtlock.DistributedConfig{Global: global, Sites: sites, Faults: fp, Workload: wl}}, nil
-}
 
 // metricsBundle renders the six files of the bundle from a completed run.
 func metricsBundle(res *rtlock.Result, title string, topk int) (bundle, error) {

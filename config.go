@@ -66,13 +66,17 @@ func ParseSpec(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// LoadSpec reads a specification file.
+// LoadSpec reads a specification file; its errors name the file.
 func LoadSpec(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("rtlock: load spec: %w", err)
 	}
-	return ParseSpec(data)
+	s, err := ParseSpec(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
 }
 
 // Run executes the specification.

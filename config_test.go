@@ -50,6 +50,20 @@ func TestSpecDurationsRoundToTheTick(t *testing.T) {
 	}
 }
 
+// TestSpecCarriesFaultPlan: a distributed spec's "faults" key is a
+// fault plan in its own format, ticks and all, so the example spec runs
+// the plan it spells out.
+func TestSpecCarriesFaultPlan(t *testing.T) {
+	s, err := LoadSpec("examples/specs/distributed-faults.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "faults{crash(1@3000000-5000000);link(-1>-1@1000000-9000000,drop=0.05,dup=0.02,jit=2000);part([0]@6500000-7500000)}"
+	if c := s.Distributed; c == nil || !c.Global || c.Sites != 3 || c.Faults.String() != want {
+		t.Fatalf("spec = %+v, want a global 3-site run under %s", c, want)
+	}
+}
+
 // TestFailureOfMissingSite: a failure scheduled on a site the cluster
 // does not have is an error naming the site, through the spec and the
 // facade alike, not a silent no-op.
@@ -112,6 +126,12 @@ func TestParseSpecRejectsBad(t *testing.T) {
 	for spec, want := range map[string]string{
 		`{"mode": "distributed", "placement": "bogus"}`:                                    `"bogus"`,
 		`{"mode": "distributed", "placement": "shard", "workload": {"localityProb": 1.5}}`: "localityProb 1.5",
+		// The fault plan is decoded as strictly as the rest of the spec
+		// and checked against the cluster at parse time.
+		`{"mode": "distributed", "faults": {"crashes": [{"site": 1, "at": 5, "dorp": 1}]}}`:          `unknown field "dorp"`,
+		`{"mode": "distributed", "faults": {"crashes": [{"site": 3, "at": 5}]}}`:                     "crash 0: site 3 out of range",
+		`{"mode": "distributed", "sites": 4, "faults": {"partitions": [{"group_a": [4], "at": 5}]}}`: "partition 0: site 4 out of range",
+		`{"mode": "distributed", "faults": {"chosen": {"cuts": [{"site": -1, "at": 5}]}}}`:           "chosen cut 0: site -1 out of range",
 	} {
 		if _, err := ParseSpec([]byte(spec)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error %v, want one naming %s", spec, err, want)
@@ -131,6 +151,7 @@ func TestParseSpecRejectsBad(t *testing.T) {
 		{`{"mode": "single", "multiversion": true}`, "multiversion"},
 		{`{"mode": "single", "snapshotLagMs": 5}`, "snapshotLagMs"},
 		{`{"mode": "single", "failures": [{"site": 1, "atMs": 50}]}`, "failures"},
+		{`{"mode": "single", "faults": {}}`, "faults"},
 		{`{"mode": "single", "siteSpeed": [1, 2]}`, "siteSpeed"},
 		{`{"mode": "single", "placement": "shard"}`, "placement"},
 		{`{"mode": "single", "workload": {"localityProb": 0.5}}`, "workload.localityProb"},

@@ -115,6 +115,30 @@ func TestAllProtocolsProcessEverything(t *testing.T) {
 	}
 }
 
+// TestNetReportCountsEveryArrival: on a fault-free run that misses
+// nothing, every inter-site message arrives, so the report delivers what
+// it sent and loses nothing. The global approach's lock requests and
+// replies are synchronous hops; the local approach's installs are
+// asynchronous messages.
+func TestNetReportCountsEveryArrival(t *testing.T) {
+	for _, global := range []bool{false, true} {
+		cfg := DistributedConfig{Global: global}
+		cfg.Workload.Count = 100
+		cfg.Workload.MeanInterarrival = Second
+		cfg.Workload.SlackMin, cfg.Workload.SlackMax = 20, 30
+		res, err := RunDistributed(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Summary.Missed != 0 || res.Net.Sent == 0 {
+			t.Fatalf("global=%t: the run must miss nothing and send messages: %s, net: %s", global, res.Summary, res.Net)
+		}
+		if n := res.Net; n.Delivered != n.Sent || n.Lost() != 0 {
+			t.Errorf("global=%t: net: %s, want every message delivered", global, n)
+		}
+	}
+}
+
 func TestDistributedSiteFailure(t *testing.T) {
 	// Light load and a small delay, so the healthy global baseline
 	// performs well and the outage's damage is unambiguous.

@@ -583,12 +583,13 @@ func (c *Cluster) Config() Config { return c.cfg }
 func (c *Cluster) Replication() ReplicationStats { return c.repl }
 
 // NetReport aggregates the run's message-layer counters: the network's
-// send and loss counts plus the delivery and no-handler counts of every
-// site's message server. It only reads: a site that never had a server
-// (every site in primary mode) contributes nothing.
+// send, arrived-hop and loss counts plus the delivery and no-handler
+// counts of every site's message server. It only reads: a site that
+// never had a server (every site in primary mode) contributes nothing.
 func (c *Cluster) NetReport() stats.NetReport {
 	r := stats.NetReport{
 		Sent:         c.Net.Sent,
+		Delivered:    c.Net.HopsArrived,
 		DroppedDown:  c.Net.DroppedDown,
 		DroppedCut:   c.Net.DroppedCut,
 		DroppedFault: c.Net.DroppedFault,

@@ -7,6 +7,7 @@ import (
 
 	"rtlock/internal/core"
 	"rtlock/internal/db"
+	"rtlock/internal/journal"
 	"rtlock/internal/sim"
 	"rtlock/internal/stats"
 	"rtlock/internal/txn"
@@ -19,14 +20,25 @@ import (
 // with its first differing transaction. It may shrink, never grow.
 var oracleDiverges = map[string]bool{}
 
-// TestSingleSiteOracle runs one pre-generated protocol C load through
-// txn.System with no I/O and through the local mode's one-site cluster
-// with no communication delay, and compares every transaction's
-// outcome, finish time, blocking and restarts: the differential oracle
-// the single-site/N=1 fold is accepted by.
-func TestSingleSiteOracle(t *testing.T) {
+// journalDiverges pins, per record kind, the counts (txn.System, then
+// the one-site cluster) on which the two engines' journals of
+// TestSingleSiteOracle's load are known to differ; every other kind's
+// count is equal. DESIGN.md ("The N=1 oracle") says where each comes
+// from. It may shrink, never grow.
+var journalDiverges = map[journal.Kind][2]int{
+	journal.KInherit: {4, 0},     // the cluster's onPrio journals no KInherit
+	journal.KOp:      {797, 684}, // the cluster journals KOp after the access and the hop home, not at the grant
+	journal.KSpawn:   {200, 201}, // the cluster's idle message server
+	journal.KProcEnd: {200, 201},
+}
+
+// oracleRun runs one pre-generated protocol C load through txn.System
+// with no I/O and through the local mode's one-site cluster with no
+// communication delay, each writing a journal.
+func oracleRun(t *testing.T) (*txn.System, *Cluster, []*workload.Txn, stats.Summary) {
+	t.Helper()
 	const cpu = 10 * sim.Millisecond
-	c, err := NewCluster(Config{Mode: Local, Sites: 1, Objects: 200, CommDelay: 0, CPUPerObj: cpu})
+	c, err := NewCluster(Config{Mode: Local, Sites: 1, Objects: 200, CommDelay: 0, CPUPerObj: cpu, Journal: journal.New(7, "oracle/cluster")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +53,7 @@ func TestSingleSiteOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := txn.NewSystem(txn.Config{CPUPerObj: cpu, IOPerObj: 0, CPUDiscipline: row.Discipline, NewManager: row.New})
+	s, err := txn.NewSystem(txn.Config{CPUPerObj: cpu, IOPerObj: 0, CPUDiscipline: row.Discipline, NewManager: row.New, Journal: journal.New(7, "oracle/single")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,6 +61,14 @@ func TestSingleSiteOracle(t *testing.T) {
 	sum := s.Run()
 	c.Load(load)
 	c.Run()
+	return s, c, load, sum
+}
+
+// TestSingleSiteOracle compares, on oracleRun's load, every
+// transaction's outcome, finish time, blocking and restarts: the
+// differential oracle the single-site/N=1 fold is accepted by.
+func TestSingleSiteOracle(t *testing.T) {
+	s, c, load, sum := oracleRun(t)
 	if sum.Committed == 0 || sum.Missed == 0 || sum.AvgBlocked == 0 {
 		t.Fatalf("the load must commit, miss and block to mean something: %+v", sum)
 	}
@@ -86,6 +106,31 @@ func TestSingleSiteOracle(t *testing.T) {
 	for f := range oracleDiverges {
 		if _, still := first[f]; !still {
 			t.Errorf("%s no longer diverges: drop it from oracleDiverges and DESIGN.md", f)
+		}
+	}
+}
+
+// TestSingleSiteOracleJournal compares the two engines' journals of
+// oracleRun's load kind by kind: each kind's record count is equal, or
+// is the pair journalDiverges pins.
+func TestSingleSiteOracleJournal(t *testing.T) {
+	s, c, _, _ := oracleRun(t)
+	counts := map[journal.Kind][2]int{}
+	for i, j := range []*journal.Journal{s.K.Journal(), c.K.Journal()} {
+		for _, r := range j.Records() {
+			n := counts[r.Kind]
+			n[i]++
+			counts[r.Kind] = n
+		}
+	}
+	for k, n := range counts {
+		want, known := journalDiverges[k]
+		switch {
+		case n[0] != n[1] && !known:
+			t.Errorf("new divergence: %s records: txn.System %d, one-site cluster %d", k, n[0], n[1])
+		case known && n != want:
+			t.Errorf("%s records: txn.System %d, one-site cluster %d, want %d and %d (or equal: then drop it from journalDiverges and DESIGN.md)",
+				k, n[0], n[1], want[0], want[1])
 		}
 	}
 }

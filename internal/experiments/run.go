@@ -226,8 +226,9 @@ type DistributedConfig struct {
 	// bounded retries, and (global approach) failover to per-site local
 	// ceiling managers while the GCM site is down. An empty plan arms
 	// the machinery but injects nothing; the journal stays byte-
-	// identical to a run without it.
-	Faults *faults.Plan `json:"-"`
+	// identical to a run without it. In a spec the plan is in its own
+	// format (faults.Parse): times in 1µs ticks, not milliseconds.
+	Faults *faults.Plan `json:"faults,omitempty"`
 	// FaultSeed seeds the fault injector's random stream (defaults to
 	// the workload seed).
 	FaultSeed int64 `json:"-"`
@@ -469,6 +470,9 @@ func (cfg *DistributedConfig) check() (dist.Mode, error) {
 		if f.Site < 0 || int(f.Site) >= cfg.Sites {
 			return 0, fmt.Errorf("rtlock: failure of site %d, outside the %d sites", f.Site, cfg.Sites)
 		}
+	}
+	if err := cfg.Faults.Validate(cfg.Sites); err != nil {
+		return 0, err
 	}
 	return mode, nil
 }

@@ -18,6 +18,10 @@ const (
 	clusterMeanSize = 3
 )
 
+// DefaultSites is the cluster size of a distributed target that names
+// none.
+const DefaultSites = 3
+
 // FaultOpts configures a cluster exploration target. Under FaultTarget
 // the schedule tree includes failure decisions — site crashes,
 // per-message drop/duplicate fates, and partition cuts — in addition to
@@ -34,8 +38,9 @@ type FaultOpts struct {
 	Placement place.Policy
 	// Seed drives the workload stream (default 1).
 	Seed int64
-	// Sites, DBSize, CommDelay and CPUPerObj shape the cluster; the
-	// generated load is ten update transactions of mean size three.
+	// Sites, DBSize, CommDelay and CPUPerObj shape the cluster (Sites
+	// defaults to DefaultSites); the generated load is ten update
+	// transactions of mean size three.
 	Sites     int
 	DBSize    int
 	CommDelay sim.Duration
@@ -83,7 +88,7 @@ func clusterTarget(o FaultOpts, armed bool) (Target, error) {
 		o.Seed = 1
 	}
 	if o.Sites <= 0 {
-		o.Sites = 3
+		o.Sites = DefaultSites
 	}
 	if o.DBSize <= 0 {
 		o.DBSize = defaultDBSize

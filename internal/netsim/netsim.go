@@ -99,6 +99,10 @@ type Network struct {
 	DroppedFault int
 	// Duplicated counts extra copies the fault injector delivered.
 	Duplicated int
+	// HopsArrived counts synchronous hops that reached their
+	// destination; a message server counts the asynchronous messages it
+	// delivers.
+	HopsArrived int
 
 	// freeInflight recycles delivered in-flight records.
 	freeInflight []*inflight
@@ -415,6 +419,7 @@ func (n *Network) Hop(p *sim.Proc, from, to db.SiteID) error {
 		}
 		return ErrSiteDown
 	}
+	n.HopsArrived++
 	return nil
 }
 

@@ -220,7 +220,8 @@ func TestInterruptCancelsSleep(t *testing.T) {
 func TestInterruptRunsOnCancelHook(t *testing.T) {
 	k := NewKernel()
 	cleaned := false
-	tok := &Token{OnCancel: func() { cleaned = true }}
+	tok := &Token{}
+	tok.SetCancel(func(a any) { *a.(*bool) = true }, &cleaned)
 	var proc *Proc
 	proc = k.Spawn("p", func(p *Proc) {
 		if err := p.Park(tok); err == nil {
@@ -230,7 +231,7 @@ func TestInterruptRunsOnCancelHook(t *testing.T) {
 	k.At(5, func() { proc.Interrupt(errors.New("x")) })
 	k.Run()
 	if !cleaned {
-		t.Fatal("OnCancel hook did not run")
+		t.Fatal("cancel hook did not run")
 	}
 }
 

@@ -33,22 +33,18 @@ type Proc struct {
 
 // Token is a one-shot wake-up slot a process parks on. Whoever completes
 // the awaited condition calls Wake; whoever needs to cancel the wait
-// (deadline aborts, shutdown) calls Cancel, which first runs OnCancel so
-// the resource that enqueued the waiter can remove it.
+// (deadline aborts, shutdown) calls Cancel, which first runs the cancel
+// hook (SetCancel) so the resource that enqueued the waiter can remove
+// it.
 type Token struct {
-	// OnCancel, if set, detaches the waiter from whatever queue it
-	// sits in. It runs exactly once, before the process is woken with
-	// the cancellation error.
-	OnCancel func()
-
 	// ev, when pending, is a timer driving this token; Cancel revokes
-	// it so a canceled wait leaves no live event behind. Hot sites set
-	// it instead of capturing the event in an OnCancel closure.
+	// it so a canceled wait leaves no live event behind.
 	ev EventRef
 
-	// onCancel/onCancelArg are the allocation-free form of OnCancel
-	// (static function plus argument), used by hot internal sites. Both
-	// hooks run on Cancel, internal first.
+	// onCancel/onCancelArg are the cancel hook, a static function plus
+	// its argument. It detaches the waiter from whatever queue it sits
+	// in, and runs exactly once, before the process is woken with the
+	// cancellation error.
 	onCancel    func(any)
 	onCancelArg any
 
@@ -58,10 +54,9 @@ type Token struct {
 	k     *Kernel
 }
 
-// SetCancel installs the allocation-free cancel hook (static function
-// plus argument) in place of an OnCancel closure. The hook must not be
-// combined with resource-internal tokens (CPU requests), which use the
-// same slot.
+// SetCancel installs the cancel hook: fn(arg) runs when the wait is
+// canceled. Resource-internal tokens (CPU requests) use the same slot,
+// so it must not be set on one of those.
 func (t *Token) SetCancel(fn func(any), arg any) {
 	t.onCancel = fn
 	t.onCancelArg = arg
@@ -270,7 +265,7 @@ func (t *Token) Wake(err error) bool {
 }
 
 // Cancel detaches the waiter from its resource (revoking its timer and
-// running the cancel hooks) and wakes the process with err. It reports
+// running the cancel hook) and wakes the process with err. It reports
 // whether the token was still pending.
 func (t *Token) Cancel(err error) bool {
 	if t.fired {
@@ -279,9 +274,6 @@ func (t *Token) Cancel(err error) bool {
 	t.ev.Cancel()
 	if t.onCancel != nil {
 		t.onCancel(t.onCancelArg)
-	}
-	if t.OnCancel != nil {
-		t.OnCancel()
 	}
 	return t.Wake(err)
 }

@@ -5,7 +5,20 @@ package sim
 type Semaphore struct {
 	k *Kernel
 	n int
-	q []*Token
+	q []*semWaiter
+}
+
+// semWaiter is a blocked Wait: its token, and the semaphore whose queue
+// a cancellation removes it from.
+type semWaiter struct {
+	Token
+	s *Semaphore
+}
+
+// semWaiterCancel is the static cancel hook of a queued waiter.
+func semWaiterCancel(a any) {
+	w := a.(*semWaiter)
+	w.s.drop(w)
 }
 
 // NewSemaphore returns a semaphore with an initial count.
@@ -21,10 +34,10 @@ func (s *Semaphore) Wait(p *Proc) error {
 		s.n--
 		return nil
 	}
-	tok := &Token{}
-	s.q = append(s.q, tok)
-	tok.OnCancel = func() { s.drop(tok) }
-	return p.Park(tok)
+	w := &semWaiter{s: s}
+	w.SetCancel(semWaiterCancel, w)
+	s.q = append(s.q, w)
+	return p.Park(&w.Token)
 }
 
 // TryWait acquires a unit without blocking, reporting success.
@@ -39,9 +52,9 @@ func (s *Semaphore) TryWait() bool {
 // Signal releases a unit, waking the longest-waiting process if any.
 func (s *Semaphore) Signal() {
 	for len(s.q) > 0 {
-		tok := s.q[0]
+		w := s.q[0]
 		s.q = s.q[1:]
-		if tok.Wake(nil) {
+		if w.Wake(nil) {
 			return
 		}
 	}
@@ -54,9 +67,9 @@ func (s *Semaphore) Count() int { return s.n }
 // Waiting returns the number of parked waiters.
 func (s *Semaphore) Waiting() int { return len(s.q) }
 
-func (s *Semaphore) drop(tok *Token) {
-	for i, t := range s.q {
-		if t == tok {
+func (s *Semaphore) drop(w *semWaiter) {
+	for i, x := range s.q {
+		if x == w {
 			s.q = append(s.q[:i], s.q[i+1:]...)
 			return
 		}

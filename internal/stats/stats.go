@@ -343,7 +343,9 @@ func (s Summary) String() string {
 type NetReport struct {
 	// Sent counts inter-site messages handed to the network.
 	Sent int
-	// Delivered counts messages dispatched to a registered handler.
+	// Delivered counts messages dispatched to a registered handler and
+	// synchronous hops that arrived. A hop whose sender is aborted in
+	// flight is neither delivered nor lost.
 	Delivered int
 	// DroppedNoHandler counts messages that arrived on a port with no
 	// handler registered.

@@ -123,14 +123,11 @@ func TestMetricsZeroOverhead(t *testing.T) {
 // under faults, and exports exactly what the same run exports with its
 // journal kept.
 func TestMetricsKeepsNoJournal(t *testing.T) {
-	data, err := os.ReadFile("examples/specs/faultplan.json")
+	spec, err := LoadSpec("examples/specs/distributed-faults.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := ParseFaultPlan(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := spec.Distributed.Faults
 	for _, tc := range []struct {
 		name string
 		run  func(journal bool) (*Result, error)
