@@ -117,12 +117,24 @@ func TestAllProtocolsProcessEverything(t *testing.T) {
 
 // TestNetReportCountsEveryArrival: on a fault-free run that misses
 // nothing, every inter-site message arrives, so the report delivers what
-// it sent and loses nothing. The global approach's lock requests and
-// replies are synchronous hops; the local approach's installs are
-// asynchronous messages.
+// it sent and loses nothing, in every mode. The global approach's lock
+// requests and replies are synchronous hops; the local approach's
+// installs, the 2PC rounds and the quorum rounds are asynchronous
+// messages, some of them within one site (a quorum round's request to,
+// or answer from, a replica at the transaction's home), which count as
+// neither sent nor delivered.
 func TestNetReportCountsEveryArrival(t *testing.T) {
-	for _, global := range []bool{false, true} {
-		cfg := DistributedConfig{Global: global}
+	for _, tc := range []struct {
+		name string
+		cfg  DistributedConfig
+	}{
+		{"local", DistributedConfig{}},
+		{"global", DistributedConfig{Global: true}},
+		{"shard", DistributedConfig{Placement: "shard", Sites: 4}},
+		{"quorum", DistributedConfig{Placement: "quorum", Sites: 4}},
+		{"primary", DistributedConfig{Placement: "primary", Sites: 4}},
+	} {
+		cfg := tc.cfg
 		cfg.Workload.Count = 100
 		cfg.Workload.MeanInterarrival = Second
 		cfg.Workload.SlackMin, cfg.Workload.SlackMax = 20, 30
@@ -131,10 +143,10 @@ func TestNetReportCountsEveryArrival(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Summary.Missed != 0 || res.Net.Sent == 0 {
-			t.Fatalf("global=%t: the run must miss nothing and send messages: %s, net: %s", global, res.Summary, res.Net)
+			t.Fatalf("%s: the run must miss nothing and send messages: %s, net: %s", tc.name, res.Summary, res.Net)
 		}
 		if n := res.Net; n.Delivered != n.Sent || n.Lost() != 0 {
-			t.Errorf("global=%t: net: %s, want every message delivered", global, n)
+			t.Errorf("%s: net: %s, want every message delivered", tc.name, n)
 		}
 	}
 }

@@ -317,22 +317,17 @@ type Cluster struct {
 	runs       []*txRun
 	states     core.TxPool
 	installers []*installer
+	// bodies carves message bodies, which are never reused (see slab).
+	bodies bodies
 
 	// Fault-plan state, inert until AttachFaults is called. faultsOn
 	// gates every behavioral addition so a cluster without a plan is
 	// byte-identical to earlier revisions.
 	faultsOn   bool
-	inj        *faults.Injector
-	crashed    []bool
-	crashAt    []sim.Time
 	gcmDown    bool
-	wals       []*wal.Log
-	prepared   []map[int64]*preparedTx
+	inj        *faults.Injector
+	fault      []siteFault // one per site
 	resolveTok map[resolveKey]*sim.Token
-	liveTx     []map[int64]*sim.Proc
-	// reg tracks, per manager site, the registrations a crash elsewhere
-	// must be able to evict (see enroll).
-	reg []map[int64]regEntry
 
 	// Probe handles, cached at construction (no-ops without a
 	// registry).
@@ -343,6 +338,20 @@ type Cluster struct {
 	mShardCross   sim.Counter
 	mQuorumReads  sim.Counter
 	mQuorumWrites sim.Counter
+}
+
+// siteFault is one site's fault-plan state.
+type siteFault struct {
+	crashed bool
+	crashAt sim.Time
+	wal     *wal.Log
+	// prepared holds the site's in-doubt participants and liveTx the
+	// processes of the transactions homed here.
+	prepared map[int64]*preparedTx
+	liveTx   map[int64]*sim.Proc
+	// reg tracks the registrations at this site's managers that a crash
+	// elsewhere must be able to evict (see enroll).
+	reg map[int64]regEntry
 }
 
 // preparedTx is a participant's volatile state for an in-doubt
@@ -455,18 +464,13 @@ func (c *Cluster) FailSite(site db.SiteID, at, recoverAt sim.Time) {
 // validate against the cluster is an error.
 func (c *Cluster) AttachFaults(in *faults.Injector) error {
 	c.faultsOn = true
-	c.crashed = make([]bool, c.cfg.Sites)
-	c.crashAt = make([]sim.Time, c.cfg.Sites)
 	c.resolveTok = make(map[resolveKey]*sim.Token)
-	c.liveTx = make([]map[int64]*sim.Proc, c.cfg.Sites)
-	c.wals = make([]*wal.Log, c.cfg.Sites)
-	c.prepared = make([]map[int64]*preparedTx, c.cfg.Sites)
-	for i := 0; i < c.cfg.Sites; i++ {
-		c.liveTx[i] = make(map[int64]*sim.Proc)
-		c.wals[i] = wal.NewLog()
-		c.prepared[i] = make(map[int64]*preparedTx)
+	c.fault = make([]siteFault, c.cfg.Sites)
+	for i := range c.fault {
+		c.fault[i].liveTx = make(map[int64]*sim.Proc)
+		c.fault[i].wal = wal.NewLog()
+		c.fault[i].prepared = make(map[int64]*preparedTx)
 	}
-	c.reg = make([]map[int64]regEntry, c.cfg.Sites)
 	if c.gcm != nil {
 		for _, s := range c.sites {
 			if s.mgr == nil {
@@ -487,10 +491,10 @@ func (c *Cluster) ChosenFaultPlan() *faults.Plan { return c.inj.ChosenPlan() }
 // WAL returns a site's write-ahead log (nil before AttachFaults), for
 // inspection in tests and reports.
 func (c *Cluster) WAL(site db.SiteID) *wal.Log {
-	if c.wals == nil {
+	if c.fault == nil {
 		return nil
 	}
-	return c.wals[site]
+	return c.fault[site].wal
 }
 
 // onCrash loses a site's volatile state: resident transactions and
@@ -500,20 +504,21 @@ func (c *Cluster) WAL(site db.SiteID) *wal.Log {
 // evicts the crashed site's registrations. Network unreachability is
 // flipped by the injector before this hook runs.
 func (c *Cluster) onCrash(siteID db.SiteID) {
-	c.crashed[siteID] = true
-	c.crashAt[siteID] = c.K.Now()
+	f := &c.fault[siteID]
+	f.crashed = true
+	f.crashAt = c.K.Now()
 
 	// Kill resident transactions.
-	for _, id := range sortedIDs(c.liveTx[siteID]) {
-		c.liveTx[siteID][id].Interrupt(ErrSiteCrashed)
+	for _, id := range sortedIDs(f.liveTx) {
+		f.liveTx[id].Interrupt(ErrSiteCrashed)
 	}
 
 	// Wipe volatile 2PC participant state; pending decision timers die
 	// with it. The WAL keeps the forced votes for recovery.
-	for _, id := range sortedIDs(c.prepared[siteID]) {
-		c.prepared[siteID][id].timeout.Cancel()
+	for _, id := range sortedIDs(f.prepared) {
+		f.prepared[id].timeout.Cancel()
 	}
-	c.prepared[siteID] = make(map[int64]*preparedTx)
+	f.prepared = make(map[int64]*preparedTx)
 
 	if s := c.sites[siteID]; s.mgr != nil && s.mgr == c.gcm {
 		// The global manager's table outlives the crash; onRecover
@@ -524,7 +529,7 @@ func (c *Cluster) onCrash(siteID db.SiteID) {
 		// A site's own lock table is volatile: recovery restarts it empty,
 		// and the registrations tracked there died with it.
 		s.mgr = c.newManager(siteID)
-		c.reg[siteID] = nil
+		f.reg = nil
 	}
 	// Every surviving manager detects the crash and releases the crashed
 	// site's registrations (the killed transactions skip their release).
@@ -546,18 +551,19 @@ func (c *Cluster) onCrash(siteID db.SiteID) {
 // their coordinators; a recovering GCM site purges registrations whose
 // transactions died while it was down and resumes global locking.
 func (c *Cluster) onRecover(siteID db.SiteID) {
-	c.crashed[siteID] = false
-	if d := c.K.Now().Sub(c.crashAt[siteID]); d >= 0 {
+	f := &c.fault[siteID]
+	f.crashed = false
+	if d := c.K.Now().Sub(f.crashAt); d >= 0 {
 		c.K.Metrics().Histogram("recovery_duration_ticks",
 			"Crash-to-recovery (resync complete) windows per site, in ticks.", nil).Observe(int64(d))
 	}
 	if c.twopc == nil {
 		return // no 2PC in this mode: nothing was in doubt
 	}
-	pending := c.wals[siteID].PendingVotes()
+	pending := f.wal.PendingVotes()
 	c.emit(siteID, journal.KWALRedo, 0, 0, int64(len(pending)), 0, "")
 	for _, v := range pending {
-		c.prepared[siteID][v.Tx] = &preparedTx{coord: db.SiteID(v.Coord), objs: v.Objs, at: c.K.Now()}
+		f.prepared[v.Tx] = &preparedTx{coord: db.SiteID(v.Coord), objs: v.Objs, at: c.K.Now()}
 	}
 	for _, v := range pending {
 		c.spawnResolver(siteID, v.Tx)
@@ -622,7 +628,7 @@ func (c *Cluster) LoadStream(src *workload.Stream) {
 // the site's volatile state: it is recorded as an immediate miss and
 // never spawns a process.
 func (c *Cluster) arrive(t *workload.Txn) {
-	if c.faultsOn && c.crashed[t.Home] {
+	if c.faultsOn && c.fault[t.Home].crashed {
 		rec := c.life.Arrive(t, t.Home)
 		c.life.Finish(&rec, ErrSiteCrashed)
 		return

@@ -24,12 +24,14 @@ type pin struct {
 	site db.SiteID
 	mgr  *core.Ceiling
 	st   *core.TxState
+	x    *txRun // the attempt the pin belongs to
 }
 
 // txRun is one transaction attempt on the pipeline. Runs are pooled:
 // arrive takes one with newRun, and the run goes back once nothing can
 // reach it any more (see doneWith).
 type txRun struct {
+	c *Cluster
 	p *sim.Proc
 	t *workload.Txn
 	// pins are the managers the attempt registers with, ascending by
@@ -37,8 +39,15 @@ type txRun struct {
 	pins   []pin
 	sets   []core.ObjectID // the scratch the access sets are written into
 	writes []core.ObjectID // the whole write set (nil in primary mode)
-	msgs   int             // inter-site messages the transaction caused
 	views  []readSample    // the version each read observed (local mode)
+	// msgs counts the inter-site messages the transaction caused. live
+	// counts what still holds the run: exec until it returns, and each
+	// pin until discharge hands its state back to the pool. A state
+	// that never goes back (evicted, its release lost, its site
+	// crashed) keeps the run out of the pool: a manager may still hold
+	// the state, and with it onPrio. The two share a word, which keeps
+	// a run within its allocation size class.
+	msgs, live int32
 	// body is the process body. onPrio wires the transaction's
 	// priority inheritance to every site's processor (the process may
 	// be queued at any of them while executing remotely); the states at
@@ -46,12 +55,6 @@ type txRun struct {
 	// read p.
 	body   func(*sim.Proc)
 	onPrio func(sim.Priority)
-	// live counts what still holds the run: exec until it returns, and
-	// each pin until discharge hands its state back to the pool. A
-	// state that never goes back (evicted, its release lost, its site
-	// crashed) keeps the run out of the pool: a manager may still hold
-	// the state, and with it onPrio.
-	live int
 	// The attempt's reusable round state: its open quorum round, its
 	// 2PC vote round, and the write order of its quorum commit.
 	round quorumRound
@@ -72,7 +75,7 @@ func (c *Cluster) newRun(t *workload.Txn) *txRun {
 		c.runs[n-1] = nil
 		c.runs = c.runs[:n-1]
 	} else {
-		x = &txRun{}
+		x = &txRun{c: c}
 		x.pins, x.views = x.pin0[:0], x.view0[:0]
 		x.body = func(p *sim.Proc) { c.exec(p, x) }
 		x.onPrio = func(pr sim.Priority) {
@@ -119,8 +122,8 @@ func (c *Cluster) exec(p *sim.Proc, x *txRun) {
 	t := x.t
 	x.p = p
 	if c.faultsOn {
-		c.liveTx[t.Home][t.ID] = p
-		defer delete(c.liveTx[t.Home], t.ID)
+		c.fault[t.Home].liveTx[t.ID] = p
+		defer delete(c.fault[t.Home].liveTx, t.ID)
 	}
 	m := c.mode
 	rec := c.life.Arrive(t, t.Home)
@@ -146,46 +149,59 @@ func (c *Cluster) exec(p *sim.Proc, x *txRun) {
 			m.install(c, x)
 		}
 	}
-	rec.Messages = x.msgs
+	rec.Messages = int(x.msgs)
 	c.life.Finish(&rec, err)
 	c.doneWith(x)
 }
 
 // atPins runs step at every pinned manager: at once at the home site,
-// one message later at a remote one — unless, under faults, the message
-// is lost or the manager rebooted (a new lock table) while it traveled.
-func (c *Cluster) atPins(x *txRun, step func(*Cluster, *txRun, *pin)) {
+// one message later at a remote one. The step is a static event
+// handler taking the *pin, so sending it costs no allocation; it is
+// one handler per step because both can travel toward the same pin (a
+// release sent right behind a registration, after a deadline abort).
+func (c *Cluster) atPins(x *txRun, step func(any)) {
 	home := x.t.Home
 	for i := range x.pins {
 		pn := &x.pins[i]
 		if pn.site == home {
-			step(c, x, pn)
+			step(pn)
 			continue
 		}
 		x.msgs++
-		c.K.After(c.Net.Delay(home, pn.site), func() {
-			if c.faultsOn && (!c.Net.Reachable(home, pn.site) || c.sites[pn.site].mgr != pn.mgr) {
-				return
-			}
-			step(c, x, pn)
-		})
+		c.K.AfterCall(c.Net.Delay(home, pn.site), step, pn)
 	}
+}
+
+// reached reports whether a step toward pn takes effect: at home always;
+// at a remote pin, under faults, not if the message was lost on the way
+// or the manager rebooted (a new lock table) while it traveled.
+func (pn *pin) reached() bool {
+	x := pn.x
+	c, home := x.c, x.t.Home
+	return pn.site == home || !c.faultsOn ||
+		c.Net.Reachable(home, pn.site) && c.sites[pn.site].mgr == pn.mgr
 }
 
 // enroll announces the transaction (its access sets feed the ceilings)
 // to a pinned manager. A remote registration is in effect before the
 // first lock request arrives there: the request travels the same link.
-func enroll(c *Cluster, x *txRun, pn *pin) {
+func enroll(a any) {
+	pn := a.(*pin)
+	if !pn.reached() {
+		return
+	}
+	x := pn.x
+	c := x.c
 	c.emit(pn.site, journal.KRegister, x.t.ID, 0, 0, 0, "")
 	pn.mgr.Register(pn.st)
 	// A crash must be able to find the registrations that outlive the
 	// crashed site's own state: those at another site's manager, and any
 	// at the global manager, whose table survives its site's crash.
 	if c.faultsOn && (pn.site != x.t.Home || pn.mgr == c.gcm) {
-		if c.reg[pn.site] == nil {
-			c.reg[pn.site] = make(map[int64]regEntry)
+		if c.fault[pn.site].reg == nil {
+			c.fault[pn.site].reg = make(map[int64]regEntry)
 		}
-		c.reg[pn.site][x.t.ID] = regEntry{pin: *pn, home: x.t.Home}
+		c.fault[pn.site].reg[x.t.ID] = regEntry{pin: *pn, home: x.t.Home}
 	}
 }
 
@@ -197,7 +213,13 @@ func enroll(c *Cluster, x *txRun, pn *pin) {
 // held while a remote release travels — the cost the paper attributes
 // to holding locks across the network — and a lost one is reclaimed by
 // crash eviction or the global manager's resync.
-func discharge(c *Cluster, x *txRun, pn *pin) {
+func discharge(a any) {
+	pn := a.(*pin)
+	if !pn.reached() {
+		return
+	}
+	x := pn.x
+	c := x.c
 	if c.faultsOn && !pn.mgr.Registered(pn.st) {
 		return // the registration was lost, or evicted meanwhile: nothing to release
 	}
@@ -205,7 +227,7 @@ func discharge(c *Cluster, x *txRun, pn *pin) {
 	pn.mgr.Unregister(pn.st)
 	c.emit(pn.site, journal.KUnregister, x.t.ID, 0, 0, 0, "")
 	if c.faultsOn {
-		delete(c.reg[pn.site], x.t.ID)
+		delete(c.fault[pn.site].reg, x.t.ID)
 	}
 	c.states.Put(pn.st)
 	c.doneWith(x)
@@ -220,12 +242,12 @@ type regEntry struct {
 // evict releases the registrations tracked at site that gone selects, in
 // transaction-id order, and reports how many there were.
 func (c *Cluster) evict(site db.SiteID, gone func(regEntry) bool) int {
-	n := 0
-	for _, id := range sortedIDs(c.reg[site]) {
-		if e := c.reg[site][id]; gone(e) {
+	n, reg := 0, c.fault[site].reg
+	for _, id := range sortedIDs(reg) {
+		if e := reg[id]; gone(e) {
 			e.mgr.ReleaseAll(e.st)
 			e.mgr.Unregister(e.st)
-			delete(c.reg[site], id)
+			delete(reg, id)
 			n++
 		}
 	}
@@ -271,7 +293,7 @@ func (c *Cluster) acquire(x *txRun, pn *pin, op workload.Op) error {
 func (c *Cluster) runOps(x *txRun) error {
 	m, t, home := c.mode, x.t, x.t.Home
 	for _, op := range t.Ops {
-		if c.faultsOn && c.crashed[home] {
+		if c.faultsOn && c.fault[home].crashed {
 			// The home site crashed while this process had a wake in
 			// flight; it must not keep executing.
 			return ErrSiteCrashed

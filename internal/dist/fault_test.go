@@ -135,7 +135,7 @@ func TestEvictedRegistrationStaysEvicted(t *testing.T) {
 		mkDistTxn(2, 1, ms(30), ms(500), []workload.Op{{Obj: 14, Mode: core.Write}}),
 	})
 	var evicted regEntry // tx 1's registration at site 1
-	c.K.At(ms(4), func() { evicted = c.reg[1][1] })
+	c.K.At(ms(4), func() { evicted = c.fault[1].reg[1] })
 	probe := errors.New("never probed")
 	c.K.At(ms(35), func() { // tx 2 holds object 14 at site 1
 		c.K.Spawn("probe", func(p *sim.Proc) {

@@ -208,7 +208,7 @@ func (c *Cluster) placementBanner(suffix string) {
 // pinWhole pins the manager at site with the whole access sets.
 func pinWhole(c *Cluster, x *txRun, site db.SiteID) {
 	reads := x.accessSets(c.Catalog)
-	x.pins = append(x.pins, pin{site: site, mgr: c.sites[site].mgr, st: c.newState(x, reads, x.writes)})
+	x.pins = append(x.pins, pin{site: site, mgr: c.sites[site].mgr, st: c.newState(x, reads, x.writes), x: x})
 }
 
 func pinHome(c *Cluster, x *txRun) { pinWhole(c, x, x.t.Home) }
@@ -238,7 +238,7 @@ func pinShards(c *Cluster, x *txRun) {
 	for _, s := range c.sites {
 		r, w := c.ownedBy(reads, s.id), c.ownedBy(x.writes, s.id)
 		if len(r)+len(w) > 0 {
-			x.pins = append(x.pins, pin{site: s.id, mgr: s.mgr, st: c.newState(x, r, w)})
+			x.pins = append(x.pins, pin{site: s.id, mgr: s.mgr, st: c.newState(x, r, w), x: x})
 		}
 	}
 }
@@ -350,20 +350,20 @@ func installAndShip(c *Cluster, x *txRun) {
 	if len(x.writes) == 0 {
 		return
 	}
-	home := c.sites[x.t.Home]
+	home, now := c.sites[x.t.Home], x.p.Now()
 	for _, obj := range x.writes {
-		home.store.Write(obj, x.t.ID, x.p.Now())
-		home.mv.Write(obj, x.t.ID, x.p.Now())
+		home.store.Write(obj, x.t.ID, now)
+		home.mv.Write(obj, x.t.ID, now)
 	}
 	if len(c.sites) == 1 {
 		return // no replica to ship to
 	}
-	writes := make([]replicaWrite, len(x.writes))
+	writes := c.bodies.writes.take(len(x.writes))
 	for i, obj := range x.writes {
-		writes[i] = replicaWrite{obj: obj, v: home.store.Read(obj)}
+		writes[i] = replicaWrite{obj: obj, seq: home.store.Read(obj).Seq}
 	}
-	// Boxed once for every destination.
-	var msg any = installMsg{origin: x.t.ID, deadline: x.t.Deadline, writes: writes}
+	// One body for every destination.
+	msg := c.bodies.install.new(installMsg{origin: x.t.ID, deadline: x.t.Deadline, at: now, writes: writes})
 	for _, other := range c.sites {
 		if other.id != home.id {
 			x.msgs++

@@ -214,14 +214,78 @@ func runSingle(load []*workload.Txn) error {
 	return nil
 }
 
-// marginalCost is run's cost per transaction on the parity load:
-// (cost of 2n transactions − cost of n) ÷ n, in allocations and bytes.
+// marginalCost is run's cost per transaction on the parity load.
 func marginalCost(t *testing.T, run func([]*workload.Txn) error) (allocs, bytes float64) {
 	t.Helper()
 	loads := parityLoads(t)
-	a1, b1 := runCost(t, loads[parityN], run)
-	a2, b2 := runCost(t, loads[2*parityN], run)
-	return float64(a2-a1) / parityN, float64(b2-b1) / parityN
+	return marginal(t, loads[parityN], loads[2*parityN], run)
+}
+
+// marginal is run's cost per transaction between a load of n
+// transactions and one of 2n: (cost of 2n − cost of n) ÷ n, in
+// allocations and bytes.
+func marginal(t *testing.T, short, long []*workload.Txn, run func([]*workload.Txn) error) (allocs, bytes float64) {
+	t.Helper()
+	n := len(long) - len(short)
+	a1, b1 := runCost(t, short, run)
+	a2, b2 := runCost(t, long, run)
+	return float64(a2-a1) / float64(n), float64(b2-b1) / float64(n)
+}
+
+// TestClusterMarginalAllocs gates what each mode's cluster spends per
+// transaction at the margin of a long run, as TestSystemMarginalAllocs
+// does for txn.System: its process, and for the messages it causes next
+// to nothing. A pin step is a static event, and a message body (and an
+// install's write set) is carved from a chunk of 64. Each mode is
+// capped at about 1.15 times its measured cost (go1.24, amd64): one
+// allocation per message again (a closure per pin step, or a body
+// boxed by value) blows through it.
+func TestClusterMarginalAllocs(t *testing.T) {
+	const n = 2000
+	for _, tc := range []struct {
+		mode  Mode
+		sites int
+		max   float64
+	}{
+		{Local, 3, 2.4},    // 2.10: an update's two replica installers are processes too
+		{Global, 3, 1.2},   // 1.06
+		{Shard, 4, 1.2},    // 1.06
+		{Quorum, 4, 1.55},  // 1.34: about nine bodies per transaction, a chunk per 64
+		{Primary, 4, 1.15}, // 1.00
+	} {
+		cfg := Config{Mode: tc.mode, Sites: tc.sites, Objects: 200, CommDelay: 2 * sim.Millisecond, CPUPerObj: parityCPU}
+		c, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := workload.Params{
+			Seed: 7, Catalog: c.Catalog, MeanInterarrival: 120 * sim.Millisecond, MeanSize: 6, ReadOnlyFrac: 0.5,
+			SlackMin: 2, SlackMax: 6, PerObjCost: parityCPU, LocalWriteSets: tc.mode.LocalWriteSets(),
+		}
+		if !tc.mode.LocalWriteSets() {
+			p.LocalityProb = 0.7
+		}
+		var loads [2][]*workload.Txn
+		for i := range loads {
+			p.Count = (i + 1) * n
+			if loads[i], err = workload.Generate(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, b := marginal(t, loads[0], loads[1], func(load []*workload.Txn) error {
+			c, err := NewCluster(cfg)
+			if err != nil {
+				return err
+			}
+			c.Load(load)
+			c.Run()
+			return nil
+		})
+		t.Logf("%s: %.3f allocs, %.0f B per transaction", tc.mode, a, b)
+		if a > tc.max {
+			t.Errorf("%s: %.3f allocations per transaction, want <= %.2f", tc.mode, a, tc.max)
+		}
+	}
 }
 
 // runCost runs load twice, the first time to warm the runtime, and

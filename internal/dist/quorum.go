@@ -25,16 +25,17 @@ const (
 	qackPort       = "quorum-write-ack"
 )
 
+// Quorum message bodies, carved from the cluster's slabs. The sender
+// is the envelope's From; a write names the coordinator the replica
+// acknowledges to, which is the transaction's home, not the sender.
 type qreadMsg struct {
 	txID int64
 	obj  core.ObjectID
-	from db.SiteID
 }
 
 type qreadReply struct {
 	txID int64
 	obj  core.ObjectID
-	from db.SiteID
 	seq  int64
 }
 
@@ -48,7 +49,6 @@ type qwriteMsg struct {
 type qackMsg struct {
 	txID int64
 	obj  core.ObjectID
-	from db.SiteID
 }
 
 // quorumKey identifies one open replication round; kind keeps a late
@@ -79,29 +79,29 @@ func (c *Cluster) registerQuorumHandlers() {
 		s := s
 		srv := c.Net.Server(s.id)
 		srv.Handle(qreadPort, func(m netsim.Message) {
-			msg, ok := m.Payload.(qreadMsg)
+			msg, ok := m.Payload.(*qreadMsg)
 			if !ok {
 				return
 			}
-			c.Net.Send(s.id, msg.from, qreadReplyPort,
-				qreadReply{txID: msg.txID, obj: msg.obj, from: s.id, seq: s.store.Read(msg.obj).Seq})
+			c.Net.Send(s.id, m.From, qreadReplyPort,
+				c.bodies.qreply.new(qreadReply{txID: msg.txID, obj: msg.obj, seq: s.store.Read(msg.obj).Seq}))
 		})
 		srv.Handle(qreadReplyPort, func(m netsim.Message) {
-			if msg, ok := m.Payload.(qreadReply); ok {
-				c.quorumReply(quorumKey{tx: msg.txID, obj: msg.obj, kind: 0}, msg.from, msg.seq)
+			if msg, ok := m.Payload.(*qreadReply); ok {
+				c.quorumReply(quorumKey{tx: msg.txID, obj: msg.obj, kind: 0}, m.From, msg.seq)
 			}
 		})
 		srv.Handle(qwritePort, func(m netsim.Message) {
-			msg, ok := m.Payload.(qwriteMsg)
+			msg, ok := m.Payload.(*qwriteMsg)
 			if !ok {
 				return
 			}
 			s.store.Install(msg.obj, msg.v)
-			c.Net.Send(s.id, msg.coord, qackPort, qackMsg{txID: msg.txID, obj: msg.obj, from: s.id})
+			c.Net.Send(s.id, msg.coord, qackPort, c.bodies.qack.new(qackMsg{txID: msg.txID, obj: msg.obj}))
 		})
 		srv.Handle(qackPort, func(m netsim.Message) {
-			if msg, ok := m.Payload.(qackMsg); ok {
-				c.quorumReply(quorumKey{tx: msg.txID, obj: msg.obj, kind: 1}, msg.from, 0)
+			if msg, ok := m.Payload.(*qackMsg); ok {
+				c.quorumReply(quorumKey{tx: msg.txID, obj: msg.obj, kind: 1}, m.From, 0)
 			}
 		})
 	}
@@ -165,7 +165,7 @@ func readRound(c *Cluster, x *txRun, op workload.Op, owner db.SiteID) error {
 	replies := 1
 	if r := c.Catalog.Placement().ReadQuorum(); r > 1 {
 		got, newest, err := c.gather(x, quorumKey{tx: t.ID, obj: obj, kind: 0}, t.Home,
-			qreadPort, qreadMsg{txID: t.ID, obj: obj, from: t.Home}, r-1, seq)
+			qreadPort, c.bodies.qread.new(qreadMsg{txID: t.ID, obj: obj}), r-1, seq)
 		if err != nil {
 			return err
 		}
@@ -187,7 +187,7 @@ func (c *Cluster) quorumWrite(x *txRun, obj core.ObjectID) error {
 	owner := c.Catalog.PrimarySite(obj)
 	v := c.sites[owner].store.Write(obj, t.ID, x.p.Now())
 	got, _, err := c.gather(x, quorumKey{tx: t.ID, obj: obj, kind: 1}, owner,
-		qwritePort, qwriteMsg{txID: t.ID, obj: obj, coord: t.Home, v: v}, c.Catalog.Placement().WriteQuorum()-1, 0)
+		qwritePort, c.bodies.qwrite.new(qwriteMsg{txID: t.ID, obj: obj, coord: t.Home, v: v}), c.Catalog.Placement().WriteQuorum()-1, 0)
 	if err != nil {
 		return err
 	}

@@ -22,16 +22,24 @@ var errInstallTimeout = errors.New("dist: replica install attempt timed out")
 // installMsg carries one committed transaction's updates to a secondary
 // site. It owns them: the transaction's write set lives in its run's
 // scratch, which a later transaction reuses while the message travels.
+// The body and its writes are carved from the cluster's slabs.
 type installMsg struct {
 	origin   int64
 	deadline sim.Time
+	at       sim.Time // the commit's time, which every new version carries
 	writes   []replicaWrite
 }
 
-// replicaWrite is one object's new version.
+// replicaWrite is one object's new version, by sequence number: its
+// value is the origin's id and its time the commit's (see version).
 type replicaWrite struct {
 	obj core.ObjectID
-	v   db.Version
+	seq int64
+}
+
+// version is the version w installs.
+func (m *installMsg) version(w replicaWrite) db.Version {
+	return db.Version{Value: m.origin, WrittenAt: m.at, Seq: w.seq}
 }
 
 // installer is the process that applies one update at a secondary site.
@@ -40,7 +48,7 @@ type replicaWrite struct {
 // time each attempt's state has left its manager.
 type installer struct {
 	s   *site
-	msg installMsg
+	msg *installMsg
 	p   *sim.Proc
 	// objs is the update's write set, which the attempts register.
 	objs []core.ObjectID
@@ -52,7 +60,7 @@ type installer struct {
 
 // newInstaller takes an installer from the pool (or builds one) for msg
 // at site s.
-func (c *Cluster) newInstaller(s *site, msg installMsg) *installer {
+func (c *Cluster) newInstaller(s *site, msg *installMsg) *installer {
 	var in *installer
 	if n := len(c.installers); n > 0 {
 		in = c.installers[n-1]
@@ -63,7 +71,7 @@ func (c *Cluster) newInstaller(s *site, msg installMsg) *installer {
 		in.body = func(p *sim.Proc) {
 			in.p = p
 			c.install(in)
-			in.s, in.msg, in.p = nil, installMsg{}, nil
+			in.s, in.msg, in.p = nil, nil, nil
 			c.installers = append(c.installers, in)
 		}
 		in.onPrio = func(pr sim.Priority) { in.s.cpu.Reprioritize(in.p, pr) }
@@ -156,7 +164,7 @@ func (c *Cluster) registerInstallHandlers() {
 	for _, s := range c.sites {
 		s := s
 		c.Net.Server(s.id).Handle(installPort, func(m netsim.Message) {
-			msg, ok := m.Payload.(installMsg)
+			msg, ok := m.Payload.(*installMsg)
 			if !ok {
 				return
 			}
@@ -177,14 +185,14 @@ func (c *Cluster) registerInstallHandlers() {
 // the copy stays at its previous version until a newer update lands,
 // which the monotone Install tolerates.
 func (c *Cluster) install(in *installer) {
-	p, s, msg := in.p, in.s, &in.msg
+	p, s, msg := in.p, in.s, in.msg
 	c.installSeq++
 	// Installer ids live far above transaction ids so priority
 	// tie-breaks favor real transactions.
 	id := int64(1)<<40 + c.installSeq
 	prio := sim.Priority{Deadline: int64(msg.deadline), TxID: id}
 	for attempt := 0; attempt < c.cfg.InstallRetries; attempt++ {
-		if c.faultsOn && c.crashed[s.id] {
+		if c.faultsOn && c.fault[s.id].crashed {
 			return // the replica crashed; the update dies with it
 		}
 		// Pin the manager per attempt: a crash replaces it, and this
@@ -229,7 +237,7 @@ func interruptInstall(p any) { p.(*sim.Proc).Interrupt(errInstallTimeout) }
 
 func (c *Cluster) installBody(p *sim.Proc, st *core.TxState, s *site, mgr *core.Ceiling, msg *installMsg) error {
 	for _, w := range msg.writes {
-		if c.faultsOn && c.crashed[s.id] {
+		if c.faultsOn && c.fault[s.id].crashed {
 			return ErrSiteCrashed
 		}
 		if err := mgr.Acquire(p, st, w.obj, core.Write); err != nil {
@@ -240,8 +248,9 @@ func (c *Cluster) installBody(p *sim.Proc, st *core.TxState, s *site, mgr *core.
 		}
 	}
 	for _, w := range msg.writes {
-		s.store.Install(w.obj, w.v)
-		s.mv.Install(w.obj, w.v)
+		v := msg.version(w)
+		s.store.Install(w.obj, v)
+		s.mv.Install(w.obj, v)
 	}
 	return nil
 }

@@ -50,15 +50,16 @@ const (
 	resolvedPort = "2pc-resolved"
 )
 
+// 2PC message bodies. The hot-path ones are carved from the cluster's
+// slabs; the coordinator, or the voting participant, is the envelope's
+// From.
 type prepareMsg struct {
-	txID  int64
-	coord db.SiteID
-	objs  []core.ObjectID
+	txID int64
+	objs []core.ObjectID
 }
 
 type voteMsg struct {
 	txID   int64
-	from   db.SiteID
 	commit bool
 }
 
@@ -70,7 +71,6 @@ type decisionMsg struct {
 // resolveMsg asks a coordinator's site for a transaction's outcome.
 type resolveMsg struct {
 	txID int64
-	from db.SiteID
 }
 
 // Resolution statuses carried by resolvedMsg.
@@ -90,18 +90,18 @@ type resolvedMsg struct {
 // retry re-votes cannot satisfy the count early. Each run keeps one and
 // reuses it, and its token, round after round.
 type voteCollector struct {
-	c     *Cluster
 	tx    int64
 	need  int
 	voted []db.SiteID // participants whose yes-vote arrived
 	tok   sim.Token
 }
 
-// closeVoteRound is the collector token's cancel hook: a coordinator
-// interrupted mid-round stops collecting, so late votes are ignored.
+// closeVoteRound is the collector token's cancel hook, armed with the
+// run: a coordinator interrupted mid-round stops collecting, so late
+// votes are ignored.
 func closeVoteRound(a any) {
-	col := a.(*voteCollector)
-	delete(col.c.twopc, col.tx)
+	x := a.(*txRun)
+	delete(x.c.twopc, x.votes.tx)
 }
 
 // errPhaseTimeout unparks a coordinator whose vote round went
@@ -127,14 +127,14 @@ func (c *Cluster) registerTwoPCHandlers() {
 		s := s
 		srv := c.Net.Server(s.id)
 		srv.Handle(preparePort, func(m netsim.Message) {
-			msg, ok := m.Payload.(prepareMsg)
+			msg, ok := m.Payload.(*prepareMsg)
 			if !ok {
 				return
 			}
-			c.handlePrepare(s.id, msg)
+			c.handlePrepare(s.id, m.From, msg)
 		})
 		srv.Handle(votePort, func(m netsim.Message) {
-			msg, ok := m.Payload.(voteMsg)
+			msg, ok := m.Payload.(*voteMsg)
 			if !ok {
 				return
 			}
@@ -146,16 +146,16 @@ func (c *Cluster) registerTwoPCHandlers() {
 				col.tok.Wake(errVoteAbort)
 				return
 			}
-			if slices.Contains(col.voted, msg.from) {
+			if slices.Contains(col.voted, m.From) {
 				return // duplicate (injected copy or retry re-vote)
 			}
-			col.voted = append(col.voted, msg.from)
+			col.voted = append(col.voted, m.From)
 			if len(col.voted) >= col.need {
 				col.tok.Wake(nil)
 			}
 		})
 		srv.Handle(decisionPort, func(m netsim.Message) {
-			if msg, ok := m.Payload.(decisionMsg); ok {
+			if msg, ok := m.Payload.(*decisionMsg); ok {
 				c.decisions++
 				c.twopcCounter("twopc_decisions_total", "2PC decisions learned, by role.",
 					metrics.L("role", "participant")).Inc()
@@ -174,12 +174,12 @@ func (c *Cluster) registerTwoPCHandlers() {
 			// logged commit answers commit; an open vote round answers
 			// pending; everything else is an abort by presumption.
 			status := statusAbort
-			if commit, known := c.wals[s.id].Decision(msg.txID); known && commit {
+			if commit, known := c.fault[s.id].wal.Decision(msg.txID); known && commit {
 				status = statusCommit
 			} else if _, active := c.twopc[msg.txID]; active {
 				status = statusPending
 			}
-			c.Net.Send(s.id, msg.from, resolvedPort, resolvedMsg{txID: msg.txID, status: status})
+			c.Net.Send(s.id, m.From, resolvedPort, resolvedMsg{txID: msg.txID, status: status})
 		})
 		srv.Handle(resolvedPort, func(m netsim.Message) {
 			msg, ok := m.Payload.(resolvedMsg)
@@ -203,20 +203,21 @@ func (c *Cluster) registerTwoPCHandlers() {
 	}
 }
 
-// handlePrepare is a participant's side of the vote round.
-func (c *Cluster) handlePrepare(siteID db.SiteID, msg prepareMsg) {
+// handlePrepare is a participant's side of the vote round, for a
+// prepare from the coordinator's site, coord.
+func (c *Cluster) handlePrepare(siteID, coord db.SiteID, msg *prepareMsg) {
 	if c.faultsOn {
-		if commit, known := c.wals[siteID].Decision(msg.txID); known {
+		if commit, known := c.fault[siteID].wal.Decision(msg.txID); known {
 			// Already settled here (duplicate prepare after the
 			// decision): restate the outcome without re-voting.
-			c.Net.Send(siteID, msg.coord, votePort, voteMsg{txID: msg.txID, from: siteID, commit: commit})
+			c.Net.Send(siteID, coord, votePort, c.bodies.vote.new(voteMsg{txID: msg.txID, commit: commit}))
 			return
 		}
-		if c.prepared[siteID][msg.txID] != nil {
+		if c.fault[siteID].prepared[msg.txID] != nil {
 			// Duplicate prepare while in doubt: the vote is already
 			// forced; just re-send it.
 			c.emit(siteID, journal.KTwoPCVote, msg.txID, 0, 1, 1, "dup")
-			c.Net.Send(siteID, msg.coord, votePort, voteMsg{txID: msg.txID, from: siteID, commit: true})
+			c.Net.Send(siteID, coord, votePort, c.bodies.vote.new(voteMsg{txID: msg.txID, commit: true}))
 			return
 		}
 	}
@@ -235,16 +236,16 @@ func (c *Cluster) handlePrepare(siteID db.SiteID, msg prepareMsg) {
 		// and may only learn the outcome, never presume it.
 		c.twopcCounter("wal_forces_total", "WAL forces, by record kind.", metrics.L("kind", "vote")).Inc()
 		if c.cfg.WALForceFault == nil || !c.cfg.WALForceFault(siteID, msg.txID) {
-			c.wals[siteID].AppendVote(msg.txID, c.K.Now(), int(msg.coord), msg.objs)
+			c.fault[siteID].wal.AppendVote(msg.txID, c.K.Now(), int(coord), msg.objs)
 		}
-		pt := &preparedTx{coord: msg.coord, objs: msg.objs, at: c.K.Now()}
-		c.prepared[siteID][msg.txID] = pt
+		pt := &preparedTx{coord: coord, objs: msg.objs, at: c.K.Now()}
+		c.fault[siteID].prepared[msg.txID] = pt
 		site, tx := siteID, msg.txID
-		pt.timeout = c.K.After(2*c.phaseTimeout(siteID, msg.coord), func() {
+		pt.timeout = c.K.After(2*c.phaseTimeout(siteID, coord), func() {
 			c.spawnResolver(site, tx)
 		})
 	}
-	c.Net.Send(siteID, msg.coord, votePort, voteMsg{txID: msg.txID, from: siteID, commit: commit})
+	c.Net.Send(siteID, coord, votePort, c.bodies.vote.new(voteMsg{txID: msg.txID, commit: commit}))
 }
 
 // applyDecision settles an in-doubt transaction at a participant:
@@ -252,15 +253,16 @@ func (c *Cluster) handlePrepare(siteID db.SiteID, msg prepareMsg) {
 // resolver is released. Unprepared (or already settled) participants
 // ignore it.
 func (c *Cluster) applyDecision(siteID db.SiteID, tx int64, commit bool) {
-	pt := c.prepared[siteID][tx]
+	f := &c.fault[siteID]
+	pt := f.prepared[tx]
 	if pt == nil {
 		return
 	}
 	c.twopcCounter("wal_forces_total", "WAL forces, by record kind.", metrics.L("kind", "decision")).Inc()
-	c.wals[siteID].AppendDecision(tx, commit)
+	f.wal.AppendDecision(tx, commit)
 	c.observeInDoubt(pt)
 	pt.timeout.Cancel()
-	delete(c.prepared[siteID], tx)
+	delete(f.prepared, tx)
 	if commit {
 		for _, obj := range pt.objs {
 			c.sites[siteID].store.Write(obj, tx, c.K.Now())
@@ -280,8 +282,8 @@ func (c *Cluster) spawnResolver(siteID db.SiteID, tx int64) {
 	if c.resolveTok[key] != nil {
 		return // already resolving
 	}
-	pt := c.prepared[siteID][tx]
-	if pt == nil || c.crashed[siteID] {
+	pt := c.fault[siteID].prepared[tx]
+	if pt == nil || c.fault[siteID].crashed {
 		return
 	}
 	coord := pt.coord
@@ -293,7 +295,7 @@ func (c *Cluster) spawnResolver(siteID db.SiteID, tx int64) {
 	c.K.Spawn(name, func(p *sim.Proc) {
 		defer delete(c.resolveTok, key)
 		for attempt := 0; attempt <= twoPCRetries; attempt++ {
-			if c.prepared[siteID][tx] == nil || c.crashed[siteID] {
+			if c.fault[siteID].prepared[tx] == nil || c.fault[siteID].crashed {
 				return // settled meanwhile, or we crashed again
 			}
 			if attempt > 0 {
@@ -301,7 +303,7 @@ func (c *Cluster) spawnResolver(siteID db.SiteID, tx int64) {
 					metrics.L("phase", "resolve")).Inc()
 			}
 			c.emit(siteID, journal.KRetry, tx, 0, int64(attempt), 0, "resolve")
-			c.Net.Send(siteID, coord, resolvePort, resolveMsg{txID: tx, from: siteID})
+			c.Net.Send(siteID, coord, resolvePort, resolveMsg{txID: tx})
 			tok := &sim.Token{}
 			c.resolveTok[key] = tok
 			tev := c.K.After(backoff(c.phaseTimeout(siteID, coord), attempt), func() {
@@ -324,7 +326,7 @@ func (c *Cluster) spawnResolver(siteID db.SiteID, tx int64) {
 		// awaiting a duplicate decision or the next recovery. Journaled
 		// so the liveness auditor can tell graceful degradation from a
 		// resolver that silently gave up.
-		if c.prepared[siteID][tx] != nil && !c.crashed[siteID] {
+		if c.fault[siteID].prepared[tx] != nil && !c.fault[siteID].crashed {
 			c.twopcCounter("twopc_retry_exhausted_total",
 				"Bounded retry loops that consumed every attempt, by phase.",
 				metrics.L("phase", "resolve")).Inc()
@@ -385,7 +387,7 @@ func (c *Cluster) runTwoPC(x *txRun, shares bool) error {
 	}
 	started := c.K.Now()
 	col := &x.votes
-	col.c, col.tx, col.need, col.voted = c, txID, len(participants), col.voted[:0]
+	col.tx, col.need, col.voted = txID, len(participants), col.voted[:0]
 	c.twopc[txID] = col
 	var maxd sim.Duration
 	for _, s := range participants {
@@ -417,10 +419,10 @@ func (c *Cluster) runTwoPC(x *txRun, shares bool) error {
 				// transaction, whose sets are its run's scratch.
 				objs = slices.Clone(c.ownedBy(x.writes, s))
 			}
-			c.Net.Send(home, s, preparePort, prepareMsg{txID: txID, coord: home, objs: objs})
+			c.Net.Send(home, s, preparePort, c.bodies.prepare.new(prepareMsg{txID: txID, objs: objs}))
 		}
 		col.tok.Reset()
-		col.tok.SetCancel(closeVoteRound, col)
+		col.tok.SetCancel(closeVoteRound, x)
 		var tev sim.EventRef
 		if c.faultsOn {
 			// Doubling backoff per retry round.
@@ -465,14 +467,14 @@ func (c *Cluster) runTwoPC(x *txRun, shares bool) error {
 		// Presumed-abort: only the commit decision is forced to the
 		// coordinator's log (aborts are presumed from its absence).
 		c.twopcCounter("wal_forces_total", "WAL forces, by record kind.", metrics.L("kind", "decision")).Inc()
-		c.wals[home].AppendDecision(txID, true)
+		c.fault[home].wal.AppendDecision(txID, true)
 	}
 	c.twopcCounter("twopc_decisions_total", "2PC decisions learned, by role.",
 		metrics.L("role", "coord")).Inc()
 	c.emit(home, journal.KTwoPCDecision, txID, 0, b2i(commit), 0, "coord")
 	for _, s := range participants {
 		x.msgs++
-		c.Net.Send(home, s, decisionPort, decisionMsg{txID: txID, commit: commit})
+		c.Net.Send(home, s, decisionPort, c.bodies.decision.new(decisionMsg{txID: txID, commit: commit}))
 	}
 	return err
 }

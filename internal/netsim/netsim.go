@@ -449,7 +449,9 @@ type Server struct {
 	proc     *sim.Proc
 	stopped  bool
 
-	// Delivered counts messages dispatched to handlers.
+	// Delivered counts inter-site messages dispatched to handlers: an
+	// intra-site message is not counted as sent either (see
+	// Network.Sent), so the two balance.
 	Delivered int
 	// Dropped counts messages that arrived on a port with no handler.
 	Dropped int
@@ -505,7 +507,9 @@ func drain(a any) {
 			s.Dropped++
 			continue
 		}
-		s.Delivered++
+		if msg.From != msg.To {
+			s.Delivered++
+		}
 		h(msg)
 	}
 	s.draining = false

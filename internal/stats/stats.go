@@ -343,9 +343,10 @@ func (s Summary) String() string {
 type NetReport struct {
 	// Sent counts inter-site messages handed to the network.
 	Sent int
-	// Delivered counts messages dispatched to a registered handler and
-	// synchronous hops that arrived. A hop whose sender is aborted in
-	// flight is neither delivered nor lost.
+	// Delivered counts inter-site messages dispatched to a registered
+	// handler and synchronous hops that arrived; like Sent, it leaves
+	// intra-site messages out. A hop whose sender is aborted in flight is
+	// neither delivered nor lost.
 	Delivered int
 	// DroppedNoHandler counts messages that arrived on a port with no
 	// handler registered.

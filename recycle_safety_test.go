@@ -4,12 +4,16 @@ package rtlock
 // fast path recycles events, wait tokens, lock waiters, transaction
 // states, a cluster's attempt runs and rounds, journals, and
 // serializability histories; a recycle bug (stale field, object shared
-// across owners, capacity carrying data over) would show up as a run whose journal differs depending on what ran
-// before it in the same process. This test pins the opposite property:
-// every configuration hashes identically no matter which — and how many
-// — other configurations ran first on the same warm pools. CI runs it
-// under -race and -shuffle=on, so data races on pooled objects and
-// test-order dependence are caught by the same property.
+// across owners, capacity carrying data over) would show up as a run
+// whose journal differs depending on what ran before it in the same
+// process. This test pins the opposite property: every configuration
+// hashes identically no matter which — and how many — other
+// configurations ran first on the same warm pools. Message bodies are
+// the one thing carved and never reused; the duplicated-message shape
+// pins its hash too, since reusing a body goes wrong the same way in
+// every run. CI runs it under -race and -shuffle=on, so data races on
+// pooled objects and test-order dependence are caught by the same
+// property.
 
 import (
 	"fmt"
@@ -86,6 +90,31 @@ func TestRecycleAliasingSafety(t *testing.T) {
 			}
 			if evicted == 0 {
 				return "", fmt.Errorf("the crash evicted no remote registration")
+			}
+			return res.Journal.HashString(), nil
+		}},
+		// Every link duplicates and delays messages, so message bodies
+		// are delivered twice and late. A body handed out again after its
+		// first delivery gives its late copy another message's content,
+		// the same way in every run, so besides matching across rounds
+		// the journal must hash as it did when bodies were values
+		// (boxed per send).
+		{"dist/quorum/dup/40", func() (string, error) {
+			res, err := RunDistributed(DistributedConfig{Placement: "quorum", Sites: 4, Audit: true, Journal: true,
+				Faults:   &FaultPlan{Links: []FaultLink{{From: -1, To: -1, Dup: 0.5, JitterMax: int64(20 * Millisecond)}}},
+				Workload: WorkloadConfig{Count: 40, LocalityProb: 0.5, MeanInterarrival: Second, SlackMin: 20, SlackMax: 30}})
+			if err != nil {
+				return "", err
+			}
+			if len(res.Violations) > 0 {
+				return "", fmt.Errorf("violations: %v", res.Violations)
+			}
+			if res.Net.Duplicated == 0 {
+				return "", fmt.Errorf("the plan duplicated no message")
+			}
+			const want = "e8c5a49778723abc45fac09d1fbf24a8e1e08b52e2ac6e38779715b75a1eac89"
+			if h := res.Journal.HashString(); h != want {
+				return "", fmt.Errorf("journal hash %s, want %s", h, want)
 			}
 			return res.Journal.HashString(), nil
 		}},
