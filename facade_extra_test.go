@@ -151,6 +151,43 @@ func TestNetReportCountsEveryArrival(t *testing.T) {
 	}
 }
 
+// TestNetReportBalancesWithMisses: at the default load, where deadline
+// aborts interrupt synchronous hops in flight, every message the network
+// sent is still accounted for — delivered, lost or aborted — in every
+// mode.
+func TestNetReportBalancesWithMisses(t *testing.T) {
+	aborted := 0
+	for _, tc := range []struct {
+		name string
+		cfg  DistributedConfig
+	}{
+		{"local", DistributedConfig{}},
+		{"global", DistributedConfig{Global: true}},
+		{"shard", DistributedConfig{Placement: "shard", Sites: 4}},
+		{"quorum", DistributedConfig{Placement: "quorum", Sites: 4}},
+		{"primary", DistributedConfig{Placement: "primary", Sites: 4}},
+	} {
+		cfg := tc.cfg
+		cfg.Workload.Count = 200
+		res, err := RunDistributed(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := res.Net
+		t.Logf("%s: %s, net: %s", tc.name, res.Summary, n)
+		if res.Summary.Missed == 0 {
+			t.Errorf("%s: the run must miss transactions: %s", tc.name, res.Summary)
+		}
+		if n.Duplicated != 0 || n.Sent != n.Delivered+n.Lost()+n.Aborted {
+			t.Errorf("%s: net: %s, want sent = delivered + lost + aborted", tc.name, n)
+		}
+		aborted += n.Aborted
+	}
+	if aborted == 0 {
+		t.Error("no mode aborted a hop in flight")
+	}
+}
+
 func TestDistributedSiteFailure(t *testing.T) {
 	// Light load and a small delay, so the healthy global baseline
 	// performs well and the outage's damage is unambiguous.

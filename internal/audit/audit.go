@@ -50,6 +50,10 @@ type Auditor interface {
 	Name() string
 	// Finish runs end-of-journal checks and returns all violations.
 	Finish() []Violation
+	// Reset returns the auditor to the state its constructor leaves it
+	// in, keeping the memory it has grown, so one auditor can check
+	// one journal after another.
+	Reset()
 }
 
 // Run replays a retained journal through the auditors and returns every
@@ -229,6 +233,15 @@ func NewBlockedAtMostOnce() *BlockedAtMostOnce {
 	}
 }
 
+// Reset implements Auditor.
+func (b *BlockedAtMostOnce) Reset() {
+	b.g = grouper{}
+	clear(b.prio)
+	clear(b.episodes)
+	clear(b.counted)
+	b.v = b.v[:0]
+}
+
 // Name implements Auditor.
 func (b *BlockedAtMostOnce) Name() string { return "pcp-blocked-at-most-once" }
 
@@ -294,6 +307,18 @@ func NewDeadlockFree() *DeadlockFree {
 		edges: make(map[int64][]int64),
 		seen:  make(map[int64]bool),
 	}
+}
+
+// Reset implements Auditor.
+// An empty edge set reads as none, so each keeps its buffer.
+func (d *DeadlockFree) Reset() {
+	d.g = grouper{}
+	for tx, es := range d.edges {
+		d.edges[tx] = es[:0]
+	}
+	clear(d.seen)
+	d.path = d.path[:0]
+	d.v = d.v[:0]
 }
 
 // Name implements Auditor.
@@ -401,6 +426,12 @@ func NewStrictTwoPhase() *StrictTwoPhase {
 	return &StrictTwoPhase{released: make(map[int64]uint64)}
 }
 
+// Reset implements Auditor.
+func (s *StrictTwoPhase) Reset() {
+	clear(s.released)
+	s.v = s.v[:0]
+}
+
 // Name implements Auditor.
 func (s *StrictTwoPhase) Name() string { return "strict-two-phase" }
 
@@ -453,6 +484,15 @@ type txMode struct {
 // NewLockSafety returns the grant-compatibility auditor.
 func NewLockSafety() *LockSafety {
 	return &LockSafety{holders: make(map[lockKey][]txMode)}
+}
+
+// Reset implements Auditor.
+// An empty holder set reads as none, so each keeps its buffer.
+func (l *LockSafety) Reset() {
+	for k, hs := range l.holders {
+		l.holders[k] = hs[:0]
+	}
+	l.v = l.v[:0]
 }
 
 // Name implements Auditor.
@@ -528,6 +568,14 @@ func NewTwoPCConsistent() *TwoPCConsistent {
 		votes:     make(map[int64]map[int32]int64),
 		decisions: make(map[int64][]journal.Record),
 	}
+}
+
+// Reset implements Auditor.
+func (t *TwoPCConsistent) Reset() {
+	clear(t.prepares)
+	clear(t.votes)
+	clear(t.decisions)
+	t.order = t.order[:0]
 }
 
 // Name implements Auditor.
@@ -622,8 +670,12 @@ type Serializable struct {
 
 	// free recycles pending-op buffers of finished attempts; without it
 	// every restarted or committed transaction leaks its slice to the
-	// garbage collector.
-	free [][]pendingOp
+	// garbage collector. spare holds the histories Finish has judged,
+	// emptied for the journal after a Reset.
+	free  [][]pendingOp
+	spare []*history
+	// sites is the scratch of Finish.
+	sites []int32
 }
 
 type pendingOp struct {
@@ -641,6 +693,19 @@ func NewSerializable(perSite bool) *Serializable {
 		pending: make(map[int64][]pendingOp),
 		hist:    make(map[int32]*history, 4),
 	}
+}
+
+// Reset implements Auditor.
+func (s *Serializable) Reset() {
+	for tx := range s.pending { //rtlint:allow maprange recycles empty buffers; their order is never observed
+		s.dropPending(tx)
+	}
+	for site, h := range s.hist { //rtlint:allow maprange recycles emptied histories; their order is never observed
+		h.reset()
+		s.spare = append(s.spare, h)
+		delete(s.hist, site)
+	}
+	s.lastSeq, s.lastAt = 0, 0
 }
 
 // Name implements Auditor.
@@ -672,7 +737,7 @@ func (s *Serializable) Observe(r *journal.Record) {
 			}
 			h, ok := s.hist[site]
 			if !ok {
-				h = newHistory()
+				h = s.newHistory()
 				s.hist[site] = h
 			}
 			h.Record(r.Tx, op.obj, op.mode, op.at)
@@ -680,6 +745,16 @@ func (s *Serializable) Observe(r *journal.Record) {
 		}
 		s.dropPending(r.Tx)
 	}
+}
+
+// newHistory takes a spare history, or builds one.
+func (s *Serializable) newHistory() *history {
+	if n := len(s.spare); n > 0 {
+		h := s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		return h
+	}
+	return newHistory()
 }
 
 // dropPending retires tx's buffered operations, recycling the buffer.
@@ -694,16 +769,20 @@ func (s *Serializable) dropPending(tx int64) {
 
 // Finish implements Auditor.
 func (s *Serializable) Finish() []Violation {
-	sites := make([]int32, 0, len(s.hist))
+	sites := s.sites[:0]
 	for site := range s.hist {
 		sites = append(sites, site)
 	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
+	slices.Sort(sites)
+	s.sites = sites
 	var v []Violation
 	for _, site := range sites {
 		h := s.hist[site]
 		delete(s.hist, site)
-		if !h.ConflictSerializable() {
+		ok := h.ConflictSerializable()
+		h.reset()
+		s.spare = append(s.spare, h)
+		if !ok {
 			v = append(v, Violation{
 				Rule: s.Name(), Seq: s.lastSeq, At: s.lastAt,
 				Detail: fmt.Sprintf("committed history at site %d is not conflict serializable", site),

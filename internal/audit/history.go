@@ -39,11 +39,22 @@ type history struct {
 	// order of its Commit call.
 	committed map[int64]int32
 	seq       int32
+	// reads is the scratch of conflicts.
+	reads []txRank
 }
 
 // newHistory returns an empty history.
 func newHistory() *history {
 	return &history{committed: make(map[int64]int32)}
+}
+
+// reset empties the history, keeping its first chunk.
+func (h *history) reset() {
+	if len(h.chunks) > 0 {
+		h.chunks = append(h.chunks[:0], h.chunks[0][:0])
+	}
+	h.n, h.seq = 0, 0
+	clear(h.committed)
 }
 
 // Record appends one access.
@@ -149,7 +160,8 @@ func (h *history) conflicts(edges map[int64][]int64) bool {
 		edges[from.tx] = append(es, to.tx)
 		return true
 	}
-	var reads []txRank
+	reads := h.reads[:0]
+	defer func() { h.reads = reads[:0] }()
 	for lo := 0; lo < h.n; {
 		obj := h.op(lo).Obj
 		var prevWrite txRank

@@ -25,6 +25,13 @@ func NewQuorumIntersection() *QuorumIntersection {
 	return &QuorumIntersection{committed: make(map[int32]int64)}
 }
 
+// Reset implements Auditor.
+func (q *QuorumIntersection) Reset() {
+	q.readQ, q.writeQ = 0, 0
+	clear(q.committed)
+	q.v = q.v[:0]
+}
+
 // Name implements Auditor.
 func (q *QuorumIntersection) Name() string { return "quorum-intersection" }
 

@@ -74,6 +74,12 @@ func NewRecoveryDurable() *RecoveryDurable {
 	return &RecoveryDurable{t: newInDoubtTracker()}
 }
 
+// Reset implements Auditor.
+func (a *RecoveryDurable) Reset() {
+	clear(a.t.pending)
+	a.v = a.v[:0]
+}
+
 // Name implements Auditor.
 func (a *RecoveryDurable) Name() string { return "recovery-durable" }
 
@@ -107,6 +113,12 @@ type RecoveryReentry struct {
 // NewRecoveryReentry returns the redo-idempotence auditor.
 func NewRecoveryReentry() *RecoveryReentry {
 	return &RecoveryReentry{t: newInDoubtTracker()}
+}
+
+// Reset implements Auditor.
+func (a *RecoveryReentry) Reset() {
+	clear(a.t.pending)
+	a.v = a.v[:0]
 }
 
 // Name implements Auditor.
@@ -161,6 +173,16 @@ func NewRecoveryLiveness() *RecoveryLiveness {
 		exhausted:   make(map[inDoubtKey]bool, 4),
 		lastAttempt: make(map[retryKey]int64, 8),
 	}
+}
+
+// Reset implements Auditor.
+func (a *RecoveryLiveness) Reset() {
+	clear(a.t.pending)
+	clear(a.down)
+	clear(a.exhausted)
+	clear(a.lastAttempt)
+	a.lastSeq, a.lastAt = 0, 0
+	a.v = a.v[:0]
 }
 
 // Name implements Auditor.

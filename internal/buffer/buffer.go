@@ -38,6 +38,15 @@ func New(capacity int) *Pool {
 	}
 }
 
+// Reset empties the pool and zeroes its counters, keeping its capacity.
+func (p *Pool) Reset() {
+	p.Hits, p.Misses = 0, 0
+	if p.order != nil {
+		p.order.Init()
+		clear(p.index)
+	}
+}
+
 // Access touches obj and reports whether it was resident (hit). Misses
 // install the object, evicting the LRU entry if needed.
 func (p *Pool) Access(obj core.ObjectID) bool {

@@ -61,6 +61,9 @@ type Ceiling struct {
 	// recomputes the departed transaction's objects.
 	readers, writers [][]*TxState
 	ceilW, ceilA     []sim.Priority
+	// slots is the rest of the chunk that an object's first reader or
+	// writer slot is carved from (see enlist).
+	slots []*TxState
 
 	// blocked is every parked waiter: the ceiling test couples all
 	// objects, so the family keeps one list and no per-object queues.
@@ -97,13 +100,32 @@ func NewCeilingExclusive(k *sim.Kernel) *Ceiling { return newCeiling(k, row(Prot
 
 func newCeiling(k *sim.Kernel, row *ProtocolRow) *Ceiling {
 	m := &Ceiling{
-		lockTable:  lockTable{k: k, pr: newLockProbes(k), graph: newInheritGraph()},
+		lockTable:  lockTable{k: k, graph: newInheritGraph()},
 		exclusive:  row.exclusive,
 		name:       row.Name,
 		registered: make(map[*TxState]struct{}),
 	}
 	m.owner = m
+	m.Reset()
 	return m
+}
+
+// Reset implements Manager. The registration sets and ceiling caches
+// keep their length: an object no transaction declares has empty sets
+// and minimum ceilings either way.
+func (m *Ceiling) Reset() {
+	m.lockTable.reset()
+	for i := range m.ceilA {
+		clear(m.readers[i])
+		clear(m.writers[i])
+		m.readers[i], m.writers[i] = m.readers[i][:0], m.writers[i][:0]
+		m.ceilW[i], m.ceilA[i] = sim.MinPriority, sim.MinPriority
+	}
+	clear(m.blocked)
+	m.blocked = m.blocked[:0]
+	clear(m.registered)
+	m.CeilingBlocks, m.DirectBlocks = 0, 0
+	m.lastCeil, m.ceilInit = sim.Priority{}, false
 }
 
 // Name implements Manager.
@@ -125,16 +147,35 @@ func (m *Ceiling) Register(tx *TxState) {
 	m.registered[tx] = struct{}{}
 	for _, obj := range tx.ReadSet {
 		m.growTo(obj)
-		m.readers[obj] = append(m.readers[obj], tx)
+		m.readers[obj] = m.enlist(m.readers[obj], tx)
 		m.ceilA[obj] = m.ceilA[obj].Max(tx.Base)
 	}
 	for _, obj := range tx.WriteSet {
 		m.growTo(obj)
-		m.writers[obj] = append(m.writers[obj], tx)
+		m.writers[obj] = m.enlist(m.writers[obj], tx)
 		m.ceilW[obj] = m.ceilW[obj].Max(tx.Base)
 		m.ceilA[obj] = m.ceilA[obj].Max(tx.Base)
 	}
 	m.emitCeilingChange()
+}
+
+// slotChunk is how many first slots one chunk carves.
+const slotChunk = 64
+
+// enlist appends tx to an object's registration set. A set that has
+// never held anyone gets its first slot carved from a shared chunk,
+// capped at one so a second entrant moves the set to storage of its
+// own, so a large database pays one allocation per slotChunk objects
+// touched rather than one per object.
+func (m *Ceiling) enlist(set []*TxState, tx *TxState) []*TxState {
+	if cap(set) == 0 {
+		if len(m.slots) == 0 {
+			m.slots = make([]*TxState, slotChunk)
+		}
+		set = m.slots[:0:1]
+		m.slots = m.slots[1:]
+	}
+	return append(set, tx)
 }
 
 // Registered reports whether tx is currently registered with this

@@ -71,6 +71,11 @@ type Manager interface {
 	// priority, and wakes newly grantable waiters. Transactions follow
 	// strict two-phase locking, releasing only at commit or abort.
 	ReleaseAll(tx *TxState)
+	// Reset empties the manager for a new run on its kernel, once the
+	// kernel itself has been reset: no transaction registered or
+	// waiting, no lock held, counters and journal state as the
+	// constructor leaves them. It keeps the memory it has grown.
+	Reset()
 }
 
 // TxState is the protocol-facing state of one transaction. States are

@@ -151,6 +151,22 @@ type lockTable struct {
 	blame []*TxState
 }
 
+// reset empties the table for a new run, keeping its entries, waiters
+// and scratch, and takes the probe handles afresh from the kernel.
+func (t *lockTable) reset() {
+	for _, e := range t.pool[:t.live] {
+		t.entries[e.obj] = nil
+		clear(e.holders)
+		clear(e.queue)
+		e.holders, e.writers, e.queue = e.holders[:0], 0, e.queue[:0]
+	}
+	t.live = 0
+	t.seq = 0
+	clear(t.blame)
+	t.blame = t.blame[:0]
+	t.pr = newLockProbes(t.k)
+}
+
 // at returns obj's entry, nil when unlocked or unseen.
 func (t *lockTable) at(obj ObjectID) *lockEntry {
 	if int(obj) >= len(t.entries) {

@@ -37,14 +37,24 @@ var _ Manager = (*Timestamp)(nil)
 func NewTimestamp(k *sim.Kernel) *Timestamp { return newTimestamp(k, row(ProtoTimestamp)) }
 
 func newTimestamp(k *sim.Kernel, row *ProtocolRow) *Timestamp {
-	return &Timestamp{
+	m := &Timestamp{
 		k:    k,
-		pr:   newLockProbes(k),
 		name: row.Name,
 		ts:   make(map[*TxState]int64),
 		rts:  make(map[ObjectID]int64),
 		wts:  make(map[ObjectID]int64),
 	}
+	m.Reset()
+	return m
+}
+
+// Reset implements Manager.
+func (m *Timestamp) Reset() {
+	m.pr = newLockProbes(m.k)
+	m.next, m.Restarts = 0, 0
+	clear(m.ts)
+	clear(m.rts)
+	clear(m.wts)
 }
 
 // Name implements Manager.

@@ -65,12 +65,19 @@ var _ Manager = (*TwoPL)(nil)
 // manager's counters or FindDeadlock; what each protocol is stands in
 // the table (protocols.go).
 func newTwoPL(k *sim.Kernel, row *ProtocolRow) *TwoPL {
-	m := &TwoPL{lockTable: lockTable{k: k, pr: newLockProbes(k)}, name: row.Name, lockRule: row.lock}
+	m := &TwoPL{lockTable: lockTable{k: k}, name: row.Name, lockRule: row.lock}
 	m.owner = m
 	if m.inherit {
 		m.graph = newInheritGraph()
 	}
+	m.Reset()
 	return m
+}
+
+// Reset implements Manager.
+func (m *TwoPL) Reset() {
+	m.lockTable.reset()
+	m.DeadlocksResolved, m.Wounds, m.Spared = 0, 0, 0
 }
 
 // NewTwoPL returns protocol L.

@@ -149,6 +149,9 @@ func NewStore(site SiteID) *Store {
 	return &Store{site: site, versions: make(map[core.ObjectID]Version)}
 }
 
+// Reset empties the store, keeping its memory.
+func (s *Store) Reset() { clear(s.versions) }
+
 // Site returns the owning site.
 func (s *Store) Site() SiteID { return s.site }
 

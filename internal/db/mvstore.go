@@ -34,6 +34,14 @@ func NewMVStore(site SiteID, keep int) *MVStore {
 	return &MVStore{site: site, keep: keep, versions: make(map[core.ObjectID][]Version)}
 }
 
+// Reset empties the store, keeping each object's history buffer: an
+// empty history reads as an unwritten object.
+func (s *MVStore) Reset() {
+	for obj, hist := range s.versions {
+		s.versions[obj] = hist[:0]
+	}
+}
+
 // Site returns the owning site.
 func (s *MVStore) Site() SiteID { return s.site }
 

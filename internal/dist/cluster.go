@@ -251,6 +251,13 @@ type site struct {
 	store *db.Store
 	mv    *db.MVStore
 	mgr   *core.Ceiling
+	// own is the manager the mode's setup (or AttachFaults, for a
+	// failover manager) built for the site, reset by a Reset. restarts
+	// are the empty managers crashes restarted the site with, kept for
+	// the crashes of later runs; this run has used the first restarted.
+	own       *core.Ceiling
+	restarts  []*core.Ceiling
+	restarted int
 }
 
 // use consumes d of service demand on the site's processor, scaled by
@@ -326,7 +333,8 @@ type Cluster struct {
 	faultsOn   bool
 	gcmDown    bool
 	inj        *faults.Injector
-	fault      []siteFault // one per site
+	hooks      faults.Hooks // the injector's, bound once
+	fault      []siteFault  // one per site
 	resolveTok map[resolveKey]*sim.Token
 
 	// Probe handles, cached at construction (no-ops without a
@@ -386,11 +394,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	k := sim.NewKernel()
-	k.SetJournal(cfg.Journal, 0)
-	// Attach the registry before the network and per-site CPUs are
-	// built: their constructors cache probe handles from it.
-	k.SetMetrics(cfg.Timeline.Probes())
-	k.SetWindows(cfg.Timeline.Window(), cfg.Timeline)
 	net := netsim.NewNetwork(k, cfg.CommDelay)
 	if cfg.Topology != nil {
 		net = netsim.NewNetworkTopology(k, cfg.Topology)
@@ -399,31 +402,71 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		K:       k,
 		Net:     net,
 		Catalog: cat,
-		cfg:     cfg,
 		mode:    &modes[cfg.Mode],
 		sites:   make([]*site, 0, cfg.Sites),
+		life:    txn.NewLifecycle(k, nil, 0),
 	}
-	c.life = txn.NewLifecycle(k, cfg.Timeline, cfg.MaxRawRecords)
 	c.Monitor = c.life.Monitor
+	c.hooks = faults.Hooks{OnCrash: c.onCrash, OnRecover: c.onRecover}
+	for i := 0; i < cfg.Sites; i++ {
+		c.sites = append(c.sites, &site{
+			id:    db.SiteID(i),
+			cpu:   sim.NewCPU(k, sim.PreemptivePriority),
+			store: db.NewStore(db.SiteID(i)),
+		})
+	}
+	if err := c.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Reset returns the cluster to the state NewCluster(cfg) leaves it in,
+// ready for a new load and, once more, AttachFaults, keeping what it has
+// built and grown: the kernel and its idle workers, the network and its
+// servers, the sites' processors, stores and managers, the pools of
+// runs, states and installers, and the WALs. cfg must describe the
+// cluster NewCluster built — its mode, sites, objects, placement and
+// delays are read at construction only — while its journal, timeline
+// and hooks may differ. The previous load must have run to completion.
+func (c *Cluster) Reset(cfg Config) error {
+	if err := cfg.fill(); err != nil {
+		return err
+	}
+	k := c.K
+	k.Reset()
+	k.SetJournal(cfg.Journal, 0)
+	// Attach the registry before the network, the per-site CPUs and the
+	// managers are reset: they take their probe handles from it.
+	k.SetMetrics(cfg.Timeline.Probes())
+	k.SetWindows(cfg.Timeline.Window(), cfg.Timeline)
+	c.Net.Reset()
+	c.cfg = cfg
+	c.life.Reset(cfg.Timeline, cfg.MaxRawRecords)
 	c.life.MissReason(ErrSiteCrashed, "crashed")
 	m := k.Metrics()
 	c.mGCMDown = m.Gauge("dist_gcm_down", "1 while the global ceiling manager's site is crashed.")
 	c.mFailovers = m.Counter("dist_failovers_total", "Lock requests served by a failover manager while the GCM was down.")
-	for i := 0; i < cfg.Sites; i++ {
-		speed := 1.0
+	c.gcm = nil
+	c.repl = ReplicationStats{}
+	c.installSeq, c.decisions = 0, 0
+	clear(c.twopc)
+	clear(c.qrounds)
+	c.faultsOn, c.gcmDown, c.inj = false, false, nil
+	for i, s := range c.sites {
+		s.speed = 1
 		if len(cfg.SiteSpeed) > 0 {
-			speed = cfg.SiteSpeed[i]
+			s.speed = cfg.SiteSpeed[i]
 		}
-		s := &site{
-			id:    db.SiteID(i),
-			cpu:   sim.NewCPU(k, sim.PreemptivePriority),
-			speed: speed,
-			store: db.NewStore(db.SiteID(i)),
+		s.cpu.Reset(sim.PreemptivePriority)
+		s.store.Reset()
+		if s.mv != nil {
+			s.mv.Reset()
 		}
-		c.sites = append(c.sites, s)
+		s.mgr, s.restarted = nil, 0
 	}
 	c.mode.setup(c)
-	return c, nil
+	return nil
 }
 
 // newManager builds a ceiling manager journaling as site.
@@ -431,6 +474,30 @@ func (c *Cluster) newManager(site db.SiteID) *core.Ceiling {
 	m := core.NewCeiling(c.K)
 	m.SetJournalSite(int32(site))
 	return m
+}
+
+// restartManager returns the empty manager a crash restarts s with: one
+// an earlier run's crash built, reset, or a new one. The manager it
+// replaces stays as it was, for the attempts pinned to it.
+func (c *Cluster) restartManager(s *site) *core.Ceiling {
+	if s.restarted == len(s.restarts) {
+		s.restarts = append(s.restarts, c.newManager(s.id))
+	} else {
+		s.restarts[s.restarted].Reset()
+	}
+	s.restarted++
+	return s.restarts[s.restarted-1]
+}
+
+// ownManager returns s's own manager (see site.own), built on its first
+// use and reset on each use after.
+func (c *Cluster) ownManager(s *site) *core.Ceiling {
+	if s.own == nil {
+		s.own = c.newManager(s.id)
+	} else {
+		s.own.Reset()
+	}
+	return s.own
 }
 
 // TwoPCDecisions reports how many two-phase-commit decisions reached
@@ -464,22 +531,33 @@ func (c *Cluster) FailSite(site db.SiteID, at, recoverAt sim.Time) {
 // validate against the cluster is an error.
 func (c *Cluster) AttachFaults(in *faults.Injector) error {
 	c.faultsOn = true
-	c.resolveTok = make(map[resolveKey]*sim.Token)
-	c.fault = make([]siteFault, c.cfg.Sites)
+	if c.fault == nil {
+		c.resolveTok = make(map[resolveKey]*sim.Token)
+		c.fault = make([]siteFault, c.cfg.Sites)
+		for i := range c.fault {
+			c.fault[i] = siteFault{wal: wal.NewLog(), prepared: make(map[int64]*preparedTx), liveTx: make(map[int64]*sim.Proc)}
+		}
+	}
+	// A cluster reset since the last AttachFaults keeps the fault state
+	// it grew, emptied.
+	clear(c.resolveTok)
 	for i := range c.fault {
-		c.fault[i].liveTx = make(map[int64]*sim.Proc)
-		c.fault[i].wal = wal.NewLog()
-		c.fault[i].prepared = make(map[int64]*preparedTx)
+		f := &c.fault[i]
+		f.crashed, f.crashAt = false, 0
+		f.wal.Reset()
+		clear(f.prepared)
+		clear(f.liveTx)
+		clear(f.reg)
 	}
 	if c.gcm != nil {
 		for _, s := range c.sites {
 			if s.mgr == nil {
-				s.mgr = c.newManager(s.id) // failover manager
+				s.mgr = c.ownManager(s) // failover manager
 			}
 		}
 	}
 	c.inj = in
-	return in.Install(c.K, c.Net, c.cfg.Sites, faults.Hooks{OnCrash: c.onCrash, OnRecover: c.onRecover})
+	return in.Install(c.K, c.Net, c.cfg.Sites, c.hooks)
 }
 
 // ChosenFaultPlan returns the exact faults the attached injector
@@ -518,7 +596,7 @@ func (c *Cluster) onCrash(siteID db.SiteID) {
 	for _, id := range sortedIDs(f.prepared) {
 		f.prepared[id].timeout.Cancel()
 	}
-	f.prepared = make(map[int64]*preparedTx)
+	clear(f.prepared)
 
 	if s := c.sites[siteID]; s.mgr != nil && s.mgr == c.gcm {
 		// The global manager's table outlives the crash; onRecover
@@ -528,7 +606,7 @@ func (c *Cluster) onCrash(siteID db.SiteID) {
 	} else if s.mgr != nil {
 		// A site's own lock table is volatile: recovery restarts it empty,
 		// and the registrations tracked there died with it.
-		s.mgr = c.newManager(siteID)
+		s.mgr = c.restartManager(s)
 		f.reg = nil
 	}
 	// Every surviving manager detects the crash and releases the crashed
@@ -589,13 +667,14 @@ func (c *Cluster) Config() Config { return c.cfg }
 func (c *Cluster) Replication() ReplicationStats { return c.repl }
 
 // NetReport aggregates the run's message-layer counters: the network's
-// send, arrived-hop and loss counts plus the delivery and no-handler
-// counts of every site's message server. It only reads: a site that
+// send, arrived-hop, aborted-hop and loss counts plus the delivery and
+// no-handler counts of every site's message server. It only reads: a site that
 // never had a server (every site in primary mode) contributes nothing.
 func (c *Cluster) NetReport() stats.NetReport {
 	r := stats.NetReport{
 		Sent:         c.Net.Sent,
 		Delivered:    c.Net.HopsArrived,
+		Aborted:      c.Net.HopsAborted,
 		DroppedDown:  c.Net.DroppedDown,
 		DroppedCut:   c.Net.DroppedCut,
 		DroppedFault: c.Net.DroppedFault,
@@ -636,17 +715,10 @@ func (c *Cluster) arrive(t *workload.Txn) {
 	c.life.Spawn(t, c.newRun(t).body)
 }
 
-// Run drives the simulation to completion, tears down the message
-// servers, and returns the summary.
+// Run drives the simulation to completion (see Drain) and returns the
+// summary.
 func (c *Cluster) Run() stats.Summary {
-	c.K.Run()
-	c.Net.Shutdown()
-	c.K.Run()
-	if c.K.Live() > 0 {
-		// Stuck installers or transactions (should not happen: every
-		// transaction has a deadline timer and installers time out).
-		_ = c.K.Shutdown()
-	}
+	c.Drain()
 	sum := c.Monitor.Summarize()
 	if h := c.Monitor.Horizon(); h > 0 {
 		var busy sim.Duration
@@ -656,6 +728,19 @@ func (c *Cluster) Run() stats.Summary {
 		sum.CPUUtil = busy.Seconds() / (sim.Duration(h).Seconds() * float64(len(c.sites)))
 	}
 	return sum
+}
+
+// Drain drives the simulation to completion and tears down the message
+// servers, leaving no process live.
+func (c *Cluster) Drain() {
+	c.K.Run()
+	c.Net.Shutdown()
+	c.K.Run()
+	if c.K.Live() > 0 {
+		// Stuck installers or transactions (should not happen: every
+		// transaction has a deadline timer and installers time out).
+		_ = c.K.Shutdown()
+	}
 }
 
 // emit appends a site-tagged record to the cluster's journal (a no-op

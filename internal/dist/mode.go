@@ -145,12 +145,14 @@ func noInstall(*Cluster, *txRun)                               {}
 // table is volatile and restarts empty after a crash.
 func managerPerSite(c *Cluster) {
 	for _, s := range c.sites {
-		s.mgr = c.newManager(s.id)
+		s.mgr = c.ownManager(s)
 	}
 }
 
 func setupTwoPC(c *Cluster) {
-	c.twopc = make(map[int64]*voteCollector)
+	if c.twopc == nil {
+		c.twopc = make(map[int64]*voteCollector)
+	}
 	c.registerTwoPCHandlers()
 }
 
@@ -160,7 +162,9 @@ const versionsKept = 32
 func setupLocal(c *Cluster) {
 	managerPerSite(c)
 	for _, s := range c.sites {
-		s.mv = db.NewMVStore(s.id, versionsKept)
+		if s.mv == nil {
+			s.mv = db.NewMVStore(s.id, versionsKept)
+		}
 	}
 	c.registerInstallHandlers()
 }
@@ -170,8 +174,9 @@ func setupLocal(c *Cluster) {
 // once a fault plan is attached every other site also keeps a failover
 // manager for transactions arriving while it is down.
 func setupGlobal(c *Cluster) {
-	c.gcm = c.newManager(c.cfg.GCMSite)
-	c.sites[c.cfg.GCMSite].mgr = c.gcm
+	s := c.sites[c.cfg.GCMSite]
+	c.gcm = c.ownManager(s)
+	s.mgr = c.gcm
 	setupTwoPC(c)
 }
 
@@ -187,7 +192,9 @@ func setupShard(c *Cluster) {
 func setupQuorum(c *Cluster) {
 	managerPerSite(c)
 	setupTwoPC(c)
-	c.qrounds = make(map[quorumKey]*quorumRound)
+	if c.qrounds == nil {
+		c.qrounds = make(map[quorumKey]*quorumRound)
+	}
 	c.registerQuorumHandlers()
 	m := c.K.Metrics()
 	c.mQuorumReads = m.Counter("dist_quorum_rounds_total", "Completed quorum replication rounds by kind.", metrics.L("kind", "read"))

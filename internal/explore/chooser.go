@@ -9,7 +9,9 @@ import (
 // traceChooser replays a fixed pick prefix, then extends: canonically
 // (DFS expansion, counterexample replay) or with a seeded RNG (random
 // walks). Every consulted decision is recorded, so after the run the
-// engine can branch the schedule at any position.
+// engine can branch the schedule at any position. An explorer worker
+// keeps one chooser and resets it per schedule (replay, random), so its
+// trace buffer and generator are allocated once.
 //
 // Replayed picks are clamped into [0, n): a prefix recorded against a
 // schedule that has since diverged degrades to canonical picks instead
@@ -17,23 +19,36 @@ import (
 // truncations safe.
 type traceChooser struct {
 	prefix []int
-	rng    *rand.Rand // nil = canonical extension
-	depth  int        // positions past which even the RNG stays canonical
-	branch int        // RNG pick cap (mirrors Options.Branch)
+	rng    *rand.Rand
+	draw   bool // extend with rng picks rather than canonically
+	depth  int  // positions past which even the RNG stays canonical
+	branch int  // RNG pick cap (mirrors Options.Branch)
 	trace  []Decision
 	pos    int
 }
 
-// replayChooser returns a chooser reproducing picks then continuing
-// canonically — the schedule identified by picks.
-func replayChooser(picks []int) *traceChooser {
-	return &traceChooser{prefix: picks}
+// replay resets c, keeping its trace buffer and generator, to reproduce
+// picks then continue canonically: the schedule identified by picks.
+func (c *traceChooser) replay(picks []int) *traceChooser {
+	c.prefix, c.depth, c.branch = picks, 0, 0
+	c.trace, c.pos = c.trace[:0], 0
+	c.draw = false
+	return c
 }
 
-// randomChooser returns a chooser drawing up to depth picks (each below
-// branch) from the given stream, then continuing canonically.
-func randomChooser(seed int64, depth, branch int) *traceChooser {
-	return &traceChooser{rng: rand.New(rand.NewSource(seed)), depth: depth, branch: branch}
+// random resets c, keeping its trace buffer and generator, to draw up
+// to depth picks (each below branch) from the stream of seed, then
+// continue canonically. A reseeded generator draws what a new one
+// would.
+func (c *traceChooser) random(seed int64, depth, branch int) *traceChooser {
+	c.replay(nil)
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(seed))
+	} else {
+		c.rng.Seed(seed)
+	}
+	c.depth, c.branch, c.draw = depth, branch, true
+	return c
 }
 
 // Choose implements sim.Chooser.
@@ -48,7 +63,7 @@ func (c *traceChooser) Choose(p sim.ChoicePoint, n int) int {
 		if pick >= n {
 			pick = n - 1
 		}
-	case c.rng != nil && c.pos < c.depth:
+	case c.draw && c.pos < c.depth:
 		w := n
 		if c.branch > 0 && c.branch < w {
 			w = c.branch
@@ -58,13 +73,4 @@ func (c *traceChooser) Choose(p sim.ChoicePoint, n int) int {
 	c.trace = append(c.trace, Decision{Point: p, N: n, Pick: pick})
 	c.pos++
 	return pick
-}
-
-// picks returns the trace's pick sequence, trailing canonicals trimmed.
-func (c *traceChooser) picks() []int {
-	out := make([]int, len(c.trace))
-	for i, d := range c.trace {
-		out[i] = d.Pick
-	}
-	return trimPicks(out)
 }

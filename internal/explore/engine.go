@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"slices"
 )
 
 // batchSize is the number of schedules handed to the worker pool at a
@@ -13,14 +14,16 @@ const batchSize = 8
 
 // Run explores the target's schedule space under the given bounds and
 // returns the verdict. It is deterministic: identical (target, options
-// minus Workers) pairs produce identical reports.
+// minus Workers) pairs produce identical reports. Each worker runs its
+// schedules on a rig of its own, built on its first schedule and closed
+// before Run returns.
 func Run(t Target, o Options) (*Report, error) {
 	o.fill()
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	if t.Run == nil {
-		return nil, fmt.Errorf("explore: target %q has no Run", t.Name)
+	if t.rig == nil {
+		return nil, fmt.Errorf("explore: target %q has no rig", t.Name)
 	}
 	e := &engine{
 		t: t,
@@ -36,7 +39,9 @@ func Run(t Target, o Options) (*Report, error) {
 		},
 		seenHash: make(map[string]bool),
 		seenRule: make(map[string]bool),
+		workers:  make([]worker, o.Workers),
 	}
+	defer e.close()
 	var err error
 	switch o.Strategy {
 	case Random:
@@ -58,25 +63,71 @@ type engine struct {
 	seenHash map[string]bool
 	seenRule map[string]bool
 	stop     bool // MaxCounterexamples reached
+
+	// workers are the per-worker rigs and choosers, indexed by the
+	// batch runner's worker slot; the shrinker runs on the first.
+	workers []worker
 }
 
-// runResult is one executed schedule.
+// worker is what one explorer worker reuses from schedule to schedule:
+// the target's rig (nil until the worker's first schedule) and the
+// chooser with its trace buffer.
+type worker struct {
+	rig rig
+	ch  traceChooser
+}
+
+// close closes every rig the exploration built.
+func (e *engine) close() {
+	for i := range e.workers {
+		if r := e.workers[i].rig; r != nil {
+			r.close()
+			e.workers[i].rig = nil
+		}
+	}
+}
+
+// runResult is one executed schedule. It keeps the decisions DFS can
+// branch on, the first MaxDepth, and the trace length; the whole trace
+// only when the schedule violated, for the counterexample.
 type runResult struct {
 	prefix []int
+	head   []Decision
+	depth  int
 	trace  []Decision
 	out    *Outcome
 }
 
-// execute runs one schedule under ch and collects its trace.
-func (e *engine) execute(prefix []int, ch *traceChooser) (runResult, error) {
-	out, err := e.t.Run(ch)
+// execute runs one schedule on worker w under its chooser ch, which the
+// caller has reset for the schedule.
+func (e *engine) execute(w int, prefix []int, ch *traceChooser) (runResult, error) {
+	out, err := e.runOn(w, ch)
 	if err != nil {
 		return runResult{}, err
 	}
 	if out == nil {
 		return runResult{}, fmt.Errorf("explore: target %q returned no outcome", e.t.Name)
 	}
-	return runResult{prefix: prefix, trace: ch.trace, out: out}, nil
+	r := runResult{prefix: prefix, depth: len(ch.trace), out: out}
+	r.head = slices.Clone(ch.trace[:min(len(ch.trace), e.o.MaxDepth)])
+	if len(out.Violations) > 0 {
+		r.trace = slices.Clone(ch.trace)
+	}
+	return r, nil
+}
+
+// runOn runs one schedule on worker w's rig, building the rig first if
+// the worker has none.
+func (e *engine) runOn(w int, ch *traceChooser) (*Outcome, error) {
+	wk := &e.workers[w]
+	if wk.rig == nil {
+		r, err := e.t.rig()
+		if err != nil {
+			return nil, err
+		}
+		wk.rig = r
+	}
+	return wk.rig.run(ch, nil)
 }
 
 // runDFS walks the decision tree depth-first. The frontier is a stack
@@ -102,8 +153,8 @@ func (e *engine) runDFS() error {
 			batch[i] = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 		}
-		results, err := RunBatch(n, e.o.Workers, func(i int) (runResult, error) {
-			return e.execute(batch[i], replayChooser(batch[i]))
+		results, err := runBatch(n, e.o.Workers, func(w, i int) (runResult, error) {
+			return e.execute(w, batch[i], e.workers[w].ch.replay(batch[i]))
 		})
 		if err != nil {
 			return err
@@ -115,19 +166,15 @@ func (e *engine) runDFS() error {
 			}
 			// Branch the canonical suffix, deepest position pushed
 			// last so it pops first (true backtracking order).
-			limit := len(r.trace)
-			if limit > e.o.MaxDepth {
-				limit = e.o.MaxDepth
-			}
-			for pos := len(r.prefix); pos < limit; pos++ {
-				fan := r.trace[pos].N
+			for pos := len(r.prefix); pos < len(r.head); pos++ {
+				fan := r.head[pos].N
 				if fan > e.o.Branch {
 					fan = e.o.Branch
 				}
 				for alt := 1; alt < fan; alt++ {
 					child := make([]int, pos+1)
 					for j := 0; j < pos; j++ {
-						child[j] = r.trace[j].Pick
+						child[j] = r.head[j].Pick
 					}
 					child[pos] = alt
 					stack = append(stack, child)
@@ -150,13 +197,12 @@ func (e *engine) runRandom() error {
 			n = rem
 		}
 		base := next
-		results, err := RunBatch(n, e.o.Workers, func(i int) (runResult, error) {
-			idx := base + i
-			if idx == 0 {
-				return e.execute(nil, replayChooser(nil))
+		results, err := runBatch(n, e.o.Workers, func(w, i int) (runResult, error) {
+			ch := &e.workers[w].ch
+			if idx := base + i; idx > 0 {
+				return e.execute(w, nil, ch.random(mix(e.o.Seed, int64(idx)), e.o.MaxDepth, e.o.Branch))
 			}
-			ch := randomChooser(mix(e.o.Seed, int64(idx)), e.o.MaxDepth, e.o.Branch)
-			return e.execute(nil, ch)
+			return e.execute(w, nil, ch.replay(nil))
 		})
 		if err != nil {
 			return err
@@ -174,8 +220,8 @@ func (e *engine) runRandom() error {
 // whether its execution was fresh (journal hash not seen before).
 func (e *engine) observe(r runResult) bool {
 	e.rep.Explored++
-	if len(r.trace) > e.rep.Deepest {
-		e.rep.Deepest = len(r.trace)
+	if r.depth > e.rep.Deepest {
+		e.rep.Deepest = r.depth
 	}
 	if e.seenHash[r.out.JournalHash] {
 		e.rep.Pruned++
@@ -217,7 +263,7 @@ func (e *engine) addCounterexample(r runResult) {
 		var lastFail *Outcome
 		var lastTrace []Decision
 		min, runs, complete := Shrink(picks, e.o.ShrinkBudget, func(cand []int) bool {
-			res, err := e.execute(cand, replayChooser(cand))
+			res, err := e.execute(0, cand, e.workers[0].ch.replay(cand))
 			if err != nil || len(res.out.Violations) == 0 {
 				return false
 			}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"rtlock/internal/audit"
+	"rtlock/internal/faults"
 	"rtlock/internal/sim"
 )
 
@@ -25,25 +26,38 @@ type syntheticTarget struct {
 	runs [][]int
 }
 
+// replayChooser returns a new chooser for the schedule identified by
+// picks.
+func replayChooser(picks []int) *traceChooser { return new(traceChooser).replay(picks) }
+
+// funcRig is the rig of a hand-built test target, which builds a fresh
+// simulation on every call.
+type funcRig func(ch sim.Chooser) (*Outcome, error)
+
+func (f funcRig) run(ch sim.Chooser, _ *faults.Plan) (*Outcome, error) { return f(ch) }
+func (funcRig) close()                                                 {}
+
+// funcTarget is a hand-built target whose every schedule calls run.
+func funcTarget(name string, run func(ch sim.Chooser) (*Outcome, error)) Target {
+	return Target{Name: name, rig: func() (rig, error) { return funcRig(run), nil }}
+}
+
 func (s *syntheticTarget) target() Target {
-	return Target{
-		Name: "synthetic",
-		Run: func(ch sim.Chooser) (*Outcome, error) {
-			picks := make([]int, s.points)
-			for i := range picks {
-				picks[i] = ch.Choose(sim.ChooseEvent, s.fan)
-			}
-			key := trimPicks(picks)
-			s.mu.Lock()
-			s.runs = append(s.runs, append([]int(nil), key...))
-			s.mu.Unlock()
-			out := &Outcome{JournalHash: fmt.Sprint(key)}
-			if s.fail != nil && s.fail(picks) {
-				out.Violations = []audit.Violation{{Rule: "synthetic", Detail: fmt.Sprint(key)}}
-			}
-			return out, nil
-		},
-	}
+	return funcTarget("synthetic", func(ch sim.Chooser) (*Outcome, error) {
+		picks := make([]int, s.points)
+		for i := range picks {
+			picks[i] = ch.Choose(sim.ChooseEvent, s.fan)
+		}
+		key := trimPicks(picks)
+		s.mu.Lock()
+		s.runs = append(s.runs, append([]int(nil), key...))
+		s.mu.Unlock()
+		out := &Outcome{JournalHash: fmt.Sprint(key)}
+		if s.fail != nil && s.fail(picks) {
+			out.Violations = []audit.Violation{{Rule: "synthetic", Detail: fmt.Sprint(key)}}
+		}
+		return out, nil
+	})
 }
 
 // sortedRuns returns the executed schedules in a canonical order.
@@ -115,10 +129,9 @@ func TestDFSPrunesDuplicateHashes(t *testing.T) {
 	// canonical" vs not. After the first two distinct behaviors, every
 	// further schedule is a duplicate and its subtree is pruned.
 	syn := &syntheticTarget{points: 4, fan: 2}
-	tgt := syn.target()
-	inner := tgt.Run
-	tgt.Run = func(ch sim.Chooser) (*Outcome, error) {
-		out, err := inner(ch)
+	inner := syn.target()
+	tgt := funcTarget("synthetic", func(ch sim.Chooser) (*Outcome, error) {
+		out, err := inner.Run(ch)
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +141,7 @@ func TestDFSPrunesDuplicateHashes(t *testing.T) {
 		}
 		out.JournalHash = h
 		return out, nil
-	}
+	})
 	rep, err := Run(tgt, Options{Schedules: 100, MaxDepth: 4, Branch: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -111,20 +111,56 @@ func (o Options) validate() error {
 	return nil
 }
 
-// Target is one system under exploration. Run must build a fresh
-// simulation (kernel, journal, workload), attach the chooser before any
-// event is dispatched, run to completion, and audit the journal. It is
-// called concurrently from the worker pool, so it must not share
-// mutable state across calls.
+// Target is one system under exploration. It runs its schedules on
+// rigs: a rig is one complete simulation (kernel, processors, lock
+// managers, transaction engine or cluster, auditors and journal) that
+// is reset in place between schedules rather than rebuilt. The package
+// function Run gives each of its workers a rig of its own and closes
+// them before it returns; a reset rig runs a schedule exactly as a new one would, so
+// outcomes never depend on which worker ran a schedule or what ran on
+// its rig before.
 type Target struct {
 	// Name labels the target in reports ("single/C", "dist/global", …).
 	Name string
-	// Run executes one schedule under the chooser's decisions.
-	Run func(ch sim.Chooser) (*Outcome, error)
-	// RunPlan executes the canonical schedule under a fixed fault plan
-	// instead of a chooser — how an exported counterexample's FaultPlan
-	// is replayed. Only fault-space targets provide it.
-	RunPlan func(plan *faults.Plan) (*Outcome, error)
+	// rig builds one worker's rig, and plans says it takes fault plans.
+	rig   func() (rig, error)
+	plans bool
+}
+
+// rig is one worker's simulation of a target, reset in place by every
+// run: under the chooser (plan nil), which on a fault-space target also
+// drives the fault space, or under a fixed fault plan (ch nil). close
+// ends the goroutines it keeps between runs.
+type rig interface {
+	run(ch sim.Chooser, plan *faults.Plan) (*Outcome, error)
+	close()
+}
+
+// Run executes one schedule under the chooser's decisions, on a rig of
+// its own that it closes before returning.
+func (t Target) Run(ch sim.Chooser) (*Outcome, error) { return t.once(ch, nil) }
+
+// RunPlan executes the canonical schedule under a fixed fault plan
+// instead of a chooser — how an exported counterexample's FaultPlan is
+// replayed — on a rig of its own, like Run. Only fault-space targets
+// take a plan.
+func (t Target) RunPlan(plan *faults.Plan) (*Outcome, error) {
+	if !t.plans {
+		return nil, fmt.Errorf("explore: target %q takes no fault plan", t.Name)
+	}
+	return t.once(nil, plan)
+}
+
+func (t Target) once(ch sim.Chooser, plan *faults.Plan) (*Outcome, error) {
+	if t.rig == nil {
+		return nil, fmt.Errorf("explore: target %q has no rig", t.Name)
+	}
+	r, err := t.rig()
+	if err != nil {
+		return nil, err
+	}
+	defer r.close()
+	return r.run(ch, plan)
 }
 
 // Outcome is one executed schedule's result.

@@ -7,6 +7,7 @@ import (
 	"rtlock/internal/db"
 	"rtlock/internal/dist"
 	"rtlock/internal/faults"
+	"rtlock/internal/journal"
 	"rtlock/internal/place"
 	"rtlock/internal/sim"
 	"rtlock/internal/workload"
@@ -146,44 +147,58 @@ func clusterTarget(o FaultOpts, armed bool) (Target, error) {
 	}
 	key := fmt.Sprintf("explore/%s/%s/sites=%d/db=%d/count=%d/size=%d/ro=0",
 		kind, mode, o.Sites, o.DBSize, len(load), clusterMeanSize)
-	// run executes one schedule: under the chooser (plan == nil), which
-	// on an armed target also drives the fault space, or under a fixed
-	// replayed plan (ch == nil). Both paths share the journal key and
-	// seed, which is what makes a fault-only counterexample's replay
-	// byte-identical.
-	run := func(ch sim.Chooser, plan *faults.Plan) (*Outcome, error) {
-		jrn := getJournal(o.Seed, key)
-		defer putJournal(jrn)
-		c := cfg
-		c.Journal = jrn
-		cluster, err := dist.NewCluster(c)
+	newRig := func() (rig, error) {
+		r := &clusterRig{armed: armed, seed: o.Seed, key: key, space: o.Space, load: load,
+			jrn: journal.New(o.Seed, key), auds: audit.ForCluster(mode.String(), armed)}
+		r.cfg = cfg
+		r.cfg.Journal = r.jrn
+		c, err := dist.NewCluster(r.cfg)
 		if err != nil {
 			return nil, err
 		}
-		if armed {
-			in := faults.New(plan, o.Seed)
-			if plan == nil {
-				in = in.Arm(o.Space)
-			}
-			if err := cluster.AttachFaults(in); err != nil {
-				return nil, err
-			}
-		}
-		cluster.K.SetChooser(ch)
-		cluster.Load(load)
-		cluster.Run()
-		return &Outcome{
-			JournalHash: jrn.HashString(),
-			Violations:  audit.Run(jrn, audit.ForCluster(mode.String(), armed)...),
-			FaultPlan:   cluster.ChosenFaultPlan(), // nil unarmed
-		}, nil
+		c.K.KeepWorkers()
+		r.c = c
+		return r, nil
 	}
-	t := Target{
-		Name: kind + "/" + mode.String(),
-		Run:  func(ch sim.Chooser) (*Outcome, error) { return run(ch, nil) },
-	}
-	if armed {
-		t.RunPlan = func(plan *faults.Plan) (*Outcome, error) { return run(nil, plan) }
-	}
-	return t, nil
+	return Target{Name: kind + "/" + mode.String(), rig: newRig, plans: armed}, nil
 }
+
+// clusterRig is a cluster target's rig. Both ways of running a schedule
+// — under the chooser, which on an armed target also drives the fault
+// space, or under a fixed replayed plan — share the journal key and
+// seed, which is what makes a fault-only counterexample's replay
+// byte-identical.
+type clusterRig struct {
+	armed bool
+	seed  int64
+	key   string
+	space faults.Space
+	load  []*workload.Txn
+	cfg   dist.Config
+	c     *dist.Cluster
+	inj   faults.Injector
+	jrn   *journal.Journal
+	auds  []audit.Auditor
+}
+
+func (r *clusterRig) run(ch sim.Chooser, plan *faults.Plan) (*Outcome, error) {
+	r.jrn.Reset(r.seed, r.key)
+	if err := r.c.Reset(r.cfg); err != nil {
+		return nil, err
+	}
+	if r.armed {
+		in := r.inj.Reset(plan, r.seed)
+		if plan == nil {
+			in.Arm(r.space)
+		}
+		if err := r.c.AttachFaults(in); err != nil {
+			return nil, err
+		}
+	}
+	r.c.K.SetChooser(ch)
+	r.c.Load(r.load)
+	r.c.Drain()
+	return outcome(r.jrn, r.auds, r.c.ChosenFaultPlan()), nil // plan nil unarmed
+}
+
+func (r *clusterRig) close() { r.c.K.Close() }

@@ -23,34 +23,31 @@ import (
 // dispatched first, locks A, and the intact ceiling check holds T2 at
 // the door. Only exploration can expose the bug.
 func abbaTarget() Target {
-	return Target{
-		Name: "single/PCP-mutated",
-		Run: func(ch sim.Chooser) (*Outcome, error) {
-			jrn := journal.New(1, "explore/mutation/pcp-abba")
-			sys, err := txn.NewSystem(txn.Config{
-				CPUPerObj:     5 * sim.Millisecond,
-				CPUDiscipline: sim.PreemptivePriority,
-				NewManager:    func(k *sim.Kernel) core.Manager { return core.NewCeiling(k) },
-				Journal:       jrn,
-			})
-			if err != nil {
-				return nil, err
-			}
-			load := []*workload.Txn{
-				{ID: 1, Kind: workload.Update, Arrival: 0, Deadline: sim.Time(200 * sim.Millisecond),
-					Ops: []workload.Op{{Obj: 0, Mode: core.Write}, {Obj: 1, Mode: core.Write}}},
-				{ID: 2, Kind: workload.Update, Arrival: 0, Deadline: sim.Time(300 * sim.Millisecond),
-					Ops: []workload.Op{{Obj: 1, Mode: core.Write}, {Obj: 0, Mode: core.Write}}},
-			}
-			sys.K.SetChooser(ch)
-			sys.Load(load)
-			sys.Run()
-			return &Outcome{
-				JournalHash: jrn.HashString(),
-				Violations:  audit.Run(jrn, audit.ForManager(sys.Mgr.Name())...),
-			}, nil
-		},
-	}
+	return funcTarget("single/PCP-mutated", func(ch sim.Chooser) (*Outcome, error) {
+		jrn := journal.New(1, "explore/mutation/pcp-abba")
+		sys, err := txn.NewSystem(txn.Config{
+			CPUPerObj:     5 * sim.Millisecond,
+			CPUDiscipline: sim.PreemptivePriority,
+			NewManager:    func(k *sim.Kernel) core.Manager { return core.NewCeiling(k) },
+			Journal:       jrn,
+		})
+		if err != nil {
+			return nil, err
+		}
+		load := []*workload.Txn{
+			{ID: 1, Kind: workload.Update, Arrival: 0, Deadline: sim.Time(200 * sim.Millisecond),
+				Ops: []workload.Op{{Obj: 0, Mode: core.Write}, {Obj: 1, Mode: core.Write}}},
+			{ID: 2, Kind: workload.Update, Arrival: 0, Deadline: sim.Time(300 * sim.Millisecond),
+				Ops: []workload.Op{{Obj: 1, Mode: core.Write}, {Obj: 0, Mode: core.Write}}},
+		}
+		sys.K.SetChooser(ch)
+		sys.Load(load)
+		sys.Run()
+		return &Outcome{
+			JournalHash: jrn.HashString(),
+			Violations:  audit.Run(jrn, audit.ForManager(sys.Mgr.Name())...),
+		}, nil
+	})
 }
 
 // TestExplorerFindsInjectedCeilingBug is the explorer's seeded-mutation

@@ -19,6 +19,13 @@ import (
 // kernel and is listed in rtlint's raw-go allowlist; the schedule
 // explorer and the experiment sweeps both run their jobs here.
 func RunBatch[T any](n, workers int, job func(i int) (T, error)) ([]T, error) {
+	return runBatch(n, workers, func(_, i int) (T, error) { return job(i) })
+}
+
+// runBatch is RunBatch with the worker slot passed to each job: w is in
+// [0, workers) and no two jobs run on one slot at once, so a job may use
+// state kept per slot, such as the explorer's rigs, without locking.
+func runBatch[T any](n, workers int, job func(w, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -36,7 +43,7 @@ func RunBatch[T any](n, workers int, job func(i int) (T, error)) ([]T, error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				vals[i], errs[i] = guardedJob(i, job)
+				vals[i], errs[i] = guardedJob(w, i, job)
 			}
 		}()
 	}
@@ -49,11 +56,11 @@ func RunBatch[T any](n, workers int, job func(i int) (T, error)) ([]T, error) {
 	return vals, nil
 }
 
-func guardedJob[T any](i int, job func(i int) (T, error)) (val T, err error) {
+func guardedJob[T any](w, i int, job func(w, i int) (T, error)) (val T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("explore: batch job %d panicked: %v", i, r)
 		}
 	}()
-	return job(i)
+	return job(w, i)
 }

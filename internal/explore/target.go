@@ -3,33 +3,16 @@ package explore
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"rtlock/internal/audit"
 	"rtlock/internal/core"
 	"rtlock/internal/db"
+	"rtlock/internal/faults"
 	"rtlock/internal/journal"
 	"rtlock/internal/sim"
 	"rtlock/internal/txn"
 	"rtlock/internal/workload"
 )
-
-// journalPool recycles journals across schedule executions: the engine
-// runs hundreds of full simulations per exploration, and each one's
-// record buffer (thousands of records) would otherwise be regrown from
-// nothing. Reset drops the records but keeps the buffers. Pooling is
-// invisible to results — a journal's contents are a pure function of
-// the run appended into it — so worker scheduling still affects wall
-// clock only, never outcomes.
-var journalPool = sync.Pool{New: func() any { return journal.New(0, "") }}
-
-func getJournal(seed int64, config string) *journal.Journal {
-	j := journalPool.Get().(*journal.Journal)
-	j.Reset(seed, config)
-	return j
-}
-
-func putJournal(j *journal.Journal) { journalPool.Put(j) }
 
 // Exploration workloads are small, high-contention runs (a cluster's
 // shape is FaultOpts' to change): the engine executes hundreds of full
@@ -65,9 +48,10 @@ type SingleSiteOpts struct {
 }
 
 // SingleSiteTarget builds the exploration target for one single-site
-// protocol. Each Run constructs an entirely fresh simulation (catalog,
-// workload, journal, kernel), so concurrent schedule executions share
-// nothing.
+// protocol. Its rig is a txn.System with the protocol's manager, the
+// protocol's auditors and a journal, all reset in place per schedule;
+// concurrent schedules run on different rigs and share only the
+// read-only workload.
 func SingleSiteTarget(o SingleSiteOpts) (Target, error) {
 	if o.NewManager == nil {
 		return Target{}, errors.New("explore: SingleSiteOpts.NewManager is required")
@@ -102,29 +86,57 @@ func SingleSiteTarget(o SingleSiteOpts) (Target, error) {
 	if err != nil {
 		return Target{}, err
 	}
-	return Target{
-		Name: "single/" + o.Proto,
-		Run: func(ch sim.Chooser) (*Outcome, error) {
-			jrn := getJournal(o.Seed, key)
-			defer putJournal(jrn)
-			sys, err := txn.NewSystem(txn.Config{
-				CPUPerObj:     defaultCPUPerObj,
-				CPUDiscipline: o.Discipline,
-				NewManager:    o.NewManager,
-				Journal:       jrn,
-			})
-			if err != nil {
-				return nil, err
-			}
-			sys.K.SetChooser(ch)
-			sys.Load(load)
-			sys.Run()
-			return &Outcome{
-				JournalHash: jrn.HashString(),
-				Violations:  audit.Run(jrn, audit.ForManager(sys.Mgr.Name())...),
-			}, nil
-		},
-	}, nil
+	newRig := func() (rig, error) {
+		r := &singleRig{seed: o.Seed, key: key, load: load, jrn: journal.New(o.Seed, key)}
+		r.cfg = txn.Config{
+			CPUPerObj:     defaultCPUPerObj,
+			CPUDiscipline: o.Discipline,
+			NewManager:    o.NewManager,
+			Journal:       r.jrn,
+		}
+		sys, err := txn.NewSystem(r.cfg)
+		if err != nil {
+			return nil, err
+		}
+		sys.K.KeepWorkers()
+		r.sys = sys
+		r.auds = audit.ForManager(sys.Mgr.Name())
+		return r, nil
+	}
+	return Target{Name: "single/" + o.Proto, rig: newRig}, nil
+}
+
+// singleRig is a single-site target's rig.
+type singleRig struct {
+	seed int64
+	key  string
+	load []*workload.Txn
+	cfg  txn.Config
+	sys  *txn.System
+	jrn  *journal.Journal
+	auds []audit.Auditor
+}
+
+func (r *singleRig) run(ch sim.Chooser, _ *faults.Plan) (*Outcome, error) {
+	r.jrn.Reset(r.seed, r.key)
+	if err := r.sys.Reset(r.cfg); err != nil {
+		return nil, err
+	}
+	r.sys.K.SetChooser(ch)
+	r.sys.Load(r.load)
+	r.sys.K.Run()
+	return outcome(r.jrn, r.auds, nil), nil
+}
+
+func (r *singleRig) close() { r.sys.K.Close() }
+
+// outcome audits a finished schedule's journal with the rig's auditors,
+// reset first, and hashes it.
+func outcome(j *journal.Journal, auds []audit.Auditor, plan *faults.Plan) *Outcome {
+	for _, a := range auds {
+		a.Reset()
+	}
+	return &Outcome{JournalHash: j.HashString(), Violations: audit.Run(j, auds...), FaultPlan: plan}
 }
 
 // DistributedTarget builds the exploration target for one distributed

@@ -3,6 +3,7 @@ package faults
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"rtlock/internal/db"
@@ -33,7 +34,7 @@ type Hooks struct {
 type Injector struct {
 	plan  *Plan
 	space Space
-	// rng draws the link rules' fates; nil when the plan has none.
+	// rng draws the link rules' fates; nil until a plan has some.
 	rng   *rand.Rand
 	k     *sim.Kernel
 	n     *netsim.Network
@@ -51,6 +52,17 @@ type Injector struct {
 	downUntil []int64
 	cutUntil  []int64
 	chosen    ChosenFaults
+	// points are the armed crash and cut decisions, in the order Install
+	// schedules them; each event carries a pointer to its point.
+	points []decision
+	// none is the plan of an injector Reset for no plan.
+	none Plan
+}
+
+// decision is one armed decision point: its injector and instant.
+type decision struct {
+	in *Injector
+	at int64
 }
 
 // New compiles a plan. It returns nil for an empty plan so callers keep
@@ -59,29 +71,41 @@ func New(plan *Plan, seed int64) *Injector {
 	if plan.Empty() {
 		return nil
 	}
-	in := &Injector{plan: plan}
-	if len(plan.Links) > 0 {
-		in.rng = rand.New(rand.NewSource(seed))
+	return new(Injector).Reset(plan, seed)
+}
+
+// Reset compiles plan into in, as New does, and returns in, keeping its
+// buffers and generator for a cluster that is reset and run again; the
+// faults it records for ChosenPlan start afresh, so a plan handed out
+// earlier is never overwritten. Unlike New it never returns nil: for an
+// empty plan (or none) it returns an injector with nothing to inject,
+// which installs as a nil one does unless it is armed.
+func (in *Injector) Reset(plan *Plan, seed int64) *Injector {
+	if plan == nil {
+		plan = &in.none
 	}
+	rng := in.rng
+	if len(plan.Links) > 0 {
+		if rng == nil {
+			rng = rand.New(rand.NewSource(seed))
+		} else {
+			rng.Seed(seed) // draws what a new generator of seed would
+		}
+	}
+	*in = Injector{plan: plan, rng: rng, downUntil: in.downUntil, cutUntil: in.cutUntil, points: in.points}
 	if plan.Chosen != nil {
 		in.fates = plan.Chosen.Fates
 	}
 	return in
 }
 
-// Arm returns the injector with space's decision points armed: Install
-// schedules a crash and a cut decision at each of the space's instants,
-// and the first MaxMsgFates message consults each surface a fate
-// decision. Decisions ask the kernel's chooser via ChooseQuiet, so a
-// fault pick is journaled only as the fault it injects. Arming a nil
-// injector (an empty plan's) builds one with nothing else to inject.
-func (in *Injector) Arm(space Space) *Injector {
-	if in == nil {
-		in = &Injector{plan: &Plan{}}
-	}
-	in.space = space
-	return in
-}
+// Arm arms space's decision points: Install schedules a crash and a cut
+// decision at each of the space's instants, and the first MaxMsgFates
+// message consults each surface a fate decision. Decisions ask the
+// kernel's chooser via ChooseQuiet, so a fault pick is journaled only as
+// the fault it injects. An exploration arms an injector Reset for no
+// plan, which has nothing else to inject.
+func (in *Injector) Arm(space Space) { in.space = space }
 
 // oneCopy is the fate of an unaffected message: a single copy with no
 // extra delay; twoCopies a chosen duplicate's. Callers must not mutate
@@ -300,8 +324,10 @@ func (in *Injector) Install(k *sim.Kernel, n *netsim.Network, sites int, hooks H
 		return err
 	}
 	in.k, in.n, in.sites, in.hooks = k, n, sites, hooks
-	in.downUntil = make([]int64, sites)
-	in.cutUntil = make([]int64, sites)
+	in.downUntil = slices.Grow(in.downUntil[:0], sites)[:sites]
+	in.cutUntil = slices.Grow(in.cutUntil[:0], sites)[:sites]
+	clear(in.downUntil)
+	clear(in.cutUntil)
 	if len(in.plan.Links) > 0 || len(in.fates) > 0 || in.space.MaxMsgFates > 0 {
 		n.SetInjector(in)
 	}
@@ -340,13 +366,33 @@ func (in *Injector) Install(k *sim.Kernel, n *netsim.Network, sites int, hooks H
 			k.At(sim.Time(ct.At), func() { in.cut(ct.Site, ct.At, ct.HealAt) })
 		}
 	}
+	in.points = in.points[:0]
 	for _, at := range in.space.CrashPoints {
-		k.AtOptional(sim.Time(at), func() { in.crashDecision(at) })
+		in.points = append(in.points, decision{in, at})
 	}
 	for _, at := range in.space.CutPoints {
-		k.AtOptional(sim.Time(at), func() { in.cutDecision(at) })
+		in.points = append(in.points, decision{in, at})
+	}
+	crashes := len(in.space.CrashPoints)
+	for i := range in.points {
+		call := decideCrash
+		if i >= crashes {
+			call = decideCut
+		}
+		k.AtOptional(sim.Time(in.points[i].at), call, &in.points[i])
 	}
 	return nil
+}
+
+// decideCrash and decideCut are the armed decision events.
+func decideCrash(a any) {
+	d := a.(*decision)
+	d.in.crashDecision(d.at)
+}
+
+func decideCut(a any) {
+	d := a.(*decision)
+	d.in.cutDecision(d.at)
 }
 
 // ChosenPlan returns the exact faults this run injected — picked at

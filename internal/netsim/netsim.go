@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"rtlock/internal/db"
 	"rtlock/internal/journal"
@@ -73,10 +72,14 @@ const (
 // ordering. The default is a fully connected network with a uniform
 // delay; NewNetworkTopology accepts ring, star, or custom interconnects.
 type Network struct {
-	k        *sim.Kernel
-	delay    sim.Duration
-	topo     *Topology
-	servers  map[db.SiteID]*Server
+	k       *sim.Kernel
+	delay   sim.Duration
+	topo    *Topology
+	servers map[db.SiteID]*Server // started in this run
+	// dormant holds the servers earlier runs built that this run has
+	// not started; sites lists every site with a server, ascending.
+	dormant  map[db.SiteID]*Server
+	sites    []db.SiteID
 	down     map[db.SiteID]bool
 	cut      map[[2]db.SiteID]int
 	injector FaultInjector
@@ -103,6 +106,9 @@ type Network struct {
 	// destination; a message server counts the asynchronous messages it
 	// delivers.
 	HopsArrived int
+	// HopsAborted counts synchronous hops whose sender was interrupted
+	// in flight (a deadline abort), which neither arrive nor are lost.
+	HopsAborted int
 
 	// freeInflight recycles delivered in-flight records.
 	freeInflight []*inflight
@@ -131,17 +137,44 @@ type inflight struct {
 // NewNetwork returns a fully connected network with the given inter-site
 // delay.
 func NewNetwork(k *sim.Kernel, delay sim.Duration) *Network {
-	n := &Network{k: k, delay: delay, servers: make(map[db.SiteID]*Server), down: make(map[db.SiteID]bool), cut: make(map[[2]db.SiteID]int)}
-	n.initProbes()
+	n := &Network{k: k, delay: delay, servers: make(map[db.SiteID]*Server), dormant: make(map[db.SiteID]*Server),
+		down: make(map[db.SiteID]bool), cut: make(map[[2]db.SiteID]int)}
+	n.Reset()
 	return n
 }
 
 // NewNetworkTopology returns a network whose pairwise delays come from
 // the topology.
 func NewNetworkTopology(k *sim.Kernel, topo *Topology) *Network {
-	n := &Network{k: k, topo: topo, servers: make(map[db.SiteID]*Server), down: make(map[db.SiteID]bool), cut: make(map[[2]db.SiteID]int)}
-	n.initProbes()
+	n := &Network{k: k, topo: topo, servers: make(map[db.SiteID]*Server), dormant: make(map[db.SiteID]*Server),
+		down: make(map[db.SiteID]bool), cut: make(map[[2]db.SiteID]int)}
+	n.Reset()
 	return n
+}
+
+// Reset returns the network to the state its constructor leaves it in,
+// for a new run on its kernel, which has been reset: every site up, no
+// cut, no injector, counters at zero, probe handles taken afresh. Its
+// delays and Timeout are kept, and so are its servers with their
+// handlers, but each lies dormant — it has no process — until the next
+// call to Server for its site starts it, as the first call built it:
+// a run sees the servers it starts, in the order it starts them, as if
+// they were new.
+func (n *Network) Reset() {
+	for _, site := range n.sites {
+		if s, ok := n.servers[site]; ok {
+			s.reset()
+			n.dormant[site] = s
+			delete(n.servers, site)
+		}
+	}
+	clear(n.down)
+	clear(n.cut)
+	clear(n.mLatency)
+	n.injector = nil
+	n.Sent, n.DroppedDown, n.DroppedCut, n.DroppedFault, n.Duplicated = 0, 0, 0, 0, 0
+	n.HopsArrived, n.HopsAborted = 0, 0
+	n.initProbes()
 }
 
 func (n *Network) initProbes() {
@@ -240,17 +273,36 @@ func (n *Network) Delay(from, to db.SiteID) sim.Duration {
 	return n.delay
 }
 
-// Server returns (creating on first use) the message server of a site.
+// Server returns the message server of a site, starting it on its first
+// use in a run.
 func (n *Network) Server(site db.SiteID) *Server {
 	s, ok := n.servers[site]
 	if !ok {
-		s = newServer(n.k, site)
-		n.servers[site] = s
+		s = n.start(site)
 	}
 	return s
 }
 
-// Lookup returns a site's message server, or nil if none was created.
+// start spawns the process of site's server, which a run uses for the
+// first time: a dormant one, or one built now.
+func (n *Network) start(site db.SiteID) *Server {
+	s, ok := n.dormant[site]
+	if ok {
+		delete(n.dormant, site)
+	} else {
+		s = &Server{k: n.k, site: site, name: fmt.Sprintf("msgserver-%d", site), handlers: make(map[string]Handler)}
+		s.idle = func(p *sim.Proc) { _ = p.Park(&s.tok) }
+		n.sites = append(n.sites, site)
+		slices.Sort(n.sites)
+	}
+	s.tok.Reset()
+	s.proc = n.k.Spawn(s.name, s.idle)
+	n.servers[site] = s
+	return s
+}
+
+// Lookup returns a site's message server, or nil if none was started
+// in this run.
 func (n *Network) Lookup(site db.SiteID) *Server { return n.servers[site] }
 
 // Send queues a message for delivery to the destination site's message
@@ -401,6 +453,7 @@ func (n *Network) Hop(p *sim.Proc, from, to db.SiteID) error {
 		return ErrSiteDown
 	}
 	if err := p.Sleep(d + extra); err != nil {
+		n.HopsAborted++
 		return err
 	}
 	// Re-check at arrival: a site that went down (or a link that was
@@ -427,13 +480,10 @@ func (n *Network) Hop(p *sim.Proc, from, to db.SiteID) error {
 // iteration order would otherwise leak into the teardown interleaving
 // and break journal byte-identity across runs.
 func (n *Network) Shutdown() {
-	sites := make([]db.SiteID, 0, len(n.servers))
-	for site := range n.servers {
-		sites = append(sites, site)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-	for _, site := range sites {
-		n.servers[site].stop()
+	for _, site := range n.sites {
+		if s, ok := n.servers[site]; ok {
+			s.stop()
+		}
 	}
 }
 
@@ -441,8 +491,14 @@ func (n *Network) Shutdown() {
 // its site to the handlers registered on their ports, one at a time, in
 // arrival order unless a chooser reorders them.
 type Server struct {
-	k        *sim.Kernel
-	site     db.SiteID
+	k    *sim.Kernel
+	site db.SiteID
+	name string
+	// idle is the server process's body: it delivers nothing and parks
+	// on tok until Shutdown interrupts it (the package comment says why
+	// it exists).
+	idle     func(*sim.Proc)
+	tok      sim.Token
 	handlers map[string]Handler
 	queue    []Message
 	draining bool // a drain event is scheduled and has not finished
@@ -457,15 +513,13 @@ type Server struct {
 	Dropped int
 }
 
-func newServer(k *sim.Kernel, site db.SiteID) *Server {
-	s := &Server{k: k, site: site, handlers: make(map[string]Handler)}
-	s.proc = k.Spawn(fmt.Sprintf("msgserver-%d", site), idle)
-	return s
+// reset makes s dormant for a new run: no process, nothing queued,
+// counters at zero, its handlers kept (see Network.Reset).
+func (s *Server) reset() {
+	clear(s.queue)
+	s.queue, s.draining, s.proc, s.stopped = s.queue[:0], false, nil, false
+	s.Delivered, s.Dropped = 0, 0
 }
-
-// idle is a server process's body: it delivers nothing and parks until
-// Shutdown interrupts it (the package comment says why it exists).
-func idle(p *sim.Proc) { _ = p.Park(&sim.Token{}) }
 
 // Handle registers the handler for a port, replacing any previous one.
 func (s *Server) Handle(port string, h Handler) { s.handlers[port] = h }

@@ -62,9 +62,21 @@ type cpuReq struct {
 
 // NewCPU returns a processor scheduled under disc.
 func NewCPU(k *Kernel, disc Discipline) *CPU {
-	m := k.Metrics()
-	return &CPU{
-		k: k, disc: disc, ready: cpuQueue{disc: disc},
+	c := &CPU{k: k}
+	c.Reset(disc)
+	return c
+}
+
+// Reset returns an idle processor to the state NewCPU leaves it in,
+// scheduled under disc, keeping its pooled request records. Its probe
+// handles are taken afresh from the kernel's registry, so a Reset
+// kernel's processor is reset after the kernel's registry is attached.
+func (c *CPU) Reset(disc Discipline) {
+	clear(c.ready.reqs)
+	m := c.k.Metrics()
+	*c = CPU{
+		k: c.k, disc: disc, ready: cpuQueue{disc: disc, reqs: c.ready.reqs[:0]},
+		freeReqs: c.freeReqs, ties: c.ties,
 		mDispatch: m.Counter("cpu_dispatches_total", "CPU dispatches (service starts and resumptions)."),
 		mPreempt:  m.Counter("cpu_preemptions_total", "CPU preemptions of the running request."),
 		mBusy:     m.Counter("cpu_busy_ticks_total", "Virtual time of CPU service delivered."),

@@ -62,6 +62,8 @@ type Kernel struct {
 	budget  int
 	hooked  bool
 	idle    []chan *Proc
+	// keep holds the idle workers past the end of a run (KeepWorkers).
+	keep bool
 
 	current *Proc
 	parked  *Proc // head of the intrusive list of parked processes
@@ -207,8 +209,50 @@ func (k *Kernel) Emit(kind journal.Kind, tx int64, obj int32, a, b int64, note s
 func NewKernel() *Kernel {
 	// One slot: only the baton holder sends, and the receiver takes the
 	// baton before anyone can send again, so a sender never blocks.
-	return &Kernel{driver: make(chan *Proc, 1)}
+	k := &Kernel{driver: make(chan *Proc, 1)}
+	k.Reset()
+	return k
 }
+
+// Reset returns the kernel to the state NewKernel leaves it in — clock
+// and sequence at zero, no events, processes, journal, registry,
+// windows or chooser — keeping what it has pooled: fired events, wait
+// tokens, the choice scratch and, on a kernel that keeps its workers,
+// the idle worker goroutines. Pooled memory carries no run state, so a
+// run on a reset kernel is indistinguishable from one on a new kernel.
+// Processes spawned but not started are discarded with their start
+// events; a process that has started must have finished.
+func (k *Kernel) Reset() {
+	for e := k.events.popMin(); e != nil; e = k.events.popMin() {
+		if p := e.proc; p != nil && p.body != nil {
+			p.body, p.dead = nil, true
+			k.live--
+		}
+		k.recycle(e)
+	}
+	if k.live > 0 {
+		panic(fmt.Sprintf("sim: Reset with %d live processes", k.live))
+	}
+	k.now, k.seq = 0, 0
+	k.current, k.parked = nil, nil
+	k.nextPID = 0
+	k.horizon, k.budget, k.hooked = 0, 0, false
+	k.SetJournal(nil, 0)
+	k.SetMetrics(nil)
+	k.SetWindows(0, nil)
+	k.nextSample, k.flushedAt, k.atClose = 0, 0, false
+	k.chooser = nil
+}
+
+// KeepWorkers makes the kernel keep its idle worker goroutines when a
+// run returns instead of ending them, so the next run after a Reset
+// starts its processes on them. The owner must call Close once it is
+// done with the kernel.
+func (k *Kernel) KeepWorkers() { k.keep = true }
+
+// Close ends the idle worker goroutines a kernel that keeps its workers
+// holds; on any other kernel it has nothing to do.
+func (k *Kernel) Close() { k.releaseIdle() }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -224,13 +268,13 @@ func (k *Kernel) After(d Duration, fn func()) EventRef {
 	return k.schedule(k.now.Add(d), fn, nil, nil)
 }
 
-// AtOptional is At for an event the run does not wait for: it fires
-// only while other live events are pending. Once every pending event is
-// optional, the run ends and they are discarded unfired, so an event
-// that would do nothing cannot move the clock past the run's last real
-// work.
-func (k *Kernel) AtOptional(t Time, fn func()) EventRef {
-	r := k.schedule(t, fn, nil, nil)
+// AtOptional is AtCall for an event the run does not wait for: it
+// fires only while other live events are pending. Once every pending
+// event is optional, the run ends and they are discarded unfired, so an
+// event that would do nothing cannot move the clock past the run's last
+// real work.
+func (k *Kernel) AtOptional(t Time, call func(any), arg any) EventRef {
+	r := k.schedule(t, nil, call, arg)
 	r.e.optional = true
 	return r
 }
@@ -462,7 +506,8 @@ const (
 // drive runs the loop on the driver goroutine up to the given bound,
 // waiting out the stretches where a process goroutine holds the baton.
 // Before returning it makes every idle worker exit, so a kernel that is
-// dropped after Run leaves no goroutine behind.
+// dropped after Run leaves no goroutine behind, unless the kernel keeps
+// its workers for the next run (KeepWorkers).
 func (k *Kernel) drive(horizon Time, budget int) {
 	k.horizon, k.budget = horizon, budget
 	k.hooked = k.chooser != nil || k.sampleEvery > 0 || horizon != noHorizon || budget != noBudget
@@ -470,7 +515,9 @@ func (k *Kernel) drive(horizon Time, budget int) {
 		k.passTo(p)
 		<-k.driver
 	}
-	k.releaseIdle()
+	if !k.keep {
+		k.releaseIdle()
+	}
 }
 
 // Run dispatches events until none remain. It returns the final virtual

@@ -23,15 +23,23 @@ type Station struct {
 // NewStation returns a service center with the given number of servers
 // (0 = infinite, pure delay).
 func NewStation(k *Kernel, servers int) *Station {
-	s := &Station{k: k, servers: servers}
+	s := &Station{k: k}
+	s.Reset(servers)
+	return s
+}
+
+// Reset returns an idle station to the state NewStation leaves it in,
+// with the given number of servers. Like CPU.Reset it takes its probe
+// handles afresh from the kernel's registry.
+func (s *Station) Reset(servers int) {
+	*s = Station{k: s.k, servers: servers}
 	if servers > 0 {
-		s.sem = NewSemaphore(k, servers)
+		s.sem = NewSemaphore(s.k, servers)
 	}
-	m := k.Metrics()
+	m := s.k.Metrics()
 	s.mJobs = m.Counter("io_jobs_total", "I/O service requests accepted.")
 	s.mBusy = m.Counter("io_busy_ticks_total", "Virtual time of I/O service delivered.")
 	s.mInService = m.Gauge("io_in_service", "I/O requests being served or queued.")
-	return s
 }
 
 // Serve occupies one server for d, parking p while waiting and while

@@ -83,6 +83,13 @@ type Monitor struct {
 // NewMonitor returns an empty, uncapped monitor.
 func NewMonitor() *Monitor { return &Monitor{} }
 
+// Reset empties the monitor, keeping its record buffer, and sets the
+// raw-retention cap as SetMaxRaw does.
+func (m *Monitor) Reset(maxRaw int) {
+	*m = Monitor{records: m.records[:0]}
+	m.SetMaxRaw(maxRaw)
+}
+
 // SetMaxRaw caps raw TxRecord retention at n records (0 restores
 // unlimited retention): once n records are held, each Add overwrites the
 // oldest. The streaming aggregates are unaffected — only Records (and
@@ -345,9 +352,12 @@ type NetReport struct {
 	Sent int
 	// Delivered counts inter-site messages dispatched to a registered
 	// handler and synchronous hops that arrived; like Sent, it leaves
-	// intra-site messages out. A hop whose sender is aborted in flight is
-	// neither delivered nor lost.
+	// intra-site messages out.
 	Delivered int
+	// Aborted counts synchronous hops whose sender was aborted in
+	// flight (a deadline miss): neither delivered nor lost. Without
+	// duplicates, Sent = Delivered + Lost() + Aborted.
+	Aborted int
 	// DroppedNoHandler counts messages that arrived on a port with no
 	// handler registered.
 	DroppedNoHandler int
@@ -371,8 +381,8 @@ func (n NetReport) Lost() int {
 
 // String renders the report on one line.
 func (n NetReport) String() string {
-	return fmt.Sprintf("sent=%d delivered=%d lost=%d (nohandler=%d down=%d cut=%d fault=%d) dup=%d",
-		n.Sent, n.Delivered, n.Lost(),
+	return fmt.Sprintf("sent=%d delivered=%d aborted=%d lost=%d (nohandler=%d down=%d cut=%d fault=%d) dup=%d",
+		n.Sent, n.Delivered, n.Aborted, n.Lost(),
 		n.DroppedNoHandler, n.DroppedDown, n.DroppedCut, n.DroppedFault, n.Duplicated)
 }
 

@@ -49,13 +49,22 @@ const missHelp = "Transactions aborted at their deadline."
 // every one). An engine keeps the Lifecycle by value and uses it in
 // place.
 func NewLifecycle(k *sim.Kernel, tl *timeline.Collector, maxRaw int) Lifecycle {
-	l := Lifecycle{Monitor: stats.NewMonitor(), k: k, tl: tl}
-	l.Monitor.SetMaxRaw(maxRaw)
-	m := k.Metrics()
+	l := Lifecycle{Monitor: stats.NewMonitor(), k: k}
+	l.Reset(tl, maxRaw)
+	return l
+}
+
+// Reset returns the lifecycle to the state NewLifecycle leaves it in,
+// keeping its Monitor (emptied) and kernel, whose registry it takes the
+// series from afresh. A miss reason beyond the deadline is registered
+// again after it.
+func (l *Lifecycle) Reset(tl *timeline.Collector, maxRaw int) {
+	*l = Lifecycle{Monitor: l.Monitor, k: l.k, tl: tl}
+	l.Monitor.Reset(maxRaw)
+	m := l.k.Metrics()
 	l.mInflight = m.Gauge("txn_inflight", "Transactions between arrival and commit/abort.")
 	l.mCommits = m.Counter("txn_commits_total", "Transactions that committed by their deadline.")
 	l.deadline = miss{n: m.Counter("txn_deadline_misses_total", missHelp, metrics.L("reason", "deadline"))}
-	return l
 }
 
 // MissReason registers the miss reason beyond the deadline: a

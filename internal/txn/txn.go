@@ -169,34 +169,62 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.NewManager == nil {
 		return nil, errors.New("txn: Config.NewManager is required")
 	}
-	if cfg.CPUPerObj <= 0 {
-		return nil, fmt.Errorf("txn: CPUPerObj must be positive, got %d", cfg.CPUPerObj)
-	}
-	if cfg.CPUDiscipline == 0 {
-		cfg.CPUDiscipline = sim.PreemptivePriority
-	}
 	k := sim.NewKernel()
-	k.SetJournal(cfg.Journal, 0)
-	// Attach the registry before the CPU and I/O station are built:
-	// their constructors cache probe handles from it.
-	k.SetMetrics(cfg.Timeline.Probes())
-	k.SetWindows(cfg.Timeline.Window(), cfg.Timeline)
 	s := &System{
 		K:      k,
-		CPU:    sim.NewCPU(k, cfg.CPUDiscipline),
+		CPU:    sim.NewCPU(k, sim.PreemptivePriority),
 		Mgr:    cfg.NewManager(k),
 		Store:  db.NewStore(0),
 		Buffer: buffer.New(cfg.BufferPages),
 		IO:     sim.NewStation(k, cfg.IODisks),
-		cfg:    cfg,
+		life:   NewLifecycle(k, nil, 0),
 	}
-	s.life = NewLifecycle(k, cfg.Timeline, cfg.MaxRawRecords)
 	s.Monitor = s.life.Monitor
-	s.mRestarts = k.Metrics().Counter("txn_restarts_total", "Attempt restarts (wounds, deadlock victims, conditional aborts).")
-	if cfg.WAL {
-		s.Log = wal.NewLog()
+	if err := s.Reset(cfg); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// Reset returns the system to the state NewSystem(cfg) leaves it in,
+// ready for a new load, keeping what it has built and grown: the
+// kernel and its idle workers, the processor, the I/O station, the
+// store, the log, the Monitor's records, the pooled runs and
+// transaction states, and the lock manager and buffer pool NewSystem
+// made, which are emptied rather than rebuilt (cfg.NewManager and
+// cfg.BufferPages are read at construction only). The previous load
+// must have run to completion.
+func (s *System) Reset(cfg Config) error {
+	if cfg.CPUPerObj <= 0 {
+		return fmt.Errorf("txn: CPUPerObj must be positive, got %d", cfg.CPUPerObj)
+	}
+	if cfg.CPUDiscipline == 0 {
+		cfg.CPUDiscipline = sim.PreemptivePriority
+	}
+	k := s.K
+	k.Reset()
+	k.SetJournal(cfg.Journal, 0)
+	// Attach the registry before the CPU, the I/O station and the
+	// manager are reset: they take their probe handles from it.
+	k.SetMetrics(cfg.Timeline.Probes())
+	k.SetWindows(cfg.Timeline.Window(), cfg.Timeline)
+	s.CPU.Reset(cfg.CPUDiscipline)
+	s.Mgr.Reset()
+	s.IO.Reset(cfg.IODisks)
+	s.Store.Reset()
+	s.Buffer.Reset()
+	s.life.Reset(cfg.Timeline, cfg.MaxRawRecords)
+	s.mRestarts = k.Metrics().Counter("txn_restarts_total", "Attempt restarts (wounds, deadlock victims, conditional aborts).")
+	switch {
+	case !cfg.WAL:
+		s.Log = nil
+	case s.Log == nil:
+		s.Log = wal.NewLog()
+	default:
+		s.Log.Reset()
+	}
+	s.cfg = cfg
+	return nil
 }
 
 // Load schedules the transactions' arrivals and, with a write-ahead log

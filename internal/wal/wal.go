@@ -76,6 +76,16 @@ func NewLog() *Log {
 	return &Log{snapshot: make(map[core.ObjectID]int64), decisions: make(map[int64]bool)}
 }
 
+// Reset empties the log to the state NewLog leaves it in, keeping its
+// buffers.
+func (l *Log) Reset() {
+	clear(l.records)
+	clear(l.votes)
+	clear(l.decisions)
+	clear(l.snapshot)
+	*l = Log{records: l.records[:0], votes: l.votes[:0], decisions: l.decisions, snapshot: l.snapshot}
+}
+
 // AppendVote forces a participant's yes-vote to the log and returns its
 // LSN. It is idempotent per transaction: a duplicate prepare re-votes
 // without writing a second record.

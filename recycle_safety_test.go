@@ -39,7 +39,12 @@ func TestRecycleAliasingSafety(t *testing.T) {
 			return res.Journal.HashString(), nil
 		}
 	}
-	hashDist := func(cfg DistributedConfig) func() (string, error) {
+	// hashDist also checks that the run committed at least minCommit of
+	// its transactions. The audit shapes below miss most of theirs at
+	// the facade's default load, so they check the abort path; the
+	// commit shapes, at one-second inter-arrivals and slack 20–30, check
+	// quorum and 2PC rounds that run to completion.
+	hashDist := func(cfg DistributedConfig, minCommit float64) func() (string, error) {
 		return func() (string, error) {
 			res, err := RunDistributed(cfg)
 			if err != nil {
@@ -48,8 +53,14 @@ func TestRecycleAliasingSafety(t *testing.T) {
 			if len(res.Violations) > 0 {
 				return "", fmt.Errorf("violations: %v", res.Violations)
 			}
+			if sum := res.Summary; float64(sum.Committed) < minCommit*float64(sum.Processed) {
+				return "", fmt.Errorf("committed %d of %d, want at least %g of them", sum.Committed, sum.Processed, minCommit)
+			}
 			return res.Journal.HashString(), nil
 		}
+	}
+	committing := func(count int, locality float64) WorkloadConfig {
+		return WorkloadConfig{Count: count, LocalityProb: locality, MeanInterarrival: Second, SlackMin: 20, SlackMax: 30}
 	}
 	// Deliberately different workload sizes and protocols, so pooled
 	// objects are handed between runs whose slices have different
@@ -62,13 +73,19 @@ func TestRecycleAliasingSafety(t *testing.T) {
 		{"single/DD/journal/50", hashRun(SingleSiteConfig{Protocol: TwoPLDetect, Journal: true,
 			Workload: WorkloadConfig{Count: 50}})},
 		{"dist/local/audit/40", hashDist(DistributedConfig{Audit: true, Journal: true,
-			Workload: WorkloadConfig{Count: 40}})},
+			Workload: WorkloadConfig{Count: 40}}, 0)},
 		{"dist/global/audit/30", hashDist(DistributedConfig{Global: true, Audit: true, Journal: true,
-			Workload: WorkloadConfig{Count: 30}})},
+			Workload: WorkloadConfig{Count: 30}}, 0)},
 		{"dist/shard/audit/45", hashDist(DistributedConfig{Placement: "shard", Sites: 4, Audit: true, Journal: true,
-			Workload: WorkloadConfig{Count: 45, LocalityProb: 0.5}})},
+			Workload: WorkloadConfig{Count: 45, LocalityProb: 0.5}}, 0)},
 		{"dist/quorum/audit/35", hashDist(DistributedConfig{Placement: "quorum", Sites: 4, Audit: true, Journal: true,
-			Workload: WorkloadConfig{Count: 35, LocalityProb: 0.5}})},
+			Workload: WorkloadConfig{Count: 35, LocalityProb: 0.5}}, 0)},
+		{"dist/global/commit/30", hashDist(DistributedConfig{Global: true, Audit: true, Journal: true,
+			Workload: committing(30, 0)}, 0.9)},
+		{"dist/shard/commit/45", hashDist(DistributedConfig{Placement: "shard", Sites: 4, Audit: true, Journal: true,
+			Workload: committing(45, 0.5)}, 0.9)},
+		{"dist/quorum/commit/35", hashDist(DistributedConfig{Placement: "quorum", Sites: 4, Audit: true, Journal: true,
+			Workload: committing(35, 0.5)}, 0.9)},
 		// Site 1 crashes with transactions homed there registered at
 		// other sites' managers, which evict them: states that must
 		// never go back to the cluster's pool.
