@@ -124,8 +124,8 @@ func TestDistributedRunAllocGate(t *testing.T) {
 // auditors and journal — that it resets between schedules instead of
 // rebuilding, so a schedule pays for what is new in it: its processes,
 // the journal-only process names, its decision trace and its outcome.
-// These runs measure 69–95 allocations (71–111 under -race) and
-// 7.7–9.2 KB per schedule, rig construction amortized over the sixty;
+// These runs measure 69–77 allocations (71–80 under -race) and
+// 7.7–9.0 KB per schedule, rig construction amortized over the sixty;
 // each case's count is capped at about 1.25x its measurement and the
 // bytes at 11 KB. A rig part
 // rebuilt per schedule again (a lock manager, an auditor set, the
@@ -141,7 +141,7 @@ func TestExploreScheduleAllocGate(t *testing.T) {
 	}{
 		{"single/HP", ExploreConfig{Protocol: TwoPLHighPriority}, 86},
 		{"single/C", ExploreConfig{Protocol: Ceiling}, 88},
-		{"faults-local", ExploreConfig{Faults: true}, 118},
+		{"faults-local", ExploreConfig{Faults: true}, 96},
 	} {
 		cfg := tc.cfg
 		cfg.Seed = 1

@@ -6,7 +6,26 @@
 //
 //	rtdbsim -experiment fig2            # any figure name -h lists, or all
 //	rtdbsim -experiment fig3 -runs 3 -count 200 -csv
+//	rtdbsim -experiment fig4,fig5,fig6  # one sweep: shared cells run once
 //	rtdbsim -experiment custom -protocol C -size 12 -runs 5
+//
+// A figure runs on its family's built-in setting, or with -spec on the
+// spec's run config: each cell then sets only what its row varies (its
+// x axis, its series and the row's stated constants), and the run
+// schedule stays the -runs, -count, -seed and -audit of the command
+// line. The placement site sweep and the graceful-degradation sweep
+// under generated fault plans are figures like the others:
+//
+//	rtdbsim -experiment fig2,fig3 -spec base.json
+//	rtdbsim -experiment sites-throughput,sites-missed,consistency-tax -audit
+//	rtdbsim -experiment sites-missed -spec examples/specs/sitesweep.json
+//	rtdbsim -experiment faultsweep -audit
+//
+// Without -experiment, -spec runs the spec itself; a distributed spec's
+// "faults" key runs it under deterministic fault injection (site
+// crashes, message loss, partitions):
+//
+//	rtdbsim -spec examples/specs/distributed-faults.json -audit
 //
 // Two subcommands wrap the deterministic replay journal:
 //
@@ -15,14 +34,7 @@
 //	rtdbsim replay -protocol C -runs 3         # prove byte-identical journals
 //	rtdbsim replay -spec run.json -against saved.jsonl
 //
-// A distributed spec's "faults" key runs it under deterministic fault
-// injection (site crashes, message loss, partitions); a third
-// subcommand sweeps generated fault plans by severity:
-//
-//	rtdbsim -spec examples/specs/distributed-faults.json -audit
-//	rtdbsim faults -severities 0,0.5,1 -runs 4 -count 120
-//
-// A fourth rolls a run into virtual-time windows and exports the
+// A third rolls a run into virtual-time windows and exports the
 // deterministic observability bundle (Prometheus exposition, the
 // registry's CSV time series, the window rows as CSV and JSONL, folded
 // blocking-chain stacks, HTML report):
@@ -36,20 +48,12 @@
 // The bounded-memory million-transaction soak with arrival bursts is
 // -experiment longrun.
 //
-// A fifth explores the schedule space: alternative scheduling decisions
+// A fourth explores the schedule space: alternative scheduling decisions
 // instead of the single canonical order, every explored schedule
 // audited, violations shrunk to minimal decision traces:
 //
 //	rtdbsim explore -protocol C -schedules 64 -minimize
 //	rtdbsim explore -all -jsonl verdict.jsonl -minout counterexamples
-//
-// A sixth sweeps the data-placement spectrum (full replication,
-// primary-copy sharding, quorum replication, uncoordinated primary-only)
-// across site counts and prices each coordinated policy's consistency
-// tax against the no-2PC baseline:
-//
-//	rtdbsim sitesweep -sites 1,2,4,8,16 -audit
-//	rtdbsim sitesweep -policies shard,quorum,primary -json
 //
 // Every command also takes -cpuprofile and -memprofile, written when it
 // returns and read with go tool pprof, and -exectrace, an execution
@@ -291,16 +295,14 @@ func writeAllocsProfile(path string) error {
 // subcommands is the dispatch table; run rejects anything else that
 // does not look like a flag.
 var subcommands = map[string]func([]string) error{
-	"audit":     runAudit,
-	"replay":    runReplay,
-	"faults":    runFaults,
-	"metrics":   runMetrics,
-	"explore":   runExplore,
-	"sitesweep": runSiteSweep,
+	"audit":   runAudit,
+	"replay":  runReplay,
+	"metrics": runMetrics,
+	"explore": runExplore,
 }
 
 func subcommandNames() []string {
-	return []string{"audit", "replay", "faults", "metrics", "explore", "sitesweep"}
+	return []string{"audit", "replay", "metrics", "explore"}
 }
 
 func run(args []string) (err error) {
@@ -319,7 +321,7 @@ func run(args []string) (err error) {
 	}
 	fs := flag.NewFlagSet("rtdbsim", flag.ContinueOnError)
 	var (
-		experiment = fs.String("experiment", "all", "which experiment: "+strings.Join(experimentNames(), ", "))
+		experiment = fs.String("experiment", "all", "which experiments, comma-separated: "+strings.Join(experimentNames(), ", "))
 		runs       = fs.Int("runs", 0, "override runs per point (0 keeps the default)")
 		count      = fs.Int("count", 0, "override transactions per run (0 keeps the default)")
 		seed       = fs.Int64("seed", 1, "base random seed")
@@ -328,8 +330,7 @@ func run(args []string) (err error) {
 		outDir     = fs.String("out", "", "also write <name>.txt and <name>.csv per figure into this directory")
 		protocol   = registerProtocol(fs, "custom, longrun:")
 		size       = fs.Int("size", 10, "custom: mean transaction size")
-		spec       = fs.String("spec", "", "run a JSON specification file instead of a named experiment")
-		placeFlag  = fs.String("placement", "", "with -spec (distributed): override the data placement policy full|shard|quorum|primary")
+		spec       = fs.String("spec", "", "run a JSON specification file; with -experiment, run the named figures on its run config")
 		trace      = fs.Int("trace", 0, "with -spec (single): print up to N transaction-level journal records")
 		auditRuns  = fs.Bool("audit", false, "check every run with its invariant auditors and fail on violations")
 		metricsDir = fs.String("metrics", "", "with -spec: sample virtual-time metrics and export the bundle into this directory")
@@ -338,7 +339,9 @@ func run(args []string) (err error) {
 		return err
 	}
 
-	if *spec != "" {
+	explicit := false
+	fs.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "experiment" })
+	if *spec != "" && !explicit {
 		s, err := rtlock.LoadSpec(*spec)
 		if err != nil {
 			return err
@@ -348,12 +351,6 @@ func run(args []string) (err error) {
 				return usagef("-trace requires a single spec, got a distributed one")
 			}
 			s.Single.TraceEvents = *trace
-		}
-		if *placeFlag != "" {
-			if s.Distributed == nil {
-				return usagef("-placement %q requires a distributed spec, got a single one", *placeFlag)
-			}
-			s.Distributed.Placement = *placeFlag
 		}
 		k := knobs(s)
 		*k.audit = *k.audit || *auditRuns
@@ -380,16 +377,39 @@ func run(args []string) (err error) {
 		return nil
 	}
 
-	want := strings.ToLower(*experiment)
-	if !slices.Contains(experimentNames(), want) {
-		return usagef("unknown experiment %q (want one of %s)", *experiment, strings.Join(experimentNames(), ", "))
+	names := strings.Split(strings.ToLower(*experiment), ",")
+	for _, name := range names {
+		if !slices.Contains(experimentNames(), name) {
+			return usagef("unknown experiment %q (want one of %s)", name, strings.Join(experimentNames(), ", "))
+		}
+	}
+	want := names[0]
+	mode := "with -experiment " + want
+	for _, alone := range []string{"all", "custom", "longrun"} {
+		switch {
+		case len(names) > 1 && slices.Contains(names, alone):
+			return usagef("-experiment %s runs alone, not in a list", alone)
+		case *spec != "" && want == alone:
+			return usagef("-spec does nothing %s: name the figures to run on it", mode)
+		}
+	}
+	if err := ignored(fs, mode, "trace", "metrics"); err != nil {
+		return err
 	}
 	p := experiments.DefaultParams()
 	for _, s := range []*experiments.Schedule{&p.Single.Schedule, &p.Dist.Schedule, &p.SiteSweep.Schedule, &p.Faults.Schedule} {
 		setSchedule(s, *seed, *auditRuns, *runs, *count)
 	}
-	mode := "with -experiment " + want
-	names := []string{want}
+	if *spec != "" {
+		s, err := rtlock.LoadSpec(*spec)
+		if err != nil {
+			return err
+		}
+		p.Base = *s
+		if err := p.Check(names...); err != nil {
+			return &usageError{fmt.Errorf("%s: %w", *spec, err)}
+		}
+	}
 	switch want {
 	case "custom":
 		if err := ignored(fs, mode, "plot", "out", "csv"); err != nil {
@@ -424,7 +444,7 @@ func run(args []string) (err error) {
 		names = experiments.Names(experiments.InAll)
 	}
 	// One sweep for the whole request: figures that plot the same cells
-	// (fig2/fig3, fig4/5/6) run them once.
+	// (fig2/fig3, fig4/5/6, the site sweep's three) run them once.
 	sw := experiments.NewSweep(p)
 	for _, name := range names {
 		f, err := sw.Figure(name)

@@ -218,6 +218,13 @@ func TestExitCodes(t *testing.T) {
 		{"audit help", []string{"audit", "-h"}, 0},
 		{"unknown subcommand", []string{"bogus"}, 2},
 		{"timeline subcommand", []string{"timeline", "-count", "20"}, 2},
+		{"sitesweep subcommand", []string{"sitesweep", "-sites", "1,2", "-runs", "1", "-count", "20"}, 2},
+		{"faults subcommand", []string{"faults", "-severities", "0", "-runs", "1", "-count", "20"}, 2},
+		{"all with spec", []string{"-experiment", "all", "-spec", "../../examples/specs/sitesweep.json"}, 2},
+		{"fig4 on single spec", []string{"-experiment", "fig4", "-spec", "../../examples/specs/single-ceiling.json"}, 2},
+		{"longrun with spec", []string{"-experiment", "longrun", "-count", "20", "-spec", "../../examples/specs/single-ceiling.json"}, 2},
+		{"faultsweep on fault plan", []string{"-experiment", "faultsweep", "-runs", "1", "-count", "20", "-spec", "../../examples/specs/distributed-faults.json"}, 2},
+		{"list with all", []string{"-experiment", "fig2,all"}, 2},
 		{"unknown flag", []string{"-bogus"}, 2},
 		{"unknown experiment", []string{"-experiment", "nope"}, 2},
 		{"stray positional", []string{"-experiment", "custom", "stray"}, 2},

@@ -12,18 +12,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"rtlock/internal/experiments"
 )
 
 // Spec is a complete run description: the run config its JSON document
 // selects by "mode" ("single" or "distributed"), exactly one of them
 // set. The document's other keys are the config's json tags, durations
-// in milliseconds; a key the config does not declare is an error.
-type Spec struct {
-	// Single is the single-site run (the setting of Figures 2–3).
-	Single *SingleSiteConfig
-	// Distributed is the distributed run (the setting of Figures 4–6).
-	Distributed *DistributedConfig
-}
+// in milliseconds; a key the config does not declare is an error. A
+// Spec is also the base a figure sweep starts its cells from
+// (`rtdbsim -experiment <names> -spec`).
+type Spec = experiments.Spec
 
 // ParseSpec decodes and validates a JSON run specification.
 func ParseSpec(data []byte) (*Spec, error) {
@@ -77,15 +76,4 @@ func LoadSpec(path string) (*Spec, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
-}
-
-// Run executes the specification.
-func (s *Spec) Run() (*Result, error) {
-	switch {
-	case s.Single != nil:
-		return RunSingleSite(*s.Single)
-	case s.Distributed != nil:
-		return RunDistributed(*s.Distributed)
-	}
-	return nil, fmt.Errorf("rtlock: spec selects no run config")
 }

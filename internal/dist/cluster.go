@@ -258,6 +258,9 @@ type site struct {
 	own       *core.Ceiling
 	restarts  []*core.Ceiling
 	restarted int
+	// installNames are the journal-only installer names by origin
+	// transaction id, built as updates arrive (see installName).
+	installNames []string
 }
 
 // use consumes d of service demand on the site's processor, scaled by

@@ -142,10 +142,13 @@ func TestSingleSiteOracleJournal(t *testing.T) {
 // (cost of 2n transactions − cost of n) ÷ n, so what the two engines
 // spend on construction cancels; n is large enough that the cluster's
 // bounded replica histories (versionsKept) have mostly filled by then,
-// so their growth cancels too.
+// so their growth cancels too. Each run's cost is the least of three
+// repetitions: a run reads ±1 allocation over the 4 000 transactions
+// (the runtime's, not the engines'), enough to flip the strict
+// comparison of two equal costs.
 func TestOneSiteAllocParity(t *testing.T) {
-	sa, sb := marginalCost(t, runSingle)
-	ca, cb := marginalCost(t, func(load []*workload.Txn) error {
+	sa, sb := marginalCost(t, 3, runSingle)
+	ca, cb := marginalCost(t, 3, func(load []*workload.Txn) error {
 		c, err := NewCluster(Config{Mode: Local, Sites: 1, Objects: 200, CPUPerObj: parityCPU})
 		if err != nil {
 			return err
@@ -170,7 +173,7 @@ func TestOneSiteAllocParity(t *testing.T) {
 // one allocation is the lock table's and the pools' growth with a longer
 // run (1.02 at this size).
 func TestSystemMarginalAllocs(t *testing.T) {
-	a, b := marginalCost(t, runSingle)
+	a, b := marginalCost(t, 1, runSingle)
 	t.Logf("per transaction: txn.System %.3f allocs, %.0f B", a, b)
 	if a > 1.1 {
 		t.Errorf("txn.System allocates %.3f times per transaction, want <= 1.1", a)
@@ -214,22 +217,34 @@ func runSingle(load []*workload.Txn) error {
 	return nil
 }
 
-// marginalCost is run's cost per transaction on the parity load.
-func marginalCost(t *testing.T, run func([]*workload.Txn) error) (allocs, bytes float64) {
+// marginalCost is run's cost per transaction on the parity load, each
+// run's cost the least of reps repetitions.
+func marginalCost(t *testing.T, reps int, run func([]*workload.Txn) error) (allocs, bytes float64) {
 	t.Helper()
 	loads := parityLoads(t)
-	return marginal(t, loads[parityN], loads[2*parityN], run)
+	return marginal(t, loads[parityN], loads[2*parityN], reps, run)
 }
 
 // marginal is run's cost per transaction between a load of n
 // transactions and one of 2n: (cost of 2n − cost of n) ÷ n, in
-// allocations and bytes.
-func marginal(t *testing.T, short, long []*workload.Txn, run func([]*workload.Txn) error) (allocs, bytes float64) {
+// allocations and bytes, each cost the least of reps runs.
+func marginal(t *testing.T, short, long []*workload.Txn, reps int, run func([]*workload.Txn) error) (allocs, bytes float64) {
 	t.Helper()
 	n := len(long) - len(short)
-	a1, b1 := runCost(t, short, run)
-	a2, b2 := runCost(t, long, run)
+	a1, b1 := minCost(t, short, reps, run)
+	a2, b2 := minCost(t, long, reps, run)
 	return float64(a2-a1) / float64(n), float64(b2-b1) / float64(n)
+}
+
+// minCost is the least allocations and the least bytes of reps runCosts.
+func minCost(t *testing.T, load []*workload.Txn, reps int, run func([]*workload.Txn) error) (allocs, bytes uint64) {
+	t.Helper()
+	allocs, bytes = runCost(t, load, run)
+	for range reps - 1 {
+		a, b := runCost(t, load, run)
+		allocs, bytes = min(allocs, a), min(bytes, b)
+	}
+	return allocs, bytes
 }
 
 // TestClusterMarginalAllocs gates what each mode's cluster spends per
@@ -272,7 +287,7 @@ func TestClusterMarginalAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		a, b := marginal(t, loads[0], loads[1], func(load []*workload.Txn) error {
+		a, b := marginal(t, loads[0], loads[1], 1, func(load []*workload.Txn) error {
 			c, err := NewCluster(cfg)
 			if err != nil {
 				return err

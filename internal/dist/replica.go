@@ -170,11 +170,32 @@ func (c *Cluster) registerInstallHandlers() {
 			}
 			name := ""
 			if c.K.Journal() != nil {
-				name = fmt.Sprintf("install-%d@%d", msg.origin, s.id)
+				name = s.installName(msg.origin)
 			}
 			c.K.Spawn(name, c.newInstaller(s, msg).body)
 		})
 	}
+}
+
+// installNamesCached bounds the transaction ids whose installer names a
+// site keeps: a generated load numbers its transactions densely from
+// zero, a hand-made one may not.
+const installNamesCached = 1 << 16
+
+// installName is the journal-only name of the installer of origin's
+// update at s. The site builds each name once and keeps it across
+// resets, so a rig rerunning one load builds none.
+func (s *site) installName(origin int64) string {
+	if origin < 0 || origin >= installNamesCached {
+		return fmt.Sprintf("install-%d@%d", origin, s.id)
+	}
+	if n := int(origin) + 1; n > len(s.installNames) {
+		s.installNames = append(s.installNames, make([]string, n-len(s.installNames))...)
+	}
+	if s.installNames[origin] == "" {
+		s.installNames[origin] = fmt.Sprintf("install-%d@%d", origin, s.id)
+	}
+	return s.installNames[origin]
 }
 
 // install applies one replicated update at a secondary site. The

@@ -19,7 +19,8 @@ func TestAuditFlagSingleSite(t *testing.T) {
 	p.Scale(0.25, 1)
 	p.Audit = true
 	for _, proto := range []Protocol{core.ProtoCeiling, core.ProtoTwoPLHP, core.ProtoTwoPLDD} {
-		if _, err := NewSweep(Params{Single: p}).runs(p.cell(proto, 12)); err != nil {
+		q := Params{Single: p}
+		if _, err := NewSweep(q).runs(q.single(proto, bySize, 12)); err != nil {
 			t.Errorf("%s: %v", proto, err)
 		}
 	}
@@ -30,7 +31,8 @@ func TestAuditFlagDistributed(t *testing.T) {
 	p.Scale(0.25, 1)
 	p.Audit = true
 	for _, mode := range []dist.Mode{dist.Global, dist.Local} {
-		if _, err := NewSweep(Params{Dist: p}).runs(p.cell(mode, 0.5, 2)); err != nil {
+		q := Params{Dist: p}
+		if _, err := NewSweep(q).runs(q.paper(mode, 0.5, 2)); err != nil {
 			t.Errorf("%s: %v", mode, err)
 		}
 	}
@@ -42,7 +44,8 @@ func TestAuditFlagUnknownProtocol(t *testing.T) {
 	p := DefaultSingleSite()
 	p.Scale(0.25, 1)
 	p.Audit = true
-	if _, err := NewSweep(Params{Single: p}).runs(p.cell("nope", 12)); err == nil ||
+	q := Params{Single: p}
+	if _, err := NewSweep(q).runs(q.single("nope", bySize, 12)); err == nil ||
 		!strings.Contains(err.Error(), "unknown protocol") {
 		t.Errorf("want unknown-protocol error, got %v", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rtlock/internal/core"
-	"rtlock/internal/place"
 	"rtlock/internal/sim"
 )
 
@@ -28,8 +27,8 @@ func ManagerFor(p Protocol) (func(*sim.Kernel) core.Manager, sim.Discipline, err
 
 // Schedule is how every cell of a family is run: Runs independent runs
 // of Count transactions, run r seeded BaseSeed + r·7919. The system, the
-// database and the load are the run configs' documented defaults (the
-// paper's setting); a family adds only what its figures vary.
+// database and the rest of the load are the base's (Params.Base, else the
+// family's built-in setting); a family adds only what its figures vary.
 type Schedule struct {
 	Count    int // transactions per run
 	Runs     int // independent runs averaged per point
@@ -47,10 +46,10 @@ func (s *Schedule) Scale(countFrac float64, runs int) {
 }
 
 // SingleSiteParams configures the single-site experiments (Figures 2–3):
-// SingleSiteConfig's defaults, a database of 200 objects under an
-// arrival rate that saturates both CPU and I/O when the mean size
-// reaches 20, with the transaction size swept up to 10% of the database
-// so conflicts are frequent.
+// a database of 200 objects under an arrival rate that saturates both
+// CPU and I/O when the mean size reaches 20, with the transaction size
+// swept up to 10% of the database so conflicts are frequent. The base is
+// SingleSiteConfig's defaults.
 type SingleSiteParams struct {
 	Schedule
 	Sizes []int
@@ -65,10 +64,10 @@ func DefaultSingleSite() SingleSiteParams {
 }
 
 // DistParams configures the distributed experiments (Figures 4–6):
-// DistributedConfig's defaults, three fully interconnected sites over a
-// memory-resident database, with the transaction mix and the
-// communication delay swept. Delays are in "time units" of the
-// per-object CPU cost.
+// three fully interconnected sites over a memory-resident database, with
+// the transaction mix and the communication delay swept. Delays are in
+// "time units" of the per-object CPU cost. The base is
+// DistributedConfig's defaults.
 type DistParams struct {
 	Schedule
 	// Mixes is the swept fraction of read-only transactions.
@@ -90,48 +89,32 @@ func DefaultDistributed() DistParams {
 }
 
 // SiteSweepParams configures the placement site-count sweep: every
-// placement policy of internal/place is run at every site count with a
-// locality-skewed workload, and each coordinated policy is compared
-// against the uncoordinated primary-only baseline to price its
-// consistency tax.
+// placement policy of internal/place is run at every site count, and each
+// coordinated policy is compared against the uncoordinated primary-only
+// baseline to price its consistency tax. The built-in base is a
+// locality-skewed 50/50 mix over 240 objects (siteBase in cells.go);
+// the locality, the mix and the quorum sizes are the base's keys.
 type SiteSweepParams struct {
 	Schedule
 	// Sites is the swept cluster-size axis (default {1, 2, 4, 8, 16}).
 	Sites []int
-	// Policies selects the placement policies (default all four).
-	Policies []place.Policy
-	// LocalityProb biases each access of the placement workloads toward
-	// the transaction's home shard (full replication keeps the paper's
-	// home-partition write sets instead; locality is meaningless when
-	// every site holds every object).
-	LocalityProb float64
-	// ReadOnlyFrac is the transaction mix.
-	ReadOnlyFrac float64
-	// Replicas, ReadQuorum, WriteQuorum parameterize the quorum policy
-	// (zero takes the cluster defaults: K=min(3,sites), majority R,
-	// minimal intersecting W).
-	Replicas, ReadQuorum, WriteQuorum int
 }
 
 // DefaultSiteSweep returns the calibrated site-sweep configuration.
 func DefaultSiteSweep() SiteSweepParams {
 	return SiteSweepParams{
-		Schedule:     Schedule{Count: 300, Runs: 8, BaseSeed: 1},
-		Sites:        []int{1, 2, 4, 8, 16},
-		Policies:     place.Policies(),
-		LocalityProb: 0.7,
-		ReadOnlyFrac: 0.5,
+		Schedule: Schedule{Count: 300, Runs: 8, BaseSeed: 1},
+		Sites:    []int{1, 2, 4, 8, 16},
 	}
 }
 
 // FaultParams configures the graceful-degradation sweep: the Figures 4–6
-// setting (a 50/50 mix at delay 2) rerun under generated fault plans of
-// increasing severity. Severity 0 is the fault-free baseline; each
-// higher point crashes more sites for longer and loses, duplicates, and
-// delays more messages.
+// setting (a 50/50 mix at delay 2 over 3 sites, faultBase in cells.go)
+// rerun under generated fault plans of increasing severity. Severity 0 is
+// the fault-free baseline; each higher point crashes more sites for
+// longer and loses, duplicates, and delays more messages.
 type FaultParams struct {
 	Schedule
-	Sites int // cluster size (default 3)
 	// Severities is the swept fault severity in [0, 1].
 	Severities []float64
 }
@@ -140,22 +123,28 @@ type FaultParams struct {
 func DefaultFaults() FaultParams {
 	return FaultParams{
 		Schedule:   Schedule{Count: 300, Runs: 8, BaseSeed: 1},
-		Sites:      3,
 		Severities: []float64{0, 0.25, 0.5, 0.75, 1},
 	}
 }
 
 // Params is the configuration handed to a Sweep: one parameter set per
-// experiment family. A figure reads only its own family's set, so a
-// caller after one figure fills one field.
+// experiment family, and the base every cell starts from. A figure reads
+// only its own family's set, so a caller after one figure fills one
+// field.
 type Params struct {
 	Single    SingleSiteParams
 	Dist      DistParams
 	SiteSweep SiteSweepParams
 	Faults    FaultParams
+	// Base, when it sets a config, is the run every cell of a figure of
+	// its mode starts from, in place of the family's built-in setting: a
+	// cell sets only what its row varies. Neither config set keeps each
+	// family's own. Cells share the config by pointer, so it must not
+	// change while a sweep runs; Check names the keys it may not set.
+	Base Spec
 }
 
 // DefaultParams returns the calibrated configuration of every family.
 func DefaultParams() Params {
-	return Params{DefaultSingleSite(), DefaultDistributed(), DefaultSiteSweep(), DefaultFaults()}
+	return Params{Single: DefaultSingleSite(), Dist: DefaultDistributed(), SiteSweep: DefaultSiteSweep(), Faults: DefaultFaults()}
 }

@@ -510,6 +510,26 @@ func RunDistributed(cfg DistributedConfig) (*Result, error) {
 	return runDistributed(cfg, mode, true)
 }
 
+// Spec is a complete run description: one of the two run configs, the
+// other nil.
+type Spec struct {
+	// Single is the single-site run (the setting of Figures 2–3).
+	Single *SingleSiteConfig
+	// Distributed is the distributed run (the setting of Figures 4–6).
+	Distributed *DistributedConfig
+}
+
+// Run executes the specification.
+func (s *Spec) Run() (*Result, error) {
+	switch {
+	case s.Single != nil:
+		return RunSingleSite(*s.Single)
+	case s.Distributed != nil:
+		return RunDistributed(*s.Distributed)
+	}
+	return nil, fmt.Errorf("rtlock: spec selects no run config")
+}
+
 // runSingleSite checks, assembles and runs the single-site system cfg
 // describes, taking every field as it is. With records the Result
 // carries the monitor's per-transaction records; a caller that reads

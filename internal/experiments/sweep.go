@@ -32,6 +32,9 @@ func Run(name string, p Params) (Figure, error) {
 
 // Figure evaluates the named row of the table.
 func (sw *Sweep) Figure(name string) (Figure, error) {
+	if err := sw.p.Check(name); err != nil {
+		return Figure{}, err
+	}
 	r, err := lookup(name)
 	if err != nil {
 		return Figure{}, err
@@ -121,7 +124,8 @@ func (sw *Sweep) runs(c cell) ([]*Result, error) {
 // RunCustom executes one configuration for the CLI's -experiment custom
 // mode; several runs total the counts and average everything else.
 func RunCustom(p SingleSiteParams, proto Protocol, size int) (stats.Summary, error) {
-	outs, err := NewSweep(Params{Single: p}).runs(p.cell(proto, size))
+	q := Params{Single: p}
+	outs, err := NewSweep(q).runs(q.single(proto, bySize, float64(size)))
 	if err != nil {
 		return stats.Summary{}, err
 	}

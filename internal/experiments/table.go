@@ -8,7 +8,6 @@ import (
 	"rtlock/internal/core"
 	"rtlock/internal/dist"
 	"rtlock/internal/place"
-	"rtlock/internal/sim"
 	"rtlock/internal/workload"
 )
 
@@ -27,12 +26,22 @@ const (
 // Sweep does the rest, so adding an experiment is adding a row.
 type row struct {
 	Figure
-	set Set
+	set  Set
+	kind rowKind
 	// pct marks an x axis of fractions plotted as percentages.
 	pct    bool
 	xs     func(p *Params) []float64
 	series func(p *Params) []series
 }
+
+// rowKind is the mode of a row's cells, which a base spec must share.
+type rowKind int
+
+const (
+	singleRow rowKind = iota
+	distRow
+	faultRow // distributed, each run under a fault plan of its own
+)
 
 // series is one curve: the cell at x and the metric whose mean±std over
 // the cell's runs is the point. A derived series also names a reference
@@ -119,29 +128,16 @@ func each[T any](items []T, one func(T) series) []series {
 }
 
 // perProto plots y with one series per named protocol (default: the
-// paper's C, P and L); at sets x on the paper-setting cell.
-func perProto(y metric, at func(c *singleCell, x float64), protos ...Protocol) func(p *Params) []series {
+// paper's C, P and L), swept as sw.
+func perProto(y metric, sw sweep, protos ...Protocol) func(p *Params) []series {
 	if protos == nil {
 		protos = []Protocol{core.ProtoCeiling, core.ProtoTwoPLPrio, core.ProtoTwoPL}
 	}
 	return func(p *Params) []series {
 		return each(protos, func(proto Protocol) series {
-			return series{label: string(proto), y: y, cell: func(x float64) cell {
-				c := p.Single.cell(proto, 0)
-				at(&c, x)
-				return c
-			}}
+			return series{label: string(proto), y: y, cell: func(x float64) cell { return p.single(proto, sw, x) }}
 		})
 	}
-}
-
-// size is the x axis of the figures that sweep transaction size.
-func size(c *singleCell, x float64) { c.size = int(x) }
-
-// cell is one of the paper's two architectures at a mix and a
-// communication delay in units of the per-object CPU cost.
-func (p DistParams) cell(mode dist.Mode, mix, delayUnits float64) distCell {
-	return distCell{Schedule: p.Schedule, mode: mode, mix: mix, delay: delayUnits}
 }
 
 // fig4Delays thins the delay axis for Figure 4's per-delay series to the
@@ -161,36 +157,11 @@ func (p DistParams) missFloor(global, local float64) float64 {
 	return math.Max(global, floor) / math.Max(local, floor)
 }
 
-// cell is the family's cell: a placement policy at a site count, over
-// 240 objects at a delay of 2 units (20ms). An unknown policy maps to
-// the zero mode, which the cluster rejects.
-func (p SiteSweepParams) cell(pol place.Policy, sites int) distCell {
-	mode, _ := dist.ModeFor(false, pol)
-	c := distCell{Schedule: p.Schedule, objects: 240, mode: mode, sites: sites, delay: 2, mix: p.ReadOnlyFrac}
-	if !mode.LocalWriteSets() {
-		c.locality = p.LocalityProb
-	}
-	if mode == dist.Quorum {
-		c.k, c.r, c.w = p.Replicas, p.ReadQuorum, p.WriteQuorum
-	}
-	return c
-}
-
-// policies is the swept policy set with the primary-only baseline added
-// when absent, since the tax is measured against it.
-func (p SiteSweepParams) policies() []place.Policy {
-	if slices.Contains(p.Policies, place.PrimaryOnly) {
-		return p.Policies
-	}
-	return append(slices.Clone(p.Policies), place.PrimaryOnly)
-}
-
 // byPolicy plots y against site count, one series per placement policy.
 func byPolicy(y metric) func(p *Params) []series {
 	return func(p *Params) []series {
-		return each(p.SiteSweep.policies(), func(pol place.Policy) series {
-			return series{label: pol.String(), y: y,
-				cell: func(x float64) cell { return p.SiteSweep.cell(pol, int(x)) }}
+		return each(place.Policies(), func(pol place.Policy) series {
+			return series{label: pol.String(), y: y, cell: func(x float64) cell { return p.site(pol, int(x)) }}
 		})
 	}
 }
@@ -213,12 +184,12 @@ var table = []row{
 	{
 		Figure: Figure{Name: "fig2", Title: "Transaction Throughput (single site)",
 			XLabel: "size", YLabel: "objects/second over committed transactions"},
-		set: InPaper, xs: sizes, series: perProto(throughput, size),
+		set: InPaper, xs: sizes, series: perProto(throughput, bySize),
 	},
 	{
 		Figure: Figure{Name: "fig3", Title: "Percentage of Deadline Missing Transactions (single site)",
 			XLabel: "size", YLabel: "% missed = 100*missed/processed"},
-		set: InPaper, xs: sizes, series: perProto(missed, size),
+		set: InPaper, xs: sizes, series: perProto(missed, bySize),
 	},
 	{
 		// Ratio of local-approach to global-approach throughput vs
@@ -226,12 +197,12 @@ var table = []row{
 		// reports the local approach 1.5–3× ahead even at delay 0).
 		Figure: Figure{Name: "fig4", Title: "Transaction Throughput Ratio (local/global)",
 			XLabel: "%read-only", YLabel: "throughput(local)/throughput(global)"},
-		set: InPaper, pct: true, xs: mixes,
+		set: InPaper, kind: distRow, pct: true, xs: mixes,
 		series: func(p *Params) []series {
 			return each(p.Dist.fig4Delays(), func(d float64) series {
 				return series{label: fmt.Sprintf("delay=%g", d), y: throughput, ratio: ratio,
-					cell: func(mix float64) cell { return p.Dist.cell(dist.Local, mix, d) },
-					over: func(mix float64) cell { return p.Dist.cell(dist.Global, mix, d) }}
+					cell: func(mix float64) cell { return p.paper(dist.Local, mix, d) },
+					over: func(mix float64) cell { return p.paper(dist.Global, mix, d) }}
 			})
 		},
 	},
@@ -240,24 +211,24 @@ var table = []row{
 		// communication delay at the 50/50 mix.
 		Figure: Figure{Name: "fig5", Title: "Deadline Missing Ratio (global/local) at 50% read-only",
 			XLabel: "delay", YLabel: "%missed(global)/%missed(local)"},
-		set: InPaper, xs: delays,
+		set: InPaper, kind: distRow, xs: delays,
 		series: func(p *Params) []series {
 			return []series{{label: "global/local", y: missed, ratio: p.Dist.missFloor,
-				cell: func(d float64) cell { return p.Dist.cell(dist.Global, 0.5, d) },
-				over: func(d float64) cell { return p.Dist.cell(dist.Local, 0.5, d) }}}
+				cell: func(d float64) cell { return p.paper(dist.Global, 0.5, d) },
+				over: func(d float64) cell { return p.paper(dist.Local, 0.5, d) }}}
 		},
 	},
 	{
 		// %missed vs mix for two specific delays, both approaches.
 		Figure: Figure{Name: "fig6", Title: "Deadline Missing Transaction Percentage (distributed)",
 			XLabel: "%read-only", YLabel: "% missed"},
-		set: InPaper, pct: true, xs: mixes,
+		set: InPaper, kind: distRow, pct: true, xs: mixes,
 		series: func(p *Params) []series {
 			var out []series
 			for _, d := range p.Dist.Fig6Delays {
 				for _, mode := range []dist.Mode{dist.Global, dist.Local} {
 					out = append(out, series{label: fmt.Sprintf("%s,delay=%g", mode, d), y: missed,
-						cell: func(mix float64) cell { return p.Dist.cell(mode, mix, d) }})
+						cell: func(mix float64) cell { return p.paper(mode, mix, d) }})
 				}
 			}
 			return out
@@ -272,7 +243,7 @@ var table = []row{
 		Figure: Figure{Name: "dbsize", Title: "Database-size sweep (omitted experiment): %missed at fixed size",
 			XLabel: "db objects", YLabel: "% missed"},
 		set: InPaper, xs: fixed(60, 100, 150, 200, 300, 400, 600),
-		series: perProto(missed, func(c *singleCell, x float64) { c.size, c.dbSize = 12, int(x) }),
+		series: perProto(missed, sweep{axisDBSize, 12}),
 	},
 	{
 		// The question the paper's conclusion raises: does the read
@@ -284,7 +255,7 @@ var table = []row{
 		Figure: Figure{Name: "semantics", Title: "Read/write vs exclusive lock semantics in the ceiling protocol",
 			XLabel: "%read-only", YLabel: "% missed"},
 		set: InPaper, pct: true, xs: fixed(0, 0.25, 0.5, 0.75, 0.9),
-		series: perProto(missed, func(c *singleCell, x float64) { c.size, c.mix = 10, x }, core.ProtoCeiling, core.ProtoCeilingX),
+		series: perProto(missed, sweep{axisMix, 10}, core.ProtoCeiling, core.ProtoCeilingX),
 	},
 	{
 		// Basic priority inheritance (§3.1) against the ceiling protocol
@@ -293,7 +264,7 @@ var table = []row{
 		// should land between P and C.
 		Figure: Figure{Name: "inherit", Title: "Basic priority inheritance vs priority ceiling: %missed",
 			XLabel: "size", YLabel: "% missed"},
-		set: InPaper, xs: sizes, series: perProto(missed, size, core.ProtoCeiling, core.ProtoInherit, core.ProtoTwoPLPrio),
+		set: InPaper, xs: sizes, series: perProto(missed, bySize, core.ProtoCeiling, core.ProtoInherit, core.ProtoTwoPLPrio),
 	},
 	{
 		// The paper's §5 question about preemption in real-time
@@ -306,7 +277,7 @@ var table = []row{
 		Figure: Figure{Name: "restart", Title: "Blocking vs abort-based protocols: %missed",
 			XLabel: "size", YLabel: "% missed"},
 		set: InAll, xs: sizes,
-		series: perProto(missed, size, core.ProtoCeiling, core.ProtoTwoPLPrio, core.ProtoTwoPLHP, core.ProtoTwoPLCR, core.ProtoTwoPLDD, core.ProtoTimestamp),
+		series: perProto(missed, bySize, core.ProtoCeiling, core.ProtoTwoPLPrio, core.ProtoTwoPLHP, core.ProtoTwoPLCR, core.ProtoTwoPLDD, core.ProtoTimestamp),
 	},
 	{
 		// The priority-assignment policy under the ceiling protocol:
@@ -325,7 +296,7 @@ var table = []row{
 			return each([]policy{{"EDF", workload.PriorityEDF}, {"FCFS", workload.PriorityFCFS},
 				{"SLACK", workload.PrioritySlack}, {"RANDOM", workload.PriorityRandom}}, func(pol policy) series {
 				return series{label: pol.label, y: missed, cell: func(x float64) cell {
-					c := p.Single.cell(ProtoCeiling, int(x))
+					c := p.single(ProtoCeiling, bySize, x)
 					c.policy = pol.PriorityPolicy
 					return c
 				}}
@@ -342,7 +313,7 @@ var table = []row{
 		Figure: Figure{Name: "hotspot", Title: "Hotspot skew sweep: %missed at fixed size",
 			XLabel: "%hot accesses", YLabel: "% missed"},
 		set: InAll, pct: true, xs: fixed(0, 0.25, 0.5, 0.75, 0.9),
-		series: perProto(missed, func(c *singleCell, x float64) { c.size, c.hotspot = 12, x }),
+		series: perProto(missed, sweep{axisHotspot, 12}),
 	},
 	{
 		// What the ceiling protocol actually buys: bounded, predictable
@@ -351,7 +322,7 @@ var table = []row{
 		Figure: Figure{Name: "predictability", Title: "Response-time tail ratio (p99/p50) of committed transactions",
 			XLabel: "size", YLabel: "p99/p50 response"},
 		set: InAll, xs: sizes,
-		series: perProto(tailRatio, size, core.ProtoCeiling, core.ProtoTwoPLPrio, core.ProtoTwoPLHP, core.ProtoTimestamp),
+		series: perProto(tailRatio, bySize, core.ProtoCeiling, core.ProtoTwoPLPrio, core.ProtoTwoPLHP, core.ProtoTimestamp),
 	},
 	{
 		// A larger page buffer converts I/O delays into hits, shortening
@@ -361,7 +332,7 @@ var table = []row{
 		Figure: Figure{Name: "buffer", Title: "Page-buffer size sweep: %missed at fixed size",
 			XLabel: "buffer pages", YLabel: "% missed"},
 		set: InAll, xs: fixed(0, 25, 50, 100, 200),
-		series: perProto(missed, func(c *singleCell, x float64) { c.size, c.buffer = 14, int(x) }),
+		series: perProto(missed, sweep{axisBuffer, 14}),
 	},
 	{
 		// The paper's closing §4 idea: reading each replica's latest copy
@@ -371,11 +342,12 @@ var table = []row{
 		// communication delay at a read-heavy mix.
 		Figure: Figure{Name: "consistency", Title: "Temporal consistency of read-only views (local approach)",
 			XLabel: "delay", YLabel: "% inconsistent views"},
-		set: InAll, xs: delays,
+		set: InAll, kind: distRow, xs: delays,
 		series: func(p *Params) []series {
 			return each([]string{"latest", "snapshot"}, func(reads string) series {
 				return series{label: reads, y: inconsistentPct, cell: func(d float64) cell {
-					c := p.Dist.cell(dist.Local, 0.7, d)
+					c := p.paper(dist.Local, 0.7, d)
+					c.set |= setMultiversion
 					c.multiversion = reads == "snapshot"
 					return c
 				}}
@@ -391,11 +363,11 @@ var table = []row{
 		// operational question that raises.
 		Figure: Figure{Name: "placement", Title: "GCM placement on a star interconnect: %missed",
 			XLabel: "link delay", YLabel: "% missed"},
-		set: InAll, xs: delays,
+		set: InAll, kind: distRow, xs: delays,
 		series: func(p *Params) []series {
 			return each([]string{"hub", "leaf"}, func(gcm string) series {
 				return series{label: gcm, y: missed, cell: func(d float64) cell {
-					c := p.Dist.cell(dist.Global, 0.5, d)
+					c := p.paper(dist.Global, 0.5, d)
 					c.star = true // around site 0
 					if gcm == "leaf" {
 						c.gcm = 1
@@ -415,7 +387,7 @@ var table = []row{
 		Figure: Figure{Name: "periodic", Title: "Periodic/aperiodic mix sweep: %missed at fixed size",
 			XLabel: "%periodic", YLabel: "% missed"},
 		set: InAll, pct: true, xs: fixed(0, 0.25, 0.5, 0.75, 1),
-		series: perProto(missed, func(c *singleCell, x float64) { c.size, c.periodic = 12, x }),
+		series: perProto(missed, sweep{axisPeriodic, 12}),
 	},
 	{
 		// Protocol bookkeeping is not free, and a protocol's advantage
@@ -425,9 +397,7 @@ var table = []row{
 		Figure: Figure{Name: "overhead", Title: "Lock-operation CPU overhead sweep: %missed at fixed size",
 			XLabel: "overhead ms", YLabel: "% missed"},
 		set: InAll, xs: fixed(0, 0.5, 1, 2, 4),
-		series: perProto(missed, func(c *singleCell, x float64) {
-			c.size, c.overhead = 12, sim.Duration(x*float64(sim.Millisecond))
-		}),
+		series: perProto(missed, sweep{axisOverhead, 12}),
 	},
 	{
 		// Both sides of the classic checkpoint trade-off under the ceiling
@@ -440,14 +410,7 @@ var table = []row{
 			XLabel: "interval s", YLabel: "%missed / recovery ms"},
 		set: InAll, xs: fixed(0.25, 0.5, 1, 2, 4, never),
 		series: func(p *Params) []series {
-			at := func(x float64) cell {
-				c := p.Single.cell(ProtoCeiling, 10)
-				c.wal = true
-				if x != never {
-					c.checkpoint = sim.Duration(x * float64(sim.Second))
-				}
-				return c
-			}
+			at := func(x float64) cell { return p.single(ProtoCeiling, sweep{axisCheckpoint, 10}, x) }
 			return []series{{label: "missed_pct", y: missed, cell: at}, {label: "recovery_ms", y: recoveryMs, cell: at}}
 		},
 	},
@@ -459,15 +422,11 @@ var table = []row{
 		// fault-aware auditors under Audit — degraded, never incorrect.
 		Figure: Figure{Name: "faultsweep", Title: "Graceful degradation under injected faults",
 			XLabel: "severity", YLabel: "% missed"},
-		xs: severities,
+		kind: faultRow, xs: severities,
 		series: func(p *Params) []series {
 			var out []series
-			q := p.Faults
 			for _, mode := range []dist.Mode{dist.Global, dist.Local} {
-				at := func(sev float64) cell {
-					return distCell{Schedule: q.Schedule, mode: mode, sites: q.Sites, delay: 2, mix: 0.5,
-						faults: true, severity: sev}
-				}
+				at := func(sev float64) cell { return p.faulted(mode, sev) }
 				out = append(out, series{label: mode.String(), y: missed, cell: at},
 					series{label: mode.String() + ",%msgs lost", y: lostPct, cell: at})
 			}
@@ -477,12 +436,12 @@ var table = []row{
 	{
 		Figure: Figure{Name: "sites-throughput", Title: "Committed throughput vs site count, by placement policy",
 			XLabel: "sites", YLabel: "objects/sec"},
-		xs: siteCounts, series: byPolicy(throughput),
+		kind: distRow, xs: siteCounts, series: byPolicy(throughput),
 	},
 	{
 		Figure: Figure{Name: "sites-missed", Title: "Deadline-missing percentage vs site count, by placement policy",
 			XLabel: "sites", YLabel: "% missed"},
-		xs: siteCounts, series: byPolicy(missed),
+		kind: distRow, xs: siteCounts, series: byPolicy(missed),
 	},
 	{
 		// Each coordinated policy's cost relative to the uncoordinated
@@ -493,15 +452,15 @@ var table = []row{
 		// consistency guarantee the policy actually delivers.
 		Figure: Figure{Name: "consistency-tax", Title: "Consistency tax vs the primary-only baseline",
 			XLabel: "sites", YLabel: "coordinated/baseline ratio (1 = free)"},
-		xs: siteCounts,
+		kind: distRow, xs: siteCounts,
 		series: func(p *Params) []series {
-			baseline := func(x float64) cell { return p.SiteSweep.cell(place.PrimaryOnly, int(x)) }
+			baseline := func(x float64) cell { return p.site(place.PrimaryOnly, int(x)) }
 			var out []series
-			for _, pol := range p.SiteSweep.policies() {
+			for _, pol := range place.Policies() {
 				if pol == place.PrimaryOnly {
 					continue
 				}
-				coordinated := func(x float64) cell { return p.SiteSweep.cell(pol, int(x)) }
+				coordinated := func(x float64) cell { return p.site(pol, int(x)) }
 				out = append(out,
 					series{label: pol.String() + "/latency", y: respMs, ratio: ratio, cell: coordinated, over: baseline},
 					series{label: pol.String() + "/throughput", y: throughput, ratio: ratio, cell: baseline, over: coordinated})

@@ -299,12 +299,16 @@ func ParsePlacementPolicy(name string) (PlacementPolicy, error) { return place.P
 
 // SingleSiteParams re-exports the Figures 2–3 experiment configuration:
 // the run schedule (Count, Runs, BaseSeed, Audit) and the swept sizes.
-// The system and the load are SingleSiteConfig's defaults.
+// The system and the rest of the load are SingleSiteConfig's defaults;
+// `rtdbsim -experiment fig2 -spec base.json` runs the figures on a
+// single spec's config instead.
 type SingleSiteParams = experiments.SingleSiteParams
 
 // DistParams re-exports the Figures 4–6 experiment configuration: the
-// run schedule and the swept mixes and delays. The system and the load
-// are DistributedConfig's defaults.
+// run schedule and the swept mixes and delays. The system and the rest
+// of the load are DistributedConfig's defaults; `rtdbsim -experiment
+// fig4 -spec base.json` runs the figures on a distributed spec's config
+// instead.
 type DistParams = experiments.DistParams
 
 // DefaultSingleSiteParams returns the calibrated single-site experiment
@@ -314,29 +318,6 @@ func DefaultSingleSiteParams() SingleSiteParams { return experiments.DefaultSing
 // DefaultDistParams returns the calibrated distributed experiment
 // configuration.
 func DefaultDistParams() DistParams { return experiments.DefaultDistributed() }
-
-// SiteSweepParams re-exports the placement site-count sweep
-// configuration: the run schedule, the swept site counts and policies,
-// and the locality, mix and quorum sizes the sitesweep command sets.
-// Everything else is DistributedConfig's defaults over 240 objects.
-type SiteSweepParams = experiments.SiteSweepParams
-
-// DefaultSiteSweepParams returns the calibrated site-sweep
-// configuration: sites {1,2,4,8,16} × all four placement policies at a
-// locality-skewed 50/50 mix.
-func DefaultSiteSweepParams() SiteSweepParams { return experiments.DefaultSiteSweep() }
-
-// RunSiteSweep sweeps every placement policy across the site-count axis
-// and reports committed throughput, deadline misses, and each
-// coordinated policy's consistency tax (latency and throughput ratios)
-// against the primary-only baseline.
-func RunSiteSweep(p SiteSweepParams) (thpt, missed, tax Figure, err error) {
-	figs, err := reproduce(experiments.Params{SiteSweep: p}, "sites-throughput", "sites-missed", "consistency-tax")
-	if err != nil {
-		return Figure{}, Figure{}, Figure{}, err
-	}
-	return figs[0], figs[1], figs[2], nil
-}
 
 // reproduce evaluates the named rows of the experiment table in one
 // sweep, so figures that plot the same cells share their runs.
