@@ -3,16 +3,16 @@ package rtlock
 // Allocation-regression gates for full runs. The per-package gates
 // (internal/sim, internal/journal, internal/netsim) pin their hot
 // loops at exactly zero steady-state allocations; a whole run cannot be
-// zero — each transaction allocates its process (its run, state, access
-// sets, arrival and the generator's arenas are pooled, static or shared
-// by a chunk), and a fresh system builds its pools (worker goroutines are
-// reused, so no transaction pays for one) — so these gates pin the
+// zero — a fresh system builds its pools (the runs its processes live
+// in, states, access-set scratch, worker goroutines) and the generator
+// its arenas, one per 64 transactions, while a transaction itself takes
+// all of these from a pool or a chunk — so these gates pin the
 // end-to-end budget instead. Each case is capped at about 1.25x its
-// measured cost at this run size, where construction still weighs
-// (plain 4.4 allocs per transaction; at the margin of a long run it is
-// 1.02: see TestSystemMarginalAllocs in internal/dist), tight enough
-// that an accidental per-operation or per-record allocation (several
-// per transaction) blows through it immediately.
+// measured cost at this run size, where construction is nearly all of
+// it (plain 2.4 allocs per transaction; at the margin of a long run it
+// is 0.024: see TestSystemMarginalAllocs in internal/dist), tight
+// enough that an accidental per-transaction, per-operation or
+// per-record allocation blows through it immediately.
 
 import (
 	"runtime"
@@ -60,11 +60,11 @@ func TestSingleSiteRunAllocGate(t *testing.T) {
 		max      float64 // allocations per transaction
 		maxBytes float64 // per transaction, 0 = unchecked
 	}{
-		{"plain", SingleSiteConfig{Workload: WorkloadConfig{Count: 200}}, 5.5, 0},
-		{"journal", SingleSiteConfig{Journal: true, Workload: WorkloadConfig{Count: 200}}, 7.5, 0},
-		{"audit", SingleSiteConfig{Audit: true, Workload: WorkloadConfig{Count: 2000}}, 4.6, 1600},
+		{"plain", SingleSiteConfig{Workload: WorkloadConfig{Count: 200}}, 3, 0},
+		{"journal", SingleSiteConfig{Journal: true, Workload: WorkloadConfig{Count: 200}}, 3.3, 0},
+		{"audit", SingleSiteConfig{Audit: true, Workload: WorkloadConfig{Count: 2000}}, 0.9, 1500},
 		{"timeline", SingleSiteConfig{TimelineWindow: 10 * Second, MaxRawRecords: 64,
-			Workload: WorkloadConfig{Count: 200}}, 6.5, 0},
+			Workload: WorkloadConfig{Count: 200}}, 4.1, 0},
 	} {
 		cfg := tc.cfg
 		got, bytes := runAllocsPerTx(t, cfg.Workload.Count, func() error {
@@ -83,24 +83,25 @@ func TestSingleSiteRunAllocGate(t *testing.T) {
 
 // TestDistributedRunAllocGate is the same budget for the five
 // distributed modes, each capped at about 1.25x its measured cost at
-// this run size (local 16.3, global 6.7, shard 9.5, quorum 11.1,
-// primary 2.8 allocs/tx): message delivery, pin steps, 2PC and quorum
-// rounds must not grow a per-message allocation back, nor the pooled
-// per-attempt state (runs, pin states, rounds, installers) a
-// per-transaction one. At the margin of a long run each mode costs
-// little more than its processes (TestClusterMarginalAllocs in
-// internal/dist).
+// this run size (local 11.2, global 4.8, shard 7.7, quorum 9.2,
+// primary 1.9 allocs/tx; up to 0.3 more under -race): message
+// delivery, pin steps, 2PC and quorum rounds must not grow a
+// per-message allocation back, nor the pooled per-attempt state (runs
+// and installers with their processes, pin states, rounds) a
+// per-transaction one. At the margin of a long run each mode costs a
+// small fraction of an allocation per transaction
+// (TestClusterMarginalAllocs in internal/dist).
 func TestDistributedRunAllocGate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  DistributedConfig
 		max  float64
 	}{
-		{"local", DistributedConfig{}, 20.5},
-		{"global", DistributedConfig{Global: true}, 8.4},
-		{"shard", DistributedConfig{Placement: "shard", Sites: 4}, 12},
-		{"quorum", DistributedConfig{Placement: "quorum", Sites: 4}, 14},
-		{"primary", DistributedConfig{Placement: "primary", Sites: 4}, 3.5},
+		{"local", DistributedConfig{}, 14},
+		{"global", DistributedConfig{Global: true}, 6.2},
+		{"shard", DistributedConfig{Placement: "shard", Sites: 4}, 9.8},
+		{"quorum", DistributedConfig{Placement: "quorum", Sites: 4}, 11.7},
+		{"primary", DistributedConfig{Placement: "primary", Sites: 4}, 2.4},
 	} {
 		cfg := tc.cfg
 		cfg.Workload = WorkloadConfig{Count: 200}
@@ -122,26 +123,31 @@ func TestDistributedRunAllocGate(t *testing.T) {
 // explored schedule. Each exploration worker runs its schedules on a rig
 // — kernel, processor, lock manager, transaction engine or cluster,
 // auditors and journal — that it resets between schedules instead of
-// rebuilding, so a schedule pays for what is new in it: its processes,
-// the journal-only process names, its decision trace and its outcome.
-// These runs measure 69–77 allocations (71–80 under -race) and
-// 7.7–9.0 KB per schedule, rig construction amortized over the sixty;
-// each case's count is capped at about 1.25x its measurement and the
-// bytes at 11 KB. A rig part
-// rebuilt per schedule again (a lock manager, an auditor set, the
-// cluster) costs tens of allocations and kilobytes and fails the gate.
-// Race builds skip the byte budget (see race_test.go).
+// rebuilding, so a schedule pays for what is new in it: its decision
+// trace, its outcome (the journal hash, the verdict) and, in a faulted
+// cluster, its fault plan and the message servers it starts. Its
+// transactions and installers run in the rig's pooled runs, their
+// processes living in them, and their journal-only names come from
+// chunks the rig keeps. These runs measure 17–37 allocations (up to 38
+// under -race) and 5.6–6.7 KB per schedule, rig construction amortized
+// over the sixty; each case's count and the bytes are capped at about
+// 1.25x the measurement. A process allocated per transaction again
+// costs about 24 allocations per schedule, a name built per process
+// about as many, and a rig part rebuilt per schedule (a lock manager,
+// an auditor set, the cluster) tens of allocations and kilobytes:
+// each fails the gate. Race builds skip the byte budget (see
+// race_test.go).
 func TestExploreScheduleAllocGate(t *testing.T) {
-	const schedules, maxBytes = 60, 11 << 10
+	const schedules, maxBytes = 60, 8704 // 8.5 KB
 	opts := ExploreOptions{Schedules: schedules, Workers: 1, MaxDepth: 24, Branch: 3}
 	for _, tc := range []struct {
 		name string
 		cfg  ExploreConfig
 		max  float64 // allocations per schedule
 	}{
-		{"single/HP", ExploreConfig{Protocol: TwoPLHighPriority}, 86},
-		{"single/C", ExploreConfig{Protocol: Ceiling}, 88},
-		{"faults-local", ExploreConfig{Faults: true}, 96},
+		{"single/HP", ExploreConfig{Protocol: TwoPLHighPriority}, 22},
+		{"single/C", ExploreConfig{Protocol: Ceiling}, 23},
+		{"faults-local", ExploreConfig{Faults: true}, 46},
 	} {
 		cfg := tc.cfg
 		cfg.Seed = 1

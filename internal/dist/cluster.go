@@ -10,6 +10,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"rtlock/internal/core"
 	"rtlock/internal/db"
@@ -258,9 +259,9 @@ type site struct {
 	own       *core.Ceiling
 	restarts  []*core.Ceiling
 	restarted int
-	// installNames are the journal-only installer names by origin
-	// transaction id, built as updates arrive (see installName).
-	installNames []string
+	// installNames are the journal-only names of the site's installers,
+	// "install-<origin>@<site>", kept across resets.
+	installNames txn.Names
 }
 
 // use consumes d of service demand on the site's processor, scaled by
@@ -413,9 +414,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c.hooks = faults.Hooks{OnCrash: c.onCrash, OnRecover: c.onRecover}
 	for i := 0; i < cfg.Sites; i++ {
 		c.sites = append(c.sites, &site{
-			id:    db.SiteID(i),
-			cpu:   sim.NewCPU(k, sim.PreemptivePriority),
-			store: db.NewStore(db.SiteID(i)),
+			id:           db.SiteID(i),
+			cpu:          sim.NewCPU(k, sim.PreemptivePriority),
+			store:        db.NewStore(db.SiteID(i)),
+			installNames: txn.NewNames("install-", "@"+strconv.Itoa(i)),
 		})
 	}
 	if err := c.Reset(cfg); err != nil {
@@ -695,15 +697,15 @@ func (c *Cluster) NetReport() stats.NetReport {
 // Store returns site i's store, for inspection in tests and examples.
 func (c *Cluster) Store(i db.SiteID) *db.Store { return c.sites[i].store }
 
-// Load schedules the transactions' arrivals: LoadStream over a slice.
+// Load schedules the transactions' arrivals (see txn.Lifecycle.Load),
+// so the event heap holds one pending arrival however long the load is.
 func (c *Cluster) Load(txs []*workload.Txn) {
-	c.life.Load(len(txs), workload.Pull(txs), c.arrive)
+	c.life.Load(txs, c.arrive)
 }
 
-// LoadStream schedules arrivals one at a time (see txn.Lifecycle.Load),
-// so the event heap holds one pending arrival however long the load is.
+// LoadStream is Load over a stream, pulled one arrival at a time.
 func (c *Cluster) LoadStream(src *workload.Stream) {
-	c.life.Load(src.Remaining(), src.Next, c.arrive)
+	c.life.LoadStream(src, c.arrive)
 }
 
 // arrive admits one arrival. An arrival at a crashed site is lost with
@@ -715,7 +717,8 @@ func (c *Cluster) arrive(t *workload.Txn) {
 		c.life.Finish(&rec, ErrSiteCrashed)
 		return
 	}
-	c.life.Spawn(t, c.newRun(t).body)
+	x := c.newRun(t)
+	c.life.Spawn(&x.proc, t, x.body)
 }
 
 // Run drives the simulation to completion (see Drain) and returns the

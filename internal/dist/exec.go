@@ -32,8 +32,10 @@ type pin struct {
 // reach it any more (see doneWith).
 type txRun struct {
 	c *Cluster
-	p *sim.Proc
-	t *workload.Txn
+	// proc is the attempt's process, started on again by the next
+	// transaction to take the run from the pool.
+	proc sim.Proc
+	t    *workload.Txn
 	// pins are the managers the attempt registers with, ascending by
 	// site.
 	pins   []pin
@@ -45,14 +47,15 @@ type txRun struct {
 	// pin until discharge hands its state back to the pool. A state
 	// that never goes back (evicted, its release lost, its site
 	// crashed) keeps the run out of the pool: a manager may still hold
-	// the state, and with it onPrio. The two share a word, which keeps
-	// a run within its allocation size class.
+	// the state, and with it onPrio and proc, whose Dead a recovery's
+	// eviction reads. The two share a word, which keeps a run within
+	// its allocation size class (768 B, with proc).
 	msgs, live int32
 	// body is the process body. onPrio wires the transaction's
 	// priority inheritance to every site's processor (the process may
 	// be queued at any of them while executing remotely); the states at
 	// all its pins share it. Both are bound once per pooled run and
-	// read p.
+	// read proc.
 	body   func(*sim.Proc)
 	onPrio func(sim.Priority)
 	// The attempt's reusable round state: its open quorum round, its
@@ -77,10 +80,10 @@ func (c *Cluster) newRun(t *workload.Txn) *txRun {
 	} else {
 		x = &txRun{c: c}
 		x.pins, x.views = x.pin0[:0], x.view0[:0]
-		x.body = func(p *sim.Proc) { c.exec(p, x) }
+		x.body = func(*sim.Proc) { c.exec(x) }
 		x.onPrio = func(pr sim.Priority) {
 			for _, s := range c.sites {
-				s.cpu.Reprioritize(x.p, pr)
+				s.cpu.Reprioritize(&x.proc, pr)
 			}
 		}
 	}
@@ -100,7 +103,7 @@ func (x *txRun) accessSets(cat *db.Catalog) (reads []core.ObjectID) {
 // doneWith drops one hold on x; the last one returns it to the pool.
 func (c *Cluster) doneWith(x *txRun) {
 	if x.live--; x.live == 0 {
-		x.p, x.t = nil, nil
+		x.t = nil
 		c.runs = append(c.runs, x)
 	}
 }
@@ -109,7 +112,7 @@ func (c *Cluster) doneWith(x *txRun) {
 // pin holds x until discharge returns the state to the pool.
 func (c *Cluster) newState(x *txRun, reads, writes []core.ObjectID) *core.TxState {
 	x.live++
-	st := c.states.Get(x.t.ID, x.t.Priority(), x.p)
+	st := c.states.Get(x.t.ID, x.t.Priority(), &x.proc)
 	st.ReadSet, st.WriteSet, st.OnPrioChange = reads, writes, x.onPrio
 	return st
 }
@@ -118,9 +121,8 @@ func (c *Cluster) newState(x *txRun, reads, writes []core.ObjectID) *core.TxStat
 // arrive, pin managers, register, arm the deadline, run the operations,
 // commit, release, install, record. What a mode does differently is in
 // its row of the mode table.
-func (c *Cluster) exec(p *sim.Proc, x *txRun) {
-	t := x.t
-	x.p = p
+func (c *Cluster) exec(x *txRun) {
+	p, t := &x.proc, x.t
 	if c.faultsOn {
 		c.fault[t.Home].liveTx[t.ID] = p
 		defer delete(c.fault[t.Home].liveTx, t.ID)
@@ -274,7 +276,7 @@ func (c *Cluster) hop(x *txRun, from, to db.SiteID) error {
 	if from == x.t.Home {
 		x.msgs += 2
 	}
-	return c.Net.Hop(x.p, from, to)
+	return c.Net.Hop(&x.proc, from, to)
 }
 
 // acquire asks a pinned manager, on site, for op's lock.
@@ -284,7 +286,7 @@ func (c *Cluster) acquire(x *txRun, pn *pin, op workload.Op) error {
 		// the registration: it refuses a transaction it does not know.
 		return ErrShardEvicted
 	}
-	return pn.mgr.Acquire(x.p, pn.st, op.Obj, op.Mode)
+	return pn.mgr.Acquire(&x.proc, pn.st, op.Obj, op.Mode)
 }
 
 // runOps is the access phase: for each operation the process obtains the

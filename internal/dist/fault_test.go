@@ -138,8 +138,9 @@ func TestEvictedRegistrationStaysEvicted(t *testing.T) {
 	c.K.At(ms(4), func() { evicted = c.fault[1].reg[1] })
 	probe := errors.New("never probed")
 	c.K.At(ms(35), func() { // tx 2 holds object 14 at site 1
-		c.K.Spawn("probe", func(p *sim.Proc) {
-			probe = c.acquire(&txRun{p: p}, &evicted.pin, workload.Op{Obj: 15, Mode: core.Write})
+		x := &txRun{}
+		c.K.Start(&x.proc, "probe", func(*sim.Proc) {
+			probe = c.acquire(x, &evicted.pin, workload.Op{Obj: 15, Mode: core.Write})
 		})
 	})
 	c.Run()

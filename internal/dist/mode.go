@@ -265,7 +265,7 @@ func (c *Cluster) ownedBy(objs []core.ObjectID, site db.SiteID) []core.ObjectID 
 }
 
 func use(c *Cluster, x *txRun, _ workload.Op, s *site, prio sim.Priority) error {
-	return s.use(x.p, prio, c.cfg.CPUPerObj)
+	return s.use(&x.proc, prio, c.cfg.CPUPerObj)
 }
 
 // sampleAndUse reads the home replica: the read samples the copy's
@@ -273,7 +273,7 @@ func use(c *Cluster, x *txRun, _ workload.Op, s *site, prio sim.Priority) error 
 // temporal-consistency classification of read-only views.
 func sampleAndUse(c *Cluster, x *txRun, op workload.Op, s *site, prio sim.Priority) error {
 	if op.Mode == core.Read {
-		c.sampleStaleness(s, op.Obj, x.p.Now())
+		c.sampleStaleness(s, op.Obj, x.proc.Now())
 		x.views = append(x.views, c.readVersion(s, op.Obj, x.t))
 	}
 	return use(c, x, op, s, prio)
@@ -287,7 +287,7 @@ func useAndWrite(c *Cluster, x *txRun, op workload.Op, s *site, prio sim.Priorit
 		return err
 	}
 	if op.Mode == core.Write {
-		s.store.Write(op.Obj, x.t.ID, x.p.Now())
+		s.store.Write(op.Obj, x.t.ID, x.proc.Now())
 	}
 	return nil
 }
@@ -334,7 +334,7 @@ func installPrimaries(c *Cluster, x *txRun) {
 				continue
 			}
 		}
-		c.sites[owner].store.Write(obj, x.t.ID, x.p.Now())
+		c.sites[owner].store.Write(obj, x.t.ID, x.proc.Now())
 	}
 	// Shard-span probes exist in shard mode only (no-op handles elsewhere).
 	if len(x.writes) > 0 {
@@ -357,7 +357,7 @@ func installAndShip(c *Cluster, x *txRun) {
 	if len(x.writes) == 0 {
 		return
 	}
-	home, now := c.sites[x.t.Home], x.p.Now()
+	home, now := c.sites[x.t.Home], x.proc.Now()
 	for _, obj := range x.writes {
 		home.store.Write(obj, x.t.ID, now)
 		home.mv.Write(obj, x.t.ID, now)

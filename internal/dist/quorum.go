@@ -147,7 +147,7 @@ func (c *Cluster) gather(x *txRun, key quorumKey, from db.SiteID, port string, m
 	if round == nil {
 		return 0, seq, nil
 	}
-	if err := x.p.Park(&round.tok); err != nil {
+	if err := x.proc.Park(&round.tok); err != nil {
 		return 0, seq, err
 	}
 	return len(round.got), round.maxSeq, nil
@@ -185,7 +185,7 @@ func readRound(c *Cluster, x *txRun, op workload.Op, owner db.SiteID) error {
 func (c *Cluster) quorumWrite(x *txRun, obj core.ObjectID) error {
 	t := x.t
 	owner := c.Catalog.PrimarySite(obj)
-	v := c.sites[owner].store.Write(obj, t.ID, x.p.Now())
+	v := c.sites[owner].store.Write(obj, t.ID, x.proc.Now())
 	got, _, err := c.gather(x, quorumKey{tx: t.ID, obj: obj, kind: 1}, owner,
 		qwritePort, c.bodies.qwrite.new(qwriteMsg{txID: t.ID, obj: obj, coord: t.Home, v: v}), c.Catalog.Placement().WriteQuorum()-1, 0)
 	if err != nil {

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"errors"
-	"fmt"
 
 	"rtlock/internal/core"
 	"rtlock/internal/db"
@@ -45,11 +44,13 @@ func (m *installMsg) version(w replicaWrite) db.Version {
 // installer is the process that applies one update at a secondary site.
 // Installers are pooled: the install handler takes one per arriving
 // update, and its process hands it back when install returns, by which
-// time each attempt's state has left its manager.
+// time each attempt's state has left its manager and its timer is
+// canceled. The process lives in the installer and is started on again
+// by the next update to take it.
 type installer struct {
-	s   *site
-	msg *installMsg
-	p   *sim.Proc
+	s    *site
+	msg  *installMsg
+	proc sim.Proc
 	// objs is the update's write set, which the attempts register.
 	objs []core.ObjectID
 	// body is the process body and onPrio the attempts' priority-change
@@ -68,13 +69,12 @@ func (c *Cluster) newInstaller(s *site, msg *installMsg) *installer {
 		c.installers = c.installers[:n-1]
 	} else {
 		in = &installer{}
-		in.body = func(p *sim.Proc) {
-			in.p = p
+		in.body = func(*sim.Proc) {
 			c.install(in)
-			in.s, in.msg, in.p = nil, nil, nil
+			in.s, in.msg = nil, nil
 			c.installers = append(c.installers, in)
 		}
-		in.onPrio = func(pr sim.Priority) { in.s.cpu.Reprioritize(in.p, pr) }
+		in.onPrio = func(pr sim.Priority) { in.s.cpu.Reprioritize(&in.proc, pr) }
 	}
 	in.s, in.msg = s, msg
 	in.objs = in.objs[:0]
@@ -158,7 +158,7 @@ func (c *Cluster) sampleStaleness(s *site, obj core.ObjectID, now sim.Time) {
 	}
 }
 
-// registerInstallHandlers wires every site's message server to spawn an
+// registerInstallHandlers wires every site's message server to start an
 // installer process per arriving update, named for the journal only.
 func (c *Cluster) registerInstallHandlers() {
 	for _, s := range c.sites {
@@ -170,32 +170,12 @@ func (c *Cluster) registerInstallHandlers() {
 			}
 			name := ""
 			if c.K.Journal() != nil {
-				name = s.installName(msg.origin)
+				name = s.installNames.Name(msg.origin)
 			}
-			c.K.Spawn(name, c.newInstaller(s, msg).body)
+			in := c.newInstaller(s, msg)
+			c.K.Start(&in.proc, name, in.body)
 		})
 	}
-}
-
-// installNamesCached bounds the transaction ids whose installer names a
-// site keeps: a generated load numbers its transactions densely from
-// zero, a hand-made one may not.
-const installNamesCached = 1 << 16
-
-// installName is the journal-only name of the installer of origin's
-// update at s. The site builds each name once and keeps it across
-// resets, so a rig rerunning one load builds none.
-func (s *site) installName(origin int64) string {
-	if origin < 0 || origin >= installNamesCached {
-		return fmt.Sprintf("install-%d@%d", origin, s.id)
-	}
-	if n := int(origin) + 1; n > len(s.installNames) {
-		s.installNames = append(s.installNames, make([]string, n-len(s.installNames))...)
-	}
-	if s.installNames[origin] == "" {
-		s.installNames[origin] = fmt.Sprintf("install-%d@%d", origin, s.id)
-	}
-	return s.installNames[origin]
 }
 
 // install applies one replicated update at a secondary site. The
@@ -206,7 +186,7 @@ func (s *site) installName(origin int64) string {
 // the copy stays at its previous version until a newer update lands,
 // which the monotone Install tolerates.
 func (c *Cluster) install(in *installer) {
-	p, s, msg := in.p, in.s, in.msg
+	p, s, msg := &in.proc, in.s, in.msg
 	c.installSeq++
 	// Installer ids live far above transaction ids so priority
 	// tie-breaks favor real transactions.

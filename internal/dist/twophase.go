@@ -364,7 +364,7 @@ func (errDecisionAbort) Error() string { return "dist: participant voted abort" 
 // coordinator's own site crashed — then it is left to presumed-abort
 // resolution.
 func (c *Cluster) runTwoPC(x *txRun, shares bool) error {
-	p, home, txID := x.p, x.t.Home, x.t.ID
+	p, home, txID := &x.proc, x.t.Home, x.t.ID
 	participants := make([]db.SiteID, 0, 4)
 	for _, obj := range x.writes {
 		owner := c.Catalog.PrimarySite(obj)

@@ -22,6 +22,7 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -486,10 +487,13 @@ func (j *Journal) Hash() [32]byte {
 	return sha256.Sum256(j.encBuf)
 }
 
-// HashString returns Hash as lower-case hex.
+// HashString returns Hash as lower-case hex, encoded on the stack and
+// copied out once.
 func (j *Journal) HashString() string {
 	h := j.Hash()
-	return fmt.Sprintf("%x", h[:])
+	var buf [2 * len(h)]byte
+	hex.Encode(buf[:], h[:])
+	return string(buf[:])
 }
 
 // jsonHeader is the first line of the JSONL encoding.

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"rtlock/internal/db"
 	"rtlock/internal/journal"
@@ -290,7 +291,7 @@ func (n *Network) start(site db.SiteID) *Server {
 	if ok {
 		delete(n.dormant, site)
 	} else {
-		s = &Server{k: n.k, site: site, name: fmt.Sprintf("msgserver-%d", site), handlers: make(map[string]Handler)}
+		s = &Server{k: n.k, site: site, name: "msgserver-" + strconv.Itoa(int(site)), handlers: make(map[string]Handler)}
 		s.idle = func(p *sim.Proc) { _ = p.Park(&s.tok) }
 		n.sites = append(n.sites, site)
 		slices.Sort(n.sites)

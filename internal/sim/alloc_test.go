@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -90,12 +91,90 @@ func TestKernelSleepScaleInvariantAllocs(t *testing.T) {
 	}
 }
 
-// TestProcSize keeps a process within the 80-byte size class. A
-// transaction's process is the one allocation its path from generation
-// to commit makes, so a field that grows Proc past 80 B moves every
-// transaction up a size class (96 B, or 112 B for two pointer pairs).
+// TestProcSize keeps a process within the 80-byte size class. Spawn
+// allocates one per message server, resolver and checkpointer, and a
+// transaction's process lives in its pooled run (txn's run is 128 B
+// with it, exactly a size class), so a field that grows Proc past 80 B
+// moves each of them up a size class.
 func TestProcSize(t *testing.T) {
 	if got := unsafe.Sizeof(Proc{}); got > 80 {
 		t.Fatalf("Proc is %d bytes, want <= 80", got)
 	}
+}
+
+// TestStartReusesProc: a Proc started, ended and started again is a new
+// process. It gets the next pid, its journal records are byte for byte
+// those of a Spawn in its place, and a warm Start allocates nothing.
+// Start on a process that has not ended — not yet begun, or parked —
+// panics.
+func TestStartReusesProc(t *testing.T) {
+	sleep := func(p *Proc) { _ = p.Sleep(2 * Millisecond) }
+	// run starts "a" at 0, a sleeper "b" at 1 ms and, once "a" has
+	// ended, "c" at 5 ms, each sleeping 2 ms; "a" and "c" go through
+	// start, which is either Spawn or Start on one reused Proc.
+	run := func(start func(k *Kernel, name string) *Proc) (*journal.Journal, [2]int64) {
+		k := NewKernel()
+		j := journal.New(1, "start-reuse")
+		k.SetJournal(j, 0)
+		var pids [2]int64
+		pids[0] = start(k, "a").ID()
+		k.At(Time(Millisecond), func() { k.Spawn("b", sleep) })
+		k.At(Time(5*Millisecond), func() { pids[1] = start(k, "c").ID() })
+		k.Run()
+		return j, pids
+	}
+	spawned, spawnPIDs := run(func(k *Kernel, name string) *Proc { return k.Spawn(name, sleep) })
+	var pooled Proc
+	started, startPIDs := run(func(k *Kernel, name string) *Proc {
+		if name == "c" && !pooled.Dead() {
+			t.Fatal("the first process on the Proc has not ended by 5 ms")
+		}
+		return k.Start(&pooled, name, sleep)
+	})
+	if startPIDs != [2]int64{1, 3} || startPIDs != spawnPIDs {
+		t.Fatalf("pids %v on the reused Proc, %v spawned; want [1 3] for both", startPIDs, spawnPIDs)
+	}
+	if pooled.Name() != "c" || !pooled.Dead() {
+		t.Fatalf("after the run the Proc is %q, dead=%v; want \"c\", ended", pooled.Name(), pooled.Dead())
+	}
+	var a, b bytes.Buffer
+	if err := spawned.EncodeBinary(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := started.EncodeBinary(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("a reused Proc's journal differs from a spawned one's:\n%s", journal.Diff(spawned, started))
+	}
+
+	k := NewKernel()
+	k.KeepWorkers()
+	defer k.Close()
+	body := func(*Proc) {}
+	again := func() {
+		k.Start(&pooled, "", body)
+		k.Run()
+	}
+	again() // warm the event pool and an idle worker
+	if allocs := testing.AllocsPerRun(10, again); allocs != 0 {
+		t.Fatalf("a warm Start on an ended Proc allocated %.1f times; want 0", allocs)
+	}
+
+	mustPanic := func(what string) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("Start on a process that %s did not panic", what)
+			}
+		}()
+		k.Start(&pooled, "again", body)
+	}
+	k.Start(&pooled, "pending", sleep)
+	mustPanic("has not begun")
+	k.RunUntil(Time(Millisecond))
+	mustPanic("is parked")
+	k.Run()
+	k.Start(&pooled, "after", body) // ended: legal again
+	k.Run()
 }

@@ -16,7 +16,7 @@ type Proc struct {
 	name string
 	dead bool
 
-	// body is held from Spawn until the start event is popped. ch is the
+	// body is held from Start until the start event is popped. ch is the
 	// channel of the worker goroutine running the body (nil until then);
 	// a send on it hands the parked process the baton.
 	body func(*Proc)
@@ -90,12 +90,27 @@ func (k *Kernel) putToken(t *Token) {
 
 // Spawn creates a process named name and schedules it to start now. The
 // body runs in simulation context; when it returns the process
-// terminates. The process itself is Spawn's one allocation: a caller
-// that spawns per transaction passes a body bound once and reused, and
-// may pass an empty name when no journal would record it.
+// terminates. The process is Spawn's one allocation; an engine that
+// starts a process per transaction keeps it in its pooled run and uses
+// Start instead.
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
+	return k.Start(new(Proc), name, body)
+}
+
+// Start makes p a new process named name, running body, and schedules
+// it to start now: p gets the next process id and is cleared of
+// everything its previous life left, so a caller may keep one Proc in
+// a pooled structure and start on it again once its body has returned.
+// It panics when p has started and not yet ended. A caller that starts
+// per transaction passes a body bound once and reused, and may pass an
+// empty name when no journal would record it; then Start allocates
+// nothing.
+func (k *Kernel) Start(p *Proc, name string, body func(p *Proc)) *Proc {
+	if p.k != nil && !p.dead {
+		panicStartLive(p)
+	}
 	k.nextPID++
-	p := &Proc{k: k, id: k.nextPID, name: name, body: body}
+	*p = Proc{k: k, id: k.nextPID, name: name, body: body}
 	k.live++
 	k.mSpawns.Inc()
 	k.mProcs.Add(1)
@@ -155,7 +170,7 @@ func (k *Kernel) releaseIdle() {
 // ID returns the process id (unique per kernel).
 func (p *Proc) ID() int64 { return p.id }
 
-// Name returns the process name given at Spawn (possibly empty).
+// Name returns the process name given at Start (possibly empty).
 func (p *Proc) Name() string { return p.name }
 
 // Dead reports whether the process body has finished. Crash-recovery
@@ -169,13 +184,18 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// panicTokenReuse and panicParkNotRunning keep the panic-path string
-// formatting (which heap-allocates its fmt arguments) out of Park's
-// body, so the parking hot path stays provably allocation-free. The
-// noinline pragma stops the compiler from inlining the Sprintf back
-// into every caller. They name the process by its id: a transaction's
-// process has a name only while a journal is attached.
+// panicStartLive, panicTokenReuse and panicParkNotRunning keep the
+// panic-path string formatting (which heap-allocates its fmt arguments)
+// out of Start's and Park's bodies, so those hot paths stay provably
+// allocation-free. The noinline pragma stops the compiler from inlining
+// the Sprintf back into every caller. They name the process by its id:
+// a transaction's process has a name only while a journal is attached.
 //
+//go:noinline
+func panicStartLive(p *Proc) {
+	panic(fmt.Sprintf("sim: Start on process %d %q, which has not ended", p.id, p.name))
+}
+
 //go:noinline
 func panicTokenReuse(p *Proc) {
 	panic(fmt.Sprintf("sim: token reused by process %d %q", p.id, p.name))

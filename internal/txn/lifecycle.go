@@ -2,7 +2,6 @@ package txn
 
 import (
 	"errors"
-	"strconv"
 
 	"rtlock/internal/db"
 	"rtlock/internal/journal"
@@ -24,6 +23,9 @@ type Lifecycle struct {
 
 	k  *sim.Kernel
 	tl *timeline.Collector
+	// names are the transactions' journal-only process names, kept
+	// across Reset.
+	names Names
 	// pending counts transactions from the moment their arrival is
 	// scheduled until their outcome is recorded.
 	pending int
@@ -49,17 +51,17 @@ const missHelp = "Transactions aborted at their deadline."
 // every one). An engine keeps the Lifecycle by value and uses it in
 // place.
 func NewLifecycle(k *sim.Kernel, tl *timeline.Collector, maxRaw int) Lifecycle {
-	l := Lifecycle{Monitor: stats.NewMonitor(), k: k}
+	l := Lifecycle{Monitor: stats.NewMonitor(), k: k, names: NewNames("tx", "")}
 	l.Reset(tl, maxRaw)
 	return l
 }
 
 // Reset returns the lifecycle to the state NewLifecycle leaves it in,
-// keeping its Monitor (emptied) and kernel, whose registry it takes the
-// series from afresh. A miss reason beyond the deadline is registered
-// again after it.
+// keeping its Monitor (emptied), its process names and kernel, whose
+// registry it takes the series from afresh. A miss reason beyond the
+// deadline is registered again after it.
 func (l *Lifecycle) Reset(tl *timeline.Collector, maxRaw int) {
-	*l = Lifecycle{Monitor: l.Monitor, k: l.k, tl: tl}
+	*l = Lifecycle{Monitor: l.Monitor, k: l.k, tl: tl, names: l.names}
 	l.Monitor.Reset(maxRaw)
 	m := l.k.Metrics()
 	l.mInflight = m.Gauge("txn_inflight", "Transactions between arrival and commit/abort.")
@@ -74,33 +76,60 @@ func (l *Lifecycle) MissReason(err error, reason string) {
 	l.other = miss{err, reason, l.k.Metrics().Counter("txn_deadline_misses_total", missHelp, metrics.L("reason", reason))}
 }
 
-// Load reserves the Monitor's records and n event sequence numbers and
-// starts the arrival chain over next: each arrival event pulls and
-// schedules the following transaction, then calls arrive, so the event
-// heap holds one pending arrival however long the load is. The reserved
-// numbers fire every arrival among simultaneous events exactly where
-// scheduling the whole load up front would have.
-func (l *Lifecycle) Load(n int, next func() *workload.Txn, arrive func(*workload.Txn)) {
+// Load reserves the Monitor's records and len(txs) event sequence
+// numbers and starts the arrival chain over txs, handed out by index
+// in arrival order (see workload.InArrivalOrder): each arrival event
+// takes and schedules the following transaction, then calls arrive, so
+// the event heap holds one pending arrival however long the load is.
+// The reserved numbers fire every arrival among simultaneous events
+// exactly where scheduling the whole load up front would have.
+func (l *Lifecycle) Load(txs []*workload.Txn, arrive func(*workload.Txn)) {
+	l.load(len(txs), &arrivals{l: l, txs: workload.InArrivalOrder(txs), arrive: arrive})
+}
+
+// LoadStream is Load over a stream, pulled one arrival at a time, so
+// memory stays bounded however long the load is.
+func (l *Lifecycle) LoadStream(src *workload.Stream, arrive func(*workload.Txn)) {
+	l.load(src.Remaining(), &arrivals{l: l, next: src.Next, arrive: arrive})
+}
+
+func (l *Lifecycle) load(n int, a *arrivals) {
 	l.Monitor.Reserve(n)
-	(&arrivals{l: l, next: next, arrive: arrive, seqs: l.k.ReserveSeq(n)}).schedule()
+	a.seqs = l.k.ReserveSeq(n)
+	a.schedule()
 }
 
 // arrivals is one load's arrival chain. Every arrival event is the same
 // static handler with the chain as its argument, and the chain holds the
 // one transaction whose arrival is pending, so an arrival allocates
-// nothing.
+// nothing. A preloaded load is the slice txs, of which the first i have
+// been taken; a streamed one is pulled from next.
 type arrivals struct {
 	l      *Lifecycle
+	txs    []*workload.Txn
+	i      int
 	next   func() *workload.Txn
 	arrive func(*workload.Txn)
 	seqs   sim.SeqBlock
 	due    *workload.Txn
 }
 
-// schedule pulls one transaction and registers its arrival. It is
+// take returns the next transaction of the load, nil past its end.
+func (a *arrivals) take() *workload.Txn {
+	if a.next != nil {
+		return a.next()
+	}
+	if a.i == len(a.txs) {
+		return nil
+	}
+	a.i++
+	return a.txs[a.i-1]
+}
+
+// schedule takes one transaction and registers its arrival. It is
 // pending from here, not from when the arrival fires.
 func (a *arrivals) schedule() {
-	t := a.next()
+	t := a.take()
 	if t == nil {
 		return
 	}
@@ -118,15 +147,16 @@ func fireArrival(arg any) {
 	a.arrive(t)
 }
 
-// Spawn starts t's process running body. An engine binds body once per
-// pooled run, so the process is the spawn's one allocation; its name,
-// "tx" and the id, is built only for the journal's KSpawn record.
-func (l *Lifecycle) Spawn(t *workload.Txn, body func(*sim.Proc)) {
+// Spawn starts t's process on p, running body. An engine keeps p in a
+// pooled run and binds body once per run, so the spawn allocates
+// nothing; the process's name, "tx" and the id, is taken from the
+// lifecycle's Names only for the journal's KSpawn record.
+func (l *Lifecycle) Spawn(p *sim.Proc, t *workload.Txn, body func(*sim.Proc)) {
 	name := ""
 	if l.k.Journal() != nil {
-		name = "tx" + strconv.FormatInt(t.ID, 10)
+		name = l.names.Name(t.ID)
 	}
-	l.k.Spawn(name, body)
+	l.k.Start(p, name, body)
 }
 
 // Arrive journals t's arrival at site and opens its record; t counts as

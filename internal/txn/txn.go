@@ -121,16 +121,17 @@ type System struct {
 // outcome. Runs are pooled, the way dist's are: arrive takes one for
 // the transaction, and its process hands it back when exec returns, by
 // which time every attempt's state has left the manager and nothing
-// else holds the run.
+// else holds the run. The process lives in the run: once the body has
+// returned, the next transaction to take the run starts on it again.
 type run struct {
-	p *sim.Proc
-	t *workload.Txn
+	proc sim.Proc
+	t    *workload.Txn
 	// sets is the scratch the access sets are written into; managers
 	// only read them, and only while the attempt is registered.
 	sets []core.ObjectID
 	// body is the process body, and onPrio the priority-change hook
 	// the attempts' states share. Both are bound once per pooled run
-	// and read p and t.
+	// and read proc and t.
 	body   func(*sim.Proc)
 	onPrio func(sim.Priority)
 }
@@ -144,24 +145,24 @@ func (s *System) newRun(t *workload.Txn) *run {
 		s.runs = s.runs[:n-1]
 	} else {
 		x = &run{}
-		x.body = func(p *sim.Proc) {
-			x.p = p
+		x.body = func(*sim.Proc) {
 			s.exec(x)
-			x.p, x.t = nil, nil
+			x.t = nil
 			s.runs = append(s.runs, x)
 		}
 		x.onPrio = func(pr sim.Priority) {
 			s.K.Emit(journal.KInherit, x.t.ID, 0, pr.Deadline, pr.TxID, "")
-			s.CPU.Reprioritize(x.p, pr)
+			s.CPU.Reprioritize(&x.proc, pr)
 		}
 	}
 	x.t = t
 	return x
 }
 
-// arrive spawns the process of an arriving transaction.
+// arrive starts the process of an arriving transaction in its run.
 func (s *System) arrive(t *workload.Txn) {
-	s.life.Spawn(t, s.newRun(t).body)
+	x := s.newRun(t)
+	s.life.Spawn(&x.proc, t, x.body)
 }
 
 // NewSystem assembles a system from the configuration.
@@ -227,20 +228,22 @@ func (s *System) Reset(cfg Config) error {
 	return nil
 }
 
-// Load schedules the transactions' arrivals and, with a write-ahead log
-// configured, the checkpointer. It is LoadStream over the slice.
+// Load schedules the transactions' arrivals (see Lifecycle.Load) and,
+// with a write-ahead log configured, the checkpointer.
 func (s *System) Load(txs []*workload.Txn) {
-	s.load(len(txs), workload.Pull(txs))
+	s.life.Load(txs, s.arrive)
+	s.startCheckpointer()
 }
 
 // LoadStream is Load over a stream, pulled one arrival at a time (see
-// Lifecycle.Load), so memory stays bounded however long the load is.
+// Lifecycle.LoadStream), so memory stays bounded however long the load
+// is.
 func (s *System) LoadStream(src *workload.Stream) {
-	s.load(src.Remaining(), src.Next)
+	s.life.LoadStream(src, s.arrive)
+	s.startCheckpointer()
 }
 
-func (s *System) load(n int, next func() *workload.Txn) {
-	s.life.Load(n, next, s.arrive)
+func (s *System) startCheckpointer() {
 	if s.Log != nil && s.cfg.CheckpointEvery > 0 {
 		s.K.Spawn("checkpointer", s.checkpointer)
 	}
@@ -286,7 +289,7 @@ func (s *System) Run() stats.Summary {
 // exec runs x's transaction to commit or deadline abort, restarting
 // attempts that abort-based protocols reject.
 func (s *System) exec(x *run) {
-	p, t := x.p, x.t
+	p, t := &x.proc, x.t
 	deadline := s.life.Deadline(p, t)
 	rec := s.life.Arrive(t, 0)
 	var err error

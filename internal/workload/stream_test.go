@@ -292,25 +292,25 @@ func TestAbandonedStreamGoroutines(t *testing.T) {
 	}
 }
 
-// TestPullOrdersByArrival checks the slice form of Next: a sorted slice
-// comes out as is, an unsorted one in stable arrival order (the order
+// TestInArrivalOrder checks the slice form of Next: a sorted slice
+// comes back as is, an unsorted one in stable arrival order (the order
 // its arrivals fire), and the caller's slice keeps its order.
-func TestPullOrdersByArrival(t *testing.T) {
+func TestInArrivalOrder(t *testing.T) {
 	tx := func(id int64, at sim.Time) *Txn { return &Txn{ID: id, Arrival: at} }
 	txs := []*Txn{tx(1, 30), tx(2, 10), tx(3, 30), tx(4, 10), tx(5, 20)}
-	next := Pull(txs)
 	var got []int64
-	for t := next(); t != nil; t = next() {
+	for _, t := range InArrivalOrder(txs) {
 		got = append(got, t.ID)
 	}
 	if want := []int64{2, 4, 5, 1, 3}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("pulled %v, want %v", got, want)
+		t.Fatalf("ordered %v, want %v", got, want)
 	}
 	if txs[0].ID != 1 || txs[4].ID != 5 {
-		t.Fatal("Pull reordered the caller's slice")
+		t.Fatal("InArrivalOrder reordered the caller's slice")
 	}
-	if next() != nil {
-		t.Fatal("Pull handed out past the end")
+	sorted := []*Txn{tx(1, 10), tx(2, 10), tx(3, 20)}
+	if got := InArrivalOrder(sorted); &got[0] != &sorted[0] {
+		t.Fatal("InArrivalOrder copied a sorted slice")
 	}
 }
 

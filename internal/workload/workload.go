@@ -286,25 +286,18 @@ func Generate(p Params) ([]*Txn, error) {
 	return txs, nil
 }
 
-// Pull returns a function that hands out txs one at a time, then nil:
-// the slice form of Stream.Next, so a loader schedules a preloaded and a
-// streamed load through one arrival chain. A slice out of arrival order
-// is handed out in stable arrival order, the order in which its arrivals
-// fire; txs itself is not reordered.
-func Pull(txs []*Txn) func() *Txn {
+// InArrivalOrder returns txs in stable arrival order, the order in
+// which their arrivals fire: txs itself when it is sorted (a generated
+// load always is), else a sorted copy, so the caller's slice keeps its
+// order. A loader hands a preloaded load out of it by index, the slice
+// form of Stream.Next.
+func InArrivalOrder(txs []*Txn) []*Txn {
 	byArrival := func(a, b *Txn) int { return cmp.Compare(a.Arrival, b.Arrival) }
 	if !slices.IsSortedFunc(txs, byArrival) {
 		txs = slices.Clone(txs)
 		slices.SortStableFunc(txs, byArrival)
 	}
-	i := 0
-	return func() *Txn {
-		if i == len(txs) {
-			return nil
-		}
-		i++
-		return txs[i-1]
-	}
+	return txs
 }
 
 // generator is the load's draw state. Exactly one goroutine holds it at

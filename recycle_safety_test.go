@@ -2,8 +2,9 @@ package rtlock
 
 // Aliasing/recycle safety property test for the pooled hot path. The
 // fast path recycles events, wait tokens, lock waiters, transaction
-// states, a cluster's attempt runs and rounds, journals, and
-// serializability histories; a recycle bug (stale field, object shared
+// states, the runs and installers (and with them the processes that
+// live in them), a cluster's rounds, journals, and serializability
+// histories; a recycle bug (stale field, object shared
 // across owners, capacity carrying data over) would show up as a run
 // whose journal differs depending on what ran before it in the same
 // process. This test pins the opposite property: every configuration
@@ -11,7 +12,8 @@ package rtlock
 // configurations ran first on the same warm pools. Message bodies are
 // the one thing carved and never reused; the duplicated-message shape
 // pins its hash too, since reusing a body goes wrong the same way in
-// every run. CI runs it under -race and -shuffle=on, so data races on
+// every run, and so does the crashed-GCM shape, whose recovery reads
+// whether a pooled process has ended. CI runs it under -race and -shuffle=on, so data races on
 // pooled objects and test-order dependence are caught by the same
 // property.
 
@@ -107,6 +109,39 @@ func TestRecycleAliasingSafety(t *testing.T) {
 			}
 			if evicted == 0 {
 				return "", fmt.Errorf("the crash evicted no remote registration")
+			}
+			return res.Journal.HashString(), nil
+		}},
+		// The GCM site crashes and recovers: transactions whose
+		// processes ended while it was down leave registrations in the
+		// global table, which the recovery purges by reading each one's
+		// process (Dead). A process lives in its pooled run, so such a
+		// run must stay out of the pool: started again, its process
+		// would read as live and its registration as not to purge. The
+		// journal must hash as it did when every process was allocated
+		// afresh.
+		{"dist/global/gcm-crash/50", func() (string, error) {
+			res, err := RunDistributed(DistributedConfig{Global: true, Audit: true, Journal: true,
+				Faults:   &FaultPlan{Crashes: []FaultCrash{{Site: 0, At: int64(800 * Millisecond), RecoverAt: int64(1400 * Millisecond)}}},
+				Workload: WorkloadConfig{Count: 50}})
+			if err != nil {
+				return "", err
+			}
+			if len(res.Violations) > 0 {
+				return "", fmt.Errorf("violations: %v", res.Violations)
+			}
+			purged := int64(0)
+			for _, r := range res.Journal.Records() {
+				if r.Kind == journal.KResync && r.Note == "resync" {
+					purged += r.A
+				}
+			}
+			if purged == 0 {
+				return "", fmt.Errorf("the GCM's recovery purged no registration")
+			}
+			const want = "3a039727c699b401dcd4bbb14d033148e7084155a8b114c1317aa6d0d7563831"
+			if h := res.Journal.HashString(); h != want {
+				return "", fmt.Errorf("journal hash %s, want %s", h, want)
 			}
 			return res.Journal.HashString(), nil
 		}},
