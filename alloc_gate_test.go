@@ -125,29 +125,32 @@ func TestDistributedRunAllocGate(t *testing.T) {
 // auditors and journal — that it resets between schedules instead of
 // rebuilding, so a schedule pays for what is new in it: its decision
 // trace, its outcome (the journal hash, the verdict) and, in a faulted
-// cluster, its fault plan and the message servers it starts. Its
-// transactions and installers run in the rig's pooled runs, their
-// processes living in them, and their journal-only names come from
-// chunks the rig keeps. These runs measure 17–37 allocations (up to 38
-// under -race) and 5.6–6.7 KB per schedule, rig construction amortized
-// over the sixty; each case's count and the bytes are capped at about
-// 1.25x the measurement. A process allocated per transaction again
-// costs about 24 allocations per schedule, a name built per process
-// about as many, and a rig part rebuilt per schedule (a lock manager,
-// an auditor set, the cluster) tens of allocations and kilobytes:
-// each fails the gate. Race builds skip the byte budget (see
+// cluster, its fault plan. Its transactions and installers run in the
+// rig's pooled runs, their processes living in them, its message
+// servers restart on the processes they keep, its load's arrival chain
+// lives in the engine, and journal-only names come from chunks the rig
+// keeps. These runs measure 15–32 allocations (up to one more under
+// -race) and 5.5–6.4 KB per schedule, rig construction amortized over
+// the sixty; each case's count and the bytes are capped at about 1.25x
+// the measurement. A process allocated per transaction again costs
+// about 24 allocations per schedule, a name built per process about as
+// many, and a rig part rebuilt per schedule (a lock manager, an auditor
+// set, the cluster) tens of allocations and kilobytes: each fails the
+// gate. An arrival chain per load or a process per message server per
+// run (2 and 3) would not; TestRerunLoadAllocFree (internal/txn) and
+// TestServerRestartAllocFree (internal/netsim) catch those. Race builds skip the byte budget (see
 // race_test.go).
 func TestExploreScheduleAllocGate(t *testing.T) {
-	const schedules, maxBytes = 60, 8704 // 8.5 KB
+	const schedules, maxBytes = 60, 8192 // 8 KB
 	opts := ExploreOptions{Schedules: schedules, Workers: 1, MaxDepth: 24, Branch: 3}
 	for _, tc := range []struct {
 		name string
 		cfg  ExploreConfig
 		max  float64 // allocations per schedule
 	}{
-		{"single/HP", ExploreConfig{Protocol: TwoPLHighPriority}, 22},
-		{"single/C", ExploreConfig{Protocol: Ceiling}, 23},
-		{"faults-local", ExploreConfig{Faults: true}, 46},
+		{"single/HP", ExploreConfig{Protocol: TwoPLHighPriority}, 19},
+		{"single/C", ExploreConfig{Protocol: Ceiling}, 20},
+		{"faults-local", ExploreConfig{Faults: true}, 40},
 	} {
 		cfg := tc.cfg
 		cfg.Seed = 1

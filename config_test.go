@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -141,25 +143,20 @@ func TestParseSpecRejectsBad(t *testing.T) {
 	// error names it.
 	otherMode := []struct{ spec, field string }{
 		{`{"mode": "single", "global": true}`, "global"},
-		{`{"mode": "single", "hashShards": true}`, "hashShards"},
 		{`{"mode": "single", "replicas": 3}`, "replicas"},
 		{`{"mode": "single", "readQuorum": 2}`, "readQuorum"},
 		{`{"mode": "single", "writeQuorum": 2}`, "writeQuorum"},
 		{`{"mode": "single", "sites": 4}`, "sites"},
 		{`{"mode": "single", "commDelayMs": 5}`, "commDelayMs"},
-		{`{"mode": "single", "applyPerObjMs": 5}`, "applyPerObjMs"},
 		{`{"mode": "single", "multiversion": true}`, "multiversion"},
-		{`{"mode": "single", "snapshotLagMs": 5}`, "snapshotLagMs"},
 		{`{"mode": "single", "failures": [{"site": 1, "atMs": 50}]}`, "failures"},
 		{`{"mode": "single", "faults": {}}`, "faults"},
-		{`{"mode": "single", "siteSpeed": [1, 2]}`, "siteSpeed"},
 		{`{"mode": "single", "placement": "shard"}`, "placement"},
 		{`{"mode": "single", "workload": {"localityProb": 0.5}}`, "workload.localityProb"},
 		{`{"mode": "distributed", "protocol": "HP", "traceEvents": 50, "wal": true}`, "protocol"},
 		{`{"mode": "distributed", "ioPerObjMs": 20}`, "ioPerObjMs"},
 		{`{"mode": "distributed", "memoryResident": true}`, "memoryResident"},
 		{`{"mode": "distributed", "bufferPages": 10}`, "bufferPages"},
-		{`{"mode": "distributed", "ioDisks": 2}`, "ioDisks"},
 		{`{"mode": "distributed", "wal": true}`, "wal"},
 		{`{"mode": "distributed", "checkpointEveryMs": 100}`, "checkpointEveryMs"},
 		{`{"mode": "distributed", "traceEvents": 50}`, "traceEvents"},
@@ -174,6 +171,80 @@ func TestParseSpecRejectsBad(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"mode": "distributed", "protocol": "C"}`)); err != nil {
 		t.Errorf("distributed spec naming C: %v", err)
 	}
+	// The run configs no longer declare these keys, which the mode named
+	// here once took; the error names the key.
+	removed := []struct{ spec, key string }{
+		{`{"mode": "single", "ioDisks": 2}`, "ioDisks"},
+		{`{"mode": "single", "workload": {"periodicFrac": 0.3, "periodMs": 100}}`, "periodMs"},
+		{`{"mode": "distributed", "siteSpeed": [1, 2, 1]}`, "siteSpeed"},
+		{`{"mode": "distributed", "placement": "shard", "hashShards": true}`, "hashShards"},
+		{`{"mode": "distributed", "applyPerObjMs": 5}`, "applyPerObjMs"},
+		{`{"mode": "distributed", "multiversion": true, "snapshotLagMs": 50}`, "snapshotLagMs"},
+	}
+	for _, c := range removed {
+		_, err := ParseSpec([]byte(c.spec))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown field %q", c.key)) {
+			t.Errorf("%s: error %v, want one naming the unknown field %q", c.spec, err, c.key)
+		}
+	}
+}
+
+// TestSpecKeys pins the keys each mode's spec accepts: "mode", the json
+// keys of its run config, and a nested config's keys as
+// "outer.inner". A key added to or dropped from a run config shows up
+// here as a diff.
+func TestSpecKeys(t *testing.T) {
+	workload := []string{"workload", "workload.burstFactor", "workload.burstOffMs", "workload.burstOnMs",
+		"workload.count", "workload.localityProb", "workload.meanInterarrivalMs", "workload.meanSize",
+		"workload.periodicFrac", "workload.readOnlyFrac", "workload.seed", "workload.slackMax", "workload.slackMin"}
+	recording := []string{"audit", "journal", "maxRawRecords", "metrics", "metricsIntervalMs", "recordHistory",
+		"timelineMaxWindows", "timelineWindowMs"}
+	for _, c := range []struct {
+		mode string
+		cfg  any
+		want []string
+	}{
+		{"single", SingleSiteConfig{}, append(append([]string{"bufferPages", "checkpointEveryMs", "cpuPerObjMs",
+			"dbSize", "ioPerObjMs", "memoryResident", "mode", "protocol", "traceEvents", "wal"}, workload...), recording...)},
+		{"distributed", DistributedConfig{}, append(append([]string{"commDelayMs", "cpuPerObjMs", "dbSize",
+			"failures", "failures.atMs", "failures.recoverAtMs", "failures.site", "faults", "global", "mode",
+			"multiversion", "placement", "protocol", "readQuorum", "replicas", "sites", "writeQuorum"},
+			workload...), recording...)},
+	} {
+		got := append(specKeys(reflect.TypeOf(c.cfg), ""), "mode")
+		if c.mode == "distributed" {
+			// ParseSpec reads "protocol" beside the config, which has
+			// no such field: a distributed run is always C.
+			got = append(got, "protocol")
+		}
+		slices.Sort(got)
+		slices.Sort(c.want)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s spec keys:\n got  %q\n want %q", c.mode, got, c.want)
+		}
+	}
+}
+
+// specKeys lists the json keys of the struct type t, descending into
+// the fields (or slice elements) of t's own package's struct types.
+func specKeys(t reflect.Type, prefix string) []string {
+	var keys []string
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if !f.IsExported() || name == "" || name == "-" {
+			continue
+		}
+		keys = append(keys, prefix+name)
+		ft := f.Type
+		if ft.Kind() == reflect.Slice {
+			ft = ft.Elem()
+		}
+		if ft.Kind() == reflect.Struct && ft.PkgPath() == t.PkgPath() {
+			keys = append(keys, specKeys(ft, prefix+name+".")...)
+		}
+	}
+	return keys
 }
 
 func TestZeroSpecRunErrors(t *testing.T) {

@@ -3,6 +3,8 @@ package rtlock
 import (
 	"slices"
 	"testing"
+
+	"rtlock/internal/journal"
 )
 
 // dynamicCeilingLoad is the five-update load on which protocol C blocks
@@ -79,5 +81,45 @@ func TestDynamicCeilingFixture(t *testing.T) {
 	res := run(Ceiling, dynamicCeilingLoad()[:4])
 	if got := committed(res); len(got) != 4 || len(res.Violations) != 0 {
 		t.Errorf("C without tx 5: committed %v of 4 with findings %v, want all four and none", got, res.Violations)
+	}
+}
+
+// TestDynamicCeilingSteps names each step of the second blocking
+// episode in C's journal of the load (pinned byte for byte as
+// testdata/journals/single_C_dynamic_ceiling.bin): tx 5 registers at
+// 877 ms and raises the system ceiling to its own priority; it blocks
+// on object 193, held by tx 1; tx 4, blocked once already, requests
+// object 81 and blocks a second time, on the ceiling, blamed on tx 1;
+// and tx 5, the highest-priority transaction, misses at its deadline.
+func TestDynamicCeilingSteps(t *testing.T) {
+	const hash = "4e55383f3bb6c9b71057ed1e82c21174d8f942b67d47ce4447765cceafcd2927"
+	jrn := goldenDynamicCeiling(t)
+	if got := jrn.HashString(); got != hash {
+		t.Errorf("journal hash %s, want %s", got, hash)
+	}
+	recs := jrn.Records()
+	for _, want := range []struct {
+		step string
+		rec  journal.Record
+	}{
+		{"tx 5 registers", journal.Record{Seq: 177, At: 877000, Kind: journal.KRegister, Tx: 5}},
+		{"the ceiling rises to tx 5's priority", journal.Record{Seq: 178, At: 877000, Kind: journal.KCeiling, A: 1932400, B: 5}},
+		{"tx 5 blocks on obj 193, held by tx 1", journal.Record{Seq: 180, At: 877000, Kind: journal.KLockBlock, Tx: 5, Obj: 193, A: 1}},
+		{"tx 4 blocks on the ceiling at obj 81, blamed on tx 1", journal.Record{Seq: 184, At: 886500, Kind: journal.KLockBlock, Tx: 4, Obj: 81, A: 1, B: 1}},
+		{"tx 5 misses its deadline", journal.Record{Seq: 195, At: 1932400, Kind: journal.KDeadlineMiss, Tx: 5}},
+	} {
+		if got := recs[want.rec.Seq]; got != want.rec {
+			t.Errorf("%s: record %d is %+v, want %+v", want.step, want.rec.Seq, got, want.rec)
+		}
+	}
+	// The block at seq 184 is tx 4's second in its one attempt.
+	blocks := 0
+	for _, r := range recs[:185] {
+		if r.Kind == journal.KLockBlock && r.Tx == 4 {
+			blocks++
+		}
+	}
+	if blocks != 2 {
+		t.Errorf("tx 4 blocked %d times by seq 184, want 2", blocks)
 	}
 }

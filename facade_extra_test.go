@@ -51,27 +51,6 @@ func TestRunDistributedWithTopology(t *testing.T) {
 	}
 }
 
-func TestRunSingleSiteIODisksSlowDown(t *testing.T) {
-	// Bounding I/O parallelism to one disk must not speed anything up.
-	wl := WorkloadConfig{Count: 100, MeanSize: 8, Seed: 5}
-	free, err := RunSingleSite(SingleSiteConfig{Workload: wl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oneDisk, err := RunSingleSite(SingleSiteConfig{Workload: wl, IODisks: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oneDisk.Summary.MissedPct < free.Summary.MissedPct {
-		t.Fatalf("one disk missed %.1f%% < unbounded %.1f%%",
-			oneDisk.Summary.MissedPct, free.Summary.MissedPct)
-	}
-	if oneDisk.Summary.AvgResp < free.Summary.AvgResp {
-		t.Fatalf("one disk responded faster (%v < %v)",
-			oneDisk.Summary.AvgResp, free.Summary.AvgResp)
-	}
-}
-
 func TestRunSingleSiteBufferSpeedsUp(t *testing.T) {
 	wl := WorkloadConfig{Count: 150, MeanSize: 14, Seed: 5}
 	plain, err := RunSingleSite(SingleSiteConfig{Workload: wl})

@@ -17,7 +17,7 @@ func FuzzConfig(f *testing.F) {
 	f.Add([]byte(`{"mode":"single","protocol":"HP","dbSize":100,"wal":true,"audit":true}`))
 	f.Add([]byte(`{"mode":"distributed","global":true,"sites":3,"workload":{"seed":2,"readOnlyFrac":0.5}}`))
 	f.Add([]byte(`{"mode":"distributed","multiversion":true,"failures":[{"site":1,"atMs":50}]}`))
-	f.Add([]byte(`{"mode":"distributed","placement":"shard","hashShards":true,"sites":4,"workload":{"localityProb":0.7}}`))
+	f.Add([]byte(`{"mode":"distributed","placement":"shard","sites":4,"dbSize":40,"workload":{"localityProb":0.7}}`))
 	f.Add([]byte(`{"mode":"distributed","placement":"quorum","replicas":3,"readQuorum":2,"writeQuorum":2}`))
 	f.Add([]byte(`{"mode":"distributed","placement":"primary","sites":8,"workload":{"localityProb":1}}`))
 	f.Add([]byte(`{"mode":"single","placement":"shard"}`))
@@ -27,7 +27,7 @@ func FuzzConfig(f *testing.F) {
 	f.Add([]byte(`{"mode":"distributed","placement":"bogus"}`))
 	f.Add([]byte(`{"mode":"distributed","workload":{"localityProb":1.5}}`))
 	f.Add([]byte(`{"mode":"single","cpuPerObjMs":1.001,"workload":{"burstFactor":2,"burstOnMs":0.5,"burstOffMs":3}}`))
-	f.Add([]byte(`{"mode":"distributed","commDelayMs":2.5,"failures":[{"site":2,"atMs":1.0004,"recoverAtMs":9}],"siteSpeed":[]}`))
+	f.Add([]byte(`{"mode":"distributed","commDelayMs":2.5,"failures":[{"site":2,"atMs":1.0004,"recoverAtMs":9}],"metricsIntervalMs":50}`))
 	f.Add([]byte(`{"mode":"distributed","failures":[{"site":3,"atMs":5}]}`))
 	f.Add([]byte(`{"mode":"single","workload":{"meanSizze":3}}`))
 	f.Add([]byte(`{"mode":"nope"}`))

@@ -41,6 +41,22 @@ func goldenSingle(t testing.TB, p Protocol) *journal.Journal {
 	return res.Journal
 }
 
+// goldenDynamicCeiling runs dynamicCeilingLoad under C: the load on
+// which a newcomer's ceiling blocks an already blocked transaction a
+// second time (see TestDynamicCeilingSteps).
+func goldenDynamicCeiling(t testing.TB) *journal.Journal {
+	t.Helper()
+	res, err := RunSingleSite(SingleSiteConfig{
+		Protocol: Ceiling,
+		Journal:  true,
+		Workload: WorkloadConfig{Transactions: dynamicCeilingLoad(), Count: 5},
+	})
+	if err != nil {
+		t.Fatalf("dynamic ceiling load: %v", err)
+	}
+	return res.Journal
+}
+
 // goldenDist runs the fixture-sized distributed workload for one
 // architecture.
 func goldenDist(t testing.TB, global bool) *journal.Journal {
@@ -263,7 +279,8 @@ func describeRecordAt(jrn *journal.Journal, off int) string {
 }
 
 // TestGoldenJournals pins the canonical journal bytes of all nine
-// protocols and both distributed architectures to committed fixtures.
+// protocols, C on the dynamic-ceiling load, and every distributed mode,
+// faulted and not, to committed fixtures.
 func TestGoldenJournals(t *testing.T) {
 	for _, p := range goldenProtocols {
 		p := p
@@ -272,6 +289,10 @@ func TestGoldenJournals(t *testing.T) {
 			checkGolden(t, "single_"+string(p), goldenSingle(t, p))
 		})
 	}
+	t.Run("single/C-dynamic-ceiling", func(t *testing.T) {
+		t.Parallel()
+		checkGolden(t, "single_C_dynamic_ceiling", goldenDynamicCeiling(t))
+	})
 	t.Run("dist/local", func(t *testing.T) {
 		t.Parallel()
 		checkGolden(t, "dist_local", goldenDist(t, false))

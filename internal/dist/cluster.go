@@ -35,9 +35,6 @@ var ErrSiteCrashed = errors.New("dist: home site crashed")
 type Config struct {
 	// Mode selects the execution model (required).
 	Mode Mode
-	// HashShards scatters primaries with a multiplicative hash instead
-	// of contiguous ranges (shard, quorum, and primary modes).
-	HashShards bool
 	// Replicas is the number of copies per object K (quorum mode only;
 	// zero means min(3, Sites)).
 	Replicas int
@@ -60,14 +57,6 @@ type Config struct {
 	// CPUPerObj is the CPU demand per object access. The distributed
 	// experiments simulate a memory-resident database: no I/O cost.
 	CPUPerObj sim.Duration
-	// SiteSpeed optionally scales each site's processor speed (the
-	// paper's UI exposes "the relative speed of CPU"): service demand
-	// at site i is divided by SiteSpeed[i]. Empty means every site
-	// runs at speed 1; otherwise one entry per site, each positive.
-	SiteSpeed []float64
-	// ApplyPerObj is the CPU demand to install one replicated update
-	// at a secondary site (local mode only).
-	ApplyPerObj sim.Duration
 	// GCMSite hosts the global ceiling manager (global mode only).
 	GCMSite db.SiteID
 	// Multiversion makes read-only transactions in local mode read a
@@ -80,15 +69,19 @@ type Config struct {
 	Multiversion bool
 	// SnapshotLag is the snapshot age Δ; it should cover the
 	// propagation delay so snapshots are complete at every replica
-	// (zero means the default of 3×CommDelay + 10×ApplyPerObj).
+	// (zero means the default of 3×CommDelay + 10×applyPerObj).
 	SnapshotLag sim.Duration
 	// InstallRetries bounds how many times a replica installer retries
 	// when its lock wait times out; afterwards the update is dropped
 	// and counted (zero means the default of 5).
 	InstallRetries int
 	// InstallTimeout is the per-attempt installer lock timeout (zero
-	// means the default of 50× ApplyPerObj, at least 10ms).
+	// means the default of 50× applyPerObj, at least 10ms).
 	InstallTimeout sim.Duration
+	// applyPerObj is the CPU demand to install one replicated update
+	// at a secondary site (local mode only): fill derives it as half of
+	// CPUPerObj, at least one tick.
+	applyPerObj sim.Duration
 	// Journal, when non-nil, receives every kernel-level event of the
 	// run (scheduling, locking, 2PC, replication) for deterministic
 	// replay and invariant auditing.
@@ -118,9 +111,6 @@ type Config struct {
 func (c *Config) Validate() error {
 	if !c.Mode.valid() {
 		return fmt.Errorf("dist: unknown mode %d", int(c.Mode))
-	}
-	if c.HashShards && c.Mode.LocalWriteSets() {
-		return fmt.Errorf("dist: hash sharding requires a sharded, quorum, or primary-only placement")
 	}
 	if c.Mode != Quorum && (c.Replicas != 0 || c.ReadQuorum != 0 || c.WriteQuorum != 0) {
 		return fmt.Errorf("dist: replica and quorum parameters require placement quorum")
@@ -158,16 +148,6 @@ func (c *Config) Validate() error {
 	if c.Topology != nil && c.Topology.Sites() != c.Sites {
 		return fmt.Errorf("dist: topology has %d sites, config has %d", c.Topology.Sites(), c.Sites)
 	}
-	if len(c.SiteSpeed) != 0 {
-		if len(c.SiteSpeed) != c.Sites {
-			return fmt.Errorf("dist: %d site speeds for %d sites", len(c.SiteSpeed), c.Sites)
-		}
-		for i, sp := range c.SiteSpeed {
-			if sp <= 0 {
-				return fmt.Errorf("dist: site %d speed %v must be positive", i, sp)
-			}
-		}
-	}
 	if int(c.GCMSite) < 0 || int(c.GCMSite) >= c.Sites {
 		return fmt.Errorf("dist: GCM site %d out of range", c.GCMSite)
 	}
@@ -185,17 +165,13 @@ func defaultReplicas(sites int) int {
 // buildPlacement constructs the mode's layout over the validated
 // configuration (defaults already filled in).
 func (c *Config) buildPlacement() (place.Map, error) {
-	part := place.RangePartition
-	if c.HashShards {
-		part = place.HashPartition
-	}
 	switch modes[c.Mode].layout {
 	case place.Sharded:
-		return place.NewSharded(c.Sites, c.Objects, part)
+		return place.NewSharded(c.Sites, c.Objects, place.RangePartition)
 	case place.Quorum:
-		return place.NewQuorum(c.Sites, c.Objects, part, c.Replicas, c.ReadQuorum, c.WriteQuorum)
+		return place.NewQuorum(c.Sites, c.Objects, place.RangePartition, c.Replicas, c.ReadQuorum, c.WriteQuorum)
 	case place.PrimaryOnly:
-		return place.NewPrimaryOnly(c.Sites, c.Objects, part)
+		return place.NewPrimaryOnly(c.Sites, c.Objects, place.RangePartition)
 	default:
 		return place.NewFull(c.Sites, c.Objects)
 	}
@@ -221,20 +197,15 @@ func (c *Config) fill() error {
 			return fmt.Errorf("dist: quorums R=%d W=%d do not intersect over K=%d replicas (need R+W > K)", c.ReadQuorum, c.WriteQuorum, c.Replicas)
 		}
 	}
-	if c.ApplyPerObj <= 0 {
-		c.ApplyPerObj = c.CPUPerObj / 2
-		if c.ApplyPerObj <= 0 {
-			c.ApplyPerObj = 1
-		}
-	}
+	c.applyPerObj = max(c.CPUPerObj/2, 1)
 	if c.InstallRetries <= 0 {
 		c.InstallRetries = 5
 	}
 	if c.SnapshotLag <= 0 {
-		c.SnapshotLag = 3*c.CommDelay + 10*c.ApplyPerObj
+		c.SnapshotLag = 3*c.CommDelay + 10*c.applyPerObj
 	}
 	if c.InstallTimeout <= 0 {
-		c.InstallTimeout = 50 * c.ApplyPerObj
+		c.InstallTimeout = 50 * c.applyPerObj
 		if c.InstallTimeout < 10*sim.Millisecond {
 			c.InstallTimeout = 10 * sim.Millisecond
 		}
@@ -248,7 +219,6 @@ func (c *Config) fill() error {
 type site struct {
 	id    db.SiteID
 	cpu   *sim.CPU
-	speed float64
 	store *db.Store
 	mv    *db.MVStore
 	mgr   *core.Ceiling
@@ -262,15 +232,6 @@ type site struct {
 	// installNames are the journal-only names of the site's installers,
 	// "install-<origin>@<site>", kept across resets.
 	installNames txn.Names
-}
-
-// use consumes d of service demand on the site's processor, scaled by
-// its relative speed.
-func (s *site) use(p *sim.Proc, prio sim.Priority, d sim.Duration) error {
-	if s.speed != 1 {
-		d = sim.Duration(float64(d) / s.speed)
-	}
-	return s.cpu.Use(p, prio, d)
 }
 
 // ReplicationStats aggregates the replica behavior of local mode, the
@@ -408,8 +369,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		Catalog: cat,
 		mode:    &modes[cfg.Mode],
 		sites:   make([]*site, 0, cfg.Sites),
-		life:    txn.NewLifecycle(k, nil, 0),
 	}
+	c.life = txn.NewLifecycle(k, c.arrive)
 	c.Monitor = c.life.Monitor
 	c.hooks = faults.Hooks{OnCrash: c.onCrash, OnRecover: c.onRecover}
 	for i := 0; i < cfg.Sites; i++ {
@@ -458,11 +419,7 @@ func (c *Cluster) Reset(cfg Config) error {
 	clear(c.twopc)
 	clear(c.qrounds)
 	c.faultsOn, c.gcmDown, c.inj = false, false, nil
-	for i, s := range c.sites {
-		s.speed = 1
-		if len(cfg.SiteSpeed) > 0 {
-			s.speed = cfg.SiteSpeed[i]
-		}
+	for _, s := range c.sites {
 		s.cpu.Reset(sim.PreemptivePriority)
 		s.store.Reset()
 		if s.mv != nil {
@@ -700,12 +657,12 @@ func (c *Cluster) Store(i db.SiteID) *db.Store { return c.sites[i].store }
 // Load schedules the transactions' arrivals (see txn.Lifecycle.Load),
 // so the event heap holds one pending arrival however long the load is.
 func (c *Cluster) Load(txs []*workload.Txn) {
-	c.life.Load(txs, c.arrive)
+	c.life.Load(txs)
 }
 
 // LoadStream is Load over a stream, pulled one arrival at a time.
 func (c *Cluster) LoadStream(src *workload.Stream) {
-	c.life.LoadStream(src, c.arrive)
+	c.life.LoadStream(src)
 }
 
 // arrive admits one arrival. An arrival at a crashed site is lost with

@@ -460,73 +460,6 @@ func TestLocalMultiversionSnapshotConsistent(t *testing.T) {
 	}
 }
 
-func TestSiteSpeedValidation(t *testing.T) {
-	conf := cfg(Local, 0)
-	conf.SiteSpeed = []float64{1, 2} // wrong length
-	if _, err := NewCluster(conf); err == nil {
-		t.Fatal("wrong-length site speeds accepted")
-	}
-	conf.SiteSpeed = []float64{1, 0, 1}
-	if _, err := NewCluster(conf); err == nil {
-		t.Fatal("zero speed accepted")
-	}
-}
-
-func TestSiteSpeedScalesService(t *testing.T) {
-	// A transaction at a double-speed site finishes its CPU work in
-	// half the time.
-	conf := cfg(Local, 0)
-	conf.SiteSpeed = []float64{1, 2, 1}
-	c, err := NewCluster(conf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := mkDistTxn(1, 0, 0, sim.Time(sim.Second), []workload.Op{{Obj: 0, Mode: core.Write}})
-	fast := mkDistTxn(2, 1, 0, sim.Time(sim.Second), []workload.Op{{Obj: 10, Mode: core.Write}})
-	c.Load([]*workload.Txn{slow, fast})
-	c.Run()
-	recs := c.Monitor.Records()
-	if recs[0].Finish != sim.Time(10*sim.Millisecond) {
-		t.Fatalf("speed-1 site finished at %v, want 10ms", recs[0].Finish)
-	}
-	if recs[1].Finish != sim.Time(5*sim.Millisecond) {
-		t.Fatalf("speed-2 site finished at %v, want 5ms", recs[1].Finish)
-	}
-}
-
-func TestHeterogeneousSpeedsShiftMisses(t *testing.T) {
-	// Slowing one site concentrates deadline misses there.
-	base := cfg(Local, 0)
-	base.SiteSpeed = []float64{0.25, 1, 1} // site 0 is 4× slower
-	c, err := NewCluster(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var txs []*workload.Txn
-	id := int64(0)
-	for i := 0; i < 60; i++ {
-		id++
-		home := db.SiteID(i % 3)
-		baseObj := core.ObjectID(int(home) * 10)
-		arr := sim.Time(i) * sim.Time(10*sim.Millisecond)
-		txs = append(txs, mkDistTxn(id, home, arr, arr.Add(150*sim.Millisecond), []workload.Op{
-			{Obj: baseObj + core.ObjectID(i%5), Mode: core.Write},
-			{Obj: baseObj + core.ObjectID((i+2)%5), Mode: core.Write},
-		}))
-	}
-	c.Load(txs)
-	c.Run()
-	missBySite := map[db.SiteID]int{}
-	for _, rec := range c.Monitor.Records() {
-		if rec.Outcome != stats.Committed {
-			missBySite[rec.Site]++
-		}
-	}
-	if missBySite[0] <= missBySite[1] || missBySite[0] <= missBySite[2] {
-		t.Fatalf("slow site did not dominate misses: %v", missBySite)
-	}
-}
-
 func TestLocalSurvivesRemoteSiteFailure(t *testing.T) {
 	// A down remote site costs the local approach only dropped replica
 	// updates — local transactions keep committing.

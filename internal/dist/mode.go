@@ -265,7 +265,7 @@ func (c *Cluster) ownedBy(objs []core.ObjectID, site db.SiteID) []core.ObjectID 
 }
 
 func use(c *Cluster, x *txRun, _ workload.Op, s *site, prio sim.Priority) error {
-	return s.use(&x.proc, prio, c.cfg.CPUPerObj)
+	return s.cpu.Use(&x.proc, prio, c.cfg.CPUPerObj)
 }
 
 // sampleAndUse reads the home replica: the read samples the copy's

@@ -62,8 +62,6 @@ func TestPlacementValidation(t *testing.T) {
 			"dist: unknown mode 9"},
 		{"unset mode", Config{},
 			"dist: unknown mode 0"},
-		{"hash without placement", Config{Mode: Local, HashShards: true},
-			"dist: hash sharding requires a sharded, quorum, or primary-only placement"},
 		{"replicas without quorum", Config{Mode: Shard, Replicas: 2},
 			"dist: replica and quorum parameters require placement quorum"},
 		{"read quorum without quorum", Config{Mode: Global, ReadQuorum: 2},

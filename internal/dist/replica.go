@@ -244,7 +244,7 @@ func (c *Cluster) installBody(p *sim.Proc, st *core.TxState, s *site, mgr *core.
 		if err := mgr.Acquire(p, st, w.obj, core.Write); err != nil {
 			return err
 		}
-		if err := s.use(p, st.Eff(), c.cfg.ApplyPerObj); err != nil {
+		if err := s.cpu.Use(p, st.Eff(), c.cfg.applyPerObj); err != nil {
 			return err
 		}
 	}

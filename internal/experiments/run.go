@@ -52,9 +52,6 @@ type WorkloadConfig struct {
 	// PeriodicFrac generates that fraction of update transactions as
 	// periodic task instances (default 0).
 	PeriodicFrac float64 `json:"periodicFrac,omitempty"`
-	// Period is the period of periodic streams (default
-	// 10×MeanInterarrival).
-	Period sim.Duration `json:"periodMs,omitempty"`
 	// ImplicitDeadlines gives periodic instances the start of the next
 	// period as their deadline.
 	ImplicitDeadlines bool `json:"-"`
@@ -113,9 +110,6 @@ type SingleSiteConfig struct {
 	// BufferPages sizes the LRU object buffer; accesses that hit skip
 	// the I/O delay. Zero disables buffering.
 	BufferPages int `json:"bufferPages,omitempty"`
-	// IODisks bounds I/O parallelism (misses queue FIFO for a disk).
-	// Zero keeps the paper's unbounded parallel-I/O assumption.
-	IODisks int `json:"ioDisks,omitempty"`
 	// WAL enables the redo-only write-ahead log: commits force a log
 	// record before their writes become visible, and Result.Recovery
 	// reports the restart cost.
@@ -180,10 +174,6 @@ type DistributedConfig struct {
 	// 2PC, serializability waived and journaled as such. Comparing a
 	// coordinated mode against "primary" yields its consistency tax.
 	Placement string `json:"placement,omitempty"`
-	// HashShards selects hash partitioning for the primary mapping of
-	// sharded, quorum, and primary-only placements (default: contiguous
-	// range partitioning).
-	HashShards bool `json:"hashShards,omitempty"`
 	// Replicas is the replica-set size K for the quorum placement
 	// (default min(3, Sites)).
 	Replicas int `json:"replicas,omitempty"`
@@ -207,9 +197,6 @@ type DistributedConfig struct {
 	// CPUPerObj is the CPU demand per object (default 10ms); the
 	// distributed database is memory-resident.
 	CPUPerObj sim.Duration `json:"cpuPerObjMs,omitempty"`
-	// ApplyPerObj is the replica-installation CPU per object for the
-	// local approach (default CPUPerObj/2).
-	ApplyPerObj sim.Duration `json:"applyPerObjMs,omitempty"`
 	// Multiversion gives read-only transactions in the local approach
 	// temporally consistent snapshot reads (the paper's §4 closing
 	// multi-version idea) instead of latest-copy reads.
@@ -232,12 +219,6 @@ type DistributedConfig struct {
 	// FaultSeed seeds the fault injector's random stream (defaults to
 	// the workload seed).
 	FaultSeed int64 `json:"-"`
-	// SiteSpeed optionally scales each site's processor speed; empty
-	// means uniform speed 1.
-	SiteSpeed []float64 `json:"siteSpeed"`
-	// SnapshotLag is the snapshot age for multiversion reads (zero
-	// uses a default covering typical propagation).
-	SnapshotLag sim.Duration `json:"snapshotLagMs,omitempty"`
 	// Workload describes the load. Updates are homed at their write
 	// set's primary site, read-only transactions at random sites.
 	Workload WorkloadConfig `json:"workload"`
@@ -574,7 +555,6 @@ func runSingleSite(cfg SingleSiteConfig, records bool) (*Result, error) {
 		CPUDiscipline:   row.Discipline,
 		NewManager:      row.New,
 		BufferPages:     cfg.BufferPages,
-		IODisks:         cfg.IODisks,
 		LockOverhead:    cfg.lockOverhead,
 		WAL:             cfg.WAL,
 		CheckpointEvery: cfg.CheckpointEvery,
@@ -623,9 +603,6 @@ func runDistributed(cfg DistributedConfig, mode dist.Mode, records bool) (*Resul
 			// paper's two architectures keep the historical key so their
 			// golden journals stay byte-identical.
 			key += fmt.Sprintf("/place=%s", mode)
-			if cfg.HashShards {
-				key += "/hash"
-			}
 			if mode == dist.Quorum {
 				key += fmt.Sprintf("/k=%d/r=%d/w=%d", cfg.Replicas, cfg.ReadQuorum, cfg.WriteQuorum)
 			}
@@ -642,7 +619,6 @@ func runDistributed(cfg DistributedConfig, mode dist.Mode, records bool) (*Resul
 	})
 	cluster, err := dist.NewCluster(dist.Config{
 		Mode:          mode,
-		HashShards:    cfg.HashShards,
 		Replicas:      cfg.Replicas,
 		ReadQuorum:    cfg.ReadQuorum,
 		WriteQuorum:   cfg.WriteQuorum,
@@ -652,10 +628,7 @@ func runDistributed(cfg DistributedConfig, mode dist.Mode, records bool) (*Resul
 		Topology:      cfg.Topology,
 		GCMSite:       cfg.GCMSite,
 		CPUPerObj:     cfg.CPUPerObj,
-		ApplyPerObj:   cfg.ApplyPerObj,
 		Multiversion:  cfg.Multiversion,
-		SnapshotLag:   cfg.SnapshotLag,
-		SiteSpeed:     cfg.SiteSpeed,
 		Journal:       rec.jrn,
 		Timeline:      rec.tl,
 		MaxRawRecords: cfg.MaxRawRecords,
@@ -801,7 +774,6 @@ func generatorParams(w WorkloadConfig, cat *db.Catalog, perObjCost sim.Duration,
 		LocalWriteSets:    localWriteSets,
 		LocalityProb:      w.LocalityProb,
 		PeriodicFrac:      w.PeriodicFrac,
-		Period:            w.Period,
 		ImplicitDeadlines: w.ImplicitDeadlines,
 		BurstFactor:       w.BurstFactor,
 		BurstOn:           w.BurstOn,

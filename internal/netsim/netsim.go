@@ -284,8 +284,8 @@ func (n *Network) Server(site db.SiteID) *Server {
 	return s
 }
 
-// start spawns the process of site's server, which a run uses for the
-// first time: a dormant one, or one built now.
+// start starts the process of site's server, which a run uses for the
+// first time: a dormant one, on the process it kept, or one built now.
 func (n *Network) start(site db.SiteID) *Server {
 	s, ok := n.dormant[site]
 	if ok {
@@ -297,7 +297,7 @@ func (n *Network) start(site db.SiteID) *Server {
 		slices.Sort(n.sites)
 	}
 	s.tok.Reset()
-	s.proc = n.k.Spawn(s.name, s.idle)
+	n.k.Start(&s.proc, s.name, s.idle)
 	n.servers[site] = s
 	return s
 }
@@ -495,15 +495,15 @@ type Server struct {
 	k    *sim.Kernel
 	site db.SiteID
 	name string
-	// idle is the server process's body: it delivers nothing and parks
-	// on tok until Shutdown interrupts it (the package comment says why
-	// it exists).
+	// idle is the body of the server's process, proc, which the server
+	// keeps across resets: it delivers nothing and parks on tok until
+	// Shutdown interrupts it (the package comment says why it exists).
 	idle     func(*sim.Proc)
 	tok      sim.Token
+	proc     sim.Proc
 	handlers map[string]Handler
 	queue    []Message
 	draining bool // a drain event is scheduled and has not finished
-	proc     *sim.Proc
 	stopped  bool
 
 	// Delivered counts inter-site messages dispatched to handlers: an
@@ -514,11 +514,11 @@ type Server struct {
 	Dropped int
 }
 
-// reset makes s dormant for a new run: no process, nothing queued,
-// counters at zero, its handlers kept (see Network.Reset).
+// reset makes s dormant for a new run: its process ended, nothing
+// queued, counters at zero, its handlers kept (see Network.Reset).
 func (s *Server) reset() {
 	clear(s.queue)
-	s.queue, s.draining, s.proc, s.stopped = s.queue[:0], false, nil, false
+	s.queue, s.draining, s.stopped = s.queue[:0], false, false
 	s.Delivered, s.Dropped = 0, 0
 }
 

@@ -288,6 +288,32 @@ func TestWarmSendDeliverZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestServerRestartAllocFree: across resets a site's server starts on
+// the process it keeps, so a run that starts its servers and shuts them
+// down allocates nothing.
+func TestServerRestartAllocFree(t *testing.T) {
+	k := sim.NewKernel()
+	k.KeepWorkers()
+	defer k.Close()
+	n := NewNetwork(k, sim.Millisecond)
+	run := func() {
+		k.Reset()
+		n.Reset()
+		n.Server(0)
+		n.Server(1)
+		k.Run()
+		n.Shutdown()
+		k.Run()
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("a run of two servers allocates %.2f times, want 0", allocs)
+	}
+	if k.Live() != 0 {
+		t.Fatalf("%d live processes after shutdown", k.Live())
+	}
+}
+
 func TestHandlerSpawnsWork(t *testing.T) {
 	k := sim.NewKernel()
 	n := NewNetwork(k, sim.Millisecond)

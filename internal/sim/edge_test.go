@@ -183,21 +183,6 @@ func TestInterruptTwiceSecondFails(t *testing.T) {
 	k.Run()
 }
 
-func TestSemaphoreTryWait(t *testing.T) {
-	k := NewKernel()
-	sem := NewSemaphore(k, 1)
-	if !sem.TryWait() {
-		t.Fatal("TryWait failed with count 1")
-	}
-	if sem.TryWait() {
-		t.Fatal("TryWait succeeded with count 0")
-	}
-	sem.Signal()
-	if sem.Count() != 1 {
-		t.Fatalf("count = %d", sem.Count())
-	}
-}
-
 func TestShutdownIdempotentWhenEmpty(t *testing.T) {
 	k := NewKernel()
 	if err := k.Shutdown(); err != nil {

@@ -269,56 +269,6 @@ func TestShutdownUnparksAll(t *testing.T) {
 	}
 }
 
-func TestSemaphoreFIFO(t *testing.T) {
-	k := NewKernel()
-	sem := NewSemaphore(k, 1)
-	var order []string
-	worker := func(name string, start Duration) {
-		k.Spawn(name, func(p *Proc) {
-			if err := p.Sleep(start); err != nil {
-				return
-			}
-			if err := sem.Wait(p); err != nil {
-				return
-			}
-			order = append(order, name)
-			if err := p.Sleep(100); err != nil {
-				return
-			}
-			sem.Signal()
-		})
-	}
-	worker("a", 0)
-	worker("b", 10)
-	worker("c", 20)
-	k.Run()
-	want := []string{"a", "b", "c"}
-	for i, w := range want {
-		if order[i] != w {
-			t.Fatalf("semaphore order %v, want %v", order, want)
-		}
-	}
-}
-
-func TestSemaphoreCancelWaiter(t *testing.T) {
-	k := NewKernel()
-	sem := NewSemaphore(k, 0)
-	var got error
-	var proc *Proc
-	proc = k.Spawn("w", func(p *Proc) { got = sem.Wait(p) })
-	k.At(5, func() { proc.Interrupt(errors.New("die")) })
-	k.At(10, func() {
-		sem.Signal() // must not be consumed by the dead waiter
-		if sem.Count() != 1 {
-			t.Errorf("count = %d after signaling past a canceled waiter, want 1", sem.Count())
-		}
-	})
-	k.Run()
-	if got == nil {
-		t.Fatal("canceled waiter saw nil error")
-	}
-}
-
 func TestPriorityOrdering(t *testing.T) {
 	early := Priority{Deadline: 100, TxID: 2}
 	late := Priority{Deadline: 200, TxID: 1}

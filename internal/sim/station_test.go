@@ -1,13 +1,10 @@
 package sim
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 func TestStationInfiniteParallel(t *testing.T) {
 	k := NewKernel()
-	st := NewStation(k, 0)
+	st := NewStation(k)
 	var finishes []Time
 	for i := 0; i < 5; i++ {
 		k.Spawn("j", func(p *Proc) {
@@ -25,108 +22,7 @@ func TestStationInfiniteParallel(t *testing.T) {
 			t.Fatalf("finishes = %v, want all 100 (parallel)", finishes)
 		}
 	}
-	if st.Jobs() != 5 || st.Busy() != 500 {
-		t.Fatalf("jobs=%d busy=%d", st.Jobs(), st.Busy())
-	}
-}
-
-func TestStationSingleServerSerializes(t *testing.T) {
-	k := NewKernel()
-	st := NewStation(k, 1)
-	var finishes []Time
-	for i := 0; i < 3; i++ {
-		k.Spawn("j", func(p *Proc) {
-			if err := st.Serve(p, 100); err != nil {
-				return
-			}
-			finishes = append(finishes, p.Now())
-		})
-	}
-	k.Run()
-	want := []Time{100, 200, 300}
-	for i, f := range finishes {
-		if f != want[i] {
-			t.Fatalf("finishes = %v, want %v", finishes, want)
-		}
-	}
-}
-
-func TestStationTwoServers(t *testing.T) {
-	k := NewKernel()
-	st := NewStation(k, 2)
-	var last Time
-	for i := 0; i < 4; i++ {
-		k.Spawn("j", func(p *Proc) {
-			if err := st.Serve(p, 100); err != nil {
-				return
-			}
-			last = p.Now()
-		})
-	}
-	k.Run()
-	// 4 jobs on 2 servers, 100 each: done at 200.
-	if last != 200 {
-		t.Fatalf("last finish = %v, want 200", last)
-	}
-}
-
-func TestStationCancelWhileQueuedFreesNothing(t *testing.T) {
-	k := NewKernel()
-	st := NewStation(k, 1)
-	errKill := errors.New("kill")
-	var victim *Proc
-	var got error
-	k.Spawn("holder", func(p *Proc) {
-		if err := st.Serve(p, 100); err != nil {
-			t.Errorf("holder: %v", err)
-		}
-	})
-	victim = k.Spawn("victim", func(p *Proc) { got = st.Serve(p, 100) })
-	var thirdDone Time
-	k.Spawn("third", func(p *Proc) {
-		if err := p.Sleep(10); err != nil {
-			return
-		}
-		if err := st.Serve(p, 100); err != nil {
-			return
-		}
-		thirdDone = p.Now()
-	})
-	k.At(50, func() { victim.Interrupt(errKill) })
-	k.Run()
-	if !errors.Is(got, errKill) {
-		t.Fatalf("victim err = %v", got)
-	}
-	// Third runs right after the holder (victim dequeued): 100..200.
-	if thirdDone != 200 {
-		t.Fatalf("third done at %v, want 200", thirdDone)
-	}
-}
-
-func TestStationCancelDuringServiceFreesServer(t *testing.T) {
-	k := NewKernel()
-	st := NewStation(k, 1)
-	var victim *Proc
-	victim = k.Spawn("victim", func(p *Proc) {
-		_ = st.Serve(p, 1000)
-	})
-	var nextDone Time
-	k.Spawn("next", func(p *Proc) {
-		if err := p.Sleep(10); err != nil {
-			return
-		}
-		if err := st.Serve(p, 50); err != nil {
-			return
-		}
-		nextDone = p.Now()
-	})
-	k.At(100, func() { victim.Interrupt(errors.New("die")) })
-	k.Run()
-	// Victim's server frees at 100; next serves 100..150.
-	if nextDone != 150 {
-		t.Fatalf("next done at %v, want 150 (server freed on cancel)", nextDone)
-	}
-	if st.QueueLen() != 0 {
-		t.Fatalf("queue leaked: %d", st.QueueLen())
+	if st.Busy() != 500 {
+		t.Fatalf("busy=%d, want 500", st.Busy())
 	}
 }

@@ -308,9 +308,8 @@ type Summary struct {
 	// (averaged across sites in distributed runs); the runtime fills
 	// it in.
 	CPUUtil float64
-	// IOUtil is the mean I/O utilization over the horizon (single-site
-	// runs; meaningful when I/O parallelism is bounded, otherwise it
-	// reports offered I/O load).
+	// IOUtil is the offered I/O load over the horizon (single-site
+	// runs, whose I/O is a pure delay).
 	IOUtil float64
 }
 

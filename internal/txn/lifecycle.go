@@ -23,9 +23,13 @@ type Lifecycle struct {
 
 	k  *sim.Kernel
 	tl *timeline.Collector
-	// names are the transactions' journal-only process names, kept
+	// arrive is the engine's per-arrival action, bound once. names are
+	// the transactions' journal-only process names. Both are kept
 	// across Reset.
-	names Names
+	arrive func(*workload.Txn)
+	names  Names
+	// arr is the arrival chain of the load, set afresh by each load.
+	arr arrivals
 	// pending counts transactions from the moment their arrival is
 	// scheduled until their outcome is recorded.
 	pending int
@@ -47,21 +51,23 @@ type miss struct {
 const missHelp = "Transactions aborted at their deadline."
 
 // NewLifecycle registers the lifecycle series on k's registry and builds
-// the run's Monitor, retaining at most maxRaw raw records (0 keeps
-// every one). An engine keeps the Lifecycle by value and uses it in
-// place.
-func NewLifecycle(k *sim.Kernel, tl *timeline.Collector, maxRaw int) Lifecycle {
-	l := Lifecycle{Monitor: stats.NewMonitor(), k: k, names: NewNames("tx", "")}
-	l.Reset(tl, maxRaw)
+// the run's Monitor, which keeps every raw record until a Reset says
+// otherwise; each arrival of a load calls arrive. An engine keeps the
+// Lifecycle by value and uses it in place.
+func NewLifecycle(k *sim.Kernel, arrive func(*workload.Txn)) Lifecycle {
+	l := Lifecycle{Monitor: stats.NewMonitor(), k: k, arrive: arrive, names: NewNames("tx", "")}
+	l.Reset(nil, 0)
 	return l
 }
 
 // Reset returns the lifecycle to the state NewLifecycle leaves it in,
-// keeping its Monitor (emptied), its process names and kernel, whose
-// registry it takes the series from afresh. A miss reason beyond the
-// deadline is registered again after it.
+// with tl as the timeline and at most maxRaw raw records retained (0
+// keeps every one), keeping its Monitor (emptied), its arrival action,
+// its process names and kernel, whose registry it takes the series from
+// afresh. A miss reason beyond the deadline is registered again after
+// it.
 func (l *Lifecycle) Reset(tl *timeline.Collector, maxRaw int) {
-	*l = Lifecycle{Monitor: l.Monitor, k: l.k, tl: tl, names: l.names}
+	*l = Lifecycle{Monitor: l.Monitor, k: l.k, tl: tl, arrive: l.arrive, names: l.names}
 	l.Monitor.Reset(maxRaw)
 	m := l.k.Metrics()
 	l.mInflight = m.Gauge("txn_inflight", "Transactions between arrival and commit/abort.")
@@ -79,45 +85,52 @@ func (l *Lifecycle) MissReason(err error, reason string) {
 // Load reserves the Monitor's records and len(txs) event sequence
 // numbers and starts the arrival chain over txs, handed out by index
 // in arrival order (see workload.InArrivalOrder): each arrival event
-// takes and schedules the following transaction, then calls arrive, so
-// the event heap holds one pending arrival however long the load is.
-// The reserved numbers fire every arrival among simultaneous events
-// exactly where scheduling the whole load up front would have.
-func (l *Lifecycle) Load(txs []*workload.Txn, arrive func(*workload.Txn)) {
-	l.load(len(txs), &arrivals{l: l, txs: workload.InArrivalOrder(txs), arrive: arrive})
+// takes and schedules the following transaction, then calls the
+// engine's arrive, so the event heap holds one pending arrival however
+// long the load is. The reserved numbers fire every arrival among
+// simultaneous events exactly where scheduling the whole load up front
+// would have. A run takes one load.
+func (l *Lifecycle) Load(txs []*workload.Txn) {
+	l.load(len(txs), arrivals{txs: workload.InArrivalOrder(txs)})
 }
 
 // LoadStream is Load over a stream, pulled one arrival at a time, so
 // memory stays bounded however long the load is.
-func (l *Lifecycle) LoadStream(src *workload.Stream, arrive func(*workload.Txn)) {
-	l.load(src.Remaining(), &arrivals{l: l, next: src.Next, arrive: arrive})
+func (l *Lifecycle) LoadStream(src *workload.Stream) {
+	l.load(src.Remaining(), arrivals{src: src})
 }
 
-func (l *Lifecycle) load(n int, a *arrivals) {
+// load makes a the lifecycle's chain, in place, so a load allocates
+// nothing. A second load in one run would cut the first one's chain.
+func (l *Lifecycle) load(n int, a arrivals) {
+	if l.arr.l != nil {
+		panic("txn: a second load before Reset")
+	}
 	l.Monitor.Reserve(n)
-	a.seqs = l.k.ReserveSeq(n)
-	a.schedule()
+	l.arr = a
+	l.arr.l = l
+	l.arr.seqs = l.k.ReserveSeq(n)
+	l.arr.schedule()
 }
 
 // arrivals is one load's arrival chain. Every arrival event is the same
 // static handler with the chain as its argument, and the chain holds the
 // one transaction whose arrival is pending, so an arrival allocates
 // nothing. A preloaded load is the slice txs, of which the first i have
-// been taken; a streamed one is pulled from next.
+// been taken; a streamed one is pulled from src.
 type arrivals struct {
-	l      *Lifecycle
-	txs    []*workload.Txn
-	i      int
-	next   func() *workload.Txn
-	arrive func(*workload.Txn)
-	seqs   sim.SeqBlock
-	due    *workload.Txn
+	l    *Lifecycle
+	txs  []*workload.Txn
+	i    int
+	src  *workload.Stream
+	seqs sim.SeqBlock
+	due  *workload.Txn
 }
 
 // take returns the next transaction of the load, nil past its end.
 func (a *arrivals) take() *workload.Txn {
-	if a.next != nil {
-		return a.next()
+	if a.src != nil {
+		return a.src.Next()
 	}
 	if a.i == len(a.txs) {
 		return nil
@@ -144,7 +157,7 @@ func fireArrival(arg any) {
 	a := arg.(*arrivals)
 	t := a.due
 	a.schedule()
-	a.arrive(t)
+	a.l.arrive(t)
 }
 
 // Spawn starts t's process on p, running body. An engine keeps p in a

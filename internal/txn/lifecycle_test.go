@@ -59,3 +59,40 @@ func TestUnexpectedErrorIsRecordedMiss(t *testing.T) {
 		t.Fatalf(`txn_deadline_misses_total{reason="deadline"} = %d, want 1`, n)
 	}
 }
+
+// TestRerunLoadAllocFree: loading a reset system again allocates
+// nothing, since the arrival chain lives in the lifecycle and the
+// engine's arrival action is bound once; loading it twice panics.
+func TestRerunLoadAllocFree(t *testing.T) {
+	cfg := Config{
+		CPUPerObj:  10 * sim.Millisecond,
+		NewManager: func(k *sim.Kernel) core.Manager { return core.NewCeiling(k) },
+	}
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txs := []*workload.Txn{
+		mkTxn(1, 0, sim.Time(sim.Second), []core.ObjectID{3}, core.Write),
+		mkTxn(2, sim.Time(sim.Millisecond), sim.Time(sim.Second), []core.ObjectID{3, 4}, core.Write),
+	}
+	s.Load(txs)
+	if sum := s.Run(); sum.Committed != 2 {
+		t.Fatalf("summary %+v, want two commits", sum)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := s.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		s.Load(txs)
+	}); allocs != 0 {
+		t.Fatalf("a reset and a load allocated %.1f times, want 0", allocs)
+	}
+	// The chain is one per run: a second load would cut the first.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second load before Reset did not panic")
+		}
+	}()
+	s.Load(txs)
+}

@@ -107,27 +107,6 @@ func TestDetectResolvesDeadlockBothCommit(t *testing.T) {
 	}
 }
 
-func TestRestartDelaySpacesAttempts(t *testing.T) {
-	s, err := NewSystem(Config{
-		CPUPerObj:    10 * sim.Millisecond,
-		NewManager:   func(k *sim.Kernel) core.Manager { return core.NewTwoPLHP(k) },
-		RestartDelay: 30 * sim.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	low := mkTxn(2, 0, sim.Time(2*sim.Second), []core.ObjectID{1, 2, 3, 4}, core.Write)
-	high := mkTxn(1, sim.Time(15*sim.Millisecond), sim.Time(200*sim.Millisecond), []core.ObjectID{1}, core.Write)
-	s.Load([]*workload.Txn{low, high})
-	s.Run()
-	recs := s.Monitor.Records()
-	// Wounded at 15ms, backs off 30ms, restarts at 45ms, needs 40ms of
-	// CPU behind high's 10ms → finishes no earlier than 85ms.
-	if recs[1].Finish < sim.Time(85*sim.Millisecond) {
-		t.Fatalf("victim finished at %v; restart delay not applied", recs[1].Finish)
-	}
-}
-
 func TestHeavyContentionHPAllProcessed(t *testing.T) {
 	s, ser := newSystem(t, func(k *sim.Kernel) core.Manager { return core.NewTwoPLHP(k) })
 	var txs []*workload.Txn

@@ -47,10 +47,6 @@ type Config struct {
 	// NewManager constructs the concurrency-control protocol under
 	// test.
 	NewManager func(*sim.Kernel) core.Manager
-	// RestartDelay spaces restart attempts of abort-based protocols
-	// (High-Priority wounding, timestamp ordering, deadlock
-	// detection). Zero retries immediately.
-	RestartDelay sim.Duration
 	// Journal, when non-nil, receives the machine-checkable replay
 	// journal: every kernel, lock-manager, and transaction lifecycle
 	// event, in deterministic order. Its observers (internal/audit's
@@ -60,10 +56,6 @@ type Config struct {
 	// the I/O delay. Zero disables buffering (every access pays I/O),
 	// which is the calibrated experiments' behavior.
 	BufferPages int
-	// IODisks bounds I/O parallelism: misses queue FIFO for one of
-	// this many disks. Zero keeps the paper's parallel-I/O assumption
-	// (unbounded).
-	IODisks int
 	// LockOverhead is the CPU cost of each lock operation (the
 	// protocol bookkeeping the paper's environment executes in the
 	// resource manager). Zero models free lock management.
@@ -177,9 +169,9 @@ func NewSystem(cfg Config) (*System, error) {
 		Mgr:    cfg.NewManager(k),
 		Store:  db.NewStore(0),
 		Buffer: buffer.New(cfg.BufferPages),
-		IO:     sim.NewStation(k, cfg.IODisks),
-		life:   NewLifecycle(k, nil, 0),
+		IO:     sim.NewStation(k),
 	}
+	s.life = NewLifecycle(k, s.arrive)
 	s.Monitor = s.life.Monitor
 	if err := s.Reset(cfg); err != nil {
 		return nil, err
@@ -211,7 +203,7 @@ func (s *System) Reset(cfg Config) error {
 	k.SetWindows(cfg.Timeline.Window(), cfg.Timeline)
 	s.CPU.Reset(cfg.CPUDiscipline)
 	s.Mgr.Reset()
-	s.IO.Reset(cfg.IODisks)
+	s.IO.Reset()
 	s.Store.Reset()
 	s.Buffer.Reset()
 	s.life.Reset(cfg.Timeline, cfg.MaxRawRecords)
@@ -231,7 +223,7 @@ func (s *System) Reset(cfg Config) error {
 // Load schedules the transactions' arrivals (see Lifecycle.Load) and,
 // with a write-ahead log configured, the checkpointer.
 func (s *System) Load(txs []*workload.Txn) {
-	s.life.Load(txs, s.arrive)
+	s.life.Load(txs)
 	s.startCheckpointer()
 }
 
@@ -239,7 +231,7 @@ func (s *System) Load(txs []*workload.Txn) {
 // Lifecycle.LoadStream), so memory stays bounded however long the load
 // is.
 func (s *System) LoadStream(src *workload.Stream) {
-	s.life.LoadStream(src, s.arrive)
+	s.life.LoadStream(src)
 	s.startCheckpointer()
 }
 
@@ -277,11 +269,9 @@ func (s *System) Run() stats.Summary {
 	if h := s.Monitor.Horizon(); h > 0 {
 		horizon := sim.Duration(h).Seconds()
 		sum.CPUUtil = s.CPU.Busy().Seconds() / horizon
-		servers := s.IO.Servers()
-		if servers == 0 {
-			servers = 1 // unbounded I/O: report offered load per notional disk
-		}
-		sum.IOUtil = s.IO.Busy().Seconds() / (horizon * float64(servers))
+		// I/O is a pure delay: its utilization is the offered load on
+		// one notional disk.
+		sum.IOUtil = s.IO.Busy().Seconds() / horizon
 	}
 	return sum
 }
@@ -337,11 +327,6 @@ func (s *System) exec(x *run) {
 		s.K.Emit(journal.KRestart, t.ID, 0, int64(rec.Restarts), 0, "")
 		s.mRestarts.Inc()
 		rec.Restarts++
-		if s.cfg.RestartDelay > 0 {
-			if err = p.Sleep(s.cfg.RestartDelay); err != nil {
-				break
-			}
-		}
 	}
 	deadline.Cancel()
 	if err == nil {
