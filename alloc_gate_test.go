@@ -52,7 +52,10 @@ var raceBuild bool
 // case has a budget: an audit-only run checks each journal record as it
 // is written and keeps none, so retaining the journal again (tens of
 // kilobytes per transaction) shows up here even though it adds few
-// allocations. Race builds skip the byte budgets (see race_test.go).
+// allocations; a journaled run (4.5 KB per transaction) keeps only the
+// records' canonical encoding, so keeping record structs again (about
+// 23 KB) fails its budget. Race builds skip the byte budgets (see
+// race_test.go).
 func TestSingleSiteRunAllocGate(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -61,7 +64,7 @@ func TestSingleSiteRunAllocGate(t *testing.T) {
 		maxBytes float64 // per transaction, 0 = unchecked
 	}{
 		{"plain", SingleSiteConfig{Workload: WorkloadConfig{Count: 200}}, 3, 0},
-		{"journal", SingleSiteConfig{Journal: true, Workload: WorkloadConfig{Count: 200}}, 3.3, 0},
+		{"journal", SingleSiteConfig{Journal: true, Workload: WorkloadConfig{Count: 200}}, 3.3, 5600},
 		{"audit", SingleSiteConfig{Audit: true, Workload: WorkloadConfig{Count: 2000}}, 0.9, 1500},
 		{"timeline", SingleSiteConfig{TimelineWindow: 10 * Second, MaxRawRecords: 64,
 			Workload: WorkloadConfig{Count: 200}}, 4.1, 0},
@@ -129,8 +132,10 @@ func TestDistributedRunAllocGate(t *testing.T) {
 // rig's pooled runs, their processes living in them, its message
 // servers restart on the processes they keep, its load's arrival chain
 // lives in the engine, and journal-only names come from chunks the rig
-// keeps. These runs measure 15–32 allocations (up to one more under
-// -race) and 5.5–6.4 KB per schedule, rig construction amortized over
+// keeps. The auditors are teed into the journal and check a schedule as
+// it is written, and its hash reads the encoding the journal already
+// holds. These runs measure 15–32 allocations (up to one more under
+// -race) and 2.6–4.8 KB per schedule, rig construction amortized over
 // the sixty; each case's count and the bytes are capped at about 1.25x
 // the measurement. A process allocated per transaction again costs
 // about 24 allocations per schedule, a name built per process about as
@@ -141,7 +146,7 @@ func TestDistributedRunAllocGate(t *testing.T) {
 // TestServerRestartAllocFree (internal/netsim) catch those. Race builds skip the byte budget (see
 // race_test.go).
 func TestExploreScheduleAllocGate(t *testing.T) {
-	const schedules, maxBytes = 60, 8192 // 8 KB
+	const schedules, maxBytes = 60, 6144 // 6 KB
 	opts := ExploreOptions{Schedules: schedules, Workers: 1, MaxDepth: 24, Branch: 3}
 	for _, tc := range []struct {
 		name string
@@ -166,5 +171,33 @@ func TestExploreScheduleAllocGate(t *testing.T) {
 		if !raceBuild && bytes > maxBytes {
 			t.Errorf("%s: %.0f bytes per schedule exceeds the gate of %d", tc.name, bytes, maxBytes)
 		}
+	}
+}
+
+// TestJournalRetainsEncoding caps what a kept journal costs to hold: a
+// journal keeps only its canonical binary encoding, about 14 B a
+// record on this run, so a journaled run's Result retains at most 20 B
+// of heap per record. A journal that keeps record structs again (64 B
+// each before growth slack) fails it.
+func TestJournalRetainsEncoding(t *testing.T) {
+	const maxPerRecord = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := RunSingleSite(SingleSiteConfig{Protocol: Ceiling, Journal: true, Workload: WorkloadConfig{Count: 2000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two collections: the first moves pooled buffers to the pools'
+	// victim caches, the second frees them.
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	n := res.Journal.Len()
+	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
+	runtime.KeepAlive(res)
+	t.Logf("%d records, %.1f B of heap retained per record", n, per)
+	if per > maxPerRecord {
+		t.Errorf("a journaled run retains %.1f B per record; the gate is %d", per, maxPerRecord)
 	}
 }

@@ -56,17 +56,16 @@ type Auditor interface {
 	Reset()
 }
 
-// Run replays a retained journal through the auditors and returns every
-// violation, ordered by exposing sequence number. A run audited as it
-// goes tees the auditors into its journal instead and calls Finish.
+// Run replays a retained journal through the auditors, decoding each
+// record once, and returns every violation, ordered by exposing
+// sequence number. A run audited as it goes tees the auditors into its
+// journal instead and calls Finish.
 func Run(j *journal.Journal, auds ...Auditor) []Violation {
-	records := j.Records()
-	for i := range records {
-		r := &records[i]
+	j.Each(func(r *journal.Record) {
 		for _, a := range auds {
 			a.Observe(r)
 		}
-	}
+	})
 	return Finish(auds...)
 }
 
@@ -796,11 +795,11 @@ func (s *Serializable) Finish() []Violation {
 // journal.
 func CommitSet(j *journal.Journal) map[int64]bool {
 	out := make(map[int64]bool)
-	for _, r := range j.Records() {
+	j.Each(func(r *journal.Record) {
 		if r.Kind == journal.KCommit {
 			out[r.Tx] = true
 		}
-	}
+	})
 	return out
 }
 

@@ -182,7 +182,7 @@ type clusterRig struct {
 }
 
 func (r *clusterRig) run(ch sim.Chooser, plan *faults.Plan) (*Outcome, error) {
-	r.jrn.Reset(r.seed, r.key)
+	start(r.jrn, r.seed, r.key, r.auds)
 	if err := r.c.Reset(r.cfg); err != nil {
 		return nil, err
 	}

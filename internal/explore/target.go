@@ -118,7 +118,7 @@ type singleRig struct {
 }
 
 func (r *singleRig) run(ch sim.Chooser, _ *faults.Plan) (*Outcome, error) {
-	r.jrn.Reset(r.seed, r.key)
+	start(r.jrn, r.seed, r.key, r.auds)
 	if err := r.sys.Reset(r.cfg); err != nil {
 		return nil, err
 	}
@@ -130,13 +130,21 @@ func (r *singleRig) run(ch sim.Chooser, _ *faults.Plan) (*Outcome, error) {
 
 func (r *singleRig) close() { r.sys.K.Close() }
 
-// outcome audits a finished schedule's journal with the rig's auditors,
-// reset first, and hashes it.
-func outcome(j *journal.Journal, auds []audit.Auditor, plan *faults.Plan) *Outcome {
+// start readies a rig's journal and auditors for the next schedule:
+// the journal is rekeyed and emptied, the auditors reset and teed into
+// it, so they check the schedule as it is written.
+func start(j *journal.Journal, seed int64, key string, auds []audit.Auditor) {
+	j.Reset(seed, key)
 	for _, a := range auds {
 		a.Reset()
+		j.Tee(false, a)
 	}
-	return &Outcome{JournalHash: j.HashString(), Violations: audit.Run(j, auds...), FaultPlan: plan}
+}
+
+// outcome hashes a finished schedule's journal, whose encoding is
+// already in memory, and closes the auditors that watched it.
+func outcome(j *journal.Journal, auds []audit.Auditor, plan *faults.Plan) *Outcome {
+	return &Outcome{JournalHash: j.HashString(), Violations: audit.Finish(auds...), FaultPlan: plan}
 }
 
 // DistributedTarget builds the exploration target for one distributed

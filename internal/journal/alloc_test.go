@@ -76,3 +76,21 @@ func TestEncodeBinarySteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("EncodeBinary allocated %.1f times per call after warmup; want 0", allocs)
 	}
 }
+
+// TestHashZeroAlloc gates the outcome of an explored schedule: Hash
+// writes the header into the room reserved in front of the encoded
+// records and digests the bytes in place, so it never allocates.
+func TestHashZeroAlloc(t *testing.T) {
+	j := New(7, "alloc-gate")
+	for i := int64(0); i < 512; i++ {
+		j.Append(i, KOp, 0, i%8, int32(i%16), i, 0, "")
+	}
+	var sum [32]byte
+	allocs := testing.AllocsPerRun(10, func() { sum = j.Hash() })
+	if allocs != 0 {
+		t.Fatalf("Hash allocated %.1f times per call; want 0", allocs)
+	}
+	if sum == ([32]byte{}) {
+		t.Fatal("zero hash")
+	}
+}

@@ -20,12 +20,14 @@ package journal
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -295,36 +297,48 @@ type jsonRecord struct {
 }
 
 // Observer consumes records as they are appended, in journal order.
-// The record pointer is valid only for the duration of the call (a
-// discarding journal reuses it for the next record), so an observer that
-// keeps a record must copy it.
+// The record pointer is valid only for the duration of the call (the
+// journal reuses it for the next record), so an observer that keeps a
+// record must copy it.
 type Observer interface {
 	Observe(r *Record)
 }
 
 // Journal accumulates the records of one simulation run, keyed by the
-// run's seed and a canonical configuration string. Observers attached
-// with Tee see every record at Append; a discarding journal keeps none,
-// so a run that is only audited holds no per-record state.
+// run's seed and a canonical configuration string. It keeps no record
+// structs: Append encodes each retained record into buf in the canonical
+// binary form, so hashing and binary export read bytes already in memory
+// and every other reader decodes on demand through Each. Observers
+// attached with Tee see every record at Append; a discarding journal
+// keeps none, so a run that is only audited holds no per-record state.
 type Journal struct {
-	seed    int64
-	config  string
-	records []Record
-	n       int // records appended since New or Reset
+	seed   int64
+	config string
+	n      int // records appended since New or Reset
+	kept   int // records encoded into buf
 
-	// cur holds the record being appended when records are discarded:
-	// observers get a pointer into the journal rather than into Append's
-	// frame, which would escape and allocate once per record.
+	// cur holds the record being appended: observers get a pointer into
+	// the journal rather than into Append's frame, which would escape
+	// and allocate once per record.
 	cur     Record
 	obs     []Observer
 	discard bool
 
-	// encBuf is the reusable binary-encoding scratch shared by Hash and
-	// EncodeBinary, so hashing a journal at end of run allocates only on
-	// first use (or growth). Sharing it is safe under the single-owner
-	// rule stated above: a Journal is never used concurrently.
-	encBuf []byte
+	// buf is headerRoom bytes reserved for the encoding's header, then
+	// the body: the encoded records. Hash and EncodeBinary write the
+	// header right-aligned into the room, so the whole encoding is one
+	// contiguous slice and needs no second pass. buf is empty until the
+	// first retained record or encoding, and Reset keeps its capacity.
+	buf []byte
 }
+
+// headerRoom bounds the encoded header: the magic, then the seed, the
+// config hash and the record count as varints of at most 10 bytes each.
+const headerRoom = len(binaryMagic) + 3*binary.MaxVarintLen64
+
+// maxFixed bounds a record's encoding less its note bytes: the kind
+// byte and seven varints.
+const maxFixed = 1 + 7*binary.MaxVarintLen64
 
 // New returns an empty journal for the given seed and canonical config
 // string. The config string should be a stable rendering of every
@@ -379,53 +393,111 @@ func (j *Journal) Tee(discard bool, obs ...Observer) {
 }
 
 // Reset rekeys the journal, drops its records and detaches its
-// observers while keeping the record and encoding buffers, so one
-// journal can be recycled across many runs (the schedule explorer
-// executes hundreds per exploration).
+// observers while keeping the encoding buffer, so one journal can be
+// recycled across many runs (the schedule explorer executes hundreds
+// per exploration).
 func (j *Journal) Reset(seed int64, config string) {
 	if j == nil {
 		return
 	}
 	j.seed = seed
 	j.config = config
-	// Notes hold the only pointers in a Record; clear them so recycled
-	// journals don't pin strings from prior runs.
-	for i := range j.records {
-		j.records[i].Note = ""
-	}
-	j.records = j.records[:0]
-	j.n = 0
+	j.buf = j.buf[:0]
+	j.n, j.kept = 0, 0
 	j.cur = Record{}
-	j.obs, j.discard = nil, false
+	clear(j.obs)
+	j.obs, j.discard = j.obs[:0], false
 }
 
-// Append writes the next record once, into its retained slot or, when
-// the journal discards, into cur, and hands it to every observer. It is
+// Append writes the next record into cur, hands it to every observer
+// and, unless the journal discards, encodes it onto the body. It is
 // safe to call on a nil journal (a no-op), so emission sites need no
 // nil checks.
 func (j *Journal) Append(at int64, kind Kind, site int32, tx int64, obj int32, a, b int64, note string) {
 	if j == nil {
 		return
 	}
+	// Field by field: assigning a whole Record literal copies it through
+	// the runtime's write-barrier-aware move, which costs more than the
+	// rest of Append.
 	r := &j.cur
-	if !j.discard {
-		j.records = append(j.records, Record{})
-		r = &j.records[len(j.records)-1]
-	}
-	*r = Record{
-		Seq:  uint64(j.n),
-		At:   at,
-		Kind: kind,
-		Site: site,
-		Tx:   tx,
-		Obj:  obj,
-		A:    a,
-		B:    b,
-		Note: note,
-	}
+	r.Seq, r.At, r.Kind, r.Site, r.Tx, r.Obj, r.A, r.B, r.Note = uint64(j.n), at, kind, site, tx, obj, a, b, note
 	j.n++
 	for _, o := range j.obs {
 		o.Observe(r)
+	}
+	if !j.discard {
+		j.encode(r)
+	}
+}
+
+// encode appends r's canonical encoding to the body: At, the kind byte,
+// Site, Tx, Obj, A and B as varints, then the note as a uvarint length
+// and its bytes.
+func (j *Journal) encode(r *Record) {
+	j.room()
+	b := slices.Grow(j.buf, maxFixed+len(r.Note))
+	p := len(b)
+	b = b[:p+maxFixed]
+	p += binary.PutVarint(b[p:], r.At)
+	b[p] = byte(r.Kind)
+	p++
+	p += binary.PutVarint(b[p:], int64(r.Site))
+	p += binary.PutVarint(b[p:], r.Tx)
+	p += binary.PutVarint(b[p:], int64(r.Obj))
+	p += binary.PutVarint(b[p:], r.A)
+	p += binary.PutVarint(b[p:], r.B)
+	p += binary.PutUvarint(b[p:], uint64(len(r.Note)))
+	j.buf = append(b[:p], r.Note...)
+	j.kept++
+}
+
+// room reserves the header room at the front of an empty buffer.
+func (j *Journal) room() {
+	if len(j.buf) == 0 {
+		j.buf = append(j.buf, make([]byte, headerRoom)...)
+	}
+}
+
+// body returns the encoded records.
+func (j *Journal) body() []byte {
+	if j == nil || len(j.buf) == 0 {
+		return nil
+	}
+	return j.buf[headerRoom:]
+}
+
+// Each decodes the retained records in order and calls fn with each,
+// Seq set to its position. The pointer is valid only for the duration
+// of the call, as for an Observer; a nil journal has no records.
+func (j *Journal) Each(fn func(r *Record)) {
+	body := j.body()
+	var r Record
+	for p, seq := 0, uint64(0); p < len(body); seq++ {
+		r.Seq = seq
+		var n int
+		r.At, n = binary.Varint(body[p:])
+		p += n
+		r.Kind = Kind(body[p])
+		p++
+		var v int64
+		v, n = binary.Varint(body[p:])
+		r.Site = int32(v)
+		p += n
+		r.Tx, n = binary.Varint(body[p:])
+		p += n
+		v, n = binary.Varint(body[p:])
+		r.Obj = int32(v)
+		p += n
+		r.A, n = binary.Varint(body[p:])
+		p += n
+		r.B, n = binary.Varint(body[p:])
+		p += n
+		l, n := binary.Uvarint(body[p:])
+		p += n
+		r.Note = string(body[p : p+int(l)])
+		p += int(l)
+		fn(&r)
 	}
 }
 
@@ -437,12 +509,16 @@ func (j *Journal) Len() int {
 	return j.n
 }
 
-// Records returns the record slice. Callers must not mutate it.
+// Records decodes the retained records into a new slice, nil when there
+// are none. Readers that need one pass should use Each instead.
 func (j *Journal) Records() []Record {
-	if j == nil {
+	n := j.retained()
+	if n == 0 {
 		return nil
 	}
-	return j.records
+	out := make([]Record, 0, n)
+	j.Each(func(r *Record) { out = append(out, *r) })
+	return out
 }
 
 // binaryMagic opens the canonical binary encoding.
@@ -453,38 +529,28 @@ const binaryMagic = "RTJ1"
 // varint-packed fields. The encoding is byte-stable: the same record
 // sequence always produces the same bytes.
 func (j *Journal) EncodeBinary(w io.Writer) error {
-	j.encBuf = j.appendBinary(j.encBuf[:0])
-	_, err := w.Write(j.encBuf)
+	_, err := w.Write(j.encoding())
 	return err
 }
 
-// appendBinary appends the canonical binary encoding to buf, reusing
-// buf's capacity.
-func (j *Journal) appendBinary(buf []byte) []byte {
-	buf = append(buf, binaryMagic...)
-	buf = binary.AppendVarint(buf, j.Seed())
-	buf = binary.AppendUvarint(buf, j.ConfigHash())
-	buf = binary.AppendUvarint(buf, uint64(len(j.Records())))
-	for i := range j.Records() {
-		r := &j.records[i]
-		buf = binary.AppendVarint(buf, r.At)
-		buf = append(buf, byte(r.Kind))
-		buf = binary.AppendVarint(buf, int64(r.Site))
-		buf = binary.AppendVarint(buf, r.Tx)
-		buf = binary.AppendVarint(buf, int64(r.Obj))
-		buf = binary.AppendVarint(buf, r.A)
-		buf = binary.AppendVarint(buf, r.B)
-		buf = binary.AppendUvarint(buf, uint64(len(r.Note)))
-		buf = append(buf, r.Note...)
-	}
-	return buf
+// encoding writes the header into the room in front of the body and
+// returns header and body as one slice.
+func (j *Journal) encoding() []byte {
+	var hdr [headerRoom]byte
+	h := append(hdr[:0], binaryMagic...)
+	h = binary.AppendVarint(h, j.seed)
+	h = binary.AppendUvarint(h, j.ConfigHash())
+	h = binary.AppendUvarint(h, uint64(j.kept))
+	j.room()
+	start := headerRoom - len(h)
+	copy(j.buf[start:], h)
+	return j.buf[start:]
 }
 
 // Hash returns the SHA-256 digest of the canonical binary encoding.
 // Two runs are provably identical when their hashes match.
 func (j *Journal) Hash() [32]byte {
-	j.encBuf = j.appendBinary(j.encBuf[:0])
-	return sha256.Sum256(j.encBuf)
+	return sha256.Sum256(j.encoding())
 }
 
 // HashString returns Hash as lower-case hex, encoded on the stack and
@@ -516,26 +582,26 @@ func (j *Journal) EncodeJSONL(w io.Writer) error {
 		Seed:       j.Seed(),
 		Config:     j.Config(),
 		ConfigHash: fmt.Sprintf("%016x", j.ConfigHash()),
-		Records:    len(j.Records()),
+		Records:    j.retained(),
 	}
-	if err := enc.Encode(hdr); err != nil {
+	err := enc.Encode(hdr)
+	j.Each(func(r *Record) {
+		if err == nil {
+			err = enc.Encode(jsonRecord{
+				Seq: r.Seq, At: r.At, Kind: r.Kind.String(),
+				Site: r.Site, Tx: r.Tx, Obj: r.Obj, A: r.A, B: r.B,
+				Note: r.Note,
+			})
+		}
+	})
+	if err != nil {
 		return err
-	}
-	for i := range j.Records() {
-		r := &j.records[i]
-		jr := jsonRecord{
-			Seq: r.Seq, At: r.At, Kind: r.Kind.String(),
-			Site: r.Site, Tx: r.Tx, Obj: r.Obj, A: r.A, B: r.B,
-			Note: r.Note,
-		}
-		if err := enc.Encode(jr); err != nil {
-			return err
-		}
 	}
 	return bw.Flush()
 }
 
-// DecodeJSONL reads a journal previously written by EncodeJSONL.
+// DecodeJSONL reads a journal previously written by EncodeJSONL. A
+// record's seq must be its position: the journal does not store it.
 func DecodeJSONL(r io.Reader) (*Journal, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -567,36 +633,35 @@ func DecodeJSONL(r io.Reader) (*Journal, error) {
 		if !ok {
 			return nil, fmt.Errorf("journal: line %d: unknown kind %q", line, jr.Kind)
 		}
-		j.records = append(j.records, Record{
-			Seq: jr.Seq, At: jr.At, Kind: kind,
-			Site: jr.Site, Tx: jr.Tx, Obj: jr.Obj, A: jr.A, B: jr.B,
-			Note: jr.Note,
-		})
-		j.n++
+		if jr.Seq != uint64(j.n) {
+			return nil, fmt.Errorf("journal: line %d: seq %d, want %d", line, jr.Seq, j.n)
+		}
+		j.Append(jr.At, kind, jr.Site, jr.Tx, jr.Obj, jr.A, jr.B, jr.Note)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if hdr.Records != len(j.records) {
-		return nil, fmt.Errorf("journal: header says %d records, read %d", hdr.Records, len(j.records))
+	if hdr.Records != j.kept {
+		return nil, fmt.Errorf("journal: header says %d records, read %d", hdr.Records, j.kept)
 	}
 	return j, nil
 }
 
 // Equal reports whether two journals have the same key and identical
 // record sequences. It is the in-memory form of byte-identity: Equal
-// journals produce identical binary and JSONL encodings.
+// journals produce identical binary and JSONL encodings, and since both
+// hold the binary body, it compares bytes.
 func Equal(a, b *Journal) bool {
-	if a.Seed() != b.Seed() || a.Config() != b.Config() || len(a.Records()) != len(b.Records()) {
-		return false
+	return a.Seed() == b.Seed() && a.Config() == b.Config() && a.retained() == b.retained() &&
+		bytes.Equal(a.body(), b.body())
+}
+
+// retained returns the number of records encoded into the body.
+func (j *Journal) retained() int {
+	if j == nil {
+		return 0
 	}
-	ar, br := a.Records(), b.Records()
-	for i := range ar {
-		if ar[i] != br[i] {
-			return false
-		}
-	}
-	return true
+	return j.kept
 }
 
 // Diff returns a short description of the first divergence between two
@@ -609,20 +674,17 @@ func Diff(a, b *Journal) string {
 	if a.Config() != b.Config() {
 		return "config strings differ"
 	}
-	ar, br := a.Records(), b.Records()
-	n := len(ar)
-	if len(br) < n {
-		n = len(br)
+	if Equal(a, b) {
+		return ""
 	}
+	ar, br := a.Records(), b.Records()
+	n := min(len(ar), len(br))
 	for i := 0; i < n; i++ {
 		if ar[i] != br[i] {
 			return fmt.Sprintf("record %d: %+v vs %+v", i, ar[i], br[i])
 		}
 	}
-	if len(ar) != len(br) {
-		return fmt.Sprintf("length %d vs %d", len(ar), len(br))
-	}
-	return ""
+	return fmt.Sprintf("length %d vs %d", len(ar), len(br))
 }
 
 // chromeEvent is one entry of the Chrome trace_event format
@@ -657,8 +719,7 @@ func (j *Journal) EncodeChromeTrace(w io.Writer) error {
 	}
 	blockStart := map[key]open{}
 	attemptStart := map[int64]open{}
-	for i := range j.Records() {
-		r := &j.records[i]
+	j.Each(func(r *Record) {
 		switch r.Kind {
 		case KArrive:
 			attemptStart[r.Tx] = open{at: r.At, site: r.Site}
@@ -693,7 +754,7 @@ func (j *Journal) EncodeChromeTrace(w io.Writer) error {
 				Args: map[string]any{"obj": r.Obj, "a": r.A, "b": r.B, "seq": r.Seq},
 			})
 		}
-	}
+	})
 	// Deterministic output order: by timestamp, then original sequence
 	// (the args carry seq, and append order already follows it).
 	sort.SliceStable(evs, func(i, k int) bool { return evs[i].Ts < evs[k].Ts })

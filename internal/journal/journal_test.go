@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -163,7 +164,15 @@ func TestEqualAndDiff(t *testing.T) {
 	if !Equal(a, b) || Diff(a, b) != "" {
 		t.Fatal("identical journals reported unequal")
 	}
-	b.records[3].A = 99
+	// The journal holds no records to mutate: rebuild b with record 3
+	// changed.
+	b = New(a.Seed(), a.Config())
+	for i, r := range a.Records() {
+		if i == 3 {
+			r.A = 99
+		}
+		b.Append(r.At, r.Kind, r.Site, r.Tx, r.Obj, r.A, r.B, r.Note)
+	}
 	if Equal(a, b) {
 		t.Fatal("mutated journal reported equal")
 	}
@@ -201,6 +210,28 @@ func TestDecodeJSONLRejectsGarbage(t *testing.T) {
 		if _, err := DecodeJSONL(strings.NewReader(c)); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
+	}
+}
+
+// TestDecodeJSONLRejectsSeqOutOfPlace: a record's seq is implied by its
+// position, so a gap or a repeat is an error naming the line.
+func TestDecodeJSONLRejectsSeqOutOfPlace(t *testing.T) {
+	hdr := `{"v":1,"seed":1,"config":"","confighash":"0","records":2}` + "\n"
+	rec := func(seq int) string {
+		return fmt.Sprintf(`{"seq":%d,"at":1,"kind":"commit","site":0,"tx":1,"obj":0,"a":0,"b":0}`+"\n", seq)
+	}
+	for _, tc := range []struct{ name, in, want string }{
+		{"gap", hdr + rec(0) + rec(2), "line 3: seq 2, want 1"},
+		{"repeat", hdr + rec(0) + rec(0), "line 3: seq 0, want 1"},
+		{"first", hdr + rec(1) + rec(2), "line 2: seq 1, want 0"},
+	} {
+		_, err := DecodeJSONL(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to name %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := DecodeJSONL(strings.NewReader(hdr + rec(0) + rec(1))); err != nil {
+		t.Fatalf("in-place seqs: %v", err)
 	}
 }
 

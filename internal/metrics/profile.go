@@ -156,10 +156,7 @@ func NewProfiler() *Profiler {
 // topK bounds the object table (<= 0 picks 10).
 func FromJournal(j *journal.Journal, topK int) *Profile {
 	pr := NewProfiler()
-	records := j.Records()
-	for i := range records {
-		pr.Observe(&records[i])
-	}
+	j.Each(pr.Observe)
 	return pr.Finish().Top(topK)
 }
 
